@@ -1,94 +1,49 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [exp1|exp2|exp3|exp4|exp5|heuristics|validate|all]
+//! repro [exp1|exp2|exp3|exp4|exp5|heuristics|validate|regret|all]
 //! ```
+//!
+//! Exit status: 0 when every selected report rendered, 1 on the first
+//! report that failed, 2 on an unknown arm.
 
 use eve_bench::experiments::{
-    batch_pipeline, columns, durability, exp1_survival, exp2_sites, exp3_distribution,
-    exp4_cardinality, exp5_workload, heuristics, observe, parallel, search_space, serve,
-    strategy_regret, validation, view_exec,
+    exp1_survival, exp2_sites, exp3_distribution, exp4_cardinality, exp5_workload, heuristics,
+    strategy_regret, validation,
 };
-use eve_bench::report::{write_bench_json, Json};
 use eve_bench::table::{num, TextTable};
+
+type Report = Result<(), Box<dyn std::error::Error>>;
+type Arm = (&'static str, fn() -> Report);
+
+/// Every arm, in the order `all` prints them.
+const ARMS: [Arm; 8] = [
+    ("exp1", exp1),
+    ("exp2", exp2),
+    ("exp3", exp3),
+    ("exp4", exp4),
+    ("exp5", exp5),
+    ("heuristics", heuristics_report),
+    ("validate", validate),
+    ("regret", regret),
+];
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
-    let run_all = arg == "all";
-    let mut ran = false;
-    if run_all || arg == "exp1" {
-        exp1();
-        ran = true;
-    }
-    if run_all || arg == "exp2" {
-        exp2();
-        ran = true;
-    }
-    if run_all || arg == "exp3" {
-        exp3();
-        ran = true;
-    }
-    if run_all || arg == "exp4" {
-        exp4();
-        ran = true;
-    }
-    if run_all || arg == "exp5" {
-        exp5();
-        ran = true;
-    }
-    if run_all || arg == "heuristics" {
-        heuristics_report();
-        ran = true;
-    }
-    if run_all || arg == "validate" {
-        validate();
-        ran = true;
-    }
-    if run_all || arg == "regret" {
-        regret();
-        ran = true;
-    }
-    // Wall-clock-dependent, so not part of `all` (keeps `all` output
-    // deterministic for the golden-file regression tests). These emit
-    // machine-readable BENCH_*.json perf reports alongside the tables.
-    if arg == "batch" {
-        batch();
-        ran = true;
-    }
-    if arg == "view-exec" || arg == "view_exec" {
-        view_exec_report();
-        ran = true;
-    }
-    if arg == "columns" {
-        columns_report();
-        ran = true;
-    }
-    if arg == "parallel" {
-        parallel_report();
-        ran = true;
-    }
-    if arg == "search" || arg == "search-space" || arg == "search_space" {
-        search_report();
-        ran = true;
-    }
-    if arg == "durability" {
-        durability_report();
-        ran = true;
-    }
-    if arg == "serve" {
-        serve_report();
-        ran = true;
-    }
-    if arg == "observe" {
-        observe_report();
-        ran = true;
-    }
-    if !ran {
+    let selected: Vec<&Arm> = ARMS
+        .iter()
+        .filter(|(name, _)| arg == "all" || arg == *name)
+        .collect();
+    if selected.is_empty() {
         eprintln!("unknown experiment `{arg}`");
-        eprintln!(
-            "usage: repro [exp1|exp2|exp3|exp4|exp5|heuristics|validate|regret|batch|view-exec|columns|parallel|search|durability|serve|observe|all]"
-        );
+        eprintln!("usage: repro [exp1|exp2|exp3|exp4|exp5|heuristics|validate|regret|all]");
         std::process::exit(2);
+    }
+    for (_, report) in selected {
+        if let Err(e) = report() {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -98,7 +53,7 @@ fn heading(title: &str) {
     println!("================================================================");
 }
 
-fn exp1() {
+fn exp1() -> Report {
     heading("Experiment 1 — Survival of a View (Figure 12)");
     let mut t = TextTable::new(&["step", "change", "choice (w1 > w2)", "choice (w2 > w1)"]);
     for (i, step) in exp1_survival::figure12().iter().enumerate() {
@@ -120,9 +75,10 @@ fn exp1() {
         ]);
     }
     println!("{}", t.render());
+    Ok(())
 }
 
-fn exp2() {
+fn exp2() -> Report {
     heading("Experiment 2 — Relations vs ISs (Tables 1–2, Figure 13)");
     println!("Table 1 parameters: n=6, |R|=400, s=100, σ=0.5, js=0.005, bfr=10\n");
     println!("Table 2 distribution counts:");
@@ -177,9 +133,10 @@ fn exp2() {
         t.row(cells);
     }
     println!("{}", t.render());
+    Ok(())
 }
 
-fn exp3() {
+fn exp3() -> Report {
     heading("Experiment 3 — Relation Distribution (Figure 14)");
     for js in exp3_distribution::FIG14_JS {
         println!("\nFigure 14, js = {js}:");
@@ -202,9 +159,10 @@ fn exp3() {
         println!("{}", t.render());
     }
     println!("Paper shape: js=0.005 favours even distributions, js=0.001 favours skew (§7.3).");
+    Ok(())
 }
 
-fn exp4() {
+fn exp4() -> Report {
     heading("Experiment 4 — Relation Cardinality (Tables 3–4, Figure 15)");
     println!("Table 3 cardinalities:");
     let mut t = TextTable::new(&["relation", "cardinality"]);
@@ -213,10 +171,7 @@ fn exp4() {
     }
     println!("{}", t.render());
     println!("Table 4 — ranking under case 1 (ρ_quality=0.9, ρ_cost=0.1):");
-    match eve_bench::report::table4_text() {
-        Ok(text) => println!("{text}"),
-        Err(e) => println!("error: {e}"),
-    }
+    println!("{}", eve_bench::report::table4_text()?);
     println!("Figure 15 — QC per rewriting across the trade-off cases:");
     let mut t = TextTable::new(&[
         "rewriting",
@@ -224,19 +179,15 @@ fn exp4() {
         "case 2 (0.75/0.25)",
         "case 3 (0.5/0.5)",
     ]);
-    match exp4_cardinality::figure15() {
-        Ok(rows) => {
-            for (name, qcs) in rows {
-                t.row(vec![name, num(qcs[0], 5), num(qcs[1], 5), num(qcs[2], 5)]);
-            }
-            println!("{}", t.render());
-        }
-        Err(e) => println!("error: {e}"),
+    for (name, qcs) in exp4_cardinality::figure15()? {
+        t.row(vec![name, num(qcs[0], 5), num(qcs[1], 5), num(qcs[2], 5)]);
     }
+    println!("{}", t.render());
     println!("Paper values (Table 4): QC = 0.9325, 0.94125, 0.95, 0.898, 0.855; V3 best in case 1, V1 in cases 2–3.");
+    Ok(())
 }
 
-fn exp5() {
+fn exp5() -> Report {
     heading("Experiment 5 — Workload Models (Tables 5–6, Figure 16)");
     println!("Table 5 — workload model M1 (1 update per 100 tuples):");
     let mut t = TextTable::new(&[
@@ -248,906 +199,126 @@ fn exp5() {
         "QC",
         "rating",
     ]);
-    match exp5_workload::table5() {
-        Ok(rows) => {
-            for r in rows {
-                t.row(vec![
-                    r.rewriting,
-                    num(r.dd, 4),
-                    num(r.cost, 1),
-                    num(r.updates, 0),
-                    num(r.normalized_cost, 2),
-                    num(r.qc, 5),
-                    r.rating.to_string(),
-                ]);
-            }
-            println!("{}", t.render());
-        }
-        Err(e) => println!("error: {e}"),
+    for r in exp5_workload::table5()? {
+        t.row(vec![
+            r.rewriting,
+            num(r.dd, 4),
+            num(r.cost, 1),
+            num(r.updates, 0),
+            num(r.normalized_cost, 2),
+            num(r.qc, 5),
+            r.rating.to_string(),
+        ]);
     }
+    println!("{}", t.render());
     println!("Table 6 / Figure 16 — workload model M3 (u = 10 updates per IS):");
     println!("{}", eve_bench::report::table6_text());
     println!("Paper values (Table 6): 30/92/186/312/470/660; 8000..216000; 310..1860 — reproduced exactly.");
+    Ok(())
 }
 
-fn heuristics_report() {
+fn heuristics_report() -> Report {
     heading("§7.6 — Heuristics validated against the model");
-    match heuristics::all_checks() {
-        Ok(checks) => {
-            let mut t = TextTable::new(&["heuristic", "holds", "evidence"]);
-            for c in checks {
-                t.row(vec![
-                    c.name,
-                    if c.holds { "yes" } else { "NO" }.into(),
-                    c.evidence,
-                ]);
-            }
-            println!("{}", t.render());
-        }
-        Err(e) => println!("error: {e}"),
+    let mut t = TextTable::new(&["heuristic", "holds", "evidence"]);
+    for c in heuristics::all_checks()? {
+        t.row(vec![
+            c.name,
+            if c.holds { "yes" } else { "NO" }.into(),
+            c.evidence,
+        ]);
     }
+    println!("{}", t.render());
+    Ok(())
 }
 
-fn validate() {
+fn validate() -> Report {
     heading("Validation — analytic model vs executed system (extension)");
     println!("Measured (Algorithm 1 on exact-statistics data) vs analytic cost factors:");
-    match validation::validate_costs() {
-        Ok(rows) => {
-            let mut t = TextTable::new(&[
-                "distribution",
-                "msgs measured",
-                "msgs analytic",
-                "bytes measured",
-                "bytes analytic",
-                "io measured",
-                "io analytic",
-            ]);
-            for r in rows {
-                t.row(vec![
-                    r.distribution,
-                    num(r.messages.0, 0),
-                    num(r.messages.1, 0),
-                    num(r.bytes.0, 0),
-                    num(r.bytes.1, 0),
-                    num(r.io.0, 0),
-                    num(r.io.1, 0),
-                ]);
-            }
-            println!("{}", t.render());
-        }
-        Err(e) => println!("error: {e}"),
+    let mut t = TextTable::new(&[
+        "distribution",
+        "msgs measured",
+        "msgs analytic",
+        "bytes measured",
+        "bytes analytic",
+        "io measured",
+        "io analytic",
+    ]);
+    for r in validation::validate_costs()? {
+        t.row(vec![
+            r.distribution,
+            num(r.messages.0, 0),
+            num(r.messages.1, 0),
+            num(r.bytes.0, 0),
+            num(r.bytes.1, 0),
+            num(r.io.0, 0),
+            num(r.io.1, 0),
+        ]);
     }
+    println!("{}", t.render());
     println!("Estimated vs measured extent divergence on a materialized containment chain:");
-    match validation::validate_quality(42) {
-        Ok(rows) => {
-            let mut t = TextTable::new(&["substitute", "DD_ext estimated", "DD_ext measured"]);
-            for r in rows {
-                t.row(vec![r.substitute, num(r.estimated, 4), num(r.measured, 4)]);
-            }
-            println!("{}", t.render());
-        }
-        Err(e) => println!("error: {e}"),
+    let mut t = TextTable::new(&["substitute", "DD_ext estimated", "DD_ext measured"]);
+    for r in validation::validate_quality(42)? {
+        t.row(vec![r.substitute, num(r.estimated, 4), num(r.measured, 4)]);
     }
+    println!("{}", t.render());
     println!("Full recomputation vs one incremental update (bytes shipped):");
-    match validation::recompute_vs_incremental() {
-        Ok(rows) => {
-            let mut t = TextTable::new(&["distribution", "recompute bytes", "incremental bytes"]);
-            for r in rows {
-                t.row(vec![
-                    r.distribution,
-                    r.recompute_bytes.to_string(),
-                    r.incremental_bytes.to_string(),
-                ]);
-            }
-            println!("{}", t.render());
-        }
-        Err(e) => println!("error: {e}"),
-    }
-}
-
-fn batch() {
-    heading("Batched multi-site pipeline vs op-by-op application (extension)");
-    let mut t = TextTable::new(&[
-        "sites",
-        "ops",
-        "sequential ms",
-        "batched ms",
-        "speedup",
-        "max width",
-        "I/O",
-        "messages",
-        "analytic cost",
-    ]);
-    let mut json_rows = Vec::new();
-    for (sites, ops) in [(10u32, 50usize), (25, 100), (50, 200)] {
-        match batch_pipeline::compare(sites, ops, 2024) {
-            Ok(r) => {
-                t.row(vec![
-                    r.sites.to_string(),
-                    r.ops.to_string(),
-                    num(r.sequential_ms, 1),
-                    num(r.batched_ms, 1),
-                    format!("{:.1}x", r.speedup),
-                    r.max_width.to_string(),
-                    r.total_io.to_string(),
-                    r.total_messages.to_string(),
-                    num(r.analytic_cost, 0),
-                ]);
-                json_rows.push(Json::obj(vec![
-                    ("sites", u64::from(r.sites).into()),
-                    ("ops", r.ops.into()),
-                    ("sequential_ms", r.sequential_ms.into()),
-                    ("batched_ms", r.batched_ms.into()),
-                    ("speedup", r.speedup.into()),
-                    ("max_width", r.max_width.into()),
-                    ("total_io", r.total_io.into()),
-                    ("total_messages", r.total_messages.into()),
-                    ("analytic_cost", r.analytic_cost.into()),
-                ]));
-            }
-            Err(e) => {
-                // Divergence between the arms (or any engine failure) must
-                // fail the invocation — CI relies on the exit code.
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    println!("{}", t.render());
-    println!("Both arms are asserted to reach identical extents, verdicts and measured costs.");
-    emit_json(
-        "batch_pipeline",
-        Json::obj(vec![
-            ("bench", "batch_pipeline".into()),
-            ("gate", Json::obj(vec![("min_speedup", Json::Num(2.0))])),
-            ("rows", Json::Arr(json_rows)),
-        ]),
-    );
-}
-
-fn view_exec_report() {
-    heading("Cost-ordered planner vs naive evaluator (extension)");
-    let mut t = TextTable::new(&[
-        "workload",
-        "rels",
-        "naive ms",
-        "planned ms",
-        "speedup",
-        "est rows",
-        "actual rows",
-        "est IO",
-        "analytic IO",
-        "est cost",
-    ]);
-    let mut json_rows = Vec::new();
-    // A planned-vs-naive bag divergence surfaces as Err from compare();
-    // it must fail the invocation — CI relies on the exit code.
-    let rows = view_exec::compare(3).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    for r in rows {
+    let mut t = TextTable::new(&["distribution", "recompute bytes", "incremental bytes"]);
+    for r in validation::recompute_vs_incremental()? {
         t.row(vec![
-            r.workload.clone(),
-            r.relations.to_string(),
-            num(r.naive_ms, 2),
-            num(r.planned_ms, 2),
-            format!("{:.1}x", r.speedup),
-            num(r.est_rows, 0),
-            r.actual_rows.to_string(),
-            num(r.est_io_blocks, 0),
-            num(r.analytic_io, 0),
-            num(r.est_total, 0),
-        ]);
-        json_rows.push(Json::obj(vec![
-            ("workload", r.workload.into()),
-            ("relations", r.relations.into()),
-            ("naive_ms", r.naive_ms.into()),
-            ("planned_ms", r.planned_ms.into()),
-            ("speedup", r.speedup.into()),
-            ("est_rows", r.est_rows.into()),
-            ("actual_rows", r.actual_rows.into()),
-            ("est_io_blocks", r.est_io_blocks.into()),
-            ("analytic_io", r.analytic_io.into()),
-            ("est_total", r.est_total.into()),
-        ]));
-    }
-    println!("{}", t.render());
-    println!(
-        "Both arms are asserted to produce identical bags; planner scan I/O \
-         coincides with eve-core's analytic recompute I/O."
-    );
-    emit_json(
-        "view_exec",
-        Json::obj(vec![
-            ("bench", "view_exec".into()),
-            (
-                "gate",
-                Json::obj(vec![
-                    ("workload", "wide_join".into()),
-                    ("min_speedup", Json::Num(3.0)),
-                ]),
-            ),
-            ("rows", Json::Arr(json_rows)),
-        ]),
-    );
-}
-
-fn columns_report() {
-    heading("Columnar execution vs the row-oriented baseline (extension)");
-    let mut t = TextTable::new(&[
-        "workload",
-        "row ms",
-        "columnar ms",
-        "speedup",
-        "rows out",
-        "idx scans",
-        "idx builds",
-        "idx hits",
-    ]);
-    let mut json_rows = Vec::new();
-    // A row/columnar byte-divergence surfaces as Err from compare(); it
-    // must fail the invocation — CI relies on the exit code.
-    let rows = columns::compare(5).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let mut wide_speedup = f64::INFINITY;
-    let mut star_index_hits = u64::MAX;
-    for r in rows {
-        if r.workload.starts_with("wide_text_join") {
-            wide_speedup = r.speedup;
-        }
-        if r.workload.starts_with("star_text") {
-            star_index_hits = r.index.hits;
-        }
-        t.row(vec![
-            r.workload.clone(),
-            num(r.row_ms, 2),
-            num(r.columnar_ms, 2),
-            format!("{:.1}x", r.speedup),
-            r.rows_out.to_string(),
-            r.index_scans.to_string(),
-            r.index.builds.to_string(),
-            r.index.hits.to_string(),
-        ]);
-        json_rows.push(Json::obj(vec![
-            ("workload", r.workload.into()),
-            ("row_ms", r.row_ms.into()),
-            ("columnar_ms", r.columnar_ms.into()),
-            ("speedup", r.speedup.into()),
-            ("rows_out", r.rows_out.into()),
-            ("index_scans", u64::from(r.index_scans).into()),
-            ("index_builds", r.index.builds.into()),
-            ("index_hits", r.index.hits.into()),
-        ]));
-    }
-    println!("{}", t.render());
-    println!(
-        "Both arms execute the SAME plan and are asserted byte-identical \
-         (order included); the columnar arm reads interned u64 join keys \
-         from the cached batch and probes lazily built secondary indexes."
-    );
-
-    if wide_speedup < 5.0 || star_index_hits == 0 {
-        eprintln!(
-            "error: columns gate failed (wide_text_join speedup {wide_speedup:.2}x < 5x \
-             or star_text index hits = {star_index_hits})"
-        );
-        std::process::exit(1);
-    }
-
-    emit_json(
-        "columns",
-        Json::obj(vec![
-            ("bench", "columns".into()),
-            (
-                "gate",
-                Json::obj(vec![
-                    ("workload", "wide_text_join".into()),
-                    ("min_speedup", Json::Num(5.0)),
-                ]),
-            ),
-            ("rows", Json::Arr(json_rows)),
-        ]),
-    );
-}
-
-fn parallel_report() {
-    heading("Morsel-driven parallel columnar execution vs serial (extension)");
-    let mut t = TextTable::new(&[
-        "workload",
-        "threads",
-        "ms",
-        "speedup",
-        "morsels",
-        "steals",
-        "partitions",
-    ]);
-    let mut json_rows = Vec::new();
-    // A serial/parallel byte-divergence surfaces as Err from compare();
-    // it must fail the invocation — CI relies on the exit code.
-    let rows = parallel::compare(5).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut wide_speedup_8 = f64::INFINITY;
-    let mut wide_modeled_8 = f64::INFINITY;
-    for r in rows {
-        t.row(vec![
-            r.workload.clone(),
-            "serial".into(),
-            num(r.serial_ms, 2),
-            "1.0x".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-        let mut json_arms = Vec::new();
-        for a in &r.arms {
-            if r.workload.starts_with("wide_text_join") && a.threads == 8 {
-                wide_speedup_8 = a.speedup;
-            }
-            t.row(vec![
-                r.workload.clone(),
-                a.threads.to_string(),
-                num(a.ms, 2),
-                format!("{:.1}x", a.speedup),
-                a.morsels.to_string(),
-                a.steals.to_string(),
-                a.partitions.to_string(),
-            ]);
-            json_arms.push(Json::obj(vec![
-                ("threads", a.threads.into()),
-                ("ms", a.ms.into()),
-                ("speedup", a.speedup.into()),
-                ("morsels", a.morsels.into()),
-                ("steals", a.steals.into()),
-                ("partitions", a.partitions.into()),
-            ]));
-        }
-        if r.workload.starts_with("wide_text_join") {
-            wide_modeled_8 = r.modeled_ratio_8;
-        }
-        json_rows.push(Json::obj(vec![
-            ("workload", r.workload.into()),
-            ("serial_ms", r.serial_ms.into()),
-            ("rows_out", r.rows_out.into()),
-            ("modeled_ratio_8", r.modeled_ratio_8.into()),
-            ("arms", Json::Arr(json_arms)),
-        ]));
-    }
-    println!("{}", t.render());
-    println!(
-        "Every parallel arm executes the SAME plan and is asserted \
-         byte-identical (order included) to serial columnar: morsels are \
-         fixed row ranges merged back in morsel order, and partitioned \
-         hash-join builds drain their buckets in morsel order."
-    );
-
-    // The modeled ratio is machine-independent; the wall-clock gate only
-    // means something when the machine actually has the 8 cores the arm
-    // asks for, so it is enforced on >= 8-core machines only.
-    if wide_modeled_8 < 1.5 {
-        eprintln!(
-            "error: parallel gate failed (modeled 8-worker ratio \
-             {wide_modeled_8:.2}x < 1.5x on wide_text_join)"
-        );
-        std::process::exit(1);
-    }
-    if cores >= 8 && wide_speedup_8 < 3.0 {
-        eprintln!(
-            "error: parallel gate failed (wide_text_join speedup \
-             {wide_speedup_8:.2}x < 3x at 8 threads on a {cores}-core machine)"
-        );
-        std::process::exit(1);
-    }
-    if cores < 8 {
-        println!(
-            "note: wall-clock >=3x gate skipped on this {cores}-core machine \
-             (needs >= 8 cores); byte-identity and the modeled >=1.5x gate \
-             were enforced."
-        );
-    }
-
-    emit_json(
-        "parallel",
-        Json::obj(vec![
-            ("bench", "parallel".into()),
-            ("cores", cores.into()),
-            (
-                "gate",
-                Json::obj(vec![
-                    ("workload", "wide_text_join".into()),
-                    ("min_speedup_at_8_threads", Json::Num(3.0)),
-                    ("min_modeled_ratio_8", Json::Num(1.5)),
-                    ("wall_clock_enforced", Json::Bool(cores >= 8)),
-                ]),
-            ),
-            ("rows", Json::Arr(json_rows)),
-        ]),
-    );
-}
-
-fn search_report() {
-    heading("QC-bounded branch-and-bound vs exhaustive enumeration (extension)");
-    let mut t = TextTable::new(&[
-        "partners",
-        "bindings",
-        "exh. rewritings",
-        "exh. candidates",
-        "exh. ms",
-        "b&b candidates",
-        "b&b ms",
-        "pruning",
-        "speedup",
-        "regret",
-    ]);
-    let mut json_rows = Vec::new();
-    // A zero-regret violation (or any search failure) must fail the
-    // invocation — CI relies on the exit code.
-    let rows = search_space::compare(3).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    for r in &rows {
-        if r.regret.abs() > 1e-9 {
-            eprintln!(
-                "error: nonzero regret {} on {}x{} — the QC bound is no longer admissible",
-                r.regret, r.partners, r.bindings
-            );
-            std::process::exit(1);
-        }
-    }
-    for r in rows {
-        t.row(vec![
-            r.partners.to_string(),
-            r.bindings.to_string(),
-            r.exhaustive_rewritings.to_string(),
-            r.exhaustive_candidates.to_string(),
-            num(r.exhaustive_ms, 2),
-            r.best_first_candidates.to_string(),
-            num(r.best_first_ms, 2),
-            format!("{:.1}x", r.pruning_ratio),
-            format!("{:.1}x", r.speedup),
-            num(r.regret, 6),
-        ]);
-        json_rows.push(Json::obj(vec![
-            ("partners", r.partners.into()),
-            ("bindings", r.bindings.into()),
-            ("exhaustive_rewritings", r.exhaustive_rewritings.into()),
-            ("exhaustive_candidates", r.exhaustive_candidates.into()),
-            ("exhaustive_ms", r.exhaustive_ms.into()),
-            ("best_first_candidates", r.best_first_candidates.into()),
-            ("best_first_ms", r.best_first_ms.into()),
-            ("pruning_ratio", r.pruning_ratio.into()),
-            ("speedup", r.speedup.into()),
-            ("regret", r.regret.into()),
-        ]));
-    }
-    println!("{}", t.render());
-    println!(
-        "The branch-and-bound arm's first emission attains QC-best badness \
-         (regret 0) while materializing the reported fraction of the \
-         exhaustive candidate space."
-    );
-    emit_json(
-        "search_space",
-        Json::obj(vec![
-            ("bench", "search_space".into()),
-            (
-                "gate",
-                Json::obj(vec![
-                    ("workload", "wide_mkb".into()),
-                    ("min_pruning_ratio", Json::Num(5.0)),
-                ]),
-            ),
-            ("rows", Json::Arr(json_rows)),
-        ]),
-    );
-}
-
-fn durability_report() {
-    heading(
-        "Durable evolution log: recovery throughput and snapshot-vs-replay crossover (extension)",
-    );
-    let mut t = TextTable::new(&[
-        "snapshot every",
-        "batches",
-        "ops",
-        "append ms",
-        "append ops/s",
-        "log KiB",
-        "snap KiB",
-        "recovery ms",
-        "replayed",
-        "recovery ops/s",
-        "identical",
-    ]);
-    let mut json_rows = Vec::new();
-    // Any recovered-state divergence (or engine/store failure) must fail
-    // the invocation — CI relies on the exit code.
-    let report = durability::compare(10, 200, 8, 2024).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    if !report.torn_tail_recovered {
-        eprintln!("error: torn-tail recovery check failed");
-        std::process::exit(1);
-    }
-    for r in &report.rows {
-        let every = r
-            .snapshot_every
-            .map_or_else(|| "never".to_owned(), |k| k.to_string());
-        t.row(vec![
-            every.clone(),
-            r.batches.to_string(),
-            r.ops.to_string(),
-            num(r.append_ms, 1),
-            num(r.append_ops_per_s, 0),
-            num(r.log_bytes as f64 / 1024.0, 1),
-            num(r.snapshot_bytes as f64 / 1024.0, 1),
-            num(r.recovery_ms, 2),
-            r.replayed_records.to_string(),
-            num(r.recovery_ops_per_s, 0),
-            if r.identical { "yes" } else { "NO" }.into(),
-        ]);
-        json_rows.push(Json::obj(vec![
-            ("snapshot_every", Json::Str(every)),
-            ("batches", r.batches.into()),
-            ("ops", r.ops.into()),
-            ("append_ms", r.append_ms.into()),
-            ("append_ops_per_s", r.append_ops_per_s.into()),
-            ("log_bytes", r.log_bytes.into()),
-            ("snapshot_bytes", r.snapshot_bytes.into()),
-            ("recovery_ms", r.recovery_ms.into()),
-            ("replayed_records", r.replayed_records.into()),
-            ("recovery_ops_per_s", r.recovery_ops_per_s.into()),
-            ("identical", Json::Bool(r.identical)),
-        ]));
-    }
-    println!("{}", t.render());
-    println!(
-        "Every arm is crash-recovered (snapshot + log-tail replay through the live \
-         apply_batch pipeline) and asserted byte-identical to the uncrashed engine; \
-         the torn-tail smoke truncated a partial frame and recovered cleanly."
-    );
-
-    heading("Durable append throughput: fsync-per-record vs the group-commit writer");
-    let append = durability::append_throughput(2_000, 8).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let mut at = TextTable::new(&[
-        "mode",
-        "threads",
-        "records",
-        "wall ms",
-        "records/s",
-        "fsyncs",
-        "records/fsync",
-        "speedup",
-        "recovered",
-    ]);
-    let mut append_rows = Vec::new();
-    for r in &append.rows {
-        at.row(vec![
-            r.mode.to_owned(),
-            r.threads.to_string(),
-            r.records.to_string(),
-            num(r.wall_ms, 1),
-            num(r.records_per_s, 0),
-            r.fsyncs.to_string(),
-            num(r.records_per_fsync, 1),
-            format!("{:.1}x", r.speedup_vs_baseline),
-            if r.recovered_identical { "yes" } else { "NO" }.into(),
-        ]);
-        append_rows.push(Json::obj(vec![
-            ("mode", Json::Str(r.mode.to_owned())),
-            ("threads", r.threads.into()),
-            ("records", r.records.into()),
-            ("wall_ms", r.wall_ms.into()),
-            ("records_per_s", r.records_per_s.into()),
-            ("fsyncs", r.fsyncs.into()),
-            ("records_per_fsync", r.records_per_fsync.into()),
-            ("speedup_vs_baseline", r.speedup_vs_baseline.into()),
-            ("recovered_identical", Json::Bool(r.recovered_identical)),
-        ]));
-    }
-    println!("{}", at.render());
-    let group = append.rows.last().expect("group-commit arm");
-    let amortization_ok =
-        group.records_per_fsync >= 10.0 && append.rows.iter().all(|r| r.recovered_identical);
-    println!(
-        "Group commit at {} threads acknowledged {:.1} records per fsync \
-         ({}x the fsync-per-record baseline); every arm crash-recovered its \
-         exact acknowledged record set.",
-        group.threads,
-        group.records_per_fsync,
-        num(group.records_per_fsync, 0)
-    );
-    if !amortization_ok {
-        eprintln!(
-            "error: group-commit gate failed (need >=10 records/fsync and \
-             identical recovery, got {:.1})",
-            group.records_per_fsync
-        );
-        std::process::exit(1);
-    }
-
-    emit_json(
-        "durability",
-        Json::obj(vec![
-            ("bench", "durability".into()),
-            (
-                "gate",
-                Json::obj(vec![
-                    ("byte_identical", Json::Bool(true)),
-                    (
-                        "torn_tail_recovered",
-                        Json::Bool(report.torn_tail_recovered),
-                    ),
-                    (
-                        "group_commit_records_per_fsync",
-                        group.records_per_fsync.into(),
-                    ),
-                    ("group_commit_amortization_ok", Json::Bool(amortization_ok)),
-                ]),
-            ),
-            ("rows", Json::Arr(json_rows)),
-            ("append_rows", Json::Arr(append_rows)),
-        ]),
-    );
-}
-
-fn serve_report() {
-    heading("Multi-tenant serving layer: concurrent sessions vs a serial oracle (extension)");
-    let cfg = serve::ServeConfig::default();
-    // Any oracle divergence, typed error or transport failure must fail
-    // the invocation — CI relies on the exit code.
-    let report = serve::run(&cfg).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let mut t = TextTable::new(&["tenant", "writes", "view rows", "identical"]);
-    let mut json_rows = Vec::new();
-    for r in &report.rows {
-        t.row(vec![
-            r.tenant.clone(),
-            r.writes.to_string(),
-            r.view_rows.to_string(),
-            if r.identical { "yes" } else { "NO" }.into(),
-        ]);
-        json_rows.push(Json::obj(vec![
-            ("tenant", Json::Str(r.tenant.clone())),
-            ("writes", r.writes.into()),
-            ("view_rows", r.view_rows.into()),
-            ("identical", Json::Bool(r.identical)),
-        ]));
-    }
-    println!("{}", t.render());
-
-    let writes: usize = report.rows.iter().map(|r| r.writes).sum();
-    let reads = report.requests - writes;
-    let mut lt = TextTable::new(&["class", "requests", "p50 us", "p99 us"]);
-    lt.row(vec![
-        "writer statements".into(),
-        writes.to_string(),
-        report.write_p50_us.to_string(),
-        report.write_p99_us.to_string(),
-    ]);
-    lt.row(vec![
-        "reader requests".into(),
-        reads.to_string(),
-        report.read_p50_us.to_string(),
-        report.read_p99_us.to_string(),
-    ]);
-    lt.row(vec![
-        "all (driver stopwatch)".into(),
-        report.requests.to_string(),
-        report.p50_us.to_string(),
-        report.p99_us.to_string(),
-    ]);
-    // The quoted latency comes from the server's own per-request-type
-    // histograms (`server.latency_us.*`), not the driver's stopwatch.
-    lt.row(vec![
-        "all (server histograms)".into(),
-        report.server_latency.count().to_string(),
-        report.server_p50_us.to_string(),
-        report.server_p99_us.to_string(),
-    ]);
-    println!("{}", lt.render());
-    println!(
-        "{} sessions stayed concurrently open across {} tenants; {} requests drained in {} ms \
-         ({} req/s) with {} typed errors; every tenant byte-identical to its serial oracle: {}.",
-        report.clients,
-        report.tenants,
-        report.requests,
-        num(report.elapsed_ms, 1),
-        num(report.throughput_rps, 0),
-        report.errors,
-        if report.byte_identical { "yes" } else { "NO" },
-    );
-
-    if !report.byte_identical || report.errors != 0 || report.clients < 1000 || report.tenants < 8 {
-        eprintln!(
-            "error: serve gate failed (identical={}, errors={}, clients={}, tenants={})",
-            report.byte_identical, report.errors, report.clients, report.tenants
-        );
-        std::process::exit(1);
-    }
-
-    emit_json(
-        "serve",
-        Json::obj(vec![
-            ("tenants", report.tenants.into()),
-            ("clients", report.clients.into()),
-            ("requests", report.requests.into()),
-            ("errors", report.errors.into()),
-            ("byte_identical", Json::Bool(report.byte_identical)),
-            ("elapsed_ms", report.elapsed_ms.into()),
-            ("throughput_rps", report.throughput_rps.into()),
-            // Headline quantiles are the server's own histogram readout;
-            // the driver's stopwatch numbers ride along for comparison.
-            ("p50_us", report.server_p50_us.into()),
-            ("p99_us", report.server_p99_us.into()),
-            ("driver_p50_us", report.p50_us.into()),
-            ("driver_p99_us", report.p99_us.into()),
-            ("write_p50_us", report.write_p50_us.into()),
-            ("write_p99_us", report.write_p99_us.into()),
-            ("read_p50_us", report.read_p50_us.into()),
-            ("read_p99_us", report.read_p99_us.into()),
-            ("rows", Json::Arr(json_rows)),
-        ]),
-    );
-}
-
-fn observe_report() {
-    heading("Tracing overhead and determinism — eve-trace on the wide join (extension)");
-    let cfg = observe::ObserveConfig::default();
-    let report = observe::run(&cfg).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-
-    let mut t = TextTable::new(&["workload", "arm", "wall ms", "per-site ns"]);
-    t.row(vec![
-        report.workload.clone(),
-        "untraced (spans off)".into(),
-        num(report.untraced_ms, 2),
-        num(report.disabled_site_ns, 2),
-    ]);
-    t.row(vec![
-        report.workload.clone(),
-        "traced (spans on)".into(),
-        num(report.traced_ms, 2),
-        num(report.enabled_site_ns, 2),
-    ]);
-    if let (Some(off), Some(on)) = (report.serve_untraced_ms, report.serve_traced_ms) {
-        t.row(vec![
-            "serve (2×8 sessions)".into(),
-            "untraced (spans off)".into(),
-            num(off, 2),
-            "-".into(),
-        ]);
-        t.row(vec![
-            "serve (2×8 sessions)".into(),
-            "traced (spans on)".into(),
-            num(on, 2),
-            "-".into(),
+            r.distribution,
+            r.recompute_bytes.to_string(),
+            r.incremental_bytes.to_string(),
         ]);
     }
     println!("{}", t.render());
-    println!(
-        "{} on {} rows: {} spans per run; projected disabled-path overhead {}% \
-         (gate <= 5%); enabled-arm overhead {}%; extents byte-identical: {}; \
-         exec-counter deltas deterministic: {}.",
-        report.workload,
-        report.rows,
-        report.spans_per_run,
-        num(report.projected_disabled_overhead_pct, 3),
-        num(report.enabled_overhead_pct, 1),
-        if report.extents_identical {
-            "yes"
-        } else {
-            "NO"
-        },
-        if report.snapshot_deterministic {
-            "yes"
-        } else {
-            "NO"
-        },
-    );
-
-    if !report.extents_identical
-        || !report.snapshot_deterministic
-        || report.projected_disabled_overhead_pct > 5.0
-        || report.spans_per_run == 0
-    {
-        eprintln!(
-            "error: observe gate failed (identical={}, deterministic={}, overhead={}%, spans={})",
-            report.extents_identical,
-            report.snapshot_deterministic,
-            report.projected_disabled_overhead_pct,
-            report.spans_per_run
-        );
-        std::process::exit(1);
-    }
-
-    emit_json(
-        "observe",
-        Json::obj(vec![
-            ("workload", Json::Str(report.workload.clone())),
-            ("rows", report.rows.into()),
-            ("untraced_ms", report.untraced_ms.into()),
-            ("traced_ms", report.traced_ms.into()),
-            ("enabled_overhead_pct", report.enabled_overhead_pct.into()),
-            ("disabled_site_ns", report.disabled_site_ns.into()),
-            ("enabled_site_ns", report.enabled_site_ns.into()),
-            ("spans_per_run", report.spans_per_run.into()),
-            (
-                "projected_disabled_overhead_pct",
-                report.projected_disabled_overhead_pct.into(),
-            ),
-            ("extents_identical", Json::Bool(report.extents_identical)),
-            (
-                "snapshot_deterministic",
-                Json::Bool(report.snapshot_deterministic),
-            ),
-            // Non-finite numbers render as JSON null, so a skipped serve
-            // arm shows up as null rather than a fake zero.
-            (
-                "serve_untraced_ms",
-                report.serve_untraced_ms.unwrap_or(f64::NAN).into(),
-            ),
-            (
-                "serve_traced_ms",
-                report.serve_traced_ms.unwrap_or(f64::NAN).into(),
-            ),
-        ]),
-    );
+    Ok(())
 }
 
-fn emit_json(name: &str, value: Json) {
-    match write_bench_json(name, &value) {
-        Ok(path) => println!("perf report written to {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_{name}.json: {e}"),
-    }
-}
-
-fn regret() {
+fn regret() -> Report {
     heading("Strategy regret — QC-Model vs the pre-QC prototype (extension)");
-    match strategy_regret::regret_report(60, 2024) {
-        Ok(r) => {
-            let names = [
-                "QC-best",
-                "first-found (old prototype)",
-                "quality-only",
-                "cost-only",
-            ];
-            let mut t = TextTable::new(&["strategy", "mean QC", "mean regret vs QC-best"]);
-            for (i, name) in names.iter().enumerate() {
-                t.row(vec![
-                    (*name).to_owned(),
-                    num(r.mean_qc[i], 4),
-                    num(r.mean_regret[i], 4),
-                ]);
+    let r = strategy_regret::regret_report(60, 2024)?;
+    let names = [
+        "QC-best",
+        "first-found (old prototype)",
+        "quality-only",
+        "cost-only",
+    ];
+    let mut t = TextTable::new(&["strategy", "mean QC", "mean regret vs QC-best"]);
+    for (i, name) in names.iter().enumerate() {
+        t.row(vec![
+            (*name).to_owned(),
+            num(r.mean_qc[i], 4),
+            num(r.mean_regret[i], 4),
+        ]);
+    }
+    println!("{}", t.render());
+    println!(
+        "first-found misses the best rewriting in {:.0}% of {} trials",
+        100.0 * r.first_found_miss_rate,
+        r.trials
+    );
+    println!(
+        "heuristic synchronizer: {:.1} candidates generated vs {:.1} exhaustive; \
+         best rewriting retained in {:.0}% of trials",
+        r.heuristic_candidates,
+        r.exhaustive_candidates,
+        100.0 * r.heuristic_hit_rate
+    );
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ARMS;
+
+    /// `main` exits 1 on the first failing report; this pins that none of
+    /// them fails, including the arms the golden files do not cover.
+    #[test]
+    fn every_paper_report_succeeds() {
+        for (name, report) in ARMS {
+            if let Err(e) = report() {
+                panic!("repro {name} failed: {e}");
             }
-            println!("{}", t.render());
-            println!(
-                "first-found misses the best rewriting in {:.0}% of {} trials",
-                100.0 * r.first_found_miss_rate,
-                r.trials
-            );
-            println!(
-                "heuristic synchronizer: {:.1} candidates generated vs {:.1} exhaustive; \
-                 best rewriting retained in {:.0}% of trials",
-                r.heuristic_candidates,
-                r.exhaustive_candidates,
-                100.0 * r.heuristic_hit_rate
-            );
         }
-        Err(e) => println!("error: {e}"),
     }
 }

@@ -1,18 +1,10 @@
 //! Experiment implementations, one module per §7 experiment.
 
-pub mod batch_pipeline;
-pub mod columns;
-pub mod durability;
 pub mod exp1_survival;
 pub mod exp2_sites;
 pub mod exp3_distribution;
 pub mod exp4_cardinality;
 pub mod exp5_workload;
 pub mod heuristics;
-pub mod observe;
-pub mod parallel;
-pub mod search_space;
-pub mod serve;
 pub mod strategy_regret;
 pub mod validation;
-pub mod view_exec;

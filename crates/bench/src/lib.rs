@@ -12,11 +12,13 @@
 //! | [`experiments::exp5_workload`] | Experiment 5, Tables 5–6, Fig. 16 |
 //! | [`experiments::heuristics`] | §7.6 heuristics checks |
 //! | [`experiments::validation`] | measured-vs-analytic cross-validation (extension) |
-//! | [`experiments::view_exec`] | cost-ordered planner vs naive evaluator (extension) |
+//! | [`experiments::strategy_regret`] | QC-best vs the pre-QC selection strategies (extension) |
+//! | [`fixtures`] | deterministic workload builders the workspace's test suites share |
 //!
-//! The `repro` binary prints them all; the Criterion benches under
-//! `benches/` time the underlying computations.
+//! The `repro` binary prints them all. Nothing in this crate reads a
+//! clock: every speed statement comes from `benchmark/`.
 
 pub mod experiments;
+pub mod fixtures;
 pub mod report;
 pub mod table;

@@ -1,157 +1,13 @@
 //! Canonical text renderings of the paper tables the `repro` binary
-//! prints, plus machine-readable `BENCH_*.json` perf reports.
+//! prints.
 //!
 //! The tables are shared between `repro` and the golden-file regression
 //! tests (`tests/reproduction.rs` + `tests/golden/`), so a pipeline
 //! refactor that drifts a digit — or even a column width — fails the build
 //! instead of silently rewriting history.
-//!
-//! The JSON side ([`Json`], [`write_bench_json`]) carries the wall-clock
-//! bench trajectory (`repro batch`, `repro view-exec`) in a form CI can
-//! upload and diff; it is hand-rolled because the workspace builds without
-//! registry access (no serde).
-
-use std::path::PathBuf;
 
 use crate::experiments::{exp4_cardinality, exp5_workload};
 use crate::table::{num, TextTable};
-
-/// A minimal JSON value for perf reports.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// A number (non-finite values render as `null`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for object fields.
-    #[must_use]
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-    }
-
-    /// Renders the value as compact JSON text.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Num(v) if v.is_finite() => out.push_str(&format!("{v}")),
-            Json::Num(_) => out.push_str("null"),
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).render_into(out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-impl From<f64> for Json {
-    fn from(v: f64) -> Json {
-        Json::Num(v)
-    }
-}
-
-impl From<u64> for Json {
-    fn from(v: u64) -> Json {
-        #[allow(clippy::cast_precision_loss)]
-        Json::Num(v as f64)
-    }
-}
-
-impl From<usize> for Json {
-    fn from(v: usize) -> Json {
-        #[allow(clippy::cast_precision_loss)]
-        Json::Num(v as f64)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(v: &str) -> Json {
-        Json::Str(v.to_owned())
-    }
-}
-
-impl From<String> for Json {
-    fn from(v: String) -> Json {
-        Json::Str(v)
-    }
-}
-
-/// Writes `value` to `BENCH_{name}.json` and returns the path. The target
-/// directory is `$BENCH_REPORT_DIR` when set, the current directory
-/// otherwise.
-///
-/// # Errors
-///
-/// Filesystem failures.
-pub fn write_bench_json(name: &str, value: &Json) -> std::io::Result<PathBuf> {
-    let dir = std::env::var_os("BENCH_REPORT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."));
-    write_bench_json_to(&dir, name, value)
-}
-
-/// [`write_bench_json`] with an explicit target directory.
-///
-/// # Errors
-///
-/// Filesystem failures.
-pub fn write_bench_json_to(
-    dir: &std::path::Path,
-    name: &str,
-    value: &Json,
-) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, value.render() + "\n")?;
-    Ok(path)
-}
 
 /// Table 4 (Experiment 4, case ρ_quality = 0.9 / ρ_cost = 0.1) exactly as
 /// `repro exp4` prints it.
@@ -205,34 +61,6 @@ pub fn table6_text() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_rendering_is_valid_and_ordered() {
-        let v = Json::obj(vec![
-            ("name", "view_exec".into()),
-            ("speedup", Json::Num(3.25)),
-            ("ok", Json::Bool(true)),
-            ("rows", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)])),
-            ("quote", "a\"b\\c\nd".into()),
-            ("nan", Json::Num(f64::NAN)),
-        ]);
-        assert_eq!(
-            v.render(),
-            "{\"name\":\"view_exec\",\"speedup\":3.25,\"ok\":true,\
-             \"rows\":[1,2],\"quote\":\"a\\\"b\\\\c\\nd\",\"nan\":null}"
-        );
-    }
-
-    #[test]
-    fn bench_json_writes_to_report_dir() {
-        let dir = std::env::temp_dir().join(format!("eve-bench-json-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = write_bench_json_to(&dir, "unit_test", &Json::obj(vec![("x", Json::Num(1.0))]))
-            .unwrap();
-        assert_eq!(path, dir.join("BENCH_unit_test.json"));
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"x\":1}\n");
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn renderings_are_nonempty_and_tabular() {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use eve_server::protocol::{RequestBody, ResponseBody};
 use eve_server::warehouse::{AdmissionPolicy, TenantBudget, Warehouse};
-use eve_server::{ErrorCode, Server, ServerConfig};
+use eve_server::{Client, ErrorCode, Server, ServerConfig};
 use eve_system::Shell;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -22,6 +22,13 @@ fn scratch(tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     dir
 }
+
+/// Leading lines of [`writer_script`] that lay down schema, seed rows and
+/// the view `V`; the rest are update rounds.
+const SETUP_LINES: usize = 7;
+
+/// Update rounds in [`writer_script`]; each adds one matched row to `V`.
+const UPDATE_ROUNDS: usize = 6;
 
 /// The statement script a writer applies to its tenant; kept in one place
 /// so the serial oracle replays exactly the same lines.
@@ -37,11 +44,25 @@ fn writer_script(salt: usize) -> Vec<String> {
          FlightRes F WHERE (C.Name = F.PName) AND (F.Dest = 'Asia')"
             .to_owned(),
     ];
-    for i in 0..6 {
+    for i in 0..UPDATE_ROUNDS {
         lines.push(format!("update FlightRes insert ('p{salt}-{i}', 'Asia')"));
         lines.push(format!("update Customer insert ('p{salt}-{i}', 'City{i}')"));
     }
     lines
+}
+
+/// The canonical image of `script` applied serially through a plain
+/// durable [`Shell`] on a private store under `oracle_root` — what a
+/// served tenant's fingerprint must equal byte for byte.
+fn serial_oracle(oracle_root: &std::path::Path, name: &str, script: &[String]) -> Vec<u8> {
+    let mut oracle = Shell::new();
+    oracle
+        .execute(&format!("open {}", oracle_root.join(name).display()))
+        .unwrap();
+    for line in script {
+        oracle.execute(line).unwrap();
+    }
+    oracle.engine().snapshot_state().to_bytes()
 }
 
 #[test]
@@ -132,17 +153,10 @@ fn tenants_mutate_in_isolation_and_match_a_serial_oracle() {
 
     // Serial oracles: the same scripts through plain durable shells.
     for (name, script) in [("alpha", &script_a), ("beta", &script_b)] {
-        let mut oracle = Shell::new();
-        oracle
-            .execute(&format!("open {}", oracle_root.join(name).display()))
-            .unwrap();
-        for line in script {
-            oracle.execute(line).unwrap();
-        }
         let server_fp = server.warehouse().existing(name).unwrap().fingerprint();
-        assert_eq!(
-            server_fp,
-            oracle.engine().snapshot_state().to_bytes(),
+        // Not `assert_eq!`: a mismatch would print both multi-KB images.
+        assert!(
+            server_fp == serial_oracle(&oracle_root, name, script),
             "tenant {name} diverged from serial application"
         );
     }
@@ -372,4 +386,168 @@ fn metrics_request_returns_server_and_engine_families() {
 
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// What one client thread saw: requests issued, and how many of them came
+/// back as a typed `Err` response or a transport failure.
+#[derive(Debug, Default)]
+struct Tally {
+    requests: usize,
+    errors: usize,
+}
+
+impl Tally {
+    fn send(&mut self, client: &mut Client, body: RequestBody) {
+        self.requests += 1;
+        match client.request(body) {
+            Ok(ResponseBody::Err { .. }) | Err(_) => self.errors += 1,
+            Ok(_) => {}
+        }
+    }
+
+    fn absorb(&mut self, other: Tally) {
+        self.requests += other.requests;
+        self.errors += other.errors;
+    }
+}
+
+/// Drives `tenants × clients_per_tenant` sessions — all opened up front
+/// and live for the whole run — through one server: per tenant one writer
+/// streaming [`writer_script`], the other sessions readers issuing
+/// `reads_per_client` alternating view queries and stats probes while the
+/// writers run, multiplexed over a fixed handful of OS threads. Asserts the
+/// serving contract: zero typed errors, every scripted request issued and
+/// timed exactly once by the server, and every tenant byte-identical to
+/// the same script applied serially through a plain durable [`Shell`].
+fn assert_population_converges(
+    tag: &str,
+    tenants: usize,
+    clients_per_tenant: usize,
+    reads_per_client: usize,
+) {
+    const DRIVER_THREADS: usize = 16;
+    let root = scratch(&format!("{tag}-warehouse"));
+    let oracle_root = scratch(&format!("{tag}-oracle"));
+    let server = Server::start(
+        Arc::new(Warehouse::open(&root).unwrap()),
+        ServerConfig::default(),
+    );
+    let tenant_name = |t: usize| format!("tenant-{t:02}");
+
+    let mut writers: Vec<Client> = Vec::with_capacity(tenants);
+    let mut reader_pools: Vec<Vec<Client>> = (0..DRIVER_THREADS).map(|_| Vec::new()).collect();
+    for t in 0..tenants {
+        for c in 0..clients_per_tenant {
+            let mut client = server.connect().unwrap();
+            client.open_session(&tenant_name(t)).unwrap();
+            if c == 0 {
+                writers.push(client);
+            } else {
+                reader_pools[(t * clients_per_tenant + c) % DRIVER_THREADS].push(client);
+            }
+        }
+    }
+
+    let mut total = Tally::default();
+    // Phase 1 — every writer lays down its tenant's schema and view, so
+    // the readers' queries always have a target.
+    std::thread::scope(|scope| {
+        let setups: Vec<_> = writers
+            .iter_mut()
+            .enumerate()
+            .map(|(t, writer)| {
+                scope.spawn(move || {
+                    let mut tally = Tally::default();
+                    for line in writer_script(t).into_iter().take(SETUP_LINES) {
+                        tally.send(writer, RequestBody::Statement { esql: line });
+                    }
+                    tally
+                })
+            })
+            .collect();
+        for handle in setups {
+            total.absorb(handle.join().unwrap());
+        }
+    });
+    // Phase 2 — writers stream their update rounds while every reader
+    // session queries and probes concurrently.
+    std::thread::scope(|scope| {
+        let mut load = Vec::new();
+        for (t, writer) in writers.iter_mut().enumerate() {
+            load.push(scope.spawn(move || {
+                let mut tally = Tally::default();
+                for line in writer_script(t).into_iter().skip(SETUP_LINES) {
+                    tally.send(writer, RequestBody::Statement { esql: line });
+                }
+                tally
+            }));
+        }
+        for pool in &mut reader_pools {
+            load.push(scope.spawn(move || {
+                let mut tally = Tally::default();
+                for r in 0..reads_per_client {
+                    for client in pool.iter_mut() {
+                        let body = if r % 2 == 0 {
+                            RequestBody::Query { view: "V".into() }
+                        } else {
+                            RequestBody::Stats
+                        };
+                        tally.send(client, body);
+                    }
+                }
+                tally
+            }));
+        }
+        for handle in load {
+            total.absorb(handle.join().unwrap());
+        }
+    });
+
+    assert_eq!(total.errors, 0, "typed errors during the load");
+    let script_len = SETUP_LINES + 2 * UPDATE_ROUNDS;
+    assert_eq!(
+        total.requests,
+        tenants * script_len + tenants * (clients_per_tenant - 1) * reads_per_client,
+        "every scripted request must be accounted for"
+    );
+    // The server timed exactly the population the clients issued: one
+    // `server.latency_us.*` sample per statement, query and stats probe.
+    let snapshot = server.metrics_registry().snapshot();
+    let timed: u64 = ["statement", "query", "stats"]
+        .iter()
+        .filter_map(|kind| {
+            snapshot
+                .histograms
+                .get(&format!("server.latency_us.{kind}"))
+        })
+        .map(eve_trace::HistogramSnapshot::count)
+        .sum();
+    assert_eq!(timed, total.requests as u64);
+
+    for t in 0..tenants {
+        let name = tenant_name(t);
+        let tenant = server.warehouse().existing(&name).unwrap();
+        // Not `assert_eq!`: a mismatch would print both multi-KB images.
+        assert!(
+            tenant.fingerprint() == serial_oracle(&oracle_root, &name, &writer_script(t)),
+            "tenant {name} diverged from serial application"
+        );
+        // Seed row + one matched pair per round, all Dest = 'Asia'.
+        let view_rows = tenant.query("V").unwrap().lines().count() - 1;
+        assert_eq!(view_rows, 1 + UPDATE_ROUNDS, "tenant {name}");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&oracle_root).ok();
+}
+
+#[test]
+fn serve_sustains_1000_clients_across_8_tenants_byte_identical() {
+    // 8 tenants × 128 sessions = 1,024 concurrently open clients.
+    assert_population_converges("serve-1k", 8, 128, 2);
+}
+
+#[test]
+fn small_populations_also_converge() {
+    assert_population_converges("serve-small", 2, 3, 1);
 }

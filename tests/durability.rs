@@ -21,8 +21,7 @@ use eve::store::{
 };
 use eve::sync::EvolutionOp;
 use eve::system::DurableEngine;
-use eve_bench::experiments::batch_pipeline;
-use eve_bench::experiments::durability::{fingerprint, into_batches};
+use eve_bench::fixtures::{self, fingerprint, into_batches};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,7 +48,7 @@ fn run_durable(
     seed: u64,
     checkpoint_at: Option<usize>,
 ) -> (Vec<Vec<u8>>, Vec<u64>) {
-    let (engine, ops) = batch_pipeline::build_workload(sites, op_count, seed).unwrap();
+    let (engine, ops) = fixtures::build_workload(sites, op_count, seed).unwrap();
     let batches = into_batches(ops, batch_size);
     let mut durable = DurableEngine::create_with(dir, engine).unwrap();
     let mut states = vec![fingerprint(durable.engine())];
@@ -69,7 +68,7 @@ fn run_durable(
 
 /// The newest `.evl` segment in a store directory.
 fn active_segment(dir: &std::path::Path) -> PathBuf {
-    eve_bench::experiments::durability::active_segment(dir)
+    fixtures::active_segment(dir)
         .unwrap()
         .expect("store has a segment")
 }
@@ -371,7 +370,7 @@ fn crash_recovery_smoke() {
 #[test]
 fn compaction_preserves_recovery() {
     let dir = scratch_dir("compact");
-    let (engine, ops) = batch_pipeline::build_workload(2, 24, 9).unwrap();
+    let (engine, ops) = fixtures::build_workload(2, 24, 9).unwrap();
     let mut durable = DurableEngine::create_with(&dir, engine).unwrap();
     for batch in into_batches(ops, 4) {
         durable.apply_batch(batch).unwrap();

@@ -127,12 +127,12 @@ fn mkb_with_replicas(replicas: usize) -> Mkb {
 // Differential harness: batched pipeline vs the legacy op-by-op paths.
 // ---------------------------------------------------------------------
 
-/// The canonical multi-site space, shared with the bench harness so the
-/// differential suite and the speedup comparison exercise one workload
-/// shape: per site, `R{i}_a ⋈ R{i}_b` under view `V{i}`, a selection view
-/// `W{i}` over the colocated equivalent replica `R{i}_c ≡ R{i}_b`.
+/// The canonical multi-site space, shared with the recovery suites so
+/// every differential harness exercises one workload shape: per site,
+/// `R{i}_a ⋈ R{i}_b` under view `V{i}`, a selection view `W{i}` over the
+/// colocated equivalent replica `R{i}_c ≡ R{i}_b`.
 fn multi_site_engine(sites: u32) -> EveEngine {
-    eve_bench::experiments::batch_pipeline::build_space(sites).unwrap()
+    eve_bench::fixtures::build_space(sites).unwrap()
 }
 
 /// Translates `(site, kind, k)` specs into a valid-by-construction op
@@ -556,5 +556,71 @@ fn planner_driven_engine_matches_naive_recomputation() {
         a.sort();
         b.sort();
         assert_eq!(a, b, "extent of {name} diverged from naive recomputation");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Planner ↔ QC-Model cross-check on the shared view-execution shapes
+// (wide / star / chain join): with declared statistics attached, the
+// planner's scan I/O is the analytic model's `Σ ⌈|R|/bfr⌉` recomputation
+// charge (the paper's Appendix-A term) — or less, when the cost model
+// routes a selective literal clause through a secondary index instead of
+// a full scan. The planned bag is checked against the naive evaluator on
+// the same shapes, so the estimate is never read off a wrong plan.
+// ---------------------------------------------------------------------
+#[test]
+#[allow(clippy::cast_precision_loss)]
+fn planner_io_estimate_matches_analytic_recompute_io() {
+    use eve::qc::cost::cf_recompute_io;
+    use eve::qc::RelSpec;
+    use eve::system::query::{evaluate_view_naive, plan_view};
+
+    for workload in eve_bench::fixtures::workloads().unwrap() {
+        let plan = plan_view(&workload.view, &workload.extents, &workload.stats).unwrap();
+
+        let mut planned = plan.execute().unwrap().tuples().to_vec();
+        let mut naive = evaluate_view_naive(&workload.view, &workload.extents)
+            .unwrap()
+            .tuples()
+            .to_vec();
+        planned.sort();
+        naive.sort();
+        assert!(!planned.is_empty(), "{} produced no rows", workload.name);
+        assert_eq!(planned, naive, "planned ≢ naive on {}", workload.name);
+
+        let specs: Vec<RelSpec> = workload
+            .view
+            .from
+            .iter()
+            .map(|item| {
+                let s = &workload.stats[&item.relation];
+                RelSpec {
+                    name: item.relation.clone(),
+                    cardinality: s.cardinality as f64,
+                    tuple_bytes: s.tuple_bytes as f64,
+                    selectivity: s.selectivity,
+                    blocking_factor: s.blocking_factor as f64,
+                    join_selectivity: 0.005,
+                }
+            })
+            .collect();
+        let analytic_io = cf_recompute_io(&specs);
+
+        let est = plan.estimate();
+        assert!(
+            est.io_blocks <= analytic_io + 1e-9,
+            "{}: planner {} vs analytic {analytic_io}",
+            workload.name,
+            est.io_blocks,
+        );
+        if est.index_scans == 0 {
+            assert!(
+                (est.io_blocks - analytic_io).abs() < 1e-9,
+                "{}: without an index scan the estimates must agree \
+                 exactly: planner {} vs analytic {analytic_io}",
+                workload.name,
+                est.io_blocks,
+            );
+        }
     }
 }

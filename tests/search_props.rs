@@ -20,7 +20,7 @@ use eve::misd::{
 };
 use eve::qc::{
     exact_score, partial_bound, rank_rewritings, synchronize_qc_best_first, CostBound, QcGuide,
-    QcParams, ScoreModel, SelectionStrategy, WorkloadModel,
+    QcParams, ScoreModel, ScoredRewriting, SelectionStrategy, WorkloadModel,
 };
 use eve::relational::{ColumnRef, CompOp, DataType, PrimitiveClause, Value};
 use eve::sync::{
@@ -170,6 +170,15 @@ fn arbitrary_change() -> impl Strategy<Value = SchemaChange> {
     ]
 }
 
+/// The exact Eq. 25 normalization of a ranked candidate set: the score
+/// model built from every candidate's cost, in candidate order.
+fn exact_model(params: &QcParams, scored: &[ScoredRewriting]) -> ScoreModel {
+    let mut costs: Vec<(usize, f64)> = scored.iter().map(|s| (s.index, s.cost)).collect();
+    costs.sort_by_key(|(i, _)| *i);
+    let costs: Vec<f64> = costs.into_iter().map(|(_, c)| c).collect();
+    ScoreModel::from_costs(params, &costs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -237,10 +246,7 @@ proptest! {
             .unwrap();
         let best = SelectionStrategy::QcBest.select(&scored).unwrap();
 
-        let mut costs: Vec<(usize, f64)> = scored.iter().map(|s| (s.index, s.cost)).collect();
-        costs.sort_by_key(|(i, _)| *i);
-        let costs: Vec<f64> = costs.into_iter().map(|(_, c)| c).collect();
-        let model = ScoreModel::from_costs(&params, &costs);
+        let model = exact_model(&params, &scored);
         let guide = QcGuide::new(&params, workload, model);
         let (outcome, _) = synchronize_qc_best_first(
             &view,
@@ -341,4 +347,112 @@ proptest! {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Candidate counts on the wide MKB (`fixtures::wide_space`): how many
+// candidate views each policy materializes is a deterministic property of
+// the search, not a timing — the exhaustive arm runs the paper's
+// materialize-then-rank pipeline, the pruned arm the QC-bounded best-first
+// policy (production auto-scale normalization) up to its first emission.
+// ---------------------------------------------------------------------
+
+/// What one `(partners, bindings)` configuration of the wide space costs
+/// each policy, and how far the pruned arm's answer is from QC-best.
+struct WideSearch {
+    exhaustive_rewritings: usize,
+    exhaustive_candidates: u64,
+    best_first_candidates: u64,
+    /// QC-badness gap between the best-first arm's first emission and
+    /// QC-best over the exhaustive set, under that set's exact Eq. 25
+    /// normalization (0 under admissible bounds).
+    regret: f64,
+}
+
+fn wide_search(partners: usize, bindings: usize) -> WideSearch {
+    use eve::sync::{synchronize_with_policy, ExplorationPolicy, PartnerCache};
+
+    let (mkb, view, change) = eve_bench::fixtures::wide_space(partners, bindings).unwrap();
+    let params = QcParams::default();
+    let workload = WorkloadModel::SingleUpdate;
+
+    let (exhaustive, exhaustive_stats) = synchronize_with_policy(
+        &view,
+        &change,
+        &mkb,
+        &SyncOptions {
+            max_rewritings: 256,
+            ..SyncOptions::default()
+        },
+        &ExplorationPolicy::Exhaustive,
+        &mut PartnerCache::new(),
+    )
+    .unwrap();
+    let scored = rank_rewritings(&view, &exhaustive.rewritings, &mkb, &params, workload).unwrap();
+    let best = SelectionStrategy::QcBest
+        .select(&scored)
+        .expect("the wide space always has legal rewritings");
+
+    let guide = QcGuide::auto(&view, &mkb, &params, workload).unwrap();
+    let (pruned, pruned_stats) = synchronize_qc_best_first(
+        &view,
+        &change,
+        &mkb,
+        &SyncOptions {
+            max_rewritings: 1,
+            ..SyncOptions::default()
+        },
+        &guide,
+    )
+    .unwrap();
+    let first = pruned.rewritings.first().expect("affected ⇒ emission");
+
+    let model = exact_model(&params, &scored);
+    let (dd, cost) = exact_score(&view, first, &mkb, &params, workload).unwrap();
+
+    WideSearch {
+        exhaustive_rewritings: exhaustive.rewritings.len(),
+        exhaustive_candidates: exhaustive_stats.materialized,
+        best_first_candidates: pruned_stats.materialized.max(1),
+        regret: model.badness(dd, cost) - model.badness(best.divergence.dd, best.cost),
+    }
+}
+
+#[test]
+fn pruning_beats_exhaustive_by_at_least_5x_on_the_wide_mkb() {
+    let run = wide_search(8, 3);
+    assert!(
+        run.exhaustive_candidates >= 5 * run.best_first_candidates,
+        "pruning below the 5x bar: {} exhaustive vs {} best-first candidates",
+        run.exhaustive_candidates,
+        run.best_first_candidates
+    );
+    // The cheaper search still answers QC-best at every width, or the
+    // saving would be bought with a worse view.
+    for (partners, bindings) in [(4, 2), (8, 2), (8, 3), (16, 3)] {
+        let regret = wide_search(partners, bindings).regret;
+        assert!(
+            regret.abs() < 1e-9,
+            "({partners},{bindings}): regret {regret}"
+        );
+    }
+}
+
+#[test]
+fn exhaustive_candidates_grow_with_the_space() {
+    let narrow = wide_search(4, 2);
+    let wide = wide_search(8, 3);
+    assert!(wide.exhaustive_candidates > narrow.exhaustive_candidates);
+    // Best-first growth is linear-ish in bindings × partners, far below
+    // the cross product.
+    assert!(wide.best_first_candidates < wide.exhaustive_candidates);
+}
+
+#[test]
+fn candidate_counts_are_deterministic() {
+    let a = wide_search(4, 2);
+    let b = wide_search(4, 2);
+    assert_eq!(a.exhaustive_candidates, b.exhaustive_candidates);
+    assert_eq!(a.best_first_candidates, b.best_first_candidates);
+    assert_eq!(a.exhaustive_rewritings, b.exhaustive_rewritings);
 }

@@ -265,59 +265,6 @@ fn soak_many_short_runs() {
     }
 }
 
-/// The batched pipeline's acceptance bar: on the 50-site / 200-op
-/// workload, `apply_batch` must be at least 2× faster than op-by-op
-/// application. Wall-clock-dependent, hence soak-only (the equivalence of
-/// the two arms is pinned deterministically by the differential property
-/// suite in `tests/properties.rs`). Measured headroom is ~4× even on a
-/// single core, so the 2× gate absorbs slow CI machines.
-#[test]
-#[ignore = "wall-clock assertion; run with `cargo test --test soak -- --ignored`"]
-fn batched_pipeline_is_at_least_twice_as_fast_as_sequential() {
-    use eve_bench::experiments::batch_pipeline;
-    // Warm up allocator/code paths so the first measurement is not biased.
-    batch_pipeline::compare(5, 20, 1).unwrap();
-    let mut best = 0.0f64;
-    for seed in [2024, 7, 99] {
-        let report = batch_pipeline::compare(50, 200, seed).unwrap();
-        assert_eq!(report.ops, 200);
-        best = best.max(report.speedup);
-    }
-    assert!(
-        best >= 2.0,
-        "batched pipeline speedup {best:.2}x below the 2x acceptance bar"
-    );
-}
-
-/// The physical planner's acceptance bar: on the wide-join workload —
-/// adversarial FROM order, a quadratic intermediate the naive
-/// left-to-right fold materializes and the planner's greedy join
-/// reordering avoids — planned execution must be at least 3× faster than
-/// the naive evaluator. Wall-clock-dependent, hence soak-only (bag
-/// equality of the two arms is asserted inside `view_exec::run` and pinned
-/// deterministically by `tests/properties.rs` and
-/// `crates/relational/tests/plan_props.rs`). Measured headroom is ~30×,
-/// so the 3× gate absorbs slow CI machines.
-#[test]
-#[ignore = "wall-clock assertion; run with `cargo test --test soak -- --ignored`"]
-fn planned_view_execution_is_at_least_3x_faster_than_naive_on_wide_joins() {
-    use eve_bench::experiments::view_exec;
-    // Warm up allocator/code paths so the first measurement is not biased.
-    let warmup = view_exec::wide_join(300).unwrap();
-    view_exec::run(&warmup, 1).unwrap();
-
-    let workload = view_exec::wide_join(1500).unwrap();
-    let mut best = 0.0f64;
-    for _ in 0..3 {
-        let row = view_exec::run(&workload, 3).unwrap();
-        best = best.max(row.speedup);
-    }
-    assert!(
-        best >= 3.0,
-        "planned execution speedup {best:.2}x below the 3x acceptance bar"
-    );
-}
-
 /// Durability soak: a long random-crash-point recovery loop. Each
 /// iteration drives a seeded multi-site workload through a durable
 /// engine, crashes it at a random byte of the active log segment (torn
@@ -378,7 +325,7 @@ fn group_commit_concurrent_crash_recovery_loop() {
         let total = threads * per_thread;
         if seed % 2 == 1 {
             // Torn final write on top of the crash.
-            let active = eve_bench::experiments::durability::active_segment(&dir)
+            let active = eve_bench::fixtures::active_segment(&dir)
                 .unwrap()
                 .expect("store has a segment");
             let len = std::fs::metadata(&active).unwrap().len();
@@ -419,13 +366,12 @@ fn group_commit_concurrent_crash_recovery_loop() {
 #[ignore = "long-running soak; run with `cargo test --test soak -- --ignored`"]
 fn durability_random_crash_point_recovery_loop() {
     use eve::system::DurableEngine;
-    use eve_bench::experiments::batch_pipeline;
-    use eve_bench::experiments::durability::{active_segment, fingerprint, into_batches};
+    use eve_bench::fixtures::{active_segment, build_workload, fingerprint, into_batches};
     for seed in 100u64..140 {
         let dir =
             std::env::temp_dir().join(format!("eve-soak-durability-{}-{seed}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let (engine, ops) = batch_pipeline::build_workload(4, 60, seed).unwrap();
+        let (engine, ops) = build_workload(4, 60, seed).unwrap();
         let mut durable = DurableEngine::create_with(&dir, engine).unwrap();
         if seed % 3 == 0 {
             durable.snapshot_every = Some(3);
