@@ -18,6 +18,8 @@
 //!   [`eve_system::Shell`] over its own [`eve_system::DurableEngine`],
 //!   plus a QC budget ([`warehouse::TenantBudget`]) and an admission
 //!   policy that rejects or queues mutations once the budget is spent.
+//!   Statements and `Apply` batches both reach `Shell::apply`, where the
+//!   budget is metered.
 //! - [`server`] — session management and the worker topology: one router
 //!   thread assigns sessions and dispatches deterministically, mutations
 //!   for a tenant always land on the same shard worker (per-tenant

@@ -3,7 +3,9 @@
 //! Each tenant owns a directory under the warehouse root holding its
 //! durable evolution store, wrapped in an [`eve_system::Shell`] so the
 //! wire protocol's statements execute exactly like interactive shell
-//! lines. Admission control sits in front of every mutation: a tenant
+//! lines — and an `Apply` request enters at the same [`Shell::apply`] a
+//! statement's command does, so both kinds are interpreted and metered
+//! alike. Admission control sits in front of every mutation: a tenant
 //! has a QC budget — rewrite-search candidates and I/O blocks — and once
 //! the budget is spent its policy decides whether further mutations are
 //! rejected outright or parked in a bounded deferred queue that drains
@@ -16,6 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 use eve_relational::ExecOptions;
+use eve_store::LogRecord;
 use eve_sync::EvolutionOp;
 use eve_system::{DurableEngine, Shell};
 
@@ -229,28 +232,27 @@ impl Tenant {
     }
 
     /// Executes a mutation immediately (admission already decided),
-    /// charging its candidate and I/O cost to the budget.
+    /// charging its candidate and I/O cost to the budget. Both kinds end
+    /// in [`Shell::apply`], whose candidate meter is read before and after
+    /// — so a `change` statement spends the budget exactly like the same
+    /// change sent as `Apply`.
     fn run_now(&self, mutation: Mutation) -> Result<String> {
         let mut shell = self.shell.write().unwrap_or_else(|e| e.into_inner());
         let io_before = shell.engine().total_io();
-        let (output, candidates) = match mutation {
-            Mutation::Statement(line) => (shell.execute(&line)?, 0),
+        let candidates_before = shell.candidates_spent();
+        let output = match mutation {
+            Mutation::Statement(line) => shell.execute(&line)?,
             Mutation::Apply(ops) => {
-                let outcome = shell.durable_mut()?.apply_batch(ops)?;
-                let candidates: u64 = outcome
-                    .reports
-                    .iter()
-                    .map(|r| u64::try_from(r.candidates).unwrap_or(u64::MAX))
-                    .sum();
-                let text = format!(
+                let outcome = shell.apply(LogRecord::Batch(ops))?;
+                format!(
                     "applied batch: {} traces, {} reports, {} candidates",
                     outcome.traces.len(),
                     outcome.reports.len(),
-                    candidates
-                );
-                (text, candidates)
+                    shell.candidates_spent() - candidates_before
+                )
             }
         };
+        let candidates = shell.candidates_spent() - candidates_before;
         let io_after = shell.engine().total_io();
         drop(shell);
         let mut st = lock(&self.state);
@@ -571,6 +573,73 @@ mod tests {
         assert_eq!(t.reset_budget().unwrap(), 0);
         t.execute_mutation(Mutation::Statement("update R insert (3, 'c')".into()))
             .unwrap();
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn change_statements_spend_the_candidate_budget_like_apply() {
+        // Pins the admission-bypass bugfix: a `change` sent as a statement
+        // used to charge no candidates, so a tenant could run any number of
+        // rewrite searches on a spent budget by choosing that request kind.
+        use eve_misd::SchemaChange;
+        let root = scratch("bypass");
+        let wh = Warehouse::open(&root).unwrap();
+        let budget = TenantBudget {
+            candidates: 1,
+            ..TenantBudget::default()
+        };
+        let build = |name: &str| {
+            let t = wh
+                .tenant_with(name, budget, AdmissionPolicy::Reject)
+                .unwrap();
+            for line in [
+                "site 1 s1",
+                "relation R @1 (K:int)",
+                "relation M @1 (K:int)",
+                "relation N @1 (K:int)",
+                "insert R (1)",
+                "insert M (1)",
+                "insert N (1)",
+                "pc R (K) = M (K)",
+                "pc M (K) = N (K)",
+                "view CREATE VIEW V (VE = '~') AS SELECT X.K FROM R X (RR = true)",
+            ] {
+                t.execute_mutation(Mutation::Statement(line.into()))
+                    .unwrap();
+            }
+            assert_eq!(t.stats().candidates_used, 0, "set-up searches nothing");
+            t
+        };
+        // The same two changes in each request kind: the first runs and
+        // spends the budget, the second is refused until the reset.
+        let spend = |t: &Tenant, first: Mutation, second: [Mutation; 2]| {
+            t.execute_mutation(first).unwrap();
+            let spent = t.stats().candidates_used;
+            assert!(spent >= 1, "the rewrite search was charged: {spent}");
+            let [refused, readmitted] = second;
+            let err = t.execute_mutation(refused).unwrap_err();
+            assert!(matches!(err, Error::BudgetExceeded { .. }), "{err:?}");
+            assert!(t.query("V").unwrap().contains('1'), "reads still answer");
+            assert_eq!(t.reset_budget().unwrap(), 0);
+            t.execute_mutation(readmitted).unwrap();
+            spent + t.stats().candidates_used
+        };
+        let statement = |rel: &str| Mutation::Statement(format!("change delete-relation {rel}"));
+        let apply = |rel: &str| {
+            Mutation::Apply(vec![EvolutionOp::change(SchemaChange::DeleteRelation {
+                relation: rel.into(),
+            })])
+        };
+        let by_statement = build("statement");
+        let statement_total = spend(
+            &by_statement,
+            statement("R"),
+            [statement("M"), statement("M")],
+        );
+        let by_apply = build("apply");
+        let apply_total = spend(&by_apply, apply("R"), [apply("M"), apply("M")]);
+        assert_eq!(statement_total, apply_total, "both kinds meter alike");
+        assert_eq!(by_statement.fingerprint(), by_apply.fingerprint());
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -21,8 +21,8 @@ use eve_misd::{
 };
 use eve_qc::{IoBound, QcParams, SelectionStrategy, WorkloadModel};
 use eve_relational::{
-    ColumnDef, ColumnRef, CompOp, DataType, Operand, Predicate, PrimitiveClause, Relation, Schema,
-    Tuple, Value,
+    ColumnDef, ColumnRef, CompOp, DataType, IndexKind, Operand, Predicate, PrimitiveClause,
+    Relation, Schema, Tuple, Value,
 };
 use eve_sync::{EvolutionOp, SyncOptions};
 
@@ -339,6 +339,23 @@ impl Codec for DataType {
             2 => DataType::Bool,
             3 => DataType::Text,
             other => return Err(Error::corrupt(format!("invalid DataType tag {other}"))),
+        })
+    }
+}
+
+impl Codec for IndexKind {
+    fn encode(&self, enc: &mut Enc) {
+        enc.u8(match self {
+            IndexKind::Hash => 0,
+            IndexKind::Sorted => 1,
+        });
+    }
+
+    fn decode(dec: &mut Dec<'_>) -> Result<IndexKind> {
+        Ok(match dec.u8()? {
+            0 => IndexKind::Hash,
+            1 => IndexKind::Sorted,
+            other => return Err(Error::corrupt(format!("invalid IndexKind tag {other}"))),
         })
     }
 }

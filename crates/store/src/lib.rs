@@ -28,10 +28,11 @@
 //! * [`codec`] — the hand-rolled binary codec for every persisted domain
 //!   type (std-only; the build environment has no registry access).
 //!
-//! The crate is engine-agnostic by design: it plans recovery and travel
-//! (snapshot + records), while `eve-system`'s `DurableEngine` owns the
-//! replay through the live `apply_batch` pipeline — keeping the dependency
-//! arrow pointing from the runtime to the storage layer.
+//! The crate is engine-agnostic by design: it defines the command
+//! vocabulary ([`LogRecord`]) and plans recovery and travel (snapshot +
+//! records), while `eve-system` interprets a record — live and on replay
+//! alike — in one place, `EveEngine::apply`; the dependency arrow keeps
+//! pointing from the runtime to the storage layer.
 
 pub mod checksum;
 pub mod codec;
@@ -47,8 +48,8 @@ pub use error::{Error, Result};
 pub use group::{CommitTicket, GroupCommitLog, GroupCommitPolicy};
 pub use log::{LogRecord, SealedRecord};
 pub use snapshot::{
-    DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHintState, IndexKindState,
-    SearchModeState, SiteSnapshot, ViewSnapshot,
+    DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHint, SearchModeState,
+    SiteSnapshot, ViewSnapshot,
 };
 pub use store::{
     EvolutionStore, RecoveredLog, RecoveryOptions, SnapshotKind, SnapshotMeta, StoreStats,

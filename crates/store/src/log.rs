@@ -33,25 +33,31 @@ use eve_sync::EvolutionOp;
 use crate::checksum::crc64;
 use crate::codec::{from_bytes, to_bytes, Codec, Dec, Enc};
 use crate::error::{Error, Result};
+use crate::snapshot::IndexHint;
 
 /// Magic prefix of a log segment file (version baked into the last two
 /// bytes).
 pub const SEGMENT_MAGIC: &[u8; 8] = b"EVESEG01";
 
-/// One durable operation of the evolution history. `Batch` carries the
-/// paper's evolution ops (data updates + capability changes); the other
-/// variants record the bootstrap/administrative mutations that precede
-/// them, so a store can replay from an empty engine.
+/// One command of the mutation vocabulary, and the unit the log records.
+/// Every variant is interpreted by `EveEngine::apply` in `eve-system` —
+/// live (shell line, wire request, `DurableEngine::apply`) and on replay
+/// (recovery, time travel) alike, so there is one dispatch to keep right.
+/// `Batch` carries the paper's evolution ops (data updates + capability
+/// changes); the other variants are the bootstrap/administrative
+/// mutations that precede them, so a store can replay from an empty
+/// engine.
 #[derive(Debug, Clone)]
 pub enum LogRecord {
-    /// `EveEngine::add_site`.
+    /// Register an information source.
     AddSite {
         /// Site id.
         id: u32,
         /// Site name.
         name: String,
     },
-    /// `EveEngine::register_relation` (metadata + initial extent).
+    /// Register a relation: metadata into the MKB, initial extent at its
+    /// site.
     RegisterRelation {
         /// The relation's MKB description.
         info: eve_misd::RelationInfo,
@@ -65,11 +71,11 @@ pub enum LogRecord {
         /// The seeded tuples.
         tuples: Vec<Tuple>,
     },
-    /// `Mkb::add_pc_constraint`.
+    /// Add a partial/complete-containment constraint to the MKB.
     AddPcConstraint(PcConstraint),
-    /// `Mkb::add_join_constraint`.
+    /// Add a join constraint to the MKB.
     AddJoinConstraint(JoinConstraint),
-    /// `Mkb::set_join_selectivity`.
+    /// Set one relation pair's join selectivity.
     SetJoinSelectivity {
         /// One endpoint.
         left: String,
@@ -78,22 +84,24 @@ pub enum LogRecord {
         /// The pair selectivity.
         js: f64,
     },
-    /// `Mkb::set_default_join_selectivity`.
+    /// Set the MKB's default join selectivity.
     SetDefaultJoinSelectivity {
         /// The global default.
         js: f64,
     },
-    /// `EveEngine::define_view` (the full definition, structurally).
+    /// Define and materialize a view (the full definition, structurally;
+    /// the log holds the definition as installed, i.e. validate-normalised).
     DefineView(ViewDef),
-    /// `EveEngine::drop_view`.
+    /// Drop a materialized view.
     DropView {
         /// The dropped view's name.
         name: String,
     },
-    /// One `EveEngine::apply_batch` call — the evolution ops in order.
+    /// One batch of evolution ops, in order, through the batched pipeline.
     Batch(Vec<EvolutionOp>),
-    /// `EveEngine::declare_index` — a persisted secondary-index hint.
-    DeclareIndex(crate::snapshot::IndexHintState),
+    /// Declare (and warm) a secondary index — a persisted hint, logged
+    /// only the first time it is declared.
+    DeclareIndex(IndexHint),
 }
 
 impl Codec for LogRecord {
@@ -176,7 +184,7 @@ impl Codec for LogRecord {
             7 => LogRecord::DefineView(ViewDef::decode(dec)?),
             8 => LogRecord::DropView { name: dec.str()? },
             9 => LogRecord::Batch(crate::codec::vec_decode(dec)?),
-            10 => LogRecord::DeclareIndex(crate::snapshot::IndexHintState::decode(dec)?),
+            10 => LogRecord::DeclareIndex(IndexHint::decode(dec)?),
             other => return Err(Error::corrupt(format!("invalid LogRecord tag {other}"))),
         })
     }

@@ -20,7 +20,7 @@ use std::path::Path;
 use eve_esql::ViewDef;
 use eve_misd::MkbState;
 use eve_qc::{QcParams, SelectionStrategy, WorkloadModel};
-use eve_relational::Relation;
+use eve_relational::{IndexKind, Relation};
 use eve_sync::SyncOptions;
 
 use crate::checksum::crc64;
@@ -74,31 +74,21 @@ pub enum SearchModeState {
     },
 }
 
-/// The physical shape of a declared secondary index — a plain-data mirror
-/// of `eve_relational::IndexKind` (which cannot live here without a
-/// dependency cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IndexKindState {
-    /// Hash index over interned/encoded keys (equality probes).
-    #[default]
-    Hash,
-    /// Value-ordered row index (range probes).
-    Sorted,
-}
-
-/// One declared secondary index: relation, column and physical shape.
+/// One declared secondary index: relation, column and physical shape —
+/// the engine's own hint type (`eve-system` re-exports it), carried as is
+/// by snapshots and by [`LogRecord::DeclareIndex`](crate::LogRecord).
 ///
 /// Only *declared* hints persist — lazily warmed index state is
 /// reconstructible and excluded so equal engine states keep byte-equal
 /// snapshot encodings regardless of which queries happened to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexHintState {
+pub struct IndexHint {
     /// The indexed relation's name.
     pub relation: String,
     /// The indexed column's (bare) attribute name.
     pub column: String,
     /// Physical index shape.
-    pub kind: IndexKindState,
+    pub kind: IndexKind,
 }
 
 /// The engine's tunable configuration. Replay must run under the same
@@ -118,7 +108,7 @@ pub struct EngineConfig {
     /// Search-space exploration mode.
     pub search: SearchModeState,
     /// Declared secondary indexes, in declaration order.
-    pub index_hints: Vec<IndexHintState>,
+    pub index_hints: Vec<IndexHint>,
 }
 
 /// A complete, self-contained image of the engine.
@@ -233,39 +223,18 @@ impl Codec for SearchModeState {
     }
 }
 
-impl Codec for IndexKindState {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            IndexKindState::Hash => enc.u8(0),
-            IndexKindState::Sorted => enc.u8(1),
-        }
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<IndexKindState> {
-        Ok(match dec.u8()? {
-            0 => IndexKindState::Hash,
-            1 => IndexKindState::Sorted,
-            other => {
-                return Err(Error::corrupt(format!(
-                    "invalid IndexKindState tag {other}"
-                )));
-            }
-        })
-    }
-}
-
-impl Codec for IndexHintState {
+impl Codec for IndexHint {
     fn encode(&self, enc: &mut Enc) {
         enc.str(&self.relation);
         enc.str(&self.column);
         self.kind.encode(enc);
     }
 
-    fn decode(dec: &mut Dec<'_>) -> Result<IndexHintState> {
-        Ok(IndexHintState {
+    fn decode(dec: &mut Dec<'_>) -> Result<IndexHint> {
+        Ok(IndexHint {
             relation: dec.str()?,
             column: dec.str()?,
-            kind: IndexKindState::decode(dec)?,
+            kind: IndexKind::decode(dec)?,
         })
     }
 }
@@ -292,7 +261,7 @@ impl Codec for EngineConfig {
         let n = dec.len()?;
         let mut index_hints = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            index_hints.push(IndexHintState::decode(dec)?);
+            index_hints.push(IndexHint::decode(dec)?);
         }
         Ok(EngineConfig {
             sync_options,
@@ -410,6 +379,98 @@ pub struct SnapshotFile {
     pub snapshot: EngineSnapshot,
 }
 
+/// Splits an anchored file's fixed prefix (`magic ++ W header words ++ len
+/// ++ crc64`, length already checked) into the header words, the declared
+/// payload length and the payload checksum.
+fn split_anchored_header<const W: usize>(header: &[u8]) -> ([u64; W], u64, u64) {
+    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let len_at = 8 + W * 8;
+    let len = u32::from_le_bytes(header[len_at..len_at + 4].try_into().expect("4 bytes"));
+    (
+        std::array::from_fn(|w| word(8 + w * 8)),
+        u64::from(len),
+        word(len_at + 4),
+    )
+}
+
+fn check_anchored_len(path: &Path, actual: u64, declared: u64) -> Result<()> {
+    if actual != declared {
+        return Err(Error::corrupt(format!(
+            "{}: payload length {actual} does not match header {declared}",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
+/// Header-only form of [`read_anchored_file`]: reads just the fixed prefix
+/// and returns its `W` header words, checking the magic and that the
+/// declared payload length matches the file size — but not the payload
+/// checksum.
+fn read_anchored_header<const W: usize>(
+    path: &Path,
+    magic: &[u8; 8],
+    what: &str,
+) -> Result<[u64; W]> {
+    let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
+    let mut header = vec![0u8; 8 + W * 8 + 12];
+    file.read_exact(&mut header).map_err(|_| {
+        Error::corrupt(format!(
+            "{} is not a {what} file (short header)",
+            path.display()
+        ))
+    })?;
+    if &header[..8] != magic {
+        return Err(Error::corrupt(format!(
+            "{} is not a {what} file (bad magic)",
+            path.display()
+        )));
+    }
+    let (words, len, _) = split_anchored_header(&header);
+    let size = file.metadata().map_err(|e| Error::io(path, e))?.len();
+    check_anchored_len(path, size.saturating_sub(header.len() as u64), len)?;
+    Ok(words)
+}
+
+/// The mirror image of [`write_anchored_file`]: reads a whole
+/// snapshot-shaped file and returns its `W` header words and its payload,
+/// having checked the magic, the header length, the declared payload
+/// length against the file size and the payload's CRC-64.
+fn read_anchored_file<const W: usize>(
+    path: &Path,
+    magic: &[u8; 8],
+    what: &str,
+) -> Result<([u64; W], Vec<u8>)> {
+    let mut bytes = std::fs::read(path).map_err(|e| Error::io(path, e))?;
+    let header_len = 8 + W * 8 + 12;
+    if bytes.len() < header_len || &bytes[..8] != magic {
+        return Err(Error::corrupt(format!(
+            "{} is not a {what} file (bad or short header)",
+            path.display()
+        )));
+    }
+    let (words, len, crc) = split_anchored_header(&bytes[..header_len]);
+    let payload = bytes.split_off(header_len);
+    check_anchored_len(path, payload.len() as u64, len)?;
+    if crc64(&payload) != crc {
+        return Err(Error::corrupt(format!(
+            "{}: {what} checksum mismatch",
+            path.display()
+        )));
+    }
+    Ok((words, payload))
+}
+
+fn check_header_generation(path: &Path, header: u64, payload: u64) -> Result<()> {
+    if header != payload {
+        return Err(Error::corrupt(format!(
+            "{}: header generation {header} disagrees with payload {payload}",
+            path.display()
+        )));
+    }
+    Ok(())
+}
+
 /// Reads only a snapshot file's header (`seq`, `generation`), checking
 /// the magic and that the payload length matches the file size — but not
 /// the payload checksum. Cheap pre-filter for listings and backward scans
@@ -421,33 +482,7 @@ pub struct SnapshotFile {
 /// I/O failures, or [`Error::Corrupt`] for a foreign/short/length-
 /// inconsistent file.
 pub fn read_snapshot_header(path: &Path) -> Result<(u64, u64)> {
-    let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
-    let mut header = [0u8; 36];
-    file.read_exact(&mut header).map_err(|_| {
-        Error::corrupt(format!(
-            "{} is not a snapshot file (short header)",
-            path.display()
-        ))
-    })?;
-    if &header[..8] != SNAPSHOT_MAGIC {
-        return Err(Error::corrupt(format!(
-            "{} is not a snapshot file (bad magic)",
-            path.display()
-        )));
-    }
-    let seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let generation = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    let len = u64::from(u32::from_le_bytes(
-        header[24..28].try_into().expect("4 bytes"),
-    ));
-    let size = file.metadata().map_err(|e| Error::io(path, e))?.len();
-    if size != 36 + len {
-        return Err(Error::corrupt(format!(
-            "{}: payload length {} does not match header {len}",
-            path.display(),
-            size.saturating_sub(36)
-        )));
-    }
+    let [seq, generation] = read_anchored_header(path, SNAPSHOT_MAGIC, "snapshot")?;
     Ok((seq, generation))
 }
 
@@ -458,42 +493,9 @@ pub fn read_snapshot_header(path: &Path) -> Result<(u64, u64)> {
 /// I/O failures, or [`Error::Corrupt`] when the header, checksum or
 /// payload is damaged (recovery then falls back to an older snapshot).
 pub fn read_snapshot_file(path: &Path) -> Result<SnapshotFile> {
-    let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|e| Error::io(path, e))?;
-    if bytes.len() < 36 || &bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(Error::corrupt(format!(
-            "{} is not a snapshot file (bad or short header)",
-            path.display()
-        )));
-    }
-    let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let generation = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes")) as usize;
-    let crc = u64::from_le_bytes(bytes[28..36].try_into().expect("8 bytes"));
-    if bytes.len() - 36 != len {
-        return Err(Error::corrupt(format!(
-            "{}: payload length {} does not match header {len}",
-            path.display(),
-            bytes.len() - 36
-        )));
-    }
-    let payload = &bytes[36..];
-    if crc64(payload) != crc {
-        return Err(Error::corrupt(format!(
-            "{}: snapshot checksum mismatch",
-            path.display()
-        )));
-    }
-    let snapshot = EngineSnapshot::from_bytes(payload)?;
-    if snapshot.generation() != generation {
-        return Err(Error::corrupt(format!(
-            "{}: header generation {generation} disagrees with payload {}",
-            path.display(),
-            snapshot.generation()
-        )));
-    }
+    let ([seq, generation], payload) = read_anchored_file(path, SNAPSHOT_MAGIC, "snapshot")?;
+    let snapshot = EngineSnapshot::from_bytes(&payload)?;
+    check_header_generation(path, generation, snapshot.generation())?;
     Ok(SnapshotFile {
         seq,
         generation,
@@ -859,34 +861,7 @@ pub struct DeltaFile {
 /// I/O failures, or [`Error::Corrupt`] for a foreign/short/length-
 /// inconsistent file.
 pub fn read_delta_header(path: &Path) -> Result<(u64, u64, u64)> {
-    let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
-    let mut header = [0u8; 44];
-    file.read_exact(&mut header).map_err(|_| {
-        Error::corrupt(format!(
-            "{} is not a delta-snapshot file (short header)",
-            path.display()
-        ))
-    })?;
-    if &header[..8] != DELTA_MAGIC {
-        return Err(Error::corrupt(format!(
-            "{} is not a delta-snapshot file (bad magic)",
-            path.display()
-        )));
-    }
-    let seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let generation = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    let base_seq = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-    let len = u64::from(u32::from_le_bytes(
-        header[32..36].try_into().expect("4 bytes"),
-    ));
-    let size = file.metadata().map_err(|e| Error::io(path, e))?.len();
-    if size != 44 + len {
-        return Err(Error::corrupt(format!(
-            "{}: payload length {} does not match header {len}",
-            path.display(),
-            size.saturating_sub(44)
-        )));
-    }
+    let [seq, generation, base_seq] = read_anchored_header(path, DELTA_MAGIC, "delta-snapshot")?;
     Ok((seq, generation, base_seq))
 }
 
@@ -897,43 +872,10 @@ pub fn read_delta_header(path: &Path) -> Result<(u64, u64, u64)> {
 /// I/O failures, or [`Error::Corrupt`] when the header, checksum or
 /// payload is damaged (recovery then falls back to an older anchor).
 pub fn read_delta_file(path: &Path) -> Result<DeltaFile> {
-    let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|e| Error::io(path, e))?;
-    if bytes.len() < 44 || &bytes[..8] != DELTA_MAGIC {
-        return Err(Error::corrupt(format!(
-            "{} is not a delta-snapshot file (bad or short header)",
-            path.display()
-        )));
-    }
-    let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let generation = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let base_seq = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(bytes[32..36].try_into().expect("4 bytes")) as usize;
-    let crc = u64::from_le_bytes(bytes[36..44].try_into().expect("8 bytes"));
-    if bytes.len() - 44 != len {
-        return Err(Error::corrupt(format!(
-            "{}: payload length {} does not match header {len}",
-            path.display(),
-            bytes.len() - 44
-        )));
-    }
-    let payload = &bytes[44..];
-    if crc64(payload) != crc {
-        return Err(Error::corrupt(format!(
-            "{}: delta-snapshot checksum mismatch",
-            path.display()
-        )));
-    }
-    let delta: DeltaSnapshot = from_bytes(payload)?;
-    if delta.generation() != generation {
-        return Err(Error::corrupt(format!(
-            "{}: header generation {generation} disagrees with payload {}",
-            path.display(),
-            delta.generation()
-        )));
-    }
+    let ([seq, generation, base_seq], payload) =
+        read_anchored_file(path, DELTA_MAGIC, "delta-snapshot")?;
+    let delta: DeltaSnapshot = from_bytes(&payload)?;
+    check_header_generation(path, generation, delta.generation())?;
     if delta.base_seq != base_seq {
         return Err(Error::corrupt(format!(
             "{}: header base_seq {base_seq} disagrees with payload {}",
@@ -987,10 +929,10 @@ mod tests {
                 workload: WorkloadModel::PerSite { updates: 10.0 },
                 strategy: SelectionStrategy::QcBest,
                 search: SearchModeState::Beam { width: 4 },
-                index_hints: vec![IndexHintState {
+                index_hints: vec![IndexHint {
                     relation: "R".into(),
                     column: "A".into(),
-                    kind: IndexKindState::Sorted,
+                    kind: IndexKind::Sorted,
                 }],
             },
         }

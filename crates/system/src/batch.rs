@@ -63,6 +63,7 @@ struct PartitionUnit {
 fn run_partition(mkb: &eve_misd::Mkb, unit: &mut PartitionUnit) -> Option<Error> {
     let _span = eve_trace::span("engine.partition");
     for update in &unit.updates {
+        let _span = eve_trace::span("engine.data_update");
         let info = match mkb.relation(&update.relation) {
             Ok(info) => info,
             Err(e) => return Some(e.into()),
@@ -178,7 +179,11 @@ impl EveEngine {
         outcome.data_ops += op_refs.len();
         outcome.data_stages += 1;
         outcome.max_width = outcome.max_width.max(partitions.len());
-        eve_trace::global()
+        let registry = eve_trace::global();
+        registry
+            .counter("engine.data_updates")
+            .add(op_refs.len() as u64);
+        registry
             .counter("engine.batch_partitions")
             .add(partitions.len() as u64);
 

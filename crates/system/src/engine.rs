@@ -16,6 +16,8 @@ use eve_qc::{
     WorkloadModel,
 };
 use eve_relational::{ExecOptions, ExecStats, IndexKind, IndexStats, InternStats, Relation, Value};
+pub use eve_store::IndexHint;
+use eve_store::LogRecord;
 use eve_sync::{
     synchronize, EvolutionOp, HeuristicOptions, RewriteCache, SyncOptions, SyncOutcome,
 };
@@ -92,20 +94,6 @@ pub enum SearchMode {
         /// Beam width (candidates generated per binding level).
         width: usize,
     },
-}
-
-/// One declared secondary index: relation, column and physical shape.
-/// Declarations are durable engine state (they survive snapshots and log
-/// replay); the index *contents* are reconstructible and are re-warmed
-/// lazily.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexHint {
-    /// The indexed relation's name.
-    pub relation: String,
-    /// The indexed column's (bare) attribute name.
-    pub column: String,
-    /// Physical index shape.
-    pub kind: IndexKind,
 }
 
 /// Aggregated columnar/index/interning counters across every relation
@@ -238,6 +226,47 @@ impl EveEngine {
         })?;
         site.host(named, bfr)?;
         Ok(())
+    }
+
+    /// Interprets one command of the mutation vocabulary — the **only**
+    /// dispatch over [`LogRecord`] outside the store codec. Shell lines,
+    /// wire requests, [`DurableEngine::apply`](crate::DurableEngine::apply),
+    /// recovery replay and time travel all mutate the engine through it,
+    /// which makes live ≡ replay hold by construction. `Batch` returns its
+    /// [`BatchOutcome`], every other command the empty one.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the typed method behind the command returns.
+    pub fn apply(&mut self, cmd: LogRecord) -> Result<BatchOutcome> {
+        match cmd {
+            LogRecord::AddSite { id, name } => self.add_site(SiteId(id), name)?,
+            LogRecord::RegisterRelation { info, extent } => self.register_relation(info, extent)?,
+            LogRecord::SeedTuples { relation, tuples } => {
+                let site_id = self.mkb.relation(&relation)?.site.0;
+                self.sites
+                    .get_mut(&site_id)
+                    .ok_or_else(|| Error::State {
+                        detail: format!("unknown site {site_id}"),
+                    })?
+                    .apply_update(&relation, &tuples, &[])?;
+            }
+            LogRecord::AddPcConstraint(pc) => self.mkb.add_pc_constraint(pc)?,
+            LogRecord::AddJoinConstraint(jc) => self.mkb.add_join_constraint(jc)?,
+            LogRecord::SetJoinSelectivity { left, right, js } => {
+                self.mkb.set_join_selectivity(&left, &right, js);
+            }
+            LogRecord::SetDefaultJoinSelectivity { js } => {
+                self.mkb.set_default_join_selectivity(js);
+            }
+            LogRecord::DefineView(def) => self.define_view(def).map(|_| ())?,
+            LogRecord::DropView { name } => self.drop_view(&name).map(|_| ())?,
+            LogRecord::DeclareIndex(hint) => {
+                self.declare_index(&hint.relation, &hint.column, hint.kind)?;
+            }
+            LogRecord::Batch(ops) => return self.apply_batch(ops),
+        }
+        Ok(BatchOutcome::default())
     }
 
     /// Gathers the base extents a view needs.

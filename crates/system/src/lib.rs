@@ -30,6 +30,13 @@
 //! generation — observationally identical to the op-by-op paths (the
 //! differential property suite pins this) but substantially faster.
 //!
+//! Every mutation has one spelling and one interpreter: the command
+//! vocabulary is [`eve_store::LogRecord`], and
+//! [`engine::EveEngine::apply`] is the only dispatch over it. The
+//! [`shell`] parses a line to a record, [`durable::DurableEngine::apply`]
+//! interprets a record and then logs it, and recovery and time travel
+//! replay logged records through the same function.
+//!
 //! [`scenario`] builds deterministic synthetic information spaces whose
 //! *measured* statistics (join matches per key, selectivities) equal the
 //! *declared* MKB statistics, so measured and analytic costs can be compared

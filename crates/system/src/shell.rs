@@ -1,6 +1,10 @@
 //! A line-oriented command interpreter over [`EveEngine`] — the interactive
 //! front-end used by `examples/eve_shell.rs`, and a convenient scripting
-//! surface for demos and tests.
+//! surface for demos and tests. Each mutating command (`site relation
+//! insert pc jc view update change index`) parses its line to a
+//! [`LogRecord`] and hands it to [`Shell::apply`], so an in-memory shell
+//! and one over an open store run the same engine path and print the same
+//! text.
 //!
 //! ```text
 //! site 1 customers
@@ -18,11 +22,12 @@
 
 use eve_misd::{AttributeInfo, RelationInfo, SchemaChange, SiteId};
 use eve_relational::{ColumnDef, ColumnRef, DataType, IndexKind, Relation, Schema, Tuple, Value};
+use eve_store::LogRecord;
+use eve_sync::EvolutionOp;
 
 use crate::durable::DurableEngine;
-use crate::engine::EveEngine;
+use crate::engine::{BatchOutcome, EveEngine, IndexHint};
 use crate::error::{Error, Result};
-use crate::maintainer::DataUpdate;
 
 /// The engine the shell drives: in-memory only, or durably backed by an
 /// evolution store (after `open <dir>`).
@@ -39,6 +44,9 @@ enum Host {
 #[derive(Debug)]
 pub struct Shell {
     host: Host,
+    /// Σ [`EvolutionReport::candidates`](crate::EvolutionReport) over
+    /// every command applied so far.
+    candidates_spent: u64,
 }
 
 impl Default for Shell {
@@ -53,6 +61,7 @@ impl Shell {
     pub fn new() -> Shell {
         Shell {
             host: Host::Plain(EveEngine::new()),
+            candidates_spent: 0,
         }
     }
 
@@ -63,6 +72,7 @@ impl Shell {
     pub fn with_durable(durable: DurableEngine) -> Shell {
         Shell {
             host: Host::Durable(durable),
+            candidates_spent: 0,
         }
     }
 
@@ -76,8 +86,8 @@ impl Shell {
     }
 
     /// Mutable engine access. With an open store this bypasses the
-    /// evolution log — prefer the shell commands, which route through the
-    /// durable wrappers.
+    /// evolution log — prefer the shell commands or [`Shell::apply`], which
+    /// log what they apply.
     pub fn engine_mut(&mut self) -> &mut EveEngine {
         match &mut self.host {
             Host::Plain(e) => e,
@@ -92,6 +102,35 @@ impl Shell {
             Host::Plain(_) => None,
             Host::Durable(d) => Some(d),
         }
+    }
+
+    /// Runs one command on the host: [`DurableEngine::apply`] when a store
+    /// is open (it fails closed while poisoned), else [`EveEngine::apply`],
+    /// which the durable entry calls too. Every shell command that has a
+    /// [`LogRecord`] ends here, and so does the server's `Apply` request —
+    /// the only `Host` match on the logged-mutation path.
+    ///
+    /// # Errors
+    ///
+    /// Engine or store failures.
+    pub fn apply(&mut self, cmd: LogRecord) -> Result<BatchOutcome> {
+        let outcome = match &mut self.host {
+            Host::Plain(e) => e.apply(cmd),
+            Host::Durable(d) => d.apply(cmd),
+        }?;
+        let candidates: usize = outcome.reports.iter().map(|r| r.candidates).sum();
+        self.candidates_spent = self
+            .candidates_spent
+            .saturating_add(u64::try_from(candidates).unwrap_or(u64::MAX));
+        Ok(outcome)
+    }
+
+    /// Rewrite-search candidates generated by every command applied
+    /// through this shell so far — the meter admission control charges,
+    /// read as a before/after difference like [`EveEngine::total_io`].
+    #[must_use]
+    pub fn candidates_spent(&self) -> u64 {
+        self.candidates_spent
     }
 
     /// Executes one command line, returning the text to display.
@@ -110,33 +149,6 @@ impl Shell {
             None => (line, ""),
         };
         let cmd = cmd.to_ascii_lowercase();
-        // Fail closed on a poisoned durable host: a mutation's re-anchoring
-        // snapshot failed, so the on-disk store is behind the live engine.
-        // Mutating (and history-rewriting) commands are refused *before*
-        // they touch the engine — they would widen the divergence — while
-        // reads and `checkpoint` (the remedy) stay available.
-        if let Host::Durable(d) = &self.host {
-            if let Some(detail) = d.poison_detail() {
-                if matches!(
-                    cmd.as_str(),
-                    "site"
-                        | "relation"
-                        | "insert"
-                        | "pc"
-                        | "jc"
-                        | "view"
-                        | "update"
-                        | "change"
-                        | "rebalance"
-                        | "compact"
-                        | "index"
-                ) {
-                    return Err(Error::Poisoned {
-                        detail: detail.to_owned(),
-                    });
-                }
-            }
-        }
         match cmd.as_str() {
             "help" => Ok(HELP.trim().to_owned()),
             "site" => self.cmd_site(rest),
@@ -172,10 +184,10 @@ impl Shell {
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| usage("site <id> <name>"))?;
         let name = parts.next().ok_or_else(|| usage("site <id> <name>"))?;
-        match &mut self.host {
-            Host::Plain(e) => e.add_site(SiteId(id), name)?,
-            Host::Durable(d) => d.add_site(SiteId(id), name)?,
-        }
+        self.apply(LogRecord::AddSite {
+            id,
+            name: name.to_owned(),
+        })?;
         Ok(format!("registered site {id} ({name})"))
     }
 
@@ -235,10 +247,7 @@ impl Shell {
                 .collect(),
         )?;
         let extent = Relation::empty(name.clone(), schema);
-        match &mut self.host {
-            Host::Plain(e) => e.register_relation(info, extent)?,
-            Host::Durable(d) => d.register_relation(info, extent)?,
-        }
+        self.apply(LogRecord::RegisterRelation { info, extent })?;
         Ok(format!("registered relation {name} @ site {site}"))
     }
 
@@ -277,19 +286,10 @@ impl Shell {
             .split_once(char::is_whitespace)
             .ok_or_else(|| usage("insert <Relation> (v1, v2, ...)"))?;
         let tuple = Self::parse_tuple(tuple_text)?;
-        match &mut self.host {
-            Host::Plain(e) => {
-                let info = e.mkb().relation(rel)?;
-                let site = info.site.0;
-                e.sites_mut()
-                    .get_mut(&site)
-                    .ok_or_else(|| Error::State {
-                        detail: format!("unknown site {site}"),
-                    })?
-                    .apply_update(rel, &[tuple], &[])?;
-            }
-            Host::Durable(d) => d.seed_tuples(rel, vec![tuple])?,
-        }
+        self.apply(LogRecord::SeedTuples {
+            relation: rel.to_owned(),
+            tuples: vec![tuple],
+        })?;
         Ok(format!("seeded 1 tuple into {rel}"))
     }
 
@@ -310,10 +310,7 @@ impl Shell {
             _ => return Err(usage(USAGE)),
         };
         let pc = eve_misd::PcConstraint::new(parse_side(left)?, relationship, parse_side(right)?);
-        match &mut self.host {
-            Host::Plain(e) => e.mkb_mut().add_pc_constraint(pc)?,
-            Host::Durable(d) => d.add_pc_constraint(pc)?,
-        }
+        self.apply(LogRecord::AddPcConstraint(pc))?;
         Ok("registered PC constraint".to_owned())
     }
 
@@ -331,18 +328,15 @@ impl Shell {
             rq,
             vec![eve_relational::PrimitiveClause::eq(lref, rref)],
         );
-        match &mut self.host {
-            Host::Plain(e) => e.mkb_mut().add_join_constraint(jc)?,
-            Host::Durable(d) => d.add_join_constraint(jc)?,
-        }
+        self.apply(LogRecord::AddJoinConstraint(jc))?;
         Ok("registered join constraint".to_owned())
     }
 
     fn cmd_view(&mut self, rest: &str) -> Result<String> {
-        let mv = match &mut self.host {
-            Host::Plain(e) => e.define_view_sql(rest)?,
-            Host::Durable(d) => d.define_view_sql(rest)?,
-        };
+        let def = eve_esql::parse_view(rest)?;
+        let name = def.name.clone();
+        self.apply(LogRecord::DefineView(def))?;
+        let mv = self.engine().view(&name)?;
         Ok(format!(
             "materialized view {} with {} rows",
             mv.def.name,
@@ -358,16 +352,13 @@ impl Shell {
         let kind = parts.next().ok_or_else(|| usage(USAGE))?;
         let tuple = Self::parse_tuple(parts.next().ok_or_else(|| usage(USAGE))?)?;
         let update = match kind.to_ascii_lowercase().as_str() {
-            "insert" => DataUpdate::insert(rel, vec![tuple]),
-            "delete" => DataUpdate::delete(rel, vec![tuple]),
+            "insert" => EvolutionOp::insert(rel, vec![tuple]),
+            "delete" => EvolutionOp::delete(rel, vec![tuple]),
             _ => return Err(usage(USAGE)),
         };
-        let traces: Vec<(String, crate::maintainer::MaintenanceTrace)> = match &mut self.host {
-            Host::Plain(e) => e.notify_data_update(&update)?,
-            Host::Durable(d) => d.notify_data_update(&update)?.into_iter().collect(),
-        };
+        let outcome = self.apply(LogRecord::Batch(vec![update]))?;
         let mut out = format!("update applied to {rel}");
-        for (view, t) in traces {
+        for (view, t) in outcome.traces {
             out.push_str(&format!(
                 "\n  {view}: {} msgs, {} bytes, {} I/Os, +{} −{} rows",
                 t.messages, t.bytes, t.ios, t.view_inserts, t.view_deletes
@@ -408,12 +399,9 @@ impl Shell {
             }
             _ => return Err(usage(USAGE)),
         };
-        let reports = match &mut self.host {
-            Host::Plain(e) => e.notify_capability_change(&change, None)?,
-            Host::Durable(d) => d.notify_capability_change(&change, None)?,
-        };
         let mut out = format!("applied {change}");
-        for r in reports {
+        let outcome = self.apply(LogRecord::Batch(vec![EvolutionOp::change(change)]))?;
+        for r in outcome.reports {
             if !r.affected {
                 continue;
             }
@@ -515,19 +503,18 @@ impl Shell {
         let mut parts = rest.split_whitespace();
         let relation = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
         let column = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
-        let kind = match parts.next().map(str::to_ascii_lowercase).as_deref() {
-            Some("hash") | None => IndexKind::Hash,
-            Some("sorted") => IndexKind::Sorted,
+        let (kind, shape) = match parts.next().map(str::to_ascii_lowercase).as_deref() {
+            Some("hash") | None => (IndexKind::Hash, "hash"),
+            Some("sorted") => (IndexKind::Sorted, "sorted"),
             Some(other) => return Err(usage(&format!("unknown index kind `{other}`"))),
         };
-        let added = match &mut self.host {
-            Host::Plain(e) => e.declare_index(&relation, &column, kind)?,
-            Host::Durable(d) => d.declare_index(&relation, &column, kind)?,
-        };
-        let shape = match kind {
-            IndexKind::Hash => "hash",
-            IndexKind::Sorted => "sorted",
-        };
+        let declared = self.engine().index_hints().len();
+        self.apply(LogRecord::DeclareIndex(IndexHint {
+            relation: relation.clone(),
+            column: column.clone(),
+            kind,
+        }))?;
+        let added = self.engine().index_hints().len() > declared;
         Ok(if added {
             format!("declared {shape} index on {relation}.{column}")
         } else {
@@ -609,7 +596,7 @@ impl Shell {
             cl.exec.parallel_ops,
             cl.exec.serial_fallbacks
         );
-        if let Host::Durable(d) = &self.host {
+        if let Some(d) = self.durable() {
             let s = d.store_stats();
             out.push_str(&format!(
                 "\nstore: {} records, {} log bytes, {} fsyncs, {} snapshots \
@@ -1187,6 +1174,61 @@ mod tests {
         assert!(out.contains("compacted"), "{out}");
         let err = sh2.execute(&format!("travel {g0}")).unwrap_err();
         assert!(err.to_string().contains("horizon"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn plain_and_durable_hosts_print_and_reach_the_same() {
+        // Pins the drift fix: the two hosts used to run different engine
+        // paths per command (the plain `update` printed a zero-trace line
+        // for every untouched view, the durable one did not). One script —
+        // every mutating command, an `update` that touches one view of two,
+        // an adopted and a dropped `change` — must now read the same on
+        // both, line for line, and leave byte-identical engines.
+        let dir =
+            std::env::temp_dir().join(format!("eve-shell-durable-{}-twin", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut plain = Shell::new();
+        let mut durable = Shell::new();
+        durable.execute(&format!("open {}", dir.display())).unwrap();
+        for cmd in [
+            "site 1 tokyo",
+            "site 2 osaka",
+            "relation R @1 (K:int, P:int)",
+            "relation M @2 (K:int, P:int)",
+            "relation L @2 (A:int)",
+            "insert R (1, 10)",
+            "insert M (1, 10)",
+            "insert L (7)",
+            "pc R (K, P) = M (K, P)",
+            "jc R.K = M.K",
+            "index R K",
+            "index R K",
+            "view CREATE VIEW V (VE = '~') AS SELECT X.K FROM R X (RR = true)",
+            "view CREATE VIEW W (VE = '~') AS SELECT A FROM L",
+            "update R insert (2, 20)",
+            "update M insert (2, 20)",
+            "update L delete (7)",
+            "update Ghost insert (1)",
+            "change delete-relation R",
+            "change delete-relation L",
+            "rebalance",
+            "query V",
+            "show views",
+            "show constraints",
+        ] {
+            let render = |r: Result<String>| r.unwrap_or_else(|e| format!("error: {e}"));
+            let on_plain = render(plain.execute(cmd));
+            assert_eq!(on_plain, render(durable.execute(cmd)), "`{cmd}`");
+            if cmd == "update R insert (2, 20)" {
+                assert!(on_plain.contains("\n  V: "), "{on_plain}");
+                assert!(!on_plain.contains("W: "), "W was not touched: {on_plain}");
+            }
+        }
+        assert_eq!(
+            plain.engine().snapshot_state().to_bytes(),
+            durable.engine().snapshot_state().to_bytes()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -15,14 +15,20 @@
 
 use proptest::prelude::*;
 
-use eve::relational::tup;
+use eve::misd::{
+    AttributeInfo, JoinConstraint, PcConstraint, PcRelationship, PcSide, RelationInfo,
+    SchemaChange, SiteId,
+};
+use eve::relational::{
+    tup, ColumnRef, DataType, IndexKind, PrimitiveClause, Relation, Schema, Tuple,
+};
 use eve::store::{
     EvolutionStore, GroupCommitLog, GroupCommitPolicy, LogRecord, RecoveryOptions, SealedRecord,
 };
 use eve::sync::EvolutionOp;
-use eve::system::DurableEngine;
+use eve::system::{DurableEngine, EveEngine, IndexHint, Shell};
 use eve_bench::fixtures::{self, fingerprint, into_batches};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -171,6 +177,237 @@ proptest! {
             target, expected_idx
         );
         prop_assert!(travelled.mkb().generation() <= target);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+fn kp_attrs() -> Vec<AttributeInfo> {
+    vec![
+        AttributeInfo::new("K", DataType::Int),
+        AttributeInfo::new("P", DataType::Int),
+    ]
+}
+
+fn kp_relation(name: &str, tuples: Vec<Tuple>) -> Relation {
+    let schema = Schema::of(&[("K", DataType::Int), ("P", DataType::Int)]).unwrap();
+    Relation::with_tuples(name, schema, tuples).unwrap()
+}
+
+fn pc_equivalent(left: &str, right: &str) -> PcConstraint {
+    PcConstraint::new(
+        PcSide::projection(left, &["K", "P"]),
+        PcRelationship::Equivalent,
+        PcSide::projection(right, &["K", "P"]),
+    )
+}
+
+fn jc_on_k(left: &str, right: &str) -> JoinConstraint {
+    JoinConstraint::new(
+        left,
+        right,
+        vec![PrimitiveClause::eq(
+            ColumnRef::parse(&format!("{left}.K")),
+            ColumnRef::parse(&format!("{right}.K")),
+        )],
+    )
+}
+
+fn index_hint(relation: &str, column: &str, kind: IndexKind) -> LogRecord {
+    LogRecord::DeclareIndex(IndexHint {
+        relation: relation.into(),
+        column: column.into(),
+        kind,
+    })
+}
+
+/// One step of the eleven-kind command stream. Picks a command of `kind`
+/// (0–10, the record tags) that is valid against `live`'s current state —
+/// every relation is `(K:int, P:int)`, so any of them fits any slot — and
+/// applies the same mutation to `oracle` through the engine's *typed*
+/// methods, the reference `EveEngine::apply`'s dispatch is held against.
+fn next_command(
+    step: usize,
+    kind: u8,
+    r: u32,
+    live: &EveEngine,
+    oracle: &mut EveEngine,
+) -> LogRecord {
+    let relations: Vec<String> = live.mkb().relations().map(|i| i.name.clone()).collect();
+    let views: Vec<String> = live.views().map(|v| v.def.name.clone()).collect();
+    // Consecutive slots are distinct relations (the stream keeps ≥ 2 alive).
+    let rel = |slot: u32| relations[(r / 16 + slot) as usize % relations.len()].clone();
+    let k = i64::from(r % 50);
+    match kind {
+        0 => {
+            let (id, name) = (10 + step as u32, format!("site{step}"));
+            oracle.add_site(SiteId(id), name.clone()).unwrap();
+            LogRecord::AddSite { id, name }
+        }
+        1 => {
+            let sites: Vec<SiteId> = live.mkb().sites().map(|(id, _)| id).collect();
+            let name = format!("R{step}");
+            let info = RelationInfo::new(&name, sites[r as usize % sites.len()], kp_attrs(), 10);
+            let extent = kp_relation(&name, (0..4i64).map(|i| tup![i, i % 3]).collect());
+            oracle
+                .register_relation(info.clone(), extent.clone())
+                .unwrap();
+            LogRecord::RegisterRelation { info, extent }
+        }
+        2 => {
+            let (relation, tuples) = (rel(0), vec![tup![k, k % 3], tup![k + 1, 1]]);
+            let site = live.mkb().relation(&relation).unwrap().site.0;
+            let site = oracle.sites_mut().get_mut(&site).unwrap();
+            site.apply_update(&relation, &tuples, &[]).unwrap();
+            LogRecord::SeedTuples { relation, tuples }
+        }
+        3 => {
+            let pc = pc_equivalent(&rel(0), &rel(1));
+            oracle.mkb_mut().add_pc_constraint(pc.clone()).unwrap();
+            LogRecord::AddPcConstraint(pc)
+        }
+        4 => {
+            let jc = jc_on_k(&rel(0), &rel(1));
+            oracle.mkb_mut().add_join_constraint(jc.clone()).unwrap();
+            LogRecord::AddJoinConstraint(jc)
+        }
+        5 => {
+            let (left, right, js) = (rel(0), rel(1), 0.001 * f64::from(r % 100 + 1));
+            oracle.mkb_mut().set_join_selectivity(&left, &right, js);
+            LogRecord::SetJoinSelectivity { left, right, js }
+        }
+        6 => {
+            let js = 0.001 * f64::from(r % 100 + 1);
+            oracle.mkb_mut().set_default_join_selectivity(js);
+            LogRecord::SetDefaultJoinSelectivity { js }
+        }
+        8 if !views.is_empty() => {
+            let name = views[r as usize % views.len()].clone();
+            oracle.drop_view(&name).unwrap();
+            LogRecord::DropView { name }
+        }
+        7 | 8 => {
+            // Single FROM, bare column names: the installed definition is
+            // the validate-normalised one, which is what must be logged.
+            let def = eve::esql::parse_view(&format!(
+                "CREATE VIEW V{step} (VE = '~') AS SELECT K FROM {} (RR = true) WHERE P = {}",
+                rel(0),
+                r % 3
+            ))
+            .unwrap();
+            oracle.define_view(def.clone()).unwrap();
+            LogRecord::DefineView(def)
+        }
+        9 => {
+            let mut ops = vec![
+                EvolutionOp::insert(rel(0), vec![tup![k, k % 3]]),
+                EvolutionOp::delete(rel(1), vec![tup![k % 4, k % 4 % 3]]),
+            ];
+            match r % 8 {
+                0 if relations.len() > 2 => {
+                    ops.push(EvolutionOp::change(SchemaChange::DeleteRelation {
+                        relation: rel(2),
+                    }));
+                }
+                0 | 4 => ops.push(EvolutionOp::change(SchemaChange::RenameRelation {
+                    from: rel(2),
+                    to: format!("R{step}"),
+                })),
+                _ => {}
+            }
+            oracle.apply_batch(ops.clone()).unwrap();
+            LogRecord::Batch(ops)
+        }
+        _ => {
+            let (column, kind) = [
+                ("K", IndexKind::Hash),
+                ("P", IndexKind::Hash),
+                ("K", IndexKind::Sorted),
+                ("P", IndexKind::Sorted),
+            ][r as usize % 4];
+            oracle.declare_index(&rel(0), column, kind).unwrap();
+            index_hint(&rel(0), column, kind)
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
+    ))]
+
+    /// Live ≡ typed-method oracle ≡ replay over **all eleven** record
+    /// kinds. A random valid stream goes through `DurableEngine::apply`;
+    /// after every command the live engine equals an oracle driven through
+    /// the typed `EveEngine` methods, `open_at(g)` equals a fresh engine
+    /// replaying the submitted commands, and after a crash at a random
+    /// record boundary `open` lands on the live state at that boundary.
+    #[test]
+    fn every_record_kind_recovers_and_travels(
+        picks in prop::collection::vec((0u8..11, any::<u32>()), 8..40),
+        travel in 0usize..1000,
+        crash in 0usize..1000,
+    ) {
+        let dir = scratch_dir("eleven");
+        let mut durable = DurableEngine::create(&dir).unwrap();
+        let mut oracle = EveEngine::new();
+        // A site, two relations, and one index declared twice on purpose
+        // (only the first declaration may reach the log).
+        let preamble = [(0, 0), (1, 0), (1, 0), (10, 0), (10, 0)];
+        let mut submitted = Vec::new();
+        let mut states = vec![fingerprint(durable.engine())];
+        let mut generations = vec![durable.engine().mkb().generation()];
+        // Records logged and active-segment bytes once k commands ran.
+        let mut logged = vec![durable.next_seq()];
+        let mut segment_len = vec![std::fs::metadata(active_segment(&dir)).unwrap().len()];
+        for (step, (kind, r)) in preamble.into_iter().chain(picks).enumerate() {
+            let cmd = next_command(step, kind, r, durable.engine(), &mut oracle);
+            durable.apply(cmd.clone()).unwrap();
+            let state = fingerprint(durable.engine());
+            // (`prop_assert!`, not `_eq!`: a failure should name the
+            // command, not print two multi-KB fingerprints.)
+            prop_assert!(
+                state == fingerprint(&oracle),
+                "command {step} ({cmd:?}) diverged from the typed methods"
+            );
+            submitted.push(cmd);
+            states.push(state);
+            generations.push(durable.engine().mkb().generation());
+            logged.push(durable.next_seq());
+            segment_len.push(std::fs::metadata(active_segment(&dir)).unwrap().len());
+        }
+        prop_assert_eq!(logged[5], logged[4], "a repeated DeclareIndex is not logged");
+        drop(durable); // crash
+
+        // Time travel ≡ fresh replay of the submitted prefix.
+        let target = generations[travel % generations.len()];
+        let prefix = generations.iter().rposition(|&g| g <= target).unwrap();
+        let travelled = DurableEngine::open_at(&dir, target).unwrap();
+        let mut fresh = EveEngine::new();
+        for cmd in &submitted[..prefix] {
+            fresh.apply(cmd.clone()).unwrap();
+        }
+        prop_assert!(
+            fingerprint(&travelled) == fingerprint(&fresh),
+            "open_at({target}) differs from a fresh replay of {prefix} commands"
+        );
+        prop_assert!(
+            fingerprint(&travelled) == states[prefix],
+            "open_at({target}) differs from the live state after {prefix} commands"
+        );
+
+        // Crash at a random record boundary: cut the log there and recover.
+        let boundary = crash % states.len();
+        let segment = std::fs::OpenOptions::new().write(true).open(active_segment(&dir)).unwrap();
+        segment.set_len(segment_len[boundary]).unwrap();
+        segment.sync_all().unwrap();
+        drop(segment);
+        let (recovered, report) = DurableEngine::open(&dir).unwrap();
+        prop_assert_eq!(report.torn_bytes_truncated, 0);
+        prop_assert_eq!(report.replayed_records, logged[boundary]);
+        prop_assert!(
+            fingerprint(recovered.engine()) == states[boundary],
+            "recovery after {boundary} commands differs from the live state there"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -382,5 +619,168 @@ fn compaction_preserves_recovery() {
     let (recovered, report) = DurableEngine::open(&dir).unwrap();
     assert_eq!(fingerprint(recovered.engine()), expected);
     assert_eq!(report.replayed_records, 0, "recovery is pure snapshot load");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------
+// Goldens written by the build *before* shell, wire, log and replay shared
+// one command interpreter: same text, same bytes, old stores still open.
+// ---------------------------------------------------------------------
+
+fn golden(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+/// The store files (segments, full and delta snapshots) of a directory,
+/// by file name — everything but the lock file.
+fn store_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            path.extension()
+                .is_some_and(|x| x == "evl" || x == "evs" || x == "evd")
+        })
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// `tests/golden/shell_script.txt` through a shell after `open <tempdir>`:
+/// the transcript (rendered as `examples/eve_shell.rs` prints it, each
+/// line echoed behind its prompt) and every log segment the session writes
+/// are byte-identical to what the parent build produced.
+#[test]
+fn shell_session_reproduces_the_golden_transcript_and_segments() {
+    let dir = scratch_dir("golden-shell");
+    let store = dir.display().to_string();
+    let mut shell = Shell::new();
+    let mut transcript = String::new();
+    let script = std::fs::read_to_string(golden("shell_script.txt")).unwrap();
+    for line in std::iter::once("open <store>").chain(script.lines()) {
+        transcript.push_str(&format!("> {line}\n"));
+        match shell.execute(&line.replace("<store>", &store)) {
+            Ok(out) if out.is_empty() => {}
+            Ok(out) => transcript.push_str(&format!("{}\n", out.replace(&store, "<store>"))),
+            Err(e) => transcript.push_str(&format!("error: {e}\n")),
+        }
+    }
+    drop(shell);
+    let expected = std::fs::read_to_string(golden("shell_durable_transcript.txt")).unwrap();
+    assert_eq!(transcript, expected);
+    let mut written = store_files(&dir);
+    written.retain(|name, _| name.ends_with(".evl"));
+    assert_eq!(written, store_files(&golden("shell_durable_segments")));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The command stream behind `tests/golden/store-head/`: all eleven record
+/// kinds, a repeated `DeclareIndex`, a bare-column view, and — with
+/// `snapshot_every = 3` — a delta checkpoint after the third batch, so the
+/// last four records are the tail recovery replays.
+fn store_head_commands() -> Vec<LogRecord> {
+    let mut commands = vec![
+        LogRecord::AddSite {
+            id: 1,
+            name: "one".into(),
+        },
+        LogRecord::AddSite {
+            id: 2,
+            name: "two".into(),
+        },
+    ];
+    for (name, site) in [("Ra", 1), ("Rb", 1), ("Rc", 2)] {
+        commands.push(LogRecord::RegisterRelation {
+            info: RelationInfo::new(name, SiteId(site), kp_attrs(), 10),
+            extent: kp_relation(name, Vec::new()),
+        });
+        commands.push(LogRecord::SeedTuples {
+            relation: name.into(),
+            tuples: (0..6i64).map(|k| tup![k, k % 3]).collect(),
+        });
+    }
+    let view = |sql: &str| LogRecord::DefineView(eve::esql::parse_view(sql).unwrap());
+    commands.extend([
+        LogRecord::AddPcConstraint(pc_equivalent("Rb", "Rc")),
+        LogRecord::AddJoinConstraint(jc_on_k("Ra", "Rb")),
+        LogRecord::SetJoinSelectivity {
+            left: "Ra".into(),
+            right: "Rb".into(),
+            js: 0.01,
+        },
+        LogRecord::SetDefaultJoinSelectivity { js: 0.02 },
+        index_hint("Ra", "K", IndexKind::Hash),
+        index_hint("Ra", "K", IndexKind::Hash),
+        view(
+            "CREATE VIEW V (VE = '~') AS SELECT A.K, B.P AS BP \
+             FROM Ra A, Rb B (RR = true) WHERE A.K = B.K",
+        ),
+        view("CREATE VIEW U (VE = '~') AS SELECT K FROM Rc WHERE P = 1"),
+        LogRecord::Batch(vec![EvolutionOp::insert("Ra", vec![tup![100, 0]])]),
+        LogRecord::Batch(vec![
+            EvolutionOp::insert("Rb", vec![tup![100, 1]]),
+            EvolutionOp::insert("Rc", vec![tup![100, 1]]),
+        ]),
+        LogRecord::Batch(vec![EvolutionOp::delete("Ra", vec![tup![0, 0]])]),
+        index_hint("Rb", "P", IndexKind::Sorted),
+        LogRecord::DropView { name: "U".into() },
+        LogRecord::Batch(vec![EvolutionOp::change(SchemaChange::DeleteRelation {
+            relation: "Rb".into(),
+        })]),
+        LogRecord::Batch(vec![EvolutionOp::insert("Rc", vec![tup![101, 2]])]),
+    ]);
+    commands
+}
+
+/// A store directory written by the parent build (two segments around a
+/// delta checkpoint, the bootstrap full snapshot, both `DeclareIndex`
+/// kinds) still opens to the fingerprint committed beside it, still time
+/// travels — and the same commands through `DurableEngine::apply` write
+/// the same files, byte for byte.
+#[test]
+fn store_written_by_the_parent_build_opens_travels_and_is_reproduced() {
+    // `open` takes the directory lock and may truncate or rotate: work on
+    // a copy, never on the committed fixture.
+    let dir = scratch_dir("store-head");
+    std::fs::create_dir_all(&dir).unwrap();
+    let fixture = store_files(&golden("store-head"));
+    for (name, bytes) in &fixture {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+    // Generation 8 replays the first segment from the bootstrap snapshot
+    // up to the record before `SetDefaultJoinSelectivity`; generation 9
+    // anchors on the delta checkpoint and replays the tail up to (not
+    // including) the capability change.
+    let early = DurableEngine::open_at(&dir, 8).unwrap();
+    assert_eq!(early.mkb().join_constraints().len(), 1);
+    assert_eq!((early.views().count(), early.index_hints().len()), (0, 0));
+    let late = DurableEngine::open_at(&dir, 9).unwrap();
+    assert!(late.mkb().has_relation("Rb") && late.view("U").is_err());
+    assert_eq!(late.index_hints().len(), 2);
+    let (recovered, report) = DurableEngine::open(&dir).unwrap();
+    assert_eq!(
+        (report.snapshot_seq, report.replayed_records),
+        (Some(18), 4)
+    );
+    let expected = std::fs::read(golden("store-head.fingerprint")).unwrap();
+    assert_eq!(fingerprint(recovered.engine()), expected);
+    assert_eq!(recovered.engine().index_hints().len(), 2);
+    assert!(recovered.engine().view("U").is_err());
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let dir = scratch_dir("store-head-again");
+    let mut durable = DurableEngine::create(&dir).unwrap();
+    durable.snapshot_every = Some(3);
+    for cmd in store_head_commands() {
+        durable.apply(cmd).unwrap();
+    }
+    assert_eq!(fingerprint(durable.engine()), expected);
+    drop(durable);
+    assert_eq!(store_files(&dir), fixture);
     std::fs::remove_dir_all(&dir).ok();
 }
