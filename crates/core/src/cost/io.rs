@@ -13,7 +13,10 @@
 //! the full-scan fallback the site's optimizer switches to when probing
 //! would be dearer (Eq. 32). The lower bound models clustered index probes
 //! (each delta tuple touches only matching blocks), the upper bound
-//! unclustered probes (one I/O per matching tuple).
+//! unclustered probes (one I/O per matching tuple). The simulator performs
+//! the lower bound's probe: `eve_relational::exec::join_with_counts` looks
+//! each delta tuple up in the hosted relation's hash index, and
+//! `SimSite::charge_probe_io` charges `max(1, ⌈matches/bfr⌉)` blocks for it.
 
 use crate::params::IoBound;
 use crate::plan::MaintenancePlan;
@@ -60,8 +63,8 @@ pub fn cf_io(plan: &MaintenancePlan, bound: IoBound) -> f64 {
 /// referenced relation is scanned in full at its source, `Σ ⌈|R|/bfr⌉`
 /// (Eq. 32's full-scan term per relation, the \[ZGMHW95\]-style ablation of
 /// §6.1). This is also exactly the I/O the physical planner's
-/// `PlanEstimate::io_blocks` charges for its scans, which is what the
-/// `view_exec` bench experiment cross-checks.
+/// `PlanEstimate::io_blocks` charges for its scans
+/// (`tests/properties.rs::planner_io_estimate_matches_analytic_recompute_io`).
 #[must_use]
 pub fn cf_recompute_io(relations: &[crate::plan::RelSpec]) -> f64 {
     relations

@@ -15,12 +15,11 @@
 //! key tuples); the **row-oriented** mode is the frozen PR 3 baseline the
 //! differential suites compare against byte-for-byte.
 //!
-//! [`join_with_counts`] is the incremental-maintenance flavour of the hash
-//! join: it additionally reports how many inner tuples each outer (delta)
-//! tuple matched, which is exactly what the Appendix-A probe-I/O accounting
-//! (`max(1, ⌈matches/bfr⌉)` capped by a full scan) consumes. The view
-//! maintainer routes its delta joins through it so planned and legacy
-//! execution charge byte-identical traces.
+//! [`join_with_counts`] is the incremental-maintenance join: each delta
+//! tuple probes the hosted relation's hash index, and the join additionally
+//! reports how many hosted tuples each delta tuple matched, which is
+//! exactly what the Appendix-A probe-I/O accounting
+//! (`max(1, ⌈matches/bfr⌉)` capped by a full scan) consumes.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -410,12 +409,13 @@ enum JoinKey {
     Many(Box<[u64]>),
 }
 
-/// Multiply-xor hasher for [`JoinKey`]s: interned scalar keys are already
-/// uniform `u64`s, and SipHash would cost more per probe than the table
-/// lookup itself. Not used for projected-`Tuple` keys (the row baseline),
-/// which hash full values.
-#[derive(Default)]
-struct KeyHasher(u64);
+/// Multiply-xor hasher for [`JoinKey`]s and the hash index's scalar keys:
+/// interned scalar keys are already uniform `u64`s, and SipHash would cost
+/// more per probe than the table lookup itself — and its per-process keys
+/// would lay the same table out differently on every run. Not used for
+/// projected-`Tuple` keys (the row baseline), which hash full values.
+#[derive(Clone, Default)]
+pub(crate) struct KeyHasher(u64);
 
 impl std::hash::Hasher for KeyHasher {
     fn finish(&self) -> u64 {
@@ -687,15 +687,16 @@ fn hash_join_rows(
 /// Joins `delta` with `next` under the conjunction `on`, returning the
 /// joined relation together with the number of `next`-tuples matched by
 /// each delta tuple (for probe-I/O accounting). Equality clauses between
-/// the two sides become hash keys; remaining clauses filter the result.
-/// Without any key the join degrades to a scan — every delta tuple
-/// "matches" the full relation.
+/// the two sides become join keys; remaining clauses filter the result
+/// and do not lower the counts. Without any key the join degrades to a
+/// scan — every delta tuple "matches" the full relation.
 ///
-/// This is Algorithm 1's per-site delta join, physically: identical output
-/// order (delta-major, build-table insertion order within a key) and
-/// identical match counts to the historical naive implementation. The
-/// keyed probe runs over interned scalar keys when the column types line
-/// up, falling back to projected-tuple keys otherwise.
+/// This is Algorithm 1's per-site delta join, physically: output is
+/// delta-major, `next`'s stored order within a key. When the key column
+/// types line up, each delta tuple probes `next`'s hash index on the first
+/// key column — built on the first probe, kept in `next`'s shared storage
+/// and maintained by every later insert and delete — so a join costs the
+/// matches, not `|next|`. Mixed-type keys hash projected tuples instead.
 ///
 /// # Errors
 ///
@@ -729,26 +730,25 @@ pub fn join_with_counts(
 
     let (delta_idx, next_idx): (Vec<usize>, Vec<usize>) = keys.into_iter().unzip();
     if key_types_match(delta, &delta_idx, next, &next_idx) {
-        let next_key_vec = join_key_vector(next, &next_idx);
-        let mut table = key_table_with_capacity(next_key_vec.len());
-        for (i, k) in next_key_vec.into_iter().enumerate() {
-            table
-                .entry(k)
-                .or_default()
-                .push(u32::try_from(i).expect("row id fits u32"));
-        }
-        let delta_key_vec = join_key_vector(delta, &delta_idx);
         let next_tuples = next.tuples();
-        for (di, k) in delta_key_vec.into_iter().enumerate() {
-            let matches = table.get(&k).map_or(&[][..], Vec::as_slice);
-            counts.push(matches.len());
-            let dt = &delta.tuples()[di];
-            for &n in matches {
-                let t = dt.concat(&next_tuples[n as usize]);
-                if residual.eval(&schema, &t, &name)? {
-                    out.push(t);
+        let mut probe = next.hash_probe(next_idx[0]);
+        // Same-typed values are equal exactly when their scalar keys are,
+        // so checking the further key columns by value selects the rows a
+        // table over the whole key would have listed.
+        let further = || delta_idx[1..].iter().zip(&next_idx[1..]);
+        for dt in delta.tuples() {
+            let mut matched = 0;
+            for &n in probe.rows(dt.get(delta_idx[0])) {
+                let nt = &next_tuples[n as usize];
+                if further().all(|(&d, &n)| dt.get(d) == nt.get(n)) {
+                    matched += 1;
+                    let t = dt.concat(nt);
+                    if residual.eval(&schema, &t, &name)? {
+                        out.push(t);
+                    }
                 }
             }
+            counts.push(matched);
         }
         return Ok((Relation::from_validated(name, schema, out), counts));
     }

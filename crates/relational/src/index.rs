@@ -3,8 +3,10 @@
 //! Two physical index kinds back the planner's [`IndexScan`] operator
 //! (`crate::plan`): a [`HashIndex`] answering equality probes over the
 //! scalar key encoding of [`crate::column`], and a [`SortedIndex`] — row
-//! ids ordered by column value — answering range probes. Both are built
-//! lazily the first time a plan asks for them, cached in the relation's
+//! ids ordered by column value — answering range probes. The hash index
+//! also serves the view maintainer's site-side delta join
+//! (`crate::exec::join_with_counts`) and `Relation::delete`. Both are built
+//! lazily the first time they are probed, cached in the relation's
 //! shared storage, and **maintained incrementally** across
 //! `insert`/`delete` (append + positional remap) rather than rebuilt, the
 //! same policy the MKB inverted indexes established for metadata.
@@ -15,11 +17,13 @@
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, OnceLock};
 
 use eve_trace::Counter;
 
 use crate::column::scalar_key;
+use crate::exec::KeyHasher;
 use crate::intern;
 use crate::predicate::CompOp;
 use crate::tuple::Tuple;
@@ -37,7 +41,7 @@ pub enum IndexKind {
 /// Equality index: scalar key → ascending row ids.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct HashIndex {
-    map: HashMap<u64, Vec<u32>>,
+    map: HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>>,
 }
 
 /// Range index: row ids ordered by `(column value, row id)`.
@@ -130,15 +134,17 @@ impl IndexSet {
 
     fn ensure_hash(&mut self, col: usize, tuples: &[Tuple]) -> &HashIndex {
         if !self.hash.contains_key(&col) {
-            let mut map: HashMap<u64, Vec<u32>> = HashMap::new();
+            let mut index = HashIndex::default();
             for (i, t) in tuples.iter().enumerate() {
-                map.entry(scalar_key(t.get(col)))
+                index
+                    .map
+                    .entry(scalar_key(t.get(col)))
                     .or_default()
                     .push(u32::try_from(i).expect("row id fits u32"));
             }
             self.builds += 1;
             mirrors().builds.inc();
-            self.hash.insert(col, HashIndex { map });
+            self.hash.insert(col, index);
         }
         &self.hash[&col]
     }
@@ -156,18 +162,37 @@ impl IndexSet {
         &self.sorted[&col]
     }
 
-    /// Ascending row ids whose `col` value equals `key`, via the hash
-    /// index (built on first use). An un-interned text key matches nothing.
-    pub(crate) fn lookup_eq(&mut self, col: usize, key: &Value, tuples: &[Tuple]) -> Vec<u32> {
-        self.hits += 1;
-        mirrors().hits.inc();
+    /// The lowest column carrying a hash index, if any — the one a
+    /// whole-tuple lookup ([`crate::Relation::delete`]) narrows by.
+    pub(crate) fn hash_col(&self) -> Option<usize> {
+        self.hash.keys().next().copied()
+    }
+
+    /// Ascending row ids whose `col` value equals `key`, borrowed from the
+    /// hash index (built on first use). An un-interned text key matches
+    /// nothing. Counts no hit: the caller reports its probes through
+    /// [`IndexSet::count_hits`].
+    pub(crate) fn eq_rows(&mut self, col: usize, key: &Value, tuples: &[Tuple]) -> &[u32] {
         let idx = self.ensure_hash(col, tuples);
         // Probe *after* the build: a lazy first build is what interns the
         // stored text keys, so probing earlier would spuriously miss.
-        match probe_key(key) {
-            Some(k) => idx.map.get(&k).cloned().unwrap_or_default(),
-            None => Vec::new(),
-        }
+        probe_key(key)
+            .and_then(|k| idx.map.get(&k))
+            .map_or(&[], Vec::as_slice)
+    }
+
+    /// Records `n` lookups answered from an index. A run of probes reports
+    /// once at its end: the process-wide mirror is one atomic that every
+    /// tenant's worker shares, and a delta join probes thousands of times.
+    pub(crate) fn count_hits(&mut self, n: u64) {
+        self.hits += n;
+        mirrors().hits.add(n);
+    }
+
+    /// [`IndexSet::eq_rows`], counted and copied out.
+    pub(crate) fn lookup_eq(&mut self, col: usize, key: &Value, tuples: &[Tuple]) -> Vec<u32> {
+        self.count_hits(1);
+        self.eq_rows(col, key, tuples).to_vec()
     }
 
     /// Ascending row ids whose `col` value satisfies `value-at-row θ key`,
@@ -179,8 +204,7 @@ impl IndexSet {
         key: &Value,
         tuples: &[Tuple],
     ) -> Vec<u32> {
-        self.hits += 1;
-        mirrors().hits.inc();
+        self.count_hits(1);
         let idx = self.ensure_sorted(col, tuples);
         let rows = &idx.rows;
         let below =

@@ -153,13 +153,6 @@ pub fn stats() -> ExecStats {
     }
 }
 
-/// Resets all scheduler counters to zero (bench isolation). One registry
-/// call covers the whole `exec.` family.
-pub fn reset_stats() {
-    counters();
-    eve_trace::global().reset_prefix("exec.");
-}
-
 pub(crate) fn note_partitions(n: u64) {
     counters().partitions.add(n);
 }

@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::column::ColumnarBatch;
 use crate::error::{Error, Result};
@@ -238,64 +238,57 @@ impl Relation {
         self.store.columnar.get().is_some()
     }
 
+    fn lock_indexes(&self) -> MutexGuard<'_, IndexSet> {
+        self.store.indexes.lock().expect("index lock poisoned")
+    }
+
     /// Ascending row ids whose `col` value equals `key`, served by the
     /// (lazily built) hash index.
     #[must_use]
     pub fn index_eq_rows(&self, col: usize, key: &Value) -> Vec<u32> {
-        self.store
-            .indexes
-            .lock()
-            .expect("index lock poisoned")
-            .lookup_eq(col, key, &self.store.tuples)
+        self.lock_indexes().lookup_eq(col, key, &self.store.tuples)
+    }
+
+    /// Locks the hash index on `col` for a run of equality probes (one
+    /// delta join, one delete). The index is built on the first probe and
+    /// then lives in the shared storage, maintained across mutations.
+    pub(crate) fn hash_probe(&self, col: usize) -> HashProbe<'_> {
+        HashProbe {
+            indexes: self.lock_indexes(),
+            tuples: &self.store.tuples,
+            col,
+            probes: 0,
+        }
     }
 
     /// Ascending row ids whose `col` value satisfies `value θ key`, served
     /// by the (lazily built) sorted index.
     #[must_use]
     pub fn index_range_rows(&self, col: usize, op: CompOp, key: &Value) -> Vec<u32> {
-        self.store
-            .indexes
-            .lock()
-            .expect("index lock poisoned")
+        self.lock_indexes()
             .lookup_range(col, op, key, &self.store.tuples)
     }
 
     /// Builds the index of `kind` on `col` now (instead of on first probe).
     pub fn warm_index(&self, col: usize, kind: IndexKind) {
-        self.store
-            .indexes
-            .lock()
-            .expect("index lock poisoned")
-            .warm(col, kind, &self.store.tuples);
+        self.lock_indexes().warm(col, kind, &self.store.tuples);
     }
 
     /// Whether an index of `kind` exists on `col`.
     #[must_use]
     pub fn has_index(&self, col: usize, kind: IndexKind) -> bool {
-        self.store
-            .indexes
-            .lock()
-            .expect("index lock poisoned")
-            .has(col, kind)
+        self.lock_indexes().has(col, kind)
     }
 
     /// Index counters for this storage.
     #[must_use]
     pub fn index_stats(&self) -> IndexStats {
-        self.store
-            .indexes
-            .lock()
-            .expect("index lock poisoned")
-            .stats()
+        self.lock_indexes().stats()
     }
 
     /// Clears the index hit/build/maintenance counters (not the indexes).
     pub fn reset_index_counters(&self) {
-        self.store
-            .indexes
-            .lock()
-            .expect("index lock poisoned")
-            .reset_counters();
+        self.lock_indexes().reset_counters();
     }
 
     /// Inserts a tuple after validating arity and column types. Detaches a
@@ -324,42 +317,26 @@ impl Relation {
     /// Deletes (one occurrence of) every tuple in `tuples` that is present.
     /// Returns how many tuples were actually removed.
     ///
-    /// Runs in one pass over the relation: the requested deletions are
-    /// counted into a map first, then each stored tuple consumes at most one
-    /// pending request — for each distinct requested tuple the *earliest*
-    /// occurrences are removed, matching the former per-tuple scan exactly.
-    /// The columnar image and live indexes are remapped positionally, not
-    /// rebuilt.
+    /// For each distinct requested tuple the *earliest* occurrences are
+    /// removed, as many as it was requested. The rows are found before
+    /// anything is touched — through a live hash index when the storage has
+    /// one, by one scan otherwise — so a delete that matches nothing leaves
+    /// shared storage shared. The columnar image and live indexes are
+    /// remapped positionally, not rebuilt.
     pub fn delete(&mut self, tuples: &[Tuple]) -> usize {
         if tuples.is_empty() || self.store.tuples.is_empty() {
             return 0;
         }
-        let mut pending: HashMap<&Tuple, usize> = HashMap::with_capacity(tuples.len());
-        for t in tuples {
-            *pending.entry(t).or_insert(0) += 1;
-        }
-        let matches: usize = self
-            .store
-            .tuples
-            .iter()
-            .map(|t| usize::from(pending.contains_key(t)))
-            .sum();
-        if matches == 0 {
+        let removed_rows = self.earliest_rows_of(tuples);
+        if removed_rows.is_empty() {
             return 0; // no copy-on-write detach for a no-op delete
         }
         let store = Arc::make_mut(&mut self.store);
         store.generation += 1;
-        let mut removed_rows: Vec<u32> = Vec::new();
+        let mut removed = removed_rows.iter().peekable();
         let mut row = 0u32;
-        store.tuples.retain(|t| {
-            let keep = match pending.get_mut(t) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    removed_rows.push(row);
-                    false
-                }
-                _ => true,
-            };
+        store.tuples.retain(|_| {
+            let keep = removed.next_if_eq(&&row).is_none();
             row += 1;
             keep
         });
@@ -372,6 +349,54 @@ impl Relation {
             .expect("index lock poisoned")
             .remove_rows(&removed_rows);
         removed_rows.len()
+    }
+
+    /// Ascending positions of the rows [`Relation::delete`] removes for
+    /// `victims`. With a live hash index only the rows sharing a victim's
+    /// indexed value are compared and no stored tuple is hashed; without
+    /// one, each stored tuple is hashed once.
+    fn earliest_rows_of(&self, victims: &[Tuple]) -> Vec<u32> {
+        let mut pending: HashMap<&Tuple, usize> = HashMap::with_capacity(victims.len());
+        for t in victims {
+            *pending.entry(t).or_insert(0) += 1;
+        }
+        let stored = &self.store.tuples;
+        let mut rows = Vec::new();
+        let indexes = self.lock_indexes();
+        if let Some(col) = indexes.hash_col() {
+            let mut probe = HashProbe {
+                indexes,
+                tuples: stored,
+                col,
+                probes: 0,
+            };
+            for (victim, n) in pending {
+                // A victim too short to have the column is in no row.
+                let Some(key) = victim.values().get(col) else {
+                    continue;
+                };
+                let same = probe
+                    .rows(key)
+                    .iter()
+                    .filter(|&&r| stored[r as usize] == *victim);
+                rows.extend(same.take(n));
+            }
+            rows.sort_unstable();
+            return rows;
+        }
+        drop(indexes);
+        let mut outstanding = victims.len();
+        for (row, t) in stored.iter().enumerate() {
+            if let Some(n) = pending.get_mut(t).filter(|n| **n > 0) {
+                *n -= 1;
+                rows.push(u32::try_from(row).expect("row id fits u32"));
+                outstanding -= 1;
+                if outstanding == 0 {
+                    break;
+                }
+            }
+        }
+        rows
     }
 
     /// Validates a tuple against the schema without inserting it.
@@ -427,6 +452,30 @@ impl Relation {
     #[must_use]
     pub fn value_at(&self, row_idx: usize, col_idx: usize) -> &Value {
         self.store.tuples[row_idx].get(col_idx)
+    }
+}
+
+/// A run of equality probes against one column's hash index: the index
+/// lock is taken once, row ids are borrowed from the index, not copied,
+/// and the probes are added to the hit counters once, when the run ends.
+pub(crate) struct HashProbe<'a> {
+    indexes: MutexGuard<'a, IndexSet>,
+    tuples: &'a [Tuple],
+    col: usize,
+    probes: u64,
+}
+
+impl HashProbe<'_> {
+    /// Ascending row ids whose indexed column equals `key`.
+    pub(crate) fn rows(&mut self, key: &Value) -> &[u32] {
+        self.probes += 1;
+        self.indexes.eq_rows(self.col, key, self.tuples)
+    }
+}
+
+impl Drop for HashProbe<'_> {
+    fn drop(&mut self) {
+        self.indexes.count_hits(self.probes);
     }
 }
 

@@ -13,15 +13,20 @@
 //! `max(1, ⌈matches/bfr⌉)` capped by a full scan; notification counted as
 //! one message).
 //!
-//! The per-site delta joins execute through the physical layer's
-//! [`eve_relational::exec::join_with_counts`], and the recomputation
-//! baseline ([`recompute_view`]) through the cost-ordered planner — both
-//! with traces identical to the historical naive implementations.
+//! The per-site delta join is [`eve_relational::exec::join_with_counts`]:
+//! each delta tuple probes the hosted relation's hash index on the join
+//! column, which is the clustered index probe Appendix A prices. The index
+//! is built the first time a column is probed and stays with the hosted
+//! relation, so a base update costs its matches, not `|R|`. A visit that
+//! reaches a site before any join clause to its relation is resolvable has
+//! no key to probe with and pays the full product. The recomputation
+//! baseline ([`recompute_view`]) runs through the cost-ordered planner.
 
 use std::collections::BTreeMap;
 
 use eve_esql::ViewDef;
 use eve_misd::{Mkb, SiteId};
+use eve_relational::exec::join_with_counts;
 use eve_relational::{
     algebra, ColumnRef, ExecOptions, Predicate, PrimitiveClause, Relation, Tuple,
 };
@@ -99,20 +104,6 @@ fn resolvable(clause: &PrimitiveClause, schema: &eve_relational::Schema) -> bool
         .all(|c| schema.resolve(c, "probe").is_ok())
 }
 
-/// Joins `delta` with `next`, returning the joined relation together with
-/// the number of `next`-tuples matched by each delta tuple (for I/O
-/// accounting). Routed through the physical execution layer's
-/// [`eve_relational::exec::join_with_counts`], which preserves the
-/// historical output order and match counts exactly — the maintenance
-/// traces stay byte-identical.
-fn join_with_counts(
-    delta: &Relation,
-    next: &Relation,
-    on: &[PrimitiveClause],
-) -> Result<(Relation, Vec<usize>)> {
-    Ok(eve_relational::exec::join_with_counts(delta, next, on)?)
-}
-
 /// One directional pass (inserts or deletes) of Algorithm 1. Returns the
 /// final view-row delta and the accumulated trace.
 #[allow(clippy::too_many_lines)]
@@ -165,7 +156,7 @@ fn propagate(
     others.sort_unstable();
     order.extend(others);
 
-    for (visit_idx, site_id) in order.iter().enumerate() {
+    for site_id in &order {
         // The view relations hosted at this site, excluding the updated one.
         let bindings: Vec<(String, String)> = view
             .from
@@ -185,7 +176,6 @@ fn propagate(
         // R_in: the delta ships to the site (also from the origin site: the
         // warehouse sends it back down, per Eq. 21).
         trace.bytes += delta.extent_byte_size();
-        let _ = visit_idx;
 
         let site = sites.get_mut(&site_id.0).ok_or_else(|| Error::State {
             detail: format!("unknown site {site_id}"),

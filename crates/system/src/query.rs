@@ -71,7 +71,8 @@ fn lower(
 }
 
 /// Compiles a view over base extents into a physical plan without executing
-/// it — the estimate inspection hook for benches and cost reports.
+/// it — the estimate inspection hook for cost reports and the benchmark's
+/// `relational.plan_us` probe.
 ///
 /// # Errors
 ///

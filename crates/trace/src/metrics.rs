@@ -377,7 +377,7 @@ impl Registry {
     }
 
     /// Zeroes every registered metric — the one-call reset the engine's
-    /// `reset_io` and the morsel scheduler's `reset_stats` route through.
+    /// `reset_io` routes through.
     pub fn reset(&self) {
         self.reset_prefix("");
     }
