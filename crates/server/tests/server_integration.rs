@@ -377,7 +377,7 @@ fn metrics_request_returns_server_and_engine_families() {
     assert!(snap.histograms["server.tenant.obs.latency_us"].count() >= 1);
     // Engine instance families merged into the same image.
     assert!(snap.counters.contains_key("mkb.index_hits"));
-    assert!(snap.counters.contains_key("cache.rewrite_hits"));
+    assert!(snap.counters.contains_key("cache.partner_hits"));
     // The server's own registry only holds server.* names — everything
     // else came in through the merge with the global/engine snapshot.
     let local = server.metrics_registry().snapshot();

@@ -1,44 +1,18 @@
-//! Batched evolution pipeline: op grouping and memoized rewriting.
+//! The batched evolution op stream.
 //!
 //! Heavy-traffic warehouses see evolution operations in bursts — many data
 //! updates interleaved with occasional capability changes — rather than as
-//! isolated events. This module provides the *planning* half of the batched
-//! pipeline (the execution half lives in `eve-system`):
+//! isolated events. [`EvolutionOp`] is the one spelling of such a burst
+//! (data updates, capability changes including relation drops); the
+//! executor lives in `eve-system` (`EveEngine::apply_batch`), which applies
+//! the ops in order exactly as the op-by-op paths would.
 //!
-//! * [`EvolutionOp`] — the unified op stream (data updates, capability
-//!   changes including relation drops),
-//! * [`plan`] / [`partition_stage`] — dependency-respecting grouping: runs
-//!   of data ops between capability barriers are partitioned into
-//!   independent groups (connected components over the sites, relations and
-//!   views they touch) that a multi-site driver can process concurrently,
-//! * [`RewriteCache`] — memoizes [`synchronize`] outcomes keyed by
-//!   `(view, change, Mkb::generation)`, sharing one [`PartnerCache`] across
-//!   views so PC-partner closures are not recomputed for untouched views.
-//!
-//! Grouping never reorders ops that touch the same site, relation or view,
-//! and capability changes act as barriers, so executing a plan is
-//! observationally identical to the op-by-op legacy path — the differential
-//! property suite (`tests/properties.rs`, `crates/sync/tests/batch_props.rs`)
-//! pins exactly that: byte-identical view extents, survival verdicts and
-//! I/O totals. In particular the pipeline deliberately does *not* coalesce
-//! per-view delta relations across ops: merging deltas would change the
-//! charged I/O (the per-probe full-scan cap of Eq. 32 applies per
-//! maintenance pass), making batched and sequential cost reports
-//! incomparable. The savings come from scheduling — touching only affected
-//! views, partition concurrency, and rewrite memoization.
-//!
-//! [`synchronize`]: crate::synchronize
+//! [`touched_relation`] is the prefilter both sides share: a capability
+//! change can only affect views whose FROM clause names the relation it
+//! touches.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use eve_trace::Counter;
-
-use eve_esql::ViewDef;
-use eve_misd::{Mkb, SchemaChange};
+use eve_misd::SchemaChange;
 use eve_relational::{Relation, Tuple};
-
-use crate::synchronizer::{synchronize_with, PartnerCache, SyncError, SyncOptions, SyncOutcome};
 
 /// One operation of a batched evolution workload.
 #[derive(Debug, Clone)]
@@ -91,22 +65,6 @@ impl EvolutionOp {
             new_extent: None,
         }
     }
-
-    /// Whether this is a data op.
-    #[must_use]
-    pub fn is_data(&self) -> bool {
-        matches!(self, EvolutionOp::Data { .. })
-    }
-
-    /// The relation whose schema or data the op touches directly (`None`
-    /// for `add-relation`, which cannot affect existing views).
-    #[must_use]
-    pub fn touched_relation(&self) -> Option<&str> {
-        match self {
-            EvolutionOp::Data { relation, .. } => Some(relation),
-            EvolutionOp::Capability { change, .. } => touched_relation(change),
-        }
-    }
 }
 
 /// The relation a capability change touches directly (`None` for
@@ -125,608 +83,43 @@ pub fn touched_relation(change: &SchemaChange) -> Option<&str> {
     }
 }
 
-/// A view's footprint over the information space, as the planner sees it:
-/// its name and the base relations its FROM clause references.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ViewFootprint {
-    /// View name.
-    pub name: String,
-    /// Referenced base relations.
-    pub relations: Vec<String>,
-}
-
-impl ViewFootprint {
-    /// Extracts the footprint of a view definition.
-    #[must_use]
-    pub fn of(view: &ViewDef) -> ViewFootprint {
-        ViewFootprint {
-            name: view.name.clone(),
-            relations: view.from.iter().map(|f| f.relation.clone()).collect(),
-        }
-    }
-}
-
-/// One independent group of data ops: no site, relation or view is shared
-/// with any other partition of the same stage, so partitions can execute
-/// concurrently without changing any observable outcome.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Partition {
-    /// Indices into the stage's op slice, in original order.
-    pub ops: Vec<usize>,
-    /// Names of the views this partition maintains (sorted).
-    pub views: Vec<String>,
-    /// Sites this partition touches (base sites of its ops' relations and
-    /// of every relation its views reference; sorted).
-    pub sites: Vec<u32>,
-}
-
-/// One stage of a batch plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Stage {
-    /// A run of data ops, split into independent partitions.
-    Data {
-        /// The concurrent partitions.
-        partitions: Vec<Partition>,
-    },
-    /// A capability change — a barrier processed sequentially.
-    Capability {
-        /// Index of the op in the overall batch.
-        op: usize,
-    },
-}
-
-/// The full plan for a batch: stages in execution order.
-#[derive(Debug, Clone, Default)]
-pub struct BatchPlan {
-    /// Stages in order; `Data` stages carry op indices relative to the
-    /// whole batch (unlike [`partition_stage`], which indexes its slice).
-    pub stages: Vec<Stage>,
-}
-
-impl BatchPlan {
-    /// The widest data stage (1 when the plan has no data stage).
-    #[must_use]
-    pub fn max_width(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|s| match s {
-                Stage::Data { partitions } => partitions.len(),
-                Stage::Capability { .. } => 1,
-            })
-            .max()
-            .unwrap_or(1)
-    }
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Token {
-    Site(u32),
-    Relation(String),
-    View(String),
-}
-
-/// Union-find over op indices.
-struct Dsu {
-    parent: Vec<usize>,
-}
-
-impl Dsu {
-    fn new(n: usize) -> Dsu {
-        Dsu {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
-        }
-        self.parent[x]
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            self.parent[rb] = ra;
-        }
-    }
-}
-
-/// Partitions a run of **data** ops into independent groups.
-///
-/// Two ops land in the same partition when they touch a common site,
-/// relation or view — directly, or through a view that joins their
-/// relations. `views` must be the footprints of the *current* view
-/// definitions (adopted rewritings change footprints, which is why stages
-/// after a capability barrier are planned afresh); `site_of` resolves a
-/// relation to its hosting site (`None` for unknown relations, which are
-/// grouped together and surface their error at execution).
-///
-/// Op indices in the result are relative to `ops` and preserve order inside
-/// each partition.
-#[must_use]
-pub fn partition_stage(
-    ops: &[&EvolutionOp],
-    views: &[ViewFootprint],
-    site_of: impl Fn(&str) -> Option<u32>,
-) -> Vec<Partition> {
-    // Relation → views referencing it.
-    let mut by_relation: HashMap<&str, Vec<&ViewFootprint>> = HashMap::new();
-    for fp in views {
-        for rel in &fp.relations {
-            by_relation.entry(rel.as_str()).or_default().push(fp);
-        }
-    }
-
-    // Tokens per op: the op's relation + site, plus every view over the
-    // relation together with that view's full site/relation closure.
-    let mut dsu = Dsu::new(ops.len());
-    let mut owner: HashMap<Token, usize> = HashMap::new();
-    let mut op_tokens: Vec<Vec<Token>> = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let mut tokens: Vec<Token> = Vec::new();
-        let Some(rel) = op.touched_relation() else {
-            op_tokens.push(tokens);
-            continue;
-        };
-        tokens.push(Token::Relation(rel.to_owned()));
-        if let Some(site) = site_of(rel) {
-            tokens.push(Token::Site(site));
-        }
-        for fp in by_relation.get(rel).map_or(&[][..], Vec::as_slice) {
-            tokens.push(Token::View(fp.name.clone()));
-            for r in &fp.relations {
-                tokens.push(Token::Relation(r.clone()));
-                if let Some(site) = site_of(r) {
-                    tokens.push(Token::Site(site));
-                }
-            }
-        }
-        for t in &tokens {
-            match owner.get(t) {
-                Some(&o) => dsu.union(o, i),
-                None => {
-                    owner.insert(t.clone(), i);
-                }
-            }
-        }
-        op_tokens.push(tokens);
-    }
-
-    // Materialize partitions in first-op order.
-    let mut by_root: HashMap<usize, Partition> = HashMap::new();
-    let mut order: Vec<usize> = Vec::new();
-    for (i, tokens) in op_tokens.iter().enumerate() {
-        let root = dsu.find(i);
-        let part = by_root.entry(root).or_insert_with(|| {
-            order.push(root);
-            Partition::default()
-        });
-        part.ops.push(i);
-        for t in tokens {
-            match t {
-                Token::Site(s) => {
-                    if !part.sites.contains(s) {
-                        part.sites.push(*s);
-                    }
-                }
-                Token::View(v) => {
-                    if !part.views.contains(v) {
-                        part.views.push(v.clone());
-                    }
-                }
-                Token::Relation(_) => {}
-            }
-        }
-    }
-    let mut out: Vec<Partition> = order
-        .into_iter()
-        .map(|root| by_root.remove(&root).expect("registered"))
-        .collect();
-    for p in &mut out {
-        p.sites.sort_unstable();
-        p.views.sort();
-    }
-    out
-}
-
-/// Plans a whole batch: maximal runs of data ops become concurrent
-/// [`Stage::Data`] stages, capability changes become sequential barriers.
-///
-/// The plan is advisory for inspection and tests; executors that adopt
-/// rewritings mid-batch (changing view footprints) should re-plan each data
-/// run as it is reached, exactly as [`partition_stage`] documents.
-#[must_use]
-pub fn plan(
-    ops: &[EvolutionOp],
-    views: &[ViewFootprint],
-    site_of: impl Fn(&str) -> Option<u32>,
-) -> BatchPlan {
-    let mut stages = Vec::new();
-    let mut i = 0;
-    while i < ops.len() {
-        if ops[i].is_data() {
-            let start = i;
-            while i < ops.len() && ops[i].is_data() {
-                i += 1;
-            }
-            let run: Vec<&EvolutionOp> = ops[start..i].iter().collect();
-            let mut partitions = partition_stage(&run, views, &site_of);
-            for p in &mut partitions {
-                for op in &mut p.ops {
-                    *op += start;
-                }
-            }
-            stages.push(Stage::Data { partitions });
-        } else {
-            stages.push(Stage::Capability { op: i });
-            i += 1;
-        }
-    }
-    BatchPlan { stages }
-}
-
-type OutcomeKey = (String, String, usize, bool);
-
-/// Memoizes [`synchronize`](crate::synchronize) outcomes across a batch.
-///
-/// Entries are keyed by the view's printed definition, the change, the
-/// synchronizer options and — implicitly — [`Mkb::generation`]: whenever
-/// the cache observes a different generation than the one its entries were
-/// computed under, it drops everything (outcomes *and* the shared
-/// [`PartnerCache`]). Within one generation, synchronizing the same view
-/// against the same change replays the stored outcome, and distinct views
-/// over the same relations share PC-partner closures.
-#[derive(Debug, Default)]
-pub struct RewriteCache {
-    generation: Option<u64>,
-    outcomes: HashMap<OutcomeKey, SyncOutcome>,
-    partners: PartnerCache,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-}
-
-impl Clone for RewriteCache {
-    fn clone(&self) -> RewriteCache {
-        RewriteCache {
-            generation: self.generation,
-            outcomes: self.outcomes.clone(),
-            partners: self.partners.clone(),
-            // Counter::clone detaches — the copy counts independently.
-            hits: Arc::new((*self.hits).clone()),
-            misses: Arc::new((*self.misses).clone()),
-        }
-    }
-}
-
-impl RewriteCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> RewriteCache {
-        RewriteCache::default()
-    }
-
-    /// Cached [`synchronize`](crate::synchronize): identical outcomes,
-    /// amortized enumeration.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of the uncached synchronizer.
-    pub fn synchronize(
-        &mut self,
-        view: &ViewDef,
-        change: &SchemaChange,
-        mkb: &Mkb,
-        options: &SyncOptions,
-    ) -> Result<SyncOutcome, SyncError> {
-        self.refresh_generation(mkb);
-        let key = (
-            view.to_string(),
-            change.to_string(),
-            options.max_rewritings,
-            options.enumerate_dispensable_drops,
-        );
-        if let Some(found) = self.outcomes.get(&key) {
-            self.hits.inc();
-            return Ok(found.clone());
-        }
-        let outcome = synchronize_with(view, change, mkb, options, &mut self.partners)?;
-        self.misses.inc();
-        self.outcomes.insert(key, outcome.clone());
-        Ok(outcome)
-    }
-
-    /// Runs an arbitrary search policy through the cache's shared
-    /// [`PartnerCache`] (generation-keyed like the memoized outcomes), so
-    /// pruned searches across many views reuse one PC-partner closure per
-    /// relation. Unlike [`RewriteCache::synchronize`], the *outcome* is not
-    /// memoized — pruned policies are already cheap and their emissions
-    /// depend on the policy, not just the `(view, change)` pair.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of the underlying search driver.
-    pub fn synchronize_with_policy(
-        &mut self,
-        view: &ViewDef,
-        change: &SchemaChange,
-        mkb: &Mkb,
-        options: &SyncOptions,
-        policy: &crate::search::ExplorationPolicy<'_>,
-    ) -> Result<(SyncOutcome, crate::search::SearchStats), SyncError> {
-        self.refresh_generation(mkb);
-        crate::search::synchronize_with_policy(
-            view,
-            change,
-            mkb,
-            options,
-            policy,
-            &mut self.partners,
-        )
-    }
-
-    /// Drops every cached structure when the MKB generation moved since the
-    /// entries were computed — shared by all cache entry points so an
-    /// invalidation change cannot drift between them.
-    fn refresh_generation(&mut self, mkb: &Mkb) {
-        let generation = mkb.generation();
-        if self.generation != Some(generation) {
-            self.outcomes.clear();
-            self.partners.clear();
-            self.generation = Some(generation);
-        }
-    }
-
-    /// Number of synchronizations served from memory.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Number of synchronizations actually enumerated.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// PC-partner closure cache statistics `(hits, misses)`.
-    #[must_use]
-    pub fn partner_stats(&self) -> (u64, u64) {
-        (self.partners.hits(), self.partners.misses())
-    }
-
-    /// Zeroes every hit/miss counter — the memoized outcomes and partner
-    /// closures stay warm, only the *reporting* resets. Part of the
-    /// engine's `reset_io` contract, so `stats` deltas taken between
-    /// checkpoints all start from the same origin.
-    pub fn reset_stats(&mut self) {
-        self.hits.reset();
-        self.misses.reset();
-        self.partners.reset_stats();
-    }
-
-    /// The live counter handles of the cache *and* its embedded partner
-    /// cache, named for registry adoption: the engine registers them into
-    /// its telemetry [`eve_trace::Registry`] so one registry reset covers
-    /// every cache counter.
-    #[must_use]
-    pub fn counter_handles(&self) -> Vec<(&'static str, Arc<Counter>)> {
-        let mut handles = vec![
-            ("cache.rewrite_hits", Arc::clone(&self.hits)),
-            ("cache.rewrite_misses", Arc::clone(&self.misses)),
-        ];
-        handles.extend(self.partners.counter_handles());
-        handles
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eve_misd::{AttributeInfo, RelationInfo, SiteId};
-    use eve_relational::{tup, DataType};
-    use std::collections::BTreeSet;
-
-    fn op(rel: &str) -> EvolutionOp {
-        EvolutionOp::insert(rel, vec![tup![1]])
-    }
-
-    fn fp(name: &str, rels: &[&str]) -> ViewFootprint {
-        ViewFootprint {
-            name: name.into(),
-            relations: rels.iter().map(|r| (*r).to_owned()).collect(),
-        }
-    }
+    use eve_relational::DataType;
 
     #[test]
-    fn disjoint_sites_split_into_partitions() {
-        let ops = [op("A"), op("B"), op("A")];
-        let refs: Vec<&EvolutionOp> = ops.iter().collect();
-        let views = [fp("VA", &["A"]), fp("VB", &["B"])];
-        let parts = partition_stage(&refs, &views, |r| match r {
-            "A" => Some(1),
-            "B" => Some(2),
-            _ => None,
-        });
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0].ops, vec![0, 2]);
-        assert_eq!(parts[0].views, vec!["VA".to_owned()]);
-        assert_eq!(parts[0].sites, vec![1]);
-        assert_eq!(parts[1].ops, vec![1]);
-    }
-
-    #[test]
-    fn join_view_merges_partitions() {
-        // A view joining A and B chains their updates together.
-        let ops = [op("A"), op("B")];
-        let refs: Vec<&EvolutionOp> = ops.iter().collect();
-        let views = [fp("VAB", &["A", "B"])];
-        let parts = partition_stage(&refs, &views, |r| match r {
-            "A" => Some(1),
-            "B" => Some(2),
-            _ => None,
-        });
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].ops, vec![0, 1]);
-        assert_eq!(parts[0].sites, vec![1, 2]);
-    }
-
-    #[test]
-    fn shared_site_merges_even_without_views() {
-        let ops = [op("A"), op("B")];
-        let refs: Vec<&EvolutionOp> = ops.iter().collect();
-        let parts = partition_stage(&refs, &[], |_| Some(7));
-        assert_eq!(parts.len(), 1);
-    }
-
-    #[test]
-    fn capability_ops_are_barriers_in_the_plan() {
-        let ops = [
-            op("A"),
-            op("B"),
-            EvolutionOp::change(SchemaChange::DeleteRelation {
-                relation: "A".into(),
-            }),
-            op("B"),
-        ];
-        let views = [fp("VA", &["A"]), fp("VB", &["B"])];
-        let plan = plan(&ops, &views, |r| match r {
-            "A" => Some(1),
-            "B" => Some(2),
-            _ => None,
-        });
-        assert_eq!(plan.stages.len(), 3);
-        let Stage::Data { partitions } = &plan.stages[0] else {
-            panic!("first stage should be data");
-        };
-        assert_eq!(partitions.len(), 2);
-        assert_eq!(plan.stages[1], Stage::Capability { op: 2 });
-        let Stage::Data { partitions } = &plan.stages[2] else {
-            panic!("third stage should be data");
-        };
-        assert_eq!(partitions[0].ops, vec![3], "indices are batch-relative");
-        assert_eq!(plan.max_width(), 2);
-    }
-
-    #[test]
-    fn rewrite_cache_hits_within_generation_and_invalidates_across() {
-        let mut mkb = Mkb::new();
-        mkb.register_site(SiteId(1), "one").unwrap();
-        let attrs = vec![
-            AttributeInfo::new("A", DataType::Int),
-            AttributeInfo::new("B", DataType::Int),
-        ];
-        mkb.register_relation(RelationInfo::new("R", SiteId(1), attrs.clone(), 100))
-            .unwrap();
-        mkb.register_relation(RelationInfo::new("Rep", SiteId(1), attrs, 100))
-            .unwrap();
-        mkb.add_pc_constraint(eve_misd::PcConstraint::new(
-            eve_misd::PcSide::projection("R", &["A", "B"]),
-            eve_misd::PcRelationship::Equivalent,
-            eve_misd::PcSide::projection("Rep", &["A", "B"]),
-        ))
-        .unwrap();
-        let view = eve_esql::parse_view(
-            "CREATE VIEW V (VE = '~') AS SELECT R.A (AR = true) FROM R (RR = true)",
-        )
-        .unwrap();
-        let change = SchemaChange::DeleteRelation {
-            relation: "R".into(),
-        };
-        let mut cache = RewriteCache::new();
-        let options = SyncOptions::default();
-        let first = cache.synchronize(&view, &change, &mkb, &options).unwrap();
-        assert_eq!(cache.misses(), 1);
-        let second = cache.synchronize(&view, &change, &mkb, &options).unwrap();
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(first.rewritings.len(), second.rewritings.len());
-        // An MKB mutation invalidates: the next call recomputes.
-        mkb.set_join_selectivity("R", "Rep", 0.001);
-        cache.synchronize(&view, &change, &mkb, &options).unwrap();
-        assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn views_sharing_a_relation_share_partner_closures() {
-        let mut mkb = Mkb::new();
-        mkb.register_site(SiteId(1), "one").unwrap();
-        let attrs = vec![AttributeInfo::new("A", DataType::Int)];
-        mkb.register_relation(RelationInfo::new("R", SiteId(1), attrs.clone(), 100))
-            .unwrap();
-        mkb.register_relation(RelationInfo::new("Rep", SiteId(1), attrs, 100))
-            .unwrap();
-        mkb.add_pc_constraint(eve_misd::PcConstraint::new(
-            eve_misd::PcSide::projection("R", &["A"]),
-            eve_misd::PcRelationship::Equivalent,
-            eve_misd::PcSide::projection("Rep", &["A"]),
-        ))
-        .unwrap();
-        let change = SchemaChange::DeleteRelation {
-            relation: "R".into(),
-        };
-        let mut cache = RewriteCache::new();
-        for name in ["V1", "V2", "V3"] {
-            let view = eve_esql::parse_view(&format!(
-                "CREATE VIEW {name} (VE = '~') AS SELECT R.A (AR = true) FROM R (RR = true)"
-            ))
-            .unwrap();
-            cache
-                .synchronize(&view, &change, &mkb, &SyncOptions::default())
-                .unwrap();
-        }
-        let (hits, misses) = cache.partner_stats();
-        assert_eq!(misses, 1, "one BFS for the shared relation");
-        assert_eq!(hits, 2, "replayed for the other two views");
-    }
-
-    #[test]
-    fn footprint_extraction_and_touched_relations() {
-        let view = eve_esql::parse_view("CREATE VIEW V AS SELECT X.A FROM R X, S WHERE X.A = S.A")
-            .unwrap();
-        let fp = ViewFootprint::of(&view);
-        assert_eq!(fp.name, "V");
-        assert_eq!(fp.relations, vec!["R".to_owned(), "S".to_owned()]);
-        assert_eq!(op("R").touched_relation(), Some("R"));
-        assert_eq!(
-            EvolutionOp::change(SchemaChange::RenameRelation {
+    fn touched_relation_names_the_changed_relation() {
+        let attr = || AttributeInfo::new("A", DataType::Int);
+        let touching = [
+            SchemaChange::DeleteRelation {
+                relation: "R".into(),
+            },
+            SchemaChange::DeleteAttribute {
+                relation: "R".into(),
+                attribute: "A".into(),
+            },
+            SchemaChange::AddAttribute {
+                relation: "R".into(),
+                attribute: attr(),
+            },
+            SchemaChange::RenameAttribute {
+                relation: "R".into(),
+                from: "A".into(),
+                to: "B".into(),
+            },
+            SchemaChange::RenameRelation {
                 from: "R".into(),
-                to: "S".into()
-            })
-            .touched_relation(),
-            Some("R")
-        );
-        assert_eq!(
-            EvolutionOp::change(SchemaChange::AddRelation {
-                relation: RelationInfo::new("N", SiteId(1), vec![], 0)
-            })
-            .touched_relation(),
-            None
-        );
-        assert!(op("R").is_data());
-    }
-
-    #[test]
-    fn unknown_relations_group_together_deterministically() {
-        // Unknown site resolution still yields relation tokens, so repeated
-        // ops on the same ghost relation stay ordered in one partition.
-        let ops = [op("Ghost"), op("Ghost")];
-        let refs: Vec<&EvolutionOp> = ops.iter().collect();
-        let parts = partition_stage(&refs, &[], |_| None);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].ops, vec![0, 1]);
-        assert!(parts[0].sites.is_empty());
-    }
-
-    #[test]
-    fn partition_views_are_sorted_and_deduplicated() {
-        let ops = [op("A"), op("B")];
-        let refs: Vec<&EvolutionOp> = ops.iter().collect();
-        let views = [fp("Z", &["A", "B"]), fp("M", &["A"])];
-        let parts = partition_stage(&refs, &views, |_| Some(1));
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].views, vec!["M".to_owned(), "Z".to_owned()]);
-        let all: BTreeSet<&str> = parts[0].views.iter().map(String::as_str).collect();
-        assert_eq!(all.len(), parts[0].views.len());
+                to: "S".into(),
+            },
+        ];
+        for change in &touching {
+            assert_eq!(touched_relation(change), Some("R"), "{change}");
+        }
+        let add = SchemaChange::AddRelation {
+            relation: RelationInfo::new("N", SiteId(1), vec![attr()], 0),
+        };
+        assert_eq!(touched_relation(&add), None);
     }
 }

@@ -36,7 +36,7 @@ pub mod rewriting;
 pub mod search;
 pub mod synchronizer;
 
-pub use batch::{partition_stage, BatchPlan, EvolutionOp, RewriteCache, Stage, ViewFootprint};
+pub use batch::EvolutionOp;
 pub use extent::ExtentRelationship;
 pub use heuristic::{synchronize_heuristic, HeuristicGuide, HeuristicOptions};
 pub use migration::equivalent_swaps;

@@ -192,15 +192,15 @@ pub fn pc_partners(mkb: &Mkb, rel: &str) -> Vec<PcPartner> {
 /// Memoizes [`pc_partners`] closures per relation. The BFS over PC
 /// constraints is the dominant cost when many views reference the same
 /// relations; within one MKB generation the closure is a pure function of
-/// the relation name, so batch pipelines share one cache across views.
+/// the relation name, so the engine shares one cache across views and
+/// changes.
 ///
-/// The cache does **not** watch the MKB itself — callers must [`clear`] it
-/// (or key it on [`Mkb::generation`], as [`crate::batch::RewriteCache`]
-/// does) when the MKB changes.
-///
-/// [`clear`]: PartnerCache::clear
+/// The cache watches the MKB itself: it remembers the
+/// [`Mkb::generation`] its closures were computed under and drops them
+/// all on the first request after the generation moved.
 #[derive(Debug, Default)]
 pub struct PartnerCache {
+    generation: Option<u64>,
     map: HashMap<String, Vec<PcPartner>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -209,6 +209,7 @@ pub struct PartnerCache {
 impl Clone for PartnerCache {
     fn clone(&self) -> PartnerCache {
         PartnerCache {
+            generation: self.generation,
             map: self.map.clone(),
             // Counter::clone detaches — the copy counts independently.
             hits: Arc::new((*self.hits).clone()),
@@ -225,9 +226,14 @@ impl PartnerCache {
     }
 
     /// The PC partners of `rel`, computed on first request and replayed
-    /// afterwards.
+    /// afterwards until `mkb`'s generation moves.
     #[must_use]
     pub fn partners(&mut self, mkb: &Mkb, rel: &str) -> Vec<PcPartner> {
+        let generation = mkb.generation();
+        if self.generation != Some(generation) {
+            self.map.clear();
+            self.generation = Some(generation);
+        }
         if let Some(found) = self.map.get(rel) {
             self.hits.inc();
             return found.clone();
@@ -236,18 +242,6 @@ impl PartnerCache {
         let computed = pc_partners(mkb, rel);
         self.map.insert(rel.to_owned(), computed.clone());
         computed
-    }
-
-    /// Drops all memoized closures (required after any MKB mutation).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Zeroes the hit/miss counters without touching the memoized closures
-    /// (reporting reset between checkpoints).
-    pub fn reset_stats(&mut self) {
-        self.hits.reset();
-        self.misses.reset();
     }
 
     /// Number of requests served from memory.
@@ -1509,5 +1503,42 @@ mod tests {
         assert_eq!(by_name["S1"].relationship, PcRelationship::Superset);
         // Attribute maps compose positionally.
         assert_eq!(by_name["S5"].attr_map["A"], "A");
+    }
+
+    #[test]
+    fn views_sharing_a_relation_share_partner_closures() {
+        let mkb = experiment1_mkb();
+        let change = SchemaChange::DeleteRelation {
+            relation: "R".into(),
+        };
+        let mut cache = PartnerCache::new();
+        for name in ["V1", "V2", "V3"] {
+            let view = parse_view(&format!(
+                "CREATE VIEW {name} (VE = '~') AS SELECT R.A (AR = true) FROM R (RR = true)"
+            ))
+            .unwrap();
+            synchronize_with(&view, &change, &mkb, &SyncOptions::default(), &mut cache).unwrap();
+        }
+        assert_eq!(cache.misses(), 1, "one BFS for the shared relation");
+        assert_eq!(cache.hits(), 2, "replayed for the other two views");
+    }
+
+    #[test]
+    fn partner_cache_recomputes_after_the_mkb_moves() {
+        let mut mkb = experiment1_mkb();
+        let mut cache = PartnerCache::new();
+        assert_eq!(cache.partners(&mkb, "R").len(), 2);
+        assert_eq!(cache.partners(&mkb, "R").len(), 2);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        mkb.register_relation(RelationInfo::new("U", SiteId(1), vec![attr("A")], 400))
+            .unwrap();
+        mkb.add_pc_constraint(PcConstraint::new(
+            PcSide::projection("R", &["A"]),
+            PcRelationship::Equivalent,
+            PcSide::projection("U", &["A"]),
+        ))
+        .unwrap();
+        assert_eq!(cache.partners(&mkb, "R").len(), 3, "U joined the closure");
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 }

@@ -430,9 +430,8 @@ impl DurableEngine {
     /// Three commands carry a rule of their own:
     ///
     /// * `Batch` is the log unit of the evolution stream. If the engine
-    ///   rejects it partway (independent partitions may already have
-    ///   applied), an immediate snapshot re-anchors durability on the
-    ///   actual state instead of logging a record that only partially
+    ///   rejects it partway, an immediate snapshot re-anchors durability on
+    ///   the actual state instead of logging a record that only partially
     ///   applied; a successful one counts towards
     ///   [`snapshot_every`](DurableEngine::snapshot_every).
     /// * `DeclareIndex` is logged only when the hint is new — re-declaring
@@ -549,9 +548,9 @@ impl EveEngine {
     /// states produce byte-equal [`EngineSnapshot::to_bytes`] encodings,
     /// which is the comparison the crash-recovery test suites run on.
     ///
-    /// Ephemeral memoization (rewrite cache, partner closures, index
-    /// hit/miss counters) is deliberately excluded: it is reconstructible
-    /// and does not affect any observable outcome.
+    /// Ephemeral memoization (partner closures, index hit/miss counters)
+    /// is deliberately excluded: it is reconstructible and does not affect
+    /// any observable outcome.
     #[must_use]
     pub fn snapshot_state(&self) -> EngineSnapshot {
         EngineSnapshot {
@@ -624,7 +623,7 @@ impl EveEngine {
             sites,
             views,
             index_hints: snapshot.config.index_hints.clone(),
-            rewrite_cache: eve_sync::RewriteCache::new(),
+            partners: eve_sync::PartnerCache::new(),
             sync_options: snapshot.config.sync_options.clone(),
             qc_params: snapshot.config.qc_params.clone(),
             workload: snapshot.config.workload,

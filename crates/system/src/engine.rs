@@ -19,7 +19,8 @@ use eve_relational::{ExecOptions, ExecStats, IndexKind, IndexStats, InternStats,
 pub use eve_store::IndexHint;
 use eve_store::LogRecord;
 use eve_sync::{
-    synchronize, EvolutionOp, HeuristicOptions, RewriteCache, SyncOptions, SyncOutcome,
+    synchronize, synchronize_with_policy, EvolutionOp, ExplorationPolicy, HeuristicGuide,
+    HeuristicOptions, PartnerCache, SyncOptions, SyncOutcome,
 };
 
 use crate::error::{Error, Result};
@@ -49,15 +50,6 @@ pub struct BatchOutcome {
     pub data_ops: usize,
     /// Number of capability ops processed.
     pub capability_ops: usize,
-    /// Number of data stages (runs between capability barriers).
-    pub data_stages: usize,
-    /// Widest data stage: how many partitions were eligible to run
-    /// concurrently.
-    pub max_width: usize,
-    /// Rewriting-cache hits during this batch.
-    pub rewrite_hits: u64,
-    /// Rewriting-cache misses during this batch.
-    pub rewrite_misses: u64,
 }
 
 /// Outcome of a capability change for one view.
@@ -80,8 +72,8 @@ pub struct EvolutionReport {
 /// lifetimes so it can sit in engine state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchMode {
-    /// Materialize every legal rewriting, then rank (the paper's pipeline;
-    /// memoized through the [`RewriteCache`]).
+    /// Materialize every legal rewriting, then rank (the paper's
+    /// pipeline).
     #[default]
     Exhaustive,
     /// Branch-and-bound best-first search under the QC bounds
@@ -122,9 +114,9 @@ pub struct EveEngine {
     pub(crate) views: BTreeMap<String, MaterializedView>,
     /// Declared secondary indexes, in declaration order.
     pub(crate) index_hints: Vec<IndexHint>,
-    /// Memoized rewriting enumeration, keyed on the MKB generation (shared
-    /// by the batched pipeline and the single-change notification path).
-    pub(crate) rewrite_cache: RewriteCache,
+    /// PC-partner closures shared by every synchronization (they drop
+    /// themselves when the MKB generation moves).
+    pub(crate) partners: PartnerCache,
     /// Synchronizer options.
     pub sync_options: SyncOptions,
     /// QC-Model parameters.
@@ -156,7 +148,7 @@ impl EveEngine {
             sites: BTreeMap::new(),
             views: BTreeMap::new(),
             index_hints: Vec::new(),
-            rewrite_cache: RewriteCache::new(),
+            partners: PartnerCache::new(),
             sync_options: SyncOptions::default(),
             qc_params: QcParams::default(),
             workload: WorkloadModel::SingleUpdate,
@@ -447,27 +439,10 @@ impl EveEngine {
         Ok(traces)
     }
 
-    /// Applies a batch of data updates through the batched pipeline
-    /// ([`EveEngine::apply_batch`]), merging the per-view traces (the
-    /// paper's "cost for multiple updates can then be computed by summing
-    /// over all individual costs", §6.1).
-    ///
-    /// # Errors
-    ///
-    /// State/validation failures; the batch validates its relations before
-    /// applying anything.
-    pub fn notify_data_updates(
-        &mut self,
-        updates: &[DataUpdate],
-    ) -> Result<BTreeMap<String, MaintenanceTrace>> {
-        let ops: Vec<EvolutionOp> = updates.iter().cloned().map(EvolutionOp::from).collect();
-        Ok(self.apply_batch(ops)?.traces)
-    }
-
     /// Processes a capability change end-to-end (the paper's Fig. 1 loop):
     ///
     /// 1. every affected view is synchronized against the *pre-change* MKB
-    ///    (through the engine's memoized [`RewriteCache`]),
+    ///    under the engine's [`SearchMode`],
     /// 2. legal rewritings are ranked by the QC-Model and one is selected
     ///    per the engine's [`SelectionStrategy`],
     /// 3. the change is applied to the MKB and the hosting site
@@ -519,14 +494,13 @@ impl EveEngine {
     }
 
     /// The batched capability-change primitive: skips views that cannot
-    /// reference the changed relation, synchronizes the rest through the
-    /// engine's [`SearchMode`] (the default [`SearchMode::Exhaustive`] goes
-    /// through the [`RewriteCache`]; `BestFirst`/`Beam` run the streaming
-    /// enumerator), and builds the ranking MKB only when some view is
-    /// actually affected. Under the exhaustive mode verdicts are identical
-    /// to the sequential path — the prefilter is a sound superset of the
-    /// synchronizer's own affectedness notion; the pruned modes trade the
-    /// candidate tail for search-time bounds.
+    /// reference the changed relation, synchronizes the rest under the
+    /// engine's [`SearchMode`] through the shared [`PartnerCache`], and
+    /// builds the ranking MKB only when some view is actually affected.
+    /// Under the exhaustive mode verdicts are identical to the sequential
+    /// path — the prefilter is a sound superset of the synchronizer's own
+    /// affectedness notion; the pruned modes trade the candidate tail for
+    /// search-time bounds.
     pub(crate) fn capability_change_batched(
         &mut self,
         change: &SchemaChange,
@@ -542,51 +516,37 @@ impl EveEngine {
                 decisions.push((name.clone(), Self::unaffected_report(name), None));
                 continue;
             }
-            let outcome = match self.search {
-                SearchMode::Exhaustive => self.rewrite_cache.synchronize(
-                    &mv.def,
-                    change,
-                    &self.mkb,
-                    &self.sync_options,
-                )?,
+            let qc_guide;
+            let beam_guide;
+            let policy = match self.search {
+                SearchMode::Exhaustive => ExplorationPolicy::Exhaustive,
                 SearchMode::BestFirst => {
-                    let guide =
+                    qc_guide =
                         eve_qc::QcGuide::auto(&mv.def, &self.mkb, &self.qc_params, self.workload)?;
-                    // Route through the RewriteCache's shared PartnerCache
-                    // so pruned searches over many views reuse one partner
-                    // closure per relation (outcomes are not memoized).
-                    self.rewrite_cache
-                        .synchronize_with_policy(
-                            &mv.def,
-                            change,
-                            &self.mkb,
-                            &self.sync_options,
-                            &eve_sync::ExplorationPolicy::BestFirst { guide: &guide },
-                        )?
-                        .0
+                    ExplorationPolicy::BestFirst { guide: &qc_guide }
                 }
                 SearchMode::Beam { width } => {
                     // Drive the beam through the engine's own sync_options
                     // (max_rewritings, dispensable-drop spectrum) — unlike
                     // `synchronize_heuristic`, which owns its options.
-                    let guide = eve_sync::HeuristicGuide::new(&HeuristicOptions {
+                    beam_guide = HeuristicGuide::new(&HeuristicOptions {
                         max_candidates: width.max(1),
                         ..HeuristicOptions::default()
                     })?;
-                    self.rewrite_cache
-                        .synchronize_with_policy(
-                            &mv.def,
-                            change,
-                            &self.mkb,
-                            &self.sync_options,
-                            &eve_sync::ExplorationPolicy::Beam {
-                                width: width.max(1),
-                                guide: &guide,
-                            },
-                        )?
-                        .0
+                    ExplorationPolicy::Beam {
+                        width: width.max(1),
+                        guide: &beam_guide,
+                    }
                 }
             };
+            let (outcome, _) = synchronize_with_policy(
+                &mv.def,
+                change,
+                &self.mkb,
+                &self.sync_options,
+                &policy,
+                &mut self.partners,
+            )?;
             if !outcome.affected {
                 decisions.push((name.clone(), Self::unaffected_report(name), None));
                 continue;
@@ -853,18 +813,17 @@ impl EveEngine {
     /// counters — so reports taken after the reset compare like for like.
     ///
     /// The reset also covers the observability counters of the rewrite
-    /// machinery (rewrite-cache and partner-cache hit/miss counters, MKB
-    /// inverted-index hit/miss counters): `stats` deltas taken between
-    /// checkpoints all start from the same origin. Only *counters* reset;
-    /// the memoized caches themselves stay warm.
+    /// machinery (partner-cache and MKB inverted-index hit/miss counters):
+    /// `stats` deltas taken between checkpoints all start from the same
+    /// origin. Only *counters* reset; the caches themselves stay warm.
     pub fn reset_io(&mut self) {
         for s in self.sites.values_mut() {
             s.reset_io();
         }
         // Every counter family the engine owns resets through ONE registry
         // call: the telemetry registry adopts the MKB inverted-index and
-        // rewrite/partner cache handles, so `reset()` zeroes them all
-        // without per-subsystem reset plumbing.
+        // partner-cache handles, so `reset()` zeroes them all without
+        // per-subsystem reset plumbing.
         self.telemetry_registry().reset();
         for rel in self
             .sites
@@ -877,8 +836,8 @@ impl EveEngine {
     }
 
     /// An instance [`eve_trace::Registry`] adopting the engine's
-    /// per-instance counter handles (MKB inverted-index hit/miss,
-    /// rewrite-cache and partner-cache hit/miss). Snapshots taken from it
+    /// per-instance counter handles (MKB inverted-index and partner-cache
+    /// hit/miss). Snapshots taken from it
     /// read the live atomics; [`Registry::reset`](eve_trace::Registry::reset)
     /// zeroes them all at once — which is exactly how
     /// [`reset_io`](EveEngine::reset_io) clears the engine counter surface.
@@ -888,7 +847,7 @@ impl EveEngine {
         for (name, handle) in self.mkb.index_counter_handles() {
             registry.register_counter(name, handle);
         }
-        for (name, handle) in self.rewrite_cache.counter_handles() {
+        for (name, handle) in self.partners.counter_handles() {
             registry.register_counter(name, handle);
         }
         registry
@@ -909,12 +868,11 @@ impl EveEngine {
         &mut self.sites
     }
 
-    /// PC-partner closure cache statistics `(hits, misses)` of the engine's
-    /// rewrite cache — how often a BFS over the PC constraints was replayed
-    /// versus recomputed.
+    /// PC-partner closure cache statistics `(hits, misses)` — how often a
+    /// BFS over the PC constraints was replayed versus recomputed.
     #[must_use]
     pub fn partner_cache_stats(&self) -> (u64, u64) {
-        self.rewrite_cache.partner_stats()
+        (self.partners.hits(), self.partners.misses())
     }
 
     /// MKB inverted-index statistics `(hits, misses)` — constraint lookups
@@ -1535,12 +1493,12 @@ mod tests {
     fn batch_updates_merge_traces() {
         let mut e = engine_with_travel_space();
         e.define_view_sql(ASIA_VIEW).unwrap();
-        let updates = [
-            DataUpdate::insert("FlightRes", vec![tup!["bob", "Asia"]]),
-            DataUpdate::insert("Customer", vec![tup!["eli", "5 Ash"]]),
-            DataUpdate::insert("FlightRes", vec![tup!["eli", "Asia"]]),
+        let ops = vec![
+            EvolutionOp::insert("FlightRes", vec![tup!["bob", "Asia"]]),
+            EvolutionOp::insert("Customer", vec![tup!["eli", "5 Ash"]]),
+            EvolutionOp::insert("FlightRes", vec![tup!["eli", "Asia"]]),
         ];
-        let merged = e.notify_data_updates(&updates).unwrap();
+        let merged = e.apply_batch(ops).unwrap().traces;
         let trace = &merged["Asia-Customer"];
         assert_eq!(trace.view_inserts, 2); // bob and eli join the view
         assert!(trace.messages >= 3); // at least one notification each
@@ -1574,19 +1532,17 @@ mod tests {
     fn reset_io_also_zeroes_cache_and_index_counters() {
         let mut e = engine_with_travel_space();
         e.define_view_sql(ASIA_VIEW).unwrap();
-        // Drive every counter: a capability change exercises the rewrite
-        // cache, the partner cache and the MKB inverted index; a data update
-        // charges I/O and messages.
+        // Drive every counter: a capability change exercises the partner
+        // cache and the MKB inverted index; a data update charges I/O and
+        // messages.
         let change = SchemaChange::DeleteRelation {
             relation: "Customer".into(),
         };
         e.notify_capability_change(&change, None).unwrap();
         e.notify_data_update(&DataUpdate::insert("FlightRes", vec![tup!["zed", "Asia"]]))
             .unwrap();
-        let (rw_h, rw_m) = e.rewrite_cache_stats();
         let (pc_h, pc_m) = e.partner_cache_stats();
         let (ix_h, ix_m) = e.mkb_index_stats();
-        assert!(rw_h + rw_m > 0, "rewrite cache was exercised");
         assert!(pc_h + pc_m > 0, "partner cache was exercised");
         assert!(ix_h + ix_m > 0, "mkb index was exercised");
         assert!(e.total_io() > 0);
@@ -1594,7 +1550,6 @@ mod tests {
         e.reset_io();
         assert_eq!(e.total_io(), 0);
         assert_eq!(e.total_messages(), 0);
-        assert_eq!(e.rewrite_cache_stats(), (0, 0), "rewrite counters reset");
         assert_eq!(e.partner_cache_stats(), (0, 0), "partner counters reset");
         assert_eq!(e.mkb_index_stats(), (0, 0), "index counters reset");
 
@@ -1641,7 +1596,7 @@ mod tests {
         let snap = e.metrics_snapshot();
         // Per-instance families appear alongside the process-global ones.
         assert!(snap.counters.contains_key("mkb.index_hits"));
-        assert!(snap.counters.contains_key("cache.rewrite_hits"));
+        assert!(snap.counters.contains_key("cache.partner_hits"));
         assert!(
             snap.counters.contains_key("engine.data_updates"),
             "global engine family present"

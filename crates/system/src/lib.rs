@@ -24,11 +24,11 @@
 //! [`query::evaluate_view_naive`] keeps the historical left-to-right fold
 //! as the reference the differential suites compare against.
 //!
-//! [`batch`] scales that loop to bursts: [`engine::EveEngine::apply_batch`]
-//! takes a whole evolution workload, partitions independent sites and
-//! processes them concurrently, memoizing rewriting enumeration per MKB
-//! generation — observationally identical to the op-by-op paths (the
-//! differential property suite pins this) but substantially faster.
+//! [`batch`] extends that loop to bursts: [`engine::EveEngine::apply_batch`]
+//! takes a whole evolution workload and applies it in op order, visiting
+//! only the views each op can affect — observationally identical to the
+//! op-by-op paths, on success and on failure (the differential property
+//! suite pins this).
 //!
 //! Every mutation has one spelling and one interpreter: the command
 //! vocabulary is [`eve_store::LogRecord`], and

@@ -562,14 +562,12 @@ impl Shell {
     /// the cache/index counters of the rewrite-search machinery and (with
     /// an open store) the evolution-log I/O counters.
     fn cmd_stats(&mut self) -> String {
-        let (rw_hits, rw_misses) = self.engine().rewrite_cache_stats();
         let (pc_hits, pc_misses) = self.engine().partner_cache_stats();
         let (ix_hits, ix_misses) = self.engine().mkb_index_stats();
         let cl = self.engine().column_layer_stats();
         let mut out = format!(
             "total I/O: {} blocks\n\
              total messages: {}\n\
-             rewrite cache: {rw_hits} hits, {rw_misses} misses\n\
              partner cache: {pc_hits} hits, {pc_misses} misses\n\
              mkb index: {ix_hits} hits, {ix_misses} misses\n\
              columnar: {}/{} extents materialized\n\
@@ -979,7 +977,6 @@ mod tests {
         let out = sh.execute("stats").unwrap();
         assert!(out.contains("total I/O"), "{out}");
         assert!(out.contains("total messages"), "{out}");
-        assert!(out.contains("rewrite cache"), "{out}");
         assert!(out.contains("partner cache"), "{out}");
         assert!(out.contains("mkb index"), "{out}");
         assert!(out.contains("columnar:"), "{out}");
@@ -994,7 +991,7 @@ mod tests {
             .unwrap();
         let out = sh.execute("metrics").unwrap();
         assert!(out.contains("mkb.index_hits"), "{out}");
-        assert!(out.contains("cache.rewrite_hits"), "{out}");
+        assert!(out.contains("cache.partner_hits"), "{out}");
         assert!(out.contains("engine.data_updates"), "{out}");
         let out = sh.execute("metrics prom").unwrap();
         assert!(out.contains("engine_data_updates"), "{out}");
