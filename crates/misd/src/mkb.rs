@@ -75,7 +75,7 @@ pub struct Mkb {
     generation: u64,
     /// Lazily built inverted indexes for the *current* generation; reset by
     /// every mutation (see [`Mkb::bump_generation`]). `OnceLock` keeps reads
-    /// shareable across scoped threads without locking on the hot path.
+    /// shareable across threads without locking on the hot path.
     index: OnceLock<ConstraintIndex>,
     /// Registry-compatible counter handles ([`eve_trace::Counter`]): the
     /// engine registers them into its telemetry registry so one registry

@@ -6,15 +6,14 @@
 //! Callers [`GroupCommitLog::enqueue`] a record — framing happens off-lock,
 //! since a frame does not depend on its sequence number — and block on the
 //! returned [`CommitTicket`]. The first waiter to find the queue unclaimed
-//! becomes the **leader**: it optionally dwells up to `max_delay` for more
-//! arrivals, drains up to `max_batch` entries, writes them as one
-//! contiguous buffer with a single fsync
+//! becomes the **leader**: it drains up to `max_batch` entries at once,
+//! writes them as one contiguous buffer with a single fsync
 //! ([`EvolutionStore::append_encoded_batch`]), then distributes sequence
 //! numbers (or the shared error) to every follower's ticket and wakes
 //! them. Followers that enqueued while a flush was in flight simply ride
 //! the *next* leader's batch — under fsync pressure the queue naturally
 //! fills while the device is busy, which is where the 10–50× amortization
-//! comes from even with `max_delay = 0`.
+//! comes from without the leader ever waiting for more arrivals.
 //!
 //! ## Crash semantics
 //!
@@ -38,7 +37,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::error::{Error, Result};
 use crate::log::{frame, LogRecord, SealedRecord};
@@ -54,22 +53,15 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Flush policy of the group-commit writer.
 #[derive(Debug, Clone, Copy)]
 pub struct GroupCommitPolicy {
-    /// Most records a single flush may cover. Enqueueing past this bound
-    /// drives a flush inline, so the queue never grows without bound.
+    /// Most records a single flush may cover (at least one). Enqueueing
+    /// past this bound drives a flush inline, so the queue never grows
+    /// without bound.
     pub max_batch: usize,
-    /// How long a leader dwells for more arrivals before flushing. Zero
-    /// (the default) flushes immediately — a lone appender keeps
-    /// fsync-per-record latency, and concurrent appenders still batch
-    /// because arrivals during the in-flight fsync ride the next one.
-    pub max_delay: Duration,
 }
 
 impl Default for GroupCommitPolicy {
     fn default() -> GroupCommitPolicy {
-        GroupCommitPolicy {
-            max_batch: 512,
-            max_delay: Duration::ZERO,
-        }
+        GroupCommitPolicy { max_batch: 512 }
     }
 }
 
@@ -173,13 +165,17 @@ impl Drop for FlushGuard<'_> {
 }
 
 impl GroupCommitLog {
-    /// Wraps a store with the given flush policy.
+    /// Wraps a store with the given flush policy. A `max_batch` of zero is
+    /// read as one: a flush that drains nothing would never resolve a
+    /// ticket.
     #[must_use]
     pub fn new(store: EvolutionStore, policy: GroupCommitPolicy) -> GroupCommitLog {
         GroupCommitLog {
             queue: Mutex::new(Queue::default()),
             store: Mutex::new(store),
-            policy,
+            policy: GroupCommitPolicy {
+                max_batch: policy.max_batch.max(1),
+            },
         }
     }
 
@@ -217,7 +213,7 @@ impl GroupCommitLog {
             // Bound the queue: the enqueuer itself leads a flush once a
             // full batch is waiting, instead of letting memory grow until
             // somebody waits on a ticket.
-            self.flush_round(false);
+            self.flush_round();
         }
         Ok(CommitTicket { log: self, slot })
     }
@@ -233,31 +229,13 @@ impl GroupCommitLog {
 
     /// One leader round. Returns `true` if this call flushed a batch,
     /// `false` if the queue was empty or another leader held the flush.
-    fn flush_round(&self, dwell: bool) -> bool {
+    fn flush_round(&self) -> bool {
         let batch: Vec<(Vec<u8>, Arc<Slot>)> = {
             let mut queue = lock(&self.queue);
             if queue.flushing || queue.pending.is_empty() {
                 return false;
             }
             queue.flushing = true;
-            if dwell && !self.policy.max_delay.is_zero() {
-                // Dwell for more arrivals, up to the batch bound. The
-                // deadline is absolute so spurious wakeups don't extend it.
-                let deadline = Instant::now() + self.policy.max_delay;
-                while queue.pending.len() < self.policy.max_batch {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    // No dedicated arrival condvar: arrivals are frequent
-                    // under contention (where dwelling matters) — poll in
-                    // short slices of the remaining window.
-                    let slice = (deadline - now).min(Duration::from_micros(200));
-                    drop(queue);
-                    std::thread::sleep(slice);
-                    queue = lock(&self.queue);
-                }
-            }
             let n = queue.pending.len().min(self.policy.max_batch);
             queue.pending.drain(..n).collect()
         };
@@ -328,7 +306,7 @@ impl GroupCommitLog {
     /// Drains every currently queued record to disk (callers still waiting
     /// on tickets are woken as usual).
     pub fn flush(&self) {
-        while self.flush_round(false) {}
+        while self.flush_round() {}
     }
 
     /// Runs `f` against the underlying store, after draining the queue so
@@ -356,9 +334,9 @@ impl GroupCommitLog {
 impl CommitTicket<'_> {
     /// Blocks until this record's batch is fsync'd, returning its sequence
     /// number. The calling thread *participates* in the protocol: if no
-    /// leader is active it becomes one (flushing its own record, possibly
-    /// with a `max_delay` dwell); otherwise it waits on its completion
-    /// slot and re-checks — a leader may have drained a capped batch that
+    /// leader is active it becomes one (flushing up to `max_batch` queued
+    /// records, oldest first); otherwise it waits on its completion slot
+    /// and re-checks — a leader may have drained a capped batch that
     /// excluded this record, in which case the next round picks it up.
     ///
     /// # Errors
@@ -384,7 +362,7 @@ impl CommitTicket<'_> {
                     };
                 }
             }
-            if self.log.flush_round(true) {
+            if self.log.flush_round() {
                 continue;
             }
             // Another leader is mid-flush (or just finished). Wait on our
@@ -579,13 +557,7 @@ mod tests {
         let dir = temp_dir("overflow");
         let mut store = EvolutionStore::create(&dir).unwrap();
         store.write_snapshot(&empty_snapshot()).unwrap();
-        let log = GroupCommitLog::new(
-            store,
-            GroupCommitPolicy {
-                max_batch: 4,
-                max_delay: Duration::ZERO,
-            },
-        );
+        let log = GroupCommitLog::new(store, GroupCommitPolicy { max_batch: 4 });
         let mut tickets = Vec::new();
         for k in 0..10 {
             tickets.push(log.enqueue(0, record(k)).unwrap());
@@ -685,13 +657,7 @@ mod tests {
         let dir = temp_dir("dwell");
         let mut store = EvolutionStore::create(&dir).unwrap();
         store.write_snapshot(&empty_snapshot()).unwrap();
-        let log = GroupCommitLog::new(
-            store,
-            GroupCommitPolicy {
-                max_batch: 64,
-                max_delay: Duration::from_millis(2),
-            },
-        );
+        let log = GroupCommitLog::new(store, GroupCommitPolicy { max_batch: 64 });
         std::thread::scope(|scope| {
             for t in 0..4i64 {
                 let log = &log;
@@ -707,6 +673,32 @@ mod tests {
         drop(store);
         let (_, recovered) = EvolutionStore::open(&dir).unwrap();
         assert_eq!(recovered.tail.len(), 40);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_max_batch_still_commits_every_record() {
+        // A round that drained `min(len, 0)` records wrote nothing yet
+        // reported progress, so `wait` and `flush` looped forever.
+        let dir = temp_dir("zero-batch");
+        let mut store = EvolutionStore::create(&dir).unwrap();
+        store.write_snapshot(&empty_snapshot()).unwrap();
+        let log = GroupCommitLog::new(store, GroupCommitPolicy { max_batch: 0 });
+        for k in 0..3 {
+            assert_eq!(log.append_durable(0, record(k)).unwrap(), k as u64);
+        }
+        drop(log.into_store());
+        let (_, recovered) = EvolutionStore::open(&dir).unwrap();
+        let got: Vec<Vec<u8>> = recovered.tail.iter().map(crate::to_bytes).collect();
+        let want: Vec<Vec<u8>> = (0..3)
+            .map(|k| {
+                crate::to_bytes(&SealedRecord {
+                    post_generation: 0,
+                    record: record(k),
+                })
+            })
+            .collect();
+        assert_eq!(got, want);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

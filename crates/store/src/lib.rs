@@ -18,7 +18,7 @@
 //! * [`store`] — the [`EvolutionStore`]: one directory of segments and
 //!   snapshots with **crash recovery** (newest intact snapshot + log tail
 //!   replay), segment rotation on checkpoint, compaction, and the
-//!   **generation time-travel** planner ([`EvolutionStore::plan_travel`])
+//!   **generation time-travel** planner ([`EvolutionStore::plan_travel_in`])
 //!   that reconstructs the state as of any retained MKB generation.
 //! * [`group`] — the **group-commit writer** ([`GroupCommitLog`]): a
 //!   bounded append queue where one leader drains waiting records into a
@@ -51,6 +51,4 @@ pub use snapshot::{
     DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHint, SearchModeState,
     SiteSnapshot, ViewSnapshot,
 };
-pub use store::{
-    EvolutionStore, RecoveredLog, RecoveryOptions, SnapshotKind, SnapshotMeta, StoreStats,
-};
+pub use store::{EvolutionStore, RecoveredLog, SnapshotKind, SnapshotMeta, StoreStats};

@@ -32,9 +32,7 @@ use eve_trace::{Counter, Histogram};
 
 use crate::error::{Error, Result};
 use crate::fsutil::{sync_dir, DirLock};
-use crate::log::{
-    frame, read_segment, segment_header, truncate_segment, LogRecord, SealedRecord, SegmentContents,
-};
+use crate::log::{frame, read_segment, segment_header, truncate_segment, LogRecord, SealedRecord};
 use crate::snapshot::{
     read_delta_file, read_delta_header, read_snapshot_file, read_snapshot_header, write_delta_file,
     write_snapshot_file, DeltaSnapshot, EngineSnapshot,
@@ -92,7 +90,7 @@ pub struct StoreStats {
     pub snapshots_written: u64,
     /// Bytes written into snapshot files.
     pub snapshot_bytes_written: u64,
-    /// Records replayed by recovery / time-travel reads.
+    /// Records replayed by recovery.
     pub records_replayed: u64,
     /// Torn bytes truncated from the active tail during recovery.
     pub torn_bytes_truncated: u64,
@@ -106,11 +104,6 @@ pub struct StoreStats {
     pub group_commits: u64,
     /// Delta snapshots written (also counted in `snapshots_written`).
     pub delta_snapshots_written: u64,
-    /// Worker threads the last `open` used to read segments.
-    pub replay_threads: u64,
-    /// Segments whose frames were CRC-verified/decoded on parallel
-    /// workers during the last `open`.
-    pub segments_read_parallel: u64,
 }
 
 /// Snapshot file kinds in a store directory.
@@ -131,24 +124,6 @@ pub struct SnapshotMeta {
     pub generation: u64,
     /// Full image or incremental delta.
     pub kind: SnapshotKind,
-}
-
-/// How [`EvolutionStore::open`] reads segment files.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryOptions {
-    /// CRC-verify and decode independent segment files on scoped worker
-    /// threads before the sequential validation/apply pass (the default).
-    /// `false` forces the single-threaded read path — the differential
-    /// suite uses it to pin that both paths recover byte-identically.
-    pub parallel_replay: bool,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> RecoveryOptions {
-        RecoveryOptions {
-            parallel_replay: true,
-        }
-    }
 }
 
 /// What recovery found on disk.
@@ -384,20 +359,6 @@ impl EvolutionStore {
     /// *and* the bootstrap log damaged); [`Error::State`] when `dir` holds
     /// no store.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(EvolutionStore, RecoveredLog)> {
-        Self::open_with(dir, RecoveryOptions::default())
-    }
-
-    /// [`EvolutionStore::open`] with explicit [`RecoveryOptions`] — the
-    /// differential suite uses the sequential read path as the oracle for
-    /// the parallel one.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvolutionStore::open`].
-    pub fn open_with(
-        dir: impl Into<PathBuf>,
-        opts: RecoveryOptions,
-    ) -> Result<(EvolutionStore, RecoveredLog)> {
         let _span = eve_trace::span("store.recovery");
         let dir = dir.into();
         let lock = DirLock::acquire(&dir)?;
@@ -450,75 +411,20 @@ impl EvolutionStore {
         }
         let replay_from = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
 
-        // Segments wholly before the replay point only get their headers
-        // validated (recovery never decodes them); the rest are fully
-        // read. Segment files are independent until the sequential
-        // validation pass below, so the expensive part — reading, CRC
-        // verification, frame decoding — fans out over scoped worker
-        // threads when more than one segment needs a full read.
+        // One pass in segment order: validate ordering/continuity and
+        // collect the replay tail. Segment boundaries align with snapshots
+        // (rotation happens on checkpoint), so a non-final segment whose
+        // successor starts at or before the replay point holds only
+        // pre-snapshot records and only gets its header checked; every
+        // other segment is read, CRC-verified and decoded in full.
         let last_idx = segments.len() - 1;
-        let needs_full_read = |idx: usize| idx == last_idx || segments[idx + 1].0 > replay_from;
-        let to_read: Vec<usize> = (0..segments.len())
-            .filter(|&i| needs_full_read(i))
-            .collect();
-        let workers = if opts.parallel_replay {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(to_read.len())
-        } else {
-            1
-        };
-        let mut contents_map: Vec<Option<Result<SegmentContents>>> =
-            (0..segments.len()).map(|_| None).collect();
-        let mut replay_threads = 1u64;
-        let mut segments_read_parallel = 0u64;
-        if workers > 1 {
-            replay_threads = workers as u64;
-            segments_read_parallel = to_read.len() as u64;
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            use std::sync::Mutex;
-            let next = AtomicUsize::new(0);
-            let results: Vec<Mutex<Option<Result<SegmentContents>>>> =
-                to_read.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= to_read.len() {
-                            break;
-                        }
-                        let slot = read_segment(&segments[to_read[i]].1);
-                        *results[i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(slot);
-                    });
-                }
-            });
-            for (i, cell) in results.into_iter().enumerate() {
-                contents_map[to_read[i]] = cell
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        } else {
-            for &idx in &to_read {
-                contents_map[idx] = Some(read_segment(&segments[idx].1));
-            }
-        }
-
-        // Sequential pass: validate ordering/continuity and collect the
-        // replay tail, consuming the pre-read segment contents in order.
         let mut tail: Vec<SealedRecord> = Vec::new();
         let mut next_seq = replay_from;
         let mut torn_records = 0u64;
         let mut active_valid_len = 16u64;
         for (idx, (start_seq, path)) in segments.iter().enumerate() {
             let is_last = idx == last_idx;
-            // Segment boundaries align with snapshots (rotation happens on
-            // checkpoint), so a non-final segment whose successor starts
-            // at or before the replay point holds only pre-snapshot
-            // records: header check only.
-            if !needs_full_read(idx) {
+            if !is_last && segments[idx + 1].0 <= replay_from {
                 let header_seq = crate::log::read_segment_header(path)?;
                 if header_seq != *start_seq {
                     return Err(Error::corrupt(format!(
@@ -529,9 +435,7 @@ impl EvolutionStore {
                 next_seq = segments[idx + 1].0;
                 continue;
             }
-            let contents: SegmentContents = contents_map[idx]
-                .take()
-                .expect("full-read segment was read")?;
+            let contents = read_segment(path)?;
             if contents.start_seq != *start_seq {
                 return Err(Error::corrupt(format!(
                     "{} header start_seq {} disagrees with its name",
@@ -586,8 +490,6 @@ impl EvolutionStore {
             records_replayed: tail.len() as u64,
             torn_bytes_truncated: torn_bytes,
             torn_records_truncated: torn_records,
-            replay_threads,
-            segments_read_parallel,
             ..StoreStats::default()
         };
         let store = EvolutionStore {
@@ -847,31 +749,18 @@ impl EvolutionStore {
         Ok(Self::segment_paths(&self.dir)?.len())
     }
 
-    /// Plans a time-travel read: the newest intact snapshot at or before
-    /// `generation`, plus every subsequent record whose post-generation is
-    /// `<= generation`. The caller replays the records on the snapshot.
+    /// Plans a time-travel read against a store *directory*: the newest
+    /// intact snapshot at or before `generation`, plus every subsequent
+    /// record whose post-generation is `<= generation`. The caller replays
+    /// the records on the snapshot. Read-only — no lock, no truncation, no
+    /// mutation — so a historical read runs while a live store handle
+    /// holds the directory lock. A torn tail on the final segment is
+    /// simply ignored (its record was never acknowledged).
     ///
     /// # Errors
     ///
     /// [`Error::State`] when `generation` precedes the retained horizon
     /// (i.e. history before the oldest snapshot was compacted away).
-    pub fn plan_travel(&mut self, generation: u64) -> Result<(EngineSnapshot, Vec<SealedRecord>)> {
-        let _span = eve_trace::span("store.time_travel");
-        let plan = Self::plan_travel_in(&self.dir, generation)?;
-        self.stats.records_replayed += plan.1.len() as u64;
-        mirrors().records_replayed.add(plan.1.len() as u64);
-        Ok(plan)
-    }
-
-    /// Read-only time-travel planning against a store *directory* — no
-    /// lock, no truncation, no mutation. This is what lets a historical
-    /// read run while a live store handle holds the directory lock. A
-    /// torn tail on the final segment is simply ignored (its record was
-    /// never acknowledged).
-    ///
-    /// # Errors
-    ///
-    /// As [`EvolutionStore::plan_travel`].
     pub fn plan_travel_in(
         dir: &Path,
         generation: u64,
@@ -1221,37 +1110,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_open_agree() {
-        let dir = temp_dir("par-vs-seq");
-        let mut store = EvolutionStore::create(&dir).unwrap();
-        store.write_snapshot(&empty_snapshot()).unwrap();
-        for k in 0..4 {
-            store.append(0, batch_record(k)).unwrap();
-        }
-        store.write_snapshot(&empty_snapshot()).unwrap();
-        for k in 4..9 {
-            store.append(0, batch_record(k)).unwrap();
-        }
-        drop(store);
-
-        let (_, sequential) = EvolutionStore::open_with(
-            &dir,
-            RecoveryOptions {
-                parallel_replay: false,
-            },
-        )
-        .unwrap();
-        let (store, parallel) = EvolutionStore::open(&dir).unwrap();
-        assert_eq!(parallel.next_seq, sequential.next_seq);
-        assert_eq!(parallel.tail.len(), sequential.tail.len());
-        for (a, b) in parallel.tail.iter().zip(&sequential.tail) {
-            assert_eq!(crate::codec::to_bytes(a), crate::codec::to_bytes(b));
-        }
-        assert!(store.stats().replay_threads >= 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn open_refuses_missing_store() {
         let dir = temp_dir("missing");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1468,8 +1326,8 @@ mod tests {
         store.write_snapshot(&empty_snapshot()).unwrap();
 
         // Flip a payload byte in the newest snapshot: the header still
-        // reads, so the listing keeps it, but plan_travel must fall back
-        // to the older intact snapshot instead of failing on decode.
+        // reads, so the listing keeps it, but travel planning must fall
+        // back to the older intact snapshot instead of failing on decode.
         let snap1 = snap_path(&dir, 1);
         let mut bytes = std::fs::read(&snap1).unwrap();
         let last = bytes.len() - 1;
@@ -1477,7 +1335,7 @@ mod tests {
         std::fs::write(&snap1, &bytes).unwrap();
 
         assert_eq!(store.snapshot_index().unwrap().len(), 2, "headers intact");
-        let (snapshot, records) = store.plan_travel(u64::MAX).unwrap();
+        let (snapshot, records) = EvolutionStore::plan_travel_in(&dir, u64::MAX).unwrap();
         assert_eq!(snapshot.generation(), 0);
         assert_eq!(records.len(), 1, "replays from the intact seq-0 anchor");
         std::fs::remove_dir_all(&dir).ok();

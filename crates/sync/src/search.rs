@@ -24,19 +24,11 @@
 //! * rewritings are *streamed* to an emission callback as soon as they pass
 //!   the legality filter, so any-time consumers stop the search early.
 //!
-//! Wide exhaustive levels are expanded on scoped threads: candidate
-//! generation is a pure function of `(node, binding, partners, MKB)`, the
-//! PC-partner closure is resolved once from the shared
-//! [`PartnerCache`], and the MKB's generation-keyed inverted indexes are
-//! lock-free to read, so per-node expansions parallelize without changing
-//! the (deterministic) output order.
-//!
 //! [`Exhaustive`]: ExplorationPolicy::Exhaustive
 //! [`BestFirst`]: ExplorationPolicy::BestFirst
 //! [`Beam`]: ExplorationPolicy::Beam
 
 use std::collections::{BTreeSet, BinaryHeap};
-use std::thread;
 
 use eve_esql::ViewDef;
 use eve_misd::{Mkb, SchemaChange};
@@ -269,49 +261,6 @@ fn expand_one(
     Expansion::Children(children)
 }
 
-/// Level width beyond which exhaustive expansion fans out on scoped
-/// threads. Below it, sequential expansion avoids spawn overhead.
-const PARALLEL_LEVEL_WIDTH: usize = 16;
-
-/// Expands every node of a level, on scoped threads when the level is wide
-/// enough to amortize the spawns. Results come back in node order, so the
-/// (deterministic) replay downstream is independent of the thread count.
-fn expand_level(
-    level: &[SearchNode],
-    binding: &str,
-    change: &BindingChange,
-    partners: &[PcPartner],
-    mkb: &Mkb,
-) -> Vec<Expansion> {
-    let workers = thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if level.len() < PARALLEL_LEVEL_WIDTH || workers <= 1 {
-        return level
-            .iter()
-            .map(|node| expand_one(node, binding, change, partners, mkb))
-            .collect();
-    }
-    let chunk = level.len().div_ceil(workers);
-    thread::scope(|scope| {
-        let handles: Vec<_> = level
-            .chunks(chunk)
-            .map(|nodes| {
-                scope.spawn(move || {
-                    nodes
-                        .iter()
-                        .map(|node| expand_one(node, binding, change, partners, mkb))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("search expansion worker panicked"))
-            .collect()
-    })
-}
-
 fn make_child(
     node: &SearchNode,
     candidate: Candidate,
@@ -485,10 +434,9 @@ fn run_exhaustive(
     let mut level = vec![ctx.root()];
     for (i, binding) in ctx.bindings.iter().enumerate() {
         let rest = &ctx.bindings[i + 1..];
-        let expansions = expand_level(&level, binding, ctx.change, ctx.partners, ctx.mkb);
         let mut next: Vec<SearchNode> = Vec::new();
-        for (node, expansion) in level.iter().zip(expansions) {
-            match expansion {
+        for node in &level {
+            match expand_one(node, binding, ctx.change, ctx.partners, ctx.mkb) {
                 Expansion::PassThrough => {
                     next.push(pass_through(node, rest, &mut discovery));
                 }
@@ -812,7 +760,7 @@ pub fn synchronize_streaming(
     }
     // Every affected binding references the changed relation, so one
     // partner closure (resolved through the shared cache) serves the whole
-    // search — including its scoped-thread expansions.
+    // search.
     let relation = view
         .from_item(&bindings[0])
         .map(|f| f.relation.clone())

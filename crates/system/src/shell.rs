@@ -751,8 +751,7 @@ impl Shell {
             "appended: {} records, {} bytes, {} fsyncs \
              ({} group commits, {records_per_fsync:.1} records/fsync)\n\
              snapshots written: {} ({} bytes, {} deltas)\n\
-             replayed: {} records; torn: {} bytes / {} records truncated\n\
-             recovery: {} threads, {} segments read in parallel",
+             replayed: {} records; torn: {} bytes / {} records truncated",
             s.records_appended,
             s.log_bytes_appended,
             s.fsyncs,
@@ -762,9 +761,7 @@ impl Shell {
             s.delta_snapshots_written,
             s.records_replayed,
             s.torn_bytes_truncated,
-            s.torn_records_truncated,
-            s.replay_threads,
-            s.segments_read_parallel
+            s.torn_records_truncated
         ));
         Ok(out)
     }

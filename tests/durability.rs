@@ -22,9 +22,7 @@ use eve::misd::{
 use eve::relational::{
     tup, ColumnRef, DataType, IndexKind, PrimitiveClause, Relation, Schema, Tuple,
 };
-use eve::store::{
-    EvolutionStore, GroupCommitLog, GroupCommitPolicy, LogRecord, RecoveryOptions, SealedRecord,
-};
+use eve::store::{EvolutionStore, GroupCommitLog, GroupCommitPolicy, LogRecord, SealedRecord};
 use eve::sync::EvolutionOp;
 use eve::system::{DurableEngine, EveEngine, IndexHint, Shell};
 use eve_bench::fixtures::{self, fingerprint, into_batches};
@@ -521,51 +519,48 @@ proptest! {
     }
 }
 
-/// Parallel segment replay is an I/O optimization, not a semantic change:
-/// `open_with(parallel)` and `open_with(sequential)` recover byte-identical
-/// snapshots, tails and stats-relevant outcomes on a multi-segment store.
+/// Recovery that falls back past a damaged snapshot reads every segment
+/// after the older anchor in full — here the pre-checkpoint segment and
+/// the newest one — and still lands on the uncrashed engine byte for byte.
 #[test]
-fn parallel_and_sequential_recovery_are_byte_identical() {
-    let dir = scratch_dir("par-vs-seq");
-    // A mid-stream checkpoint rotates the log, so recovery reads multiple
-    // segments; raw appends afterwards grow the newest one's tail.
-    run_durable(&dir, 3, 40, 4, 77, Some(1));
-    {
-        let (mut store, _) = EvolutionStore::open(&dir).unwrap();
-        for k in 0..5 {
-            store.append(0, keyed_record(5, k)).unwrap();
-        }
-    }
+fn damaged_snapshot_recovery_reads_several_segments() {
+    let dir = scratch_dir("multi-segment");
+    // The checkpoint after the second batch writes `snap-2` and rotates
+    // the log, so the records live in `seg-0` and `seg-2`.
+    let (states, _) = run_durable(&dir, 3, 40, 4, 77, Some(1));
+    let newest_snapshot = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "evs"))
+        .max()
+        .expect("the store holds snapshots");
+    let mut bytes = std::fs::read(&newest_snapshot).unwrap();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xff;
+    std::fs::write(&newest_snapshot, &bytes).unwrap();
+    let newest_segment_start: u64 = active_segment(&dir)
+        .file_stem()
+        .and_then(|stem| stem.to_str()?.strip_prefix("seg-")?.parse().ok())
+        .expect("segment names carry their start sequence");
 
-    let read = |parallel: bool| {
-        let (store, recovered) = EvolutionStore::open_with(
-            &dir,
-            RecoveryOptions {
-                parallel_replay: parallel,
-            },
-        )
-        .unwrap();
-        let threads = store.stats().replay_threads;
-        drop(store);
-        (
-            recovered.snapshot.map(|(seq, s)| (seq, s.to_bytes())),
-            recovered
-                .tail
-                .iter()
-                .map(eve::store::to_bytes)
-                .collect::<Vec<_>>(),
-            recovered.torn_bytes,
-            threads,
-        )
-    };
-    let (par_snap, par_tail, par_torn, par_threads) = read(true);
-    let (seq_snap, seq_tail, seq_torn, seq_threads) = read(false);
-    assert_eq!(par_snap, seq_snap, "anchor snapshots must byte-match");
-    assert_eq!(par_tail, seq_tail, "replay tails must byte-match");
-    assert_eq!(par_torn, seq_torn);
-    assert!(!par_tail.is_empty(), "the differential covered a real tail");
-    assert_eq!(seq_threads, 1);
-    assert!(par_threads >= 1);
+    let (recovered, report) = DurableEngine::open(&dir).unwrap();
+    assert_eq!(
+        report.snapshots_skipped, 1,
+        "the damaged snapshot was skipped"
+    );
+    let anchor = report
+        .snapshot_seq
+        .expect("the bootstrap snapshot is intact");
+    assert!(
+        anchor < newest_segment_start,
+        "the replayed tail starts at {anchor}, inside an older segment than seg-{newest_segment_start}"
+    );
+    assert_eq!(
+        anchor + report.replayed_records,
+        states.len() as u64 - 1,
+        "every record replayed"
+    );
+    assert_eq!(fingerprint(recovered.engine()), *states.last().unwrap());
     std::fs::remove_dir_all(&dir).ok();
 }
 

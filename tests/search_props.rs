@@ -376,18 +376,33 @@ fn wide_search(partners: usize, bindings: usize) -> WideSearch {
     let params = QcParams::default();
     let workload = WorkloadModel::SingleUpdate;
 
+    let options = SyncOptions {
+        max_rewritings: 256,
+        ..SyncOptions::default()
+    };
     let (exhaustive, exhaustive_stats) = synchronize_with_policy(
         &view,
         &change,
         &mkb,
-        &SyncOptions {
-            max_rewritings: 256,
-            ..SyncOptions::default()
-        },
+        &options,
         &ExplorationPolicy::Exhaustive,
         &mut PartnerCache::new(),
     )
     .unwrap();
+    // Wide levels pin output order too: the exhaustive arm equals the
+    // frozen pre-refactor synchronizer byte for byte.
+    let legacy = synchronize_legacy(&view, &change, &mkb, &options).unwrap();
+    assert_eq!(exhaustive.affected, legacy.affected);
+    assert_eq!(
+        exhaustive.rewritings.len(),
+        legacy.rewritings.len(),
+        "({partners},{bindings}): cardinality diverged from legacy"
+    );
+    for (s, l) in exhaustive.rewritings.iter().zip(&legacy.rewritings) {
+        assert_eq!(s.view.to_string(), l.view.to_string());
+        assert_eq!(s.provenance.actions, l.provenance.actions);
+        assert_eq!(s.extent, l.extent);
+    }
     let scored = rank_rewritings(&view, &exhaustive.rewritings, &mkb, &params, workload).unwrap();
     let best = SelectionStrategy::QcBest
         .select(&scored)
@@ -446,6 +461,16 @@ fn exhaustive_candidates_grow_with_the_space() {
     // Best-first growth is linear-ish in bindings × partners, far below
     // the cross product.
     assert!(wide.best_first_candidates < wide.exhaustive_candidates);
+}
+
+#[test]
+fn exhaustive_order_holds_on_a_144_node_level() {
+    // 12 partners × 3 bindings: the second binding level holds 12 × 12 =
+    // 144 nodes, the width `evolve-storm` changes reach. `wide_search`
+    // asserts the exhaustive emissions equal the legacy synchronizer's.
+    let run = wide_search(12, 3);
+    assert_eq!(run.exhaustive_candidates, 12 + 144 + 1728);
+    assert!(run.regret.abs() < 1e-9, "regret {}", run.regret);
 }
 
 #[test]
