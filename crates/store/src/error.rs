@@ -49,6 +49,14 @@ pub enum Error {
         /// The lock file another handle holds.
         lock: PathBuf,
     },
+    /// A snapshot's engine configuration names a search policy the engine
+    /// no longer runs. Its log was produced under that policy, and replay
+    /// under the exhaustive search could adopt other rewritings, so the
+    /// store is refused rather than skipped as damaged.
+    RetiredPolicy {
+        /// The retired policy, e.g. `beam (width 4)`.
+        policy: String,
+    },
     /// The group-commit log was shut down (dropped, or its leader died)
     /// while this record was still queued. The record was never
     /// acknowledged and is not durable; waiters receive this instead of
@@ -125,6 +133,11 @@ impl fmt::Display for Error {
                  (lock held at {}; close the other session or pick another directory)",
                 dir.display(),
                 lock.display()
+            ),
+            Error::RetiredPolicy { policy } => write!(
+                f,
+                "store configured for the retired `{policy}` search policy: its log \
+                 cannot be replayed under the exhaustive search"
             ),
             Error::Shutdown { detail } => write!(f, "store shut down: {detail}"),
         }

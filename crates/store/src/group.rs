@@ -393,7 +393,7 @@ impl CommitTicket<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{EngineConfig, EngineSnapshot, SearchModeState};
+    use crate::snapshot::{EngineConfig, EngineSnapshot};
     use eve_relational::tup;
     use eve_sync::EvolutionOp;
     use std::path::PathBuf;
@@ -421,7 +421,6 @@ mod tests {
                 qc_params: eve_qc::QcParams::default(),
                 workload: eve_qc::WorkloadModel::SingleUpdate,
                 strategy: eve_qc::SelectionStrategy::QcBest,
-                search: SearchModeState::default(),
                 index_hints: Vec::new(),
             },
         }

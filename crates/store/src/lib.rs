@@ -48,7 +48,6 @@ pub use error::{Error, Result};
 pub use group::{CommitTicket, GroupCommitLog, GroupCommitPolicy};
 pub use log::{LogRecord, SealedRecord};
 pub use snapshot::{
-    DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHint, SearchModeState,
-    SiteSnapshot, ViewSnapshot,
+    DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHint, SiteSnapshot, ViewSnapshot,
 };
 pub use store::{EvolutionStore, RecoveredLog, SnapshotKind, SnapshotMeta, StoreStats};

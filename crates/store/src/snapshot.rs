@@ -57,23 +57,6 @@ pub struct ViewSnapshot {
     pub extent: Relation,
 }
 
-/// How the engine explores the rewriting search space — a plain-data
-/// mirror of `eve_system::SearchMode` (which cannot live here without a
-/// dependency cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchModeState {
-    /// Materialize every legal rewriting, then rank.
-    #[default]
-    Exhaustive,
-    /// QC-bounded best-first search.
-    BestFirst,
-    /// The §7.6 heuristic beam of the given width.
-    Beam {
-        /// Beam width.
-        width: usize,
-    },
-}
-
 /// One declared secondary index: relation, column and physical shape —
 /// the engine's own hint type (`eve-system` re-exports it), carried as is
 /// by snapshots and by [`LogRecord::DeclareIndex`](crate::LogRecord).
@@ -105,8 +88,6 @@ pub struct EngineConfig {
     pub workload: WorkloadModel,
     /// Rewriting selection strategy.
     pub strategy: SelectionStrategy,
-    /// Search-space exploration mode.
-    pub search: SearchModeState,
     /// Declared secondary indexes, in declaration order.
     pub index_hints: Vec<IndexHint>,
 }
@@ -195,34 +176,6 @@ impl Codec for ViewSnapshot {
     }
 }
 
-impl Codec for SearchModeState {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            SearchModeState::Exhaustive => enc.u8(0),
-            SearchModeState::BestFirst => enc.u8(1),
-            SearchModeState::Beam { width } => {
-                enc.u8(2);
-                enc.usize(*width);
-            }
-        }
-    }
-
-    fn decode(dec: &mut Dec<'_>) -> Result<SearchModeState> {
-        Ok(match dec.u8()? {
-            0 => SearchModeState::Exhaustive,
-            1 => SearchModeState::BestFirst,
-            2 => SearchModeState::Beam {
-                width: dec.usize()?,
-            },
-            other => {
-                return Err(Error::corrupt(format!(
-                    "invalid SearchModeState tag {other}"
-                )));
-            }
-        })
-    }
-}
-
 impl Codec for IndexHint {
     fn encode(&self, enc: &mut Enc) {
         enc.str(&self.relation);
@@ -245,7 +198,9 @@ impl Codec for EngineConfig {
         self.qc_params.encode(enc);
         self.workload.encode(enc);
         self.strategy.encode(enc);
-        self.search.encode(enc);
+        // The search-policy tag: 0 is the exhaustive search, the only
+        // policy left.
+        enc.u8(0);
         enc.usize(self.index_hints.len());
         for hint in &self.index_hints {
             hint.encode(enc);
@@ -257,7 +212,27 @@ impl Codec for EngineConfig {
         let qc_params = QcParams::decode(dec)?;
         let workload = WorkloadModel::decode(dec)?;
         let strategy = SelectionStrategy::decode(dec)?;
-        let search = SearchModeState::decode(dec)?;
+        // Tags 1 (best-first) and 2 (beam) name search policies the engine
+        // no longer runs. Replaying their log under the exhaustive search
+        // could adopt other rewritings, so such a store is refused, not
+        // skipped as damaged.
+        match dec.u8()? {
+            0 => {}
+            1 => {
+                return Err(Error::RetiredPolicy {
+                    policy: "best-first".into(),
+                })
+            }
+            2 => {
+                let width = dec.usize()?;
+                return Err(Error::RetiredPolicy {
+                    policy: format!("beam (width {width})"),
+                });
+            }
+            other => {
+                return Err(Error::corrupt(format!("invalid search-policy tag {other}")));
+            }
+        }
         let n = dec.len()?;
         let mut index_hints = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
@@ -268,7 +243,6 @@ impl Codec for EngineConfig {
             qc_params,
             workload,
             strategy,
-            search,
             index_hints,
         })
     }
@@ -928,7 +902,6 @@ mod tests {
                 qc_params: QcParams::default(),
                 workload: WorkloadModel::PerSite { updates: 10.0 },
                 strategy: SelectionStrategy::QcBest,
-                search: SearchModeState::Beam { width: 4 },
                 index_hints: vec![IndexHint {
                     relation: "R".into(),
                     column: "A".into(),
@@ -958,6 +931,38 @@ mod tests {
         assert_eq!(back.generation(), snap.generation());
         assert_eq!(back.sites, snap.sites);
         assert_eq!(back.views, snap.views);
+    }
+
+    /// `snap`'s encoding with its search-policy tag byte (just before the
+    /// index hints) replaced by `tag`.
+    fn with_policy_tag(snap: &EngineSnapshot, tag: &[u8]) -> Vec<u8> {
+        let bytes = snap.to_bytes();
+        let mut hints = Enc::new();
+        crate::codec::vec_encode(&snap.config.index_hints, &mut hints);
+        let at = bytes.len() - hints.into_bytes().len() - 1;
+        assert_eq!(bytes[at], 0, "the exhaustive tag");
+        [&bytes[..at], tag, &bytes[at + 1..]].concat()
+    }
+
+    #[test]
+    fn retired_search_policies_are_refused_not_corrupt() {
+        let snap = sample_snapshot();
+        let mut beam = Enc::new();
+        beam.u8(2);
+        beam.usize(4);
+        let err =
+            EngineSnapshot::from_bytes(&with_policy_tag(&snap, &beam.into_bytes())).unwrap_err();
+        assert!(
+            matches!(&err, Error::RetiredPolicy { policy } if policy == "beam (width 4)"),
+            "{err}"
+        );
+        let err = EngineSnapshot::from_bytes(&with_policy_tag(&snap, &[1])).unwrap_err();
+        assert!(
+            matches!(&err, Error::RetiredPolicy { policy } if policy == "best-first"),
+            "{err}"
+        );
+        let err = EngineSnapshot::from_bytes(&with_policy_tag(&snap, &[3])).unwrap_err();
+        assert!(matches!(err, Error::Corrupt { .. }), "{err}");
     }
 
     #[test]

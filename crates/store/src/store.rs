@@ -357,7 +357,8 @@ impl EvolutionStore {
     /// I/O failures; [`Error::Corrupt`] for damage anywhere but the active
     /// tail (e.g. a torn frame in a non-final segment, or every snapshot
     /// *and* the bootstrap log damaged); [`Error::State`] when `dir` holds
-    /// no store.
+    /// no store; [`Error::RetiredPolicy`] when the snapshot recovery would
+    /// load was written under a retired search policy.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(EvolutionStore, RecoveredLog)> {
         let _span = eve_trace::span("store.recovery");
         let dir = dir.into();
@@ -396,7 +397,8 @@ impl EvolutionStore {
 
         // Newest intact snapshot wins; damaged ones — including deltas
         // whose base chain cannot be resolved — are skipped (recovery then
-        // replays more log).
+        // replays more log). A retired search policy is no damage: falling
+        // back would replay its log under another policy.
         let entries = Self::snapshot_files(&dir)?;
         let mut snapshot: Option<(u64, EngineSnapshot)> = None;
         let mut snapshots_skipped = 0usize;
@@ -406,6 +408,7 @@ impl EvolutionStore {
                     snapshot = Some((entries[idx].0, state));
                     break;
                 }
+                Err(retired @ Error::RetiredPolicy { .. }) => return Err(retired),
                 Err(_) => snapshots_skipped += 1,
             }
         }
@@ -760,7 +763,8 @@ impl EvolutionStore {
     /// # Errors
     ///
     /// [`Error::State`] when `generation` precedes the retained horizon
-    /// (i.e. history before the oldest snapshot was compacted away).
+    /// (i.e. history before the oldest snapshot was compacted away);
+    /// [`Error::RetiredPolicy`] as for [`EvolutionStore::open`].
     pub fn plan_travel_in(
         dir: &Path,
         generation: u64,
@@ -780,9 +784,13 @@ impl EvolutionStore {
             if !matches!(header_generation, Ok(g) if g <= generation) {
                 continue;
             }
-            if let Ok(state) = Self::load_snapshot_entry(&entries, idx, 0) {
-                base = Some((*seq, state));
-                break;
+            match Self::load_snapshot_entry(&entries, idx, 0) {
+                Ok(state) => {
+                    base = Some((*seq, state));
+                    break;
+                }
+                Err(retired @ Error::RetiredPolicy { .. }) => return Err(retired),
+                Err(_) => {}
             }
         }
         let Some((base_seq, snapshot)) = base else {
@@ -912,7 +920,6 @@ mod tests {
                 qc_params: eve_qc::QcParams::default(),
                 workload: eve_qc::WorkloadModel::SingleUpdate,
                 strategy: eve_qc::SelectionStrategy::QcBest,
-                search: crate::snapshot::SearchModeState::default(),
                 index_hints: Vec::new(),
             },
         }

@@ -17,7 +17,7 @@
 //!   relations (cheaper under every workload model).
 //!
 //! Historically this was a parallel code path duplicating the candidate
-//! plumbing; it is now [`HeuristicGuide`] plugged into
+//! plumbing; it is now a private `HeuristicGuide` plugged into
 //! [`ExplorationPolicy::Beam`]: PC partners are *sorted by the preference
 //! before any rewriting is built*, and generation stops once the beam holds
 //! `max_candidates` repaired candidates per binding level — the tail of the
@@ -128,29 +128,9 @@ fn partner_score(
 /// The score is a *preference*, not an admissible QC bound — pair the
 /// guide with [`ExplorationPolicy::Beam`], not `BestFirst`, when exactness
 /// matters.
-#[derive(Debug, Clone)]
-pub struct HeuristicGuide {
+struct HeuristicGuide {
     /// Validated heuristic options.
     options: HeuristicOptions,
-}
-
-impl HeuristicGuide {
-    /// Builds a guide from validated options.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::Options`] as per [`HeuristicOptions::validated`].
-    pub fn new(options: &HeuristicOptions) -> Result<HeuristicGuide, SyncError> {
-        Ok(HeuristicGuide {
-            options: options.validated()?,
-        })
-    }
-
-    /// The validated options driving the guide.
-    #[must_use]
-    pub fn options(&self) -> &HeuristicOptions {
-        &self.options
-    }
 }
 
 impl SearchGuide for HeuristicGuide {
@@ -223,7 +203,9 @@ pub fn synchronize_heuristic(
     mkb: &Mkb,
     options: &HeuristicOptions,
 ) -> Result<SyncOutcome, SyncError> {
-    let guide = HeuristicGuide::new(options)?;
+    let guide = HeuristicGuide {
+        options: options.validated()?,
+    };
     match change {
         SchemaChange::DeleteAttribute { .. } | SchemaChange::DeleteRelation { .. } => {
             let width = guide.options.max_candidates;

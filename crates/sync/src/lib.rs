@@ -38,7 +38,7 @@ pub mod synchronizer;
 
 pub use batch::EvolutionOp;
 pub use extent::ExtentRelationship;
-pub use heuristic::{synchronize_heuristic, HeuristicGuide, HeuristicOptions};
+pub use heuristic::{synchronize_heuristic, HeuristicOptions};
 pub use migration::equivalent_swaps;
 pub use rewriting::{LegalRewriting, Provenance, RewriteAction};
 pub use search::{

@@ -12,7 +12,9 @@
 //! * an [`ExplorationPolicy`] decides which nodes are expanded and in what
 //!   order:
 //!   * [`Exhaustive`] reproduces the pre-refactor output byte for byte
-//!     (cross product, breadth cap, `finish` filtering in discovery order),
+//!     (cross product, breadth cap, `finish` filtering in discovery order)
+//!     while building only the children it keeps, and is what the engine
+//!     serves with,
 //!   * [`BestFirst`] is branch-and-bound: nodes are popped in ascending
 //!     [`SearchGuide`] score; with *admissible* lower bounds (no completion
 //!     of a node scores below the node's bound) the first emission is the
@@ -28,10 +30,13 @@
 //! [`BestFirst`]: ExplorationPolicy::BestFirst
 //! [`Beam`]: ExplorationPolicy::Beam
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, BinaryHeap};
+use std::sync::{Arc, OnceLock};
 
 use eve_esql::ViewDef;
 use eve_misd::{Mkb, SchemaChange};
+use eve_trace::Counter;
 
 use crate::extent::ExtentRelationship;
 use crate::rewriting::{LegalRewriting, Provenance, RewriteAction};
@@ -102,10 +107,11 @@ pub trait SearchGuide {
 
 /// How the driver explores the per-binding candidate tree.
 pub enum ExplorationPolicy<'g> {
-    /// Materialize the full (breadth-capped) cross product level by level.
-    /// Output is byte-identical to the pre-refactor synchronizer
-    /// ([`crate::legacy::synchronize_legacy`]), pinned by the differential
-    /// property suite.
+    /// Expand the breadth-capped cross product level by level. Once a level
+    /// holds 4 × `max_rewritings` nodes, each further node builds only the
+    /// one child it keeps. Output is byte-identical to the pre-refactor
+    /// synchronizer ([`crate::legacy::synchronize_legacy`]), pinned by the
+    /// differential property suite.
     Exhaustive,
     /// Branch-and-bound best-first search: nodes are expanded in ascending
     /// guide score. With admissible bounds the first emission is the global
@@ -143,23 +149,25 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Mirrors one run's counters into the global metrics registry under
+    /// Adds this run's counters to the global registry's
     /// `search.<policy>.{materialized,expanded,emitted,pruned}`, so the
-    /// `metrics` surface accumulates per-policy search-space totals.
-    fn publish(self, policy: &str) {
-        let registry = eve_trace::global();
-        registry
-            .counter(&format!("search.{policy}.materialized"))
-            .add(self.materialized);
-        registry
-            .counter(&format!("search.{policy}.expanded"))
-            .add(self.expanded);
-        registry
-            .counter(&format!("search.{policy}.emitted"))
-            .add(self.emitted);
-        registry
-            .counter(&format!("search.{policy}.pruned"))
-            .add(self.pruned);
+    /// `metrics` surface accumulates per-policy search-space totals. Each
+    /// policy resolves its four handles once per process.
+    fn publish(self, policy: &ExplorationPolicy<'_>) {
+        static HANDLES: [OnceLock<[Arc<Counter>; 4]>; 3] = [const { OnceLock::new() }; 3];
+        let (slot, name) = match policy {
+            ExplorationPolicy::Exhaustive => (0, "exhaustive"),
+            ExplorationPolicy::BestFirst { .. } => (1, "best_first"),
+            ExplorationPolicy::Beam { .. } => (2, "beam"),
+        };
+        let handles = HANDLES[slot].get_or_init(|| {
+            ["materialized", "expanded", "emitted", "pruned"]
+                .map(|field| eve_trace::global().counter(&format!("search.{name}.{field}")))
+        });
+        let counts = [self.materialized, self.expanded, self.emitted, self.pruned];
+        for (handle, n) in handles.iter().zip(counts) {
+            handle.add(n);
+        }
     }
 }
 
@@ -232,33 +240,6 @@ fn for_each_candidate(
             }
         }
     }
-}
-
-/// One node's full expansion at a binding level.
-enum Expansion {
-    /// The binding no longer exists in the partial view (a previous repair
-    /// removed it); the node passes through unchanged.
-    PassThrough,
-    /// The per-binding repair candidates, in canonical order.
-    Children(Vec<Candidate>),
-}
-
-fn expand_one(
-    node: &SearchNode,
-    binding: &str,
-    change: &BindingChange,
-    partners: &[PcPartner],
-    mkb: &Mkb,
-) -> Expansion {
-    if node.view.from_item(binding).is_none() {
-        return Expansion::PassThrough;
-    }
-    let mut children = Vec::new();
-    for_each_candidate(&node.view, binding, change, partners, mkb, &mut |c| {
-        children.push(c);
-        true
-    });
-    Expansion::Children(children)
 }
 
 fn make_child(
@@ -422,6 +403,23 @@ impl SearchCtx<'_> {
             discovery: 0,
         }
     }
+
+    /// The PC partners in the order `guide` wants `binding` of `view`
+    /// repaired in: a reordered copy when the guide ranks partners, the
+    /// shared closure otherwise.
+    fn partners_for(
+        &self,
+        guide: &dyn SearchGuide,
+        view: &ViewDef,
+        binding: &str,
+    ) -> Cow<'_, [PcPartner]> {
+        if !guide.orders_partners() {
+            return Cow::Borrowed(self.partners);
+        }
+        let mut reordered = self.partners.to_vec();
+        guide.order_partners(view, binding, self.mkb, &mut reordered);
+        Cow::Owned(reordered)
+    }
 }
 
 fn run_exhaustive(
@@ -430,29 +428,33 @@ fn run_exhaustive(
 ) -> SearchStats {
     let mut stats = SearchStats::default();
     let mut discovery = 0u64;
+    // The historical breadth cap, checked after each push: once a level
+    // holds `cap` nodes, every later node keeps only its first child, so
+    // the callback stops the generator before it builds the rest.
     let cap = ctx.options.max_rewritings.saturating_mul(4);
     let mut level = vec![ctx.root()];
     for (i, binding) in ctx.bindings.iter().enumerate() {
         let rest = &ctx.bindings[i + 1..];
         let mut next: Vec<SearchNode> = Vec::new();
         for node in &level {
-            match expand_one(node, binding, ctx.change, ctx.partners, ctx.mkb) {
-                Expansion::PassThrough => {
-                    next.push(pass_through(node, rest, &mut discovery));
-                }
-                Expansion::Children(children) => {
-                    stats.expanded += 1;
-                    stats.materialized += children.len() as u64;
-                    // Replay of the historical breadth cap: checked after
-                    // each push, breaking only this node's candidate run.
-                    for candidate in children {
-                        next.push(make_child(node, candidate, rest, &mut discovery));
-                        if next.len() >= cap {
-                            break;
-                        }
-                    }
-                }
+            // A previous repair may have removed the binding entirely.
+            if node.view.from_item(binding).is_none() {
+                next.push(pass_through(node, rest, &mut discovery));
+                continue;
             }
+            stats.expanded += 1;
+            for_each_candidate(
+                &node.view,
+                binding,
+                ctx.change,
+                ctx.partners,
+                ctx.mkb,
+                &mut |c| {
+                    stats.materialized += 1;
+                    next.push(make_child(node, c, rest, &mut discovery));
+                    next.len() < cap
+                },
+            );
         }
         level = next;
     }
@@ -544,17 +546,12 @@ fn run_best_first(
             continue;
         }
         stats.expanded += 1;
-        let ordered: Option<Vec<PcPartner>> = guide.orders_partners().then(|| {
-            let mut reordered = ctx.partners.to_vec();
-            guide.order_partners(&node.view, &binding, ctx.mkb, &mut reordered);
-            reordered
-        });
-        let partners = ordered.as_deref().unwrap_or(ctx.partners);
+        let partners = ctx.partners_for(guide, &node.view, &binding);
         for_each_candidate(
             &node.view,
             &binding,
             ctx.change,
-            partners,
+            &partners,
             ctx.mkb,
             &mut |c| {
                 stats.materialized += 1;
@@ -612,12 +609,7 @@ fn run_beam(
                 continue;
             }
             stats.expanded += 1;
-            let ordered: Option<Vec<PcPartner>> = guide.orders_partners().then(|| {
-                let mut reordered = ctx.partners.to_vec();
-                guide.order_partners(&node.view, binding, ctx.mkb, &mut reordered);
-                reordered
-            });
-            let partners = ordered.as_deref().unwrap_or(ctx.partners);
+            let partners = ctx.partners_for(guide, &node.view, binding);
             match ctx.change {
                 BindingChange::Relation => {
                     // Swap candidates inherit the partner preference order,
@@ -627,7 +619,7 @@ fn run_beam(
                         &node.view,
                         binding,
                         ctx.change,
-                        partners,
+                        &partners,
                         ctx.mkb,
                         &mut |c| {
                             stats.materialized += 1;
@@ -649,7 +641,7 @@ fn run_beam(
                         &node.view,
                         binding,
                         ctx.change,
-                        partners,
+                        &partners,
                         ctx.mkb,
                         &mut |c| {
                             stats.materialized += 1;
@@ -776,14 +768,12 @@ pub fn synchronize_streaming(
         options,
     };
     let _span = eve_trace::span("search.run");
-    let (policy_name, stats) = match policy {
-        ExplorationPolicy::Exhaustive => ("exhaustive", run_exhaustive(&ctx, emit)),
-        ExplorationPolicy::BestFirst { guide } => {
-            ("best_first", run_best_first(&ctx, *guide, emit))
-        }
-        ExplorationPolicy::Beam { width, guide } => ("beam", run_beam(&ctx, *width, *guide, emit)),
+    let stats = match policy {
+        ExplorationPolicy::Exhaustive => run_exhaustive(&ctx, emit),
+        ExplorationPolicy::BestFirst { guide } => run_best_first(&ctx, *guide, emit),
+        ExplorationPolicy::Beam { width, guide } => run_beam(&ctx, *width, *guide, emit),
     };
-    stats.publish(policy_name);
+    stats.publish(policy);
     Ok((true, stats))
 }
 
@@ -925,6 +915,43 @@ mod tests {
         assert!(!outcome.rewritings.is_empty());
         assert_eq!(stats.emitted as usize, outcome.rewritings.len());
         assert!(stats.materialized >= 3 + 9 - 3, "two-level cross product");
+    }
+
+    #[test]
+    fn exhaustive_builds_only_the_children_it_keeps_once_the_cap_is_hit() {
+        // max_rewritings 1 caps every level at 4 nodes. Three replicas and
+        // three bindings: level 1 keeps the root's 3 children; level 2 the
+        // first node's 3, then one child of each of the other two (5);
+        // level 3 the first node's 3, then one child of each of the other
+        // four (7). Every child built is a node kept: 3 + 5 + 7 = 15.
+        let mkb = replicated_space(3);
+        let view = self_join_view(3);
+        let change = SchemaChange::DeleteRelation {
+            relation: "R".into(),
+        };
+        let options = SyncOptions {
+            max_rewritings: 1,
+            ..SyncOptions::default()
+        };
+        let (outcome, stats) = synchronize_with_policy(
+            &view,
+            &change,
+            &mkb,
+            &options,
+            &ExplorationPolicy::Exhaustive,
+            &mut PartnerCache::new(),
+        )
+        .unwrap();
+        assert_eq!(stats.materialized, 3 + 5 + 7);
+        assert_eq!(stats.expanded, 1 + 3 + 5);
+        let legacy = crate::legacy::synchronize_legacy(&view, &change, &mkb, &options).unwrap();
+        assert_eq!(outcome.affected, legacy.affected);
+        assert_eq!(outcome.rewritings.len(), legacy.rewritings.len());
+        for (s, l) in outcome.rewritings.iter().zip(&legacy.rewritings) {
+            assert_eq!(s.view.to_string(), l.view.to_string());
+            assert_eq!(s.provenance.actions, l.provenance.actions);
+            assert_eq!(s.extent, l.extent);
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use eve_trace::Counter;
 
-use eve_esql::{ConditionItem, FromItem, RelEvolution, ViewDef};
+use eve_esql::{ConditionItem, FromItem, RelEvolution, SelectItem, ViewDef};
 use eve_misd::{Mkb, PcRelationship, SchemaChange};
 use eve_relational::ColumnRef;
 
@@ -348,7 +348,7 @@ pub(crate) fn rename_attribute(
     let mut v = view.clone();
     for b in &bindings {
         for item in &mut v.select {
-            if item.attr.qualifier.as_deref() == Some(b.as_str()) && item.attr.name == from {
+            if is_column(&item.attr, b, from) {
                 // Preserve the output name across the rename.
                 if item.alias.is_none() && v.column_names.is_none() {
                     item.alias = Some(from.to_owned());
@@ -358,7 +358,7 @@ pub(crate) fn rename_attribute(
         }
         for cond in &mut v.conditions {
             cond.clause = cond.clause.map_columns(&mut |c| {
-                if c.qualifier.as_deref() == Some(b.as_str()) && c.name == from {
+                if is_column(c, b, from) {
                     ColumnRef::qualified(b.clone(), to)
                 } else {
                     c.clone()
@@ -418,43 +418,75 @@ pub(crate) fn rename_relation(view: &ViewDef, from: &str, to: &str) -> SyncOutco
 pub(crate) fn uses_attr(view: &ViewDef, binding: &str, attr: &str) -> bool {
     view.select
         .iter()
-        .any(|s| s.attr.qualifier.as_deref() == Some(binding) && s.attr.name == attr)
+        .any(|s| is_column(&s.attr, binding, attr))
         || view.conditions.iter().any(|c| {
             c.clause
                 .columns()
-                .iter()
-                .any(|col| col.qualifier.as_deref() == Some(binding) && col.name == attr)
+                .into_iter()
+                .any(|col| is_column(col, binding, attr))
         })
 }
 
-/// Drops all SELECT items (`AD` required) and conditions (`CD` required)
-/// referencing `binding.attr`.
-pub(crate) fn build_drop_components(
-    view: &ViewDef,
-    binding: &str,
-    attr: &str,
-) -> Option<Candidate> {
-    let mut v = view.clone();
-    let mut actions = Vec::new();
-    let mut extent = ExtentRelationship::Equal;
+/// Whether `col` is `binding.attr`.
+fn is_column(col: &ColumnRef, binding: &str, attr: &str) -> bool {
+    col.qualifier.as_deref() == Some(binding) && col.name == attr
+}
 
-    let mut keep_select = Vec::new();
-    let mut keep_names = view.column_names.clone().map(|_| Vec::new());
-    for (i, item) in v.select.iter().enumerate() {
-        let hit = item.attr.qualifier.as_deref() == Some(binding) && item.attr.name == attr;
-        if hit {
-            if !item.evolution.dispensable {
-                return None;
-            }
-            actions.push(RewriteAction::DroppedAttribute {
-                binding: binding.to_owned(),
-                attribute: attr.to_owned(),
-            });
+/// What a repair does with one SELECT item or condition of the view.
+enum Fate<T> {
+    /// The component does not involve the repair and stays as it is.
+    Untouched,
+    /// The component stays in this rewritten form.
+    Rewritten(T),
+    /// The component goes; legal only when it is dispensable.
+    Dropped,
+}
+
+impl<T> Fate<T> {
+    /// The fate of a component that a pure drop repair touches or not.
+    fn dropped_if(touched: bool) -> Fate<T> {
+        if touched {
+            Fate::Dropped
         } else {
-            keep_select.push(item.clone());
-            if let (Some(names), Some(all)) = (&mut keep_names, &view.column_names) {
-                names.push(all[i].clone());
+            Fate::Untouched
+        }
+    }
+}
+
+/// The rewrite every candidate builder shares: applies the repair's
+/// verdict to each SELECT item (keeping explicit column names aligned),
+/// then to each condition, recording a [`RewriteAction::DroppedAttribute`]
+/// or [`RewriteAction::DroppedCondition`] per drop and widening the extent
+/// by one `Superset` per dropped condition. The verdict callbacks may push
+/// actions of their own, which land in component order. `None` when the
+/// repair drops an indispensable component or the last SELECT item.
+fn rewrite_components(
+    mut v: ViewDef,
+    binding: &str,
+    mut actions: Vec<RewriteAction>,
+    mut extent: ExtentRelationship,
+    mut select: impl FnMut(&SelectItem, &mut Vec<RewriteAction>) -> Fate<SelectItem>,
+    mut condition: impl FnMut(&ConditionItem, &mut Vec<RewriteAction>) -> Fate<ConditionItem>,
+) -> Option<Candidate> {
+    let names = v.column_names.take();
+    let mut keep_names = names.as_ref().map(|_| Vec::new());
+    let mut keep_select = Vec::new();
+    for (i, item) in std::mem::take(&mut v.select).into_iter().enumerate() {
+        let kept = match select(&item, &mut actions) {
+            Fate::Untouched => item,
+            Fate::Rewritten(rewritten) => rewritten,
+            Fate::Dropped if item.evolution.dispensable => {
+                actions.push(RewriteAction::DroppedAttribute {
+                    binding: binding.to_owned(),
+                    attribute: item.attr.name,
+                });
+                continue;
             }
+            Fate::Dropped => return None,
+        };
+        keep_select.push(kept);
+        if let (Some(kept_names), Some(all)) = (&mut keep_names, &names) {
+            kept_names.push(all[i].clone());
         }
     }
     if keep_select.is_empty() {
@@ -464,27 +496,52 @@ pub(crate) fn build_drop_components(
     v.column_names = keep_names;
 
     let mut keep_conds = Vec::new();
-    for cond in &v.conditions {
-        let hit = cond
-            .clause
-            .columns()
-            .iter()
-            .any(|c| c.qualifier.as_deref() == Some(binding) && c.name == attr);
-        if hit {
-            if !cond.evolution.dispensable {
-                return None;
+    for cond in std::mem::take(&mut v.conditions) {
+        match condition(&cond, &mut actions) {
+            Fate::Untouched => keep_conds.push(cond),
+            Fate::Rewritten(rewritten) => keep_conds.push(rewritten),
+            Fate::Dropped if cond.evolution.dispensable => {
+                actions.push(RewriteAction::DroppedCondition {
+                    clause: cond.clause,
+                });
+                extent = extent.compose(ExtentRelationship::Superset);
             }
-            actions.push(RewriteAction::DroppedCondition {
-                clause: cond.clause.clone(),
-            });
-            extent = extent.compose(ExtentRelationship::Superset);
-        } else {
-            keep_conds.push(cond.clone());
+            Fate::Dropped => return None,
         }
     }
     v.conditions = keep_conds;
 
     Some((v, actions, extent))
+}
+
+/// `item` reading `col` instead of its old column, keeping its output name
+/// through an alias when the view has no explicit column list.
+fn retarget(item: &SelectItem, col: ColumnRef, name_by_alias: bool) -> SelectItem {
+    let mut out = item.clone();
+    let old_output = item.output_name();
+    if name_by_alias && old_output != col.name {
+        out.alias = Some(old_output.to_owned());
+    }
+    out.attr = col;
+    out
+}
+
+/// Drops all SELECT items (`AD` required) and conditions (`CD` required)
+/// referencing `binding.attr`.
+pub(crate) fn build_drop_components(
+    view: &ViewDef,
+    binding: &str,
+    attr: &str,
+) -> Option<Candidate> {
+    let hit = |c: &ColumnRef| is_column(c, binding, attr);
+    rewrite_components(
+        view.clone(),
+        binding,
+        Vec::new(),
+        ExtentRelationship::Equal,
+        |item, _| Fate::dropped_if(hit(&item.attr)),
+        |cond, _| Fate::dropped_if(cond.clause.columns().into_iter().any(hit)),
+    )
 }
 
 /// Replaces `binding.attr` with `partner.attr_map[attr]`, joining the partner
@@ -515,120 +572,108 @@ pub(crate) fn build_attr_replacement(
         .map(|f| f.binding_name().to_owned());
     let mut v = view.clone();
     let mut actions: Vec<RewriteAction> = Vec::new();
-    let mut extent = ExtentRelationship::from_attr_replacement(partner.relationship);
 
-    let host =
-        match existing {
-            Some(b) => b,
-            None => {
-                // Need a join constraint connecting the partner to the damaged
-                // relation to stitch it into the query meaningfully.
-                let jc = mkb.join_constraint_between(&partner.relation, relation)?;
-                let host = fresh_binding(&v, &partner.relation);
-                v.from.push(FromItem {
-                    relation: partner.relation.clone(),
-                    alias: if host == partner.relation {
-                        None
-                    } else {
-                        Some(host.clone())
-                    },
-                    evolution: RelEvolution {
-                        dispensable: false,
-                        replaceable: true,
-                    },
-                });
-                let mut join_clauses = Vec::new();
-                for clause in &jc.condition {
-                    // Skip clauses over the deleted attribute itself.
-                    if clause.columns().iter().any(|c| {
-                        c.qualifier.as_deref() == Some(relation.as_str()) && c.name == attr
-                    }) {
-                        return None; // the join itself relied on the deleted attribute
-                    }
-                    let mapped = clause.map_columns(&mut |c| {
-                        if c.qualifier.as_deref() == Some(relation.as_str()) {
-                            ColumnRef::qualified(binding, c.name.clone())
-                        } else if c.qualifier.as_deref() == Some(partner.relation.as_str()) {
-                            ColumnRef::qualified(host.clone(), c.name.clone())
-                        } else {
-                            c.clone()
-                        }
-                    });
-                    join_clauses.push(mapped);
-                }
-                let join_display = join_clauses
+    let host = match existing {
+        Some(b) => b,
+        None => {
+            // Need a join constraint connecting the partner to the damaged
+            // relation to stitch it into the query meaningfully.
+            let jc = mkb.join_constraint_between(&partner.relation, relation)?;
+            let host = fresh_binding(&v, &partner.relation);
+            v.from.push(FromItem {
+                relation: partner.relation.clone(),
+                alias: if host == partner.relation {
+                    None
+                } else {
+                    Some(host.clone())
+                },
+                evolution: RelEvolution {
+                    dispensable: false,
+                    replaceable: true,
+                },
+            });
+            let mut join_clauses = Vec::new();
+            for clause in &jc.condition {
+                // Skip clauses over the deleted attribute itself.
+                if clause
+                    .columns()
                     .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(" AND ");
-                for clause in join_clauses {
-                    v.conditions.push(ConditionItem::new(clause));
+                    .any(|c| is_column(c, relation, attr))
+                {
+                    return None; // the join itself relied on the deleted attribute
                 }
-                actions.push(RewriteAction::AddedJoinRelation {
-                    relation: partner.relation.clone(),
-                    join: join_display,
+                let mapped = clause.map_columns(&mut |c| {
+                    if c.qualifier.as_deref() == Some(relation.as_str()) {
+                        ColumnRef::qualified(binding, c.name.clone())
+                    } else if c.qualifier.as_deref() == Some(partner.relation.as_str()) {
+                        ColumnRef::qualified(host.clone(), c.name.clone())
+                    } else {
+                        c.clone()
+                    }
                 });
-                host
+                join_clauses.push(mapped);
             }
-        };
+            let join_display = join_clauses
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(" AND ");
+            for clause in join_clauses {
+                v.conditions.push(ConditionItem::new(clause));
+            }
+            actions.push(RewriteAction::AddedJoinRelation {
+                relation: partner.relation.clone(),
+                join: join_display,
+            });
+            host
+        }
+    };
 
-    // Rewrite SELECT items.
-    for item in &mut v.select {
-        if item.attr.qualifier.as_deref() == Some(binding) && item.attr.name == attr {
-            let old_output = item.output_name().to_owned();
-            item.attr = ColumnRef::qualified(host.clone(), new_attr.clone());
-            if v.column_names.is_none() && old_output != new_attr {
-                item.alias = Some(old_output);
+    // Re-source SELECT items from the host; rewrite or drop conditions
+    // that used the deleted attribute.
+    let new_col = ColumnRef::qualified(host, new_attr.clone());
+    let name_by_alias = v.column_names.is_none();
+    let hit = |c: &ColumnRef| is_column(c, binding, attr);
+    rewrite_components(
+        v,
+        binding,
+        actions,
+        ExtentRelationship::from_attr_replacement(partner.relationship),
+        |item, actions| {
+            if !hit(&item.attr) {
+                return Fate::Untouched;
             }
             actions.push(RewriteAction::ReplacedAttribute {
                 old: (binding.to_owned(), attr.to_owned()),
                 new: (partner.relation.clone(), new_attr.clone()),
                 relationship: partner.relationship,
             });
-        }
-    }
-
-    // Rewrite or drop conditions that used the deleted attribute.
-    let mut keep = Vec::new();
-    for cond in std::mem::take(&mut v.conditions) {
-        let hit = cond
-            .clause
-            .columns()
-            .iter()
-            .any(|c| c.qualifier.as_deref() == Some(binding) && c.name == attr);
-        if !hit {
-            keep.push(cond);
-            continue;
-        }
-        if cond.evolution.replaceable {
-            let old = cond.clause.clone();
+            Fate::Rewritten(retarget(item, new_col.clone(), name_by_alias))
+        },
+        |cond, actions| {
+            if !cond.clause.columns().into_iter().any(hit) {
+                return Fate::Untouched;
+            }
+            if !cond.evolution.replaceable {
+                return Fate::Dropped;
+            }
             let clause = cond.clause.map_columns(&mut |c| {
-                if c.qualifier.as_deref() == Some(binding) && c.name == attr {
-                    ColumnRef::qualified(host.clone(), new_attr.clone())
+                if hit(c) {
+                    new_col.clone()
                 } else {
                     c.clone()
                 }
             });
             actions.push(RewriteAction::RewroteCondition {
-                old,
+                old: cond.clause.clone(),
                 new: clause.clone(),
             });
-            keep.push(ConditionItem {
+            Fate::Rewritten(ConditionItem {
                 clause,
                 evolution: cond.evolution,
-            });
-        } else if cond.evolution.dispensable {
-            actions.push(RewriteAction::DroppedCondition {
-                clause: cond.clause.clone(),
-            });
-            extent = extent.compose(ExtentRelationship::Superset);
-        } else {
-            return None;
-        }
-    }
-    v.conditions = keep;
-
-    Some((v, actions, extent))
+            })
+        },
+    )
 }
 
 // ----------------------------------------------------------------------
@@ -670,13 +715,12 @@ pub(crate) fn build_swap(view: &ViewDef, binding: &str, partner: &PcPartner) -> 
         .map(|f| f.binding_name().to_owned());
 
     let mut v = view.clone();
-    let mut actions = vec![RewriteAction::SwappedRelation {
+    let actions = vec![RewriteAction::SwappedRelation {
         binding: binding.to_owned(),
         old_relation: old_item.relation.clone(),
         new_relation: partner.relation.clone(),
         relationship: partner.relationship,
     }];
-    let mut extent = ExtentRelationship::from_relation_swap(partner.relationship);
 
     // Determine the new binding name and update FROM.
     let host = if let Some(h) = existing_host {
@@ -706,64 +750,45 @@ pub(crate) fn build_swap(view: &ViewDef, binding: &str, partner: &PcPartner) -> 
         host
     };
 
-    // Rewrite SELECT items of the old binding.
-    let mut keep_select = Vec::new();
-    let mut keep_names = view.column_names.clone().map(|_| Vec::new());
-    for (i, item) in v.select.iter().enumerate() {
-        if item.attr.qualifier.as_deref() != Some(binding) {
-            keep_select.push(item.clone());
-            if let (Some(names), Some(all)) = (&mut keep_names, &view.column_names) {
-                names.push(all[i].clone());
+    // Re-source covered components of the old binding on the host; the
+    // uncovered ones must be dispensable.
+    let covered = |c: &ColumnRef| {
+        partner
+            .attr_map
+            .get(&c.name)
+            .map(|a| ColumnRef::qualified(host.clone(), a.clone()))
+    };
+    let name_by_alias = view.column_names.is_none();
+    rewrite_components(
+        v,
+        binding,
+        actions,
+        ExtentRelationship::from_relation_swap(partner.relationship),
+        |item, _| {
+            if item.attr.qualifier.as_deref() != Some(binding) {
+                return Fate::Untouched;
             }
-            continue;
-        }
-        match partner.attr_map.get(&item.attr.name) {
-            Some(new_attr) => {
-                let mut ni = item.clone();
-                let old_output = item.output_name().to_owned();
-                ni.attr = ColumnRef::qualified(host.clone(), new_attr.clone());
-                if view.column_names.is_none() && old_output != *new_attr {
-                    ni.alias = Some(old_output);
-                }
-                keep_select.push(ni);
-                if let (Some(names), Some(all)) = (&mut keep_names, &view.column_names) {
-                    names.push(all[i].clone());
-                }
+            match covered(&item.attr) {
+                Some(col) => Fate::Rewritten(retarget(item, col, name_by_alias)),
+                None => Fate::Dropped,
             }
-            None => {
-                // Uncovered: must be dispensable.
-                if !item.evolution.dispensable {
-                    return None;
-                }
-                actions.push(RewriteAction::DroppedAttribute {
-                    binding: binding.to_owned(),
-                    attribute: item.attr.name.clone(),
-                });
+        },
+        |cond, _| {
+            let referenced: Vec<&ColumnRef> = cond
+                .clause
+                .columns()
+                .into_iter()
+                .filter(|c| c.qualifier.as_deref() == Some(binding))
+                .collect();
+            if referenced.is_empty() {
+                return Fate::Untouched;
             }
-        }
-    }
-    if keep_select.is_empty() {
-        return None;
-    }
-    v.select = keep_select;
-    v.column_names = keep_names;
-
-    // Rewrite or drop conditions referencing the old binding.
-    let mut keep_conds = Vec::new();
-    for cond in std::mem::take(&mut v.conditions) {
-        let referenced: Vec<String> = cond
-            .clause
-            .columns()
-            .iter()
-            .filter(|c| c.qualifier.as_deref() == Some(binding))
-            .map(|c| c.name.clone())
-            .collect();
-        if referenced.is_empty() {
-            keep_conds.push(cond);
-            continue;
-        }
-        let all_covered = referenced.iter().all(|a| partner.attr_map.contains_key(a));
-        if all_covered {
+            if !referenced
+                .iter()
+                .all(|c| partner.attr_map.contains_key(&c.name))
+            {
+                return Fate::Dropped;
+            }
             let clause = cond.clause.map_columns(&mut |c| {
                 if c.qualifier.as_deref() == Some(binding) {
                     ColumnRef::qualified(host.clone(), partner.attr_map[&c.name].clone())
@@ -771,81 +796,36 @@ pub(crate) fn build_swap(view: &ViewDef, binding: &str, partner: &PcPartner) -> 
                     c.clone()
                 }
             });
-            keep_conds.push(ConditionItem {
+            Fate::Rewritten(ConditionItem {
                 clause,
                 evolution: cond.evolution,
-            });
-        } else if cond.evolution.dispensable {
-            actions.push(RewriteAction::DroppedCondition {
-                clause: cond.clause.clone(),
-            });
-            extent = extent.compose(ExtentRelationship::Superset);
-        } else {
-            return None;
-        }
-    }
-    v.conditions = keep_conds;
-
-    Some((v, actions, extent))
+            })
+        },
+    )
 }
 
 /// Drops the FROM item `binding`, all its SELECT items (each `AD`) and all
 /// conditions touching it (each `CD`).
 pub(crate) fn build_drop_relation(view: &ViewDef, binding: &str) -> Option<Candidate> {
-    let old_item = view.from_item(binding)?.clone();
+    let old_item = view.from_item(binding)?;
     if view.from.len() <= 1 {
         return None; // a view cannot lose its last relation
     }
-    let mut v = view.clone();
-    let mut actions = vec![RewriteAction::DroppedRelation {
+    let actions = vec![RewriteAction::DroppedRelation {
         binding: binding.to_owned(),
         relation: old_item.relation.clone(),
     }];
-    // Dropping the join with this relation can only widen the extent.
-    let mut extent = ExtentRelationship::Superset;
-
-    let mut keep_select = Vec::new();
-    let mut keep_names = view.column_names.clone().map(|_| Vec::new());
-    for (i, item) in v.select.iter().enumerate() {
-        if item.attr.qualifier.as_deref() == Some(binding) {
-            if !item.evolution.dispensable {
-                return None;
-            }
-            actions.push(RewriteAction::DroppedAttribute {
-                binding: binding.to_owned(),
-                attribute: item.attr.name.clone(),
-            });
-        } else {
-            keep_select.push(item.clone());
-            if let (Some(names), Some(all)) = (&mut keep_names, &view.column_names) {
-                names.push(all[i].clone());
-            }
-        }
-    }
-    if keep_select.is_empty() {
-        return None;
-    }
-    v.select = keep_select;
-    v.column_names = keep_names;
-
-    let mut keep_conds = Vec::new();
-    for cond in std::mem::take(&mut v.conditions) {
-        if cond.clause.references_qualifier(binding) {
-            if !cond.evolution.dispensable {
-                return None;
-            }
-            actions.push(RewriteAction::DroppedCondition {
-                clause: cond.clause.clone(),
-            });
-            extent = extent.compose(ExtentRelationship::Superset);
-        } else {
-            keep_conds.push(cond);
-        }
-    }
-    v.conditions = keep_conds;
+    let mut v = view.clone();
     v.from.retain(|f| f.binding_name() != binding);
-
-    Some((v, actions, extent))
+    // Dropping the join with this relation can only widen the extent.
+    rewrite_components(
+        v,
+        binding,
+        actions,
+        ExtentRelationship::Superset,
+        |item, _| Fate::dropped_if(item.attr.qualifier.as_deref() == Some(binding)),
+        |cond, _| Fate::dropped_if(cond.clause.references_qualifier(binding)),
+    )
 }
 
 #[cfg(test)]

@@ -43,11 +43,11 @@ use std::path::{Path, PathBuf};
 use eve_misd::{Mkb, SiteId};
 use eve_store::{
     DeltaSnapshot, EngineConfig, EngineSnapshot, EvolutionStore, GroupCommitLog, GroupCommitPolicy,
-    LogRecord, RecoveredLog, SearchModeState, SiteSnapshot, SnapshotMeta, StoreStats, ViewSnapshot,
+    LogRecord, RecoveredLog, SiteSnapshot, SnapshotMeta, StoreStats, ViewSnapshot,
 };
 use eve_sync::EvolutionOp;
 
-use crate::engine::{BatchOutcome, EveEngine, MaterializedView, SearchMode};
+use crate::engine::{BatchOutcome, EveEngine, MaterializedView};
 use crate::error::{Error, Result};
 use crate::site::SimSite;
 
@@ -60,6 +60,7 @@ impl From<eve_store::Error> for Error {
             eve_store::Error::Busy { .. } => Error::Busy {
                 detail: e.to_string(),
             },
+            eve_store::Error::RetiredPolicy { policy } => Error::RetiredPolicy { policy },
             other => Error::State {
                 detail: other.to_string(),
             },
@@ -162,8 +163,9 @@ impl DurableEngine {
     ///
     /// # Errors
     ///
-    /// Store I/O/corruption failures, or replay failures (which indicate a
-    /// log produced under a different engine version).
+    /// Store I/O/corruption failures, [`Error::RetiredPolicy`] for a store
+    /// written under a retired search policy, or replay failures (which
+    /// indicate a log produced under a different engine version).
     pub fn open(dir: impl Into<PathBuf>) -> Result<(DurableEngine, RecoveryReport)> {
         let dir = dir.into();
         let (store, recovered) = EvolutionStore::open(&dir)?;
@@ -521,26 +523,6 @@ impl DurableEngine {
 // Engine <-> snapshot conversion
 // ---------------------------------------------------------------------
 
-impl From<SearchMode> for SearchModeState {
-    fn from(mode: SearchMode) -> SearchModeState {
-        match mode {
-            SearchMode::Exhaustive => SearchModeState::Exhaustive,
-            SearchMode::BestFirst => SearchModeState::BestFirst,
-            SearchMode::Beam { width } => SearchModeState::Beam { width },
-        }
-    }
-}
-
-impl From<SearchModeState> for SearchMode {
-    fn from(mode: SearchModeState) -> SearchMode {
-        match mode {
-            SearchModeState::Exhaustive => SearchMode::Exhaustive,
-            SearchModeState::BestFirst => SearchMode::BestFirst,
-            SearchModeState::Beam { width } => SearchMode::Beam { width },
-        }
-    }
-}
-
 impl EveEngine {
     /// Captures the engine's complete durable state — MKB (with its
     /// generation), per-site extents and accounting, installed rewritings
@@ -582,7 +564,6 @@ impl EveEngine {
                 qc_params: self.qc_params.clone(),
                 workload: self.workload,
                 strategy: self.strategy,
-                search: self.search.into(),
                 index_hints: self.index_hints.clone(),
             },
         }
@@ -628,7 +609,6 @@ impl EveEngine {
             qc_params: snapshot.config.qc_params.clone(),
             workload: snapshot.config.workload,
             strategy: snapshot.config.strategy,
-            search: snapshot.config.search.into(),
             // Runtime tuning knob, deliberately not part of snapshots:
             // recovery always starts serial and byte-identical.
             exec_options: eve_relational::ExecOptions::default(),
@@ -737,6 +717,50 @@ mod tests {
 
     fn fingerprint(engine: &EveEngine) -> Vec<u8> {
         engine.snapshot_state().to_bytes()
+    }
+
+    #[test]
+    fn a_store_written_under_a_retired_search_policy_is_refused() {
+        let dir = temp_dir("retired-policy");
+        let mut d = build(&dir);
+        let seq = d.checkpoint().unwrap();
+        let generation = d.engine().mkb().generation();
+        let hints = d.engine().snapshot_state().config.index_hints;
+        drop(d);
+
+        // Rewrite the newest snapshot as a build that still ran the beam
+        // search would have written it: search-policy tag 2, width 4, just
+        // before the index hints.
+        let path = dir.join(format!("snap-{seq:020}.evs"));
+        let file = std::fs::read(&path).unwrap();
+        let (header, payload) = file.split_at(36);
+        let mut tail = eve_store::Enc::new();
+        eve_store::vec_encode(&hints, &mut tail);
+        let at = payload.len() - tail.into_bytes().len() - 1;
+        assert_eq!(payload[at], 0, "the exhaustive tag");
+        let mut beam = eve_store::Enc::new();
+        beam.u8(2);
+        beam.usize(4);
+        let payload = [&payload[..at], &beam.into_bytes(), &payload[at + 1..]].concat();
+        let mut patched = header[..24].to_vec();
+        patched.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        patched.extend_from_slice(&eve_store::checksum::crc64(&payload).to_le_bytes());
+        patched.extend_from_slice(&payload);
+        std::fs::write(&path, patched).unwrap();
+
+        // Refused by name — neither skipped as damaged nor replayed under
+        // the exhaustive search.
+        let retired = Error::RetiredPolicy {
+            policy: "beam (width 4)".into(),
+        };
+        let err = DurableEngine::open(&dir).unwrap_err();
+        assert_eq!(err, retired);
+        assert!(err.to_string().contains("beam (width 4)"), "{err}");
+        assert_eq!(
+            DurableEngine::open_at(&dir, generation).unwrap_err(),
+            retired
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

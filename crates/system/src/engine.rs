@@ -18,10 +18,8 @@ use eve_qc::{
 use eve_relational::{ExecOptions, ExecStats, IndexKind, IndexStats, InternStats, Relation, Value};
 pub use eve_store::IndexHint;
 use eve_store::LogRecord;
-use eve_sync::{
-    synchronize, synchronize_with_policy, EvolutionOp, ExplorationPolicy, HeuristicGuide,
-    HeuristicOptions, PartnerCache, SyncOptions, SyncOutcome,
-};
+use eve_sync::synchronizer::synchronize_with;
+use eve_sync::{synchronize, EvolutionOp, PartnerCache, SyncOptions, SyncOutcome};
 
 use crate::error::{Error, Result};
 use crate::maintainer::{maintain_view, DataUpdate, MaintenanceTrace};
@@ -67,27 +65,6 @@ pub struct EvolutionReport {
     pub adopted: Option<ScoredRewriting>,
 }
 
-/// How the engine explores the rewriting search space when a capability
-/// change arrives (the streaming enumerator's policy, re-exposed without
-/// lifetimes so it can sit in engine state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchMode {
-    /// Materialize every legal rewriting, then rank (the paper's
-    /// pipeline).
-    #[default]
-    Exhaustive,
-    /// Branch-and-bound best-first search under the QC bounds
-    /// (`eve_qc::search::QcGuide` with an auto normalization scale): the
-    /// engine's candidate set arrives in ascending QC badness and is capped
-    /// at `sync_options.max_rewritings`.
-    BestFirst,
-    /// The §7.6 heuristic beam of the given width.
-    Beam {
-        /// Beam width (candidates generated per binding level).
-        width: usize,
-    },
-}
-
 /// Aggregated columnar/index/interning counters across every relation
 /// extent the engine holds (site-hosted base relations plus materialized
 /// view extents) — the shell `stats` and server stats surface.
@@ -125,8 +102,6 @@ pub struct EveEngine {
     pub workload: WorkloadModel,
     /// How the engine picks among legal rewritings.
     pub strategy: SelectionStrategy,
-    /// How the engine explores the rewriting search space.
-    pub search: SearchMode,
     /// Intra-query execution knobs: morsel parallelism for view
     /// evaluation and maintainer recomputes. Runtime tuning only — not
     /// part of durable snapshots, so recovery starts serial.
@@ -153,7 +128,6 @@ impl EveEngine {
             qc_params: QcParams::default(),
             workload: WorkloadModel::SingleUpdate,
             strategy: SelectionStrategy::QcBest,
-            search: SearchMode::default(),
             exec_options: ExecOptions::default(),
         }
     }
@@ -442,7 +416,7 @@ impl EveEngine {
     /// Processes a capability change end-to-end (the paper's Fig. 1 loop):
     ///
     /// 1. every affected view is synchronized against the *pre-change* MKB
-    ///    under the engine's [`SearchMode`],
+    ///    by the exhaustive search,
     /// 2. legal rewritings are ranked by the QC-Model and one is selected
     ///    per the engine's [`SelectionStrategy`],
     /// 3. the change is applied to the MKB and the hosting site
@@ -494,13 +468,11 @@ impl EveEngine {
     }
 
     /// The batched capability-change primitive: skips views that cannot
-    /// reference the changed relation, synchronizes the rest under the
-    /// engine's [`SearchMode`] through the shared [`PartnerCache`], and
-    /// builds the ranking MKB only when some view is actually affected.
-    /// Under the exhaustive mode verdicts are identical to the sequential
+    /// reference the changed relation, synchronizes the rest through the
+    /// shared [`PartnerCache`], and builds the ranking MKB only when some
+    /// view is actually affected. Verdicts are identical to the sequential
     /// path — the prefilter is a sound superset of the synchronizer's own
-    /// affectedness notion; the pruned modes trade the candidate tail for
-    /// search-time bounds.
+    /// affectedness notion.
     pub(crate) fn capability_change_batched(
         &mut self,
         change: &SchemaChange,
@@ -516,35 +488,11 @@ impl EveEngine {
                 decisions.push((name.clone(), Self::unaffected_report(name), None));
                 continue;
             }
-            let qc_guide;
-            let beam_guide;
-            let policy = match self.search {
-                SearchMode::Exhaustive => ExplorationPolicy::Exhaustive,
-                SearchMode::BestFirst => {
-                    qc_guide =
-                        eve_qc::QcGuide::auto(&mv.def, &self.mkb, &self.qc_params, self.workload)?;
-                    ExplorationPolicy::BestFirst { guide: &qc_guide }
-                }
-                SearchMode::Beam { width } => {
-                    // Drive the beam through the engine's own sync_options
-                    // (max_rewritings, dispensable-drop spectrum) — unlike
-                    // `synchronize_heuristic`, which owns its options.
-                    beam_guide = HeuristicGuide::new(&HeuristicOptions {
-                        max_candidates: width.max(1),
-                        ..HeuristicOptions::default()
-                    })?;
-                    ExplorationPolicy::Beam {
-                        width: width.max(1),
-                        guide: &beam_guide,
-                    }
-                }
-            };
-            let (outcome, _) = synchronize_with_policy(
+            let outcome = synchronize_with(
                 &mv.def,
                 change,
                 &self.mkb,
                 &self.sync_options,
-                &policy,
                 &mut self.partners,
             )?;
             if !outcome.affected {
@@ -1606,92 +1554,6 @@ mod tests {
                 .get("engine.data_updates")
                 .is_some_and(|&v| v > 0),
             "the update was counted"
-        );
-    }
-
-    #[test]
-    fn pruned_search_modes_adopt_the_same_rewriting() {
-        // One legal repair exists (TourClient); every search mode must find
-        // and adopt it — the modes differ in how much of the candidate
-        // space they materialize, not in the winner.
-        let change = SchemaChange::DeleteRelation {
-            relation: "Customer".into(),
-        };
-        let mut adopted = Vec::new();
-        for mode in [
-            SearchMode::Exhaustive,
-            SearchMode::BestFirst,
-            SearchMode::Beam { width: 2 },
-        ] {
-            let mut e = engine_with_travel_space();
-            e.search = mode;
-            e.define_view_sql(ASIA_VIEW).unwrap();
-            let reports = e.notify_capability_change(&change, None).unwrap();
-            assert!(reports[0].survived, "{mode:?}");
-            adopted.push(e.view("Asia-Customer").unwrap().def.to_string());
-        }
-        assert_eq!(adopted[0], adopted[1]);
-        assert_eq!(adopted[0], adopted[2]);
-    }
-
-    #[test]
-    fn beam_mode_honors_engine_sync_options() {
-        // Two equivalent replacement pools for Customer; the beam width
-        // admits both, but the engine's max_rewritings caps the candidate
-        // set the QC ranking sees.
-        let second_mirror = |e: &mut EveEngine| {
-            let schema =
-                Schema::of(&[("CName", DataType::Text), ("CAddr", DataType::Text)]).unwrap();
-            e.register_relation(
-                RelationInfo::new(
-                    "TourClient2",
-                    SiteId(3),
-                    vec![
-                        AttributeInfo::new("CName", DataType::Text),
-                        AttributeInfo::new("CAddr", DataType::Text),
-                    ],
-                    3,
-                ),
-                Relation::with_tuples(
-                    "TourClient2",
-                    schema,
-                    vec![
-                        tup!["ann", "12 Elm"],
-                        tup!["bob", "9 Oak"],
-                        tup!["cho", "3 Pine"],
-                    ],
-                )
-                .unwrap(),
-            )
-            .unwrap();
-            e.mkb_mut()
-                .add_pc_constraint(PcConstraint::new(
-                    PcSide::projection("Customer", &["Name", "Address"]),
-                    PcRelationship::Equivalent,
-                    PcSide::projection("TourClient2", &["CName", "CAddr"]),
-                ))
-                .unwrap();
-        };
-        let change = SchemaChange::DeleteRelation {
-            relation: "Customer".into(),
-        };
-
-        let mut wide = engine_with_travel_space();
-        second_mirror(&mut wide);
-        wide.search = SearchMode::Beam { width: 3 };
-        wide.define_view_sql(ASIA_VIEW).unwrap();
-        let reports = wide.notify_capability_change(&change, None).unwrap();
-        assert_eq!(reports[0].candidates, 2, "width admits both mirrors");
-
-        let mut capped = engine_with_travel_space();
-        second_mirror(&mut capped);
-        capped.search = SearchMode::Beam { width: 3 };
-        capped.sync_options.max_rewritings = 1;
-        capped.define_view_sql(ASIA_VIEW).unwrap();
-        let reports = capped.notify_capability_change(&change, None).unwrap();
-        assert_eq!(
-            reports[0].candidates, 1,
-            "engine max_rewritings caps the beam's emissions"
         );
     }
 

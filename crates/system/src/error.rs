@@ -33,6 +33,14 @@ pub enum Error {
         /// Explanation, including the lock path.
         detail: String,
     },
+    /// A durable store was written under a search policy the engine no
+    /// longer runs (best-first or beam). Its log cannot be replayed under
+    /// the exhaustive search without possibly adopting other rewritings,
+    /// so [`DurableEngine::open`](crate::DurableEngine::open) refuses it.
+    RetiredPolicy {
+        /// The retired policy, e.g. `beam (width 4)`.
+        policy: String,
+    },
     /// The durable host is poisoned: a failed mutation could not be
     /// re-anchored with a snapshot, so the on-disk store is behind the
     /// live engine. All further durable mutations fail closed with this
@@ -54,6 +62,11 @@ impl fmt::Display for Error {
             Error::Qc(m) => write!(f, "QC-Model error: {m}"),
             Error::State { detail } => write!(f, "engine state error: {detail}"),
             Error::Busy { detail } => write!(f, "{detail}"),
+            Error::RetiredPolicy { policy } => write!(
+                f,
+                "store configured for the retired `{policy}` search policy: its log \
+                 cannot be replayed under the exhaustive search"
+            ),
             Error::Poisoned { detail } => write!(
                 f,
                 "durable host poisoned: {detail} — run `checkpoint` to re-anchor \

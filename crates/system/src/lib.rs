@@ -53,9 +53,7 @@ pub mod shell;
 pub mod site;
 
 pub use durable::{DurableEngine, RecoveryReport};
-pub use engine::{
-    BatchOutcome, ColumnLayerStats, EveEngine, EvolutionReport, IndexHint, SearchMode,
-};
+pub use engine::{BatchOutcome, ColumnLayerStats, EveEngine, EvolutionReport, IndexHint};
 pub use error::{Error, Result};
 pub use eve_sync::EvolutionOp;
 pub use maintainer::{DataUpdate, MaintenanceTrace};

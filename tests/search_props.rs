@@ -468,8 +468,13 @@ fn exhaustive_order_holds_on_a_144_node_level() {
     // 12 partners × 3 bindings: the second binding level holds 12 × 12 =
     // 144 nodes, the width `evolve-storm` changes reach. `wide_search`
     // asserts the exhaustive emissions equal the legacy synchronizer's.
+    //
+    // The breadth cap is 4 × 256 = 1,024 nodes per level. The last level
+    // builds all 12 children of the first 85 nodes (1,020), 4 of the 86th
+    // (the cap is reached), then only the one child each of the other 58
+    // nodes keeps: 1,020 + 4 + 58 = 1,082.
     let run = wide_search(12, 3);
-    assert_eq!(run.exhaustive_candidates, 12 + 144 + 1728);
+    assert_eq!(run.exhaustive_candidates, 12 + 144 + 1_082);
     assert!(run.regret.abs() < 1e-9, "regret {}", run.regret);
 }
 
