@@ -4,7 +4,9 @@
 //! [`SchemaChange`]s. [`Mkb::apply_change`] updates the relation registry and
 //! keeps the constraint store consistent: constraints that mention deleted
 //! components are dropped (or narrowed, for PC projection lists), renames are
-//! rewritten through. [`check_consistency`] audits an MKB for dangling
+//! rewritten through. The PC-constraint index is maintained in place: each
+//! arm that edits constraints re-derives the changed relation's index keys
+//! and its PC partners'. [`check_consistency`] audits an MKB for dangling
 //! references — the paper's *MKB Consistency Checker* component.
 
 use eve_relational::ColumnRef;
@@ -112,12 +114,14 @@ impl Mkb {
                 attribute,
             } => {
                 self.attribute(relation, attribute)?; // existence check
+                let keys = self.index_keys_touching(&[relation]);
                 let info = self
                     .relations_mut()
                     .get_mut(relation)
                     .expect("checked above");
                 info.attributes.retain(|a| &a.name != attribute);
                 self.drop_constraints_on_attr(relation, attribute);
+                self.reindex(keys);
                 Ok(())
             }
             SchemaChange::AddAttribute {
@@ -146,6 +150,7 @@ impl Mkb {
                         attribute: to.clone(),
                     });
                 }
+                let keys = self.index_keys_touching(&[relation]);
                 let info = self
                     .relations_mut()
                     .get_mut(relation)
@@ -156,10 +161,12 @@ impl Mkb {
                     }
                 }
                 self.rename_attr_in_constraints(relation, from, to);
+                self.reindex(keys);
                 Ok(())
             }
             SchemaChange::DeleteRelation { relation } => {
                 self.relation(relation)?;
+                let keys = self.index_keys_touching(&[relation]);
                 self.relations_mut().remove(relation);
                 self.join_constraints_mut()
                     .retain(|jc| jc.partner_of(relation).is_none());
@@ -167,6 +174,7 @@ impl Mkb {
                     .retain(|pc| pc.left.relation != *relation && pc.right.relation != *relation);
                 self.join_selectivities_mut()
                     .retain(|(a, b), _| a != relation && b != relation);
+                self.reindex(keys);
                 Ok(())
             }
             SchemaChange::AddRelation { relation } => self.register_relation(relation.clone()),
@@ -177,10 +185,12 @@ impl Mkb {
                         relation: to.clone(),
                     });
                 }
+                let keys = self.index_keys_touching(&[from, to]);
                 let mut info = self.relations_mut().remove(from).expect("checked above");
                 info.name = to.clone();
                 self.relations_mut().insert(to.clone(), info);
                 self.rename_relation_in_constraints(from, to);
+                self.reindex(keys);
                 Ok(())
             }
         }
@@ -616,6 +626,69 @@ mod tests {
         // Only the original (narrowed) PC survives; the selected one is gone.
         assert_eq!(m.pc_constraints().len(), 1);
         assert!(m.pc_constraints()[0].left.selection.is_true());
+    }
+
+    #[test]
+    fn generation_delta_per_change_kind_is_pinned() {
+        // Snapshots persist the generation and time travel addresses
+        // states by it, so each kind moves it by a fixed amount, whether
+        // the index is built or not. (A relation rename moves it once more
+        // per join-selectivity override it re-keys.)
+        let cases = [
+            (
+                SchemaChange::DeleteAttribute {
+                    relation: "R".into(),
+                    attribute: "B".into(),
+                },
+                4,
+            ),
+            (
+                SchemaChange::AddAttribute {
+                    relation: "R".into(),
+                    attribute: attr("D"),
+                },
+                1,
+            ),
+            (
+                SchemaChange::RenameAttribute {
+                    relation: "R".into(),
+                    from: "A".into(),
+                    to: "K".into(),
+                },
+                3,
+            ),
+            (
+                SchemaChange::DeleteRelation {
+                    relation: "R".into(),
+                },
+                4,
+            ),
+            (
+                SchemaChange::AddRelation {
+                    relation: RelationInfo::new("U", SiteId(1), vec![attr("X")], 10),
+                },
+                1,
+            ),
+            (
+                SchemaChange::RenameRelation {
+                    from: "R".into(),
+                    to: "R2".into(),
+                },
+                6,
+            ),
+        ];
+        for warm in [false, true] {
+            for (change, delta) in &cases {
+                let mut m = mkb();
+                m.set_join_selectivity("R", "S", 0.002);
+                if warm {
+                    assert_eq!(m.pc_constraints_of("R").len(), 1);
+                }
+                let before = m.generation();
+                m.apply_change(change).unwrap();
+                assert_eq!(m.generation() - before, *delta, "{change}, warm {warm}");
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use eve_trace::Counter;
 
 use crate::constraints::{JoinConstraint, PcConstraint, PcRelationship};
 use crate::error::{Error, Result};
+use crate::evolver::SchemaChange;
 use crate::overlap::{estimate_overlap, OverlapEstimate, OverlapInputs};
 use crate::source::{AttributeInfo, RelationInfo, SiteId};
 
@@ -46,10 +47,12 @@ pub struct RelationReplacement {
     pub constraint: PcConstraint,
 }
 
-/// Inverted indexes over the PC-constraint store, rebuilt lazily whenever
-/// the MKB's [`generation`](Mkb::generation) moves. Candidate discovery —
-/// the inner loop of view synchronization — reads these maps instead of
-/// linear-scanning (and re-orienting) the whole constraint list per lookup.
+/// Inverted indexes over the PC-constraint store, keyed by relation. The
+/// first lookup builds them; after that every PC mutation re-derives only
+/// the keys it touches (see [`Mkb::reindex`]), so the maps always equal a
+/// full build over the current store. Candidate discovery — the inner loop
+/// of view synchronization — reads these maps instead of linear-scanning
+/// (and re-orienting) the whole constraint list per lookup.
 #[derive(Debug, Clone, Default)]
 struct ConstraintIndex {
     /// relation → PC constraints oriented so that relation is on the left
@@ -63,6 +66,77 @@ struct ConstraintIndex {
     relation_replacements: BTreeMap<String, Vec<RelationReplacement>>,
 }
 
+impl ConstraintIndex {
+    /// The entries of every relation key `keep` admits, derived from the
+    /// constraint store in store order (each constraint as written, then
+    /// flipped).
+    fn derive(pcs: &[PcConstraint], keep: impl Fn(&str) -> bool) -> ConstraintIndex {
+        let mut idx = ConstraintIndex::default();
+        for pc in pcs {
+            if keep(&pc.left.relation) {
+                idx.insert(pc.clone());
+            }
+            if pc.left.relation != pc.right.relation && keep(&pc.right.relation) {
+                idx.insert(pc.flipped());
+            }
+        }
+        idx
+    }
+
+    fn insert(&mut self, oriented: PcConstraint) {
+        let rel = oriented.left.relation.clone();
+        if oriented.right.relation != rel {
+            // Replacement candidates exclude self-constraints, exactly as
+            // the historical `find_*_replacements` scans did.
+            let by_attr = self.attr_replacements.entry(rel.clone()).or_default();
+            let mut attr_map: BTreeMap<String, String> = BTreeMap::new();
+            for (i, attr) in oriented.left.attrs.iter().enumerate() {
+                // Positional correspondence takes the *first* occurrence of
+                // a repeated attribute (`corresponding_attr`).
+                if oriented.left.attrs[..i].contains(attr) {
+                    continue;
+                }
+                let new_attr = oriented.right.attrs[i].clone();
+                by_attr
+                    .entry(attr.clone())
+                    .or_default()
+                    .push(AttrReplacement {
+                        relation: oriented.right.relation.clone(),
+                        attribute: new_attr.clone(),
+                        relationship: oriented.relationship,
+                        constraint: oriented.clone(),
+                    });
+                attr_map.insert(attr.clone(), new_attr);
+            }
+            self.relation_replacements
+                .entry(rel.clone())
+                .or_default()
+                .push(RelationReplacement {
+                    relation: oriented.right.relation.clone(),
+                    attr_map,
+                    relationship: oriented.relationship,
+                    constraint: oriented.clone(),
+                });
+        }
+        self.pc_by_relation.entry(rel).or_default().push(oriented);
+    }
+
+    /// Replaces the entries of every key in `keys` with those of `fresh`
+    /// (a [`derive`](ConstraintIndex::derive) restricted to `keys`); a key
+    /// `fresh` has no entries for disappears.
+    fn replace(&mut self, keys: &BTreeSet<String>, fresh: ConstraintIndex) {
+        for key in keys {
+            self.pc_by_relation.remove(key);
+            self.attr_replacements.remove(key);
+            self.relation_replacements.remove(key);
+        }
+        self.pc_by_relation.extend(fresh.pc_by_relation);
+        self.attr_replacements.extend(fresh.attr_replacements);
+        self.relation_replacements
+            .extend(fresh.relation_replacements);
+    }
+}
+
 /// The Meta Knowledge Base.
 #[derive(Debug, Default)]
 pub struct Mkb {
@@ -73,19 +147,23 @@ pub struct Mkb {
     join_selectivities: BTreeMap<(String, String), f64>,
     default_join_selectivity: f64,
     generation: u64,
-    /// Lazily built inverted indexes for the *current* generation; reset by
-    /// every mutation (see [`Mkb::bump_generation`]). `OnceLock` keeps reads
-    /// shareable across threads without locking on the hot path.
+    /// Inverted indexes over `pc_constraints`: built on the first lookup,
+    /// then maintained in place by every PC mutation (see
+    /// [`Mkb::reindex`]). `OnceLock` keeps reads shareable across threads
+    /// without locking on the hot path.
     index: OnceLock<ConstraintIndex>,
     /// Registry-compatible counter handles ([`eve_trace::Counter`]): the
     /// engine registers them into its telemetry registry so one registry
     /// reset covers them alongside every other counter family.
     index_hits: Arc<Counter>,
     index_misses: Arc<Counter>,
+    index_relations_built: Arc<Counter>,
+    clones: Arc<Counter>,
 }
 
 impl Clone for Mkb {
     fn clone(&self) -> Mkb {
+        self.clones.inc();
         Mkb {
             sites: self.sites.clone(),
             relations: self.relations.clone(),
@@ -100,7 +178,39 @@ impl Clone for Mkb {
             // not share accounting with the original).
             index_hits: Arc::new((*self.index_hits).clone()),
             index_misses: Arc::new((*self.index_misses).clone()),
+            index_relations_built: Arc::new((*self.index_relations_built).clone()),
+            clones: Arc::new((*self.clones).clone()),
         }
+    }
+}
+
+/// One registry entry of an [`Mkb`] replaced for the lifetime of the guard
+/// ([`Mkb::with_ranking_shadow`]); dropping the guard puts the displaced
+/// entry back, or removes the shadow when it displaced none.
+struct RankingShadow<'a> {
+    mkb: &'a mut Mkb,
+    name: String,
+    displaced: Option<RelationInfo>,
+}
+
+impl<'a> RankingShadow<'a> {
+    fn install(mkb: &'a mut Mkb, shadow: RelationInfo) -> RankingShadow<'a> {
+        let name = shadow.name.clone();
+        let displaced = mkb.relations.insert(name.clone(), shadow);
+        RankingShadow {
+            mkb,
+            name,
+            displaced,
+        }
+    }
+}
+
+impl Drop for RankingShadow<'_> {
+    fn drop(&mut self) {
+        match self.displaced.take() {
+            Some(info) => self.mkb.relations.insert(self.name.clone(), info),
+            None => self.mkb.relations.remove(&self.name),
+        };
     }
 }
 
@@ -133,75 +243,58 @@ impl Mkb {
     }
 
     fn bump_generation(&mut self) {
+        // Only the counter moves. The inverted indexes stay: the mutations
+        // that edit `pc_constraints` re-derive the keys they touch
+        // (`reindex`), and nothing else feeds the index.
         self.generation = self.generation.wrapping_add(1);
-        // Drop the inverted indexes: they describe the previous generation.
-        // (The crate-internal `*_mut` accessors bump *before* handing out
-        // their `&mut` reference, so the reset always precedes the mutation
-        // and the next read rebuilds against the post-mutation store.)
-        self.index = OnceLock::new();
     }
 
-    /// The inverted indexes for the current generation, building them on
-    /// first access after a mutation.
+    /// The inverted indexes, built from the whole constraint store on the
+    /// first lookup.
     fn index(&self) -> &ConstraintIndex {
         if let Some(built) = self.index.get() {
             self.index_hits.inc();
             return built;
         }
         self.index_misses.inc();
-        self.index.get_or_init(|| self.build_index())
+        self.index.get_or_init(|| {
+            let built = ConstraintIndex::derive(&self.pc_constraints, |_| true);
+            self.index_relations_built
+                .add(built.pc_by_relation.len() as u64);
+            built
+        })
     }
 
-    fn build_index(&self) -> ConstraintIndex {
-        let mut idx = ConstraintIndex::default();
-        let mut insert = |oriented: PcConstraint| {
-            let rel = oriented.left.relation.clone();
-            if oriented.right.relation != rel {
-                // Replacement candidates exclude self-constraints, exactly
-                // as the historical `find_*_replacements` scans did.
-                let by_attr = idx.attr_replacements.entry(rel.clone()).or_default();
-                let mut attr_map: BTreeMap<String, String> = BTreeMap::new();
-                for (i, attr) in oriented.left.attrs.iter().enumerate() {
-                    // Positional correspondence takes the *first* occurrence
-                    // of a repeated attribute (`corresponding_attr`).
-                    if oriented.left.attrs[..i].contains(attr) {
-                        continue;
-                    }
-                    let new_attr = oriented.right.attrs[i].clone();
-                    by_attr
-                        .entry(attr.clone())
-                        .or_default()
-                        .push(AttrReplacement {
-                            relation: oriented.right.relation.clone(),
-                            attribute: new_attr.clone(),
-                            relationship: oriented.relationship,
-                            constraint: oriented.clone(),
-                        });
-                    attr_map.insert(attr.clone(), new_attr);
-                }
-                idx.relation_replacements
-                    .entry(rel.clone())
-                    .or_default()
-                    .push(RelationReplacement {
-                        relation: oriented.right.relation.clone(),
-                        attr_map,
-                        relationship: oriented.relationship,
-                        constraint: oriented.clone(),
-                    });
-            }
-            idx.pc_by_relation.entry(rel).or_default().push(oriented);
-        };
-        for pc in &self.pc_constraints {
-            insert(pc.clone());
-            if pc.left.relation != pc.right.relation {
-                insert(pc.flipped());
+    /// The index keys a PC edit involving `relations` can change: the
+    /// relations themselves and their PC partners, read before the edit.
+    /// `None` while the index is unbuilt — the first lookup builds it from
+    /// the edited store.
+    pub(crate) fn index_keys_touching(&self, relations: &[&str]) -> Option<BTreeSet<String>> {
+        let built = self.index.get()?;
+        let mut keys: BTreeSet<String> = relations.iter().map(|r| (*r).to_owned()).collect();
+        for rel in relations {
+            for pc in built.pc_by_relation.get(*rel).into_iter().flatten() {
+                keys.insert(pc.right.relation.clone());
             }
         }
-        idx
+        Some(keys)
     }
 
-    /// Inverted-index statistics `(hits, misses)`: lookups served by an
-    /// already-built index versus lazy (re)builds after a mutation.
+    /// Re-derives the index entries of `keys` (from
+    /// [`index_keys_touching`](Mkb::index_keys_touching)) from the edited
+    /// constraint store, leaving every other key as it is.
+    pub(crate) fn reindex(&mut self, keys: Option<BTreeSet<String>>) {
+        let (Some(keys), Some(built)) = (keys, self.index.get_mut()) else {
+            return;
+        };
+        let fresh = ConstraintIndex::derive(&self.pc_constraints, |rel| keys.contains(rel));
+        self.index_relations_built
+            .add(fresh.pc_by_relation.len() as u64);
+        built.replace(&keys, fresh);
+    }
+
+    /// Inverted-index statistics `(hits, misses)`: lookups served by the
+    /// built index versus the lazy first build.
     #[must_use]
     pub fn index_stats(&self) -> (u64, u64) {
         (self.index_hits.get(), self.index_misses.get())
@@ -211,10 +304,15 @@ impl Mkb {
     /// registers them into its telemetry [`eve_trace::Registry`] so a
     /// single registry reset clears them with every other family.
     #[must_use]
-    pub fn index_counter_handles(&self) -> [(&'static str, Arc<Counter>); 2] {
+    pub fn index_counter_handles(&self) -> [(&'static str, Arc<Counter>); 4] {
         [
             ("mkb.index_hits", Arc::clone(&self.index_hits)),
             ("mkb.index_misses", Arc::clone(&self.index_misses)),
+            (
+                "mkb.index_relations_built",
+                Arc::clone(&self.index_relations_built),
+            ),
+            ("mkb.clones", Arc::clone(&self.clones)),
         ]
     }
 
@@ -237,11 +335,8 @@ impl Mkb {
     }
 
     /// Pins the mutation generation to an exact value (state restoration).
-    /// The inverted indexes are dropped so the next read rebuilds against
-    /// the restored store.
     pub(crate) fn pin_generation(&mut self, generation: u64) {
         self.generation = generation;
-        self.index = OnceLock::new();
     }
 
     // ------------------------------------------------------------------
@@ -270,26 +365,78 @@ impl Mkb {
     ///
     /// Unknown site, duplicate relation name, or duplicate attribute names.
     pub fn register_relation(&mut self, info: RelationInfo) -> Result<()> {
+        self.check_registrable(&info)?;
+        self.relations.insert(info.name.clone(), info);
+        self.bump_generation();
+        Ok(())
+    }
+
+    fn check_registrable(&self, info: &RelationInfo) -> Result<()> {
         if !self.sites.contains_key(&info.site.0) {
             return Err(Error::UnknownSite { site: info.site.0 });
         }
         if self.relations.contains_key(&info.name) {
             return Err(Error::DuplicateRelation {
-                relation: info.name,
+                relation: info.name.clone(),
             });
         }
         let mut seen = BTreeSet::new();
         for a in &info.attributes {
-            if !seen.insert(a.name.clone()) {
+            if !seen.insert(&a.name) {
                 return Err(Error::DuplicateAttribute {
                     relation: info.name.clone(),
                     attribute: a.name.clone(),
                 });
             }
         }
-        self.relations.insert(info.name.clone(), info);
-        self.bump_generation();
         Ok(())
+    }
+
+    /// Runs `rank` on this MKB as the QC-Model must see it while it ranks
+    /// the rewritings of `change`: the pre-change knowledge, plus the new
+    /// name of a rename carrying the old statistics. A renamed relation is
+    /// registered beside the old one; a renamed attribute is added beside
+    /// the old one. That one registry entry is shadowed for the duration of
+    /// `rank` and restored on every exit, a panic included. Neither the
+    /// generation nor the constraint index moves. Every other change runs
+    /// `rank` on the MKB as it is.
+    ///
+    /// # Errors
+    ///
+    /// What registering the renamed relation ([`Mkb::register_relation`])
+    /// or adding the renamed attribute ([`SchemaChange::AddAttribute`])
+    /// would return, checked in the same order; `rank` does not run then.
+    pub fn with_ranking_shadow<T>(
+        &mut self,
+        change: &SchemaChange,
+        rank: impl FnOnce(&Mkb) -> T,
+    ) -> Result<T> {
+        let shadow = match change {
+            SchemaChange::RenameRelation { from, to } => {
+                let mut info = self.relation(from)?.clone();
+                info.name.clone_from(to);
+                self.check_registrable(&info)?;
+                info
+            }
+            SchemaChange::RenameAttribute { relation, from, to } => {
+                let renamed = AttributeInfo {
+                    name: to.clone(),
+                    ..self.attribute(relation, from)?.clone()
+                };
+                let mut info = self.relation(relation)?.clone();
+                if info.has_attribute(to) {
+                    return Err(Error::DuplicateAttribute {
+                        relation: relation.clone(),
+                        attribute: to.clone(),
+                    });
+                }
+                info.attributes.push(renamed);
+                info
+            }
+            _ => return Ok(rank(self)),
+        };
+        let guard = RankingShadow::install(self, shadow);
+        Ok(rank(guard.mkb))
     }
 
     // ------------------------------------------------------------------
@@ -350,7 +497,9 @@ impl Mkb {
 
     // The in-crate mutable accessors (used by the evolver) bump the
     // generation on *access*: over-invalidating derived caches is safe,
-    // missing a mutation is not.
+    // missing a mutation is not. They leave the inverted index alone; an
+    // edit through `pc_constraints_mut` re-derives the keys it touches with
+    // `index_keys_touching` (before) and `reindex` (after).
 
     pub(crate) fn relations_mut(&mut self) -> &mut BTreeMap<String, RelationInfo> {
         self.bump_generation();
@@ -489,6 +638,18 @@ impl Mkb {
                     ),
                 });
             }
+        }
+        if let Some(built) = self.index.get_mut() {
+            // The new constraint is last in store order, so appending its
+            // orientations to the endpoints' entries is what a full build
+            // would produce.
+            built.insert(pc.clone());
+            let mut endpoints = 1;
+            if pc.left.relation != pc.right.relation {
+                built.insert(pc.flipped());
+                endpoints = 2;
+            }
+            self.index_relations_built.add(endpoints);
         }
         self.pc_constraints.push(pc);
         self.bump_generation();
@@ -976,36 +1137,157 @@ mod tests {
     }
 
     #[test]
-    fn inverted_index_rebuilds_after_mutations_and_counts_hits() {
+    fn inverted_index_is_maintained_in_place_and_counts_hits() {
         let mut mkb = sample();
+        let built = |mkb: &Mkb| mkb.index_relations_built.get();
         // Construction never reads the index.
         assert_eq!(mkb.index_stats(), (0, 0));
-        // First lookup builds it…
+        assert_eq!(built(&mkb), 0);
+        // First lookup builds it over every constrained relation (R, S, T)…
         assert_eq!(mkb.pc_constraints_of("R").len(), 2);
         assert_eq!(mkb.index_stats().1, 1, "one lazy build");
+        assert_eq!(built(&mkb), 3);
         // …subsequent lookups replay it.
         assert_eq!(mkb.pc_constraints_of("S").len(), 1);
         assert!(mkb.find_attr_replacements("R", "A").len() == 2);
         let (hits, misses) = mkb.index_stats();
         assert!(hits >= 2, "served from memory: {hits}");
         assert_eq!(misses, 1);
-        // A mutation invalidates: the next read rebuilds against the new
-        // constraint store.
+        // A new constraint extends its two endpoints' entries in place: no
+        // second build, and the next read sees it.
         mkb.add_pc_constraint(PcConstraint::new(
             PcSide::projection("S", &["A"]),
             PcRelationship::Subset,
             PcSide::projection("T", &["A"]),
         ))
         .unwrap();
+        assert_eq!(built(&mkb), 5, "S and T re-derived");
         assert_eq!(mkb.pc_constraints_of("T").len(), 2);
-        assert_eq!(mkb.index_stats().1, 2, "rebuilt once after the mutation");
+        assert_eq!(mkb.index_stats().1, 1, "still the one lazy build");
         // Orientation inside the index matches the historical scan.
         let from_t = mkb.pc_constraints_of("T");
         assert!(from_t.iter().all(|pc| pc.left.relation == "T"));
-        // Clones carry the built index and its counters.
+        // Registry and statistics mutations leave the index alone.
+        mkb.set_join_selectivity("R", "S", 0.001);
+        mkb.register_site(SiteId(4), "four").unwrap();
+        assert_eq!(built(&mkb), 5);
+        // Clones carry the built index and its counters, and are counted.
         let clone = mkb.clone();
+        assert_eq!(mkb.clones.get(), 1);
         assert_eq!(clone.pc_constraints_of("R").len(), 2);
-        assert_eq!(clone.index_stats().1, 2);
+        assert_eq!(clone.index_stats().1, 1);
+    }
+
+    #[test]
+    fn ranking_shadow_is_scoped_to_the_closure() {
+        use crate::SchemaChange;
+        let mut mkb = sample();
+        mkb.set_join_selectivity("R", "S", 0.001);
+        assert_eq!(mkb.pc_constraints_of("R").len(), 2);
+        let (state, generation) = (mkb.export_state(), mkb.generation());
+        let untouched = |mkb: &Mkb| {
+            assert_eq!(mkb.export_state(), state);
+            assert_eq!(mkb.generation(), generation);
+        };
+
+        // A renamed relation is registered beside the old one, with its
+        // statistics; the constraints still name the old one.
+        let rename = SchemaChange::RenameRelation {
+            from: "R".into(),
+            to: "R2".into(),
+        };
+        let seen = mkb
+            .with_ranking_shadow(&rename, |m| {
+                let shadow = m.relation("R2").unwrap();
+                assert_eq!(shadow.cardinality, 1000);
+                assert_eq!(shadow.site, SiteId(1));
+                assert!(m.has_relation("R"));
+                assert!(m.pc_constraints_of("R2").is_empty());
+                m.relation_overlap("R2", "R2").unwrap().1.size
+            })
+            .unwrap();
+        assert_eq!(seen, 1000.0);
+        untouched(&mkb);
+
+        // A renamed attribute is added beside the old one, same type.
+        let rename = SchemaChange::RenameAttribute {
+            relation: "R".into(),
+            from: "B".into(),
+            to: "B2".into(),
+        };
+        mkb.with_ranking_shadow(&rename, |m| {
+            let names: Vec<&str> = m
+                .relation("R")
+                .unwrap()
+                .attributes
+                .iter()
+                .map(|a| a.name.as_str())
+                .collect();
+            assert_eq!(names, ["A", "B", "B2"]);
+        })
+        .unwrap();
+        untouched(&mkb);
+
+        // Every other change ranks against the MKB as it is.
+        let delete = SchemaChange::DeleteRelation {
+            relation: "R".into(),
+        };
+        assert!(mkb
+            .with_ranking_shadow(&delete, |m| m.has_relation("R"))
+            .unwrap());
+
+        // Failures are those of registering / adding the new name, and the
+        // closure never runs.
+        for (change, expected) in [
+            (
+                SchemaChange::RenameRelation {
+                    from: "Z".into(),
+                    to: "Y".into(),
+                },
+                "unknown relation `Z`",
+            ),
+            (
+                SchemaChange::RenameRelation {
+                    from: "R".into(),
+                    to: "S".into(),
+                },
+                "relation `S` is already registered",
+            ),
+            (
+                SchemaChange::RenameAttribute {
+                    relation: "R".into(),
+                    from: "Z".into(),
+                    to: "Y".into(),
+                },
+                "unknown attribute `R.Z`",
+            ),
+            (
+                SchemaChange::RenameAttribute {
+                    relation: "R".into(),
+                    from: "A".into(),
+                    to: "B".into(),
+                },
+                "attribute `R.B` already exists",
+            ),
+        ] {
+            let err = mkb
+                .with_ranking_shadow(&change, |_| panic!("ran after {change}"))
+                .unwrap_err();
+            assert_eq!(err.to_string(), expected);
+            untouched(&mkb);
+        }
+
+        // A panic inside the closure still restores the entry.
+        let rename = SchemaChange::RenameRelation {
+            from: "R".into(),
+            to: "R2".into(),
+        };
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            mkb.with_ranking_shadow(&rename, |_| panic!("ranking failed"))
+        }));
+        assert!(panicked.is_err());
+        untouched(&mkb);
+        assert_eq!(mkb.index_stats().1, 1, "the shadow never touched the index");
     }
 
     #[test]

@@ -428,7 +428,8 @@ impl EveEngine {
     }
 
     /// The legacy capability-change path: synchronizes **every** view with
-    /// the uncached synchronizer and always builds the ranking MKB. Kept as
+    /// the uncached synchronizer and always checks the change's ranking
+    /// shadow ([`Mkb::with_ranking_shadow`]), affected views or not. Kept as
     /// the reference implementation the differential property suite holds
     /// the batched pipeline against.
     ///
@@ -440,88 +441,54 @@ impl EveEngine {
         change: &SchemaChange,
         new_extent: Option<Relation>,
     ) -> Result<Vec<EvolutionReport>> {
-        let rank_mkb = self.build_rank_mkb(change)?;
-        let mut decisions: Vec<(String, EvolutionReport, Option<ViewDef>)> = Vec::new();
+        let mut searched = Vec::new();
         for (name, mv) in &self.views {
             let outcome = synchronize(&mv.def, change, &self.mkb, &self.sync_options)?;
-            decisions.push(self.decide(name, &mv.def, &outcome, &rank_mkb)?);
+            searched.push((name.clone(), Some(outcome).filter(|o| o.affected)));
         }
+        let decisions = self.rank(change, searched)?;
         self.commit_capability_change(change, new_extent, decisions)
     }
 
     /// The batched capability-change primitive: skips views that cannot
     /// reference the changed relation, synchronizes the rest through the
-    /// shared [`PartnerCache`], and builds the ranking MKB only when some
-    /// view is actually affected. Verdicts are identical to the sequential
-    /// path — the prefilter is a sound superset of the synchronizer's own
-    /// affectedness notion.
+    /// shared [`PartnerCache`], and ranks only when some view is actually
+    /// affected. Verdicts are identical to the sequential path — the
+    /// prefilter is a sound superset of the synchronizer's own affectedness
+    /// notion.
     pub(crate) fn capability_change_batched(
         &mut self,
         change: &SchemaChange,
         new_extent: Option<Relation>,
     ) -> Result<Vec<EvolutionReport>> {
         let touched = eve_sync::batch::touched_relation(change);
-        let mut rank_mkb: Option<Mkb> = None;
-        let mut decisions: Vec<(String, EvolutionReport, Option<ViewDef>)> = Vec::new();
+        let mut searched = Vec::new();
         for (name, mv) in &self.views {
             let candidate =
                 touched.is_some_and(|rel| mv.def.from.iter().any(|f| f.relation == rel));
-            if !candidate {
-                decisions.push((name.clone(), Self::unaffected_report(name), None));
-                continue;
-            }
-            let outcome = synchronize_with(
-                &mv.def,
-                change,
-                &self.mkb,
-                &self.sync_options,
-                &mut self.partners,
-            )?;
-            if !outcome.affected {
-                decisions.push((name.clone(), Self::unaffected_report(name), None));
-                continue;
-            }
-            if rank_mkb.is_none() {
-                rank_mkb = Some(self.build_rank_mkb(change)?);
-            }
-            let rmkb = rank_mkb.as_ref().expect("just built");
-            decisions.push(self.decide(name, &mv.def, &outcome, rmkb)?);
+            let outcome = if candidate {
+                Some(synchronize_with(
+                    &mv.def,
+                    change,
+                    &self.mkb,
+                    &self.sync_options,
+                    &mut self.partners,
+                )?)
+                .filter(|outcome| outcome.affected)
+            } else {
+                None
+            };
+            searched.push((name.clone(), outcome));
         }
+        let decisions = if searched.iter().any(|(_, outcome)| outcome.is_some()) {
+            self.rank(change, searched)?
+        } else {
+            searched
+                .into_iter()
+                .map(|(name, _)| (Self::unaffected_report(&name), None))
+                .collect()
+        };
         self.commit_capability_change(change, new_extent, decisions)
-    }
-
-    /// Builds the MKB used for ranking: statistics for everything a
-    /// rewriting may reference. The pre-change MKB covers deleted
-    /// components; renames additionally need the *new* name registered with
-    /// the old statistics.
-    fn build_rank_mkb(&self, change: &SchemaChange) -> Result<Mkb> {
-        let mut rank_mkb = self.mkb.clone();
-        match change {
-            SchemaChange::RenameRelation { from, to } => {
-                let mut info = rank_mkb.relation(from)?.clone();
-                info.name = to.clone();
-                rank_mkb.register_relation(info)?;
-            }
-            SchemaChange::RenameAttribute { relation, from, to } => {
-                let attr = rank_mkb
-                    .relation(relation)?
-                    .attribute(from)
-                    .cloned()
-                    .ok_or_else(|| Error::State {
-                        detail: format!("`{relation}` has no attribute `{from}`"),
-                    })?;
-                rank_mkb.apply_change(&SchemaChange::AddAttribute {
-                    relation: relation.clone(),
-                    attribute: eve_misd::AttributeInfo {
-                        name: to.clone(),
-                        ty: attr.ty,
-                        byte_size: attr.byte_size,
-                    },
-                })?;
-            }
-            _ => {}
-        }
-        Ok(rank_mkb)
     }
 
     fn unaffected_report(name: &str) -> EvolutionReport {
@@ -534,38 +501,61 @@ impl EveEngine {
         }
     }
 
-    /// Ranks an affected view's rewritings and selects one, yielding the
-    /// report and the adopted definition (or `None` when the view dies).
-    fn decide(
-        &self,
-        name: &str,
-        def: &ViewDef,
-        outcome: &SyncOutcome,
-        rank_mkb: &Mkb,
-    ) -> Result<(String, EvolutionReport, Option<ViewDef>)> {
-        if !outcome.affected {
-            return Ok((name.to_owned(), Self::unaffected_report(name), None));
+    /// Ranks each affected view's rewritings (its outcome is `Some`) and
+    /// selects one, yielding the view's report and its adopted definition
+    /// (`None` when the view is unaffected or dies). Every search has run
+    /// before this: ranking runs inside the MKB's ranking shadow for
+    /// `change`, which gives a rename's new name the old statistics, and no
+    /// search may see that entry.
+    fn rank(
+        &mut self,
+        change: &SchemaChange,
+        searched: Vec<(String, Option<SyncOutcome>)>,
+    ) -> Result<Vec<(EvolutionReport, Option<ViewDef>)>> {
+        // An unknown attribute is the engine's own error, ahead of the
+        // shadow's checks.
+        if let SchemaChange::RenameAttribute { relation, from, .. } = change {
+            if self.mkb.relation(relation)?.attribute(from).is_none() {
+                return Err(Error::State {
+                    detail: format!("`{relation}` has no attribute `{from}`"),
+                });
+            }
         }
-        let scored = rank_rewritings(
-            def,
-            &outcome.rewritings,
-            rank_mkb,
-            &self.qc_params,
-            self.workload,
-        )?;
-        let chosen = self.strategy.select(&scored).cloned();
-        let new_def = chosen.as_ref().map(|c| c.rewriting.view.clone());
-        Ok((
-            name.to_owned(),
-            EvolutionReport {
-                view_name: name.to_owned(),
-                affected: true,
-                survived: chosen.is_some(),
-                candidates: scored.len(),
-                adopted: chosen,
-            },
-            new_def,
-        ))
+        let EveEngine {
+            mkb,
+            views,
+            qc_params,
+            workload,
+            strategy,
+            ..
+        } = self;
+        mkb.with_ranking_shadow(change, |mkb| {
+            searched
+                .into_iter()
+                .map(|(name, outcome)| {
+                    let Some(outcome) = outcome else {
+                        return Ok((Self::unaffected_report(&name), None));
+                    };
+                    let scored = rank_rewritings(
+                        &views[&name].def,
+                        &outcome.rewritings,
+                        mkb,
+                        qc_params,
+                        *workload,
+                    )?;
+                    let chosen = strategy.select(&scored).cloned();
+                    let new_def = chosen.as_ref().map(|c| c.rewriting.view.clone());
+                    let report = EvolutionReport {
+                        view_name: name,
+                        affected: true,
+                        survived: chosen.is_some(),
+                        candidates: scored.len(),
+                        adopted: chosen,
+                    };
+                    Ok((report, new_def))
+                })
+                .collect()
+        })?
     }
 
     /// Phases 2–3 of the Fig. 1 loop: evolve the MKB and the information
@@ -574,27 +564,25 @@ impl EveEngine {
         &mut self,
         change: &SchemaChange,
         new_extent: Option<Relation>,
-        decisions: Vec<(String, EvolutionReport, Option<ViewDef>)>,
+        decisions: Vec<(EvolutionReport, Option<ViewDef>)>,
     ) -> Result<Vec<EvolutionReport>> {
         self.apply_change_to_space(change, new_extent)?;
         self.mkb.apply_change(change)?;
 
         let mut reports = Vec::new();
-        for (name, report, new_def) in decisions {
-            if !report.affected {
-                reports.push(report);
-                continue;
-            }
-            match new_def {
-                Some(def) => {
-                    let extent = self.evaluate(&def)?;
-                    let mut def = def;
-                    def.name = name.clone();
-                    self.views
-                        .insert(name.clone(), MaterializedView { def, extent });
-                }
-                None => {
-                    self.views.remove(&name);
+        for (report, new_def) in decisions {
+            if report.affected {
+                let name = &report.view_name;
+                match new_def {
+                    Some(mut def) => {
+                        let extent = self.evaluate(&def)?;
+                        def.name.clone_from(name);
+                        self.views
+                            .insert(name.clone(), MaterializedView { def, extent });
+                    }
+                    None => {
+                        self.views.remove(name);
+                    }
                 }
             }
             reports.push(report);
@@ -1031,6 +1019,8 @@ impl EveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use eve_misd::{AttributeInfo, PcConstraint, PcRelationship, PcSide};
     use eve_relational::{tup, DataType, IndexStats, Schema};
 
@@ -1626,6 +1616,287 @@ mod tests {
         assert!(
             rel.has_index(0, IndexKind::Hash),
             "rebuilt extent re-warmed the declared index"
+        );
+    }
+
+    /// The travel space plus a second replacement pool for `Customer`
+    /// (`Member`, itself a partner of `TourClient`) and a second view, so
+    /// every change kind ranks several candidates.
+    fn engine_with_partners() -> EveEngine {
+        let mut e = engine_with_travel_space();
+        let schema = Schema::of(&[("MName", DataType::Text), ("MAddr", DataType::Text)]).unwrap();
+        e.register_relation(
+            RelationInfo::new(
+                "Member",
+                SiteId(3),
+                vec![
+                    AttributeInfo::new("MName", DataType::Text),
+                    AttributeInfo::new("MAddr", DataType::Text),
+                ],
+                5,
+            ),
+            Relation::with_tuples(
+                "Member",
+                schema,
+                vec![tup!["ann", "12 Elm"], tup!["bob", "9 Oak"]],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        for (left, relationship, right) in [
+            (
+                PcSide::projection("Customer", &["Name", "Address"]),
+                PcRelationship::Subset,
+                PcSide::projection("Member", &["MName", "MAddr"]),
+            ),
+            (
+                PcSide::projection("TourClient", &["Client"]),
+                PcRelationship::Superset,
+                PcSide::projection("Member", &["MName"]),
+            ),
+        ] {
+            e.mkb_mut()
+                .add_pc_constraint(PcConstraint::new(left, relationship, right))
+                .unwrap();
+        }
+        e.mkb_mut()
+            .set_join_selectivity("Customer", "FlightRes", 0.3);
+        e.define_view_sql(ASIA_VIEW).unwrap();
+        e.define_view_sql(
+            "CREATE VIEW Addresses (VE = '~') AS \
+             SELECT C.Name (AR = true), C.Address (AD = true, AR = true) \
+             FROM Customer C (RR = true)",
+        )
+        .unwrap();
+        e
+    }
+
+    /// The changes a shell can express (delete/rename relation/attribute)
+    /// and the two additions, each paired with the extent `add-relation`
+    /// needs; applied in order they form one survival chain.
+    fn change_chain() -> Vec<(SchemaChange, Option<Relation>)> {
+        let hotel = Schema::of(&[("Guest", DataType::Text)]).unwrap();
+        vec![
+            (
+                SchemaChange::RenameAttribute {
+                    relation: "Customer".into(),
+                    from: "Address".into(),
+                    to: "Addr".into(),
+                },
+                None,
+            ),
+            (
+                SchemaChange::RenameRelation {
+                    from: "Customer".into(),
+                    to: "Client".into(),
+                },
+                None,
+            ),
+            (
+                SchemaChange::AddAttribute {
+                    relation: "Client".into(),
+                    attribute: AttributeInfo::new("Phone", DataType::Text),
+                },
+                None,
+            ),
+            (
+                SchemaChange::AddRelation {
+                    relation: RelationInfo::new(
+                        "Hotel",
+                        SiteId(2),
+                        vec![AttributeInfo::new("Guest", DataType::Text)],
+                        1,
+                    ),
+                },
+                Some(Relation::with_tuples("Hotel", hotel, vec![tup!["ann"]]).unwrap()),
+            ),
+            (
+                SchemaChange::DeleteAttribute {
+                    relation: "Client".into(),
+                    attribute: "Addr".into(),
+                },
+                None,
+            ),
+            (
+                // By now the views read TourClient in Client's place.
+                SchemaChange::DeleteRelation {
+                    relation: "TourClient".into(),
+                },
+                None,
+            ),
+        ]
+    }
+
+    /// Every view's report as the engine produced it before ranking ran
+    /// inside a shadow: synchronize against the pre-change MKB, then rank
+    /// against a clone that registers a rename's new name.
+    fn cloned_rank_mkb_oracle(e: &EveEngine, change: &SchemaChange) -> Vec<EvolutionReport> {
+        let mut rank_mkb = e.mkb().clone();
+        match change {
+            SchemaChange::RenameRelation { from, to } => {
+                let mut info = rank_mkb.relation(from).unwrap().clone();
+                info.name = to.clone();
+                rank_mkb.register_relation(info).unwrap();
+            }
+            SchemaChange::RenameAttribute { relation, from, to } => {
+                let attr = rank_mkb.attribute(relation, from).unwrap().clone();
+                rank_mkb
+                    .apply_change(&SchemaChange::AddAttribute {
+                        relation: relation.clone(),
+                        attribute: AttributeInfo {
+                            name: to.clone(),
+                            ..attr
+                        },
+                    })
+                    .unwrap();
+            }
+            _ => {}
+        }
+        e.views()
+            .map(|mv| {
+                let name = mv.def.name.clone();
+                let outcome = synchronize(&mv.def, change, e.mkb(), &e.sync_options).unwrap();
+                if !outcome.affected {
+                    return EveEngine::unaffected_report(&name);
+                }
+                let scored = rank_rewritings(
+                    &mv.def,
+                    &outcome.rewritings,
+                    &rank_mkb,
+                    &e.qc_params,
+                    e.workload,
+                )
+                .unwrap();
+                let chosen = e.strategy.select(&scored).cloned();
+                EvolutionReport {
+                    view_name: name,
+                    affected: true,
+                    survived: chosen.is_some(),
+                    candidates: scored.len(),
+                    adopted: chosen,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reports_equal_the_cloned_rank_mkb_oracle_for_every_change_kind() {
+        let mut batched = engine_with_partners();
+        let mut sequential = engine_with_partners();
+        let mut ranked = 0;
+        for (change, extent) in change_chain() {
+            let expected = format!("{:?}", cloned_rank_mkb_oracle(&batched, &change));
+            ranked += usize::from(expected.contains("affected: true"));
+            let reports = batched
+                .apply(LogRecord::Batch(vec![EvolutionOp::Capability {
+                    change: change.clone(),
+                    new_extent: extent.clone(),
+                }]))
+                .unwrap()
+                .reports;
+            assert_eq!(format!("{reports:?}"), expected, "{change}");
+            let reports = sequential
+                .notify_capability_change_sequential(&change, extent)
+                .unwrap();
+            assert_eq!(format!("{reports:?}"), expected, "{change} (sequential)");
+        }
+        assert_eq!(ranked, 4, "every change but the two additions ranks");
+        assert_eq!(
+            batched.snapshot_state().to_bytes(),
+            sequential.snapshot_state().to_bytes()
+        );
+    }
+
+    #[test]
+    fn capability_changes_never_clone_the_mkb_and_reindex_only_their_neighbourhood() {
+        let mut e = engine_with_partners();
+        // Build the index first, so every change meets a warm one.
+        assert!(!e.mkb().pc_constraints_of("Customer").is_empty());
+        let counter = |e: &EveEngine, name: &str| e.metrics_snapshot().counter(name);
+        for (change, new_extent) in change_chain() {
+            let changed: Vec<&str> = match &change {
+                SchemaChange::RenameRelation { from, .. } => vec![from],
+                SchemaChange::AddRelation { relation } => vec![&relation.name],
+                SchemaChange::DeleteAttribute { relation, .. }
+                | SchemaChange::AddAttribute { relation, .. }
+                | SchemaChange::RenameAttribute { relation, .. }
+                | SchemaChange::DeleteRelation { relation } => vec![relation],
+            };
+            let partners: BTreeSet<String> = changed
+                .iter()
+                .flat_map(|rel| e.mkb().pc_constraints_of(rel))
+                .map(|pc| pc.right.relation.clone())
+                .collect();
+            let clones = counter(&e, "mkb.clones");
+            let built = counter(&e, "mkb.index_relations_built");
+            e.apply(LogRecord::Batch(vec![EvolutionOp::Capability {
+                change: change.clone(),
+                new_extent,
+            }]))
+            .unwrap();
+            assert_eq!(counter(&e, "mkb.clones"), clones, "{change} cloned the MKB");
+            let reindexed = counter(&e, "mkb.index_relations_built") - built;
+            assert!(
+                reindexed <= 1 + partners.len() as u64,
+                "{change} re-derived {reindexed} keys, partners {partners:?}"
+            );
+        }
+        assert_eq!(counter(&e, "mkb.index_misses"), 1, "one lazy build, ever");
+    }
+
+    #[test]
+    fn a_failed_ranking_leaves_the_mkb_untouched() {
+        for change in [
+            // Onto an existing relation: registering the new name fails.
+            SchemaChange::RenameRelation {
+                from: "Customer".into(),
+                to: "FlightRes".into(),
+            },
+            // Onto an existing attribute: adding the new name fails.
+            SchemaChange::RenameAttribute {
+                relation: "Customer".into(),
+                from: "Name".into(),
+                to: "Address".into(),
+            },
+            // An unknown attribute (the sequential path ranks regardless).
+            SchemaChange::RenameAttribute {
+                relation: "Customer".into(),
+                from: "Zip".into(),
+                to: "Code".into(),
+            },
+        ] {
+            let mut e = engine_with_partners();
+            let _ = e.mkb().pc_constraints_of("Customer");
+            let (state, generation) = (e.mkb().export_state(), e.mkb().generation());
+            let err = e
+                .notify_capability_change_sequential(&change, None)
+                .unwrap_err();
+            assert_eq!(e.mkb().export_state(), state, "{change}: {err}");
+            assert_eq!(e.mkb().generation(), generation, "{change}");
+            assert_eq!(
+                format!("{:?}", e.mkb().find_relation_replacements("Customer", &[])),
+                format!(
+                    "{:?}",
+                    Mkb::from_state(&state)
+                        .unwrap()
+                        .find_relation_replacements("Customer", &[])
+                ),
+            );
+        }
+        let mut e = engine_with_partners();
+        let err = e
+            .notify_capability_change_sequential(
+                &SchemaChange::RenameAttribute {
+                    relation: "Customer".into(),
+                    from: "Zip".into(),
+                    to: "Code".into(),
+                },
+                None,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "engine state error: `Customer` has no attribute `Zip`"
         );
     }
 }
