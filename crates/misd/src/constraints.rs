@@ -147,27 +147,6 @@ impl PcConstraint {
         }
     }
 
-    /// Returns the constraint oriented so that `left.relation == relation`,
-    /// if the constraint involves that relation at all.
-    #[must_use]
-    pub fn oriented_from(&self, relation: &str) -> Option<PcConstraint> {
-        if self.left.relation == relation {
-            Some(self.clone())
-        } else if self.right.relation == relation {
-            Some(self.flipped())
-        } else {
-            None
-        }
-    }
-
-    /// Positional correspondent of `attr` on the other (right) side, given
-    /// the constraint is oriented with `attr`'s relation on the left.
-    #[must_use]
-    pub fn corresponding_attr(&self, attr: &str) -> Option<&str> {
-        let idx = self.left.attrs.iter().position(|a| a == attr)?;
-        self.right.attrs.get(idx).map(String::as_str)
-    }
-
     /// Whether both sides are selection-free (the `no/no` row of Fig. 9/10);
     /// only such constraints participate in transitive chains.
     #[must_use]
@@ -269,27 +248,15 @@ mod tests {
     #[test]
     fn orientation() {
         let pc = PcConstraint::new(
-            PcSide::projection("R", &["A"]),
-            PcRelationship::Subset,
-            PcSide::projection("S", &["X"]),
-        );
-        let from_s = pc.oriented_from("S").unwrap();
-        assert_eq!(from_s.left.relation, "S");
-        assert_eq!(from_s.relationship, PcRelationship::Superset);
-        assert_eq!(from_s.corresponding_attr("X"), Some("A"));
-        assert!(pc.oriented_from("T").is_none());
-    }
-
-    #[test]
-    fn corresponding_attr_is_positional() {
-        let pc = PcConstraint::new(
             PcSide::projection("R", &["A", "B"]),
-            PcRelationship::Equivalent,
+            PcRelationship::Subset,
             PcSide::projection("S", &["X", "Y"]),
         );
-        assert_eq!(pc.corresponding_attr("A"), Some("X"));
-        assert_eq!(pc.corresponding_attr("B"), Some("Y"));
-        assert_eq!(pc.corresponding_attr("Z"), None);
+        let from_s = pc.flipped();
+        assert_eq!(from_s.left, pc.right);
+        assert_eq!(from_s.right, pc.left);
+        assert_eq!(from_s.relationship, PcRelationship::Superset);
+        assert_eq!(from_s.flipped(), pc);
     }
 
     #[test]

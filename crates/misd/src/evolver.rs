@@ -1,8 +1,9 @@
 //! The MKB evolver and consistency checker (paper Fig. 1).
 //!
 //! Capability changes (§3.3) arrive from information sources as
-//! [`SchemaChange`]s. [`Mkb::apply_change`] updates the relation registry and
-//! keeps the constraint store consistent: constraints that mention deleted
+//! [`SchemaChange`]s. [`Mkb::check_change`] holds every guard a change must
+//! pass; [`Mkb::apply_change`] runs it, then updates the relation registry
+//! and keeps the constraint store consistent: constraints that mention deleted
 //! components are dropped (or narrowed, for PC projection lists), renames are
 //! rewritten through. The PC-constraint index is maintained in place: each
 //! arm that edits constraints re-derives the changed relation's index keys
@@ -97,6 +98,56 @@ fn clause_mentions(clause: &eve_relational::PrimitiveClause, rel: &str, attr: &s
 }
 
 impl Mkb {
+    /// Whether `change` may be applied to this MKB: every guard of
+    /// [`Mkb::apply_change`], run without touching anything. The engine
+    /// runs it before any site, view or generation moves, so a change the
+    /// MKB refuses leaves the whole information space as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownRelation`] / [`Error::UnknownAttribute`] for a
+    /// component the change names but the MKB lacks;
+    /// [`Error::DuplicateRelation`] / [`Error::DuplicateAttribute`] for a
+    /// name it would create twice; what [`Mkb::register_relation`] refuses
+    /// for `add-relation`.
+    pub fn check_change(&self, change: &SchemaChange) -> Result<()> {
+        match change {
+            SchemaChange::DeleteAttribute {
+                relation,
+                attribute,
+            } => self.attribute(relation, attribute).map(|_| ()),
+            SchemaChange::AddAttribute {
+                relation,
+                attribute,
+            } => self.check_attribute_unused(relation, &attribute.name),
+            SchemaChange::RenameAttribute { relation, from, to } => {
+                self.attribute(relation, from)?;
+                self.check_attribute_unused(relation, to)
+            }
+            SchemaChange::DeleteRelation { relation } => self.relation(relation).map(|_| ()),
+            SchemaChange::AddRelation { relation } => self.check_registrable(relation),
+            SchemaChange::RenameRelation { from, to } => {
+                self.relation(from)?;
+                if self.has_relation(to) {
+                    return Err(Error::DuplicateRelation {
+                        relation: to.clone(),
+                    });
+                }
+                Ok(())
+            }
+        }
+    }
+
+    fn check_attribute_unused(&self, relation: &str, attribute: &str) -> Result<()> {
+        if self.relation(relation)?.has_attribute(attribute) {
+            return Err(Error::DuplicateAttribute {
+                relation: relation.to_owned(),
+                attribute: attribute.to_owned(),
+            });
+        }
+        Ok(())
+    }
+
     /// Applies a capability change, evolving relations and constraints.
     ///
     /// View synchronization must run *before* the change is applied — the
@@ -105,56 +156,30 @@ impl Mkb {
     ///
     /// # Errors
     ///
-    /// [`Error`] variants when the change references unknown components or
-    /// would create duplicates.
+    /// What [`Mkb::check_change`] returns; the MKB is then untouched.
     pub fn apply_change(&mut self, change: &SchemaChange) -> Result<()> {
+        self.check_change(change)?;
         match change {
             SchemaChange::DeleteAttribute {
                 relation,
                 attribute,
             } => {
-                self.attribute(relation, attribute)?; // existence check
                 let keys = self.index_keys_touching(&[relation]);
-                let info = self
-                    .relations_mut()
-                    .get_mut(relation)
-                    .expect("checked above");
+                let info = self.relations_mut().get_mut(relation).expect("checked");
                 info.attributes.retain(|a| &a.name != attribute);
                 self.drop_constraints_on_attr(relation, attribute);
                 self.reindex(keys);
-                Ok(())
             }
             SchemaChange::AddAttribute {
                 relation,
                 attribute,
             } => {
-                let exists = self.relation(relation)?.has_attribute(&attribute.name);
-                if exists {
-                    return Err(Error::DuplicateAttribute {
-                        relation: relation.clone(),
-                        attribute: attribute.name.clone(),
-                    });
-                }
-                self.relations_mut()
-                    .get_mut(relation)
-                    .expect("checked above")
-                    .attributes
-                    .push(attribute.clone());
-                Ok(())
+                let info = self.relations_mut().get_mut(relation).expect("checked");
+                info.attributes.push(attribute.clone());
             }
             SchemaChange::RenameAttribute { relation, from, to } => {
-                self.attribute(relation, from)?;
-                if self.relation(relation)?.has_attribute(to) {
-                    return Err(Error::DuplicateAttribute {
-                        relation: relation.clone(),
-                        attribute: to.clone(),
-                    });
-                }
                 let keys = self.index_keys_touching(&[relation]);
-                let info = self
-                    .relations_mut()
-                    .get_mut(relation)
-                    .expect("checked above");
+                let info = self.relations_mut().get_mut(relation).expect("checked");
                 for a in &mut info.attributes {
                     if &a.name == from {
                         a.name = to.clone();
@@ -162,10 +187,8 @@ impl Mkb {
                 }
                 self.rename_attr_in_constraints(relation, from, to);
                 self.reindex(keys);
-                Ok(())
             }
             SchemaChange::DeleteRelation { relation } => {
-                self.relation(relation)?;
                 let keys = self.index_keys_touching(&[relation]);
                 self.relations_mut().remove(relation);
                 self.join_constraints_mut()
@@ -175,25 +198,18 @@ impl Mkb {
                 self.join_selectivities_mut()
                     .retain(|(a, b), _| a != relation && b != relation);
                 self.reindex(keys);
-                Ok(())
             }
-            SchemaChange::AddRelation { relation } => self.register_relation(relation.clone()),
+            SchemaChange::AddRelation { relation } => self.register_relation(relation.clone())?,
             SchemaChange::RenameRelation { from, to } => {
-                self.relation(from)?;
-                if self.has_relation(to) {
-                    return Err(Error::DuplicateRelation {
-                        relation: to.clone(),
-                    });
-                }
                 let keys = self.index_keys_touching(&[from, to]);
-                let mut info = self.relations_mut().remove(from).expect("checked above");
+                let mut info = self.relations_mut().remove(from).expect("checked");
                 info.name = to.clone();
                 self.relations_mut().insert(to.clone(), info);
                 self.rename_relation_in_constraints(from, to);
                 self.reindex(keys);
-                Ok(())
             }
         }
+        Ok(())
     }
 
     fn drop_constraints_on_attr(&mut self, relation: &str, attribute: &str) {

@@ -17,12 +17,14 @@
 //! The MKB ([`mkb::Mkb`]) indexes this metadata plus the database statistics
 //! of §6.1 (cardinalities, tuple sizes, selectivities, join selectivities,
 //! blocking factors). It answers the queries view synchronization and the
-//! QC-Model need: replacement discovery, join-path lookup and overlap-size
+//! QC-Model need: PC-constraint lookups by relation (where the synchronizer
+//! finds replacement candidates), join-path lookup and overlap-size
 //! estimation (the twelve Fig. 9/10 cases, in [`overlap`]).
 //!
-//! Capability changes (§3.3) are applied through [`evolver`], which keeps the
-//! constraint store consistent as relations and attributes disappear, appear
-//! or get renamed.
+//! Capability changes (§3.3) go through [`evolver`]: `Mkb::check_change`
+//! decides whether a change may be applied at all, and `Mkb::apply_change`
+//! applies it, keeping the constraint store consistent as relations and
+//! attributes disappear, appear or get renamed.
 
 pub mod constraints;
 pub mod error;

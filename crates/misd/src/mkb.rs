@@ -18,58 +18,20 @@ use crate::evolver::SchemaChange;
 use crate::overlap::{estimate_overlap, OverlapEstimate, OverlapInputs};
 use crate::source::{AttributeInfo, RelationInfo, SiteId};
 
-/// A candidate replacement for a single attribute, discovered through a PC
-/// constraint (used by view synchronization for `AR = true` components).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttrReplacement {
-    /// Relation providing the replacement attribute.
-    pub relation: String,
-    /// The replacement attribute within that relation.
-    pub attribute: String,
-    /// Relationship of the *old* fragment to the *new* one (old ⊑ new).
-    pub relationship: PcRelationship,
-    /// The PC constraint used, oriented with the old relation on the left.
-    pub constraint: PcConstraint,
-}
-
-/// A candidate replacement for a whole relation (used for `RR = true`
-/// components): a relation whose PC constraint covers all attributes the view
-/// still needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RelationReplacement {
-    /// The replacement relation.
-    pub relation: String,
-    /// Maps each needed old attribute to its counterpart in the replacement.
-    pub attr_map: BTreeMap<String, String>,
-    /// Relationship of the old fragment to the new one (old ⊑ new).
-    pub relationship: PcRelationship,
-    /// The PC constraint used, oriented with the old relation on the left.
-    pub constraint: PcConstraint,
-}
-
-/// Inverted indexes over the PC-constraint store, keyed by relation. The
-/// first lookup builds them; after that every PC mutation re-derives only
-/// the keys it touches (see [`Mkb::reindex`]), so the maps always equal a
-/// full build over the current store. Candidate discovery — the inner loop
-/// of view synchronization — reads these maps instead of linear-scanning
-/// (and re-orienting) the whole constraint list per lookup.
+/// The inverted index over the PC-constraint store: relation → the PC
+/// constraints involving it, oriented so that relation is on the left, in
+/// store order (each constraint as written, then flipped). The first lookup
+/// builds it; after that every PC mutation re-derives only the keys it
+/// touches (see [`Mkb::reindex`]), so the map always equals a full build
+/// over the current store.
 #[derive(Debug, Clone, Default)]
 struct ConstraintIndex {
-    /// relation → PC constraints oriented so that relation is on the left
-    /// (insertion order preserved, matching the historical scan order).
     pc_by_relation: BTreeMap<String, Vec<PcConstraint>>,
-    /// relation → attribute → single-attribute replacement candidates.
-    attr_replacements: BTreeMap<String, BTreeMap<String, Vec<AttrReplacement>>>,
-    /// relation → whole-relation replacement skeletons carrying the *full*
-    /// attribute correspondence of each oriented constraint; coverage of a
-    /// concrete `needed_attrs` set is checked against the skeleton map.
-    relation_replacements: BTreeMap<String, Vec<RelationReplacement>>,
 }
 
 impl ConstraintIndex {
     /// The entries of every relation key `keep` admits, derived from the
-    /// constraint store in store order (each constraint as written, then
-    /// flipped).
+    /// constraint store in store order.
     fn derive(pcs: &[PcConstraint], keep: impl Fn(&str) -> bool) -> ConstraintIndex {
         let mut idx = ConstraintIndex::default();
         for pc in pcs {
@@ -84,41 +46,10 @@ impl ConstraintIndex {
     }
 
     fn insert(&mut self, oriented: PcConstraint) {
-        let rel = oriented.left.relation.clone();
-        if oriented.right.relation != rel {
-            // Replacement candidates exclude self-constraints, exactly as
-            // the historical `find_*_replacements` scans did.
-            let by_attr = self.attr_replacements.entry(rel.clone()).or_default();
-            let mut attr_map: BTreeMap<String, String> = BTreeMap::new();
-            for (i, attr) in oriented.left.attrs.iter().enumerate() {
-                // Positional correspondence takes the *first* occurrence of
-                // a repeated attribute (`corresponding_attr`).
-                if oriented.left.attrs[..i].contains(attr) {
-                    continue;
-                }
-                let new_attr = oriented.right.attrs[i].clone();
-                by_attr
-                    .entry(attr.clone())
-                    .or_default()
-                    .push(AttrReplacement {
-                        relation: oriented.right.relation.clone(),
-                        attribute: new_attr.clone(),
-                        relationship: oriented.relationship,
-                        constraint: oriented.clone(),
-                    });
-                attr_map.insert(attr.clone(), new_attr);
-            }
-            self.relation_replacements
-                .entry(rel.clone())
-                .or_default()
-                .push(RelationReplacement {
-                    relation: oriented.right.relation.clone(),
-                    attr_map,
-                    relationship: oriented.relationship,
-                    constraint: oriented.clone(),
-                });
-        }
-        self.pc_by_relation.entry(rel).or_default().push(oriented);
+        self.pc_by_relation
+            .entry(oriented.left.relation.clone())
+            .or_default()
+            .push(oriented);
     }
 
     /// Replaces the entries of every key in `keys` with those of `fresh`
@@ -127,13 +58,8 @@ impl ConstraintIndex {
     fn replace(&mut self, keys: &BTreeSet<String>, fresh: ConstraintIndex) {
         for key in keys {
             self.pc_by_relation.remove(key);
-            self.attr_replacements.remove(key);
-            self.relation_replacements.remove(key);
         }
         self.pc_by_relation.extend(fresh.pc_by_relation);
-        self.attr_replacements.extend(fresh.attr_replacements);
-        self.relation_replacements
-            .extend(fresh.relation_replacements);
     }
 }
 
@@ -147,7 +73,7 @@ pub struct Mkb {
     join_selectivities: BTreeMap<(String, String), f64>,
     default_join_selectivity: f64,
     generation: u64,
-    /// Inverted indexes over `pc_constraints`: built on the first lookup,
+    /// The inverted index over `pc_constraints`: built on the first lookup,
     /// then maintained in place by every PC mutation (see
     /// [`Mkb::reindex`]). `OnceLock` keeps reads shareable across threads
     /// without locking on the hot path.
@@ -243,13 +169,13 @@ impl Mkb {
     }
 
     fn bump_generation(&mut self) {
-        // Only the counter moves. The inverted indexes stay: the mutations
+        // Only the counter moves. The inverted index stays: the mutations
         // that edit `pc_constraints` re-derive the keys they touch
         // (`reindex`), and nothing else feeds the index.
         self.generation = self.generation.wrapping_add(1);
     }
 
-    /// The inverted indexes, built from the whole constraint store on the
+    /// The inverted index, built from the whole constraint store on the
     /// first lookup.
     fn index(&self) -> &ConstraintIndex {
         if let Some(built) = self.index.get() {
@@ -371,7 +297,7 @@ impl Mkb {
         Ok(())
     }
 
-    fn check_registrable(&self, info: &RelationInfo) -> Result<()> {
+    pub(crate) fn check_registrable(&self, info: &RelationInfo) -> Result<()> {
         if !self.sites.contains_key(&info.site.0) {
             return Err(Error::UnknownSite { site: info.site.0 });
         }
@@ -403,33 +329,26 @@ impl Mkb {
     ///
     /// # Errors
     ///
-    /// What registering the renamed relation ([`Mkb::register_relation`])
-    /// or adding the renamed attribute ([`SchemaChange::AddAttribute`])
-    /// would return, checked in the same order; `rank` does not run then.
+    /// What [`Mkb::check_change`] returns for `change`; `rank` does not run
+    /// then.
     pub fn with_ranking_shadow<T>(
         &mut self,
         change: &SchemaChange,
         rank: impl FnOnce(&Mkb) -> T,
     ) -> Result<T> {
+        self.check_change(change)?;
         let shadow = match change {
             SchemaChange::RenameRelation { from, to } => {
                 let mut info = self.relation(from)?.clone();
                 info.name.clone_from(to);
-                self.check_registrable(&info)?;
                 info
             }
             SchemaChange::RenameAttribute { relation, from, to } => {
+                let mut info = self.relation(relation)?.clone();
                 let renamed = AttributeInfo {
                     name: to.clone(),
                     ..self.attribute(relation, from)?.clone()
                 };
-                let mut info = self.relation(relation)?.clone();
-                if info.has_attribute(to) {
-                    return Err(Error::DuplicateAttribute {
-                        relation: relation.clone(),
-                        attribute: to.clone(),
-                    });
-                }
                 info.attributes.push(renamed);
                 info
             }
@@ -698,64 +617,6 @@ impl Mkb {
     }
 
     // ------------------------------------------------------------------
-    // Replacement discovery (consumed by view synchronization)
-    // ------------------------------------------------------------------
-
-    /// Finds replacement candidates for a single attribute `rel.attr` via PC
-    /// constraints whose `rel`-side projection covers the attribute.
-    /// Candidates from `rel` itself are excluded. Served from the
-    /// `attr → replacements` inverted index.
-    #[must_use]
-    pub fn find_attr_replacements(&self, rel: &str, attr: &str) -> Vec<AttrReplacement> {
-        self.index()
-            .attr_replacements
-            .get(rel)
-            .and_then(|by_attr| by_attr.get(attr))
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Finds whole-relation replacements for `rel` covering all of
-    /// `needed_attrs` (the attributes of `rel` the view must keep). Coverage
-    /// is checked against the `relation → replacements` inverted index; the
-    /// returned `attr_map` is restricted to the requested attributes.
-    #[must_use]
-    pub fn find_relation_replacements(
-        &self,
-        rel: &str,
-        needed_attrs: &[String],
-    ) -> Vec<RelationReplacement> {
-        let mut out = Vec::new();
-        let Some(skeletons) = self.index().relation_replacements.get(rel) else {
-            return out;
-        };
-        for skeleton in skeletons {
-            let mut attr_map = BTreeMap::new();
-            let mut covered = true;
-            for a in needed_attrs {
-                match skeleton.attr_map.get(a) {
-                    Some(n) => {
-                        attr_map.insert(a.clone(), n.clone());
-                    }
-                    None => {
-                        covered = false;
-                        break;
-                    }
-                }
-            }
-            if covered {
-                out.push(RelationReplacement {
-                    relation: skeleton.relation.clone(),
-                    attr_map,
-                    relationship: skeleton.relationship,
-                    constraint: skeleton.constraint.clone(),
-                });
-            }
-        }
-        out
-    }
-
-    // ------------------------------------------------------------------
     // Overlap estimation (§5.4.3)
     // ------------------------------------------------------------------
 
@@ -1012,32 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn attr_replacements_found() {
-        let mkb = sample();
-        let reps = mkb.find_attr_replacements("R", "A");
-        assert_eq!(reps.len(), 2);
-        let names: Vec<&str> = reps.iter().map(|r| r.relation.as_str()).collect();
-        assert_eq!(names, vec!["S", "T"]);
-        assert!(reps.iter().all(|r| r.attribute == "A"));
-        assert!(reps
-            .iter()
-            .all(|r| r.relationship == PcRelationship::Subset));
-        assert!(mkb.find_attr_replacements("R", "B").is_empty());
-    }
-
-    #[test]
-    fn relation_replacements_require_coverage() {
-        let mkb = sample();
-        let reps = mkb.find_relation_replacements("R", &["A".to_owned()]);
-        assert_eq!(reps.len(), 2);
-        assert_eq!(reps[0].attr_map.get("A").map(String::as_str), Some("A"));
-        // B is not covered by any constraint.
-        assert!(mkb
-            .find_relation_replacements("R", &["A".to_owned(), "B".to_owned()])
-            .is_empty());
-    }
-
-    #[test]
     fn direct_overlap_estimation() {
         let mkb = sample();
         let (rel, est) = mkb.relation_overlap("R", "S").unwrap();
@@ -1149,7 +984,7 @@ mod tests {
         assert_eq!(built(&mkb), 3);
         // …subsequent lookups replay it.
         assert_eq!(mkb.pc_constraints_of("S").len(), 1);
-        assert!(mkb.find_attr_replacements("R", "A").len() == 2);
+        assert_eq!(mkb.pc_constraints_of("T").len(), 1);
         let (hits, misses) = mkb.index_stats();
         assert!(hits >= 2, "served from memory: {hits}");
         assert_eq!(misses, 1);

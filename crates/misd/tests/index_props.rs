@@ -9,8 +9,6 @@
 //! a clone, which carries the index in whatever state it is in without
 //! warming the original.
 
-use std::collections::BTreeSet;
-
 use proptest::prelude::*;
 
 use eve_misd::{
@@ -22,11 +20,10 @@ use eve_relational::{ColumnRef, CompOp, DataType, Predicate, PrimitiveClause, Va
 /// relations, attributes and arities among what the MKB holds right then.
 type Step = (u8, usize, usize, usize, u8);
 
-/// Relation and attribute names the stream has used, deleted ones
-/// included: lookups of names that no longer exist must agree too.
+/// Relation names the stream has used, deleted ones included: lookups of
+/// names that no longer exist must agree too.
 struct Universe {
     relations: Vec<String>,
-    attributes: BTreeSet<String>,
     fresh: usize,
 }
 
@@ -72,7 +69,6 @@ fn initial() -> (Mkb, Universe) {
     mkb.register_site(SiteId(1), "one").unwrap();
     let mut universe = Universe {
         relations: Vec::new(),
-        attributes: BTreeSet::new(),
         fresh: 0,
     };
     for name in ["R0", "R1", "R2", "R3"] {
@@ -83,11 +79,6 @@ fn initial() -> (Mkb, Universe) {
             .unwrap();
         universe.relations.push(name.to_owned());
     }
-    universe.attributes.extend(
-        ["A0", "A1", "A2", "A3", "A4", "T"]
-            .iter()
-            .map(|a| (*a).to_owned()),
-    );
     (mkb, universe)
 }
 
@@ -146,7 +137,6 @@ fn apply(mkb: &mut Mkb, universe: &mut Universe, (kind, a, b, c, flags): Step) {
             } else {
                 attribute(mkb, &rel, b)
             };
-            universe.attributes.insert(name.clone());
             SchemaChange::AddAttribute {
                 relation: rel,
                 attribute: AttributeInfo::new(name, DataType::Int),
@@ -158,7 +148,6 @@ fn apply(mkb: &mut Mkb, universe: &mut Universe, (kind, a, b, c, flags): Step) {
             } else {
                 attribute(mkb, &rel, c)
             };
-            universe.attributes.insert(to.clone());
             SchemaChange::RenameAttribute {
                 from: attribute(mkb, &rel, b),
                 relation: rel,
@@ -213,39 +202,6 @@ fn check_against_rebuild(mkb: &Mkb, universe: &Universe) -> Result<(), TestCaseE
             "pc_constraints_of({})",
             rel
         );
-        prop_assert_eq!(
-            maintained.find_relation_replacements(rel, &[]),
-            rebuilt.find_relation_replacements(rel, &[]),
-            "find_relation_replacements({}, [])",
-            rel
-        );
-        if let Ok(info) = rebuilt.relation(rel) {
-            let all: Vec<String> = info.attributes.iter().map(|a| a.name.clone()).collect();
-            prop_assert_eq!(
-                maintained.find_relation_replacements(rel, &all),
-                rebuilt.find_relation_replacements(rel, &all),
-                "find_relation_replacements({}, {:?})",
-                rel,
-                all
-            );
-        }
-        for attr in &universe.attributes {
-            prop_assert_eq!(
-                maintained.find_attr_replacements(rel, attr),
-                rebuilt.find_attr_replacements(rel, attr),
-                "find_attr_replacements({}, {})",
-                rel,
-                attr
-            );
-            let needed = [attr.clone()];
-            prop_assert_eq!(
-                maintained.find_relation_replacements(rel, &needed),
-                rebuilt.find_relation_replacements(rel, &needed),
-                "find_relation_replacements({}, [{}])",
-                rel,
-                attr
-            );
-        }
     }
     Ok(())
 }

@@ -95,15 +95,10 @@ pub struct DurableEngine {
     engine: EveEngine,
     log: GroupCommitLog,
     dir: PathBuf,
-    /// Write a snapshot automatically after every `k` batches (`None`
-    /// disables automatic checkpoints; explicit ones always work).
+    /// Write a [`checkpoint_delta`](DurableEngine::checkpoint_delta)
+    /// automatically after every `k` batches (`None` disables automatic
+    /// checkpoints; explicit ones always work).
     pub snapshot_every: Option<u64>,
-    /// Automatic checkpoints write incremental **delta** snapshots (cost
-    /// proportional to state changed since the last anchor, not total
-    /// warehouse state), with a periodic full image so recovery chains
-    /// stay short. `false` makes every automatic checkpoint a full image.
-    /// Explicit [`DurableEngine::checkpoint`] is always full.
-    pub delta_checkpoints: bool,
     batches_since_snapshot: u64,
     /// Seq and materialized state of the newest snapshot written or
     /// recovered through this handle — the base the next delta diffs
@@ -149,7 +144,6 @@ impl DurableEngine {
             log: GroupCommitLog::new(store, GroupCommitPolicy::default()),
             dir,
             snapshot_every: None,
-            delta_checkpoints: true,
             batches_since_snapshot: 0,
             last_snapshot: Some((seq, snapshot)),
             deltas_since_full: 0,
@@ -202,7 +196,6 @@ impl DurableEngine {
                 log: GroupCommitLog::new(store, GroupCommitPolicy::default()),
                 dir,
                 snapshot_every: None,
-                delta_checkpoints: true,
                 batches_since_snapshot: 0,
                 last_snapshot,
                 deltas_since_full: 0,
@@ -463,11 +456,7 @@ impl DurableEngine {
                 .snapshot_every
                 .is_some_and(|k| self.batches_since_snapshot >= k.max(1))
             {
-                if self.delta_checkpoints {
-                    self.checkpoint_delta()?;
-                } else {
-                    self.checkpoint()?;
-                }
+                self.checkpoint_delta()?;
             }
         }
         Ok(outcome)
@@ -1009,6 +998,41 @@ mod tests {
         drop(d);
         let (recovered, _) = DurableEngine::open(&dir).unwrap();
         assert_eq!(fingerprint(recovered.engine()), expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_batch_refused_at_a_rename_recovers_its_applied_prefix() {
+        let dir = temp_dir("refused-rename");
+        let mut d = build(&dir);
+        // No view reads `Rc`, and `Rb` is taken (at the other site): the
+        // insert applies, the rename is refused before any site moves.
+        let insert = EvolutionOp::insert("Rc", vec![tup![40, 1]]);
+        let mut expected = d.engine().clone();
+        expected
+            .apply(LogRecord::Batch(vec![insert.clone()]))
+            .unwrap();
+        let err = d
+            .apply_batch(vec![
+                insert,
+                EvolutionOp::change(SchemaChange::RenameRelation {
+                    from: "Rc".into(),
+                    to: "Rb".into(),
+                }),
+            ])
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "MKB error: relation `Rb` is already registered"
+        );
+        let (expected, live) = (fingerprint(&expected), fingerprint(d.engine()));
+        drop(d);
+        let (recovered, _) = DurableEngine::open(&dir).unwrap();
+        assert!(
+            fingerprint(recovered.engine()) == expected,
+            "the store recovers another state"
+        );
+        assert!(live == expected, "the live engine moved");
         std::fs::remove_dir_all(&dir).ok();
     }
 

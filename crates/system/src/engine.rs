@@ -96,6 +96,31 @@ impl Default for EveEngine {
     }
 }
 
+/// Whether `extent` has the columns `info` declares, in order and type.
+fn check_extent_shape(info: &RelationInfo, extent: &Relation) -> Result<()> {
+    if extent.schema().arity() != info.attributes.len() {
+        return Err(Error::State {
+            detail: format!(
+                "extent of `{}` has {} columns, declaration has {}",
+                info.name,
+                extent.schema().arity(),
+                info.attributes.len()
+            ),
+        });
+    }
+    for (col, attr) in extent.schema().columns().iter().zip(&info.attributes) {
+        if col.ty != attr.ty {
+            return Err(Error::State {
+                detail: format!(
+                    "extent column `{}` of `{}` is {}, declared {}",
+                    col.column, info.name, col.ty, attr.ty
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
 impl EveEngine {
     /// An engine with paper-default parameters and QC-best selection.
     #[must_use]
@@ -144,26 +169,7 @@ impl EveEngine {
     ///
     /// Unknown site, duplicate names, schema mismatches.
     pub fn register_relation(&mut self, info: RelationInfo, extent: Relation) -> Result<()> {
-        if extent.schema().arity() != info.attributes.len() {
-            return Err(Error::State {
-                detail: format!(
-                    "extent of `{}` has {} columns, declaration has {}",
-                    info.name,
-                    extent.schema().arity(),
-                    info.attributes.len()
-                ),
-            });
-        }
-        for (col, attr) in extent.schema().columns().iter().zip(&info.attributes) {
-            if col.ty != attr.ty {
-                return Err(Error::State {
-                    detail: format!(
-                        "extent column `{}` of `{}` is {}, declared {}",
-                        col.column, info.name, col.ty, attr.ty
-                    ),
-                });
-            }
-        }
+        check_extent_shape(&info, &extent)?;
         let site_id = info.site;
         let bfr = info.blocking_factor;
         let mut named = extent;
@@ -414,7 +420,10 @@ impl EveEngine {
     ///
     /// # Errors
     ///
-    /// Synchronization, ranking, MKB or state failures.
+    /// A change the MKB refuses ([`Mkb::check_change`]), or an
+    /// `add-relation` without an extent shaped like its declaration, fails
+    /// before step 1 and touches nothing. Past that, synchronization,
+    /// ranking or state failures.
     pub fn notify_capability_change(
         &mut self,
         change: &SchemaChange,
@@ -428,19 +437,20 @@ impl EveEngine {
     }
 
     /// The legacy capability-change path: synchronizes **every** view with
-    /// the uncached synchronizer and always checks the change's ranking
-    /// shadow ([`Mkb::with_ranking_shadow`]), affected views or not. Kept as
-    /// the reference implementation the differential property suite holds
-    /// the batched pipeline against.
+    /// the uncached synchronizer and ranks the affected ones. Kept as the
+    /// reference implementation the differential property suite holds the
+    /// batched pipeline against.
     ///
     /// # Errors
     ///
-    /// Synchronization, ranking, MKB or state failures.
+    /// As for [`EveEngine::notify_capability_change`]: a change the MKB
+    /// refuses fails the same way on both paths, before any search.
     pub fn notify_capability_change_sequential(
         &mut self,
         change: &SchemaChange,
         new_extent: Option<Relation>,
     ) -> Result<Vec<EvolutionReport>> {
+        self.check_capability_change(change, new_extent.as_ref())?;
         let mut searched = Vec::new();
         for (name, mv) in &self.views {
             let outcome = synchronize(&mv.def, change, &self.mkb, &self.sync_options)?;
@@ -455,12 +465,13 @@ impl EveEngine {
     /// shared [`PartnerCache`], and ranks only when some view is actually
     /// affected. Verdicts are identical to the sequential path — the
     /// prefilter is a sound superset of the synchronizer's own affectedness
-    /// notion.
+    /// notion — and so is the up-front check, affected views or not.
     pub(crate) fn capability_change_batched(
         &mut self,
         change: &SchemaChange,
         new_extent: Option<Relation>,
     ) -> Result<Vec<EvolutionReport>> {
+        self.check_capability_change(change, new_extent.as_ref())?;
         let touched = eve_sync::batch::touched_relation(change);
         let mut searched = Vec::new();
         for (name, mv) in &self.views {
@@ -491,6 +502,25 @@ impl EveEngine {
         self.commit_capability_change(change, new_extent, decisions)
     }
 
+    /// Whether `change` may be applied at all, checked before any search
+    /// so a refused change touches no site, view or generation: the MKB's
+    /// [`Mkb::check_change`], and for `add-relation` an extent shaped like
+    /// the declared attributes.
+    fn check_capability_change(
+        &self,
+        change: &SchemaChange,
+        new_extent: Option<&Relation>,
+    ) -> Result<()> {
+        self.mkb.check_change(change)?;
+        if let SchemaChange::AddRelation { relation } = change {
+            let extent = new_extent.ok_or_else(|| Error::State {
+                detail: format!("add-relation {} requires an extent", relation.name),
+            })?;
+            check_extent_shape(relation, extent)?;
+        }
+        Ok(())
+    }
+
     fn unaffected_report(name: &str) -> EvolutionReport {
         EvolutionReport {
             view_name: name.to_owned(),
@@ -512,15 +542,6 @@ impl EveEngine {
         change: &SchemaChange,
         searched: Vec<(String, Option<SyncOutcome>)>,
     ) -> Result<Vec<(EvolutionReport, Option<ViewDef>)>> {
-        // An unknown attribute is the engine's own error, ahead of the
-        // shadow's checks.
-        if let SchemaChange::RenameAttribute { relation, from, .. } = change {
-            if self.mkb.relation(relation)?.attribute(from).is_none() {
-                return Err(Error::State {
-                    detail: format!("`{relation}` has no attribute `{from}`"),
-                });
-            }
-        }
         let EveEngine {
             mkb,
             views,
@@ -606,9 +627,7 @@ impl EveEngine {
                     .drop_relation(relation)?;
             }
             SchemaChange::AddRelation { relation } => {
-                let extent = new_extent.ok_or_else(|| Error::State {
-                    detail: format!("add-relation {} requires an extent", relation.name),
-                })?;
+                let extent = new_extent.expect("checked before any search");
                 let site = self
                     .sites
                     .get_mut(&relation.site.0)
@@ -1845,58 +1864,164 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_ranking_leaves_the_mkb_untouched() {
-        for change in [
-            // Onto an existing relation: registering the new name fails.
-            SchemaChange::RenameRelation {
-                from: "Customer".into(),
-                to: "FlightRes".into(),
-            },
-            // Onto an existing attribute: adding the new name fails.
-            SchemaChange::RenameAttribute {
-                relation: "Customer".into(),
-                from: "Name".into(),
-                to: "Address".into(),
-            },
-            // An unknown attribute (the sequential path ranks regardless).
-            SchemaChange::RenameAttribute {
-                relation: "Customer".into(),
-                from: "Zip".into(),
-                to: "Code".into(),
-            },
-        ] {
+    fn a_refused_change_leaves_the_engine_untouched() {
+        // `Customer` is read by both views; `Lead` (beside it at site 1),
+        // `TourClient` and `Member` (both at site 3) by none.
+        let engine = || {
             let mut e = engine_with_partners();
-            let _ = e.mkb().pc_constraints_of("Customer");
-            let (state, generation) = (e.mkb().export_state(), e.mkb().generation());
-            let err = e
-                .notify_capability_change_sequential(&change, None)
-                .unwrap_err();
-            assert_eq!(e.mkb().export_state(), state, "{change}: {err}");
-            assert_eq!(e.mkb().generation(), generation, "{change}");
-            assert_eq!(
-                format!("{:?}", e.mkb().find_relation_replacements("Customer", &[])),
-                format!(
-                    "{:?}",
-                    Mkb::from_state(&state)
-                        .unwrap()
-                        .find_relation_replacements("Customer", &[])
+            let schema = Schema::of(&[("LName", DataType::Text)]).unwrap();
+            e.register_relation(
+                RelationInfo::new(
+                    "Lead",
+                    SiteId(1),
+                    vec![AttributeInfo::new("LName", DataType::Text)],
+                    0,
                 ),
-            );
-        }
-        let mut e = engine_with_partners();
-        let err = e
-            .notify_capability_change_sequential(
-                &SchemaChange::RenameAttribute {
-                    relation: "Customer".into(),
-                    from: "Zip".into(),
-                    to: "Code".into(),
+                Relation::empty("Lead", schema),
+            )
+            .unwrap();
+            let _ = e.mkb().pc_constraints_of("Customer");
+            e
+        };
+        let rename = |from: &str, to: &str| SchemaChange::RenameRelation {
+            from: from.into(),
+            to: to.into(),
+        };
+        let rename_attr = |relation: &str, from: &str, to: &str| SchemaChange::RenameAttribute {
+            relation: relation.into(),
+            from: from.into(),
+            to: to.into(),
+        };
+        let text = |name: &str| AttributeInfo::new(name, DataType::Text);
+        let add_relation = |name: &str, site: u32| SchemaChange::AddRelation {
+            relation: RelationInfo::new(name, SiteId(site), vec![text("Guest")], 1),
+        };
+        let guests = |columns: &[(&str, DataType)]| {
+            Some(Relation::empty("Hotel", Schema::of(columns).unwrap()))
+        };
+        let guest = [("Guest", DataType::Text)];
+        let cases = [
+            (
+                SchemaChange::AddAttribute {
+                    relation: "TourClient".into(),
+                    attribute: text("Client"),
                 },
                 None,
-            )
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "engine state error: `Customer` has no attribute `Zip`"
-        );
+                "MKB error: attribute `TourClient.Client` already exists",
+            ),
+            (
+                SchemaChange::AddAttribute {
+                    relation: "Customer".into(),
+                    attribute: text("Name"),
+                },
+                None,
+                "MKB error: attribute `Customer.Name` already exists",
+            ),
+            (
+                rename("TourClient", "Member"),
+                None,
+                "MKB error: relation `Member` is already registered",
+            ),
+            (
+                rename("Customer", "Lead"),
+                None,
+                "MKB error: relation `Lead` is already registered",
+            ),
+            (
+                rename("TourClient", "Customer"),
+                None,
+                "MKB error: relation `Customer` is already registered",
+            ),
+            (
+                rename("Customer", "FlightRes"),
+                None,
+                "MKB error: relation `FlightRes` is already registered",
+            ),
+            (
+                rename_attr("TourClient", "Client", "Residence"),
+                None,
+                "MKB error: attribute `TourClient.Residence` already exists",
+            ),
+            (
+                rename_attr("Customer", "Name", "Address"),
+                None,
+                "MKB error: attribute `Customer.Address` already exists",
+            ),
+            (
+                rename_attr("TourClient", "Zip", "Code"),
+                None,
+                "MKB error: unknown attribute `TourClient.Zip`",
+            ),
+            (
+                rename_attr("Customer", "Zip", "Code"),
+                None,
+                "MKB error: unknown attribute `Customer.Zip`",
+            ),
+            (
+                SchemaChange::DeleteAttribute {
+                    relation: "TourClient".into(),
+                    attribute: "Zip".into(),
+                },
+                None,
+                "MKB error: unknown attribute `TourClient.Zip`",
+            ),
+            (
+                SchemaChange::DeleteAttribute {
+                    relation: "Customer".into(),
+                    attribute: "Zip".into(),
+                },
+                None,
+                "MKB error: unknown attribute `Customer.Zip`",
+            ),
+            (
+                add_relation("TourClient", 2),
+                guests(&guest),
+                "MKB error: relation `TourClient` is already registered",
+            ),
+            (
+                add_relation("Customer", 2),
+                guests(&guest),
+                "MKB error: relation `Customer` is already registered",
+            ),
+            (
+                add_relation("Hotel", 2),
+                None,
+                "engine state error: add-relation Hotel requires an extent",
+            ),
+            (
+                add_relation("Hotel", 2),
+                guests(&[("Guest", DataType::Text), ("Room", DataType::Int)]),
+                "engine state error: extent of `Hotel` has 2 columns, declaration has 1",
+            ),
+        ];
+        for (change, extent, expected) in cases {
+            for sequential in [false, true] {
+                let mut e = engine();
+                let before = e.snapshot_state().to_bytes();
+                let state = e.mkb().export_state();
+                let err = if sequential {
+                    e.notify_capability_change_sequential(&change, extent.clone())
+                } else {
+                    e.notify_capability_change(&change, extent.clone())
+                }
+                .unwrap_err();
+                assert!(
+                    e.snapshot_state().to_bytes() == before,
+                    "{change}, sequential {sequential}: the engine moved ({err})"
+                );
+                assert_eq!(
+                    err.to_string(),
+                    expected,
+                    "{change}, sequential {sequential}"
+                );
+                assert_eq!(
+                    e.mkb().pc_constraints_of("Customer"),
+                    Mkb::from_state(&state)
+                        .unwrap()
+                        .pc_constraints_of("Customer"),
+                    "{change}"
+                );
+            }
+        }
     }
 }
