@@ -315,7 +315,9 @@ impl Relation {
     }
 
     /// Deletes (one occurrence of) every tuple in `tuples` that is present.
-    /// Returns how many tuples were actually removed.
+    /// Returns the tuples actually removed, in row order: a requested tuple
+    /// the relation does not hold (or holds fewer times than requested) is
+    /// missing from it.
     ///
     /// For each distinct requested tuple the *earliest* occurrences are
     /// removed, as many as it was requested. The rows are found before
@@ -323,23 +325,32 @@ impl Relation {
     /// one, by one scan otherwise — so a delete that matches nothing leaves
     /// shared storage shared. The columnar image and live indexes are
     /// remapped positionally, not rebuilt.
-    pub fn delete(&mut self, tuples: &[Tuple]) -> usize {
+    pub fn delete(&mut self, tuples: &[Tuple]) -> Vec<Tuple> {
         if tuples.is_empty() || self.store.tuples.is_empty() {
-            return 0;
+            return Vec::new();
         }
         let removed_rows = self.earliest_rows_of(tuples);
         if removed_rows.is_empty() {
-            return 0; // no copy-on-write detach for a no-op delete
+            return Vec::new(); // no copy-on-write detach for a no-op delete
         }
         let store = Arc::make_mut(&mut self.store);
         store.generation += 1;
-        let mut removed = removed_rows.iter().peekable();
+        let mut victims = removed_rows.iter().peekable();
+        let mut removed = Vec::with_capacity(removed_rows.len());
         let mut row = 0u32;
-        store.tuples.retain(|_| {
-            let keep = removed.next_if_eq(&&row).is_none();
-            row += 1;
-            keep
-        });
+        store.tuples = std::mem::take(&mut store.tuples)
+            .into_iter()
+            .filter_map(|t| {
+                let hit = victims.next_if_eq(&&row).is_some();
+                row += 1;
+                if hit {
+                    removed.push(t);
+                    None
+                } else {
+                    Some(t)
+                }
+            })
+            .collect();
         if let Some(batch) = store.columnar.get_mut() {
             Arc::make_mut(batch).remove_rows(&removed_rows);
         }
@@ -348,7 +359,7 @@ impl Relation {
             .get_mut()
             .expect("index lock poisoned")
             .remove_rows(&removed_rows);
-        removed_rows.len()
+        removed
     }
 
     /// Ascending positions of the rows [`Relation::delete`] removes for
@@ -576,7 +587,11 @@ mod tests {
     fn delete_removes_one_occurrence_each() {
         let mut rel = r();
         let removed = rel.delete(&[tup![1, "x"], tup![9, "z"]]);
-        assert_eq!(removed, 1);
+        assert_eq!(
+            removed,
+            vec![tup![1, "x"]],
+            "the absent tuple is not reported"
+        );
         assert_eq!(rel.cardinality(), 2);
         // The second duplicate survives.
         assert!(rel.contains(&tup![1, "x"]));
@@ -588,7 +603,7 @@ mod tests {
         // Two requests for (1, 'x') remove both occurrences; the extra
         // request for (2, 'y') removes its single occurrence once.
         let removed = rel.delete(&[tup![1, "x"], tup![2, "y"], tup![1, "x"], tup![2, "y"]]);
-        assert_eq!(removed, 3);
+        assert_eq!(removed.len(), 3);
         assert!(rel.is_empty());
     }
 
@@ -600,7 +615,7 @@ mod tests {
             vec![tup![1], tup![2], tup![1], tup![3], tup![1]],
         )
         .unwrap();
-        assert_eq!(rel.delete(&[tup![1], tup![1]]), 2);
+        assert_eq!(rel.delete(&[tup![1], tup![1]]), vec![tup![1], tup![1]]);
         assert_eq!(rel.tuples(), &[tup![2], tup![3], tup![1]]);
     }
 
@@ -651,10 +666,10 @@ mod tests {
         let original = r();
         let mut copy = original.clone();
         // A delete that matches nothing must not detach the storage.
-        assert_eq!(copy.delete(&[tup![9, "q"]]), 0);
+        assert!(copy.delete(&[tup![9, "q"]]).is_empty());
         assert!(copy.shares_tuples_with(&original));
         // A real delete detaches and leaves the original whole.
-        assert_eq!(copy.delete(&[tup![2, "y"]]), 1);
+        assert_eq!(copy.delete(&[tup![2, "y"]]).len(), 1);
         assert!(!copy.shares_tuples_with(&original));
         assert!(original.contains(&tup![2, "y"]));
         assert!(!copy.contains(&tup![2, "y"]));

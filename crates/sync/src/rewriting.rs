@@ -161,6 +161,23 @@ pub struct LegalRewriting {
     pub extent: ExtentRelationship,
 }
 
+impl LegalRewriting {
+    /// Whether the rewriting reads exactly the tuples the original view
+    /// read, so the old extent *is* the new one (view adaptation's trivial
+    /// case, V′ = V): its extent is ≡ and every repair is a rename. A rename
+    /// keeps every binding and output name, and the site keeps the renamed
+    /// relation's storage.
+    #[must_use]
+    pub fn reads_the_same_tuples(&self) -> bool {
+        self.extent == ExtentRelationship::Equal
+            && self
+                .provenance
+                .actions
+                .iter()
+                .all(|a| matches!(a, RewriteAction::Renamed { .. }))
+    }
+}
+
 impl fmt::Display for LegalRewriting {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -215,5 +232,28 @@ mod tests {
         );
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn only_an_equal_pure_rename_reads_the_same_tuples() {
+        let rewriting = |extent, actions| LegalRewriting {
+            view: eve_esql::parse_view("CREATE VIEW V AS SELECT R.A FROM S R").unwrap(),
+            provenance: Provenance { actions },
+            extent,
+        };
+        let renamed = RewriteAction::Renamed {
+            from: "R".into(),
+            to: "S".into(),
+        };
+        let dropped = RewriteAction::DroppedAttribute {
+            binding: "R".into(),
+            attribute: "B".into(),
+        };
+        let equal = ExtentRelationship::Equal;
+        assert!(rewriting(equal, vec![renamed.clone()]).reads_the_same_tuples());
+        assert!(
+            !rewriting(ExtentRelationship::Subset, vec![renamed.clone()]).reads_the_same_tuples()
+        );
+        assert!(!rewriting(equal, vec![renamed, dropped]).reads_the_same_tuples());
     }
 }

@@ -82,10 +82,12 @@ impl EveEngine {
         eve_trace::global()
             .counter("engine.data_updates")
             .add(run.len() as u64);
-        for update in run {
+        for mut update in run {
             let _span = eve_trace::span("engine.data_update");
             let site_id = self.mkb.relation(&update.relation)?.site.0;
-            self.sites
+            // Views see only the deletes the source performed.
+            update.deletes = self
+                .sites
                 .get_mut(&site_id)
                 .ok_or_else(|| Error::State {
                     detail: format!("unknown site {site_id}"),

@@ -382,13 +382,20 @@ impl EveEngine {
         let site_id = info.site.0;
         // The maintenance walk joins deltas against the *post-update* base
         // state for inserts processed after application; apply first, as the
-        // paper assumes update notifications follow the source change.
-        self.sites
+        // paper assumes update notifications follow the source change. Views
+        // see only the deletes the source performed.
+        let deletes = self
+            .sites
             .get_mut(&site_id)
             .ok_or_else(|| Error::State {
                 detail: format!("unknown site {site_id}"),
             })?
             .apply_update(&update.relation, &update.inserts, &update.deletes)?;
+        let update = &DataUpdate {
+            relation: update.relation.clone(),
+            inserts: update.inserts.clone(),
+            deletes,
+        };
 
         let mut traces = Vec::new();
         let names: Vec<String> = self.views.keys().cloned().collect();
@@ -456,8 +463,8 @@ impl EveEngine {
             let outcome = synchronize(&mv.def, change, &self.mkb, &self.sync_options)?;
             searched.push((name.clone(), Some(outcome).filter(|o| o.affected)));
         }
-        let decisions = self.rank(change, searched)?;
-        self.commit_capability_change(change, new_extent, decisions)
+        let reports = self.rank(change, searched)?;
+        self.commit_capability_change(change, new_extent, reports)
     }
 
     /// The batched capability-change primitive: skips views that cannot
@@ -471,6 +478,7 @@ impl EveEngine {
         change: &SchemaChange,
         new_extent: Option<Relation>,
     ) -> Result<Vec<EvolutionReport>> {
+        let _span = eve_trace::span("engine.capability_change");
         self.check_capability_change(change, new_extent.as_ref())?;
         let touched = eve_sync::batch::touched_relation(change);
         let mut searched = Vec::new();
@@ -491,15 +499,15 @@ impl EveEngine {
             };
             searched.push((name.clone(), outcome));
         }
-        let decisions = if searched.iter().any(|(_, outcome)| outcome.is_some()) {
+        let reports = if searched.iter().any(|(_, outcome)| outcome.is_some()) {
             self.rank(change, searched)?
         } else {
             searched
                 .into_iter()
-                .map(|(name, _)| (Self::unaffected_report(&name), None))
+                .map(|(name, _)| Self::unaffected_report(&name))
                 .collect()
         };
-        self.commit_capability_change(change, new_extent, decisions)
+        self.commit_capability_change(change, new_extent, reports)
     }
 
     /// Whether `change` may be applied at all, checked before any search
@@ -532,8 +540,8 @@ impl EveEngine {
     }
 
     /// Ranks each affected view's rewritings (its outcome is `Some`) and
-    /// selects one, yielding the view's report and its adopted definition
-    /// (`None` when the view is unaffected or dies). Every search has run
+    /// selects one, yielding the view's report; its `adopted` rewriting is
+    /// `None` when the view is unaffected or dies. Every search has run
     /// before this: ranking runs inside the MKB's ranking shadow for
     /// `change`, which gives a rename's new name the old statistics, and no
     /// search may see that entry.
@@ -541,7 +549,7 @@ impl EveEngine {
         &mut self,
         change: &SchemaChange,
         searched: Vec<(String, Option<SyncOutcome>)>,
-    ) -> Result<Vec<(EvolutionReport, Option<ViewDef>)>> {
+    ) -> Result<Vec<EvolutionReport>> {
         let EveEngine {
             mkb,
             views,
@@ -555,7 +563,7 @@ impl EveEngine {
                 .into_iter()
                 .map(|(name, outcome)| {
                     let Some(outcome) = outcome else {
-                        return Ok((Self::unaffected_report(&name), None));
+                        return Ok(Self::unaffected_report(&name));
                     };
                     let scored = rank_rewritings(
                         &views[&name].def,
@@ -565,49 +573,66 @@ impl EveEngine {
                         *workload,
                     )?;
                     let chosen = strategy.select(&scored).cloned();
-                    let new_def = chosen.as_ref().map(|c| c.rewriting.view.clone());
-                    let report = EvolutionReport {
+                    Ok(EvolutionReport {
                         view_name: name,
                         affected: true,
                         survived: chosen.is_some(),
                         candidates: scored.len(),
                         adopted: chosen,
-                    };
-                    Ok((report, new_def))
+                    })
                 })
                 .collect()
         })?
     }
 
     /// Phases 2–3 of the Fig. 1 loop: evolve the MKB and the information
-    /// space, then adopt or drop each view per the phase-1 decisions.
+    /// space, then adopt or drop each view per the phase-1 reports.
+    ///
+    /// An adopted rewriting that [reads the same tuples] as the old
+    /// definition (an ≡ pure rename) takes over the old extent, row order
+    /// included; every other one is re-evaluated over the changed space.
+    ///
+    /// [reads the same tuples]: eve_sync::LegalRewriting::reads_the_same_tuples
     fn commit_capability_change(
         &mut self,
         change: &SchemaChange,
         new_extent: Option<Relation>,
-        decisions: Vec<(EvolutionReport, Option<ViewDef>)>,
+        reports: Vec<EvolutionReport>,
     ) -> Result<Vec<EvolutionReport>> {
         self.apply_change_to_space(change, new_extent)?;
         self.mkb.apply_change(change)?;
 
-        let mut reports = Vec::new();
-        for (report, new_def) in decisions {
-            if report.affected {
-                let name = &report.view_name;
-                match new_def {
-                    Some(mut def) => {
-                        let extent = self.evaluate(&def)?;
-                        def.name.clone_from(name);
-                        self.views
-                            .insert(name.clone(), MaterializedView { def, extent });
-                    }
-                    None => {
-                        self.views.remove(name);
-                    }
+        let (mut carried, mut recomputed) = (0, 0);
+        for report in reports.iter().filter(|r| r.affected) {
+            let name = &report.view_name;
+            let Some(adopted) = &report.adopted else {
+                self.views.remove(name);
+                continue;
+            };
+            let mut def = adopted.rewriting.view.clone();
+            def.name.clone_from(name);
+            let kept = adopted
+                .rewriting
+                .reads_the_same_tuples()
+                .then(|| self.views.remove(name))
+                .flatten();
+            let extent = match kept {
+                Some(old) => {
+                    carried += 1;
+                    old.extent
                 }
-            }
-            reports.push(report);
+                None => {
+                    let _span = eve_trace::span("engine.recompute_view");
+                    recomputed += 1;
+                    self.evaluate(&def)?
+                }
+            };
+            self.views
+                .insert(name.clone(), MaterializedView { def, extent });
         }
+        let registry = eve_trace::global();
+        registry.counter("engine.views_carried").add(carried);
+        registry.counter("engine.views_recomputed").add(recomputed);
         Ok(reports)
     }
 

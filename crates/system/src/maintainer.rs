@@ -278,7 +278,7 @@ pub fn maintain_view(
     }
     if !update.deletes.is_empty() {
         let removed = propagate(&view, binding, &update.deletes, sites, mkb, &mut trace)?;
-        trace.view_deletes = extent.delete(removed.tuples());
+        trace.view_deletes = extent.delete(removed.tuples()).len();
     }
     Ok(trace)
 }

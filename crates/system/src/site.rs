@@ -213,6 +213,8 @@ impl SimSite {
     }
 
     /// Applies a data update to a hosted relation: inserts then deletes.
+    /// Returns the tuples the delete actually removed; a requested tuple
+    /// the relation does not hold is missing from them.
     ///
     /// # Errors
     ///
@@ -222,13 +224,12 @@ impl SimSite {
         relation: &str,
         inserts: &[Tuple],
         deletes: &[Tuple],
-    ) -> Result<()> {
+    ) -> Result<Vec<Tuple>> {
         let rel = self.relation_mut(relation)?;
         for t in inserts {
             rel.insert(t.clone())?;
         }
-        rel.delete(deletes);
-        Ok(())
+        Ok(rel.delete(deletes))
     }
 }
 

@@ -4,7 +4,21 @@
 //! included), every `MaintenanceTrace` and every site's I/O and message
 //! counters must come out byte for byte the same now that the site-side
 //! join probes the hosted relation's hash index — and the index must be
-//! where the probes leave it.
+//! where the probes leave it. After every step each view's extent must also
+//! be bag-equal to a fresh evaluation of its definition.
+//!
+//! The transcript changed twice since, and nothing else in it changed:
+//! - A view's row order after a rename is its maintained order: adopting a
+//!   pure rename keeps the old extent instead of re-evaluating it in plan
+//!   order. From `rename-relation X → X2` on, `V3`'s rows are permuted
+//!   (1,169 lines in 12 step blocks, the same sorted multiset).
+//! - Maintenance ships only the deletes the source performed. The absent
+//!   tuple of `delete Z and one absent tuple` no longer travels (`V3`'s
+//!   trace: 3,456 → 2,136 bytes), and `delete R ×3 (two present)` no
+//!   longer removes a third copy's join rows from `V2` (its trace:
+//!   864 → 576 bytes, 6 → 4 I/Os, −8 → −6 rows; site 3: 54 → 52 I/Os;
+//!   `V2` keeps `(0, 't0', 7)` and `(0, 't0', 12)` twice, as evaluation
+//!   does).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -123,6 +137,15 @@ fn step(e: &mut EveEngine, out: &mut String, label: &str, ops: Vec<EvolutionOp>)
         .unwrap();
     }
     for mv in e.views() {
+        let mut kept = mv.extent.tuples().to_vec();
+        let mut fresh = e.evaluate(&mv.def).unwrap().tuples().to_vec();
+        kept.sort();
+        fresh.sort();
+        assert_eq!(
+            kept, fresh,
+            "{label}: extent of {} is not its definition's bag",
+            mv.def.name
+        );
         writeln!(out, "view {}", mv.def).unwrap();
         for t in mv.extent.tuples() {
             writeln!(out, "  {t}").unwrap();

@@ -9,7 +9,7 @@ use eve::misd::{
 use eve::qc::cost::{cf_io, cf_messages, cf_transfer};
 use eve::qc::rank::normalize_costs;
 use eve::qc::{rank_rewritings, IoBound, MaintenancePlan, QcParams, WorkloadModel};
-use eve::relational::{tup, ColumnRef, CompOp, DataType, PrimitiveClause, Relation, Value};
+use eve::relational::{tup, ColumnRef, CompOp, DataType, PrimitiveClause, Relation, Tuple, Value};
 use eve::sync::{synchronize, EvolutionOp, SyncOptions};
 use eve::system::{DataUpdate, EveEngine};
 
@@ -182,6 +182,91 @@ fn realize_ops(sites: u32, specs: &[(u32, u8, i64)]) -> Vec<EvolutionOp> {
     ops
 }
 
+/// One relation of the canonical space as an op stream has left it: its
+/// current name and, per surviving attribute, the fixture column it
+/// started as (0 = `K`, 1 = `P`) and its current name.
+struct Hosted {
+    name: String,
+    attrs: Vec<(usize, String)>,
+}
+
+impl Hosted {
+    /// The fixture row `(k, k % 5)` cut to the surviving attributes.
+    fn row(&self, k: i64) -> Tuple {
+        Tuple::new(
+            self.attrs
+                .iter()
+                .map(|(col, _)| Value::Int(if *col == 0 { k } else { k % 5 }))
+                .collect(),
+        )
+    }
+}
+
+/// Translates `(site, kind, k)` specs into a valid-by-construction stream
+/// of data ops and every capability change that rewrites a view by rename
+/// or by repair: `rename-relation`, `rename-attribute` (the unaliased
+/// `R{i}_a.K` of `V{i}` among them), `delete-relation` and
+/// `delete-attribute`. Each op names a live relation at the site (`k`
+/// picks which) and the last attribute of a relation is never deleted.
+fn realize_evolution_ops(sites: u32, specs: &[(u32, u8, i64)]) -> Vec<EvolutionOp> {
+    let mut live: Vec<Vec<Hosted>> = (1..=sites)
+        .map(|i| {
+            ["a", "b", "c"]
+                .map(|suffix| Hosted {
+                    name: format!("R{i}_{suffix}"),
+                    attrs: vec![(0, "K".to_owned()), (1, "P".to_owned())],
+                })
+                .into()
+        })
+        .collect();
+    let mut ops = Vec::new();
+    for &(site, kind, k) in specs {
+        let rels = &mut live[(site % sites) as usize];
+        if rels.is_empty() {
+            continue;
+        }
+        let r = k as usize % rels.len();
+        let rel = &mut rels[r];
+        let a = (k / 3) as usize % rel.attrs.len();
+        match kind % 10 {
+            0..=4 => ops.push(EvolutionOp::insert(rel.name.clone(), vec![rel.row(k)])),
+            5 => ops.push(EvolutionOp::delete(rel.name.clone(), vec![rel.row(k % 40)])),
+            6 => {
+                let to = format!("{}x", rel.name);
+                let from = std::mem::replace(&mut rel.name, to.clone());
+                ops.push(EvolutionOp::change(SchemaChange::RenameRelation {
+                    from,
+                    to,
+                }));
+            }
+            7 => {
+                let to = format!("{}y", rel.attrs[a].1);
+                let from = std::mem::replace(&mut rel.attrs[a].1, to.clone());
+                ops.push(EvolutionOp::change(SchemaChange::RenameAttribute {
+                    relation: rel.name.clone(),
+                    from,
+                    to,
+                }));
+            }
+            8 if rel.attrs.len() > 1 => {
+                let (_, attribute) = rel.attrs.remove(a);
+                ops.push(EvolutionOp::change(SchemaChange::DeleteAttribute {
+                    relation: rel.name.clone(),
+                    attribute,
+                }));
+            }
+            8 => ops.push(EvolutionOp::insert(rel.name.clone(), vec![rel.row(k)])),
+            _ => {
+                let relation = rels.remove(r).name;
+                ops.push(EvolutionOp::change(SchemaChange::DeleteRelation {
+                    relation,
+                }));
+            }
+        }
+    }
+    ops
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -242,6 +327,34 @@ proptest! {
             prop_assert_eq!(b.affected, s.affected);
             prop_assert_eq!(b.survived, s.survived);
             prop_assert_eq!(b.candidates, s.candidates);
+        }
+    }
+
+    // -------------------------------------------------------------------
+    // Adoption: after every op, each view's extent — maintained, carried
+    // across a rename or re-evaluated for a repair — is the bag a fresh
+    // evaluation of its definition yields, under the same schema. Batch ≡
+    // sequential cannot see a wrong carry (both paths share the commit);
+    // this can.
+    // -------------------------------------------------------------------
+    #[test]
+    fn adopted_extents_equal_a_fresh_evaluation(
+        sites in 2u32..4,
+        specs in prop::collection::vec((0u32..8, 0u8..10, 0i64..60), 1..24),
+    ) {
+        let mut engine = multi_site_engine(sites);
+        for op in realize_evolution_ops(sites, &specs) {
+            let label = format!("{op:?}");
+            engine.apply_batch(vec![op]).unwrap();
+            for mv in engine.views() {
+                let fresh = engine.evaluate(&mv.def).unwrap();
+                prop_assert_eq!(mv.extent.schema(), fresh.schema(), "schema of {} after {}", mv.def.name, label);
+                let mut kept = mv.extent.tuples().to_vec();
+                let mut fresh = fresh.tuples().to_vec();
+                kept.sort();
+                fresh.sort();
+                prop_assert_eq!(kept, fresh, "extent of {} after {}", mv.def.name, label);
+            }
         }
     }
 
