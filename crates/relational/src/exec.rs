@@ -413,7 +413,8 @@ enum JoinKey {
 /// interned scalar keys are already uniform `u64`s, and SipHash would cost
 /// more per probe than the table lookup itself — and its per-process keys
 /// would lay the same table out differently on every run. Not used for
-/// projected-`Tuple` keys (the row baseline), which hash full values.
+/// projected-`Tuple` join keys (the row baseline), which hash full values;
+/// [`Relation::same_bag`] counts whole tuples with it.
 #[derive(Clone, Default)]
 pub(crate) struct KeyHasher(u64);
 

@@ -2,10 +2,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::column::ColumnarBatch;
 use crate::error::{Error, Result};
+use crate::exec::KeyHasher;
 use crate::index::{IndexKind, IndexSet, IndexStats};
 use crate::predicate::CompOp;
 use crate::schema::Schema;
@@ -408,6 +410,40 @@ impl Relation {
             }
         }
         rows
+    }
+
+    /// Whether `other` holds the same bag of tuples under the same schema:
+    /// equal schemas, equal cardinalities, and every tuple as often on one
+    /// side as on the other. Names and row order do not matter.
+    ///
+    /// Replicas that match row for row are settled by one positional
+    /// pass. Past the first position where the two differ, the remaining
+    /// tuples of both sides are counted in a map hashed with
+    /// [`KeyHasher`], so a reordered replica costs one hash per row.
+    #[must_use]
+    pub fn same_bag(&self, other: &Relation) -> bool {
+        if self.schema != other.schema || self.cardinality() != other.cardinality() {
+            return false;
+        }
+        let (mine, theirs) = (&self.store.tuples, &other.store.tuples);
+        let start = mine.iter().zip(theirs).take_while(|(a, b)| a == b).count();
+        if start == mine.len() {
+            return true;
+        }
+        let mut counts: HashMap<&Tuple, usize, BuildHasherDefault<KeyHasher>> =
+            HashMap::with_capacity_and_hasher(mine.len() - start, BuildHasherDefault::default());
+        for t in &mine[start..] {
+            *counts.entry(t).or_insert(0) += 1;
+        }
+        // Equal lengths: every tuple of `theirs` taking one of `mine`'s
+        // leaves no count over.
+        theirs[start..].iter().all(|t| match counts.get_mut(t) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                true
+            }
+            _ => false,
+        })
     }
 
     /// Validates a tuple against the schema without inserting it.

@@ -211,4 +211,48 @@ proptest! {
             prop_assert!((sel - expect).abs() < 1e-12);
         }
     }
+
+    /// `same_bag` holds exactly when both sides sort to the same tuples
+    /// under the same schema: over a shuffle of a relation, then no edit,
+    /// a duplicated row, a changed value, or a row replaced by a copy of
+    /// another (same cardinality, other multiplicities).
+    #[test]
+    fn same_bag_iff_equal_sorted_tuples(
+        r in small_relation("R", 2),
+        keys in prop::collection::vec(any::<u64>(), 0..12),
+        edit in 0u8..5,
+        pick in 0usize..12,
+        v in -5i64..5,
+    ) {
+        let mut order: Vec<usize> = (0..r.cardinality()).collect();
+        order.sort_by_key(|&i| (keys.get(i).copied().unwrap_or(0), i));
+        let mut rows: Vec<Tuple> = order.iter().map(|&i| r.tuples()[i].clone()).collect();
+        let n = rows.len();
+        match edit {
+            1 if n > 0 => rows.push(rows[pick % n].clone()),
+            2 if n > 0 => rows[pick % n] = Tuple::new(vec![Value::Int(v), Value::Int(v)]),
+            3 if n > 1 => rows[pick % n] = rows[(pick + 1) % n].clone(),
+            _ => {}
+        }
+        let other = Relation::with_tuples("S", r.schema().clone(), rows).unwrap();
+        let sorted = |rel: &Relation| {
+            let mut t = rel.tuples().to_vec();
+            t.sort();
+            t
+        };
+        let expected = sorted(&r) == sorted(&other);
+        prop_assert_eq!(r.same_bag(&other), expected);
+        prop_assert_eq!(other.same_bag(&r), expected);
+        // Same tuples under other column names are another schema.
+        let renamed = Schema::new(
+            r.schema()
+                .columns()
+                .iter()
+                .map(|c| eve_relational::ColumnDef::new(ColumnRef::bare(format!("{}x", c.column.name)), c.ty))
+                .collect(),
+        )
+        .unwrap();
+        let relabelled = other.rebind("S", renamed).unwrap();
+        prop_assert!(!r.same_bag(&relabelled));
+    }
 }

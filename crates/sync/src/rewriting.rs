@@ -176,6 +176,46 @@ impl LegalRewriting {
                 .iter()
                 .all(|a| matches!(a, RewriteAction::Renamed { .. }))
     }
+
+    /// The relation pair `(R, R′)` when the rewriting is `original` with
+    /// one or more FROM items over `R` moved onto `R′` and nothing else
+    /// changed: each moved item keeps its alias, and SELECT, WHERE, `VE`
+    /// and the output names are untouched. The moved bindings read from
+    /// `R′` exactly what they read from `R`, so wherever the two hold the
+    /// same bag, and the bindings left on `R` read what they read before,
+    /// the old extent is the new one, whatever the extent relationship
+    /// claims. A swap that merged into an existing binding, dropped a
+    /// component or mapped an attribute to another name is `None`.
+    #[must_use]
+    pub fn substituted_relation<'a>(&'a self, original: &'a ViewDef) -> Option<(&'a str, &'a str)> {
+        let view = &self.view;
+        if view.from.len() != original.from.len()
+            || view.select != original.select
+            || view.conditions != original.conditions
+            || view.ve != original.ve
+            || view.column_names != original.column_names
+        {
+            return None;
+        }
+        let mut pair: Option<(&str, &str)> = None;
+        for (new, old) in view.from.iter().zip(&original.from) {
+            if new.relation == old.relation {
+                if new != old {
+                    return None;
+                }
+                continue;
+            }
+            if new.alias.is_none() || new.alias != old.alias || new.evolution != old.evolution {
+                return None;
+            }
+            let swap = (old.relation.as_str(), new.relation.as_str());
+            if pair.is_some_and(|p| p != swap) {
+                return None;
+            }
+            pair = Some(swap);
+        }
+        pair
+    }
 }
 
 impl fmt::Display for LegalRewriting {
@@ -255,5 +295,66 @@ mod tests {
             !rewriting(ExtentRelationship::Subset, vec![renamed.clone()]).reads_the_same_tuples()
         );
         assert!(!rewriting(equal, vec![renamed, dropped]).reads_the_same_tuples());
+    }
+
+    #[test]
+    fn only_an_aliased_relation_swap_substitutes_a_relation() {
+        let original = eve_esql::parse_view(
+            "CREATE VIEW V AS SELECT X.K, Y.P AS YP FROM R X, R Y, S Z \
+             WHERE X.K = Y.K AND Y.K = Z.K",
+        )
+        .unwrap();
+        let substituted = |sql: &str| {
+            LegalRewriting {
+                view: eve_esql::parse_view(sql).unwrap(),
+                provenance: Provenance::default(),
+                extent: ExtentRelationship::Subset,
+            }
+            .substituted_relation(&original)
+            .map(|(from, to)| (from.to_owned(), to.to_owned()))
+        };
+        // Bindings of R onto M, aliases kept, whatever the extent
+        // relationship says; a binding may stay on R.
+        for sql in [
+            "CREATE VIEW V AS SELECT X.K, Y.P AS YP FROM M X, M Y, S Z \
+             WHERE X.K = Y.K AND Y.K = Z.K",
+            "CREATE VIEW V AS SELECT X.K, Y.P AS YP FROM M X, R Y, S Z \
+             WHERE X.K = Y.K AND Y.K = Z.K",
+        ] {
+            assert_eq!(
+                substituted(sql),
+                Some(("R".to_owned(), "M".to_owned())),
+                "{sql}"
+            );
+        }
+        for sql in [
+            // Two different substitutions.
+            "CREATE VIEW V AS SELECT X.K, Y.P AS YP FROM M X, M Y, T Z \
+             WHERE X.K = Y.K AND Y.K = Z.K",
+            // An attribute mapped to another name.
+            "CREATE VIEW V AS SELECT X.K, Y.Q AS YP FROM M X, M Y, S Z \
+             WHERE X.K = Y.K AND Y.K = Z.K",
+            // A merge into an existing binding.
+            "CREATE VIEW V AS SELECT Z.K, Y.P AS YP FROM M Y, S Z \
+             WHERE Z.K = Y.K AND Y.K = Z.K",
+            // Another alias.
+            "CREATE VIEW V AS SELECT X.K, Y.P AS YP FROM M X, M W, S Z \
+             WHERE X.K = Y.K AND Y.K = Z.K",
+            // A dropped condition.
+            "CREATE VIEW V AS SELECT X.K, Y.P AS YP FROM M X, M Y, S Z WHERE X.K = Y.K",
+            // Nothing substituted.
+            "CREATE VIEW V AS SELECT X.K, Y.P AS YP FROM R X, R Y, S Z \
+             WHERE X.K = Y.K AND Y.K = Z.K",
+        ] {
+            assert_eq!(substituted(sql), None, "{sql}");
+        }
+        // An unaliased item changes its binding name with its relation.
+        let bare = eve_esql::parse_view("CREATE VIEW V AS SELECT R.K FROM R").unwrap();
+        let swapped = LegalRewriting {
+            view: eve_esql::parse_view("CREATE VIEW V AS SELECT M.K FROM M").unwrap(),
+            provenance: Provenance::default(),
+            extent: ExtentRelationship::Equal,
+        };
+        assert_eq!(swapped.substituted_relation(&bare), None);
     }
 }

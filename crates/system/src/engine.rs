@@ -121,6 +121,54 @@ fn check_extent_shape(info: &RelationInfo, extent: &Relation) -> Result<()> {
     Ok(())
 }
 
+/// The carry decision of one capability-change commit: which adopted
+/// rewritings keep the view's old extent. Holds the extent the change
+/// displaced and the same-bag verdict per substitute relation, so views
+/// moved onto one replica compare its bag once.
+#[derive(Default)]
+struct Carry {
+    displaced: Option<Relation>,
+    same_bag: BTreeMap<String, bool>,
+    /// Rows of the displaced extent handed to [`Relation::same_bag`].
+    rows_compared: u64,
+}
+
+impl Carry {
+    /// Whether `rewriting`, adopted for `old`, reads the bag `old`'s extent
+    /// holds: an ≡ pure rename, or a substitution of the displaced relation
+    /// by one that holds, in `engine`'s changed space, the bag the
+    /// displaced one held. A binding the substitution leaves on the
+    /// displaced relation reads it after the change: only `delete-attribute`
+    /// leaves one, with every row and every column but the dropped one,
+    /// which a legal rewriting does not read.
+    fn keeps_extent(
+        &mut self,
+        engine: &EveEngine,
+        rewriting: &eve_sync::LegalRewriting,
+        old: &ViewDef,
+    ) -> Result<bool> {
+        if rewriting.reads_the_same_tuples() {
+            return Ok(true);
+        }
+        let (Some(displaced), Some((from, to))) =
+            (&self.displaced, rewriting.substituted_relation(old))
+        else {
+            return Ok(false);
+        };
+        if from != displaced.name() {
+            return Ok(false);
+        }
+        if let Some(&held) = self.same_bag.get(to) {
+            return Ok(held);
+        }
+        let _span = eve_trace::span("engine.carry_check");
+        let held = displaced.same_bag(engine.hosted(to)?);
+        self.rows_compared += displaced.cardinality() as u64;
+        self.same_bag.insert(to.to_owned(), held);
+        Ok(held)
+    }
+}
+
 impl EveEngine {
     /// An engine with paper-default parameters and QC-best selection.
     #[must_use]
@@ -230,16 +278,18 @@ impl EveEngine {
             if resolved.contains_key(&item.relation) {
                 continue;
             }
-            let info = self.mkb.relation(&item.relation)?;
-            let site = self.sites.get(&info.site.0).ok_or_else(|| Error::State {
-                detail: format!("unknown site {}", info.site),
-            })?;
-            resolved.insert(
-                item.relation.clone(),
-                site.relation(&item.relation)?.clone(),
-            );
+            resolved.insert(item.relation.clone(), self.hosted(&item.relation)?.clone());
         }
         Ok(resolved)
+    }
+
+    /// The extent of a registered relation, at the site the MKB places it.
+    fn hosted(&self, relation: &str) -> Result<&Relation> {
+        let info = self.mkb.relation(relation)?;
+        let site = self.sites.get(&info.site.0).ok_or_else(|| Error::State {
+            detail: format!("unknown site {}", info.site),
+        })?;
+        site.relation(relation)
     }
 
     /// Evaluates a view definition against the current information space
@@ -588,20 +638,39 @@ impl EveEngine {
     /// Phases 2–3 of the Fig. 1 loop: evolve the MKB and the information
     /// space, then adopt or drop each view per the phase-1 reports.
     ///
-    /// An adopted rewriting that [reads the same tuples] as the old
-    /// definition (an ≡ pure rename) takes over the old extent, row order
-    /// included; every other one is re-evaluated over the changed space.
+    /// An adopted rewriting that reads the tuples the old definition read
+    /// takes over the old extent, row order included: an ≡ pure rename
+    /// ([`reads_the_same_tuples`]), or a [substitution] of the relation the
+    /// change displaced by one that now holds the same bag. Every other
+    /// one is re-evaluated over the changed space.
     ///
-    /// [reads the same tuples]: eve_sync::LegalRewriting::reads_the_same_tuples
+    /// [`reads_the_same_tuples`]: eve_sync::LegalRewriting::reads_the_same_tuples
+    /// [substitution]: eve_sync::LegalRewriting::substituted_relation
     fn commit_capability_change(
         &mut self,
         change: &SchemaChange,
         new_extent: Option<Relation>,
         reports: Vec<EvolutionReport>,
     ) -> Result<Vec<EvolutionReport>> {
-        self.apply_change_to_space(change, new_extent)?;
-        self.mkb.apply_change(change)?;
+        let displaced = {
+            let _span = eve_trace::span("engine.apply_change_to_space");
+            self.apply_change_to_space(change, new_extent)?
+        };
+        {
+            let _span = eve_trace::span("mkb.apply_change");
+            self.mkb.apply_change(change)?;
+        }
+        {
+            // Extent-rebuilding changes drop the rebuilt relation's warmed
+            // indexes with its old storage; re-warm the declared ones.
+            let _span = eve_trace::span("engine.warm_indexes");
+            self.warm_declared_indexes();
+        }
 
+        let mut carry = Carry {
+            displaced,
+            ..Carry::default()
+        };
         let (mut carried, mut recomputed) = (0, 0);
         for report in reports.iter().filter(|r| r.affected) {
             let name = &report.view_name;
@@ -611,12 +680,8 @@ impl EveEngine {
             };
             let mut def = adopted.rewriting.view.clone();
             def.name.clone_from(name);
-            let kept = adopted
-                .rewriting
-                .reads_the_same_tuples()
-                .then(|| self.views.remove(name))
-                .flatten();
-            let extent = match kept {
+            let keeps = carry.keeps_extent(self, &adopted.rewriting, &self.views[name].def)?;
+            let extent = match keeps.then(|| self.views.remove(name)).flatten() {
                 Some(old) => {
                     carried += 1;
                     old.extent
@@ -633,23 +698,28 @@ impl EveEngine {
         let registry = eve_trace::global();
         registry.counter("engine.views_carried").add(carried);
         registry.counter("engine.views_recomputed").add(recomputed);
+        registry
+            .counter("engine.carry_rows_compared")
+            .add(carry.rows_compared);
         Ok(reports)
     }
 
+    /// Applies `change` to the hosting site and the declared index hints.
+    /// Returns the extent the change displaced, as it stood before the
+    /// change: the deleted relation of `delete-relation`, the unprojected
+    /// one of `delete-attribute`.
     fn apply_change_to_space(
         &mut self,
         change: &SchemaChange,
         new_extent: Option<Relation>,
-    ) -> Result<()> {
-        match change {
+    ) -> Result<Option<Relation>> {
+        let displaced = match change {
             SchemaChange::DeleteRelation { relation } => {
                 let site = self.mkb.relation(relation)?.site;
-                self.sites
-                    .get_mut(&site.0)
-                    .ok_or_else(|| Error::State {
-                        detail: format!("unknown site {site}"),
-                    })?
-                    .drop_relation(relation)?;
+                let host = self.sites.get_mut(&site.0).ok_or_else(|| Error::State {
+                    detail: format!("unknown site {site}"),
+                })?;
+                Some(host.drop_relation(relation)?)
             }
             SchemaChange::AddRelation { relation } => {
                 let extent = new_extent.expect("checked before any search");
@@ -662,6 +732,7 @@ impl EveEngine {
                 let mut named = extent;
                 named.set_name(relation.name.clone());
                 site.host(named, relation.blocking_factor)?;
+                None
             }
             SchemaChange::DeleteAttribute {
                 relation,
@@ -682,6 +753,7 @@ impl EveEngine {
                 let mut projected = eve_relational::algebra::project(&old, &keep, false)?;
                 projected.set_name(relation.clone());
                 site.host(projected, info.blocking_factor)?;
+                Some(old)
             }
             SchemaChange::AddAttribute {
                 relation,
@@ -713,6 +785,7 @@ impl EveEngine {
                     rebuilt.insert(eve_relational::Tuple::new(vals))?;
                 }
                 site.host(rebuilt, info.blocking_factor)?;
+                None
             }
             SchemaChange::RenameAttribute { relation, from, to } => {
                 let info = self.mkb.relation(relation)?;
@@ -736,6 +809,7 @@ impl EveEngine {
                 let mut renamed = eve_relational::algebra::rename_columns(&old, &names)?;
                 renamed.set_name(relation.clone());
                 site.host(renamed, info.blocking_factor)?;
+                None
             }
             SchemaChange::RenameRelation { from, to } => {
                 let info = self.mkb.relation(from)?;
@@ -746,12 +820,42 @@ impl EveEngine {
                 let mut old = site.drop_relation(from)?;
                 old.set_name(to.clone());
                 site.host(old, info.blocking_factor)?;
+                None
             }
+        };
+        self.retarget_index_hints(change);
+        Ok(displaced)
+    }
+
+    /// Makes the declared index hints follow `change`: a renamed relation
+    /// or attribute renames its hints, a deleted one drops them. So the
+    /// hints a snapshot carries name what is hosted, and a restored engine
+    /// warms the indexes the live one holds.
+    fn retarget_index_hints(&mut self, change: &SchemaChange) {
+        match change {
+            SchemaChange::RenameRelation { from, to } => {
+                for hint in self.index_hints.iter_mut().filter(|h| h.relation == *from) {
+                    hint.relation.clone_from(to);
+                }
+            }
+            SchemaChange::RenameAttribute { relation, from, to } => {
+                let renamed = |h: &&mut IndexHint| h.relation == *relation && h.column == *from;
+                for hint in self.index_hints.iter_mut().filter(renamed) {
+                    hint.column.clone_from(to);
+                }
+            }
+            SchemaChange::DeleteRelation { relation } => {
+                self.index_hints.retain(|h| h.relation != *relation);
+            }
+            SchemaChange::DeleteAttribute {
+                relation,
+                attribute,
+            } => {
+                self.index_hints
+                    .retain(|h| h.relation != *relation || h.column != *attribute);
+            }
+            SchemaChange::AddRelation { .. } | SchemaChange::AddAttribute { .. } => {}
         }
-        // Extent-rebuilding changes drop the rebuilt relation's warmed
-        // indexes with its old storage; re-warm the declared ones.
-        self.warm_declared_indexes();
-        Ok(())
     }
 
     /// Total block I/Os charged across all sites.
@@ -849,12 +953,7 @@ impl EveEngine {
     ///
     /// [`Error::State`] for unregistered relations or unknown columns.
     pub fn declare_index(&mut self, relation: &str, column: &str, kind: IndexKind) -> Result<bool> {
-        let info = self.mkb.relation(relation)?;
-        let site_id = info.site.0;
-        let site = self.sites.get(&site_id).ok_or_else(|| Error::State {
-            detail: format!("unknown site {site_id}"),
-        })?;
-        let rel = site.relation(relation)?;
+        let rel = self.hosted(relation)?;
         let col = rel
             .schema()
             .columns()
@@ -883,19 +982,14 @@ impl EveEngine {
     }
 
     /// Re-warms every declared index that still resolves to a hosted
-    /// relation and column. Hints whose relation was dropped, renamed or
-    /// reshaped are skipped silently — a declaration is a performance
-    /// hint, never a correctness constraint. Called after snapshot restore
-    /// and after schema changes that rebuild extents.
+    /// relation and column. Capability changes keep the hints current; one
+    /// that does not resolve (a snapshot written before hints followed
+    /// them) is skipped silently — a declaration is a performance hint,
+    /// never a correctness constraint. Called after snapshot restore and
+    /// after schema changes that rebuild extents.
     pub fn warm_declared_indexes(&self) {
         for hint in &self.index_hints {
-            let Ok(info) = self.mkb.relation(&hint.relation) else {
-                continue;
-            };
-            let Some(site) = self.sites.get(&info.site.0) else {
-                continue;
-            };
-            let Ok(rel) = site.relation(&hint.relation) else {
+            let Ok(rel) = self.hosted(&hint.relation) else {
                 continue;
             };
             if let Some(col) = rel
@@ -1661,6 +1755,73 @@ mod tests {
             rel.has_index(0, IndexKind::Hash),
             "rebuilt extent re-warmed the declared index"
         );
+    }
+
+    /// Every `(relation, column, kind)` index the hosted relations hold.
+    fn hosted_indexes(e: &EveEngine) -> BTreeSet<(String, String, bool)> {
+        let mut held = BTreeSet::new();
+        for rel in e.sites.values().flat_map(SimSite::hosted_relations) {
+            for (col, def) in rel.schema().columns().iter().enumerate() {
+                for kind in [IndexKind::Hash, IndexKind::Sorted] {
+                    if rel.has_index(col, kind) {
+                        held.insert((
+                            rel.name().to_owned(),
+                            def.column.name.clone(),
+                            kind == IndexKind::Hash,
+                        ));
+                    }
+                }
+            }
+        }
+        held
+    }
+
+    #[test]
+    fn declared_indexes_follow_each_change_into_a_restored_engine() {
+        let rename_relation = SchemaChange::RenameRelation {
+            from: "Customer".into(),
+            to: "Client".into(),
+        };
+        let rename_attribute = SchemaChange::RenameAttribute {
+            relation: "Customer".into(),
+            from: "Name".into(),
+            to: "CName".into(),
+        };
+        let delete_attribute = SchemaChange::DeleteAttribute {
+            relation: "Customer".into(),
+            attribute: "Address".into(),
+        };
+        let delete_relation = SchemaChange::DeleteRelation {
+            relation: "Customer".into(),
+        };
+        for (change, expected) in [
+            (rename_relation, vec!["Client.Name", "Client.Address"]),
+            (rename_attribute, vec!["Customer.CName", "Customer.Address"]),
+            (delete_attribute, vec!["Customer.Name"]),
+            (delete_relation, vec![]),
+        ] {
+            let mut live = engine_with_travel_space();
+            live.declare_index("Customer", "Name", IndexKind::Hash)
+                .unwrap();
+            live.declare_index("Customer", "Address", IndexKind::Sorted)
+                .unwrap();
+            live.notify_capability_change(&change, None).unwrap();
+            let hints: Vec<String> = live
+                .index_hints()
+                .iter()
+                .map(|h| format!("{}.{}", h.relation, h.column))
+                .collect();
+            assert_eq!(hints, expected, "{change}");
+            let bytes = live.snapshot_state().to_bytes();
+            let restored = EveEngine::from_snapshot_state(
+                &eve_store::EngineSnapshot::from_bytes(&bytes).unwrap(),
+            )
+            .unwrap();
+            assert_eq!(restored.index_hints(), live.index_hints(), "{change}");
+            let held = hosted_indexes(&live);
+            assert_eq!(held.len(), expected.len(), "{change}: {held:?}");
+            assert_eq!(hosted_indexes(&restored), held, "{change}");
+        }
     }
 
     /// The travel space plus a second replacement pool for `Customer`

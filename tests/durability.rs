@@ -598,6 +598,47 @@ fn crash_recovery_smoke() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A logged `delete-relation` whose swap the commit carries: `V1` moves
+/// from `R1_b` onto the replica `R1_c`, which holds the same bag in
+/// another order, and keeps its maintained extent. After a crash, replay
+/// carries it again, so every view comes back byte for byte, row order
+/// included — an order no fresh evaluation yields.
+#[test]
+fn a_carried_swap_recovers_byte_identical_views() {
+    let dir = scratch_dir("carried-swap");
+    let mut durable = DurableEngine::create_with(&dir, fixtures::build_space(2).unwrap()).unwrap();
+    durable
+        .apply_batch(vec![
+            // The same row in both replicas: maintenance appends its join
+            // row `(7, 4)` to `V1`, where evaluation would put it next to
+            // `(7, 2)`.
+            EvolutionOp::insert("R1_b", vec![tup![7, 4]]),
+            EvolutionOp::insert("R1_c", vec![tup![7, 4]]),
+            // One row of `R1_c` moved to its end.
+            EvolutionOp::delete("R1_c", vec![tup![0, 0]]),
+            EvolutionOp::insert("R1_c", vec![tup![0, 0]]),
+        ])
+        .unwrap();
+    durable
+        .apply_batch(vec![EvolutionOp::change(SchemaChange::DeleteRelation {
+            relation: "R1_b".into(),
+        })])
+        .unwrap();
+    let engine = durable.engine();
+    let v1 = engine.view("V1").unwrap();
+    assert!(v1.def.from.iter().any(|f| f.relation == "R1_c"));
+    let fresh = engine.evaluate(&v1.def).unwrap();
+    assert_ne!(v1.extent.tuples(), fresh.tuples(), "V1 was re-evaluated");
+    // The fingerprint holds every view's extent, rows in order.
+    let live = fingerprint(engine);
+    drop(durable); // crash: no checkpoint since the bootstrap snapshot
+
+    let (recovered, report) = DurableEngine::open(&dir).unwrap();
+    assert_eq!(report.replayed_records, 2);
+    assert_eq!(fingerprint(recovered.engine()), live);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Compaction keeps recovery exact while bounding the log.
 #[test]
 fn compaction_preserves_recovery() {
@@ -736,6 +777,13 @@ fn store_head_commands() -> Vec<LogRecord> {
 /// kinds) still opens to the fingerprint committed beside it, still time
 /// travels — and the same commands through `DurableEngine::apply` write
 /// the same files, byte for byte.
+///
+/// One move against the committed fingerprint is deliberate: that build
+/// kept the `Rb.P` index hint after `delete-relation Rb`, although nothing
+/// hosts `Rb` any more. A deleted relation now drops its hints, so the
+/// expected state is the committed one with exactly that hint removed;
+/// every other byte must still match, and the hints left must name what
+/// is hosted.
 #[test]
 fn store_written_by_the_parent_build_opens_travels_and_is_reproduced() {
     // `open` takes the directory lock and may truncate or rotate: work on
@@ -761,9 +809,23 @@ fn store_written_by_the_parent_build_opens_travels_and_is_reproduced() {
         (report.snapshot_seq, report.replayed_records),
         (Some(18), 4)
     );
-    let expected = std::fs::read(golden("store-head.fingerprint")).unwrap();
+    let committed = std::fs::read(golden("store-head.fingerprint")).unwrap();
+    let mut state = eve::store::EngineSnapshot::from_bytes(&committed).unwrap();
+    let stale = |h: &IndexHint| h.relation == "Rb" && h.column == "P";
+    assert_eq!(
+        state.config.index_hints.iter().filter(|h| stale(h)).count(),
+        1
+    );
+    state.config.index_hints.retain(|h| !stale(h));
+    let expected = state.to_bytes();
     assert_eq!(fingerprint(recovered.engine()), expected);
-    assert_eq!(recovered.engine().index_hints().len(), 2);
+    assert_eq!(recovered.engine().index_hints().len(), 1);
+    for hint in recovered.engine().index_hints() {
+        assert!(
+            recovered.engine().mkb().has_relation(&hint.relation),
+            "{hint:?}"
+        );
+    }
     assert!(recovered.engine().view("U").is_err());
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
