@@ -20,6 +20,9 @@
 //! reports how many hosted tuples each delta tuple matched, which is
 //! exactly what the Appendix-A probe-I/O accounting
 //! (`max(1, ⌈matches/bfr⌉)` capped by a full scan) consumes.
+//! [`join_through_product`] is its three-way form for a keyless visit: it
+//! joins a relation through `delta × deferred` without building the
+//! product.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -771,6 +774,111 @@ pub fn join_with_counts(
         }
     }
     Ok((Relation::from_validated(name, schema, out), counts))
+}
+
+/// Whether `on` holds no equi key between `delta` and `next`, so that
+/// [`join_with_counts`] materialises their whole product.
+#[must_use]
+pub fn joins_keyless(delta: &Relation, next: &Relation, on: &[PrimitiveClause]) -> bool {
+    split_equi_keys(delta.schema(), delta.name(), next.schema(), next.name(), on)
+        .0
+        .is_empty()
+}
+
+/// Joins `next` through the product `delta × deferred` without
+/// materialising it. The result equals
+/// `join_with_counts(&join_with_counts(delta, deferred, &[])?.0, next, on)`:
+/// the same rows in the same order (delta row, then `deferred` row id, then
+/// `next` row id), the same schema and one match count per product row.
+///
+/// Each delta tuple probes `next`'s hash index on a key to `delta`, and
+/// each `next` match probes `deferred`'s hash index on a key to `deferred`,
+/// so the join costs the matches, not `|delta| · |deferred|`.
+///
+/// Returns `None`, and leaves the product to the caller, when `on` has no
+/// equi key from `next` to `delta` or none from `next` to `deferred`, when
+/// a key pair compares different types, or when `next` and `deferred`
+/// share storage (one index lock cannot be held twice).
+///
+/// # Errors
+///
+/// Schema concatenation and predicate failures.
+pub fn join_through_product(
+    delta: &Relation,
+    deferred: &Relation,
+    next: &Relation,
+    on: &[PrimitiveClause],
+) -> Result<Option<(Relation, Vec<usize>)>> {
+    if next.shares_tuples_with(deferred) {
+        return Ok(None);
+    }
+    let product_name = format!("{}⋈{}", delta.name(), deferred.name());
+    let product = delta.schema().concat(deferred.schema())?;
+    let (keys, residual_clauses) =
+        split_equi_keys(&product, &product_name, next.schema(), next.name(), on);
+    let typed = |rel: &Relation, col: usize, n: usize| {
+        rel.schema().column(col).ty == next.schema().column(n).ty
+    };
+    let width = delta.schema().arity();
+    let mut to_delta = Vec::new();
+    let mut to_deferred = Vec::new();
+    for (p, n) in keys {
+        let same_type = if p < width {
+            to_delta.push((p, n));
+            typed(delta, p, n)
+        } else {
+            to_deferred.push((p - width, n));
+            typed(deferred, p - width, n)
+        };
+        if !same_type {
+            return Ok(None);
+        }
+    }
+    let (Some(&(d0, nd0)), Some(&(r0, nr0))) = (to_delta.first(), to_deferred.first()) else {
+        return Ok(None);
+    };
+    let schema = product.concat(next.schema())?;
+    let name = format!("{product_name}⋈{}", next.name());
+    let residual = Predicate::new(residual_clauses);
+    residual.type_check(&schema, &name)?;
+
+    let next_tuples = next.tuples();
+    let deferred_tuples = deferred.tuples();
+    let mut next_probe = next.hash_probe(nd0);
+    let mut deferred_probe = deferred.hash_probe(r0);
+    let mut out = Vec::new();
+    let mut counts = vec![0; delta.cardinality() * deferred.cardinality()];
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    for (i, dt) in delta.tuples().iter().enumerate() {
+        pairs.clear();
+        for &s in next_probe.rows(dt.get(d0)) {
+            let st = &next_tuples[s as usize];
+            if !to_delta[1..].iter().all(|&(d, n)| dt.get(d) == st.get(n)) {
+                continue;
+            }
+            for &r in deferred_probe.rows(st.get(nr0)) {
+                let rt = &deferred_tuples[r as usize];
+                if to_deferred[1..]
+                    .iter()
+                    .all(|&(d, n)| rt.get(d) == st.get(n))
+                {
+                    pairs.push((r, s));
+                }
+            }
+        }
+        // Probe order is `next`-major; the product's order is `deferred`-major.
+        pairs.sort_unstable();
+        for &(r, s) in &pairs {
+            counts[i * deferred.cardinality() + r as usize] += 1;
+            let t = dt
+                .concat(&deferred_tuples[r as usize])
+                .concat(&next_tuples[s as usize]);
+            if residual.eval(&schema, &t, &name)? {
+                out.push(t);
+            }
+        }
+    }
+    Ok(Some((Relation::from_validated(name, schema, out), counts)))
 }
 
 #[cfg(test)]

@@ -41,7 +41,43 @@ pub enum IndexKind {
 /// Equality index: scalar key → ascending row ids.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct HashIndex {
-    map: HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>>,
+    map: HashMap<u64, RowIds, BuildHasherDefault<KeyHasher>>,
+}
+
+/// The ascending row ids of one key. A key held by one row keeps its id
+/// inline, so a unique column's index allocates, clones and frees no
+/// per-key vector.
+#[derive(Debug, Clone, PartialEq)]
+enum RowIds {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl RowIds {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            RowIds::One(row) => std::slice::from_ref(row),
+            RowIds::Many(rows) => rows,
+        }
+    }
+
+    /// Appends a row id larger than every one held.
+    fn push(&mut self, row: u32) {
+        match self {
+            RowIds::One(first) => *self = RowIds::Many(vec![*first, row]),
+            RowIds::Many(rows) => rows.push(row),
+        }
+    }
+}
+
+impl HashIndex {
+    /// Appends `row` under `key`.
+    fn add(&mut self, key: u64, row: u32) {
+        self.map
+            .entry(key)
+            .and_modify(|rows| rows.push(row))
+            .or_insert(RowIds::One(row));
+    }
 }
 
 /// Range index: row ids ordered by `(column value, row id)`.
@@ -136,11 +172,10 @@ impl IndexSet {
         if !self.hash.contains_key(&col) {
             let mut index = HashIndex::default();
             for (i, t) in tuples.iter().enumerate() {
-                index
-                    .map
-                    .entry(scalar_key(t.get(col)))
-                    .or_default()
-                    .push(u32::try_from(i).expect("row id fits u32"));
+                index.add(
+                    scalar_key(t.get(col)),
+                    u32::try_from(i).expect("row id fits u32"),
+                );
             }
             self.builds += 1;
             mirrors().builds.inc();
@@ -178,7 +213,7 @@ impl IndexSet {
         // stored text keys, so probing earlier would spuriously miss.
         probe_key(key)
             .and_then(|k| idx.map.get(&k))
-            .map_or(&[], Vec::as_slice)
+            .map_or(&[], RowIds::as_slice)
     }
 
     /// Records `n` lookups answered from an index. A run of probes reports
@@ -233,7 +268,7 @@ impl IndexSet {
     pub(crate) fn insert_row(&mut self, t: &Tuple, tuples: &[Tuple]) {
         let row = u32::try_from(tuples.len()).expect("row id fits u32");
         for (&col, idx) in &mut self.hash {
-            idx.map.entry(scalar_key(t.get(col))).or_default().push(row);
+            idx.add(scalar_key(t.get(col)), row);
         }
         for (&col, idx) in &mut self.sorted {
             let v = t.get(col);
@@ -254,28 +289,28 @@ impl IndexSet {
             let shift = removed.partition_point(|&r| r < row);
             row - u32::try_from(shift).expect("shift fits u32")
         };
+        let keep = |r: &mut u32| {
+            if removed.binary_search(r).is_ok() {
+                false
+            } else {
+                *r = remap(*r);
+                true
+            }
+        };
         for idx in self.hash.values_mut() {
-            idx.map.retain(|_, rows| {
-                rows.retain_mut(|r| {
-                    if removed.binary_search(r).is_ok() {
-                        false
-                    } else {
-                        *r = remap(*r);
-                        true
+            idx.map.retain(|_, rows| match rows {
+                RowIds::One(row) => keep(row),
+                RowIds::Many(many) => {
+                    many.retain_mut(keep);
+                    if let [row] = many[..] {
+                        *rows = RowIds::One(row);
                     }
-                });
-                !rows.is_empty()
+                    !rows.as_slice().is_empty()
+                }
             });
         }
         for idx in self.sorted.values_mut() {
-            idx.rows.retain_mut(|r| {
-                if removed.binary_search(r).is_ok() {
-                    false
-                } else {
-                    *r = remap(*r);
-                    true
-                }
-            });
+            idx.rows.retain_mut(keep);
         }
         self.count_maintenance();
     }

@@ -12,12 +12,19 @@
 //!    go, whatever finds them; the columnar image and every live index
 //!    equal a from-scratch rebuild; a delete that matches nothing detaches
 //!    nothing.
+//! 3. **Through the product ≡ over the product** —
+//!    `exec::join_through_product(Δ, R, N, on)` returns the rows, schema and
+//!    match counts of `join_with_counts` over the materialised `Δ × R`, for
+//!    one- and two-column keys from `N` to each factor written either way
+//!    round, with a residual clause, duplicates and an empty delta. It
+//!    declines (`None`) without a key to either factor, on a mismatched key
+//!    type, and when `N` and `R` share storage.
 //!
 //! Case counts honour `PROPTEST_CASES` (CI smoke 64, nightly 256).
 
 use proptest::prelude::*;
 
-use eve_relational::exec::join_with_counts;
+use eve_relational::exec::{join_through_product, join_with_counts};
 use eve_relational::{
     algebra, intern, ColumnDef, ColumnRef, ColumnarBatch, CompOp, DataType, IndexKind, Predicate,
     PrimitiveClause, Relation, Schema, Tuple, Value,
@@ -91,6 +98,27 @@ fn apply(rel: &mut Relation, ops: &[Op]) {
 fn eq(d: &str, n: &str) -> PrimitiveClause {
     PrimitiveClause::eq(ColumnRef::qualified("D", d), ColumnRef::qualified("N", n))
 }
+
+/// Key shapes for a join through `D × R` to `N`: the pairs to `D`, the
+/// pairs to `R`, and whether the join can run without the product. A pair
+/// names the factor's column first.
+type ThroughShape = (
+    &'static [(&'static str, &'static str)],
+    &'static [(&'static str, &'static str)],
+    bool,
+);
+
+const THROUGH_SHAPES: &[ThroughShape] = &[
+    (&[("I", "I")], &[("S", "S")], true),
+    (&[("S", "S"), ("B", "B")], &[("I", "I")], true),
+    (&[("I", "I")], &[("V", "V"), ("B", "B")], true),
+    (&[("B", "B"), ("I", "I")], &[("S", "S"), ("I", "I")], true),
+    (&[("V", "I")], &[("I", "V")], true),
+    (&[], &[("I", "I")], false),
+    (&[("I", "I")], &[], false),
+    (&[("I", "S")], &[("I", "I")], false),
+    (&[("I", "I")], &[("S", "S"), ("I", "S")], false),
+];
 
 /// Every key shape `join_with_counts` distinguishes. The first pair names
 /// the probed column; `D.I = N.S` compares Int with Text and takes the
@@ -289,5 +317,61 @@ proptest! {
             }
             prop_assert_eq!(rel.index_stats().builds, indexes.len() as u64, "no rebuild");
         }
+    }
+    #[test]
+    fn join_through_product_equals_the_join_over_the_product(
+        delta_rows in prop::collection::vec(arb_row(), 0..6),
+        deferred_rows in prop::collection::vec(arb_row(), 0..8),
+        next_rows in prop::collection::vec(arb_row(), 0..12),
+        deferred_ops in arb_ops(),
+        next_ops in arb_ops(),
+        flip in any::<bool>(),
+        residual_on_deferred in prop::option::of(any::<bool>()),
+    ) {
+        let delta = relation("D", &delta_rows);
+        // Indexes warmed before the mutations, as on a hosted relation.
+        let mut deferred = relation("R", &deferred_rows);
+        let mut next = relation("N", &next_rows);
+        for col in 0..4 {
+            deferred.warm_index(col, IndexKind::Hash);
+            next.warm_index(col, IndexKind::Hash);
+        }
+        apply(&mut deferred, &deferred_ops);
+        apply(&mut next, &next_ops);
+        let product = join_with_counts(&delta, &deferred, &[]).unwrap().0;
+
+        for &(to_delta, to_deferred, keyed) in THROUGH_SHAPES {
+            let mut on: Vec<PrimitiveClause> = to_delta.iter().map(|(d, n)| eq(d, n)).collect();
+            for (r, n) in to_deferred {
+                let (r, n) = (ColumnRef::qualified("R", *r), ColumnRef::qualified("N", *n));
+                on.push(if flip { PrimitiveClause::eq(n, r) } else { PrimitiveClause::eq(r, n) });
+            }
+            if let Some(on_deferred) = residual_on_deferred {
+                on.push(PrimitiveClause::cols(
+                    ColumnRef::qualified(if on_deferred { "R" } else { "D" }, "V"),
+                    CompOp::Lt,
+                    ColumnRef::qualified("N", "V"),
+                ));
+            }
+            let (want, want_counts) = join_with_counts(&product, &next, &on).unwrap();
+            let got = join_through_product(&delta, &deferred, &next, &on).unwrap();
+            let Some((joined, counts)) = got else {
+                prop_assert!(!keyed, "declined, keys {:?} {:?}", to_delta, to_deferred);
+                continue;
+            };
+            prop_assert!(keyed, "joined through, keys {:?} {:?}", to_delta, to_deferred);
+            prop_assert_eq!(joined.name(), want.name());
+            prop_assert_eq!(joined.schema(), want.schema());
+            prop_assert_eq!(joined.tuples(), want.tuples(), "keys {:?} {:?}", to_delta, to_deferred);
+            prop_assert_eq!(&counts, &want_counts, "counts, keys {:?} {:?}", to_delta, to_deferred);
+        }
+
+        // `N` over the storage of `R`: one index lock, so no join through.
+        let shared = deferred.rebind("N", next.schema().clone()).unwrap();
+        let on = vec![eq("I", "I"), PrimitiveClause::eq(
+            ColumnRef::qualified("R", "S"),
+            ColumnRef::qualified("N", "S"),
+        )];
+        prop_assert!(join_through_product(&delta, &deferred, &shared, &on).unwrap().is_none());
     }
 }

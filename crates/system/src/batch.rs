@@ -23,7 +23,7 @@ use eve_sync::batch::EvolutionOp;
 
 use crate::engine::{BatchOutcome, EveEngine};
 use crate::error::{Error, Result};
-use crate::maintainer::{maintain_view, DataUpdate};
+use crate::maintainer::{maintain_view_counted, DataUpdate, MaintenanceWork};
 
 impl EveEngine {
     /// Applies a batched evolution workload: data updates, capability
@@ -82,6 +82,7 @@ impl EveEngine {
         eve_trace::global()
             .counter("engine.data_updates")
             .add(run.len() as u64);
+        let mut work = MaintenanceWork::default();
         for mut update in run {
             let _span = eve_trace::span("engine.data_update");
             let site_id = self.mkb.relation(&update.relation)?.site.0;
@@ -97,8 +98,14 @@ impl EveEngine {
                 if !mv.def.from.iter().any(|f| f.relation == update.relation) {
                     continue;
                 }
-                let trace =
-                    maintain_view(&mv.def, &mut mv.extent, &update, &mut self.sites, &self.mkb)?;
+                let trace = maintain_view_counted(
+                    &mv.def,
+                    &mut mv.extent,
+                    &update,
+                    &mut self.sites,
+                    &self.mkb,
+                    &mut work,
+                )?;
                 let entry = outcome.traces.entry(name.clone()).or_default();
                 *entry = entry.merged(trace);
             }

@@ -22,7 +22,7 @@ use eve_sync::synchronizer::synchronize_with;
 use eve_sync::{synchronize, EvolutionOp, PartnerCache, SyncOptions, SyncOutcome};
 
 use crate::error::{Error, Result};
-use crate::maintainer::{maintain_view, DataUpdate, MaintenanceTrace};
+use crate::maintainer::{maintain_view_counted, DataUpdate, MaintenanceTrace, MaintenanceWork};
 use crate::site::SimSite;
 
 /// A materialized view: definition + warehouse extent.
@@ -447,15 +447,21 @@ impl EveEngine {
             deletes,
         };
 
-        let mut traces = Vec::new();
-        let names: Vec<String> = self.views.keys().cloned().collect();
-        for name in names {
-            let mut mv = self.views.remove(&name).expect("exists");
-            let trace = maintain_view(&mv.def, &mut mv.extent, update, &mut self.sites, &self.mkb)?;
-            self.views.insert(name.clone(), mv);
-            traces.push((name, trace));
-        }
-        Ok(traces)
+        let mut work = MaintenanceWork::default();
+        self.views
+            .iter_mut()
+            .map(|(name, mv)| {
+                let trace = maintain_view_counted(
+                    &mv.def,
+                    &mut mv.extent,
+                    update,
+                    &mut self.sites,
+                    &self.mkb,
+                    &mut work,
+                )?;
+                Ok((name.clone(), trace))
+            })
+            .collect()
     }
 
     /// Processes a capability change end-to-end (the paper's Fig. 1 loop):
@@ -1289,6 +1295,31 @@ mod tests {
             .unwrap()
             .extent
             .contains(&tup!["bob", "9 Oak"]));
+    }
+
+    /// A view whose maintenance fails (a self-join over the updated
+    /// relation) stays installed, on the op-by-op path as on the batched.
+    #[test]
+    fn a_view_whose_maintenance_fails_stays_installed() {
+        let mut e = engine_with_travel_space();
+        e.define_view_sql(
+            "CREATE VIEW Pairs AS SELECT X.Name FROM Customer X, Customer Y \
+             WHERE X.Name = Y.Name",
+        )
+        .unwrap();
+        let update = DataUpdate::insert("Customer", vec![tup!["dee", "7 Fir"]]);
+        let err = e.notify_data_update(&update).unwrap_err();
+        assert!(err.to_string().contains("self-joins"), "{err}");
+        assert!(
+            e.view("Pairs").is_ok(),
+            "the op-by-op path dropped the view"
+        );
+        e.apply_batch(vec![EvolutionOp::insert(
+            "Customer",
+            vec![tup!["eve", "1 Elm"]],
+        )])
+        .unwrap_err();
+        assert!(e.view("Pairs").is_ok(), "the batched path dropped the view");
     }
 
     #[test]

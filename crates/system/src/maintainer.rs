@@ -17,16 +17,23 @@
 //! each delta tuple probes the hosted relation's hash index on the join
 //! column, which is the clustered index probe Appendix A prices. The index
 //! is built the first time a column is probed and stays with the hosted
-//! relation, so a base update costs its matches, not `|R|`. A visit that
-//! reaches a site before any join clause to its relation is resolvable has
-//! no key to probe with and pays the full product. The recomputation
-//! baseline ([`recompute_view`]) runs through the cost-ordered planner.
+//! relation, so a base update costs its matches, not `|R|`.
+//!
+//! A *keyless visit* reaches a relation `R` before any join clause to `R`
+//! is resolvable. It is charged as a full scan of `R`, but `Δ × R` is not
+//! built: `R` rides along as a deferred factor, priced at the bytes the
+//! product would ship, until a relation keyed to both the delta and `R`
+//! joins all three through their indexes
+//! ([`eve_relational::exec::join_through_product`]). Any other join
+//! materialises the product first, with the same result and charges. The
+//! recomputation baseline ([`recompute_view`]) runs through the
+//! cost-ordered planner.
 
 use std::collections::BTreeMap;
 
 use eve_esql::ViewDef;
 use eve_misd::{Mkb, SiteId};
-use eve_relational::exec::join_with_counts;
+use eve_relational::exec::{join_through_product, join_with_counts, joins_keyless};
 use eve_relational::{
     algebra, ColumnRef, ExecOptions, Predicate, PrimitiveClause, Relation, Tuple,
 };
@@ -104,9 +111,114 @@ fn resolvable(clause: &PrimitiveClause, schema: &eve_relational::Schema) -> bool
         .all(|c| schema.resolve(c, "probe").is_ok())
 }
 
+/// Work maintenance runs did or avoided, beyond their [`MaintenanceTrace`]s.
+/// The totals go to the registry once, when the tally is dropped: the
+/// engine keeps one per data stage.
+#[derive(Debug, Default)]
+pub(crate) struct MaintenanceWork {
+    /// Rows the keyless branch of `join_with_counts` materialised.
+    product_rows: u64,
+    /// Keyless visits whose product was joined through at a keyed site
+    /// instead of materialised.
+    products_deferred: u64,
+}
+
+impl Drop for MaintenanceWork {
+    fn drop(&mut self) {
+        let registry = eve_trace::global();
+        registry.counter("exec.product_rows").add(self.product_rows);
+        registry
+            .counter("engine.products_deferred")
+            .add(self.products_deferred);
+    }
+}
+
+/// The delta between two sites: materialised `rows`, times the hosted
+/// relation of a keyless visit when one is still `deferred`.
+struct Delta {
+    rows: Relation,
+    deferred: Option<Relation>,
+}
+
+impl Delta {
+    /// The schema of `rows × deferred`.
+    fn schema(&self) -> Result<eve_relational::Schema> {
+        Ok(match &self.deferred {
+            None => self.rows.schema().clone(),
+            Some(r) => self.rows.schema().concat(r.schema())?,
+        })
+    }
+
+    /// The declared bytes of `rows × deferred`: |Δ|·|R|·(w_Δ + w_R).
+    fn byte_size(&self) -> u64 {
+        match &self.deferred {
+            None => self.rows.extent_byte_size(),
+            Some(r) => {
+                (self.rows.tuple_byte_size() + r.tuple_byte_size())
+                    * self.rows.cardinality() as u64
+                    * r.cardinality() as u64
+            }
+        }
+    }
+
+    /// `rows ⋈_on next` through [`join_with_counts`], counting the rows of a
+    /// keyless join.
+    fn join(
+        &mut self,
+        next: &Relation,
+        on: &[PrimitiveClause],
+        work: &mut MaintenanceWork,
+    ) -> Result<Vec<usize>> {
+        let (joined, counts) = join_with_counts(&self.rows, next, on)?;
+        if joins_keyless(&self.rows, next, on) {
+            work.product_rows += joined.cardinality() as u64;
+        }
+        self.rows = joined;
+        Ok(counts)
+    }
+
+    /// Materialises a deferred product into `rows`.
+    fn materialise(&mut self, work: &mut MaintenanceWork) -> Result<()> {
+        if let Some(r) = self.deferred.take() {
+            self.join(&r, &[], work)?;
+        }
+        Ok(())
+    }
+
+    /// Joins the delta with the hosted relation `next` under `on`,
+    /// returning the match counts the probe-I/O charge takes: one per row
+    /// of `rows`, or per product row when `next` joins through one.
+    ///
+    /// A keyless visit (empty `on`) defers `next` instead of materialising
+    /// `Δ × next`; every delta row counts all of `next`. A later relation
+    /// keyed to both factors joins through the product
+    /// ([`join_through_product`]); any other join materialises it first.
+    fn visit(
+        &mut self,
+        next: Relation,
+        on: &[PrimitiveClause],
+        work: &mut MaintenanceWork,
+    ) -> Result<Vec<usize>> {
+        if let Some(r) = &self.deferred {
+            if let Some((joined, counts)) = join_through_product(&self.rows, r, &next, on)? {
+                work.products_deferred += 1;
+                self.rows = joined;
+                self.deferred = None;
+                return Ok(counts);
+            }
+            self.materialise(work)?;
+        }
+        if on.is_empty() {
+            let counts = vec![next.cardinality(); self.rows.cardinality()];
+            self.deferred = Some(next);
+            return Ok(counts);
+        }
+        self.join(&next, on, work)
+    }
+}
+
 /// One directional pass (inserts or deletes) of Algorithm 1. Returns the
 /// final view-row delta and the accumulated trace.
-#[allow(clippy::too_many_lines)]
 fn propagate(
     view: &ViewDef,
     origin_binding: &str,
@@ -114,6 +226,7 @@ fn propagate(
     sites: &mut BTreeMap<u32, SimSite>,
     mkb: &Mkb,
     trace: &mut MaintenanceTrace,
+    work: &mut MaintenanceWork,
 ) -> Result<Relation> {
     // Build the initial delta under the origin binding's qualifiers.
     let origin_item = view.from_item(origin_binding).ok_or_else(|| Error::State {
@@ -125,10 +238,10 @@ fn propagate(
         origin_info.schema(),
         tuples.to_vec(),
     )?;
-    let mut delta = bind_relation(&base, origin_binding)?;
+    let mut rows = bind_relation(&base, origin_binding)?;
 
     // Update notification: the delta travels to the warehouse.
-    trace.bytes += delta.extent_byte_size();
+    trace.bytes += rows.extent_byte_size();
 
     let mut remaining: Vec<PrimitiveClause> =
         view.conditions.iter().map(|c| c.clause.clone()).collect();
@@ -136,11 +249,15 @@ fn propagate(
     // warehouse, no I/O).
     let (local, rest): (Vec<_>, Vec<_>) = remaining
         .into_iter()
-        .partition(|c| resolvable(c, delta.schema()));
+        .partition(|c| resolvable(c, rows.schema()));
     remaining = rest;
     if !local.is_empty() {
-        delta = algebra::select(&delta, &Predicate::new(local))?;
+        rows = algebra::select(&rows, &Predicate::new(local))?;
     }
+    let mut delta = Delta {
+        rows,
+        deferred: None,
+    };
 
     // Visit order: origin site first, then ascending site ids — the same
     // order the analytic plan uses.
@@ -175,7 +292,7 @@ fn propagate(
         trace.messages += 2;
         // R_in: the delta ships to the site (also from the origin site: the
         // warehouse sends it back down, per Eq. 21).
-        trace.bytes += delta.extent_byte_size();
+        trace.bytes += delta.byte_size();
 
         let site = sites.get_mut(&site_id.0).ok_or_else(|| Error::State {
             detail: format!("unknown site {site_id}"),
@@ -183,21 +300,19 @@ fn propagate(
         site.charge_messages(2);
 
         for (binding, relation) in bindings {
-            let hosted = site.relation(&relation)?.clone();
-            let bound = bind_relation(&hosted, &binding)?;
+            let bound = bind_relation(site.relation(&relation)?, &binding)?;
             // Clauses joining the delta to this relation (or local to it).
-            let combined = delta.schema().concat(bound.schema())?;
+            let combined = delta.schema()?.concat(bound.schema())?;
             let (applicable, rest): (Vec<_>, Vec<_>) = remaining
                 .into_iter()
                 .partition(|c| resolvable(c, &combined));
             remaining = rest;
-            let (joined, counts) = join_with_counts(&delta, &bound, &applicable)?;
+            let counts = delta.visit(bound, &applicable, work)?;
             trace.ios += site.charge_probe_io(&relation, &counts)?;
-            delta = joined;
         }
 
         // R_out: the grown delta returns to the warehouse.
-        trace.bytes += delta.extent_byte_size();
+        trace.bytes += delta.byte_size();
     }
 
     if !remaining.is_empty() {
@@ -206,10 +321,11 @@ fn propagate(
             Predicate::new(remaining)
         )));
     }
+    delta.materialise(work)?;
 
     // Project onto the view interface.
     let columns: Vec<ColumnRef> = view.select.iter().map(|s| s.attr.clone()).collect();
-    let projected = algebra::project(&delta, &columns, false)?;
+    let projected = algebra::project(&delta.rows, &columns, false)?;
     let out_names: Vec<ColumnRef> = view
         .output_columns()
         .into_iter()
@@ -234,6 +350,25 @@ pub fn maintain_view(
     update: &DataUpdate,
     sites: &mut BTreeMap<u32, SimSite>,
     mkb: &Mkb,
+) -> Result<MaintenanceTrace> {
+    maintain_view_counted(
+        view,
+        extent,
+        update,
+        sites,
+        mkb,
+        &mut MaintenanceWork::default(),
+    )
+}
+
+/// [`maintain_view`], adding its work to the tally `work`.
+pub(crate) fn maintain_view_counted(
+    view: &ViewDef,
+    extent: &mut Relation,
+    update: &DataUpdate,
+    sites: &mut BTreeMap<u32, SimSite>,
+    mkb: &Mkb,
+    work: &mut MaintenanceWork,
 ) -> Result<MaintenanceTrace> {
     let view = eve_esql::validate::validate(view).map_err(|e| Error::Validation(e.message))?;
     let bindings: Vec<String> = view
@@ -270,14 +405,30 @@ pub fn maintain_view(
         .charge_messages(1);
 
     if !update.inserts.is_empty() {
-        let added = propagate(&view, binding, &update.inserts, sites, mkb, &mut trace)?;
+        let added = propagate(
+            &view,
+            binding,
+            &update.inserts,
+            sites,
+            mkb,
+            &mut trace,
+            work,
+        )?;
         trace.view_inserts = added.cardinality();
         for t in added.tuples() {
             extent.insert(t.clone())?;
         }
     }
     if !update.deletes.is_empty() {
-        let removed = propagate(&view, binding, &update.deletes, sites, mkb, &mut trace)?;
+        let removed = propagate(
+            &view,
+            binding,
+            &update.deletes,
+            sites,
+            mkb,
+            &mut trace,
+            work,
+        )?;
         trace.view_deletes = extent.delete(removed.tuples()).len();
     }
     Ok(trace)

@@ -218,7 +218,8 @@ impl SimSite {
     ///
     /// # Errors
     ///
-    /// [`Error::State`] / validation failures.
+    /// [`Error::State`] / validation failures. Every insert is validated
+    /// before the first mutation, so a failing update changes nothing.
     pub fn apply_update(
         &mut self,
         relation: &str,
@@ -226,6 +227,9 @@ impl SimSite {
         deletes: &[Tuple],
     ) -> Result<Vec<Tuple>> {
         let rel = self.relation_mut(relation)?;
+        for t in inserts {
+            rel.validate(t)?;
+        }
         for t in inserts {
             rel.insert(t.clone())?;
         }

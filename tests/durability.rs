@@ -639,6 +639,75 @@ fn a_carried_swap_recovers_byte_identical_views() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A data op whose second tuple is ill-typed applies nothing: the site
+/// keeps its rows and every view stays a fresh evaluation's bag, on the
+/// batched path, the op-by-op path and `SeedTuples` alike. The durable
+/// host's re-anchoring snapshot then holds the untouched state, so a
+/// reopened store equals the live engine.
+#[test]
+fn an_ill_typed_tuple_applies_no_part_of_its_op() {
+    use eve::system::DataUpdate;
+    let ill_typed = || vec![tup![1, 2], tup!["x", "y"]];
+    let mut engine = EveEngine::new();
+    engine.add_site(SiteId(1), "one").unwrap();
+    engine
+        .register_relation(
+            RelationInfo::new("R", SiteId(1), kp_attrs(), 1),
+            kp_relation("R", vec![tup![0, 0]]),
+        )
+        .unwrap();
+    engine
+        .define_view_sql("CREATE VIEW V (VE = '~') AS SELECT X.K FROM R X")
+        .unwrap();
+    let before = fingerprint(&engine);
+    let unchanged = |engine: &EveEngine, path: &str| {
+        assert_eq!(fingerprint(engine), before, "{path} changed the state");
+        let v = engine.view("V").unwrap();
+        let mut held = v.extent.tuples().to_vec();
+        let mut fresh = engine.evaluate(&v.def).unwrap().tuples().to_vec();
+        held.sort();
+        fresh.sort();
+        assert_eq!(held, fresh, "{path}: V is not its definition's bag");
+    };
+    let refused =
+        |err: eve::system::Error| assert!(err.to_string().contains("type mismatch"), "{err}");
+
+    refused(
+        engine
+            .apply_batch(vec![EvolutionOp::insert("R", ill_typed())])
+            .unwrap_err(),
+    );
+    unchanged(&engine, "apply_batch");
+    refused(
+        engine
+            .notify_data_update(&DataUpdate::insert("R", ill_typed()))
+            .unwrap_err(),
+    );
+    unchanged(&engine, "notify_data_update");
+    refused(
+        engine
+            .apply(LogRecord::SeedTuples {
+                relation: "R".into(),
+                tuples: ill_typed(),
+            })
+            .unwrap_err(),
+    );
+    unchanged(&engine, "SeedTuples");
+
+    let dir = scratch_dir("ill-typed");
+    let mut durable = DurableEngine::create_with(&dir, engine).unwrap();
+    refused(
+        durable
+            .apply_batch(vec![EvolutionOp::insert("R", ill_typed())])
+            .unwrap_err(),
+    );
+    unchanged(durable.engine(), "durable apply_batch");
+    drop(durable);
+    let (reopened, _) = DurableEngine::open(&dir).unwrap();
+    unchanged(reopened.engine(), "reopened");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Compaction keeps recovery exact while bounding the log.
 #[test]
 fn compaction_preserves_recovery() {
