@@ -93,7 +93,7 @@ pub fn figure13(params: &Table1) -> Vec<Fig13Row> {
 /// Table 1 parameters (the update originates at the first site's first
 /// relation).
 #[must_use]
-pub fn plan_for(distribution: &[usize], params: &Table1) -> MaintenancePlan {
+pub(crate) fn plan_for(distribution: &[usize], params: &Table1) -> MaintenancePlan {
     let mut plan = MaintenancePlan::uniform(distribution, params.join_selectivity)
         .expect("valid distribution");
     let patch = |spec: &mut eve_qc::RelSpec| {

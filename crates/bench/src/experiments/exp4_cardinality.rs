@@ -151,7 +151,7 @@ pub fn table4(rho_quality: f64, rho_cost: f64) -> eve_qc::Result<Vec<Table4Row>>
 }
 
 /// The three Fig. 15 trade-off cases.
-pub const FIG15_CASES: [(f64, f64); 3] = [(0.9, 0.1), (0.75, 0.25), (0.5, 0.5)];
+pub(crate) const FIG15_CASES: [(f64, f64); 3] = [(0.9, 0.1), (0.75, 0.25), (0.5, 0.5)];
 
 /// Computes Fig. 15: QC per rewriting for the three cases.
 ///

@@ -8,7 +8,7 @@
 //!   number of sites, favouring rewritings with few ISs.
 
 use eve_qc::cost::{cf_io, cf_messages, cf_transfer, compositions};
-use eve_qc::{IoBound, MaintenancePlan, WorkloadModel};
+use eve_qc::IoBound;
 
 use super::exp2_sites::{plan_for, Table1};
 use super::exp4_cardinality::{table4, Table4Row};
@@ -118,33 +118,10 @@ pub fn table6(updates_per_site: f64) -> Vec<Table6Row> {
         .collect()
 }
 
-/// Per-model per-update cost multiplier illustration (§6.6): how many
-/// updates each model assigns to a uniform plan's origin.
-#[must_use]
-pub fn model_update_counts(distribution: &[usize]) -> Vec<(&'static str, f64)> {
-    let plan = MaintenancePlan::uniform(distribution, 0.005).expect("valid");
-    let n = distribution.iter().sum::<usize>();
-    let models: [(&'static str, WorkloadModel); 4] = [
-        (
-            "M1 (1/100 tuples)",
-            WorkloadModel::TuplesProportional { per_tuple: 0.01 },
-        ),
-        (
-            "M2 (u = 10/relation)",
-            WorkloadModel::PerRelation { updates: 10.0 },
-        ),
-        ("M3 (u = 10/site)", WorkloadModel::PerSite { updates: 10.0 }),
-        ("M4 (u = 10 total)", WorkloadModel::Fixed { updates: 10.0 }),
-    ];
-    models
-        .into_iter()
-        .map(|(name, m)| (name, m.updates_at_origin(&plan, n)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eve_qc::{MaintenancePlan, WorkloadModel};
 
     #[test]
     fn table6_matches_paper_exactly() {
@@ -212,15 +189,20 @@ mod tests {
 
     #[test]
     fn model_update_counts_are_sane() {
-        let counts = model_update_counts(&[3, 3]);
-        let by_name: std::collections::BTreeMap<&str, f64> = counts.into_iter().collect();
+        // Updates each §6.6 model assigns to the origin of a uniform plan.
+        let plan = MaintenancePlan::uniform(&[3, 3], 0.005).unwrap();
+        let at_origin = |m: WorkloadModel| m.updates_at_origin(&plan, 6);
         // M1: 0.01 × 400 = 4 updates at the origin relation.
-        assert!((by_name["M1 (1/100 tuples)"] - 4.0).abs() < 1e-12);
+        let m1 = at_origin(WorkloadModel::TuplesProportional { per_tuple: 0.01 });
+        assert!((m1 - 4.0).abs() < 1e-12);
         // M2: flat 10.
-        assert!((by_name["M2 (u = 10/relation)"] - 10.0).abs() < 1e-12);
+        let m2 = at_origin(WorkloadModel::PerRelation { updates: 10.0 });
+        assert!((m2 - 10.0).abs() < 1e-12);
         // M3: 10 per site over 3 relations at the origin site.
-        assert!((by_name["M3 (u = 10/site)"] - 10.0 / 3.0).abs() < 1e-12);
+        let m3 = at_origin(WorkloadModel::PerSite { updates: 10.0 });
+        assert!((m3 - 10.0 / 3.0).abs() < 1e-12);
         // M4: 10 total over 6 relations.
-        assert!((by_name["M4 (u = 10 total)"] - 10.0 / 6.0).abs() < 1e-12);
+        let m4 = at_origin(WorkloadModel::Fixed { updates: 10.0 });
+        assert!((m4 - 10.0 / 6.0).abs() < 1e-12);
     }
 }

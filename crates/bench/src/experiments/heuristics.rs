@@ -24,7 +24,7 @@ pub struct HeuristicCheck {
 /// H1 — "prefer a legal rewriting with a smaller number of information
 /// sources": average `CF_T` strictly increases with `m`.
 #[must_use]
-pub fn h1_fewer_sites_cheaper() -> HeuristicCheck {
+pub(crate) fn h1_fewer_sites_cheaper() -> HeuristicCheck {
     let params = Table1::default();
     let mut avgs = Vec::new();
     for m in 1..=params.relations {
@@ -57,7 +57,7 @@ pub fn h1_fewer_sites_cheaper() -> HeuristicCheck {
 /// # Errors
 ///
 /// QC-Model failures.
-pub fn h2_closest_size_wins() -> eve_qc::Result<HeuristicCheck> {
+pub(crate) fn h2_closest_size_wins() -> eve_qc::Result<HeuristicCheck> {
     let mut holds = true;
     let mut evidence = String::new();
     for (q, c) in FIG15_CASES {
@@ -82,7 +82,7 @@ pub fn h2_closest_size_wins() -> eve_qc::Result<HeuristicCheck> {
 /// H3 — "minimize messages by minimizing sites": `CF_M` is non-decreasing
 /// in `m` for every distribution shape.
 #[must_use]
-pub fn h3_messages_grow_with_sites() -> HeuristicCheck {
+pub(crate) fn h3_messages_grow_with_sites() -> HeuristicCheck {
     let params = Table1::default();
     let mut max_prev = 0.0f64;
     let mut holds = true;
@@ -124,7 +124,7 @@ pub fn h3_messages_grow_with_sites() -> HeuristicCheck {
 /// # Errors
 ///
 /// QC-Model failures.
-pub fn h4_m1_prefers_small_relations() -> eve_qc::Result<HeuristicCheck> {
+pub(crate) fn h4_m1_prefers_small_relations() -> eve_qc::Result<HeuristicCheck> {
     let rows = table4(0.9, 0.1)?;
     // Total M1 cost = per-update cost × (card / 100); both factors grow
     // with the substitute size.

@@ -46,7 +46,7 @@ pub struct RegretReport {
 }
 
 /// The strategies compared, in report order.
-pub const STRATEGIES: [SelectionStrategy; 4] = [
+pub(crate) const STRATEGIES: [SelectionStrategy; 4] = [
     SelectionStrategy::QcBest,
     SelectionStrategy::FirstFound,
     SelectionStrategy::QualityOnly,

@@ -12,10 +12,11 @@
 
 use eve_qc::cost::{cf_io, cf_messages, cf_transfer};
 use eve_qc::{IoBound, MaintenancePlan, QcParams};
-use eve_relational::generator::{generate, generate_containment_chain, AttrSpec, RelationSpec};
-use eve_relational::{tup, Relation};
+use eve_relational::tup;
 use eve_system::maintainer::{maintain_view, recompute_view, DataUpdate};
-use eve_system::scenario::{build_uniform_space, UniformSpaceSpec};
+
+use crate::generator::{generate_containment_chain, AttrSpec, RelationSpec};
+use crate::scenario::{build_uniform_space, UniformSpaceSpec};
 
 /// One measured-vs-analytic cost comparison row.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,22 +185,6 @@ pub fn recompute_vs_incremental() -> eve_system::Result<Vec<RecomputeRow>> {
     Ok(out)
 }
 
-/// Deterministic synthetic extent used by doc examples and smoke checks.
-///
-/// # Errors
-///
-/// Generation failures.
-pub fn sample_extent(seed: u64) -> eve_relational::Result<Relation> {
-    generate(
-        &RelationSpec::new(
-            "Sample",
-            vec![AttrSpec::new("K", 1000), AttrSpec::new("P", 1000)],
-            50,
-        ),
-        seed,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,10 +233,5 @@ mod tests {
         for row in recompute_vs_incremental().unwrap() {
             assert!(row.incremental_bytes < row.recompute_bytes, "{row:?}");
         }
-    }
-
-    #[test]
-    fn sample_extent_is_deterministic() {
-        assert_eq!(sample_extent(7).unwrap(), sample_extent(7).unwrap());
     }
 }

@@ -238,7 +238,7 @@ pub fn wide_join(scale: i64) -> eve_system::Result<Workload> {
 /// # Errors
 ///
 /// Relational construction failures.
-pub fn chain_join(scale: i64) -> eve_system::Result<Workload> {
+pub(crate) fn chain_join(scale: i64) -> eve_system::Result<Workload> {
     let schema = Schema::of(&[("K", DataType::Int), ("P", DataType::Int)])?;
     let mut extents = BTreeMap::new();
     for name in ["C1", "C2", "C3"] {
@@ -274,7 +274,7 @@ pub fn chain_join(scale: i64) -> eve_system::Result<Workload> {
 ///
 /// Relational construction failures.
 #[allow(clippy::missing_panics_doc)]
-pub fn star_join(scale: i64) -> eve_system::Result<Workload> {
+pub(crate) fn star_join(scale: i64) -> eve_system::Result<Workload> {
     let fact_schema = Schema::of(&[("D1", DataType::Int), ("D2", DataType::Int)])?;
     let dim_schema = Schema::of(&[("Id", DataType::Int), ("Tag", DataType::Int)])?;
     let mut extents = BTreeMap::new();

@@ -14,11 +14,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::error::{Error, Result};
-use crate::relation::Relation;
-use crate::schema::{ColumnDef, ColumnRef, Schema};
-use crate::tuple::Tuple;
-use crate::types::{DataType, Value};
+use eve_relational::{
+    ColumnDef, ColumnRef, DataType, Error, Relation, Result, Schema, Tuple, Value,
+};
 
 /// Specification of one generated attribute.
 #[derive(Debug, Clone)]
@@ -159,63 +157,6 @@ pub fn generate_subset(
     Relation::with_tuples(name, schema, rows)
 }
 
-/// Generates a relation `sup ⊇ base`: all of `base` plus `extra` fresh
-/// distinct tuples drawn from the given per-attribute domains, disjoint from
-/// `base` (realizing a PC constraint `base ⊆ sup`).
-///
-/// # Errors
-///
-/// [`Error::Generator`] when the domain cannot supply enough fresh tuples.
-pub fn generate_superset(
-    base: &Relation,
-    name: &str,
-    extra: usize,
-    domains: &[u64],
-    seed: u64,
-) -> Result<Relation> {
-    if domains.len() != base.schema().arity() {
-        return Err(Error::Generator {
-            detail: format!(
-                "superset generation needs {} domains, got {}",
-                base.schema().arity(),
-                domains.len()
-            ),
-        });
-    }
-    let capacity: u128 = domains.iter().map(|&d| u128::from(d.max(1))).product();
-    let base_distinct = base.distinct();
-    if (base_distinct.cardinality() + extra) as u128 > capacity {
-        return Err(Error::Generator {
-            detail: format!(
-                "cannot add {extra} fresh tuples: domain capacity {capacity} too small"
-            ),
-        });
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen: std::collections::BTreeSet<Tuple> =
-        base_distinct.tuples().iter().cloned().collect();
-    let mut rows: Vec<Tuple> = base_distinct.tuples().to_vec();
-    let mut added = 0usize;
-    while added < extra {
-        let tuple = Tuple::new(
-            domains
-                .iter()
-                .map(|&d| {
-                    #[allow(clippy::cast_possible_wrap)]
-                    Value::Int(rng.gen_range(0..d.max(1)) as i64)
-                })
-                .collect(),
-        );
-        if seen.insert(tuple.clone()) {
-            rows.push(tuple);
-            added += 1;
-        }
-    }
-    rows.sort();
-    let schema = base.schema().unqualify()?.qualify(name);
-    Relation::with_tuples(name, schema, rows)
-}
-
 /// Generates a chain of relations realizing Experiment 4's containment
 /// pattern: given ascending cardinalities `c_1 ≤ … ≤ c_k`, produces
 /// relations `S_1 ⊆ S_2 ⊆ … ⊆ S_k` named `name_1 … name_k`, where `S_k` is
@@ -225,7 +166,7 @@ pub fn generate_superset(
 ///
 /// Propagates generation failures; [`Error::Generator`] if the cardinalities
 /// are not ascending.
-pub fn generate_containment_chain(
+pub(crate) fn generate_containment_chain(
     spec: &RelationSpec,
     base_name: &str,
     cards: &[usize],
@@ -263,7 +204,8 @@ pub fn generate_containment_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::cs_subset;
+    use eve_relational::algebra::{difference, join};
+    use eve_relational::{Predicate, PrimitiveClause};
 
     fn spec(card: usize) -> RelationSpec {
         RelationSpec::new(
@@ -285,7 +227,7 @@ mod tests {
     #[test]
     fn distinct_generation_has_no_duplicates() {
         let r = generate(&spec(200), 7).unwrap();
-        assert_eq!(r.distinct_cardinality(), 200);
+        assert_eq!(r.distinct().cardinality(), 200);
     }
 
     #[test]
@@ -299,22 +241,13 @@ mod tests {
         let base = generate(&spec(100), 1).unwrap();
         let sub = generate_subset(&base, "S", 40, 2).unwrap();
         assert_eq!(sub.cardinality(), 40);
-        assert!(cs_subset(&sub, &base).unwrap());
+        assert!(difference(&sub, &base).unwrap().is_empty());
     }
 
     #[test]
     fn subset_too_large_errors() {
         let base = generate(&spec(10), 1).unwrap();
         assert!(generate_subset(&base, "S", 11, 2).is_err());
-    }
-
-    #[test]
-    fn superset_contains_base() {
-        let base = generate(&spec(50), 3).unwrap();
-        let sup = generate_superset(&base, "T", 25, &[10_000, 10_000], 4).unwrap();
-        assert_eq!(sup.cardinality(), 75);
-        assert!(cs_subset(&base, &sup).unwrap());
-        assert_eq!(sup.distinct_cardinality(), 75);
     }
 
     #[test]
@@ -326,7 +259,7 @@ mod tests {
             assert_eq!(r.cardinality(), 20 + 10 * i);
         }
         for w in chain.windows(2) {
-            assert!(cs_subset(&w[0], &w[1]).unwrap());
+            assert!(difference(&w[0], &w[1]).unwrap().is_empty());
         }
         assert_eq!(chain[0].name(), "S1");
         assert_eq!(chain[4].name(), "S5");
@@ -339,7 +272,6 @@ mod tests {
 
     #[test]
     fn join_selectivity_tracks_domain() {
-        use crate::predicate::{Predicate, PrimitiveClause};
         // Two relations with a key over domain 100 ⇒ expected js ≈ 1/100.
         let a = generate(
             &RelationSpec::new(
@@ -363,7 +295,8 @@ mod tests {
             ColumnRef::parse("A.K"),
             ColumnRef::parse("B.K"),
         ));
-        let js = crate::stats::measured_join_selectivity(&a, &b, &on).unwrap();
+        #[allow(clippy::cast_precision_loss)]
+        let js = join(&a, &b, &on).unwrap().cardinality() as f64 / (200.0 * 200.0);
         assert!((js - 0.01).abs() < 0.005, "js = {js}");
     }
 }

@@ -14,11 +14,15 @@
 //! | [`experiments::validation`] | measured-vs-analytic cross-validation (extension) |
 //! | [`experiments::strategy_regret`] | QC-best vs the pre-QC selection strategies (extension) |
 //! | [`fixtures`] | deterministic workload builders the workspace's test suites share |
+//! | [`generator`] | seeded relations realizing containment (PC) and join-selectivity assumptions |
+//! | [`scenario`] | information spaces whose measured statistics equal the declared ones |
 //!
 //! The `repro` binary prints them all. Nothing in this crate reads a
 //! clock: every speed statement comes from `benchmark/`.
 
 pub mod experiments;
 pub mod fixtures;
+pub mod generator;
 pub mod report;
+pub mod scenario;
 pub mod table;

@@ -19,13 +19,11 @@
 use eve_esql::ViewDef;
 use eve_misd::{AttributeInfo, RelationInfo, SiteId};
 use eve_relational::{DataType, Relation, Schema, Tuple, Value};
-
-use crate::engine::EveEngine;
-use crate::error::Result;
+use eve_system::{EveEngine, Result};
 
 /// Parameters of a uniform chain-join scenario.
 #[derive(Debug, Clone)]
-pub struct UniformSpaceSpec {
+pub(crate) struct UniformSpaceSpec {
     /// Relations per site (Table 2 distribution); relation `j` of site `i`
     /// is named `R{i}_{j}`, the update origin is `R1_1`.
     pub distribution: Vec<usize>,
@@ -55,12 +53,6 @@ impl Default for UniformSpaceSpec {
 }
 
 impl UniformSpaceSpec {
-    /// Total number of relations.
-    #[must_use]
-    pub fn relation_count(&self) -> usize {
-        self.distribution.iter().sum()
-    }
-
     /// The implied declared join selectivity `js = matches_per_key / |R|`.
     #[must_use]
     pub fn join_selectivity(&self) -> f64 {
@@ -123,7 +115,7 @@ fn build_extent(name: &str, spec: &UniformSpaceSpec) -> Result<Relation> {
 /// # Errors
 ///
 /// Construction failures (invalid distribution etc.).
-pub fn build_uniform_space(spec: &UniformSpaceSpec) -> Result<(EveEngine, ViewDef)> {
+pub(crate) fn build_uniform_space(spec: &UniformSpaceSpec) -> Result<(EveEngine, ViewDef)> {
     let mut engine = EveEngine::new();
     let mut names: Vec<String> = Vec::new();
     for (i, &count) in spec.distribution.iter().enumerate() {
@@ -185,9 +177,10 @@ pub fn build_uniform_space(spec: &UniformSpaceSpec) -> Result<(EveEngine, ViewDe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maintainer::{maintain_view, DataUpdate};
     use eve_qc::{cost::cost_factors, MaintenancePlan, QcParams};
     use eve_relational::tup;
+    use eve_system::maintainer::maintain_view;
+    use eve_system::DataUpdate;
 
     #[test]
     fn extent_realizes_declared_statistics() {
@@ -322,7 +315,6 @@ mod tests {
     fn join_selectivity_accessor() {
         let spec = UniformSpaceSpec::default();
         assert!((spec.join_selectivity() - 0.005).abs() < 1e-12);
-        assert_eq!(spec.relation_count(), 6);
         assert_eq!(spec.selectivity(), 1.0);
         let half = UniformSpaceSpec {
             inverse_selectivity: 2,

@@ -87,19 +87,13 @@ impl ScoreModel {
     /// scale preserves the badness *minimum* whenever one candidate
     /// minimizes both dimensions; it only re-weights genuine trade-offs.
     #[must_use]
-    pub fn with_scale(params: &QcParams, scale: f64) -> ScoreModel {
+    pub(crate) fn with_scale(params: &QcParams, scale: f64) -> ScoreModel {
         ScoreModel {
             rho_quality: params.rho_quality,
             rho_cost: params.rho_cost,
             cost_floor: 0.0,
             cost_scale: scale.max(0.0),
         }
-    }
-
-    /// The quality-only corner: cost never contributes (`COST* ≡ 0`).
-    #[must_use]
-    pub fn quality_only(params: &QcParams) -> ScoreModel {
-        ScoreModel::with_scale(params, 0.0)
     }
 
     /// Badness `ρ_quality·DD + ρ_cost·COST*` — the quantity QC-best
@@ -400,7 +394,7 @@ mod tests {
     #[test]
     fn ignore_bound_is_zero_and_degenerate_scale_drops_cost() {
         let params = QcParams::default();
-        let model = ScoreModel::quality_only(&params);
+        let model = ScoreModel::with_scale(&params, 0.0);
         assert_eq!(model.badness(0.5, 1e9), params.rho_quality * 0.5);
         let flat = ScoreModel::from_costs(&params, &[7.0, 7.0, 7.0]);
         assert_eq!(flat.badness(0.0, 7.0), 0.0);

@@ -33,7 +33,7 @@ impl RelSpec {
     /// A relation with the paper's Table 1 parameters
     /// (`|R| = 400`, `s = 100`, `σ = 0.5`, `js = 0.005`, `bfr = 10`).
     #[must_use]
-    pub fn table1(name: impl Into<String>) -> RelSpec {
+    pub(crate) fn table1(name: impl Into<String>) -> RelSpec {
         RelSpec {
             name: name.into(),
             cardinality: 400.0,
@@ -67,19 +67,6 @@ pub struct MaintenancePlan {
 }
 
 impl MaintenancePlan {
-    /// Number of information sources `m` involved in the view.
-    #[must_use]
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Total number of relations referenced by the view (including the
-    /// updated one) — the paper's `n = 1 + Σ n_i`.
-    #[must_use]
-    pub fn relation_count(&self) -> usize {
-        1 + self.sites.iter().map(|s| s.relations.len()).sum::<usize>()
-    }
-
     /// Builds the uniform-parameter plan of Experiments 2/3/5: `n` relations
     /// distributed over sites as `distribution` (Table 2 rows), the update
     /// originating at the first relation of the first site, every relation
@@ -201,13 +188,11 @@ mod tests {
     #[test]
     fn uniform_plan_shapes() {
         let p = MaintenancePlan::uniform(&[6], 0.005).unwrap();
-        assert_eq!(p.site_count(), 1);
-        assert_eq!(p.relation_count(), 6);
+        assert_eq!(p.sites.len(), 1);
         assert_eq!(p.sites[0].relations.len(), 5);
 
         let p = MaintenancePlan::uniform(&[1, 5], 0.005).unwrap();
-        assert_eq!(p.site_count(), 2);
-        assert_eq!(p.relation_count(), 6);
+        assert_eq!(p.sites.len(), 2);
         assert!(p.sites[0].relations.is_empty());
         assert_eq!(p.sites[1].relations.len(), 5);
     }
@@ -265,12 +250,11 @@ mod tests {
         assert_eq!(name, "R");
         assert_eq!(plan.origin.name, "R");
         assert_eq!(plan.origin.tuple_bytes, 100.0);
-        assert_eq!(plan.site_count(), 3);
+        assert_eq!(plan.sites.len(), 3);
         assert_eq!(plan.sites[0].relations.len(), 1);
         assert_eq!(plan.sites[0].relations[0].name, "Q");
         assert_eq!(plan.sites[1].site, SiteId(2));
         assert_eq!(plan.sites[2].site, SiteId(3));
-        assert_eq!(plan.relation_count(), 4);
 
         // Origin S: site 2 first (no peers), then sites 1 and 3.
         let (name, plan) = &plans[2];

@@ -135,7 +135,7 @@ fn binding_relation(view: &ViewDef, binding: &str) -> Option<String> {
 /// # Errors
 ///
 /// [`Error::Misd`] if a referenced relation is unknown to the MKB.
-pub fn estimate_extent_sizes(
+pub(crate) fn estimate_extent_sizes(
     original: &ViewDef,
     rewriting: &LegalRewriting,
     mkb: &Mkb,

@@ -14,7 +14,7 @@ use eve_esql::ViewDef;
 
 /// Number of category-C1 attributes (`AD ∧ AR`) in a view interface.
 #[must_use]
-pub fn category1_count(view: &ViewDef) -> usize {
+pub(crate) fn category1_count(view: &ViewDef) -> usize {
     view.select
         .iter()
         .filter(|s| s.evolution.dispensable && s.evolution.replaceable)
@@ -23,7 +23,7 @@ pub fn category1_count(view: &ViewDef) -> usize {
 
 /// Number of category-C2 attributes (`AD ∧ ¬AR`) in a view interface.
 #[must_use]
-pub fn category2_count(view: &ViewDef) -> usize {
+pub(crate) fn category2_count(view: &ViewDef) -> usize {
     view.select
         .iter()
         .filter(|s| s.evolution.dispensable && !s.evolution.replaceable)

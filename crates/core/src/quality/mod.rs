@@ -7,7 +7,7 @@
 pub mod extent;
 pub mod interface;
 
-pub use extent::{estimate_extent_sizes, ExtentSizes};
+pub use extent::ExtentSizes;
 pub use interface::{dd_attr, interface_quality};
 
 use eve_esql::ViewDef;
@@ -43,7 +43,7 @@ pub fn degree_of_divergence(
 ) -> Result<DivergenceReport> {
     params.validate()?;
     let a = dd_attr(original, &rewriting.view, params.w1, params.w2);
-    let sizes = estimate_extent_sizes(original, rewriting, mkb)?;
+    let sizes = extent::estimate_extent_sizes(original, rewriting, mkb)?;
     let e = sizes.dd_ext(params.rho_d1, params.rho_d2);
     Ok(DivergenceReport {
         dd_attr: a,

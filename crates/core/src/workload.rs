@@ -1,10 +1,7 @@
 //! Workload models M1–M4 (§6.6): how many base updates a view faces per
-//! time unit, and therefore how per-update costs aggregate — plus the
-//! batched-workload accounting used by the batch pipeline (§6.1: "the cost
-//! for multiple updates can then be computed by summing over all
+//! time unit, and therefore how per-update costs aggregate (§6.1: "the
+//! cost for multiple updates can then be computed by summing over all
 //! individual costs").
-
-use std::collections::BTreeMap;
 
 use crate::cost::maintenance_cost;
 use crate::params::QcParams;
@@ -78,32 +75,6 @@ pub fn total_cost(
     plans
         .iter()
         .map(|(_, plan)| model.updates_at_origin(plan, n) * maintenance_cost(plan, params))
-        .sum()
-}
-
-/// Analytic maintenance cost of a concrete *batch* of updates: each origin
-/// relation is charged its per-update plan cost times the number of
-/// updates the batch delivers there (§6.1's additive model). Origins with
-/// no plan entry (updates to relations the view does not reference) are
-/// free, exactly as Algorithm 1 treats them.
-///
-/// Because the model is additive per update, this total is independent of
-/// how the batch is scheduled — which is the analytic counterpart of the
-/// pipeline's differential guarantee that batched and sequential execution
-/// charge identical measured costs.
-#[must_use]
-pub fn batch_total_cost(
-    plans: &[(String, MaintenancePlan)],
-    updates_per_origin: &BTreeMap<String, u64>,
-    params: &QcParams,
-) -> f64 {
-    #[allow(clippy::cast_precision_loss)]
-    plans
-        .iter()
-        .map(|(origin, plan)| {
-            let count = updates_per_origin.get(origin).copied().unwrap_or(0);
-            count as f64 * maintenance_cost(plan, params)
-        })
         .sum()
 }
 
@@ -196,32 +167,6 @@ mod tests {
             .map(|(_, p)| model.updates_at_origin(p, plans.len()))
             .sum();
         assert!((per_origin - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_cost_is_additive_and_schedule_independent() {
-        let plans = two_site_plans();
-        let params = QcParams::default();
-        let mut counts = BTreeMap::new();
-        counts.insert("R".to_owned(), 3u64);
-        counts.insert("S".to_owned(), 2u64);
-        // Unreferenced origins are free.
-        counts.insert("Unrelated".to_owned(), 99u64);
-        let total = batch_total_cost(&plans, &counts, &params);
-        let want = 3.0 * maintenance_cost(&plans[0].1, &params)
-            + 2.0 * maintenance_cost(&plans[1].1, &params);
-        assert!((total - want).abs() < 1e-9);
-        // Splitting the batch changes nothing (additivity).
-        let mut first = BTreeMap::new();
-        first.insert("R".to_owned(), 1u64);
-        let mut rest = BTreeMap::new();
-        rest.insert("R".to_owned(), 2u64);
-        rest.insert("S".to_owned(), 2u64);
-        let split =
-            batch_total_cost(&plans, &first, &params) + batch_total_cost(&plans, &rest, &params);
-        assert!((split - total).abs() < 1e-9);
-        // Empty batch is free.
-        assert_eq!(batch_total_cost(&plans, &BTreeMap::new(), &params), 0.0);
     }
 
     #[test]

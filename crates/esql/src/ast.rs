@@ -50,30 +50,6 @@ pub struct AttrEvolution {
     pub replaceable: bool,
 }
 
-impl AttrEvolution {
-    /// `(AD = true, AR = true)` — the paper's category C1.
-    pub const BOTH: AttrEvolution = AttrEvolution {
-        dispensable: true,
-        replaceable: true,
-    };
-    /// `(AD = true, AR = false)` — category C2.
-    pub const DISPENSABLE: AttrEvolution = AttrEvolution {
-        dispensable: true,
-        replaceable: false,
-    };
-    /// `(AD = false, AR = true)` — category C3 (must stay, may be sourced
-    /// elsewhere).
-    pub const REPLACEABLE: AttrEvolution = AttrEvolution {
-        dispensable: false,
-        replaceable: true,
-    };
-    /// `(AD = false, AR = false)` — category C4 (default).
-    pub const STRICT: AttrEvolution = AttrEvolution {
-        dispensable: false,
-        replaceable: false,
-    };
-}
-
 /// Per-condition evolution parameters `(CD, CR)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CondEvolution {
@@ -114,16 +90,6 @@ impl SelectItem {
         }
     }
 
-    /// Item with explicit evolution parameters.
-    #[must_use]
-    pub fn with_evolution(attr: ColumnRef, evolution: AttrEvolution) -> SelectItem {
-        SelectItem {
-            attr,
-            alias: None,
-            evolution,
-        }
-    }
-
     /// The output column name this item produces.
     #[must_use]
     pub fn output_name(&self) -> &str {
@@ -153,16 +119,6 @@ impl FromItem {
         }
     }
 
-    /// Item with explicit evolution parameters.
-    #[must_use]
-    pub fn with_evolution(relation: impl Into<String>, evolution: RelEvolution) -> FromItem {
-        FromItem {
-            relation: relation.into(),
-            alias: None,
-            evolution,
-        }
-    }
-
     /// The name by which attributes reference this item.
     #[must_use]
     pub fn binding_name(&self) -> &str {
@@ -187,12 +143,6 @@ impl ConditionItem {
             clause,
             evolution: CondEvolution::default(),
         }
-    }
-
-    /// Condition with explicit evolution parameters.
-    #[must_use]
-    pub fn with_evolution(clause: PrimitiveClause, evolution: CondEvolution) -> ConditionItem {
-        ConditionItem { clause, evolution }
     }
 }
 
@@ -249,29 +199,10 @@ impl ViewDef {
         }
     }
 
-    /// The output column name of SELECT item `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of range.
-    #[must_use]
-    pub fn output_column(&self, i: usize) -> String {
-        match &self.column_names {
-            Some(names) => names[i].clone(),
-            None => self.select[i].output_name().to_owned(),
-        }
-    }
-
     /// Finds the FROM item bound under `binding` (alias or relation name).
     #[must_use]
     pub fn from_item(&self, binding: &str) -> Option<&FromItem> {
         self.from.iter().find(|f| f.binding_name() == binding)
-    }
-
-    /// The FROM bindings referenced by a column (qualified references only).
-    #[must_use]
-    pub fn binding_of(&self, col: &ColumnRef) -> Option<&FromItem> {
-        col.qualifier.as_deref().and_then(|q| self.from_item(q))
     }
 
     /// All SELECT items drawing from the FROM binding `binding`.
@@ -280,15 +211,6 @@ impl ViewDef {
         self.select
             .iter()
             .filter(|s| s.attr.qualifier.as_deref() == Some(binding))
-            .collect()
-    }
-
-    /// All conditions referencing the FROM binding `binding`.
-    #[must_use]
-    pub fn conditions_of(&self, binding: &str) -> Vec<&ConditionItem> {
-        self.conditions
-            .iter()
-            .filter(|c| c.clause.references_qualifier(binding))
             .collect()
     }
 
@@ -393,7 +315,14 @@ mod tests {
             select: vec![
                 SelectItem::new(ColumnRef::parse("C.Name")),
                 SelectItem::new(ColumnRef::parse("C.Address")),
-                SelectItem::with_evolution(ColumnRef::parse("C.Phone"), AttrEvolution::BOTH),
+                SelectItem {
+                    attr: ColumnRef::parse("C.Phone"),
+                    alias: None,
+                    evolution: AttrEvolution {
+                        dispensable: true,
+                        replaceable: true,
+                    },
+                },
             ],
             from: vec![
                 FromItem {
@@ -415,17 +344,17 @@ mod tests {
                     ColumnRef::parse("C.Name"),
                     ColumnRef::parse("F.PName"),
                 )),
-                ConditionItem::with_evolution(
-                    PrimitiveClause::lit(
+                ConditionItem {
+                    clause: PrimitiveClause::lit(
                         ColumnRef::parse("F.Dest"),
                         CompOp::Eq,
                         Value::from("Asia"),
                     ),
-                    CondEvolution {
+                    evolution: CondEvolution {
                         dispensable: true,
                         replaceable: false,
                     },
-                ),
+                },
             ],
         }
     }
@@ -441,7 +370,6 @@ mod tests {
         let mut v = asia_customer();
         v.column_names = Some(vec!["N".into(), "A".into(), "P".into()]);
         assert_eq!(v.output_columns(), vec!["N", "A", "P"]);
-        assert_eq!(v.output_column(2), "P");
     }
 
     #[test]
@@ -456,10 +384,7 @@ mod tests {
         let v = asia_customer();
         assert_eq!(v.from_item("C").unwrap().relation, "Customer");
         assert!(v.from_item("Customer").is_none()); // bound under alias C
-        assert_eq!(
-            v.binding_of(&ColumnRef::parse("F.Dest")).unwrap().relation,
-            "FlightRes"
-        );
+        assert_eq!(v.from_item("F").unwrap().relation, "FlightRes");
     }
 
     #[test]
@@ -467,8 +392,14 @@ mod tests {
         let v = asia_customer();
         assert_eq!(v.select_items_of("C").len(), 3);
         assert_eq!(v.select_items_of("F").len(), 0);
-        assert_eq!(v.conditions_of("F").len(), 2);
-        assert_eq!(v.conditions_of("C").len(), 1);
+        let conditions_of = |binding: &str| {
+            v.conditions
+                .iter()
+                .filter(|c| c.clause.references_qualifier(binding))
+                .count()
+        };
+        assert_eq!(conditions_of("F"), 2);
+        assert_eq!(conditions_of("C"), 1);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::error::{ParseError, ParseResult};
 
 /// A lexical token kind.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword (original spelling preserved).
     Ident(String),
     /// Integer literal.
@@ -70,7 +70,7 @@ impl TokenKind {
 
 /// A token with its source position.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Kind and payload.
     pub kind: TokenKind,
     /// 1-based line.
@@ -85,7 +85,7 @@ pub struct Token {
 ///
 /// Returns a [`ParseError`] for unterminated strings, malformed numbers or
 /// unexpected characters.
-pub fn tokenize(src: &str) -> ParseResult<Vec<Token>> {
+pub(crate) fn tokenize(src: &str) -> ParseResult<Vec<Token>> {
     let mut tokens = Vec::new();
     let chars: Vec<char> = src.chars().collect();
     let mut i = 0usize;

@@ -455,8 +455,14 @@ mod tests {
         assert_eq!(v.name, "Asia-Customer");
         assert_eq!(v.ve, ViewExtent::Approximate);
         assert_eq!(v.select.len(), 3);
-        assert_eq!(v.select[2].evolution, AttrEvolution::BOTH);
-        assert_eq!(v.select[0].evolution, AttrEvolution::STRICT);
+        assert_eq!(
+            v.select[2].evolution,
+            AttrEvolution {
+                dispensable: true,
+                replaceable: true
+            }
+        );
+        assert_eq!(v.select[0].evolution, AttrEvolution::default());
         assert_eq!(v.from.len(), 2);
         assert_eq!(v.from[0].alias.as_deref(), Some("C"));
         assert!(v.from[0].evolution.replaceable);

@@ -99,7 +99,7 @@ impl PcSide {
     /// Whether the side has a (non-trivial) selection condition — the paper's
     /// "yes" in the no/yes–yes/no case analysis (§5.4.3).
     #[must_use]
-    pub fn has_selection(&self) -> bool {
+    pub(crate) fn has_selection(&self) -> bool {
         !self.selection.is_true()
     }
 }
@@ -190,13 +190,13 @@ impl JoinConstraint {
 
     /// Whether this constraint joins relations `a` and `b` (either order).
     #[must_use]
-    pub fn connects(&self, a: &str, b: &str) -> bool {
+    pub(crate) fn connects(&self, a: &str, b: &str) -> bool {
         (self.left == a && self.right == b) || (self.left == b && self.right == a)
     }
 
     /// The partner relation when `rel` is one endpoint.
     #[must_use]
-    pub fn partner_of(&self, rel: &str) -> Option<&str> {
+    pub(crate) fn partner_of(&self, rel: &str) -> Option<&str> {
         if self.left == rel {
             Some(&self.right)
         } else if self.right == rel {

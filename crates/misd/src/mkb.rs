@@ -244,7 +244,9 @@ impl Mkb {
 
     /// Pair-specific join-selectivity overrides (keys are sorted pairs), in
     /// key order. The export half of the [`crate::state`] seam.
-    pub fn join_selectivity_overrides(&self) -> impl Iterator<Item = (&(String, String), f64)> {
+    pub(crate) fn join_selectivity_overrides(
+        &self,
+    ) -> impl Iterator<Item = (&(String, String), f64)> {
         self.join_selectivities.iter().map(|(k, v)| (k, *v))
     }
 
@@ -587,15 +589,6 @@ impl Mkb {
         &self.pc_constraints
     }
 
-    /// Join constraints having `rel` as an endpoint.
-    #[must_use]
-    pub fn join_constraints_of(&self, rel: &str) -> Vec<&JoinConstraint> {
-        self.join_constraints
-            .iter()
-            .filter(|jc| jc.partner_of(rel).is_some())
-            .collect()
-    }
-
     /// The first join constraint connecting `a` and `b`, if any.
     #[must_use]
     pub fn join_constraint_between(&self, a: &str, b: &str) -> Option<&JoinConstraint> {
@@ -604,8 +597,7 @@ impl Mkb {
 
     /// PC constraints involving `rel`, re-oriented so `rel` is on the left.
     ///
-    /// Served from the generation-keyed inverted index — like
-    /// [`join_constraints_of`](Mkb::join_constraints_of), the result borrows
+    /// Served from the generation-keyed inverted index; the result borrows
     /// instead of cloning constraint payloads per call.
     #[must_use]
     pub fn pc_constraints_of(&self, rel: &str) -> Vec<&PcConstraint> {
@@ -627,7 +619,7 @@ impl Mkb {
     /// # Errors
     ///
     /// Unknown relations.
-    pub fn overlap_inputs(&self, pc: &PcConstraint) -> Result<OverlapInputs> {
+    pub(crate) fn overlap_inputs(&self, pc: &PcConstraint) -> Result<OverlapInputs> {
         let l = self.relation(&pc.left.relation)?;
         let r = self.relation(&pc.right.relation)?;
         #[allow(clippy::cast_precision_loss)]
@@ -1128,7 +1120,11 @@ mod tests {
     #[test]
     fn constraint_navigation() {
         let mkb = sample();
-        assert_eq!(mkb.join_constraints_of("R").len(), 1);
+        let touching_r = mkb
+            .join_constraints()
+            .iter()
+            .filter(|jc| jc.partner_of("R").is_some());
+        assert_eq!(touching_r.count(), 1);
         assert!(mkb.join_constraint_between("S", "R").is_some());
         assert!(mkb.join_constraint_between("S", "T").is_none());
         assert_eq!(mkb.pc_constraints_of("S").len(), 1);

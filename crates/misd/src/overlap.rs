@@ -33,7 +33,7 @@ pub struct OverlapEstimate {
 impl OverlapEstimate {
     /// The "no information" estimate: without a PC constraint relations must
     /// be assumed disjoint (§5.4.3).
-    pub const UNKNOWN: OverlapEstimate = OverlapEstimate {
+    pub(crate) const UNKNOWN: OverlapEstimate = OverlapEstimate {
         size: 0.0,
         exact: false,
     };

@@ -98,7 +98,7 @@ impl Column {
     /// Scalar `u64` key of row `r` (see module docs for the encoding).
     #[must_use]
     #[allow(clippy::cast_sign_loss)]
-    pub fn key_at(&self, r: usize) -> u64 {
+    pub(crate) fn key_at(&self, r: usize) -> u64 {
         match self {
             Column::Int(c) => c[r] as u64,
             Column::Float(c) => c[r].to_bits(),

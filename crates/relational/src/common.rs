@@ -5,7 +5,8 @@
 //! the common attribute names** and removing duplicates:
 //!
 //! * `V^(V_i) = π_{Attr(V) ∩ Attr(V_i)} V` (Definition 1),
-//! * `V =~ V_i`, `V_i ⊆~ V`, `V ∩~ V_i`, `V \~ V_i` (Figure 7).
+//! * `|V^(V_i)|`, `|V_i^(V)|` and `|V ∩~ V_i|` (Figure 7), the sizes the
+//!   extent-divergence formulas read ([`measure_common_sizes`]).
 //!
 //! Matching is by *output column name* — in the paper's Example 2, `V_1(A,B)`
 //! and `V_2(B,C,D)` share the column `B` regardless of which base relation
@@ -17,7 +18,7 @@ use crate::schema::ColumnRef;
 
 /// The common attribute names of two relations, in `a`'s column order.
 #[must_use]
-pub fn common_attributes(a: &Relation, b: &Relation) -> Vec<String> {
+pub(crate) fn common_attributes(a: &Relation, b: &Relation) -> Vec<String> {
     a.schema()
         .columns()
         .iter()
@@ -38,7 +39,7 @@ pub fn common_attributes(a: &Relation, b: &Relation) -> Vec<String> {
 ///
 /// [`Error::SchemaMismatch`] when the relations share no attributes
 /// (`Attr(V) ∩ Attr(V_i) ≠ ∅` is a precondition in the paper).
-pub fn project_common(rel: &Relation, other: &Relation) -> Result<Relation> {
+pub(crate) fn project_common(rel: &Relation, other: &Relation) -> Result<Relation> {
     let common = common_attributes(rel, other);
     if common.is_empty() {
         return Err(Error::SchemaMismatch {
@@ -77,49 +78,6 @@ fn common_pair(a: &Relation, b: &Relation) -> Result<(Relation, Relation)> {
     Ok((pa, pb))
 }
 
-/// `a =~ b` — common-subset-of-attributes equivalence (Definition 2):
-/// projections on the common attributes are equal as sets.
-///
-/// # Errors
-///
-/// Propagates projection/compatibility failures.
-pub fn cs_equal(a: &Relation, b: &Relation) -> Result<bool> {
-    let (pa, pb) = common_pair(a, b)?;
-    Ok(pa.distinct().tuples() == pb.distinct().tuples())
-}
-
-/// `a ⊆~ b` — every tuple of `a` appears in `b` on the common attributes
-/// (Fig. 7, second row).
-///
-/// # Errors
-///
-/// Propagates projection/compatibility failures.
-pub fn cs_subset(a: &Relation, b: &Relation) -> Result<bool> {
-    let (pa, pb) = common_pair(a, b)?;
-    Ok(crate::algebra::difference(&pa, &pb)?.is_empty())
-}
-
-/// `a ∩~ b` — tuples common to both on the common attributes (Fig. 7).
-///
-/// # Errors
-///
-/// Propagates projection/compatibility failures.
-pub fn cs_intersect(a: &Relation, b: &Relation) -> Result<Relation> {
-    let (pa, pb) = common_pair(a, b)?;
-    crate::algebra::intersect(&pa, &pb)
-}
-
-/// `a \~ b` — tuples of `a` (projected) not present in `b` (projected)
-/// (Fig. 7, last row).
-///
-/// # Errors
-///
-/// Propagates projection/compatibility failures.
-pub fn cs_minus(a: &Relation, b: &Relation) -> Result<Relation> {
-    let (pa, pb) = common_pair(a, b)?;
-    crate::algebra::difference(&pa, &pb)
-}
-
 /// Sizes needed by the extent-divergence formulas (Eq. 13–15), computed
 /// exactly from materialized extents:
 /// `|V^(Vi)|`, `|Vi^(V)|` and `|V ∩~ Vi|`, all with duplicates removed.
@@ -155,6 +113,7 @@ pub fn measure_common_sizes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algebra::{difference, intersect};
     use crate::schema::Schema;
     use crate::tup;
     use crate::types::DataType;
@@ -230,9 +189,10 @@ mod tests {
         let (v, v1, _) = example2();
         let sizes = measure_common_sizes(&v, &v1).unwrap();
         assert_eq!(sizes.overlap, 3);
-        let inter = cs_intersect(&v, &v1).unwrap();
+        let (pv, pv1) = common_pair(&v, &v1).unwrap();
+        let inter = intersect(&pv, &pv1).unwrap();
         assert_eq!(inter.tuples(), &[tup![1, 1], tup![1, 6], tup![2, 2]]);
-        let surplus = cs_minus(&v1, &v).unwrap();
+        let surplus = difference(&pv1, &pv).unwrap();
         assert_eq!(surplus.tuples(), &[tup![6, 4]]);
     }
 
@@ -241,27 +201,15 @@ mod tests {
         // §5.1: "V2 returns four surplus tuples that were not in V" and
         // preserves three tuples on the common attributes {B,C,D}.
         let (v, _, v2) = example2();
-        let inter = cs_intersect(&v, &v2).unwrap();
+        let (pv, pv2) = common_pair(&v, &v2).unwrap();
+        let inter = intersect(&pv, &pv2).unwrap();
         assert_eq!(inter.cardinality(), 3);
         assert_eq!(
             inter.tuples(),
             &[tup![1, 1, 2], tup![2, 4, 6], tup![6, 3, 5]]
         );
-        let surplus = cs_minus(&v2, &v).unwrap();
+        let surplus = difference(&pv2, &pv).unwrap();
         assert_eq!(surplus.cardinality(), 4);
-    }
-
-    #[test]
-    fn cs_equal_and_subset() {
-        let (v, v1, _) = example2();
-        assert!(!cs_equal(&v, &v1).unwrap());
-        assert!(cs_equal(&v, &v).unwrap());
-        assert!(cs_subset(&v, &v).unwrap());
-        assert!(!cs_subset(&v1, &v).unwrap());
-        // Intersection is a cs-subset of both sides.
-        let inter = cs_intersect(&v, &v1).unwrap();
-        assert!(cs_subset(&inter, &v).unwrap());
-        assert!(cs_subset(&inter, &v1).unwrap());
     }
 
     #[test]
@@ -285,14 +233,15 @@ mod tests {
             vec![tup![2, 1]],
         )
         .unwrap();
-        assert!(cs_equal(&a, &b).unwrap());
+        let (pa, pb) = common_pair(&a, &b).unwrap();
+        assert_eq!(pa.tuples(), pb.tuples());
     }
 
     #[test]
     fn mismatched_common_types_error() {
         let a = Relation::empty("A", Schema::of(&[("X", DataType::Int)]).unwrap());
         let b = Relation::empty("B", Schema::of(&[("X", DataType::Text)]).unwrap());
-        assert!(cs_equal(&a, &b).is_err());
+        assert!(common_pair(&a, &b).is_err());
     }
 
     #[test]

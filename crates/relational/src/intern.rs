@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use eve_trace::Counter;
 
 /// Number of independently locked pool shards (power of two).
-pub const SHARDS: usize = 16;
+pub(crate) const SHARDS: usize = 16;
 /// Bits of a symbol id that carry the shard index.
 const SHARD_BITS: u32 = SHARDS.trailing_zeros();
 

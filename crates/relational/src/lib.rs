@@ -18,25 +18,19 @@
 //! * a cost-ordered physical query layer: statistics-driven planning with
 //!   pushed-down selections and greedy join reordering ([`plan`]) and a
 //!   zero-copy executor over the `Arc`-shared tuple storage ([`exec`]),
-//! * the *common-subset-of-attributes* operators of Fig. 7 (`=~`, `⊆~`, `∩~`,
-//!   `\~`) used to compare extents of views with different interfaces
-//!   ([`common`]),
-//! * measured statistics — selectivity and join selectivity — mirroring the
-//!   database statistics the paper assumes are registered in the MKB
-//!   ([`stats`]),
-//! * a deterministic synthetic data generator able to realize the containment
-//!   (PC) and join-selectivity assumptions of the paper's experiments
-//!   ([`generator`]).
+//! * the extent sizes behind Fig. 7's common-subset-of-attributes
+//!   comparison (`∩~` on the shared attributes), used to measure the
+//!   divergence of views with different interfaces ([`common`]),
+//! * relation statistics mirroring the database statistics the paper
+//!   assumes are registered in the MKB ([`stats`]).
 //!
-//! Everything is deterministic: iteration orders are defined and all
-//! randomness is seeded.
+//! Everything is deterministic: iteration orders are defined.
 
 pub mod algebra;
 pub mod column;
 pub mod common;
 pub mod error;
 pub mod exec;
-pub mod generator;
 pub mod index;
 pub mod intern;
 pub mod morsel;

@@ -31,7 +31,7 @@ use crate::error::{Error, Result};
 
 /// Default rows per morsel: large enough to amortize dispatch, small
 /// enough that a handful of morsels exist even for modest extents.
-pub const DEFAULT_MORSEL_ROWS: usize = 4096;
+pub(crate) const DEFAULT_MORSEL_ROWS: usize = 4096;
 
 /// Execution knobs threaded from the engine down to every operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,13 +82,13 @@ impl ExecOptions {
 
     /// Number of morsels covering `rows` input rows.
     #[must_use]
-    pub fn morsel_count(&self, rows: usize) -> usize {
+    pub(crate) fn morsel_count(&self, rows: usize) -> usize {
         rows.div_ceil(self.morsel_rows())
     }
 
     /// Row range `[start, end)` of morsel `i` over `rows` input rows.
     #[must_use]
-    pub fn morsel_range(&self, i: usize, rows: usize) -> (usize, usize) {
+    pub(crate) fn morsel_range(&self, i: usize, rows: usize) -> (usize, usize) {
         let m = self.morsel_rows();
         (i * m, ((i + 1) * m).min(rows))
     }

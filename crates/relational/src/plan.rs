@@ -76,7 +76,7 @@ pub struct QuerySpec {
 /// A physical operator tree. Schemas and key indices are resolved at plan
 /// time; execution never consults column names.
 #[derive(Debug, Clone)]
-pub enum PlanNode {
+pub(crate) enum PlanNode {
     /// Scan of `inputs[input]`, with an optional pushed-down selection.
     Scan {
         /// Index into [`PhysicalPlan::inputs`].
@@ -159,7 +159,7 @@ impl PlanEstimate {
     /// Abstract cost charged per extra worker: thread wake-up plus morsel
     /// dispatch, in the same tuple-touch units as `cpu_tuples`. A worker
     /// only pays off once it saves more than this.
-    pub const MORSEL_DISPATCH_COST: f64 = 256.0;
+    pub(crate) const MORSEL_DISPATCH_COST: f64 = 256.0;
 
     /// Modeled cost of executing this plan with `workers` morsel workers:
     /// I/O stays serial (extents are memory-resident Arc-shared storage,
@@ -167,7 +167,7 @@ impl PlanEstimate {
     /// workers, and each extra worker charges a flat dispatch overhead.
     /// `parallel_total(1) == total`.
     #[must_use]
-    pub fn parallel_total(&self, workers: usize) -> f64 {
+    pub(crate) fn parallel_total(&self, workers: usize) -> f64 {
         let w = workers.max(1) as f64;
         self.io_blocks + self.cpu_tuples / w + Self::MORSEL_DISPATCH_COST * (w - 1.0)
     }
@@ -178,7 +178,7 @@ impl PlanEstimate {
     /// dispatch overhead would outweigh the per-worker CPU savings — which
     /// is how the planner declines parallelism without a separate flag.
     #[must_use]
-    pub fn effective_parallelism(&self, requested: usize) -> usize {
+    pub(crate) fn effective_parallelism(&self, requested: usize) -> usize {
         let mut best = 1;
         let mut best_cost = self.parallel_total(1);
         for w in 2..=requested {
@@ -232,25 +232,10 @@ impl PhysicalPlan {
         &self.order
     }
 
-    /// Binding names in join order.
-    #[must_use]
-    pub fn join_order_bindings(&self) -> Vec<&str> {
-        self.order
-            .iter()
-            .map(|&i| self.inputs[i].binding.as_str())
-            .collect()
-    }
-
     /// Per-join summaries in execution order.
     #[must_use]
     pub fn joins(&self) -> &[JoinSummary] {
         &self.joins
-    }
-
-    /// The schema of the query result.
-    #[must_use]
-    pub fn output_schema(&self) -> &Schema {
-        &self.output_schema
     }
 
     /// Executes the plan (see [`crate::exec::execute`]).
@@ -909,7 +894,7 @@ mod tests {
             output: vec![ColumnRef::bare("K")],
         };
         let p = plan(spec).unwrap();
-        assert_eq!(p.join_order_bindings()[0], "C", "{}", p.explain());
+        assert_eq!(p.join_order()[0], 2, "{}", p.explain());
         // The pushed-down selection sits in C's scan.
         let est = p.estimate();
         assert!(est.output_rows < 10.0, "{est:?}");

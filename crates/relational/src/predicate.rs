@@ -57,9 +57,6 @@ impl CompOp {
             CompOp::Ne => CompOp::Ne,
         }
     }
-
-    /// All operators in the paper's θ set.
-    pub const PAPER_SET: [CompOp; 5] = [CompOp::Lt, CompOp::Le, CompOp::Eq, CompOp::Ge, CompOp::Gt];
 }
 
 impl fmt::Display for CompOp {
@@ -346,7 +343,7 @@ mod tests {
 
     #[test]
     fn flipped_is_involutive_on_symmetric_ops() {
-        for op in CompOp::PAPER_SET {
+        for op in [CompOp::Lt, CompOp::Le, CompOp::Eq, CompOp::Ge, CompOp::Gt] {
             assert_eq!(op.flipped().flipped(), op);
         }
     }

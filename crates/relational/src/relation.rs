@@ -467,12 +467,6 @@ impl Relation {
         }
     }
 
-    /// Number of distinct tuples.
-    #[must_use]
-    pub fn distinct_cardinality(&self) -> usize {
-        self.store.tuples.iter().collect::<BTreeSet<_>>().len()
-    }
-
     /// Whether the relation contains a tuple equal to `t`.
     #[must_use]
     pub fn contains(&self, t: &Tuple) -> bool {
@@ -489,16 +483,6 @@ impl Relation {
     #[must_use]
     pub fn extent_byte_size(&self) -> u64 {
         self.tuple_byte_size() * self.store.tuples.len() as u64
-    }
-
-    /// Value of column `col_idx` in row `row_idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds (internal indices only).
-    #[must_use]
-    pub fn value_at(&self, row_idx: usize, col_idx: usize) -> &Value {
-        self.store.tuples[row_idx].get(col_idx)
     }
 }
 
@@ -616,7 +600,7 @@ mod tests {
         let rel = r();
         assert_eq!(rel.cardinality(), 3);
         assert_eq!(rel.distinct().cardinality(), 2);
-        assert_eq!(rel.distinct_cardinality(), 2);
+        assert_eq!(rel.distinct().cardinality(), 2);
     }
 
     #[test]

@@ -261,7 +261,7 @@ impl Schema {
     /// Whether two schemas are union-compatible (same arity, same types, in
     /// order). Names may differ, mirroring positional set semantics.
     #[must_use]
-    pub fn union_compatible(&self, other: &Schema) -> bool {
+    pub(crate) fn union_compatible(&self, other: &Schema) -> bool {
         self.arity() == other.arity()
             && self
                 .columns

@@ -10,12 +10,10 @@
 //! 5. `|R|` and `js` assumed stable under updates,
 //! 6. blocking factor / block size.
 //!
-//! This module provides both a [`RelationStats`] record (declared statistics)
-//! and functions that *measure* selectivities on actual extents, so the
-//! declared values used by the analytic model can be validated against data.
+//! This module provides the [`RelationStats`] record (declared statistics);
+//! [`Predicate::selectivity`](crate::Predicate::selectivity) measures a
+//! selectivity on an actual extent.
 
-use crate::error::Result;
-use crate::predicate::Predicate;
 use crate::relation::Relation;
 
 /// Declared statistics for one relation, as registered in the MKB.
@@ -61,53 +59,10 @@ impl RelationStats {
     }
 }
 
-/// Measured join selectivity between two relations under a join condition:
-/// `js = |R ⋈ S| / (|R| · |S|)` (§6.1 statistic 3). Returns 0 for empty
-/// inputs.
-///
-/// # Errors
-///
-/// Propagates join failures.
-pub fn measured_join_selectivity(r: &Relation, s: &Relation, on: &Predicate) -> Result<f64> {
-    if r.is_empty() || s.is_empty() {
-        return Ok(0.0);
-    }
-    let joined = crate::algebra::join(r, s, on)?;
-    #[allow(clippy::cast_precision_loss)]
-    Ok(joined.cardinality() as f64 / (r.cardinality() as f64 * s.cardinality() as f64))
-}
-
-/// Measured selectivity of a predicate on a relation (fraction of qualifying
-/// tuples).
-///
-/// # Errors
-///
-/// Propagates evaluation failures.
-pub fn measured_selectivity(rel: &Relation, pred: &Predicate) -> Result<f64> {
-    pred.selectivity(rel)
-}
-
-/// Estimated cardinality of an equijoin chain under the paper's uniform
-/// assumptions: `js^{k-1} · |R_1| · … · |R_k|` for `k ≥ 1` relations
-/// (generalizing the `J_{IS_i} ≈ js^{n_i} · |R_{i,1}| · … · |R_{i,n_i}|`
-/// estimate of §6.3, where the delta relation supplies one extra factor).
-#[must_use]
-pub fn estimated_join_cardinality(cards: &[u64], js: f64) -> f64 {
-    if cards.is_empty() {
-        return 0.0;
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let product: f64 = cards.iter().map(|&c| c as f64).product();
-    #[allow(clippy::cast_precision_loss)]
-    let exponent = (cards.len() - 1) as i32;
-    product * js.powi(exponent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::predicate::PrimitiveClause;
-    use crate::schema::{ColumnRef, Schema};
+    use crate::schema::Schema;
     use crate::tup;
     use crate::types::DataType;
 
@@ -133,32 +88,6 @@ mod tests {
             blocking_factor: 0,
         };
         assert_eq!(s.full_scan_ios(), 7);
-    }
-
-    #[test]
-    fn measured_join_selectivity_uniform_keys() {
-        // R and S each have keys 0..10 over a shared domain; equijoin matches
-        // each key once: js = 10 / (10*10) = 0.1 = 1/domain.
-        let schema_r = Schema::of(&[("K", DataType::Int)]).unwrap().qualify("R");
-        let schema_s = Schema::of(&[("K", DataType::Int)]).unwrap().qualify("S");
-        let r = Relation::with_tuples("R", schema_r, (0..10).map(|i| tup![i]).collect()).unwrap();
-        let s = Relation::with_tuples("S", schema_s, (0..10).map(|i| tup![i]).collect()).unwrap();
-        let on = Predicate::single(PrimitiveClause::eq(
-            ColumnRef::parse("R.K"),
-            ColumnRef::parse("S.K"),
-        ));
-        let js = measured_join_selectivity(&r, &s, &on).unwrap();
-        assert!((js - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn estimated_join_cardinality_matches_paper_shape() {
-        // Table 1 parameters: |R| = 400, js = 0.005 ⇒ js·|R| = 2 per join.
-        let est = estimated_join_cardinality(&[400, 400, 400], 0.005);
-        // 0.005^2 · 400^3 = 1600
-        assert!((est - 1600.0).abs() < 1e-9);
-        assert!((estimated_join_cardinality(&[400], 0.005) - 400.0).abs() < 1e-12);
-        assert_eq!(estimated_join_cardinality(&[], 0.005), 0.0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl DataType {
 
     /// Whether two types may be compared with the paper's `θ` operators.
     #[must_use]
-    pub fn comparable_with(self, other: DataType) -> bool {
+    pub(crate) fn comparable_with(self, other: DataType) -> bool {
         self == other
     }
 }
@@ -83,7 +83,7 @@ impl Value {
 
     /// The value's data type.
     #[must_use]
-    pub fn data_type(&self) -> DataType {
+    pub(crate) fn data_type(&self) -> DataType {
         match self {
             Value::Int(_) => DataType::Int,
             Value::Float(_) => DataType::Float,

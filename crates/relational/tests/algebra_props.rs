@@ -5,7 +5,6 @@ use proptest::prelude::*;
 use eve_relational::algebra::{
     cartesian, difference, intersect, join, project, rename_columns, select, union,
 };
-use eve_relational::common::{cs_equal, cs_intersect, cs_minus, cs_subset};
 use eve_relational::{
     ColumnRef, CompOp, DataType, Predicate, PrimitiveClause, Relation, Schema, Tuple, Value,
 };
@@ -148,54 +147,14 @@ proptest! {
     }
 
     // -------------------------------------------------------------------
-    // Common-subset-of-attributes operators (Fig. 7).
+    // Common-subset-of-attributes sizes (Fig. 7).
     // -------------------------------------------------------------------
-
-    #[test]
-    fn cs_operators_are_consistent(r in small_relation("R", 2), s in small_relation("R", 2)) {
-        // Both relations share column names C0, C1 (bare after binding).
-        let inter = cs_intersect(&r, &s).unwrap();
-        let minus_rs = cs_minus(&r, &s).unwrap();
-        // |R~| = |R ∩~ S| + |R \~ S| on the projected distinct sets.
-        let r_proj = eve_relational::common::project_common(&r, &s).unwrap();
-        prop_assert_eq!(
-            r_proj.cardinality(),
-            inter.cardinality() + minus_rs.cardinality()
-        );
-        // cs_equal ⇔ both difference directions empty.
-        let eq = cs_equal(&r, &s).unwrap();
-        let minus_sr = cs_minus(&s, &r).unwrap();
-        prop_assert_eq!(eq, minus_rs.is_empty() && minus_sr.is_empty());
-        // Subset relation agrees with the difference.
-        prop_assert_eq!(cs_subset(&r, &s).unwrap(), minus_rs.is_empty());
-        // Reflexivity.
-        prop_assert!(cs_equal(&r, &r).unwrap());
-    }
 
     #[test]
     fn measured_sizes_bound_overlap(r in small_relation("R", 2), s in small_relation("R", 2)) {
         let sizes = eve_relational::common::measure_common_sizes(&r, &s).unwrap();
         prop_assert!(sizes.overlap <= sizes.original);
         prop_assert!(sizes.overlap <= sizes.rewriting);
-    }
-
-    // -------------------------------------------------------------------
-    // Generator invariants.
-    // -------------------------------------------------------------------
-
-    #[test]
-    fn generated_subsets_are_contained(card in 1usize..40, sub in 1usize..40, seed in 0u64..1000) {
-        prop_assume!(sub <= card);
-        use eve_relational::generator::{generate, generate_subset, AttrSpec, RelationSpec};
-        let spec = RelationSpec::new(
-            "G",
-            vec![AttrSpec::new("A", 10_000), AttrSpec::new("B", 10_000)],
-            card,
-        );
-        let base = generate(&spec, seed).unwrap();
-        let subset = generate_subset(&base, "Sub", sub, seed.wrapping_add(1)).unwrap();
-        prop_assert_eq!(subset.cardinality(), sub);
-        prop_assert!(cs_subset(&subset, &base).unwrap());
     }
 
     #[test]

@@ -259,7 +259,7 @@ impl Tenant {
     ///
     /// The first engine/store failure while draining (the failing
     /// mutation and everything behind it stay queued).
-    pub fn reset_budget(&self) -> Result<usize> {
+    pub(crate) fn reset_budget(&self) -> Result<usize> {
         let pending = {
             let mut st = lock(&self.state);
             st.candidates_used = 0;
@@ -319,7 +319,7 @@ impl Warehouse {
     /// # Errors
     ///
     /// I/O failures creating the root.
-    pub fn with_defaults(
+    pub(crate) fn with_defaults(
         root: impl Into<PathBuf>,
         budget: TenantBudget,
         policy: AdmissionPolicy,
@@ -344,12 +344,6 @@ impl Warehouse {
 
     fn tenants_read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<String, Arc<Tenant>>> {
         self.tenants.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Names of every attached tenant.
-    #[must_use]
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.tenants_read().keys().cloned().collect()
     }
 
     /// An already-attached tenant.
@@ -474,7 +468,6 @@ mod tests {
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert!(root.join("alpha").join("store.lock").exists());
         assert!(root.join("beta").is_dir());
-        assert_eq!(wh.tenant_names(), vec!["alpha", "beta"]);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -17,7 +17,6 @@
 //! reader buffer gigabytes waiting for a payload that never comes.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::time::Duration;
 
 use eve_store::checksum::crc64;
 
@@ -151,7 +150,7 @@ impl FrameReader {
 /// other in order, in whatever chunks the writer chose, so the receiving
 /// side genuinely exercises [`FrameReader`] reassembly.
 #[derive(Debug)]
-pub struct WireEnd {
+pub(crate) struct WireEnd {
     tx: Sender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
     reader: FrameReader,
@@ -159,7 +158,7 @@ pub struct WireEnd {
 
 /// Creates a connected pair of stream ends.
 #[must_use]
-pub fn duplex() -> (WireEnd, WireEnd) {
+pub(crate) fn duplex() -> (WireEnd, WireEnd) {
     let (a_tx, b_rx) = channel();
     let (b_tx, a_rx) = channel();
     (
@@ -185,7 +184,7 @@ impl WireEnd {
     ///
     /// [`Error::Frame`] on oversized payloads, [`Error::Shutdown`] when
     /// the peer end is gone.
-    pub fn send_frame(&self, payload: &[u8]) -> Result<()> {
+    pub(crate) fn send_frame(&self, payload: &[u8]) -> Result<()> {
         let frame = encode_frame(payload)?;
         let gone = |_| Error::shutdown("peer connection closed");
         if frame.len() > FRAME_HEADER {
@@ -202,7 +201,7 @@ impl WireEnd {
     ///
     /// [`Error::Frame`] on stream corruption, [`Error::Shutdown`] when
     /// the peer hangs up mid-frame.
-    pub fn recv_frame(&mut self) -> Result<Vec<u8>> {
+    pub(crate) fn recv_frame(&mut self) -> Result<Vec<u8>> {
         loop {
             if let Some(frame) = self.reader.next_frame()? {
                 return Ok(frame);
@@ -212,33 +211,6 @@ impl WireEnd {
                 .recv()
                 .map_err(|_| Error::shutdown("peer connection closed"))?;
             self.reader.feed(&chunk);
-        }
-    }
-
-    /// Like [`WireEnd::recv_frame`] with a deadline; `Ok(None)` on
-    /// timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Frame`] on stream corruption, [`Error::Shutdown`] when
-    /// the peer hangs up mid-frame.
-    pub fn recv_frame_timeout(&mut self, timeout: Duration) -> Result<Option<Vec<u8>>> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(frame) = self.reader.next_frame()? {
-                return Ok(Some(frame));
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            match self.rx.recv_timeout(deadline - now) {
-                Ok(chunk) => self.reader.feed(&chunk),
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => return Ok(None),
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(Error::shutdown("peer connection closed"))
-                }
-            }
         }
     }
 }

@@ -93,7 +93,7 @@ impl Enc {
     }
 
     /// Appends an optional string (presence byte + string).
-    pub fn opt_str(&mut self, v: Option<&str>) {
+    pub(crate) fn opt_str(&mut self, v: Option<&str>) {
         match v {
             None => self.bool(false),
             Some(s) => {
@@ -121,7 +121,7 @@ impl<'a> Dec<'a> {
     /// Whether every byte has been consumed — decoding a record must drain
     /// its frame exactly, otherwise the frame is corrupt.
     #[must_use]
-    pub fn is_drained(&self) -> bool {
+    pub(crate) fn is_drained(&self) -> bool {
         self.pos == self.buf.len()
     }
 
@@ -251,7 +251,7 @@ impl<'a> Dec<'a> {
     /// # Errors
     ///
     /// [`Error::Corrupt`] on truncated or malformed input.
-    pub fn opt_str(&mut self) -> Result<Option<String>> {
+    pub(crate) fn opt_str(&mut self) -> Result<Option<String>> {
         Ok(if self.bool()? {
             Some(self.str()?)
         } else {

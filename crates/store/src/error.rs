@@ -95,7 +95,7 @@ impl Error {
 
     /// An oversized-payload error for a frame of the given kind.
     #[must_use]
-    pub fn too_large(size: usize, what: &'static str) -> Error {
+    pub(crate) fn too_large(size: usize, what: &'static str) -> Error {
         Error::TooLarge { size, what }
     }
 

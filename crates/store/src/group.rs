@@ -316,19 +316,6 @@ impl GroupCommitLog {
         self.flush();
         f(&mut lock(&self.store))
     }
-
-    /// Drains the queue and returns the store.
-    ///
-    /// # Panics
-    ///
-    /// Never — poisoned locks are ignored, as everywhere in this module.
-    #[must_use]
-    pub fn into_store(self) -> EvolutionStore {
-        self.flush();
-        self.store
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl CommitTicket<'_> {
@@ -447,9 +434,8 @@ mod tests {
             let seq = log.append_durable(0, record(k)).unwrap();
             assert_eq!(seq, k as u64);
         }
-        let store = log.into_store();
-        assert_eq!(store.next_seq(), 10);
-        let stats = store.stats();
+        let (next_seq, stats) = log.with_store(|store| (store.next_seq(), store.stats()));
+        assert_eq!(next_seq, 10);
         assert_eq!(stats.records_appended, 10);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -476,8 +462,7 @@ mod tests {
                 });
             }
         });
-        let store = log.into_store();
-        let stats = store.stats();
+        let stats = log.with_store(|store| store.stats());
         assert_eq!(stats.records_appended, (THREADS * PER_THREAD) as u64);
         assert!(
             stats.fsyncs <= stats.records_appended,
@@ -485,7 +470,7 @@ mod tests {
             stats.fsyncs,
             stats.records_appended
         );
-        drop(store);
+        drop(log);
         let (_, recovered) = EvolutionStore::open(&dir).unwrap();
         assert_eq!(recovered.tail.len(), (THREADS * PER_THREAD) as usize);
         std::fs::remove_dir_all(&dir).ok();
@@ -518,8 +503,7 @@ mod tests {
                 });
             }
         });
-        let store = log.into_store();
-        let fsyncs = store.stats().fsyncs - fsyncs_before;
+        let fsyncs = log.with_store(|store| store.stats().fsyncs) - fsyncs_before;
         // Holds under every interleaving, not just the likely ones: a
         // thread leads a flush only while blocked on its oldest ticket,
         // that flush drains everything the thread has enqueued, and it
@@ -531,7 +515,7 @@ mod tests {
             "pipelining amortized only {} records over {fsyncs} fsyncs",
             THREADS * PER_THREAD
         );
-        drop(store); // crash
+        drop(log); // crash
 
         // Exactly the acknowledged set comes back: no loss, no duplicate.
         let (_, recovered) = EvolutionStore::open(&dir).unwrap();
@@ -666,9 +650,8 @@ mod tests {
                 });
             }
         });
-        let store = log.into_store();
-        assert_eq!(store.stats().records_appended, 40);
-        drop(store);
+        assert_eq!(log.with_store(|store| store.stats().records_appended), 40);
+        drop(log);
         let (_, recovered) = EvolutionStore::open(&dir).unwrap();
         assert_eq!(recovered.tail.len(), 40);
         std::fs::remove_dir_all(&dir).ok();
@@ -685,7 +668,7 @@ mod tests {
         for k in 0..3 {
             assert_eq!(log.append_durable(0, record(k)).unwrap(), k as u64);
         }
-        drop(log.into_store());
+        drop(log);
         let (_, recovered) = EvolutionStore::open(&dir).unwrap();
         let got: Vec<Vec<u8>> = recovered.tail.iter().map(crate::to_bytes).collect();
         let want: Vec<Vec<u8>> = (0..3)

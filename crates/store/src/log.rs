@@ -37,7 +37,7 @@ use crate::snapshot::IndexHint;
 
 /// Magic prefix of a log segment file (version baked into the last two
 /// bytes).
-pub const SEGMENT_MAGIC: &[u8; 8] = b"EVESEG01";
+pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"EVESEG01";
 
 /// One command of the mutation vocabulary, and the unit the log records.
 /// Every variant is interpreted by `EveEngine::apply` in `eve-system` —
@@ -235,7 +235,7 @@ pub fn frame(record: &SealedRecord) -> Result<Vec<u8>> {
 
 /// The fixed segment header: magic + start sequence number.
 #[must_use]
-pub fn segment_header(start_seq: u64) -> Vec<u8> {
+pub(crate) fn segment_header(start_seq: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     out.extend_from_slice(SEGMENT_MAGIC);
     out.extend_from_slice(&start_seq.to_le_bytes());
@@ -244,7 +244,7 @@ pub fn segment_header(start_seq: u64) -> Vec<u8> {
 
 /// Everything recovered from one segment file.
 #[derive(Debug)]
-pub struct SegmentContents {
+pub(crate) struct SegmentContents {
     /// The sequence number of the segment's first record.
     pub start_seq: u64,
     /// The intact records, in order.
@@ -264,7 +264,7 @@ pub struct SegmentContents {
 /// I/O failures, or a missing/foreign header. Torn/corrupt *frames* are
 /// not an error here — the caller decides whether a torn tail is
 /// acceptable (last segment) or fatal (any earlier segment).
-pub fn read_segment(path: &Path) -> Result<SegmentContents> {
+pub(crate) fn read_segment(path: &Path) -> Result<SegmentContents> {
     let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)
@@ -332,7 +332,7 @@ pub fn read_segment(path: &Path) -> Result<SegmentContents> {
 /// # Errors
 ///
 /// I/O failures, or a missing/foreign header.
-pub fn read_segment_header(path: &Path) -> Result<u64> {
+pub(crate) fn read_segment_header(path: &Path) -> Result<u64> {
     let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
     let mut header = [0u8; 16];
     file.read_exact(&mut header).map_err(|_| {
@@ -357,7 +357,7 @@ pub fn read_segment_header(path: &Path) -> Result<u64> {
 /// # Errors
 ///
 /// I/O failures.
-pub fn truncate_segment(path: &Path, valid_len: u64) -> Result<()> {
+pub(crate) fn truncate_segment(path: &Path, valid_len: u64) -> Result<()> {
     let file = std::fs::OpenOptions::new()
         .write(true)
         .open(path)

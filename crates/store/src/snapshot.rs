@@ -28,7 +28,7 @@ use crate::codec::{from_bytes, to_bytes, Codec, Dec, Enc};
 use crate::error::{Error, Result};
 
 /// Magic prefix of a snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"EVESNP01";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"EVESNP01";
 
 /// One simulated information source: hosted extents with their blocking
 /// factors, plus the resource-accounting counters (so recovered cost
@@ -293,7 +293,7 @@ impl Codec for EngineSnapshot {
 /// only atomic-durable once the rename itself is on disk), or
 /// [`Error::TooLarge`] when the encoded state exceeds the `u32` length
 /// prefix.
-pub fn write_snapshot_file(path: &Path, seq: u64, snapshot: &EngineSnapshot) -> Result<u64> {
+pub(crate) fn write_snapshot_file(path: &Path, seq: u64, snapshot: &EngineSnapshot) -> Result<u64> {
     let payload = snapshot.to_bytes();
     write_anchored_file(
         path,
@@ -344,11 +344,9 @@ fn write_anchored_file(
 
 /// A parsed snapshot file.
 #[derive(Debug)]
-pub struct SnapshotFile {
+pub(crate) struct SnapshotFile {
     /// Sequence number: records `0..seq` are folded into this snapshot.
     pub seq: u64,
-    /// MKB generation at the snapshot point.
-    pub generation: u64,
     /// The state image.
     pub snapshot: EngineSnapshot,
 }
@@ -455,7 +453,7 @@ fn check_header_generation(path: &Path, header: u64, payload: u64) -> Result<()>
 ///
 /// I/O failures, or [`Error::Corrupt`] for a foreign/short/length-
 /// inconsistent file.
-pub fn read_snapshot_header(path: &Path) -> Result<(u64, u64)> {
+pub(crate) fn read_snapshot_header(path: &Path) -> Result<(u64, u64)> {
     let [seq, generation] = read_anchored_header(path, SNAPSHOT_MAGIC, "snapshot")?;
     Ok((seq, generation))
 }
@@ -466,15 +464,11 @@ pub fn read_snapshot_header(path: &Path) -> Result<(u64, u64)> {
 ///
 /// I/O failures, or [`Error::Corrupt`] when the header, checksum or
 /// payload is damaged (recovery then falls back to an older snapshot).
-pub fn read_snapshot_file(path: &Path) -> Result<SnapshotFile> {
+pub(crate) fn read_snapshot_file(path: &Path) -> Result<SnapshotFile> {
     let ([seq, generation], payload) = read_anchored_file(path, SNAPSHOT_MAGIC, "snapshot")?;
     let snapshot = EngineSnapshot::from_bytes(&payload)?;
     check_header_generation(path, generation, snapshot.generation())?;
-    Ok(SnapshotFile {
-        seq,
-        generation,
-        snapshot,
-    })
+    Ok(SnapshotFile { seq, snapshot })
 }
 
 // ---------------------------------------------------------------------
@@ -482,7 +476,7 @@ pub fn read_snapshot_file(path: &Path) -> Result<SnapshotFile> {
 // ---------------------------------------------------------------------
 
 /// Magic prefix of a delta-snapshot file.
-pub const DELTA_MAGIC: &[u8; 8] = b"EVEDLT01";
+pub(crate) const DELTA_MAGIC: &[u8; 8] = b"EVEDLT01";
 
 /// A site's metadata in a delta snapshot: identity plus the accounting
 /// counters (always small), with the extents themselves carried only when
@@ -631,7 +625,7 @@ impl DeltaSnapshot {
     /// name), so the result is byte-identical to the full snapshot the
     /// engine would have written.
     #[must_use]
-    pub fn apply_to(&self, base: &EngineSnapshot) -> EngineSnapshot {
+    pub(crate) fn apply_to(&self, base: &EngineSnapshot) -> EngineSnapshot {
         use std::collections::{BTreeMap, BTreeSet};
 
         let base_sites: BTreeMap<u32, &SiteSnapshot> =
@@ -804,7 +798,7 @@ impl Codec for DeltaSnapshot {
 /// # Errors
 ///
 /// I/O failures (directory fsync included) or [`Error::TooLarge`].
-pub fn write_delta_file(path: &Path, seq: u64, delta: &DeltaSnapshot) -> Result<u64> {
+pub(crate) fn write_delta_file(path: &Path, seq: u64, delta: &DeltaSnapshot) -> Result<u64> {
     let payload = to_bytes(delta);
     write_anchored_file(
         path,
@@ -817,11 +811,9 @@ pub fn write_delta_file(path: &Path, seq: u64, delta: &DeltaSnapshot) -> Result<
 
 /// A parsed delta-snapshot file.
 #[derive(Debug)]
-pub struct DeltaFile {
+pub(crate) struct DeltaFile {
     /// Sequence number of the delta checkpoint.
     pub seq: u64,
-    /// MKB generation at the checkpoint.
-    pub generation: u64,
     /// The decoded delta.
     pub delta: DeltaSnapshot,
 }
@@ -834,7 +826,7 @@ pub struct DeltaFile {
 ///
 /// I/O failures, or [`Error::Corrupt`] for a foreign/short/length-
 /// inconsistent file.
-pub fn read_delta_header(path: &Path) -> Result<(u64, u64, u64)> {
+pub(crate) fn read_delta_header(path: &Path) -> Result<(u64, u64, u64)> {
     let [seq, generation, base_seq] = read_anchored_header(path, DELTA_MAGIC, "delta-snapshot")?;
     Ok((seq, generation, base_seq))
 }
@@ -845,7 +837,7 @@ pub fn read_delta_header(path: &Path) -> Result<(u64, u64, u64)> {
 ///
 /// I/O failures, or [`Error::Corrupt`] when the header, checksum or
 /// payload is damaged (recovery then falls back to an older anchor).
-pub fn read_delta_file(path: &Path) -> Result<DeltaFile> {
+pub(crate) fn read_delta_file(path: &Path) -> Result<DeltaFile> {
     let ([seq, generation, base_seq], payload) =
         read_anchored_file(path, DELTA_MAGIC, "delta-snapshot")?;
     let delta: DeltaSnapshot = from_bytes(&payload)?;
@@ -857,11 +849,7 @@ pub fn read_delta_file(path: &Path) -> Result<DeltaFile> {
             delta.base_seq
         )));
     }
-    Ok(DeltaFile {
-        seq,
-        generation,
-        delta,
-    })
+    Ok(DeltaFile { seq, delta })
 }
 
 #[cfg(test)]
@@ -972,7 +960,7 @@ mod tests {
         write_snapshot_file(&path, 11, &snap).unwrap();
         let parsed = read_snapshot_file(&path).unwrap();
         assert_eq!(parsed.seq, 11);
-        assert_eq!(parsed.generation, snap.generation());
+        assert_eq!(parsed.snapshot.generation(), snap.generation());
         assert_eq!(parsed.snapshot.to_bytes(), snap.to_bytes());
         std::fs::remove_file(&path).ok();
     }

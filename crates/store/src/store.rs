@@ -303,11 +303,29 @@ impl EvolutionStore {
                 "delta-snapshot chain deeper than {MAX_DELTA_CHAIN} (cyclic base_seq?)"
             )));
         }
+        // Replay resumes at the sequence number in the file name, so a
+        // header naming another point (a copied or renamed file, a flipped
+        // header word outside the payload checksum) is damage.
         let (seq, kind, path) = &entries[idx];
+        let check_seq = |header_seq: u64| {
+            if header_seq == *seq {
+                Ok(())
+            } else {
+                Err(Error::corrupt(format!(
+                    "{} header seq {header_seq} disagrees with its name",
+                    path.display()
+                )))
+            }
+        };
         match kind {
-            SnapshotKind::Full => Ok(read_snapshot_file(path)?.snapshot),
+            SnapshotKind::Full => {
+                let parsed = read_snapshot_file(path)?;
+                check_seq(parsed.seq)?;
+                Ok(parsed.snapshot)
+            }
             SnapshotKind::Delta => {
                 let parsed = read_delta_file(path)?;
+                check_seq(parsed.seq)?;
                 let base_seq = parsed.delta.base_seq;
                 if base_seq > *seq {
                     return Err(Error::corrupt(format!(
@@ -551,7 +569,7 @@ impl EvolutionStore {
     /// file is rolled back to the durable prefix (a torn residue is also
     /// re-truncated by the next recovery), and every sequence number is
     /// reused.
-    pub fn append_encoded_batch(&mut self, frames: &[&[u8]]) -> Result<u64> {
+    pub(crate) fn append_encoded_batch(&mut self, frames: &[&[u8]]) -> Result<u64> {
         if frames.is_empty() {
             return Ok(self.next_seq);
         }

@@ -63,7 +63,7 @@ impl ExtentRelationship {
     /// replacing with a *superset* relation enlarges the view extent, with a
     /// *subset* relation shrinks it (Experiment 4's two regimes).
     #[must_use]
-    pub fn from_relation_swap(old_to_new: PcRelationship) -> ExtentRelationship {
+    pub(crate) fn from_relation_swap(old_to_new: PcRelationship) -> ExtentRelationship {
         match old_to_new {
             PcRelationship::Equivalent => ExtentRelationship::Equal,
             PcRelationship::Subset => ExtentRelationship::Superset,
@@ -77,7 +77,7 @@ impl ExtentRelationship {
     /// every original tuple and introduces none (`Equal`); `old ⊇ new` may
     /// lose tuples whose value has no counterpart (`Subset`).
     #[must_use]
-    pub fn from_attr_replacement(old_to_new: PcRelationship) -> ExtentRelationship {
+    pub(crate) fn from_attr_replacement(old_to_new: PcRelationship) -> ExtentRelationship {
         match old_to_new {
             PcRelationship::Equivalent | PcRelationship::Subset => ExtentRelationship::Equal,
             PcRelationship::Superset => ExtentRelationship::Subset,

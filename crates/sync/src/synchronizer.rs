@@ -130,7 +130,7 @@ pub struct PcPartner {
 /// *selection-free* constraints with composable direction. Each relation is
 /// reported once, via its shortest chain.
 #[must_use]
-pub fn pc_partners(mkb: &Mkb, rel: &str) -> Vec<PcPartner> {
+pub(crate) fn pc_partners(mkb: &Mkb, rel: &str) -> Vec<PcPartner> {
     let mut out: Vec<PcPartner> = Vec::new();
     let mut seen: BTreeSet<String> = BTreeSet::new();
     seen.insert(rel.to_owned());

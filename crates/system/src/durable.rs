@@ -95,9 +95,9 @@ pub struct DurableEngine {
     engine: EveEngine,
     log: GroupCommitLog,
     dir: PathBuf,
-    /// Write a [`checkpoint_delta`](DurableEngine::checkpoint_delta)
-    /// automatically after every `k` batches (`None` disables automatic
-    /// checkpoints; explicit ones always work).
+    /// Write an incremental delta checkpoint automatically after every
+    /// `k` batches (`None` disables automatic checkpoints; explicit ones
+    /// always work).
     pub snapshot_every: Option<u64>,
     batches_since_snapshot: u64,
     /// Seq and materialized state of the newest snapshot written or
@@ -242,7 +242,7 @@ impl DurableEngine {
 
     /// The store's accumulated I/O counters.
     #[must_use]
-    pub fn store_stats(&self) -> StoreStats {
+    pub(crate) fn store_stats(&self) -> StoreStats {
         self.log.with_store(|s| s.stats())
     }
 
@@ -307,7 +307,7 @@ impl DurableEngine {
     /// # Errors
     ///
     /// Store I/O failures.
-    pub fn checkpoint_delta(&mut self) -> Result<u64> {
+    pub(crate) fn checkpoint_delta(&mut self) -> Result<u64> {
         let Some(base_seq) = self.last_snapshot.as_ref().map(|(seq, _)| *seq) else {
             return self.checkpoint();
         };
@@ -341,21 +341,6 @@ impl DurableEngine {
     pub fn compact(&mut self) -> Result<(usize, usize)> {
         self.ensure_live()?;
         Ok(self.log.with_store(|s| s.compact())?)
-    }
-
-    /// Whether the host is poisoned: a failed mutation could not be
-    /// re-anchored with a snapshot, so the on-disk store is behind the
-    /// live engine. While poisoned every durable mutation fails closed;
-    /// a successful [`DurableEngine::checkpoint`] heals the host.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
-    /// The double-failure message that poisoned the host, if any.
-    #[must_use]
-    pub fn poison_detail(&self) -> Option<&str> {
-        self.poisoned.as_deref()
     }
 
     /// Records the double failure and returns the typed error surfaced to
@@ -558,7 +543,7 @@ impl EveEngine {
     /// # Errors
     ///
     /// Validation failures on corrupted snapshots.
-    pub fn from_snapshot_state(snapshot: &EngineSnapshot) -> Result<EveEngine> {
+    pub(crate) fn from_snapshot_state(snapshot: &EngineSnapshot) -> Result<EveEngine> {
         let mkb = Mkb::from_state(&snapshot.mkb)?;
         let mut sites = BTreeMap::new();
         for s in &snapshot.sites {

@@ -993,7 +993,7 @@ impl EveEngine {
     /// them) is skipped silently — a declaration is a performance hint,
     /// never a correctness constraint. Called after snapshot restore and
     /// after schema changes that rebuild extents.
-    pub fn warm_declared_indexes(&self) {
+    pub(crate) fn warm_declared_indexes(&self) {
         for hint in &self.index_hints {
             let Ok(rel) = self.hosted(&hint.relation) else {
                 continue;
@@ -1013,7 +1013,7 @@ impl EveEngine {
 /// Per-view maintenance cost assessment (analytic, Eq. 24 under the
 /// engine's workload model).
 #[derive(Debug, Clone)]
-pub struct ViewCostReport {
+pub(crate) struct ViewCostReport {
     /// The view's name.
     pub view_name: String,
     /// Cost factors for each possible update origin.
@@ -1046,7 +1046,7 @@ impl EveEngine {
     /// # Errors
     ///
     /// MKB lookups for unregistered relations.
-    pub fn cost_report(&self) -> Result<Vec<ViewCostReport>> {
+    pub(crate) fn cost_report(&self) -> Result<Vec<ViewCostReport>> {
         let mut out = Vec::new();
         for mv in self.views.values() {
             let plans = plans_for_view(&mv.def, &self.mkb)?;
@@ -1340,7 +1340,7 @@ mod tests {
         // Interface preserved: output columns keep their names.
         assert_eq!(mv.def.output_columns(), vec!["Name", "Address"]);
         // Extent re-materialized over the substitute (equivalent data).
-        assert_eq!(mv.extent.distinct_cardinality(), 2);
+        assert_eq!(mv.extent.distinct().cardinality(), 2);
         assert!(mv.extent.contains(&tup!["ann", "12 Elm"]));
         // The MKB no longer knows Customer.
         assert!(!e.mkb().has_relation("Customer"));
@@ -1385,7 +1385,7 @@ mod tests {
         assert!(reports[0].survived);
         let mv = e.view("Asia-Customer").unwrap();
         assert!(mv.def.from.iter().any(|f| f.relation == "Bookings"));
-        assert_eq!(mv.extent.distinct_cardinality(), 2);
+        assert_eq!(mv.extent.distinct().cardinality(), 2);
         // Data updates keep flowing under the new name.
         let update = DataUpdate::insert("Bookings", vec![tup!["bob", "Asia"]]);
         let traces = e.notify_data_update(&update).unwrap();

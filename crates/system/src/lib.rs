@@ -36,11 +36,6 @@
 //! [`shell`] parses a line to a record, [`durable::DurableEngine::apply`]
 //! interprets a record and then logs it, and recovery and time travel
 //! replay logged records through the same function.
-//!
-//! [`scenario`] builds deterministic synthetic information spaces whose
-//! *measured* statistics (join matches per key, selectivities) equal the
-//! *declared* MKB statistics, so measured and analytic costs can be compared
-//! exactly.
 
 pub mod batch;
 pub mod durable;
@@ -48,7 +43,6 @@ pub mod engine;
 pub mod error;
 pub mod maintainer;
 pub mod query;
-pub mod scenario;
 pub mod shell;
 pub mod site;
 

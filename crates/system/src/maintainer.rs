@@ -457,7 +457,7 @@ pub fn recompute_view(
 /// # Errors
 ///
 /// State/relational failures.
-pub fn recompute_view_with(
+pub(crate) fn recompute_view_with(
     view: &ViewDef,
     sites: &mut BTreeMap<u32, SimSite>,
     mkb: &Mkb,

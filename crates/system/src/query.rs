@@ -34,7 +34,7 @@ use crate::error::{Error, Result};
 /// # Errors
 ///
 /// Schema manipulation failures.
-pub fn bind_relation(rel: &Relation, binding: &str) -> Result<Relation> {
+pub(crate) fn bind_relation(rel: &Relation, binding: &str) -> Result<Relation> {
     let schema = rel.schema().unqualify()?.qualify(binding);
     Ok(rel.rebind(binding, schema)?)
 }
@@ -120,7 +120,7 @@ pub fn evaluate_view_with_stats(
 /// # Errors
 ///
 /// As [`evaluate_view`].
-pub fn evaluate_view_with_options(
+pub(crate) fn evaluate_view_with_options(
     view: &ViewDef,
     extents: &BTreeMap<String, Relation>,
     stats: &BTreeMap<String, RelationStats>,
@@ -261,7 +261,7 @@ mod tests {
         let out = evaluate_view(&view, &extents()).unwrap();
         // Bag semantics: ann appears twice (two Asia reservations).
         assert_eq!(out.cardinality(), 3);
-        assert_eq!(out.distinct_cardinality(), 2);
+        assert_eq!(out.distinct().cardinality(), 2);
         assert!(out.distinct().contains(&tup!["ann", "12 Elm St"]));
         assert!(out.distinct().contains(&tup!["cho", "3 Pine Rd"]));
         assert_eq!(out.name(), "Asia-Customer");

@@ -1327,7 +1327,6 @@ mod tests {
             matches!(err, Error::Poisoned { .. }),
             "expected Error::Poisoned, got {err:?}"
         );
-        assert!(sh.durable().unwrap().is_poisoned());
 
         // Every mutating command now fails closed *before* the engine.
         let err = sh.execute("site 9 late").unwrap_err();
@@ -1358,7 +1357,6 @@ mod tests {
         // directory, re-anchor, and the host is live again.
         std::fs::create_dir_all(&dir).unwrap();
         sh.execute("checkpoint").unwrap();
-        assert!(!sh.durable().unwrap().is_poisoned());
         sh.execute("site 9 late").unwrap();
         assert!(sh.engine().mkb().sites().any(|(id, _)| id.0 == 9));
         std::fs::remove_dir_all(&dir).ok();

@@ -85,7 +85,7 @@ impl SimSite {
     /// # Errors
     ///
     /// [`Error::State`] when the relation is not hosted here.
-    pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
+    pub(crate) fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
         self.relations.get_mut(name).ok_or_else(|| Error::State {
             detail: format!("site {} does not host `{name}`", self.id),
         })
@@ -99,13 +99,13 @@ impl SimSite {
 
     /// Hosted relation extents, in name order (the columnar/index stats
     /// aggregation seam of the engine).
-    pub fn hosted_relations(&self) -> impl Iterator<Item = &Relation> {
+    pub(crate) fn hosted_relations(&self) -> impl Iterator<Item = &Relation> {
         self.relations.values()
     }
 
     /// Hosted relations with their blocking factors, in name order (the
     /// snapshot export seam of the durability layer).
-    pub fn hosted_with_blocking_factors(&self) -> impl Iterator<Item = (&Relation, u64)> {
+    pub(crate) fn hosted_with_blocking_factors(&self) -> impl Iterator<Item = (&Relation, u64)> {
         self.relations.values().map(|r| {
             (
                 r,
@@ -156,7 +156,7 @@ impl SimSite {
     }
 
     /// Charges `n` messages against this site's accounting.
-    pub fn charge_messages(&mut self, n: u64) {
+    pub(crate) fn charge_messages(&mut self, n: u64) {
         self.message_count += n;
     }
 

@@ -123,7 +123,7 @@ pub fn bucket_of(v: u64) -> usize {
 /// Inclusive upper bound of bucket `b` — the value a quantile query
 /// reports for samples landing in that bucket.
 #[must_use]
-pub fn bucket_upper_bound(b: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(b: usize) -> u64 {
     if b == 0 {
         0
     } else if b >= 63 {
@@ -239,13 +239,6 @@ impl HistogramSnapshot {
             }
         }
         bucket_upper_bound(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// Index of the bucket the `q`-quantile falls in (for "within one
-    /// log₂ bucket" agreement checks).
-    #[must_use]
-    pub fn quantile_bucket(&self, q: f64) -> usize {
-        bucket_of(self.quantile(q))
     }
 }
 
@@ -384,7 +377,7 @@ impl Registry {
 
     /// Zeroes every metric whose name starts with `prefix` (family-scoped
     /// reset, e.g. `exec.`).
-    pub fn reset_prefix(&self, prefix: &str) {
+    pub(crate) fn reset_prefix(&self, prefix: &str) {
         let slots = self.slots.read().expect("metrics registry poisoned");
         for (name, slot) in slots.iter() {
             if !name.starts_with(prefix) {

@@ -564,6 +564,75 @@ fn damaged_snapshot_recovery_reads_several_segments() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot's replay point is the sequence number in its file name, and
+/// its header repeats it. A copy of `snap-a` saved as a later `snap-b`
+/// disagrees with its name, so recovery and time travel refuse it as
+/// damage and fall back to `snap-a`, instead of resuming at `b` and
+/// silently skipping the records in between. Once for a full image
+/// written by `checkpoint`, once for an automatic delta checkpoint.
+#[test]
+fn a_snapshot_copied_to_a_later_seq_is_refused() {
+    for (tag, ext) in [("copied-full", "evs"), ("copied-delta", "evd")] {
+        let dir = scratch_dir(tag);
+        let (engine, ops) = fixtures::build_workload(3, 40, 91).unwrap();
+        let mut durable = DurableEngine::create_with(&dir, engine).unwrap();
+        if ext == "evd" {
+            durable.snapshot_every = Some(3);
+        }
+        let mut states = vec![fingerprint(durable.engine())];
+        let mut generations = vec![durable.engine().mkb().generation()];
+        for (i, batch) in into_batches(ops, 4).into_iter().enumerate() {
+            durable.apply_batch(batch).unwrap();
+            states.push(fingerprint(durable.engine()));
+            generations.push(durable.engine().mkb().generation());
+            if ext == "evs" && i == 1 {
+                durable.checkpoint().unwrap();
+            }
+        }
+        drop(durable);
+
+        let (a, snap_a) = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name()?.to_str()?;
+                let seq: u64 = name
+                    .strip_prefix("snap-")?
+                    .strip_suffix(&format!(".{ext}"))?
+                    .parse()
+                    .ok()?;
+                Some((seq, path))
+            })
+            .max()
+            .expect("the store holds a snapshot of this kind");
+        let b = states.len() as u64 - 1;
+        assert!(0 < a && a < b, "snap-{a} precedes the last record {b}");
+        std::fs::copy(&snap_a, dir.join(format!("snap-{b:020}.{ext}"))).unwrap();
+
+        for &target in &generations {
+            let expected = generations.iter().rposition(|&g| g <= target).unwrap();
+            let travelled = DurableEngine::open_at(&dir, target).unwrap();
+            assert!(
+                fingerprint(&travelled) == states[expected],
+                "{tag}: open_at({target}) must match the committed prefix through record {expected}"
+            );
+        }
+        let (recovered, report) = DurableEngine::open(&dir).unwrap();
+        assert_eq!(report.snapshots_skipped, 1, "{tag}: the copy was skipped");
+        assert_eq!(
+            report.snapshot_seq,
+            Some(a),
+            "{tag}: recovery anchors at snap-{a}"
+        );
+        assert!(
+            fingerprint(recovered.engine()) == *states.last().unwrap(),
+            "{tag}: recovery must land on the last committed state"
+        );
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// The tier-1 crash-recovery smoke CI runs by name: write ops, kill the
 /// engine, corrupt the tail, recover, diff — end to end in one test.
 #[test]
