@@ -234,24 +234,12 @@ pub(crate) fn compile_clauses(
     Some(out)
 }
 
-/// Evaluates compiled clauses over the batch, returning the ascending
-/// selection vector of surviving row ids. `tuples` backs the (rare) text
-/// range comparisons, which compare strings rather than symbol ids.
-pub(crate) fn filter_batch(
-    batch: &ColumnarBatch,
-    tuples: &[Tuple],
-    clauses: &[VecClause],
-) -> Vec<u32> {
-    let mut sel = Vec::new();
-    let rows = u32::try_from(batch.rows()).expect("row count fits u32");
-    filter_batch_range(batch, tuples, clauses, 0, rows, &mut sel);
-    sel
-}
-
-/// Range-restricted [`filter_batch`]: evaluates the clauses over rows
-/// `[start, end)` only, leaving the surviving ascending row ids in `sel`.
-/// `sel` is a caller-owned scratch buffer — morsel workers reuse one
-/// buffer across every morsel they run instead of allocating per morsel.
+/// Evaluates compiled clauses over rows `[start, end)` of the batch,
+/// leaving the ascending selection vector of surviving row ids in `sel`.
+/// `tuples` backs the (rare) text range comparisons, which compare strings
+/// rather than symbol ids. `sel` is a caller-owned scratch buffer — a
+/// worker reuses one buffer across every range it runs instead of
+/// allocating per range.
 pub(crate) fn filter_batch_range(
     batch: &ColumnarBatch,
     tuples: &[Tuple],
@@ -382,6 +370,15 @@ mod tests {
         ]
     }
 
+    /// The selection over every row of the batch: one range, as a serial
+    /// scan runs it.
+    fn filter_all(b: &ColumnarBatch, rows: &[Tuple], clauses: &[VecClause]) -> Vec<u32> {
+        let mut sel = Vec::new();
+        let end = u32::try_from(b.rows()).unwrap();
+        filter_batch_range(b, rows, clauses, 0, end, &mut sel);
+        sel
+    }
+
     #[test]
     fn batch_mirrors_tuples() {
         let b = ColumnarBatch::from_tuples(&schema(), &tuples());
@@ -417,7 +414,7 @@ mod tests {
             PrimitiveClause::lit(ColumnRef::bare("B"), CompOp::Eq, Value::from("x")),
         ]);
         let compiled = compile_clauses(&pred, &s, "R").unwrap();
-        let sel = filter_batch(&b, &rows, &compiled);
+        let sel = filter_all(&b, &rows, &compiled);
         let reference: Vec<u32> = rows
             .iter()
             .enumerate()
@@ -439,7 +436,7 @@ mod tests {
             Value::from("eve-column-test-never-interned"),
         ));
         let compiled = compile_clauses(&pred, &s, "R").unwrap();
-        assert!(filter_batch(&b, &rows, &compiled).is_empty());
+        assert!(filter_all(&b, &rows, &compiled).is_empty());
     }
 
     #[test]

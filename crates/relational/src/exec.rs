@@ -15,6 +15,11 @@
 //! key tuples); the **row-oriented** mode is the frozen PR 3 baseline the
 //! differential suites compare against byte-for-byte.
 //!
+//! Each columnar operator has one body over a row range. Serial execution
+//! is one worker over one range on the caller's thread (no pool, no
+//! `exec.*` counter, no `exec.morsel_run` span); parallel execution runs
+//! the body per morsel and concatenates the outputs in morsel order.
+//!
 //! [`join_with_counts`] is the incremental-maintenance join: each delta
 //! tuple probes the hosted relation's hash index, and the join additionally
 //! reports how many hosted tuples each delta tuple matched, which is
@@ -72,9 +77,9 @@ pub fn execute_with(plan: &PhysicalPlan, mode: ExecMode) -> Result<Relation> {
     execute_with_options(plan, mode, &ExecOptions::default())
 }
 
-// Per-thread scratch for morsel selection vectors: a worker reuses one
-// buffer across every morsel it runs instead of allocating per morsel
-// (the per-morsel output is an exact-size copy of the surviving ids).
+// Per-thread scratch for range selection vectors: a worker reuses one
+// buffer across every range it runs instead of allocating per range
+// (the per-range output is an exact-size copy of the surviving ids).
 thread_local! {
     static FILTER_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
 }
@@ -90,16 +95,53 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Whether an operator over `rows` input rows should take its
-    /// parallel path: more than one worker and more than one morsel.
+    /// Whether an operator over `rows` input rows runs parallel: more than
+    /// one worker and more than one morsel.
     fn parallel_over(&self, rows: usize) -> bool {
         self.workers > 1 && self.opts.morsel_count(rows) > 1
     }
+
+    /// Runs one operator's range body `f(start, end)` over `rows` input
+    /// rows (see [`Ctx::ranges`]) and concatenates its outputs, counting
+    /// the operator in `exec.parallel_ops` when it goes parallel.
+    fn per_range<T: Send>(
+        &self,
+        rows: usize,
+        f: impl Fn(usize, usize) -> Result<Vec<T>> + Sync,
+    ) -> Result<Vec<T>> {
+        let parallel = self.parallel_over(rows);
+        if parallel {
+            morsel::note_parallel_op();
+        }
+        Ok(concat_chunks(self.ranges(parallel, rows, f)?))
+    }
+
+    /// Runs `f(start, end)` over `rows` input rows and returns its outputs
+    /// in row order. Serial is one range, `f(0, rows)` on the caller's
+    /// thread; parallel is one range per morsel on [`morsel::run_morsels`].
+    fn ranges<T: Send>(
+        &self,
+        parallel: bool,
+        rows: usize,
+        f: impl Fn(usize, usize) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        if !parallel {
+            return Ok(vec![f(0, rows)?]);
+        }
+        morsel::run_morsels(self.workers, self.opts.morsel_count(rows), |i| {
+            let (s, e) = self.opts.morsel_range(i, rows);
+            f(s, e)
+        })
+    }
 }
 
-/// Concatenates per-morsel output chunks in morsel order — the merge step
-/// that keeps parallel output byte-identical to serial execution.
-fn concat_chunks<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+/// Concatenates per-range output chunks in range order — the merge step
+/// that keeps parallel output byte-identical to serial execution. A single
+/// chunk (serial execution) is returned as it is.
+fn concat_chunks<T>(mut chunks: Vec<Vec<T>>) -> Vec<T> {
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk");
+    }
     let total = chunks.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     for mut chunk in chunks {
@@ -165,24 +207,12 @@ pub fn execute_with_options(
     };
     let joined = eval(plan, &plan.root, ctx, row_hint(plan.estimate().output_rows))?;
     let tuples = joined.tuples();
-    let rows = if ctx.parallel_over(tuples.len()) {
-        morsel::note_parallel_op();
-        let n = ctx.opts.morsel_count(tuples.len());
-        concat_chunks(morsel::run_morsels(ctx.workers, n, |i| {
-            let (s, e) = ctx.opts.morsel_range(i, tuples.len());
-            let mut out = Vec::with_capacity(e - s);
-            for t in &tuples[s..e] {
-                out.push(t.project(&plan.projection));
-            }
-            Ok(out)
-        })?)
-    } else {
-        let mut rows = Vec::with_capacity(tuples.len());
-        for t in tuples {
-            rows.push(t.project(&plan.projection));
-        }
-        rows
-    };
+    let rows = ctx.per_range(tuples.len(), |s, e| {
+        Ok(tuples[s..e]
+            .iter()
+            .map(|t| t.project(&plan.projection))
+            .collect())
+    })?;
     Ok(Relation::from_validated(
         plan.name.clone(),
         plan.output_schema.clone(),
@@ -228,29 +258,20 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
                             column::compile_clauses(pred, rel.schema(), rel.name())
                         {
                             let batch = rel.columnar();
-                            let rows = batch.rows();
-                            if ctx.parallel_over(rows) {
-                                morsel::note_parallel_op();
-                                let tuples = rel.tuples();
-                                let n = ctx.opts.morsel_count(rows);
-                                let sels = morsel::run_morsels(ctx.workers, n, |i| {
-                                    let (s, e) = ctx.opts.morsel_range(i, rows);
-                                    FILTER_SCRATCH.with(|buf| {
-                                        let mut scratch = buf.borrow_mut();
-                                        column::filter_batch_range(
-                                            &batch,
-                                            tuples,
-                                            &compiled,
-                                            u32::try_from(s).expect("row id fits u32"),
-                                            u32::try_from(e).expect("row id fits u32"),
-                                            &mut scratch,
-                                        );
-                                        Ok(scratch.clone())
-                                    })
-                                })?;
-                                return Ok(materialize_selection(rel, &concat_chunks(sels)));
-                            }
-                            let sel = column::filter_batch(&batch, rel.tuples(), &compiled);
+                            let sel = ctx.per_range(batch.rows(), |s, e| {
+                                FILTER_SCRATCH.with(|buf| {
+                                    let mut scratch = buf.borrow_mut();
+                                    column::filter_batch_range(
+                                        &batch,
+                                        rel.tuples(),
+                                        &compiled,
+                                        u32::try_from(s).expect("row id fits u32"),
+                                        u32::try_from(e).expect("row id fits u32"),
+                                        &mut scratch,
+                                    );
+                                    Ok(scratch.clone())
+                                })
+                            })?;
                             return Ok(materialize_selection(rel, &sel));
                         }
                     }
@@ -282,15 +303,11 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
             let sel = match residual {
                 None => rows,
                 // The residual probe re-checks every index hit against the
-                // remaining predicate — morsel-parallel over the hit list,
-                // merged in morsel (= ascending row) order.
-                Some(pred) if ctx.parallel_over(rows.len()) => {
-                    morsel::note_parallel_op();
+                // remaining predicate, range by range over the hit list,
+                // merged in range (= ascending row) order.
+                Some(pred) => {
                     let tuples = rel.tuples();
-                    let rows = &rows;
-                    let n = ctx.opts.morsel_count(rows.len());
-                    concat_chunks(morsel::run_morsels(ctx.workers, n, |i| {
-                        let (s, e) = ctx.opts.morsel_range(i, rows.len());
+                    ctx.per_range(rows.len(), |s, e| {
                         let mut keep = Vec::with_capacity(e - s);
                         for &r in &rows[s..e] {
                             if pred.eval(rel.schema(), &tuples[r as usize], rel.name())? {
@@ -298,17 +315,7 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
                             }
                         }
                         Ok(keep)
-                    })?)
-                }
-                Some(pred) => {
-                    let tuples = rel.tuples();
-                    let mut keep = Vec::with_capacity(rows.len());
-                    for r in rows {
-                        if pred.eval(rel.schema(), &tuples[r as usize], rel.name())? {
-                            keep.push(r);
-                        }
-                    }
-                    keep
+                    })?
                 }
             };
             Ok(materialize_selection(rel, &sel))
@@ -327,14 +334,8 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
             if ctx.mode == ExecMode::Columnar
                 && key_types_match(&probe_rel, probe_keys, &build_rel, build_keys)
             {
-                if ctx.parallel_over(probe_rel.cardinality().max(build_rel.cardinality())) {
-                    return hash_join_columnar_parallel(
-                        &probe_rel, &build_rel, probe_keys, build_keys, residual, schema, ctx,
-                        out_hint,
-                    );
-                }
-                return hash_join_columnar(
-                    &probe_rel, &build_rel, probe_keys, build_keys, residual, schema, out_hint,
+                return hash_join_columnar_parallel(
+                    &probe_rel, &build_rel, probe_keys, build_keys, residual, schema, ctx, out_hint,
                 );
             }
             hash_join_rows(
@@ -353,38 +354,20 @@ fn eval(plan: &PhysicalPlan, node: &PlanNode, ctx: Ctx<'_>, out_hint: usize) -> 
             let name = format!("{}⋈{}", outer_rel.name(), inner_rel.name());
             let outer_tuples = outer_rel.tuples();
             let inner_tuples = inner_rel.tuples();
-            if ctx.parallel_over(outer_tuples.len()) && !inner_tuples.is_empty() {
-                morsel::note_parallel_op();
-                let n = ctx.opts.morsel_count(outer_tuples.len());
-                let name_ref = &name;
-                let chunks = morsel::run_morsels(ctx.workers, n, |mi| {
-                    let (s, e) = ctx.opts.morsel_range(mi, outer_tuples.len());
-                    let mut out = Vec::new();
-                    for o in &outer_tuples[s..e] {
-                        for i in inner_tuples {
-                            let t = o.concat(i);
-                            if condition.is_true() || condition.eval(schema, &t, name_ref)? {
-                                out.push(t);
-                            }
+            // An empty inner side leaves no outer row to range over.
+            let rows = outer_tuples.len() * usize::from(!inner_tuples.is_empty());
+            let out = ctx.per_range(rows, |s, e| {
+                let mut out = Vec::with_capacity(out_hint * (e - s) / rows.max(1));
+                for o in &outer_tuples[s..e] {
+                    for i in inner_tuples {
+                        let t = o.concat(i);
+                        if condition.is_true() || condition.eval(schema, &t, &name)? {
+                            out.push(t);
                         }
                     }
-                    Ok(out)
-                })?;
-                return Ok(Relation::from_validated(
-                    name,
-                    schema.clone(),
-                    concat_chunks(chunks),
-                ));
-            }
-            let mut out = Vec::with_capacity(out_hint);
-            for o in outer_tuples {
-                for i in inner_tuples {
-                    let t = o.concat(i);
-                    if condition.is_true() || condition.eval(schema, &t, &name)? {
-                        out.push(t);
-                    }
                 }
-            }
+                Ok(out)
+            })?;
             Ok(Relation::from_validated(name, schema.clone(), out))
         }
     }
@@ -459,16 +442,11 @@ fn key_table_with_capacity(n: usize) -> KeyTable {
     KeyTable::with_capacity_and_hasher(n, std::hash::BuildHasherDefault::default())
 }
 
-/// Per-row scalar join keys for `cols`, read from the cached columnar
-/// batch when one exists and computed directly from the tuples otherwise
-/// (intermediates never pay a full batch build for one key column).
-fn join_key_vector(rel: &Relation, cols: &[usize]) -> Vec<JoinKey> {
-    join_keys_range(rel, cols, 0, rel.cardinality())
-}
-
-/// [`join_key_vector`] restricted to rows `[start, end)` — the morsel-
-/// sized unit of parallel key extraction. Text keys intern through the
-/// sharded pool, so concurrent morsels mostly touch different shard locks.
+/// Per-row scalar join keys for `cols` over rows `[start, end)`, read
+/// from the cached columnar batch when one exists and computed directly
+/// from the tuples otherwise (intermediates never pay a full batch build
+/// for one key column). Text keys intern through the sharded pool, so
+/// concurrent morsels mostly touch different shard locks.
 fn join_keys_range(rel: &Relation, cols: &[usize], start: usize, end: usize) -> Vec<JoinKey> {
     if rel.columnar_built() {
         let batch = rel.columnar();
@@ -507,68 +485,36 @@ fn partition_count(workers: usize) -> usize {
 
 /// Routes a key to its partition using the high bits of the same
 /// [`KeyHasher`] mix the tables bucket with low bits — one hash, two
-/// independent-enough bit ranges.
+/// independent-enough bit ranges. A zero mask (one partition) hashes
+/// nothing.
 fn partition_of(k: &JoinKey, mask: u64) -> usize {
     use std::hash::{Hash, Hasher};
+    if mask == 0 {
+        return 0;
+    }
     let mut h = KeyHasher::default();
     k.hash(&mut h);
     usize::try_from((h.finish() >> 48) & mask).expect("mask fits usize")
 }
 
-/// Hash join over interned scalar keys: hashes `u64`s instead of cloning
-/// and hashing projected key tuples. Output order is identical to the row
-/// path — probe order outer, build insertion (ascending row) order inner.
-fn hash_join_columnar(
-    probe_rel: &Relation,
-    build_rel: &Relation,
-    probe_keys: &[usize],
-    build_keys: &[usize],
-    residual: &Predicate,
-    schema: &Schema,
-    out_hint: usize,
-) -> Result<Relation> {
-    let name = format!("{}⋈{}", probe_rel.name(), build_rel.name());
-    let build_key_vec = join_key_vector(build_rel, build_keys);
-    let mut table = key_table_with_capacity(build_key_vec.len());
-    for (i, k) in build_key_vec.into_iter().enumerate() {
-        table
-            .entry(k)
-            .or_default()
-            .push(u32::try_from(i).expect("row id fits u32"));
-    }
-    let probe_key_vec = join_key_vector(probe_rel, probe_keys);
-    let build_tuples = build_rel.tuples();
-    let mut out = Vec::with_capacity(out_hint);
-    for (p, k) in probe_key_vec.into_iter().enumerate() {
-        if let Some(matches) = table.get(&k) {
-            let pt = &probe_rel.tuples()[p];
-            for &b in matches {
-                let t = pt.concat(&build_tuples[b as usize]);
-                if residual.is_true() || residual.eval(schema, &t, &name)? {
-                    out.push(t);
-                }
-            }
-        }
-    }
-    Ok(Relation::from_validated(name, schema.clone(), out))
-}
-
-/// Morsel-parallel partitioned hash join over interned scalar keys.
+/// Partitioned hash join over interned scalar keys: hashes `u64`s
+/// instead of cloning and hashing projected key tuples.
 ///
 /// Three phases, each deterministic:
 ///
-/// 1. **Scatter** (parallel over build morsels): extract scalar keys for
-///    the morsel's row range and scatter `(key, row)` pairs into
-///    per-partition buckets, routed by the high bits of the key hash.
-/// 2. **Build** (parallel over partitions): each partition's table is
-///    owned by exactly one task — lock-free by partitioning, not by
-///    atomics. Buckets are drained in morsel order, so every key's row
-///    list comes out ascending, exactly as the serial build inserts it.
-/// 3. **Probe** (parallel over probe morsels): read-only lookups against
-///    the partition tables; per-morsel outputs merge in morsel order.
+/// 1. **Scatter** (over build ranges): extract scalar keys for the range
+///    and scatter `(key, row)` pairs into per-partition buckets, routed by
+///    the high bits of the key hash.
+/// 2. **Build** (over partitions): each partition's table is owned by
+///    exactly one task — lock-free by partitioning, not by atomics.
+///    Buckets are drained in range order, so every key's row list comes
+///    out ascending.
+/// 3. **Probe** (over probe ranges): read-only lookups against the
+///    partition tables; per-range outputs merge in range order.
 ///
-/// Output is therefore byte-identical, order included, to
-/// [`hash_join_columnar`]: probe-order outer, ascending build rows inner.
+/// Output is therefore the row path's, order included: probe-order outer,
+/// ascending build rows inner. A serial join is one range per phase over
+/// one partition, and moves no `exec.*` counter.
 #[allow(clippy::too_many_arguments)]
 fn hash_join_columnar_parallel(
     probe_rel: &Relation,
@@ -580,17 +526,20 @@ fn hash_join_columnar_parallel(
     ctx: Ctx<'_>,
     out_hint: usize,
 ) -> Result<Relation> {
-    morsel::note_parallel_op();
     let name = format!("{}⋈{}", probe_rel.name(), build_rel.name());
     let build_rows = build_rel.cardinality();
     let probe_rows = probe_rel.cardinality();
-    let parts = partition_count(ctx.workers);
+    let parallel = ctx.parallel_over(probe_rows.max(build_rows));
+    let parts = if parallel {
+        morsel::note_parallel_op();
+        partition_count(ctx.workers)
+    } else {
+        1
+    };
     let mask = (parts - 1) as u64;
 
-    // Phase 1: parallel key extraction + partition scatter.
-    let n_build = ctx.opts.morsel_count(build_rows);
-    let scattered = morsel::run_morsels(ctx.workers, n_build, |i| {
-        let (s, e) = ctx.opts.morsel_range(i, build_rows);
+    // Phase 1: key extraction + partition scatter.
+    let scattered = ctx.ranges(parallel, build_rows, |s, e| {
         let keys = join_keys_range(build_rel, build_keys, s, e);
         let mut buckets: Vec<Vec<(JoinKey, u32)>> = (0..parts).map(|_| Vec::new()).collect();
         for (off, k) in keys.into_iter().enumerate() {
@@ -601,43 +550,44 @@ fn hash_join_columnar_parallel(
     })?;
     // Wrap each bucket so the owning build task can take it without
     // cloning keys (each bucket is read by exactly one partition task).
-    type MorselBuckets = Vec<Mutex<Vec<(JoinKey, u32)>>>;
-    let scattered: Vec<MorselBuckets> = scattered
+    type RangeBuckets = Vec<Mutex<Vec<(JoinKey, u32)>>>;
+    let scattered: Vec<RangeBuckets> = scattered
         .into_iter()
         .map(|buckets| buckets.into_iter().map(Mutex::new).collect())
         .collect();
 
     // Phase 2: one task per partition; tables are lock-free because no
     // two tasks share a partition.
-    morsel::note_partitions(parts as u64);
-    let tables = morsel::run_morsels(ctx.workers, parts, |p| {
+    let build_partition = |p: usize| {
         let cap: usize = scattered
             .iter()
             .map(|m| m[p].lock().expect("bucket poisoned").len())
             .sum();
         let mut table = key_table_with_capacity(cap);
-        for morsel_buckets in &scattered {
-            let bucket = std::mem::take(&mut *morsel_buckets[p].lock().expect("bucket poisoned"));
+        for range_buckets in &scattered {
+            let bucket = std::mem::take(&mut *range_buckets[p].lock().expect("bucket poisoned"));
             for (k, row) in bucket {
                 table.entry(k).or_default().push(row);
             }
         }
         Ok(table)
-    })?;
+    };
+    let tables = if parallel {
+        morsel::note_partitions(parts as u64);
+        morsel::run_morsels(ctx.workers, parts, build_partition)?
+    } else {
+        vec![build_partition(0)?]
+    };
 
-    // Phase 3: parallel probe against the read-only partition tables.
-    let n_probe = ctx.opts.morsel_count(probe_rows);
+    // Phase 3: probe against the read-only partition tables.
     let probe_tuples = probe_rel.tuples();
     let build_tuples = build_rel.tuples();
-    let name_ref = &name;
-    let chunks = morsel::run_morsels(ctx.workers, n_probe, |i| {
-        let (s, e) = ctx.opts.morsel_range(i, probe_rows);
-        let cap = if out_hint > 0 {
-            out_hint / n_probe.max(1) + 1
+    let chunks = ctx.ranges(parallel, probe_rows, |s, e| {
+        let mut out = Vec::with_capacity(if out_hint > 0 {
+            out_hint * (e - s) / probe_rows.max(1)
         } else {
             e - s
-        };
-        let mut out = Vec::with_capacity(cap);
+        });
         let keys = join_keys_range(probe_rel, probe_keys, s, e);
         for (off, k) in keys.into_iter().enumerate() {
             let p = partition_of(&k, mask);
@@ -645,7 +595,7 @@ fn hash_join_columnar_parallel(
                 let pt = &probe_tuples[s + off];
                 for &b in matches {
                     let t = pt.concat(&build_tuples[b as usize]);
-                    if residual.is_true() || residual.eval(schema, &t, name_ref)? {
+                    if residual.is_true() || residual.eval(schema, &t, &name)? {
                         out.push(t);
                     }
                 }

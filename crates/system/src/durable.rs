@@ -470,17 +470,29 @@ impl DurableEngine {
     }
 
     /// Durable [`EveEngine::rebalance_views`]: migrations mutate installed
-    /// rewritings, so the pass is followed by a checkpoint when anything
-    /// moved.
+    /// rewritings without a log record, so the pass is followed by a
+    /// checkpoint when anything moved. A pass that fails partway may
+    /// already have migrated views, so it re-anchors like a failed batch;
+    /// a checkpoint that fails after a migration poisons the host, since
+    /// a later append would land on a log that lacks the migration.
     ///
     /// # Errors
     ///
-    /// Engine or store failures.
+    /// Engine failures (after the re-anchoring snapshot), or
+    /// [`Error::Poisoned`].
     pub fn rebalance_views(&mut self) -> Result<Vec<crate::engine::MigrationReport>> {
         self.ensure_live()?;
-        let reports = self.engine.rebalance_views()?;
+        let reports = match self.engine.rebalance_views() {
+            Ok(reports) => reports,
+            Err(e) => return Err(self.reanchor("rebalance", e)),
+        };
         if reports.iter().any(|r| r.migrated) {
-            self.checkpoint()?;
+            if let Err(e) = self.checkpoint() {
+                return Err(self.poison(format!(
+                    "the checkpoint after a view migration failed ({e}): \
+                     the store is behind the live engine"
+                )));
+            }
         }
         Ok(reports)
     }
@@ -983,6 +995,63 @@ mod tests {
         drop(d);
         let (recovered, _) = DurableEngine::open(&dir).unwrap();
         assert_eq!(fingerprint(recovered.engine()), expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_rebalance_whose_checkpoint_fails_poisons_the_host() {
+        let dir = temp_dir("rebalance-poison");
+        let mut d = build(&dir);
+        // `Rn` holds `Rb`'s rows next to `Ra` in a narrower encoding, so
+        // maintaining `V` over it ships fewer bytes: rebalance moves `V`.
+        let narrow = vec![
+            AttributeInfo::sized("K", DataType::Int, 1),
+            AttributeInfo::sized("P", DataType::Int, 1),
+        ];
+        d.apply(LogRecord::RegisterRelation {
+            info: RelationInfo::new("Rn", SiteId(1), narrow, 10),
+            extent: Relation::empty("Rn", schema()),
+        })
+        .unwrap();
+        d.apply(LogRecord::SeedTuples {
+            relation: "Rn".into(),
+            tuples: (0..10i64).map(|k| tup![k, k % 3]).collect(),
+        })
+        .unwrap();
+        d.apply(LogRecord::AddPcConstraint(PcConstraint::new(
+            PcSide::projection("Rb", &["K", "P"]),
+            PcRelationship::Equivalent,
+            PcSide::projection("Rn", &["K", "P"]),
+        )))
+        .unwrap();
+
+        // A directory on the snapshot's temp path fails the checkpoint;
+        // log appends still succeed.
+        let blocker = dir.join(format!("snap-{:020}.tmp", d.next_seq()));
+        std::fs::create_dir(&blocker).unwrap();
+        let err = d.rebalance_views().unwrap_err();
+        assert!(matches!(err, Error::Poisoned { .. }), "{err:?}");
+        assert!(d
+            .engine()
+            .view("V")
+            .unwrap()
+            .def
+            .from
+            .iter()
+            .any(|f| f.relation == "Rn"));
+        // The next mutation is refused, not acknowledged onto a log that
+        // lacks the migration.
+        let err = d
+            .apply_batch(vec![EvolutionOp::insert("Ra", vec![tup![60, 1]])])
+            .unwrap_err();
+        assert!(matches!(err, Error::Poisoned { .. }), "{err:?}");
+
+        std::fs::remove_dir(&blocker).unwrap();
+        d.checkpoint().unwrap();
+        let expected = fingerprint(d.engine());
+        drop(d);
+        let (recovered, _) = DurableEngine::open(&dir).unwrap();
+        assert!(fingerprint(recovered.engine()) == expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 
