@@ -58,23 +58,11 @@ impl Column {
     }
 
     fn remove_rows(&mut self, removed: &[u32]) {
-        fn retain<T>(v: &mut Vec<T>, removed: &[u32]) {
-            let mut iter = removed.iter().copied().peekable();
-            let mut idx = 0u32;
-            v.retain(|_| {
-                let drop = iter.peek() == Some(&idx);
-                if drop {
-                    iter.next();
-                }
-                idx += 1;
-                !drop
-            });
-        }
         match self {
-            Column::Int(c) => retain(c, removed),
-            Column::Float(c) => retain(c, removed),
-            Column::Bool(c) => retain(c, removed),
-            Column::Text(c) => retain(c, removed),
+            Column::Int(c) => compact(c, removed),
+            Column::Float(c) => compact(c, removed),
+            Column::Bool(c) => compact(c, removed),
+            Column::Text(c) => compact(c, removed),
         }
     }
 
@@ -164,6 +152,25 @@ impl ColumnarBatch {
         }
         self.rows -= removed.len();
     }
+}
+
+/// Drops the elements at the ascending, distinct positions `removed`,
+/// keeping the rest in order. Works in place from the first position:
+/// the prefix before it is not touched. A caller that wants the dropped
+/// elements takes them out first.
+pub(crate) fn compact<T>(v: &mut Vec<T>, removed: &[u32]) {
+    let Some(first) = removed.first().map(|&r| r as usize) else {
+        return;
+    };
+    let mut victims = removed.iter().map(|&r| r as usize).peekable();
+    let mut write = first;
+    for read in first..v.len() {
+        if victims.next_if_eq(&read).is_none() {
+            v.swap(write, read);
+            write += 1;
+        }
+    }
+    v.truncate(write);
 }
 
 /// Scalar `u64` key for a value: equal keys ⇔ equal values, within a typed

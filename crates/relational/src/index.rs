@@ -8,14 +8,24 @@
 //! (`crate::exec::join_with_counts`) and `Relation::delete`. Both are built
 //! lazily the first time they are probed, cached in the relation's
 //! shared storage, and **maintained incrementally** across
-//! `insert`/`delete` (append + positional remap) rather than rebuilt, the
-//! same policy the MKB inverted indexes established for metadata.
+//! `insert`/`delete` rather than rebuilt, the same policy the MKB inverted
+//! indexes established for metadata.
+//!
+//! Entries hold *index ids*, not row positions. An insert appends an id
+//! larger than any held; a delete removes only its victims' entries and
+//! records their ids in one ascending list of ids deleted since the last
+//! renumber. A probe maps id `e` to the position `e − (listed ids below
+//! e)` — the identity while the list is empty — so a delete renumbers no
+//! surviving entry. Once the list passes [`RENUMBER_AT`] ids, one pass
+//! rewrites every entry to its position and clears the list (positional
+//! deltas, Héman et al., SIGMOD 2010, applied to the indexes alone).
 //!
 //! Every result is returned in ascending row order, so an index-backed
 //! scan yields tuples in exactly the order a full scan would — the
 //! byte-identity contract the differential suites pin.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
 use std::sync::{Arc, OnceLock};
@@ -61,11 +71,34 @@ impl RowIds {
         }
     }
 
+    fn as_mut_slice(&mut self) -> &mut [u32] {
+        match self {
+            RowIds::One(row) => std::slice::from_mut(row),
+            RowIds::Many(rows) => rows,
+        }
+    }
+
     /// Appends a row id larger than every one held.
     fn push(&mut self, row: u32) {
         match self {
             RowIds::One(first) => *self = RowIds::Many(vec![*first, row]),
             RowIds::Many(rows) => rows.push(row),
+        }
+    }
+
+    /// Removes `row` if held; returns whether no id is left.
+    fn remove(&mut self, row: u32) -> bool {
+        match self {
+            RowIds::One(held) => *held == row,
+            RowIds::Many(rows) => {
+                if let Ok(at) = rows.binary_search(&row) {
+                    rows.remove(at);
+                }
+                if let [last] = rows[..] {
+                    *self = RowIds::One(last);
+                }
+                self.as_slice().is_empty()
+            }
         }
     }
 }
@@ -78,6 +111,15 @@ impl HashIndex {
             .and_modify(|rows| rows.push(row))
             .or_insert(RowIds::One(row));
     }
+
+    /// Removes `row` from under `key`, dropping the key once it holds none.
+    fn remove(&mut self, key: u64, row: u32) {
+        if let Entry::Occupied(mut rows) = self.map.entry(key) {
+            if rows.get_mut().remove(row) {
+                rows.remove();
+            }
+        }
+    }
 }
 
 /// Range index: row ids ordered by `(column value, row id)`.
@@ -89,14 +131,19 @@ struct SortedIndex {
 /// Process-wide mirrors of the per-relation counters, in the global
 /// registry `index.` family. Per-instance [`IndexStats`] stay exact for
 /// the engine's per-relation rollup; these aggregate across all
-/// relations for the `metrics` surface.
-struct IndexCounters {
+/// relations for the `metrics` surface. The two storage work counters
+/// (`relational.`) register with them, so a process that touches an
+/// index sees both.
+pub(crate) struct IndexCounters {
     builds: Arc<Counter>,
     hits: Arc<Counter>,
     maintenance: Arc<Counter>,
+    renumbered: Arc<Counter>,
+    /// Rows deep-copied by copy-on-write detaches of relation storage.
+    pub(crate) detach_rows: Arc<Counter>,
 }
 
-fn mirrors() -> &'static IndexCounters {
+pub(crate) fn mirrors() -> &'static IndexCounters {
     static COUNTERS: OnceLock<IndexCounters> = OnceLock::new();
     COUNTERS.get_or_init(|| {
         let registry = eve_trace::global();
@@ -104,8 +151,20 @@ fn mirrors() -> &'static IndexCounters {
             builds: registry.counter("index.builds"),
             hits: registry.counter("index.hits"),
             maintenance: registry.counter("index.maintenance_ops"),
+            renumbered: registry.counter("relational.index_entries_renumbered"),
+            detach_rows: registry.counter("relational.detach_rows"),
         }
     })
+}
+
+/// Deleted ids an [`IndexSet`] lists before one pass renumbers every
+/// entry. A probe pays a binary search over the list per returned row; a
+/// renumber pays one per entry, once per this many deletes.
+const RENUMBER_AT: usize = 64;
+
+/// The position of index id `id`: `id` less the listed ids below it.
+fn position(deleted: &[u32], id: u32) -> u32 {
+    id - u32::try_from(deleted.partition_point(|&d| d < id)).expect("id count fits u32")
 }
 
 /// Counters for the shell `stats` surface.
@@ -142,6 +201,8 @@ impl IndexStats {
 pub(crate) struct IndexSet {
     hash: BTreeMap<usize, HashIndex>,
     sorted: BTreeMap<usize, SortedIndex>,
+    /// Ascending index ids deleted since the last renumber (module docs).
+    deleted: Vec<u32>,
     builds: u64,
     hits: u64,
     maintenance: u64,
@@ -159,17 +220,16 @@ impl IndexSet {
     /// Builds the index of `kind` on `col` if absent.
     pub(crate) fn warm(&mut self, col: usize, kind: IndexKind, tuples: &[Tuple]) {
         match kind {
-            IndexKind::Hash => {
-                self.ensure_hash(col, tuples);
-            }
-            IndexKind::Sorted => {
-                self.ensure_sorted(col, tuples);
-            }
+            IndexKind::Hash => self.ensure_hash(col, tuples),
+            IndexKind::Sorted => self.ensure_sorted(col, tuples),
         }
     }
 
-    fn ensure_hash(&mut self, col: usize, tuples: &[Tuple]) -> &HashIndex {
+    /// A build numbers entries by position, so the indexes already held
+    /// are renumbered first and every id equals its position.
+    fn ensure_hash(&mut self, col: usize, tuples: &[Tuple]) {
         if !self.hash.contains_key(&col) {
+            self.renumber();
             let mut index = HashIndex::default();
             for (i, t) in tuples.iter().enumerate() {
                 index.add(
@@ -181,11 +241,11 @@ impl IndexSet {
             mirrors().builds.inc();
             self.hash.insert(col, index);
         }
-        &self.hash[&col]
     }
 
-    fn ensure_sorted(&mut self, col: usize, tuples: &[Tuple]) -> &SortedIndex {
+    fn ensure_sorted(&mut self, col: usize, tuples: &[Tuple]) {
         if !self.sorted.contains_key(&col) {
+            self.renumber();
             let mut rows: Vec<u32> =
                 (0..u32::try_from(tuples.len()).expect("row count fits u32")).collect();
             // Stable by value keeps equal-valued rows in ascending id order.
@@ -194,7 +254,6 @@ impl IndexSet {
             mirrors().builds.inc();
             self.sorted.insert(col, SortedIndex { rows });
         }
-        &self.sorted[&col]
     }
 
     /// The lowest column carrying a hash index, if any — the one a
@@ -203,17 +262,30 @@ impl IndexSet {
         self.hash.keys().next().copied()
     }
 
-    /// Ascending row ids whose `col` value equals `key`, borrowed from the
-    /// hash index (built on first use). An un-interned text key matches
-    /// nothing. Counts no hit: the caller reports its probes through
-    /// [`IndexSet::count_hits`].
-    pub(crate) fn eq_rows(&mut self, col: usize, key: &Value, tuples: &[Tuple]) -> &[u32] {
-        let idx = self.ensure_hash(col, tuples);
+    /// Ascending row positions whose `col` value equals `key`, from the
+    /// hash index (built on first use): borrowed from the index while no
+    /// deleted id is listed, else mapped into `scratch`. An un-interned
+    /// text key matches nothing. Counts no hit: the caller reports its
+    /// probes through [`IndexSet::count_hits`].
+    pub(crate) fn eq_rows<'a>(
+        &'a mut self,
+        col: usize,
+        key: &Value,
+        tuples: &[Tuple],
+        scratch: &'a mut Vec<u32>,
+    ) -> &'a [u32] {
+        self.ensure_hash(col, tuples);
         // Probe *after* the build: a lazy first build is what interns the
         // stored text keys, so probing earlier would spuriously miss.
-        probe_key(key)
-            .and_then(|k| idx.map.get(&k))
-            .map_or(&[], RowIds::as_slice)
+        let ids = probe_key(key)
+            .and_then(|k| self.hash[&col].map.get(&k))
+            .map_or(&[][..], RowIds::as_slice);
+        if self.deleted.is_empty() {
+            return ids;
+        }
+        scratch.clear();
+        scratch.extend(ids.iter().map(|&id| position(&self.deleted, id)));
+        scratch
     }
 
     /// Records `n` lookups answered from an index. A run of probes reports
@@ -227,11 +299,12 @@ impl IndexSet {
     /// [`IndexSet::eq_rows`], counted and copied out.
     pub(crate) fn lookup_eq(&mut self, col: usize, key: &Value, tuples: &[Tuple]) -> Vec<u32> {
         self.count_hits(1);
-        self.eq_rows(col, key, tuples).to_vec()
+        let mut scratch = Vec::new();
+        self.eq_rows(col, key, tuples, &mut scratch).to_vec()
     }
 
-    /// Ascending row ids whose `col` value satisfies `value-at-row θ key`,
-    /// via the sorted index (built on first use).
+    /// Ascending row positions whose `col` value satisfies
+    /// `value-at-row θ key`, via the sorted index (built on first use).
     pub(crate) fn lookup_range(
         &mut self,
         col: usize,
@@ -240,79 +313,126 @@ impl IndexSet {
         tuples: &[Tuple],
     ) -> Vec<u32> {
         self.count_hits(1);
-        let idx = self.ensure_sorted(col, tuples);
-        let rows = &idx.rows;
-        let below =
-            rows.partition_point(|&r| tuples[r as usize].get(col).cmp(key) == Ordering::Less);
-        let through =
-            rows.partition_point(|&r| tuples[r as usize].get(col).cmp(key) != Ordering::Greater);
-        let mut out: Vec<u32> = match op {
-            CompOp::Lt => rows[..below].to_vec(),
-            CompOp::Le => rows[..through].to_vec(),
-            CompOp::Ge => rows[below..].to_vec(),
-            CompOp::Gt => rows[through..].to_vec(),
-            CompOp::Eq => rows[below..through].to_vec(),
-            CompOp::Ne => {
-                let mut v = rows[..below].to_vec();
-                v.extend_from_slice(&rows[through..]);
-                v
-            }
+        self.ensure_sorted(col, tuples);
+        let deleted = &self.deleted;
+        let rows = &self.sorted[&col].rows;
+        let value = |id: u32| tuples[position(deleted, id) as usize].get(col);
+        let below = rows.partition_point(|&r| value(r).cmp(key) == Ordering::Less);
+        let through = rows.partition_point(|&r| value(r).cmp(key) != Ordering::Greater);
+        let (first, second): (&[u32], &[u32]) = match op {
+            CompOp::Lt => (&rows[..below], &[]),
+            CompOp::Le => (&rows[..through], &[]),
+            CompOp::Ge => (&rows[below..], &[]),
+            CompOp::Gt => (&rows[through..], &[]),
+            CompOp::Eq => (&rows[below..through], &[]),
+            CompOp::Ne => (&rows[..below], &rows[through..]),
         };
-        // Scan-order contract: results ascend by row id.
+        let mut out: Vec<u32> = first
+            .iter()
+            .chain(second)
+            .map(|&id| position(deleted, id))
+            .collect();
+        // Scan-order contract: results ascend by row position.
         out.sort_unstable();
         out
     }
 
     /// Incremental maintenance for an appended row. `tuples` is the
-    /// storage *before* the append; the new row's id is `tuples.len()`.
+    /// storage *before* the append; the new row's position is
+    /// `tuples.len()`, and its id that plus the listed deleted ids.
     pub(crate) fn insert_row(&mut self, t: &Tuple, tuples: &[Tuple]) {
-        let row = u32::try_from(tuples.len()).expect("row id fits u32");
+        let row = u32::try_from(tuples.len() + self.deleted.len()).expect("row id fits u32");
         for (&col, idx) in &mut self.hash {
             idx.add(scalar_key(t.get(col)), row);
         }
+        let deleted = &self.deleted;
         for (&col, idx) in &mut self.sorted {
             let v = t.get(col);
-            // The new row id is the largest, so inserting after every
-            // value-equal row preserves the (value, row) order.
-            let pos = idx
-                .rows
-                .partition_point(|&r| tuples[r as usize].get(col).cmp(v) != Ordering::Greater);
+            // The new id is the largest, so inserting after every
+            // value-equal row preserves the (value, id) order.
+            let pos = idx.rows.partition_point(|&r| {
+                tuples[position(deleted, r) as usize].get(col).cmp(v) != Ordering::Greater
+            });
             idx.rows.insert(pos, row);
         }
         self.count_maintenance();
     }
 
-    /// Incremental maintenance for deleted rows: drops the removed ids and
-    /// remaps survivors to their post-delete positions. `removed` ascends.
-    pub(crate) fn remove_rows(&mut self, removed: &[u32]) {
-        let remap = |row: u32| {
-            let shift = removed.partition_point(|&r| r < row);
-            row - u32::try_from(shift).expect("shift fits u32")
-        };
-        let keep = |r: &mut u32| {
-            if removed.binary_search(r).is_ok() {
-                false
-            } else {
-                *r = remap(*r);
-                true
-            }
-        };
-        for idx in self.hash.values_mut() {
-            idx.map.retain(|_, rows| match rows {
-                RowIds::One(row) => keep(row),
-                RowIds::Many(many) => {
-                    many.retain_mut(keep);
-                    if let [row] = many[..] {
-                        *rows = RowIds::One(row);
-                    }
-                    !rows.as_slice().is_empty()
-                }
-            });
+    /// Incremental maintenance for deleted rows: removes the entries of
+    /// the rows at ascending positions `removed` — found by key in a hash
+    /// index and by a binary search on value in a sorted one — and lists
+    /// their ids. `tuples` is the storage *before* the delete. No other
+    /// entry changes unless the list passes [`RENUMBER_AT`].
+    pub(crate) fn remove_rows(&mut self, removed: &[u32], tuples: &[Tuple]) {
+        if self.hash.is_empty() && self.sorted.is_empty() {
+            return;
         }
-        for idx in self.sorted.values_mut() {
-            idx.rows.retain_mut(keep);
+        let ids: Vec<u32> = removed.iter().map(|&p| self.id_at(p)).collect();
+        for (&col, idx) in &mut self.hash {
+            for (&p, &id) in removed.iter().zip(&ids) {
+                idx.remove(scalar_key(tuples[p as usize].get(col)), id);
+            }
+        }
+        let deleted = &self.deleted;
+        for (&col, idx) in &mut self.sorted {
+            let rows = &idx.rows;
+            let mut at: Vec<u32> = removed
+                .iter()
+                .zip(&ids)
+                .map(|(&p, &id)| {
+                    let v = tuples[p as usize].get(col);
+                    let i = rows.partition_point(|&r| {
+                        (tuples[position(deleted, r) as usize].get(col), r) < (v, id)
+                    });
+                    debug_assert_eq!(rows.get(i), Some(&id), "a victim is indexed");
+                    u32::try_from(i).expect("entry index fits u32")
+                })
+                .collect();
+            at.sort_unstable();
+            crate::column::compact(&mut idx.rows, &at);
+        }
+        self.deleted.extend(ids);
+        self.deleted.sort_unstable();
+        if self.deleted.len() > RENUMBER_AT {
+            self.renumber();
         }
         self.count_maintenance();
+    }
+
+    /// The index id of the row at `pos`: the `pos`-th id not listed as
+    /// deleted. Listed id `d_i` has `d_i − i` live ids below it, a
+    /// non-decreasing sequence, so the ids at or below the answer are the
+    /// listed ones with `d_i − i ≤ pos`.
+    fn id_at(&self, pos: u32) -> u32 {
+        let (mut lo, mut hi) = (0, self.deleted.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.deleted[mid] - u32::try_from(mid).expect("id count fits u32") <= pos {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        pos + u32::try_from(lo).expect("id count fits u32")
+    }
+
+    /// Rewrites every entry to its position and clears the deleted list.
+    fn renumber(&mut self) {
+        if self.deleted.is_empty() {
+            return;
+        }
+        let deleted = std::mem::take(&mut self.deleted);
+        let entries = self
+            .hash
+            .values_mut()
+            .flat_map(|idx| idx.map.values_mut().flat_map(RowIds::as_mut_slice))
+            .chain(self.sorted.values_mut().flat_map(|idx| idx.rows.iter_mut()));
+        let mut n = 0u64;
+        for id in entries {
+            *id = position(&deleted, *id);
+            n += 1;
+        }
+        mirrors().renumbered.add(n);
     }
 
     /// Records one maintenance operation per live index, added to the
@@ -421,7 +541,7 @@ mod tests {
         set.warm(0, IndexKind::Hash, &tuples);
         set.warm(0, IndexKind::Sorted, &tuples);
         // Remove rows 0 and 2 (values 3 and 2).
-        set.remove_rows(&[0, 2]);
+        set.remove_rows(&[0, 2], &tuples);
         tuples.remove(2);
         tuples.remove(0);
         assert_eq!(set.lookup_eq(0, &Value::Int(1), &tuples), vec![0, 1]);

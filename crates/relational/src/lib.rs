@@ -50,7 +50,7 @@ pub use intern::Symbol;
 pub use morsel::ExecOptions;
 pub use plan::{PhysicalPlan, PlanEstimate, QueryInput, QuerySpec};
 pub use predicate::{CompOp, Operand, Predicate, PrimitiveClause};
-pub use relation::Relation;
+pub use relation::{ExtentHandle, Relation};
 pub use schema::{ColumnDef, ColumnRef, Schema};
 pub use stats::RelationStats;
 pub use tuple::Tuple;

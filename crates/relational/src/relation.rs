@@ -3,9 +3,9 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
-use crate::column::ColumnarBatch;
+use crate::column::{compact, ColumnarBatch};
 use crate::error::{Error, Result};
 use crate::exec::KeyHasher;
 use crate::index::{IndexKind, IndexSet, IndexStats};
@@ -20,9 +20,11 @@ use crate::types::Value;
 /// The caches live *inside* the shared storage so that every zero-copy
 /// alias of a relation (clones, rebinds, plan bindings) reuses one
 /// columnar batch and one index set. Mutations go through
-/// [`Arc::make_mut`]: a detach clones the caches along with the rows and
-/// then maintains them incrementally, so a warmed index survives
-/// copy-on-write instead of being rebuilt.
+/// [`Arc::make_mut`]. Only a second *strong* alias makes it detach —
+/// clone the caches along with the rows and then maintain them
+/// incrementally, so a warmed index survives copy-on-write instead of
+/// being rebuilt; an [`ExtentHandle`] is a `Weak` and never causes one.
+/// Each detach adds its rows to `relational.detach_rows`.
 #[derive(Debug, Default)]
 struct Storage {
     tuples: Vec<Tuple>,
@@ -36,6 +38,9 @@ struct Storage {
 
 impl Clone for Storage {
     fn clone(&self) -> Storage {
+        crate::index::mirrors()
+            .detach_rows
+            .add(self.tuples.len() as u64);
         let cloned = Storage {
             tuples: self.tuples.clone(),
             generation: self.generation,
@@ -260,6 +265,7 @@ impl Relation {
             tuples: &self.store.tuples,
             col,
             probes: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -322,11 +328,12 @@ impl Relation {
     /// missing from it.
     ///
     /// For each distinct requested tuple the *earliest* occurrences are
-    /// removed, as many as it was requested. The rows are found before
-    /// anything is touched — through a live hash index when the storage has
-    /// one, by one scan otherwise — so a delete that matches nothing leaves
-    /// shared storage shared. The columnar image and live indexes are
-    /// remapped positionally, not rebuilt.
+    /// removed, as many as it was requested. The rows are found by probing
+    /// a hash index (built on column 0 when the storage has none) before
+    /// anything is touched, so a delete that matches nothing leaves shared
+    /// storage shared. The indexes drop only the victims'
+    /// entries and renumber none of the others; the tuple vector and the
+    /// columnar image compact in place from the first victim.
     pub fn delete(&mut self, tuples: &[Tuple]) -> Vec<Tuple> {
         if tuples.is_empty() || self.store.tuples.is_empty() {
             return Vec::new();
@@ -337,37 +344,27 @@ impl Relation {
         }
         let store = Arc::make_mut(&mut self.store);
         store.generation += 1;
-        let mut victims = removed_rows.iter().peekable();
-        let mut removed = Vec::with_capacity(removed_rows.len());
-        let mut row = 0u32;
-        store.tuples = std::mem::take(&mut store.tuples)
-            .into_iter()
-            .filter_map(|t| {
-                let hit = victims.next_if_eq(&&row).is_some();
-                row += 1;
-                if hit {
-                    removed.push(t);
-                    None
-                } else {
-                    Some(t)
-                }
-            })
-            .collect();
-        if let Some(batch) = store.columnar.get_mut() {
-            Arc::make_mut(batch).remove_rows(&removed_rows);
-        }
         store
             .indexes
             .get_mut()
             .expect("index lock poisoned")
-            .remove_rows(&removed_rows);
+            .remove_rows(&removed_rows, &store.tuples);
+        let removed = removed_rows
+            .iter()
+            .map(|&r| std::mem::replace(&mut store.tuples[r as usize], Tuple::new(Vec::new())))
+            .collect();
+        compact(&mut store.tuples, &removed_rows);
+        if let Some(batch) = store.columnar.get_mut() {
+            Arc::make_mut(batch).remove_rows(&removed_rows);
+        }
         removed
     }
 
     /// Ascending positions of the rows [`Relation::delete`] removes for
-    /// `victims`. With a live hash index only the rows sharing a victim's
-    /// indexed value are compared and no stored tuple is hashed; without
-    /// one, each stored tuple is hashed once.
+    /// `victims`, found by probing the hash index on the lowest hashed
+    /// column — built on column 0, through the same lazy build a probe
+    /// does, when the relation has none. Only the rows sharing a victim's
+    /// key are compared, and no stored tuple is hashed.
     fn earliest_rows_of(&self, victims: &[Tuple]) -> Vec<u32> {
         let mut pending: HashMap<&Tuple, usize> = HashMap::with_capacity(victims.len());
         for t in victims {
@@ -375,40 +372,26 @@ impl Relation {
         }
         let stored = &self.store.tuples;
         let mut rows = Vec::new();
-        let indexes = self.lock_indexes();
-        if let Some(col) = indexes.hash_col() {
-            let mut probe = HashProbe {
-                indexes,
-                tuples: stored,
-                col,
-                probes: 0,
+        if self.schema.arity() == 0 {
+            // No column to index: every stored tuple is the empty tuple,
+            // so the earliest rows go, once per empty victim.
+            let n = pending.get(&Tuple::new(Vec::new())).map_or(0, |&n| n);
+            return (0..u32::try_from(n.min(stored.len())).expect("row id fits u32")).collect();
+        }
+        let col = self.lock_indexes().hash_col().unwrap_or(0);
+        let mut probe = self.hash_probe(col);
+        for (victim, n) in pending {
+            // A victim too short to have the column is in no row.
+            let Some(key) = victim.values().get(col) else {
+                continue;
             };
-            for (victim, n) in pending {
-                // A victim too short to have the column is in no row.
-                let Some(key) = victim.values().get(col) else {
-                    continue;
-                };
-                let same = probe
-                    .rows(key)
-                    .iter()
-                    .filter(|&&r| stored[r as usize] == *victim);
-                rows.extend(same.take(n));
-            }
-            rows.sort_unstable();
-            return rows;
+            let same = probe
+                .rows(key)
+                .iter()
+                .filter(|&&r| stored[r as usize] == *victim);
+            rows.extend(same.take(n));
         }
-        drop(indexes);
-        let mut outstanding = victims.len();
-        for (row, t) in stored.iter().enumerate() {
-            if let Some(n) = pending.get_mut(t).filter(|n| **n > 0) {
-                *n -= 1;
-                rows.push(u32::try_from(row).expect("row id fits u32"));
-                outstanding -= 1;
-                if outstanding == 0 {
-                    break;
-                }
-            }
-        }
+        rows.sort_unstable();
         rows
     }
 
@@ -486,21 +469,62 @@ impl Relation {
     }
 }
 
+/// A mark of one extent as it stands now, for checkpoint diffing:
+/// [`ExtentHandle::is_of`] tells whether a relation still encodes the same
+/// — same name, same schema, same storage allocation — without pinning
+/// that storage. The handle holds a `Weak`, so a write to the relation
+/// moves its storage to a new allocation instead of copying it (see
+/// [`Arc::make_mut`]), and the written relation then reads as changed. A
+/// relation dropped and rebuilt under the same name is a new allocation,
+/// so it reads as changed too.
+#[derive(Debug, Clone)]
+pub struct ExtentHandle {
+    name: String,
+    schema: Schema,
+    store: Weak<Storage>,
+}
+
+impl ExtentHandle {
+    /// The handle of `rel` as it stands now.
+    #[must_use]
+    pub fn of(rel: &Relation) -> ExtentHandle {
+        ExtentHandle {
+            name: rel.name.clone(),
+            schema: rel.schema.clone(),
+            store: Arc::downgrade(&rel.store),
+        }
+    }
+
+    /// Whether `rel` holds what this handle's relation held when the handle
+    /// was taken. The `Weak` keeps its allocation reserved, so no other
+    /// storage can have its address.
+    #[must_use]
+    pub fn is_of(&self, rel: &Relation) -> bool {
+        std::ptr::eq(self.store.as_ptr(), Arc::as_ptr(&rel.store))
+            && self.name == rel.name
+            && self.schema == rel.schema
+    }
+}
+
 /// A run of equality probes against one column's hash index: the index
-/// lock is taken once, row ids are borrowed from the index, not copied,
-/// and the probes are added to the hit counters once, when the run ends.
+/// lock is taken once, row ids are borrowed from the index (or mapped into
+/// one reused buffer while deleted ids are listed), not allocated per
+/// probe, and the probes are added to the hit counters once, when the run
+/// ends.
 pub(crate) struct HashProbe<'a> {
     indexes: MutexGuard<'a, IndexSet>,
     tuples: &'a [Tuple],
     col: usize,
     probes: u64,
+    scratch: Vec<u32>,
 }
 
 impl HashProbe<'_> {
     /// Ascending row ids whose indexed column equals `key`.
     pub(crate) fn rows(&mut self, key: &Value) -> &[u32] {
         self.probes += 1;
-        self.indexes.eq_rows(self.col, key, self.tuples)
+        self.indexes
+            .eq_rows(self.col, key, self.tuples, &mut self.scratch)
     }
 }
 
@@ -637,6 +661,16 @@ mod tests {
         .unwrap();
         assert_eq!(rel.delete(&[tup![1], tup![1]]), vec![tup![1], tup![1]]);
         assert_eq!(rel.tuples(), &[tup![2], tup![3], tup![1]]);
+    }
+
+    #[test]
+    fn a_relation_without_columns_deletes_its_earliest_empty_rows() {
+        let empty = || Tuple::new(Vec::new());
+        let mut rel =
+            Relation::with_tuples("Z", Schema::default(), vec![empty(), empty(), empty()]).unwrap();
+        assert!(rel.delete(&[tup![1]]).is_empty(), "no row holds a value");
+        assert_eq!(rel.delete(&[empty(), empty()]), vec![empty(), empty()]);
+        assert_eq!(rel.cardinality(), 1);
     }
 
     #[test]

@@ -1,0 +1,247 @@
+//! Model-based property suite for relation storage: a `Relation` and a
+//! plain `Vec<Tuple>` model go through the same long run of random steps —
+//! inserts, deletes with duplicate and absent victims, clone-then-mutate,
+//! and index warms at any point — and after every step:
+//!
+//! * `tuples()` equals the model, row for row;
+//! * every held hash index answers `index_eq_rows` and every held sorted
+//!   index answers `index_range_rows` exactly as a scan does, for every
+//!   key (a sorted index with one range operator per step in turn, and
+//!   with all six every 64th step);
+//! * `columnar()` equals `ColumnarBatch::from_tuples` over the model;
+//! * the last clone taken still holds the rows it was taken with (and,
+//!   every 8th step, its own indexes and image still agree with them).
+//!
+//! A delete lists its victims' index ids instead of renumbering the
+//! survivors' entries; once the list is long enough one pass renumbers
+//! them all. Each case deletes enough rows to renumber several times,
+//! which the suite checks on `relational.index_entries_renumbered`.
+//!
+//! Case counts honour `PROPTEST_CASES` (CI smoke 64, nightly 256).
+
+use proptest::prelude::*;
+
+use eve_relational::{
+    ColumnDef, ColumnRef, ColumnarBatch, CompOp, DataType, IndexKind, Relation, Schema, Tuple,
+    Value,
+};
+
+/// `(I, B, S)`: an int, a bool and a text column over small domains, so
+/// keys repeat and duplicates are common.
+type Row = (i64, bool, String);
+
+const INTS: std::ops::Range<i64> = 0..5;
+const TEXTS: &[&str] = &["", "a", "b", "aa", "ab", "ba", "bb"];
+const OPS: [CompOp; 6] = [
+    CompOp::Lt,
+    CompOp::Le,
+    CompOp::Eq,
+    CompOp::Ge,
+    CompOp::Gt,
+    CompOp::Ne,
+];
+
+fn arb_row() -> impl Strategy<Value = Row> {
+    (INTS, any::<bool>(), "[ab]{0,2}")
+}
+
+fn tuple((i, b, s): &Row) -> Tuple {
+    Tuple::new(vec![
+        Value::Int(*i),
+        Value::Bool(*b),
+        Value::from(s.as_str()),
+    ])
+}
+
+fn schema() -> Schema {
+    let col = |name: &str, ty| ColumnDef::new(ColumnRef::bare(name), ty);
+    Schema::new(vec![
+        col("I", DataType::Int),
+        col("B", DataType::Bool),
+        col("S", DataType::Text),
+    ])
+    .unwrap()
+}
+
+/// Every value a column can hold: the keys each index is probed with.
+fn keys(col: usize) -> Vec<Value> {
+    match col {
+        0 => INTS.map(Value::Int).collect(),
+        1 => vec![Value::Bool(false), Value::Bool(true)],
+        _ => TEXTS.iter().map(|&s| Value::from(s)).collect(),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    Insert(Vec<Row>),
+    /// Victims: a stored row (by position, modulo the cardinality) or a
+    /// random row that may be absent; the request holds duplicates often.
+    Delete(Vec<(bool, usize, Row)>),
+    /// Keep a clone; later steps mutate the original only.
+    Clone,
+    Warm(usize, IndexKind),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        prop::collection::vec(arb_row(), 1..4).prop_map(Step::Insert),
+        prop::collection::vec(arb_row(), 1..4).prop_map(Step::Insert),
+        prop::collection::vec((any::<bool>(), 0usize..256, arb_row()), 1..5).prop_map(Step::Delete),
+        prop::collection::vec((any::<bool>(), 0usize..256, arb_row()), 1..5).prop_map(Step::Delete),
+        Just(Step::Clone),
+        (
+            0usize..3,
+            prop::sample::select(vec![IndexKind::Hash, IndexKind::Sorted])
+        )
+            .prop_map(|(col, kind)| Step::Warm(col, kind)),
+    ]
+}
+
+/// The reference delete: the first remaining occurrence of each victim, in
+/// request order; returns the removed rows in row order.
+fn model_delete(model: &mut Vec<Tuple>, victims: &[Tuple]) -> Vec<Tuple> {
+    let mut gone = vec![false; model.len()];
+    for v in victims {
+        if let Some(at) = (0..model.len()).find(|&i| !gone[i] && model[i] == *v) {
+            gone[at] = true;
+        }
+    }
+    let mut kept = Vec::with_capacity(model.len());
+    let mut removed = Vec::new();
+    for (t, g) in model.drain(..).zip(gone) {
+        if g {
+            removed.push(t);
+        } else {
+            kept.push(t);
+        }
+    }
+    *model = kept;
+    removed
+}
+
+fn scan(rows: &[Tuple], col: usize, op: CompOp, key: &Value) -> Vec<u32> {
+    rows.iter()
+        .enumerate()
+        .filter(|(_, t)| op.eval(t.get(col).try_cmp(key).unwrap()))
+        .map(|(i, _)| u32::try_from(i).unwrap())
+        .collect()
+}
+
+/// `rel` holds `model` row for row, and every held index and the
+/// columnar image agree with it. Each index is probed with every key its
+/// column can hold; a sorted index with one range operator per step, in
+/// turn, and with all of them every 64th step.
+fn check(rel: &Relation, model: &[Tuple], round: usize) -> Result<(), String> {
+    if rel.tuples() != model {
+        return Err(format!("rows {:?} != model {model:?}", rel.tuples()));
+    }
+    let ops: &[CompOp] = if round.is_multiple_of(64) {
+        &OPS
+    } else {
+        std::slice::from_ref(&OPS[round % OPS.len()])
+    };
+    for (col, kind) in held(rel) {
+        let keys = keys(col);
+        let picked = keys.iter().flat_map(|k| ops.iter().map(move |&op| (k, op)));
+        for (key, op) in picked {
+            let (got, want) = match kind {
+                IndexKind::Hash => (
+                    rel.index_eq_rows(col, key),
+                    scan(model, col, CompOp::Eq, key),
+                ),
+                IndexKind::Sorted => (
+                    rel.index_range_rows(col, op, key),
+                    scan(model, col, op, key),
+                ),
+            };
+            if got != want {
+                return Err(format!(
+                    "{kind:?} {col} {op:?} {key:?}: {got:?} != {want:?}"
+                ));
+            }
+        }
+    }
+    if *rel.columnar() != ColumnarBatch::from_tuples(rel.schema(), model) {
+        return Err("columnar image differs from a rebuild".to_owned());
+    }
+    Ok(())
+}
+
+/// The indexes a relation holds, as `(column, kind)`.
+fn held(rel: &Relation) -> Vec<(usize, IndexKind)> {
+    (0..3)
+        .flat_map(|col| [(col, IndexKind::Hash), (col, IndexKind::Sorted)])
+        .filter(|&(col, kind)| rel.has_index(col, kind))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn storage_matches_a_vec_model_across_renumbers(
+        initial in prop::collection::vec(arb_row(), 0..24),
+        warm in prop::collection::vec(
+            (0usize..3, prop::sample::select(vec![IndexKind::Hash, IndexKind::Sorted])),
+            0..4,
+        ),
+        steps in prop::collection::vec(arb_step(), 700..800),
+    ) {
+        let renumbered = eve_trace::global().counter("relational.index_entries_renumbered");
+        let mut model: Vec<Tuple> = initial.iter().map(tuple).collect();
+        let mut rel = Relation::with_tuples("R", schema(), model.clone()).unwrap();
+        let _ = rel.columnar();
+        for &(col, kind) in &warm {
+            rel.warm_index(col, kind);
+        }
+        let mut clone: Option<(Relation, Vec<Tuple>)> = None;
+        let mut renumbering_deletes = 0usize;
+        for (round, step) in steps.iter().enumerate() {
+            match step {
+                Step::Insert(rows) => {
+                    for row in rows {
+                        rel.insert(tuple(row)).unwrap();
+                        model.push(tuple(row));
+                    }
+                }
+                Step::Delete(picks) => {
+                    let victims: Vec<Tuple> = picks
+                        .iter()
+                        .map(|(stored, at, row)| match model.len() {
+                            n if *stored && n > 0 => model[at % n].clone(),
+                            _ => tuple(row),
+                        })
+                        .collect();
+                    let expected = model_delete(&mut model, &victims);
+                    let renumbered_before = renumbered.get();
+                    let removed = rel.delete(&victims);
+                    prop_assert_eq!(&removed, &expected, "removed rows, in row order");
+                    renumbering_deletes += usize::from(renumbered.get() > renumbered_before);
+                }
+                Step::Clone => clone = Some((rel.clone(), model.clone())),
+                Step::Warm(col, kind) => rel.warm_index(*col, *kind),
+            }
+            if let Err(e) = check(&rel, &model, round) {
+                return Err(TestCaseError::fail(format!("after {step:?}: {e}")));
+            }
+            if let Some((copy, rows)) = &clone {
+                prop_assert_eq!(copy.tuples(), &rows[..], "the clone is untouched, after {:?}", step);
+                if round.is_multiple_of(8) {
+                    if let Err(e) = check(copy, rows, round) {
+                        return Err(TestCaseError::fail(format!("clone, after {step:?}: {e}")));
+                    }
+                }
+            }
+        }
+        // Every delete after the first keeps a hash index live, so each
+        // lists its victims, and the run deletes enough rows to pass the
+        // renumber length (64 ids) several times. No other test in this
+        // binary moves the counter.
+        prop_assert!(
+            renumbering_deletes >= 3,
+            "the deleted-id list was renumbered by {} deletes",
+            renumbering_deletes
+        );
+    }
+}

@@ -48,6 +48,7 @@ pub use error::{Error, Result};
 pub use group::{CommitTicket, GroupCommitLog, GroupCommitPolicy};
 pub use log::{LogRecord, SealedRecord};
 pub use snapshot::{
-    DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHint, SiteSnapshot, ViewSnapshot,
+    DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHint, SiteSnapshot,
+    SnapshotManifest, ViewSnapshot,
 };
 pub use store::{EvolutionStore, RecoveredLog, SnapshotKind, SnapshotMeta, StoreStats};

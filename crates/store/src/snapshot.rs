@@ -13,6 +13,7 @@
 //! payload       := EngineSnapshot encoding
 //! ```
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -20,7 +21,7 @@ use std::path::Path;
 use eve_esql::ViewDef;
 use eve_misd::MkbState;
 use eve_qc::{QcParams, SelectionStrategy, WorkloadModel};
-use eve_relational::{IndexKind, Relation};
+use eve_relational::{ExtentHandle, IndexKind, Relation};
 use eve_sync::SyncOptions;
 
 use crate::checksum::crc64;
@@ -523,12 +524,45 @@ pub struct DeltaSnapshot {
     pub removed_views: Vec<String>,
 }
 
-/// Cheap relation equality for delta diffing: extents that still share
-/// their tuple storage (`Arc` pointer identity — the common case for
-/// untouched relations) are equal without comparing data; otherwise fall
-/// back to a structural compare.
-fn relation_unchanged(a: &Relation, b: &Relation) -> bool {
-    a.shares_tuples_with(b) || a == b
+/// What a delta checkpoint needs to know of its base snapshot: per site,
+/// each hosted relation's blocking factor and [`ExtentHandle`]; per view,
+/// its definition and extent handle. [`DeltaSnapshot::between`] writes a
+/// changed extent whole, so the base only has to tell *whether* an extent
+/// changed, and a handle tells that without holding the extent — a write
+/// to a relation the base names copies nothing on the base's account.
+#[derive(Debug, Clone)]
+pub struct SnapshotManifest {
+    sites: BTreeMap<u32, BTreeMap<String, (u64, ExtentHandle)>>,
+    views: BTreeMap<String, (ViewDef, ExtentHandle)>,
+}
+
+impl SnapshotManifest {
+    /// The manifest of `snapshot` as its extents stand now.
+    #[must_use]
+    pub fn of(snapshot: &EngineSnapshot) -> SnapshotManifest {
+        SnapshotManifest {
+            sites: snapshot
+                .sites
+                .iter()
+                .map(|site| {
+                    let relations = site
+                        .relations
+                        .iter()
+                        .map(|(rel, bfr)| (rel.name().to_owned(), (*bfr, ExtentHandle::of(rel))))
+                        .collect();
+                    (site.id, relations)
+                })
+                .collect(),
+            views: snapshot
+                .views
+                .iter()
+                .map(|v| {
+                    let extent = ExtentHandle::of(&v.extent);
+                    (v.def.name.clone(), (v.def.clone(), extent))
+                })
+                .collect(),
+        }
+    }
 }
 
 impl DeltaSnapshot {
@@ -538,20 +572,17 @@ impl DeltaSnapshot {
         self.mkb.generation
     }
 
-    /// Computes the delta from `base` (the snapshot at `base_seq`) to
-    /// `current`. Extents that still share storage with the base are
-    /// skipped without comparing tuples, so the diff itself is cheap when
-    /// few relations changed.
+    /// Computes the delta from `base` (the manifest of the snapshot at
+    /// `base_seq`) to `current`. A relation or view whose extent handle
+    /// still names its storage, name and schema is skipped without looking
+    /// at its tuples; every other one travels whole.
     #[must_use]
     pub fn between(
         base_seq: u64,
-        base: &EngineSnapshot,
+        base: &SnapshotManifest,
         current: &EngineSnapshot,
     ) -> DeltaSnapshot {
-        use std::collections::BTreeMap;
-
-        let base_sites: BTreeMap<u32, &SiteSnapshot> =
-            base.sites.iter().map(|s| (s.id, s)).collect();
+        let no_relations = BTreeMap::new();
         let mut sites = Vec::with_capacity(current.sites.len());
         let mut changed_relations = Vec::new();
         let mut removed_relations = Vec::new();
@@ -562,49 +593,36 @@ impl DeltaSnapshot {
                 io_count: site.io_count,
                 message_count: site.message_count,
             });
-            let base_rels: BTreeMap<&str, (&Relation, u64)> = base_sites
-                .get(&site.id)
-                .map(|b| {
-                    b.relations
-                        .iter()
-                        .map(|(rel, bfr)| (rel.name(), (rel, *bfr)))
-                        .collect()
-                })
-                .unwrap_or_default();
+            let base_rels = base.sites.get(&site.id).unwrap_or(&no_relations);
             for (rel, bfr) in &site.relations {
                 match base_rels.get(rel.name()) {
-                    Some((base_rel, base_bfr))
-                        if *base_bfr == *bfr && relation_unchanged(base_rel, rel) => {}
+                    Some((base_bfr, handle)) if *base_bfr == *bfr && handle.is_of(rel) => {}
                     _ => changed_relations.push((site.id, rel.clone(), *bfr)),
                 }
             }
-            let current_names: std::collections::BTreeSet<&str> =
+            let current_names: BTreeSet<&str> =
                 site.relations.iter().map(|(rel, _)| rel.name()).collect();
             for name in base_rels.keys() {
-                if !current_names.contains(name) {
-                    removed_relations.push((site.id, (*name).to_owned()));
+                if !current_names.contains(name.as_str()) {
+                    removed_relations.push((site.id, name.clone()));
                 }
             }
         }
 
-        let base_views: BTreeMap<&str, &ViewSnapshot> = base
-            .views
-            .iter()
-            .map(|v| (v.def.name.as_str(), v))
-            .collect();
         let mut changed_views = Vec::new();
         for view in &current.views {
-            match base_views.get(view.def.name.as_str()) {
-                Some(b) if b.def == view.def && relation_unchanged(&b.extent, &view.extent) => {}
+            match base.views.get(&view.def.name) {
+                Some((def, handle)) if *def == view.def && handle.is_of(&view.extent) => {}
                 _ => changed_views.push(view.clone()),
             }
         }
-        let current_views: std::collections::BTreeSet<&str> =
+        let current_views: BTreeSet<&str> =
             current.views.iter().map(|v| v.def.name.as_str()).collect();
-        let removed_views = base_views
+        let removed_views = base
+            .views
             .keys()
-            .filter(|name| !current_views.contains(*name))
-            .map(|name| (*name).to_owned())
+            .filter(|name| !current_views.contains(name.as_str()))
+            .cloned()
             .collect();
 
         DeltaSnapshot {
@@ -626,8 +644,6 @@ impl DeltaSnapshot {
     /// engine would have written.
     #[must_use]
     pub(crate) fn apply_to(&self, base: &EngineSnapshot) -> EngineSnapshot {
-        use std::collections::{BTreeMap, BTreeSet};
-
         let base_sites: BTreeMap<u32, &SiteSnapshot> =
             base.sites.iter().map(|s| (s.id, s)).collect();
         let mut changed: BTreeMap<u32, BTreeMap<&str, (&Relation, u64)>> = BTreeMap::new();
@@ -965,10 +981,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A variant of [`sample_snapshot`] with one extent mutated, one
-    /// relation added and the view dropped — the shapes a delta must carry.
-    fn evolved_snapshot() -> EngineSnapshot {
-        let mut snap = sample_snapshot();
+    /// A variant of `base` with one extent mutated, one relation added and
+    /// the view dropped — the shapes a delta must carry.
+    fn evolved_snapshot(base: &EngineSnapshot) -> EngineSnapshot {
+        let mut snap = base.clone();
         let grown = Relation::with_tuples(
             "R",
             Schema::of(&[("A", DataType::Int)]).unwrap(),
@@ -990,17 +1006,17 @@ mod tests {
     #[test]
     fn delta_between_then_apply_is_byte_identical() {
         let base = sample_snapshot();
-        let current = evolved_snapshot();
-        let delta = DeltaSnapshot::between(3, &base, &current);
+        let current = evolved_snapshot(&base);
+        let delta = DeltaSnapshot::between(3, &SnapshotManifest::of(&base), &current);
         // Only the touched extents travel: R changed, S is new, the view
         // was removed — and the unchanged case carries nothing.
         assert_eq!(delta.changed_relations.len(), 2);
         assert_eq!(delta.removed_views, vec!["V".to_owned()]);
         assert_eq!(delta.apply_to(&base).to_bytes(), current.to_bytes());
 
-        // An untouched engine produces an (almost) empty delta: shared
-        // tuple storage short-circuits the extent comparison.
-        let idle = DeltaSnapshot::between(3, &base, &base.clone());
+        // An untouched engine produces an (almost) empty delta: every
+        // extent still is the storage its handle names.
+        let idle = DeltaSnapshot::between(3, &SnapshotManifest::of(&base), &base.clone());
         assert!(idle.changed_relations.is_empty());
         assert!(idle.changed_views.is_empty());
         assert!(idle.removed_relations.is_empty());
@@ -1017,8 +1033,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.evd");
         let base = sample_snapshot();
-        let current = evolved_snapshot();
-        let delta = DeltaSnapshot::between(3, &base, &current);
+        let current = evolved_snapshot(&base);
+        let delta = DeltaSnapshot::between(3, &SnapshotManifest::of(&base), &current);
         write_delta_file(&path, 5, &delta).unwrap();
 
         let (seq, generation, base_seq) = read_delta_header(&path).unwrap();

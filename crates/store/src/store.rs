@@ -898,6 +898,7 @@ impl EvolutionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SnapshotManifest;
     use eve_relational::tup;
     use eve_sync::EvolutionOp;
 
@@ -1021,10 +1022,10 @@ mod tests {
         for k in 0..3 {
             store.append(0, batch_record(k)).unwrap();
         }
-        let d1 = DeltaSnapshot::between(0, &state, &state);
+        let d1 = DeltaSnapshot::between(0, &SnapshotManifest::of(&state), &state);
         store.write_delta_snapshot(&d1).unwrap(); // delta @ 3, base 0
         store.append(0, batch_record(3)).unwrap();
-        let d2 = DeltaSnapshot::between(3, &state, &state);
+        let d2 = DeltaSnapshot::between(3, &SnapshotManifest::of(&state), &state);
         store.write_delta_snapshot(&d2).unwrap(); // delta @ 4, base 3
         store.append(0, batch_record(4)).unwrap();
         assert_eq!(store.stats().delta_snapshots_written, 2);
@@ -1062,7 +1063,7 @@ mod tests {
         let state = empty_snapshot();
         store.write_snapshot(&state).unwrap();
         store.append(0, batch_record(1)).unwrap();
-        let d = DeltaSnapshot::between(0, &state, &state);
+        let d = DeltaSnapshot::between(0, &SnapshotManifest::of(&state), &state);
         store.write_delta_snapshot(&d).unwrap(); // delta @ 1, base 0
         store.append(0, batch_record(2)).unwrap();
         drop(store);
@@ -1091,7 +1092,7 @@ mod tests {
         for k in 0..2 {
             store.append(0, batch_record(k)).unwrap();
         }
-        let d = DeltaSnapshot::between(0, &state, &state);
+        let d = DeltaSnapshot::between(0, &SnapshotManifest::of(&state), &state);
         store.write_delta_snapshot(&d).unwrap(); // delta @ 2, base 0
         store.append(0, batch_record(2)).unwrap();
 

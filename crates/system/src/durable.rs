@@ -43,7 +43,8 @@ use std::path::{Path, PathBuf};
 use eve_misd::{Mkb, SiteId};
 use eve_store::{
     DeltaSnapshot, EngineConfig, EngineSnapshot, EvolutionStore, GroupCommitLog, GroupCommitPolicy,
-    LogRecord, RecoveredLog, SiteSnapshot, SnapshotMeta, StoreStats, ViewSnapshot,
+    LogRecord, RecoveredLog, SiteSnapshot, SnapshotManifest, SnapshotMeta, StoreStats,
+    ViewSnapshot,
 };
 use eve_sync::EvolutionOp;
 
@@ -100,10 +101,11 @@ pub struct DurableEngine {
     /// always work).
     pub snapshot_every: Option<u64>,
     batches_since_snapshot: u64,
-    /// Seq and materialized state of the newest snapshot written or
-    /// recovered through this handle — the base the next delta diffs
-    /// against.
-    last_snapshot: Option<(u64, EngineSnapshot)>,
+    /// Seq and manifest of the newest snapshot written or recovered
+    /// through this handle — the base the next delta diffs against. The
+    /// manifest holds no extent (see [`SnapshotManifest`]), so the first
+    /// write to a relation after a checkpoint copies nothing for it.
+    last_snapshot: Option<(u64, SnapshotManifest)>,
     deltas_since_full: u64,
     /// Set when a failed mutation could not be re-anchored with a
     /// snapshot: the store is behind the live engine. While poisoned,
@@ -145,7 +147,7 @@ impl DurableEngine {
             dir,
             snapshot_every: None,
             batches_since_snapshot: 0,
-            last_snapshot: Some((seq, snapshot)),
+            last_snapshot: Some((seq, SnapshotManifest::of(&snapshot))),
             deltas_since_full: 0,
             poisoned: None,
         })
@@ -174,7 +176,8 @@ impl DurableEngine {
             Some((seq, snap)) => {
                 let generation = snap.generation();
                 let engine = EveEngine::from_snapshot_state(&snap)?;
-                (Some(seq), Some(generation), Some((seq, snap)), engine)
+                let manifest = SnapshotManifest::of(&snap);
+                (Some(seq), Some(generation), Some((seq, manifest)), engine)
             }
             None => (None, None, None, EveEngine::new()),
         };
@@ -284,11 +287,11 @@ impl DurableEngine {
     ///
     /// Store I/O failures.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        self.batches_since_snapshot = 0;
-        self.deltas_since_full = 0;
         let snapshot = self.engine.snapshot_state();
         let seq = self.log.with_store(|s| s.write_snapshot(&snapshot))?;
-        self.last_snapshot = Some((seq, snapshot));
+        self.batches_since_snapshot = 0;
+        self.deltas_since_full = 0;
+        self.last_snapshot = Some((seq, SnapshotManifest::of(&snapshot)));
         // A full snapshot re-anchors durability on the live state: any
         // earlier double failure is healed, so the host is live again.
         self.poisoned = None;
@@ -298,8 +301,8 @@ impl DurableEngine {
     /// Writes an **incremental** delta checkpoint: the state difference
     /// against the last snapshot written or recovered through this handle.
     /// I/O cost is proportional to the state *changed* since that anchor
-    /// — unchanged relations are recognized in O(1) via shared extent
-    /// storage — so periodic checkpointing stops scaling with total
+    /// — unchanged relations are recognized in O(1) by the base's extent
+    /// handles — so periodic checkpointing stops scaling with total
     /// warehouse state. Falls back to a full snapshot when there is no
     /// base to diff against or every [`FULL_SNAPSHOT_EVERY`]th call, which
     /// bounds the chain recovery must resolve.
@@ -326,7 +329,7 @@ impl DurableEngine {
         let seq = self.log.with_store(|s| s.write_delta_snapshot(&delta))?;
         self.batches_since_snapshot = 0;
         self.deltas_since_full += 1;
-        self.last_snapshot = Some((seq, current));
+        self.last_snapshot = Some((seq, SnapshotManifest::of(&current)));
         Ok(seq)
     }
 
@@ -406,7 +409,9 @@ impl DurableEngine {
     ///   rejects it partway, an immediate snapshot re-anchors durability on
     ///   the actual state instead of logging a record that only partially
     ///   applied; a successful one counts towards
-    ///   [`snapshot_every`](DurableEngine::snapshot_every).
+    ///   [`snapshot_every`](DurableEngine::snapshot_every). Once its record
+    ///   is durable the batch is committed: an automatic checkpoint that
+    ///   fails after it does not fail it, and the next batch retries.
     /// * `DeclareIndex` is logged only when the hint is new — re-declaring
     ///   re-warms the index without touching the log.
     /// * `DefineView` logs the definition as *installed* (validated and
@@ -441,7 +446,10 @@ impl DurableEngine {
                 .snapshot_every
                 .is_some_and(|k| self.batches_since_snapshot >= k.max(1))
             {
-                self.checkpoint_delta()?;
+                // The log already replays this batch, so a failed
+                // checkpoint costs only recovery time; the count stays up
+                // and the next batch tries again.
+                self.checkpoint_delta().ok();
             }
         }
         Ok(outcome)
@@ -1051,6 +1059,124 @@ mod tests {
         let expected = fingerprint(d.engine());
         drop(d);
         let (recovered, _) = DurableEngine::open(&dir).unwrap();
+        assert!(fingerprint(recovered.engine()) == expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_automatic_checkpoint_leaves_the_batch_committed() {
+        let dir = temp_dir("auto-checkpoint-fails");
+        let mut d = build(&dir);
+        d.snapshot_every = Some(1);
+        let snapshots = d.snapshot_index().unwrap().len();
+        // A directory on the temp path of the snapshot after the next
+        // record fails that checkpoint; the log append still succeeds.
+        let blocker = dir.join(format!("snap-{:020}.tmp", d.next_seq() + 1));
+        std::fs::create_dir(&blocker).unwrap();
+        d.apply_batch(vec![EvolutionOp::insert("Ra", vec![tup![400, 0]])])
+            .expect("the batch is durable, so it is acknowledged");
+        assert_eq!(
+            d.snapshot_index().unwrap().len(),
+            snapshots,
+            "no checkpoint"
+        );
+        assert!(d.engine().view("V").is_ok());
+
+        // The next batch retries the checkpoint, and the delta it writes
+        // carries both batches.
+        std::fs::remove_dir(&blocker).unwrap();
+        d.apply_batch(vec![EvolutionOp::insert("Ra", vec![tup![401, 0]])])
+            .unwrap();
+        let index = d.snapshot_index().unwrap();
+        assert_eq!(index.len(), snapshots + 1);
+        assert_eq!(index.last().unwrap().kind, eve_store::SnapshotKind::Delta);
+        let expected = fingerprint(d.engine());
+        drop(d);
+        let (recovered, report) = DurableEngine::open(&dir).unwrap();
+        assert_eq!(report.replayed_records, 0, "anchored on the retried delta");
+        assert!(fingerprint(recovered.engine()) == expected);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The relations and views the next delta checkpoint of `d` carries.
+    fn delta_names(d: &DurableEngine) -> (Vec<String>, Vec<String>) {
+        let (seq, base) = d.last_snapshot.as_ref().unwrap();
+        let delta = DeltaSnapshot::between(*seq, base, &d.engine().snapshot_state());
+        (
+            delta
+                .changed_relations
+                .iter()
+                .map(|(_, rel, _)| rel.name().to_owned())
+                .collect(),
+            delta
+                .changed_views
+                .iter()
+                .map(|v| v.def.name.clone())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_delta_carries_exactly_the_written_extents() {
+        let dir = temp_dir("delta-manifest");
+        let mut d = build(&dir);
+        d.checkpoint().unwrap();
+        assert_eq!(delta_names(&d), (vec![], vec![]));
+
+        // `Ra` feeds `V` (a row that joins `Rb`); `Rc` feeds no view.
+        d.apply_batch(vec![EvolutionOp::insert("Ra", vec![tup![5, 1]])])
+            .unwrap();
+        assert_eq!(delta_names(&d), (vec!["Ra".into()], vec!["V".into()]));
+        d.apply_batch(vec![EvolutionOp::delete("Rc", vec![tup![3, 0]])])
+            .unwrap();
+        assert_eq!(
+            delta_names(&d),
+            (vec!["Ra".into(), "Rc".into()], vec!["V".into()])
+        );
+        // A delete of a row `Rb` does not hold writes nothing.
+        d.apply_batch(vec![EvolutionOp::delete("Rb", vec![tup![99, 0]])])
+            .unwrap();
+        assert_eq!(delta_names(&d).0, vec!["Ra".to_owned(), "Rc".into()]);
+        d.checkpoint_delta().unwrap();
+        assert_eq!(delta_names(&d), (vec![], vec![]));
+
+        // Dropped and registered again with the very same rows: a new
+        // extent, so the delta carries it.
+        d.apply_batch(vec![EvolutionOp::change(SchemaChange::DeleteRelation {
+            relation: "Rc".into(),
+        })])
+        .unwrap();
+        d.apply(LogRecord::RegisterRelation {
+            info: RelationInfo::new("Rc", SiteId(2), attrs(), 10),
+            extent: Relation::empty("Rc", schema()),
+        })
+        .unwrap();
+        let mut rows: Vec<_> = (0..10i64).map(|k| tup![k, k % 3]).collect();
+        rows.remove(3);
+        d.apply(LogRecord::SeedTuples {
+            relation: "Rc".into(),
+            tuples: rows,
+        })
+        .unwrap();
+        assert_eq!(delta_names(&d).0, vec!["Rc".to_owned()]);
+        d.checkpoint_delta().unwrap();
+
+        // A renamed attribute keeps the rows' storage but not the schema.
+        d.apply_batch(vec![EvolutionOp::change(SchemaChange::RenameAttribute {
+            relation: "Rc".into(),
+            from: "P".into(),
+            to: "Q".into(),
+        })])
+        .unwrap();
+        assert_eq!(delta_names(&d).0, vec!["Rc".to_owned()]);
+        let seq = d.checkpoint_delta().unwrap();
+
+        // The resolved chain is the full snapshot, byte for byte.
+        let expected = fingerprint(d.engine());
+        drop(d);
+        let (recovered, report) = DurableEngine::open(&dir).unwrap();
+        assert_eq!(report.snapshot_seq, Some(seq));
+        assert_eq!(report.replayed_records, 0);
         assert!(fingerprint(recovered.engine()) == expected);
         std::fs::remove_dir_all(&dir).ok();
     }
