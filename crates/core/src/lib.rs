@@ -44,7 +44,7 @@ pub use bound::{exact_score, partial_bound, CostBound, PartialScore, ScoreModel}
 pub use cost::{maintenance_cost, CostFactors};
 pub use error::{Error, Result};
 pub use params::{IoBound, QcParams};
-pub use plan::{plans_for_view, MaintenancePlan, RelSpec, SiteSpec};
+pub use plan::{plan_for_origin, plans_for_view, MaintenancePlan, RelSpec, SiteSpec};
 pub use quality::{degree_of_divergence, DivergenceReport, ExtentSizes};
 pub use rank::{pareto_front, rank_rewritings, ScoredRewriting, SelectionStrategy};
 pub use search::{synchronize_qc_best_first, QcGuide};

@@ -1,18 +1,28 @@
-//! Maintenance plans: the structural input of the cost model (§6.1, Fig. 11).
+//! Maintenance plans: Algorithm 1's walk, derived once (§6.1, Fig. 11).
 //!
 //! Incremental maintenance of a view after one base-data update walks the
 //! involved information sources in order, shipping a growing delta relation
-//! (Algorithm 1). A [`MaintenancePlan`] captures everything the cost factors
-//! need about that walk: which relation was updated (the origin), which
-//! relations share its site (`n_1` peers), and which relations live at the
-//! subsequently visited sites.
+//! (Algorithm 1). A [`MaintenancePlan`] is that walk: the updated relation
+//! (the origin), the relations sharing its site (`n_1` peers), and the
+//! relations at each subsequently visited site, in join order. Each
+//! [`RelSpec`] carries the MKB statistics the cost factors read and the
+//! indices of its FROM item and of the WHERE conditions that apply once it
+//! has joined.
+//!
+//! [`plan_for_origin`] is the only derivation of the walk. The cost model
+//! prices it, and `eve_system`'s maintainer executes it step by step, so
+//! the priced and the executed visit order, site groups and condition
+//! placement agree by construction.
+
+use std::iter;
 
 use eve_esql::ViewDef;
 use eve_misd::{Mkb, SiteId};
 
 use crate::error::{Error, Result};
 
-/// Statistics of one relation participating in maintenance.
+/// One relation participating in maintenance: its statistics and its place
+/// in the view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RelSpec {
     /// Relation name (for reporting).
@@ -26,7 +36,19 @@ pub struct RelSpec {
     /// Blocking factor `bfr` (tuples per block).
     pub blocking_factor: f64,
     /// Join selectivity `js` used when the delta joins this relation.
+    ///
+    /// Plans built from the MKB price every join at
+    /// [`Mkb::default_join_selectivity`]. A pairwise override
+    /// ([`Mkb::set_join_selectivity`]) reaches only the extent divergence
+    /// `DD_ext`, not the cost factors.
     pub join_selectivity: f64,
+    /// Index of the relation's item in the view's FROM list.
+    pub from_item: usize,
+    /// Indices into the view's WHERE conditions that apply when this
+    /// relation joins the delta, ascending: each condition sits on the
+    /// first step at which every binding it names has joined. On the plan's
+    /// origin these are the conditions local to the updated relation.
+    pub conditions: Vec<usize>,
 }
 
 impl RelSpec {
@@ -41,6 +63,8 @@ impl RelSpec {
             selectivity: 0.5,
             blocking_factor: 10.0,
             join_selectivity: 0.005,
+            from_item: 0,
+            conditions: Vec::new(),
         }
     }
 }
@@ -70,7 +94,8 @@ impl MaintenancePlan {
     /// Builds the uniform-parameter plan of Experiments 2/3/5: `n` relations
     /// distributed over sites as `distribution` (Table 2 rows), the update
     /// originating at the first relation of the first site, every relation
-    /// carrying Table 1 statistics except for the supplied `js`.
+    /// carrying Table 1 statistics except for the supplied `js`. The FROM
+    /// list it stands for is the visit order, with no conditions.
     ///
     /// # Errors
     ///
@@ -81,10 +106,16 @@ impl MaintenancePlan {
                 detail: "distribution must be non-empty with positive site loads".into(),
             });
         }
-        let spec = |name: String| RelSpec {
-            join_selectivity: js,
-            ..RelSpec::table1(name)
+        let mut from_item = 0;
+        let mut spec = |name: String| {
+            from_item += 1;
+            RelSpec {
+                join_selectivity: js,
+                from_item: from_item - 1,
+                ..RelSpec::table1(name)
+            }
         };
+        let origin = spec("R1_0".to_owned());
         let mut sites = Vec::with_capacity(distribution.len());
         for (i, &count) in distribution.iter().enumerate() {
             let peers = if i == 0 { count - 1 } else { count };
@@ -96,87 +127,122 @@ impl MaintenancePlan {
                 relations,
             });
         }
-        Ok(MaintenancePlan {
-            origin: spec("R1_0".to_owned()),
-            sites,
-        })
+        Ok(MaintenancePlan { origin, sites })
     }
 }
 
+/// The site and statistics of every FROM item of `view`, in FROM order.
 #[allow(clippy::cast_precision_loss)]
-fn rel_spec_from_mkb(mkb: &Mkb, relation: &str) -> Result<RelSpec> {
-    let info = mkb.relation(relation)?;
-    Ok(RelSpec {
-        name: info.name.clone(),
-        cardinality: info.cardinality as f64,
-        tuple_bytes: info.tuple_bytes() as f64,
-        selectivity: info.selectivity,
-        blocking_factor: info.blocking_factor as f64,
-        join_selectivity: mkb.default_join_selectivity(),
-    })
+fn resolve(view: &ViewDef, mkb: &Mkb) -> Result<Vec<(SiteId, RelSpec)>> {
+    let default_js = mkb.default_join_selectivity();
+    view.from
+        .iter()
+        .enumerate()
+        .map(|(from_item, item)| {
+            let info = mkb.relation(&item.relation)?;
+            Ok((
+                info.site,
+                RelSpec {
+                    name: info.name.clone(),
+                    cardinality: info.cardinality as f64,
+                    tuple_bytes: info.tuple_bytes() as f64,
+                    selectivity: info.selectivity,
+                    blocking_factor: info.blocking_factor as f64,
+                    join_selectivity: default_js,
+                    from_item,
+                    conditions: Vec::new(),
+                },
+            ))
+        })
+        .collect()
+}
+
+/// The walk after an update of FROM item `origin`, over resolved items.
+///
+/// Visit order: the origin site first, then the remaining sites in
+/// ascending site-id order; within a site, relations keep their FROM order.
+/// This realizes the §6.1 assumption that sites are never revisited.
+fn walk(view: &ViewDef, resolved: &[(SiteId, RelSpec)], origin: usize) -> Result<MaintenancePlan> {
+    let (origin_site, origin_spec) = resolved.get(origin).ok_or_else(|| Error::BadView {
+        detail: format!("view `{}` has no FROM item {origin}", view.name),
+    })?;
+    let mut order: Vec<SiteId> = resolved
+        .iter()
+        .map(|(site, _)| *site)
+        .filter(|site| site != origin_site)
+        .collect();
+    order.sort_unstable();
+    order.dedup();
+    let mut plan = MaintenancePlan {
+        origin: origin_spec.clone(),
+        sites: iter::once(*origin_site)
+            .chain(order)
+            .map(|site| SiteSpec {
+                site,
+                relations: resolved
+                    .iter()
+                    .filter(|(s, spec)| *s == site && spec.from_item != origin)
+                    .map(|(_, spec)| spec.clone())
+                    .collect(),
+            })
+            .collect(),
+    };
+
+    // Steps in join order (the origin is step 0), and the step at which
+    // each FROM item joins.
+    let mut steps: Vec<&mut RelSpec> = iter::once(&mut plan.origin)
+        .chain(plan.sites.iter_mut().flat_map(|s| s.relations.iter_mut()))
+        .collect();
+    let mut joins_at = vec![0; resolved.len()];
+    for (step, spec) in steps.iter().enumerate() {
+        joins_at[spec.from_item] = step;
+    }
+    // A column naming no FROM binding (possible only in an unvalidated
+    // view) counts as joining last.
+    let last = steps.len() - 1;
+    for (index, condition) in view.conditions.iter().enumerate() {
+        let step = condition
+            .clause
+            .columns()
+            .iter()
+            .map(|column| {
+                column
+                    .qualifier
+                    .as_deref()
+                    .and_then(|q| view.from.iter().position(|f| f.binding_name() == q))
+                    .map_or(last, |item| joins_at[item])
+            })
+            .max()
+            .unwrap_or(0);
+        steps[step].conditions.push(index);
+    }
+    Ok(plan)
+}
+
+/// Derives the maintenance plan for an update of the relation at
+/// `from_index` in `view.from`, resolving statistics from the MKB.
+///
+/// # Errors
+///
+/// MKB lookups for unregistered relations; [`Error::BadView`] when
+/// `from_index` is out of range.
+pub fn plan_for_origin(view: &ViewDef, mkb: &Mkb, from_index: usize) -> Result<MaintenancePlan> {
+    walk(view, &resolve(view, mkb)?, from_index)
 }
 
 /// Derives one maintenance plan per possible update origin (each FROM
-/// relation of the view), resolving statistics from the MKB.
-///
-/// The visit order is deterministic: the origin site first, then the
-/// remaining sites in ascending site-id order; within a site, relations keep
-/// their FROM order. This realizes the §6.1 assumption that sites are never
-/// revisited.
+/// relation of the view, in FROM order), as [`plan_for_origin`] does.
 ///
 /// # Errors
 ///
 /// MKB lookups for unregistered relations.
 pub fn plans_for_view(view: &ViewDef, mkb: &Mkb) -> Result<Vec<(String, MaintenancePlan)>> {
-    // Resolve every FROM relation once.
-    let mut resolved: Vec<(String, SiteId, RelSpec)> = Vec::with_capacity(view.from.len());
-    for item in &view.from {
-        let site = mkb.site_of(&item.relation)?;
-        resolved.push((
-            item.relation.clone(),
-            site,
-            rel_spec_from_mkb(mkb, &item.relation)?,
-        ));
-    }
-
-    let mut plans = Vec::with_capacity(resolved.len());
-    for (origin_idx, (origin_name, origin_site, origin_spec)) in resolved.iter().enumerate() {
-        // Origin site: peers in FROM order, excluding the updated relation.
-        let origin_peers: Vec<RelSpec> = resolved
-            .iter()
-            .enumerate()
-            .filter(|(i, (_, site, _))| *i != origin_idx && site == origin_site)
-            .map(|(_, (_, _, spec))| spec.clone())
-            .collect();
-        let mut sites = vec![SiteSpec {
-            site: *origin_site,
-            relations: origin_peers,
-        }];
-        // Remaining sites ascending by id.
-        let mut other_sites: Vec<SiteId> = resolved
-            .iter()
-            .map(|(_, site, _)| *site)
-            .filter(|s| s != origin_site)
-            .collect();
-        other_sites.sort_unstable();
-        other_sites.dedup();
-        for site in other_sites {
-            let relations = resolved
-                .iter()
-                .filter(|(_, s, _)| *s == site)
-                .map(|(_, _, spec)| spec.clone())
-                .collect();
-            sites.push(SiteSpec { site, relations });
-        }
-        plans.push((
-            origin_name.clone(),
-            MaintenancePlan {
-                origin: origin_spec.clone(),
-                sites,
-            },
-        ));
-    }
-    Ok(plans)
+    let resolved = resolve(view, mkb)?;
+    view.from
+        .iter()
+        .enumerate()
+        .map(|(origin, item)| Ok((item.relation.clone(), walk(view, &resolved, origin)?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -262,6 +328,69 @@ mod tests {
         assert!(plan.sites[0].relations.is_empty());
         assert_eq!(plan.sites[1].site, SiteId(1));
         assert_eq!(plan.sites[1].relations.len(), 2);
+    }
+
+    /// Each step of `plan` in join order, origin first: (relation,
+    /// condition indices placed there).
+    fn placement(plan: &MaintenancePlan) -> Vec<(&str, Vec<usize>)> {
+        iter::once(&plan.origin)
+            .chain(plan.sites.iter().flat_map(|s| &s.relations))
+            .map(|r| (r.name.as_str(), r.conditions.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn conditions_sit_where_their_last_binding_joins() {
+        let mkb = mkb_three_sites();
+        // R, Q at site 1; S (bound as X) at site 2; T at site 3.
+        let view = eve_esql::parse_view(
+            "CREATE VIEW V AS SELECT R.A0 FROM R, Q, S X, T \
+             WHERE (R.A1 = 1) AND (T.A0 = X.A0) AND (Q.A0 = T.A1) \
+             AND (X.A1 = 2) AND (R.A0 = Q.A1)",
+        )
+        .unwrap();
+        let expected = [
+            // Origin R: the local clause 0 stays on R; the join of T with X
+            // (clause 1) goes on T, which joins after X.
+            vec![
+                ("R", vec![0]),
+                ("Q", vec![4]),
+                ("S", vec![3]),
+                ("T", vec![1, 2]),
+            ],
+            // Origin Q: the same-site join (clause 4) waits for R.
+            vec![
+                ("Q", vec![]),
+                ("R", vec![0, 4]),
+                ("S", vec![3]),
+                ("T", vec![1, 2]),
+            ],
+            // Origin S: its local clause 3 sits on the origin.
+            vec![
+                ("S", vec![3]),
+                ("R", vec![0]),
+                ("Q", vec![4]),
+                ("T", vec![1, 2]),
+            ],
+            // Origin T: every join to T waits for its other binding.
+            vec![
+                ("T", vec![]),
+                ("R", vec![0]),
+                ("Q", vec![2, 4]),
+                ("S", vec![1, 3]),
+            ],
+        ];
+        let plans = plans_for_view(&view, &mkb).unwrap();
+        for (origin, expected) in expected.iter().enumerate() {
+            let plan = plan_for_origin(&view, &mkb, origin).unwrap();
+            assert_eq!(&placement(&plan), expected, "origin {origin}");
+            assert_eq!(plan, plans[origin].1);
+            for step in iter::once(&plan.origin).chain(plan.sites.iter().flat_map(|s| &s.relations))
+            {
+                assert_eq!(view.from[step.from_item].relation, step.name);
+            }
+        }
+        assert!(plan_for_origin(&view, &mkb, 4).is_err());
     }
 
     #[test]

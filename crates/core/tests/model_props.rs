@@ -21,6 +21,8 @@ fn rel_spec() -> impl Strategy<Value = RelSpec> {
             selectivity: sel,
             blocking_factor: bfr,
             join_selectivity: js,
+            from_item: 0,
+            conditions: Vec::new(),
         })
 }
 

@@ -311,9 +311,10 @@ impl DurableEngine {
     ///
     /// Store I/O failures.
     pub(crate) fn checkpoint_delta(&mut self) -> Result<u64> {
-        let Some(base_seq) = self.last_snapshot.as_ref().map(|(seq, _)| *seq) else {
+        let Some((base_seq, base)) = &self.last_snapshot else {
             return self.checkpoint();
         };
+        let base_seq = *base_seq;
         if self.deltas_since_full + 1 >= FULL_SNAPSHOT_EVERY {
             return self.checkpoint();
         }
@@ -324,7 +325,6 @@ impl DurableEngine {
             return Ok(base_seq);
         }
         let current = self.engine.snapshot_state();
-        let base = &self.last_snapshot.as_ref().expect("checked above").1;
         let delta = DeltaSnapshot::between(base_seq, base, &current);
         let seq = self.log.with_store(|s| s.write_delta_snapshot(&delta))?;
         self.batches_since_snapshot = 0;

@@ -728,7 +728,9 @@ impl EveEngine {
                 Some(host.drop_relation(relation)?)
             }
             SchemaChange::AddRelation { relation } => {
-                let extent = new_extent.expect("checked before any search");
+                let extent = new_extent.ok_or_else(|| Error::State {
+                    detail: format!("add-relation `{}` needs an extent", relation.name),
+                })?;
                 let site = self
                     .sites
                     .get_mut(&relation.site.0)
@@ -1079,7 +1081,9 @@ impl EveEngine {
         let mut reports = Vec::new();
         let names: Vec<String> = self.views.keys().cloned().collect();
         for name in names {
-            let mv = self.views.get(&name).expect("exists").clone();
+            let Some(mv) = self.views.get(&name).cloned() else {
+                continue;
+            };
             let current_plans = plans_for_view(&mv.def, &self.mkb)?;
             let current_cost = workload::total_cost(&current_plans, self.workload, &self.qc_params);
             let mut best: Option<(f64, eve_sync::LegalRewriting)> = None;
@@ -1579,6 +1583,24 @@ mod tests {
         e.reset_io();
         assert_eq!(e.total_io(), 0);
         assert_eq!(e.total_messages(), 0, "reset_io clears messages too");
+    }
+
+    #[test]
+    fn an_update_the_source_did_not_perform_notifies_nobody() {
+        let mut e = engine_with_travel_space();
+        e.define_view_sql(ASIA_VIEW).unwrap();
+        e.reset_io();
+        let before = e.view("Asia-Customer").unwrap().extent.clone();
+        let outcome = e
+            .apply_batch(vec![EvolutionOp::delete(
+                "FlightRes",
+                vec![tup!["nobody", "Mars"]],
+            )])
+            .unwrap();
+        assert_eq!(outcome.traces["Asia-Customer"], MaintenanceTrace::default());
+        assert_eq!(e.total_messages(), 0);
+        assert_eq!(e.total_io(), 0);
+        assert_eq!(e.view("Asia-Customer").unwrap().extent, before);
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //! interprets a record and then logs it, and recovery and time travel
 //! replay logged records through the same function.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod batch;
 pub mod durable;
 pub mod engine;

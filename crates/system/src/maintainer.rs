@@ -7,6 +7,12 @@
 //! shipped back (`R_out`) to become the next site's input. The final delta
 //! is applied to the materialized extent.
 //!
+//! The walk is the [`MaintenancePlan`] that [`eve_qc::plan_for_origin`]
+//! derives and the cost model prices: its sites in visit order, each site's
+//! relations in join order, and the WHERE conditions each join applies.
+//! This module keeps no order, grouping or condition placement of its own,
+//! so the executed walk is the priced one by construction.
+//!
 //! All traffic is accounted in a [`MaintenanceTrace`] — the *measured*
 //! counterpart of the analytic `CF_M` / `CF_T` / `CF_IO` factors, using the
 //! same conventions (declared tuple widths; probe I/Os
@@ -19,8 +25,8 @@
 //! is built the first time a column is probed and stays with the hosted
 //! relation, so a base update costs its matches, not `|R|`.
 //!
-//! A *keyless visit* reaches a relation `R` before any join clause to `R`
-//! is resolvable. It is charged as a full scan of `R`, but `Δ × R` is not
+//! A *keyless visit* reaches a relation `R` whose step the plan places no
+//! condition on. It is charged as a full scan of `R`, but `Δ × R` is not
 //! built: `R` rides along as a deferred factor, priced at the bytes the
 //! product would ship, until a relation keyed to both the delta and `R`
 //! joins all three through their indexes
@@ -32,7 +38,8 @@
 use std::collections::BTreeMap;
 
 use eve_esql::ViewDef;
-use eve_misd::{Mkb, SiteId};
+use eve_misd::Mkb;
+use eve_qc::{plan_for_origin, MaintenancePlan, RelSpec};
 use eve_relational::exec::{join_through_product, join_with_counts, joins_keyless};
 use eve_relational::{
     algebra, ColumnRef, ExecOptions, Predicate, PrimitiveClause, Relation, Tuple,
@@ -104,13 +111,6 @@ impl MaintenanceTrace {
     }
 }
 
-fn resolvable(clause: &PrimitiveClause, schema: &eve_relational::Schema) -> bool {
-    clause
-        .columns()
-        .iter()
-        .all(|c| schema.resolve(c, "probe").is_ok())
-}
-
 /// Work maintenance runs did or avoided, beyond their [`MaintenanceTrace`]s.
 /// The totals go to the registry once, when the tally is dropped: the
 /// engine keeps one per data stage.
@@ -141,14 +141,6 @@ struct Delta {
 }
 
 impl Delta {
-    /// The schema of `rows × deferred`.
-    fn schema(&self) -> Result<eve_relational::Schema> {
-        Ok(match &self.deferred {
-            None => self.rows.schema().clone(),
-            Some(r) => self.rows.schema().concat(r.schema())?,
-        })
-    }
-
     /// The declared bytes of `rows × deferred`: |Δ|·|R|·(w_Δ + w_R).
     fn byte_size(&self) -> u64 {
         match &self.deferred {
@@ -217,11 +209,11 @@ impl Delta {
     }
 }
 
-/// One directional pass (inserts or deletes) of Algorithm 1. Returns the
-/// final view-row delta and the accumulated trace.
+/// One directional pass (inserts or deletes) of Algorithm 1 along `plan`.
+/// Returns the final view-row delta and the accumulated trace.
 fn propagate(
     view: &ViewDef,
-    origin_binding: &str,
+    plan: &MaintenancePlan,
     tuples: &[Tuple],
     sites: &mut BTreeMap<u32, SimSite>,
     mkb: &Mkb,
@@ -229,28 +221,20 @@ fn propagate(
     work: &mut MaintenanceWork,
 ) -> Result<Relation> {
     // Build the initial delta under the origin binding's qualifiers.
-    let origin_item = view.from_item(origin_binding).ok_or_else(|| Error::State {
-        detail: format!("binding `{origin_binding}` not in view"),
-    })?;
-    let origin_info = mkb.relation(&origin_item.relation)?;
+    let origin = &view.from[plan.origin.from_item];
     let base = Relation::with_tuples(
-        origin_item.relation.clone(),
-        origin_info.schema(),
+        origin.relation.clone(),
+        mkb.relation(&origin.relation)?.schema(),
         tuples.to_vec(),
     )?;
-    let mut rows = bind_relation(&base, origin_binding)?;
+    let mut rows = bind_relation(&base, origin.binding_name())?;
 
     // Update notification: the delta travels to the warehouse.
     trace.bytes += rows.extent_byte_size();
 
-    let mut remaining: Vec<PrimitiveClause> =
-        view.conditions.iter().map(|c| c.clause.clone()).collect();
     // Clauses local to the origin delta apply immediately (at the
     // warehouse, no I/O).
-    let (local, rest): (Vec<_>, Vec<_>) = remaining
-        .into_iter()
-        .partition(|c| resolvable(c, rows.schema()));
-    remaining = rest;
+    let local = clauses(view, &plan.origin);
     if !local.is_empty() {
         rows = algebra::select(&rows, &Predicate::new(local))?;
     }
@@ -259,67 +243,27 @@ fn propagate(
         deferred: None,
     };
 
-    // Visit order: origin site first, then ascending site ids — the same
-    // order the analytic plan uses.
-    let origin_site = origin_info.site;
-    let mut order: Vec<SiteId> = vec![origin_site];
-    let mut others: Vec<SiteId> = Vec::new();
-    for item in &view.from {
-        let s = mkb.relation(&item.relation)?.site;
-        if s != origin_site && !others.contains(&s) {
-            others.push(s);
-        }
-    }
-    others.sort_unstable();
-    order.extend(others);
-
-    for site_id in &order {
-        // The view relations hosted at this site, excluding the updated one.
-        let bindings: Vec<(String, String)> = view
-            .from
-            .iter()
-            .filter(|f| f.binding_name() != origin_binding)
-            .filter_map(|f| {
-                let site = mkb.relation(&f.relation).ok().map(|r| r.site)?;
-                (site == *site_id).then(|| (f.binding_name().to_owned(), f.relation.clone()))
-            })
-            .collect();
-        if bindings.is_empty() {
-            continue; // nothing to do here (only possible at the origin)
-        }
-
+    for step in plan.sites.iter().filter(|s| !s.relations.is_empty()) {
         // Query + answer round trip.
         trace.messages += 2;
         // R_in: the delta ships to the site (also from the origin site: the
         // warehouse sends it back down, per Eq. 21).
         trace.bytes += delta.byte_size();
 
-        let site = sites.get_mut(&site_id.0).ok_or_else(|| Error::State {
-            detail: format!("unknown site {site_id}"),
+        let site = sites.get_mut(&step.site.0).ok_or_else(|| Error::State {
+            detail: format!("unknown site {}", step.site),
         })?;
         site.charge_messages(2);
 
-        for (binding, relation) in bindings {
-            let bound = bind_relation(site.relation(&relation)?, &binding)?;
-            // Clauses joining the delta to this relation (or local to it).
-            let combined = delta.schema()?.concat(bound.schema())?;
-            let (applicable, rest): (Vec<_>, Vec<_>) = remaining
-                .into_iter()
-                .partition(|c| resolvable(c, &combined));
-            remaining = rest;
-            let counts = delta.visit(bound, &applicable, work)?;
-            trace.ios += site.charge_probe_io(&relation, &counts)?;
+        for spec in &step.relations {
+            let item = &view.from[spec.from_item];
+            let bound = bind_relation(site.relation(&item.relation)?, item.binding_name())?;
+            let counts = delta.visit(bound, &clauses(view, spec), work)?;
+            trace.ios += site.charge_probe_io(&item.relation, &counts)?;
         }
 
         // R_out: the grown delta returns to the warehouse.
         trace.bytes += delta.byte_size();
-    }
-
-    if !remaining.is_empty() {
-        return Err(Error::Validation(format!(
-            "conditions never became resolvable: {}",
-            Predicate::new(remaining)
-        )));
     }
     delta.materialise(work)?;
 
@@ -334,10 +278,21 @@ fn propagate(
     algebra::rename_columns(&projected, &out_names).map_err(Error::from)
 }
 
+/// The WHERE clauses the plan places on `spec`.
+fn clauses(view: &ViewDef, spec: &RelSpec) -> Vec<PrimitiveClause> {
+    spec.conditions
+        .iter()
+        .map(|&c| view.conditions[c].clause.clone())
+        .collect()
+}
+
 /// Maintains one materialized view after a base-data update (Algorithm 1),
 /// mutating `extent` in place and charging I/O at the sites.
 ///
-/// Views that do not reference the updated relation return a zero trace.
+/// Views that do not reference the updated relation return a zero trace,
+/// and so does an update with no insert and no delete: the caller passes
+/// only the deletes the source performed, and an update the source did not
+/// perform sends no notification.
 /// Self-joins over the updated relation are rejected (incremental deltas
 /// would need `Δ ⋈ Δ` terms the paper's algorithm does not model).
 ///
@@ -371,16 +326,16 @@ pub(crate) fn maintain_view_counted(
     work: &mut MaintenanceWork,
 ) -> Result<MaintenanceTrace> {
     let view = eve_esql::validate::validate(view).map_err(|e| Error::Validation(e.message))?;
-    let bindings: Vec<String> = view
+    let mut origins = view
         .from
         .iter()
-        .filter(|f| f.relation == update.relation)
-        .map(|f| f.binding_name().to_owned())
-        .collect();
-    if bindings.is_empty() {
+        .enumerate()
+        .filter(|(_, f)| f.relation == update.relation)
+        .map(|(i, _)| i);
+    let Some(origin) = origins.next() else {
         return Ok(MaintenanceTrace::default());
-    }
-    if bindings.len() > 1 {
+    };
+    if origins.next().is_some() {
         return Err(Error::State {
             detail: format!(
                 "view `{}` references `{}` more than once; incremental maintenance \
@@ -389,14 +344,19 @@ pub(crate) fn maintain_view_counted(
             ),
         });
     }
-    let binding = &bindings[0];
+    // An update the source did not perform notifies nobody.
+    if update.inserts.is_empty() && update.deletes.is_empty() {
+        return Ok(MaintenanceTrace::default());
+    }
+    let plan = plan_for_origin(&view, mkb, origin)?;
 
     let mut trace = MaintenanceTrace {
         messages: 1, // the update notification
         ..MaintenanceTrace::default()
     };
-    // The notification is sent by the updated relation's source site.
-    let origin_site = mkb.relation(&update.relation)?.site;
+    // The notification is sent by the updated relation's source site,
+    // where the walk starts.
+    let origin_site = plan.sites[0].site;
     sites
         .get_mut(&origin_site.0)
         .ok_or_else(|| Error::State {
@@ -405,30 +365,14 @@ pub(crate) fn maintain_view_counted(
         .charge_messages(1);
 
     if !update.inserts.is_empty() {
-        let added = propagate(
-            &view,
-            binding,
-            &update.inserts,
-            sites,
-            mkb,
-            &mut trace,
-            work,
-        )?;
+        let added = propagate(&view, &plan, &update.inserts, sites, mkb, &mut trace, work)?;
         trace.view_inserts = added.cardinality();
         for t in added.tuples() {
             extent.insert(t.clone())?;
         }
     }
     if !update.deletes.is_empty() {
-        let removed = propagate(
-            &view,
-            binding,
-            &update.deletes,
-            sites,
-            mkb,
-            &mut trace,
-            work,
-        )?;
+        let removed = propagate(&view, &plan, &update.deletes, sites, mkb, &mut trace, work)?;
         trace.view_deletes = extent.delete(removed.tuples()).len();
     }
     Ok(trace)
@@ -492,7 +436,7 @@ pub(crate) fn recompute_view_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eve_misd::{AttributeInfo, RelationInfo};
+    use eve_misd::{AttributeInfo, RelationInfo, SiteId};
     use eve_relational::{tup, DataType, Schema};
 
     /// Two sites: Customer at IS1, FlightRes at IS2.

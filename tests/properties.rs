@@ -8,7 +8,9 @@ use eve::misd::{
 };
 use eve::qc::cost::{cf_io, cf_messages, cf_transfer};
 use eve::qc::rank::normalize_costs;
-use eve::qc::{rank_rewritings, IoBound, MaintenancePlan, QcParams, WorkloadModel};
+use eve::qc::{
+    plan_for_origin, rank_rewritings, IoBound, MaintenancePlan, QcParams, WorkloadModel,
+};
 use eve::relational::{tup, ColumnRef, CompOp, DataType, PrimitiveClause, Relation, Tuple, Value};
 use eve::sync::{synchronize, EvolutionOp, SyncOptions};
 use eve::system::{DataUpdate, EveEngine};
@@ -293,9 +295,25 @@ proptest! {
         for op in ops {
             match op {
                 EvolutionOp::Data { relation, inserts, deletes } => {
-                    sequential
-                        .notify_data_update(&DataUpdate { relation, inserts, deletes })
-                        .unwrap();
+                    // The source performs an insert, or a delete of a tuple
+                    // it holds; only then does any view hear of the update.
+                    let site = sequential.mkb().relation(&relation).unwrap().site.0;
+                    let held = sequential.sites_mut()[&site].relation(&relation).unwrap();
+                    let performed = !inserts.is_empty() || deletes.iter().any(|t| held.contains(t));
+                    let update = DataUpdate { relation, inserts, deletes };
+                    for (name, trace) in sequential.notify_data_update(&update).unwrap() {
+                        // Measured messages are the model's CF_M for the
+                        // plan of this origin.
+                        let def = &sequential.view(&name).unwrap().def;
+                        let origin = def.from.iter().position(|f| f.relation == update.relation);
+                        let expected = match origin {
+                            Some(i) if performed => {
+                                cf_messages(&plan_for_origin(def, sequential.mkb(), i).unwrap(), true)
+                            }
+                            _ => 0.0,
+                        };
+                        prop_assert_eq!(trace.messages as f64, expected, "messages of {} after {:?}", name, update);
+                    }
                 }
                 EvolutionOp::Capability { change, new_extent } => {
                     sequential_reports.extend(
@@ -705,7 +723,8 @@ fn planner_io_estimate_matches_analytic_recompute_io() {
             .view
             .from
             .iter()
-            .map(|item| {
+            .enumerate()
+            .map(|(from_item, item)| {
                 let s = &workload.stats[&item.relation];
                 RelSpec {
                     name: item.relation.clone(),
@@ -714,6 +733,8 @@ fn planner_io_estimate_matches_analytic_recompute_io() {
                     selectivity: s.selectivity,
                     blocking_factor: s.blocking_factor as f64,
                     join_selectivity: 0.005,
+                    from_item,
+                    conditions: Vec::new(),
                 }
             })
             .collect();
