@@ -136,15 +136,28 @@ impl<'a> Dec<'a> {
             .checked_add(n)
             .ok_or_else(|| Error::corrupt("length overflow"))?;
         if end > self.buf.len() {
-            return Err(Error::corrupt(format!(
-                "truncated payload: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
+            return Err(self.truncated(n));
         }
         let slice = &self.buf[self.pos..end];
         self.pos = end;
         Ok(slice)
+    }
+
+    /// Reads exactly `N` raw bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let Some(&bytes) = self.buf.get(self.pos..).and_then(<[u8]>::first_chunk::<N>) else {
+            return Err(self.truncated(N));
+        };
+        self.pos += N;
+        Ok(bytes)
+    }
+
+    fn truncated(&self, n: usize) -> Error {
+        Error::corrupt(format!(
+            "truncated payload: need {n} bytes at offset {}, have {}",
+            self.pos,
+            self.buf.len().saturating_sub(self.pos)
+        ))
     }
 
     /// Reads one byte.
@@ -175,8 +188,7 @@ impl<'a> Dec<'a> {
     ///
     /// [`Error::Corrupt`] on truncated or malformed input.
     pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
@@ -185,8 +197,7 @@ impl<'a> Dec<'a> {
     ///
     /// [`Error::Corrupt`] on truncated or malformed input.
     pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `i64`.
@@ -195,8 +206,7 @@ impl<'a> Dec<'a> {
     ///
     /// [`Error::Corrupt`] on truncated or malformed input.
     pub fn i64(&mut self) -> Result<i64> {
-        let b = self.take(8)?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f64` from its IEEE bit pattern.

@@ -145,19 +145,24 @@ pub struct CommitTicket<'a> {
 /// flush claim.
 struct FlushGuard<'a> {
     log: &'a GroupCommitLog,
-    batch: Option<Vec<(Vec<u8>, Arc<Slot>)>>,
+    batch: &'a [(Vec<u8>, Arc<Slot>)],
+}
+
+impl FlushGuard<'_> {
+    /// The leader completed normally: skip the unwind path. The guard
+    /// only borrows, so forgetting it leaks nothing.
+    fn disarm(self) {
+        std::mem::forget(self);
+    }
 }
 
 impl Drop for FlushGuard<'_> {
     fn drop(&mut self) {
-        let Some(batch) = self.batch.take() else {
-            return; // disarmed: the leader completed normally
-        };
         let e = Arc::new(Error::shutdown(
             "the group-commit leader died mid-flush; this record was not \
              acknowledged and may not be durable",
         ));
-        for (_, slot) in &batch {
+        for (_, slot) in self.batch {
             resolve_with_error(slot, &e);
         }
         lock(&self.log.queue).flushing = false;
@@ -246,17 +251,16 @@ impl GroupCommitLog {
         // resolves every claimed slot with a typed shutdown error and
         // releases the claim — otherwise followers would spin forever
         // behind `flushing == true` with nobody left to serve them.
-        let mut guard = FlushGuard {
+        let guard = FlushGuard {
             log: self,
-            batch: Some(batch),
+            batch: &batch,
         };
         let outcome = {
-            let batch = guard.batch.as_ref().expect("armed above");
             let mut store = lock(&self.store);
             let frames: Vec<&[u8]> = batch.iter().map(|(bytes, _)| bytes.as_slice()).collect();
             store.append_encoded_batch(&frames)
         };
-        let batch = guard.batch.take().expect("armed above");
+        guard.disarm();
         match outcome {
             Ok(first_seq) => {
                 for (offset, (_, slot)) in batch.iter().enumerate() {

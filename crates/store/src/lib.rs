@@ -34,6 +34,8 @@
 //! alike — in one place, `EveEngine::apply`; the dependency arrow keeps
 //! pointing from the runtime to the storage layer.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod checksum;
 pub mod codec;
 pub mod error;

@@ -270,13 +270,12 @@ pub(crate) fn read_segment(path: &Path) -> Result<SegmentContents> {
     file.read_to_end(&mut bytes)
         .map_err(|e| Error::io(path, e))?;
 
-    if bytes.len() < 16 || &bytes[..8] != SEGMENT_MAGIC {
+    let Some(start_seq) = segment_start_seq(&bytes) else {
         return Err(Error::corrupt(format!(
             "{} is not an evolution-log segment (bad or short header)",
             path.display()
         )));
-    }
-    let start_seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    };
 
     let mut records = Vec::new();
     let mut pos = 16usize;
@@ -292,11 +291,14 @@ pub(crate) fn read_segment(path: &Path) -> Result<SegmentContents> {
         if tail.is_empty() {
             break pos; // clean end on a frame boundary
         }
-        let (Some(len_bytes), Some(crc_bytes)) = (tail.get(..4), tail.get(4..12)) else {
-            break pos; // torn frame header (1..=11 bytes)
+        let Some((len_bytes, rest)) = tail.split_first_chunk::<4>() else {
+            break pos; // torn frame header (1..=3 bytes)
         };
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        let crc = u64::from_le_bytes(crc_bytes.try_into().expect("8 bytes"));
+        let Some(crc_bytes) = rest.first_chunk::<8>() else {
+            break pos; // torn frame header (4..=11 bytes)
+        };
+        let len = u32::from_le_bytes(*len_bytes) as usize;
+        let crc = u64::from_le_bytes(*crc_bytes);
         // `12 + len` cannot overflow usize on 64-bit (len <= u32::MAX) but
         // the checked form keeps 32-bit targets honest too.
         let Some(payload) = 12usize.checked_add(len).and_then(|end| tail.get(12..end)) else {
@@ -341,15 +343,20 @@ pub(crate) fn read_segment_header(path: &Path) -> Result<u64> {
             path.display()
         ))
     })?;
-    if &header[..8] != SEGMENT_MAGIC {
-        return Err(Error::corrupt(format!(
+    segment_start_seq(&header).ok_or_else(|| {
+        Error::corrupt(format!(
             "{} is not an evolution-log segment (bad magic)",
             path.display()
-        )));
-    }
-    Ok(u64::from_le_bytes(
-        header[8..16].try_into().expect("8 bytes"),
-    ))
+        ))
+    })
+}
+
+/// The start sequence named by the 16-byte segment header at the front
+/// of `bytes`; `None` when `bytes` is shorter or the magic is foreign.
+fn segment_start_seq(bytes: &[u8]) -> Option<u64> {
+    let (magic, rest) = bytes.split_first_chunk::<8>()?;
+    let start_seq = rest.first_chunk::<8>()?;
+    (magic == SEGMENT_MAGIC).then(|| u64::from_le_bytes(*start_seq))
 }
 
 /// Truncates a segment file to its intact prefix, discarding a torn tail.

@@ -308,7 +308,9 @@ pub(crate) fn write_snapshot_file(path: &Path, seq: u64, snapshot: &EngineSnapsh
 /// Shared atomic-write path for snapshot-shaped files: `magic ++ header
 /// words (u64 LE each) ++ len (u32) ++ crc64 ++ payload`, written to a
 /// temp file, fsync'd, renamed into place, with the parent directory
-/// fsync'd afterwards so the rename survives power loss.
+/// fsync'd afterwards so the rename survives power loss. The fixed
+/// header and the payload go out as two writes, so the payload is never
+/// copied. A step that fails after the temp file exists removes it.
 fn write_anchored_file(
     path: &Path,
     magic: &[u8; 8],
@@ -316,31 +318,38 @@ fn write_anchored_file(
     payload: &[u8],
     what: &'static str,
 ) -> Result<u64> {
+    use std::io::Write;
     let len = u32::try_from(payload.len()).map_err(|_| Error::too_large(payload.len(), what))?;
-    let mut bytes = Vec::with_capacity(payload.len() + 8 + header_words.len() * 8 + 12);
-    bytes.extend_from_slice(magic);
+    let mut header = Vec::with_capacity(8 + header_words.len() * 8 + 12);
+    header.extend_from_slice(magic);
     for word in header_words {
-        bytes.extend_from_slice(&word.to_le_bytes());
+        header.extend_from_slice(&word.to_le_bytes());
     }
-    bytes.extend_from_slice(&len.to_le_bytes());
-    bytes.extend_from_slice(&crc64(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
+    header.extend_from_slice(&len.to_le_bytes());
+    header.extend_from_slice(&crc64(payload).to_le_bytes());
 
     let tmp = path.with_extension("tmp");
-    {
-        let mut file = File::create(&tmp).map_err(|e| Error::io(&tmp, e))?;
-        use std::io::Write;
-        file.write_all(&bytes).map_err(|e| Error::io(&tmp, e))?;
-        file.sync_all().map_err(|e| Error::io(&tmp, e))?;
+    let mut file = File::create(&tmp).map_err(|e| Error::io(&tmp, e))?;
+    let written = file
+        .write_all(&header)
+        .and_then(|()| file.write_all(payload))
+        .and_then(|()| file.sync_all())
+        .map_err(|e| Error::io(&tmp, e));
+    drop(file);
+    let placed = written.and_then(|()| std::fs::rename(&tmp, path).map_err(|e| Error::io(path, e)));
+    if let Err(e) = placed {
+        // Best effort: the write already failed, and a temp file left
+        // behind is removed by the next `EvolutionStore::open`.
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
-    std::fs::rename(&tmp, path).map_err(|e| Error::io(path, e))?;
     // Persist the rename itself — propagated, not swallowed: an unsynced
     // rename is exactly the crash window the temp-file dance exists to
     // close.
     if let Some(dir) = path.parent() {
         crate::fsutil::sync_dir(dir)?;
     }
-    Ok(bytes.len() as u64)
+    Ok((header.len() + payload.len()) as u64)
 }
 
 /// A parsed snapshot file.
@@ -353,17 +362,26 @@ pub(crate) struct SnapshotFile {
 }
 
 /// Splits an anchored file's fixed prefix (`magic ++ W header words ++ len
-/// ++ crc64`, length already checked) into the header words, the declared
-/// payload length and the payload checksum.
-fn split_anchored_header<const W: usize>(header: &[u8]) -> ([u64; W], u64, u64) {
-    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
-    let len_at = 8 + W * 8;
-    let len = u32::from_le_bytes(header[len_at..len_at + 4].try_into().expect("4 bytes"));
-    (
-        std::array::from_fn(|w| word(8 + w * 8)),
-        u64::from(len),
-        word(len_at + 4),
-    )
+/// ++ crc64`) off the front of `bytes`: the header words, the declared
+/// payload length, the payload checksum and the bytes after the prefix.
+/// `None` when `bytes` is shorter than the prefix; the magic is not
+/// checked here.
+fn split_anchored_header<const W: usize>(bytes: &[u8]) -> Option<([u64; W], u64, u64, &[u8])> {
+    let mut rest = bytes.get(8..)?;
+    let mut words = [0u64; W];
+    for word in &mut words {
+        let (head, tail) = rest.split_first_chunk::<8>()?;
+        *word = u64::from_le_bytes(*head);
+        rest = tail;
+    }
+    let (len, rest) = rest.split_first_chunk::<4>()?;
+    let (crc, rest) = rest.split_first_chunk::<8>()?;
+    Some((
+        words,
+        u64::from(u32::from_le_bytes(*len)),
+        u64::from_le_bytes(*crc),
+        rest,
+    ))
 }
 
 fn check_anchored_len(path: &Path, actual: u64, declared: u64) -> Result<()> {
@@ -385,53 +403,59 @@ fn read_anchored_header<const W: usize>(
     magic: &[u8; 8],
     what: &str,
 ) -> Result<[u64; W]> {
-    let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
-    let mut header = vec![0u8; 8 + W * 8 + 12];
-    file.read_exact(&mut header).map_err(|_| {
+    let short = || {
         Error::corrupt(format!(
             "{} is not a {what} file (short header)",
             path.display()
         ))
-    })?;
+    };
+    let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
+    let mut header = vec![0u8; 8 + W * 8 + 12];
+    file.read_exact(&mut header).map_err(|_| short())?;
     if &header[..8] != magic {
         return Err(Error::corrupt(format!(
             "{} is not a {what} file (bad magic)",
             path.display()
         )));
     }
-    let (words, len, _) = split_anchored_header(&header);
+    let (words, len, _, _) = split_anchored_header(&header).ok_or_else(short)?;
     let size = file.metadata().map_err(|e| Error::io(path, e))?.len();
     check_anchored_len(path, size.saturating_sub(header.len() as u64), len)?;
     Ok(words)
 }
 
 /// The mirror image of [`write_anchored_file`]: reads a whole
-/// snapshot-shaped file and returns its `W` header words and its payload,
-/// having checked the magic, the header length, the declared payload
-/// length against the file size and the payload's CRC-64.
-fn read_anchored_file<const W: usize>(
+/// snapshot-shaped file and returns its `W` header words and its payload
+/// decoded by `decode`, having checked the magic, the header length, the
+/// declared payload length against the file size and the payload's
+/// CRC-64. The payload is checked and decoded in place in the buffer the
+/// file was read into, never copied out of it.
+fn read_anchored_file<const W: usize, T>(
     path: &Path,
     magic: &[u8; 8],
     what: &str,
-) -> Result<([u64; W], Vec<u8>)> {
-    let mut bytes = std::fs::read(path).map_err(|e| Error::io(path, e))?;
-    let header_len = 8 + W * 8 + 12;
-    if bytes.len() < header_len || &bytes[..8] != magic {
+    decode: impl FnOnce(&[u8]) -> Result<T>,
+) -> Result<([u64; W], T)> {
+    let bytes = std::fs::read(path).map_err(|e| Error::io(path, e))?;
+    let header = if bytes.first_chunk::<8>() == Some(magic) {
+        split_anchored_header(&bytes)
+    } else {
+        None
+    };
+    let Some((words, len, crc, payload)) = header else {
         return Err(Error::corrupt(format!(
             "{} is not a {what} file (bad or short header)",
             path.display()
         )));
-    }
-    let (words, len, crc) = split_anchored_header(&bytes[..header_len]);
-    let payload = bytes.split_off(header_len);
+    };
     check_anchored_len(path, payload.len() as u64, len)?;
-    if crc64(&payload) != crc {
+    if crc64(payload) != crc {
         return Err(Error::corrupt(format!(
             "{}: {what} checksum mismatch",
             path.display()
         )));
     }
-    Ok((words, payload))
+    Ok((words, decode(payload)?))
 }
 
 fn check_header_generation(path: &Path, header: u64, payload: u64) -> Result<()> {
@@ -466,8 +490,8 @@ pub(crate) fn read_snapshot_header(path: &Path) -> Result<(u64, u64)> {
 /// I/O failures, or [`Error::Corrupt`] when the header, checksum or
 /// payload is damaged (recovery then falls back to an older snapshot).
 pub(crate) fn read_snapshot_file(path: &Path) -> Result<SnapshotFile> {
-    let ([seq, generation], payload) = read_anchored_file(path, SNAPSHOT_MAGIC, "snapshot")?;
-    let snapshot = EngineSnapshot::from_bytes(&payload)?;
+    let ([seq, generation], snapshot) =
+        read_anchored_file(path, SNAPSHOT_MAGIC, "snapshot", EngineSnapshot::from_bytes)?;
     check_header_generation(path, generation, snapshot.generation())?;
     Ok(SnapshotFile { seq, snapshot })
 }
@@ -854,9 +878,12 @@ pub(crate) fn read_delta_header(path: &Path) -> Result<(u64, u64, u64)> {
 /// I/O failures, or [`Error::Corrupt`] when the header, checksum or
 /// payload is damaged (recovery then falls back to an older anchor).
 pub(crate) fn read_delta_file(path: &Path) -> Result<DeltaFile> {
-    let ([seq, generation, base_seq], payload) =
-        read_anchored_file(path, DELTA_MAGIC, "delta-snapshot")?;
-    let delta: DeltaSnapshot = from_bytes(&payload)?;
+    let ([seq, generation, base_seq], delta) = read_anchored_file(
+        path,
+        DELTA_MAGIC,
+        "delta-snapshot",
+        from_bytes::<DeltaSnapshot>,
+    )?;
     check_header_generation(path, generation, delta.generation())?;
     if delta.base_seq != base_seq {
         return Err(Error::corrupt(format!(

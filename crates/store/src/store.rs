@@ -8,6 +8,8 @@
 //! <dir>/seg-<start_seq>.evl    append-only log segments
 //! <dir>/snap-<seq>.evs         full-state snapshots
 //! <dir>/snap-<seq>.evd         incremental delta snapshots
+//! <dir>/snap-<seq>.tmp         a snapshot being written (a leftover one
+//!                              from a crash is deleted by `open`)
 //! <dir>/store.lock             single-opener advisory lock
 //! ```
 //!
@@ -250,6 +252,23 @@ impl EvolutionStore {
         Ok(out)
     }
 
+    /// Deletes the `snap-<seq>.tmp` files a crashed snapshot write left
+    /// behind: each can hold a whole snapshot, and no reader ever looks at
+    /// one. Only regular files go; the caller must hold the directory
+    /// lock, so no writer of this store can still own one.
+    fn remove_leftover_temps(dir: &Path) -> Result<()> {
+        for entry in fs::read_dir(dir).map_err(|e| Error::io(dir, e))? {
+            let entry = entry.map_err(|e| Error::io(dir, e))?;
+            let name = entry.file_name();
+            let is_temp = parse_numbered(&name.to_string_lossy(), "snap-", ".tmp").is_some();
+            if is_temp && entry.file_type().is_ok_and(|t| t.is_file()) {
+                let path = entry.path();
+                fs::remove_file(&path).map_err(|e| Error::io(&path, e))?;
+            }
+        }
+        Ok(())
+    }
+
     /// The segment files in start-sequence order.
     fn segment_paths(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
         let mut out = Vec::new();
@@ -372,12 +391,12 @@ impl EvolutionStore {
         let dir = dir.into();
         let lock = DirLock::acquire(&dir)?;
         let mut segments = Self::segment_paths(&dir)?;
-        if segments.is_empty() {
+        let Some((_, last_path)) = segments.last() else {
             return Err(Error::state(format!(
                 "{} holds no evolution store (no log segments)",
                 dir.display()
             )));
-        }
+        };
 
         // Torn rotation: a crash between creating the new segment file and
         // its 16-byte header reaching disk leaves a short final segment. It
@@ -385,23 +404,22 @@ impl EvolutionStore {
         // previous segment — unless it is the *only* file, in which case
         // nothing acknowledged ever existed and the store is unusable.
         let mut torn_bytes = 0u64;
-        if let Some((_, last_path)) = segments.last() {
-            let len = std::fs::metadata(last_path)
-                .map_err(|e| Error::io(last_path, e))?
-                .len();
-            if len < 16 {
-                if segments.len() == 1 {
-                    return Err(Error::corrupt(format!(
-                        "{} holds only a headerless segment (crash during creation)",
-                        dir.display()
-                    )));
-                }
-                let (_, path) = segments.pop().expect("checked non-empty");
-                fs::remove_file(&path).map_err(|e| Error::io(&path, e))?;
-                sync_dir(&dir)?;
-                torn_bytes += len;
+        let len = std::fs::metadata(last_path)
+            .map_err(|e| Error::io(last_path, e))?
+            .len();
+        if len < 16 {
+            if segments.len() == 1 {
+                return Err(Error::corrupt(format!(
+                    "{} holds only a headerless segment (crash during creation)",
+                    dir.display()
+                )));
             }
+            fs::remove_file(last_path).map_err(|e| Error::io(last_path, e))?;
+            segments.pop();
+            sync_dir(&dir)?;
+            torn_bytes += len;
         }
+        Self::remove_leftover_temps(&dir)?;
 
         // Newest intact snapshot wins; damaged ones — including deltas
         // whose base chain cannot be resolved — are skipped (recovery then
@@ -1205,6 +1223,54 @@ mod tests {
         assert_eq!(recovered.snapshots_skipped, 1);
         assert_eq!(recovered.snapshot.as_ref().map(|(s, _)| *s), Some(0));
         assert_eq!(recovered.tail.len(), 2, "replays from the older anchor");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_removes_a_crashed_snapshot_write_and_recovers_the_same_state() {
+        let dir = temp_dir("leftover-tmp");
+        let mut store = EvolutionStore::create(&dir).unwrap();
+        store.write_snapshot(&empty_snapshot()).unwrap();
+        for k in 0..3 {
+            store.append(0, batch_record(k)).unwrap();
+        }
+        let next = store.next_seq();
+        drop(store);
+        let (_, before) = EvolutionStore::open(&dir).unwrap();
+
+        // A crash mid-write leaves a truncated temp file beside the store;
+        // a directory of the same shape is not the store's to delete.
+        let full = std::fs::read(snap_path(&dir, 0)).unwrap();
+        let tmp = dir.join(format!("snap-{next:020}.tmp"));
+        std::fs::write(&tmp, &full[..full.len() / 2]).unwrap();
+        let foreign = dir.join(format!("snap-{:020}.tmp", next + 1));
+        std::fs::create_dir(&foreign).unwrap();
+
+        let (_, after) = EvolutionStore::open(&dir).unwrap();
+        assert!(!tmp.exists(), "the leftover temp file is deleted");
+        assert!(foreign.is_dir(), "only regular files are deleted");
+        assert_eq!(after.next_seq, before.next_seq);
+        let encoded = |tail: &[SealedRecord]| tail.iter().map(crate::to_bytes).collect::<Vec<_>>();
+        assert_eq!(encoded(&after.tail), encoded(&before.tail));
+        assert_eq!(
+            after.snapshot.map(|(s, snap)| (s, snap.to_bytes())),
+            before.snapshot.map(|(s, snap)| (s, snap.to_bytes()))
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_snapshot_write_removes_its_temp_file() {
+        let dir = temp_dir("failed-write");
+        let mut store = EvolutionStore::create(&dir).unwrap();
+        store.write_snapshot(&empty_snapshot()).unwrap();
+        store.append(0, batch_record(1)).unwrap();
+        // A directory on the final path fails the rename after the temp
+        // file was written and synced.
+        let seq = store.next_seq();
+        std::fs::create_dir(snap_path(&dir, seq)).unwrap();
+        assert!(store.write_snapshot(&empty_snapshot()).is_err());
+        assert!(!dir.join(format!("snap-{seq:020}.tmp")).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
