@@ -257,8 +257,9 @@ impl Tenant {
     ///
     /// # Errors
     ///
-    /// The first engine/store failure while draining (the failing
-    /// mutation and everything behind it stay queued).
+    /// The first engine/store failure while draining. The failing
+    /// mutation is dropped — retrying it would fail identically — and
+    /// everything behind it stays queued for the next reset.
     pub(crate) fn reset_budget(&self) -> Result<usize> {
         let pending = {
             let mut st = lock(&self.state);
@@ -669,6 +670,39 @@ mod tests {
         let v = t.query("V").unwrap();
         assert!(v.contains('3') && v.contains('4'), "{v}");
         assert!(!v.contains('5'), "rejected mutation must not re-appear");
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_failing_queued_mutation_is_dropped_and_the_rest_stay_queued() {
+        let root = scratch("queue-failure");
+        let wh = Warehouse::open(&root).unwrap();
+        let budget = TenantBudget {
+            io: 1,
+            ..TenantBudget::default()
+        };
+        let t = wh
+            .tenant_with("strict", budget, AdmissionPolicy::Queue)
+            .unwrap();
+        t.execute_mutation(Mutation::Statement("site 1 s1".into()))
+            .unwrap();
+        for line in [
+            "relation R @1 (K:int)",
+            "update NoSuch insert (1)",
+            "relation S @1 (K:int)",
+        ] {
+            let admitted = t
+                .execute_mutation(Mutation::Statement(line.into()))
+                .unwrap();
+            assert!(matches!(admitted, Admitted::Queued(_)), "{admitted:?}");
+        }
+        let hosts = |name: &str| t.read().engine().mkb().has_relation(name);
+        assert!(t.reset_budget().is_err());
+        assert_eq!(t.stats().queued, 1, "only the mutation behind the failure");
+        assert!(hosts("R") && !hosts("S"), "the first mutation applied");
+        assert_eq!(t.reset_budget().unwrap(), 1);
+        assert_eq!(t.stats().queued, 0);
+        assert!(hosts("S"));
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -24,6 +24,19 @@
 //! record the store returned `Ok` for survives `kill -9`. A crash mid-write
 //! leaves a torn frame at the active tail, which recovery detects by
 //! checksum and truncates away.
+//!
+//! ## One reader
+//!
+//! Recovery ([`EvolutionStore::open`]), time travel
+//! ([`EvolutionStore::plan_travel_in`]) and [`EvolutionStore::compact`]
+//! read the directory through one private reader: one listing, one
+//! search for the newest loadable snapshot within an optional generation
+//! bound, and one walk of the log after it. So travel refuses what
+//! recovery refuses (a torn frame in a non-final segment, a segment header
+//! that disagrees with its name, a gap between segments) with the same
+//! error, and compaction anchors where recovery would. Only `open`
+//! repairs what the reader reports: it truncates a torn tail and deletes
+//! a headerless final segment and leftover temp files, under the lock.
 
 use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
@@ -182,6 +195,332 @@ fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
         .ok()
 }
 
+/// The MKB generation a snapshot file's header names, read without the
+/// payload.
+fn header_generation(kind: SnapshotKind, path: &Path) -> Result<u64> {
+    match kind {
+        SnapshotKind::Full => read_snapshot_header(path).map(|(_, g)| g),
+        SnapshotKind::Delta => read_delta_header(path).map(|(_, g, _)| g),
+    }
+}
+
+fn horizon_error(generation: u64) -> Error {
+    Error::state(format!(
+        "generation {generation} precedes the retained horizon — no snapshot at or \
+         before it exists (history may have been compacted)"
+    ))
+}
+
+/// One `read_dir` of a store directory, sorted. Everything the store
+/// reads of its directory — recovery, time travel, compaction and the
+/// listings — starts from one of these.
+struct Listing {
+    /// Log segments in start-sequence order.
+    segments: Vec<(u64, PathBuf)>,
+    /// Full and delta snapshots in sequence order; at equal sequence
+    /// numbers a full image sorts before a delta, so backward scans prefer
+    /// the self-contained file.
+    snapshots: Vec<(u64, SnapshotKind, PathBuf)>,
+    /// `snap-<seq>.tmp` regular files a crashed snapshot write left behind.
+    temps: Vec<PathBuf>,
+}
+
+/// The log records after an anchor, as one walk over the segments found
+/// them.
+struct LogTail {
+    records: Vec<SealedRecord>,
+    /// One past the last record of the final segment (unbounded walks).
+    next_seq: u64,
+    /// The final segment walked, its intact prefix length, and the torn
+    /// bytes past that prefix.
+    last: PathBuf,
+    valid_len: u64,
+    torn_bytes: u64,
+}
+
+/// What one read of a store directory found: its listing, the anchor
+/// snapshot, and the log after it, with every check recovery makes
+/// already made. Reading changes nothing on disk; what recovery repairs
+/// (a headerless final segment, a torn tail, leftover temp files) is
+/// reported here.
+struct StoreRead {
+    listing: Listing,
+    anchor: Option<(u64, EngineSnapshot)>,
+    snapshots_skipped: usize,
+    /// A final segment shorter than its 16-byte header, with its length:
+    /// a rotation torn by a crash. It holds no acknowledged record and is
+    /// taken out of the listing and the walk.
+    headerless: Option<(PathBuf, u64)>,
+    tail: LogTail,
+}
+
+impl Listing {
+    fn read(dir: &Path) -> Result<Listing> {
+        let mut listing = Listing {
+            segments: Vec::new(),
+            snapshots: Vec::new(),
+            temps: Vec::new(),
+        };
+        for entry in fs::read_dir(dir).map_err(|e| Error::io(dir, e))? {
+            let entry = entry.map_err(|e| Error::io(dir, e))?;
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            let path = entry.path();
+            if let Some(seq) = parse_numbered(&name, "seg-", ".evl") {
+                listing.segments.push((seq, path));
+            } else if let Some(seq) = parse_numbered(&name, "snap-", ".evs") {
+                listing.snapshots.push((seq, SnapshotKind::Full, path));
+            } else if let Some(seq) = parse_numbered(&name, "snap-", ".evd") {
+                listing.snapshots.push((seq, SnapshotKind::Delta, path));
+            } else if parse_numbered(&name, "snap-", ".tmp").is_some()
+                && entry.file_type().is_ok_and(|t| t.is_file())
+            {
+                listing.temps.push(path);
+            }
+        }
+        listing.segments.sort();
+        listing.snapshots.sort();
+        Ok(listing)
+    }
+
+    /// Whether the directory holds no segment and no snapshot.
+    fn is_empty(&self) -> bool {
+        self.segments.is_empty() && self.snapshots.is_empty()
+    }
+
+    /// Loads the full state a snapshot entry describes, resolving delta
+    /// chains recursively: a delta's base is looked up by sequence number
+    /// (full image preferred), loaded, and overlaid. Any failure anywhere
+    /// in the chain fails the whole candidate — the anchor search then
+    /// falls back to an older entry, exactly as with a damaged full
+    /// snapshot.
+    fn load(&self, idx: usize, depth: usize) -> Result<EngineSnapshot> {
+        if depth > MAX_DELTA_CHAIN {
+            return Err(Error::corrupt(format!(
+                "delta-snapshot chain deeper than {MAX_DELTA_CHAIN} (cyclic base_seq?)"
+            )));
+        }
+        // Replay resumes at the sequence number in the file name, so a
+        // header naming another point (a copied or renamed file, a flipped
+        // header word outside the payload checksum) is damage.
+        let (seq, kind, path) = &self.snapshots[idx];
+        let check_seq = |header_seq: u64| {
+            if header_seq == *seq {
+                Ok(())
+            } else {
+                Err(Error::corrupt(format!(
+                    "{} header seq {header_seq} disagrees with its name",
+                    path.display()
+                )))
+            }
+        };
+        match kind {
+            SnapshotKind::Full => {
+                let parsed = read_snapshot_file(path)?;
+                check_seq(parsed.seq)?;
+                Ok(parsed.snapshot)
+            }
+            SnapshotKind::Delta => {
+                let parsed = read_delta_file(path)?;
+                check_seq(parsed.seq)?;
+                let base_seq = parsed.delta.base_seq;
+                if base_seq > *seq {
+                    return Err(Error::corrupt(format!(
+                        "{}: delta base_seq {base_seq} is newer than the delta itself",
+                        path.display()
+                    )));
+                }
+                // Prefer a full image at the base sequence; never resolve
+                // a delta to itself (base_seq == seq only matches a full).
+                let entries = &self.snapshots;
+                let base_idx = entries
+                    .iter()
+                    .position(|(s, k, _)| *s == base_seq && *k == SnapshotKind::Full)
+                    .or_else(|| {
+                        entries.iter().position(|(s, k, _)| {
+                            *s == base_seq && *k == SnapshotKind::Delta && base_seq < *seq
+                        })
+                    })
+                    .ok_or_else(|| {
+                        Error::corrupt(format!(
+                            "{}: delta base snapshot at seq {base_seq} is missing",
+                            path.display()
+                        ))
+                    })?;
+                let base = self.load(base_idx, depth + 1)?;
+                Ok(parsed.delta.apply_to(&base))
+            }
+        }
+    }
+
+    /// The newest loadable snapshot whose header generation is within
+    /// `bound` (any, for `None`), as its index and state, and how many
+    /// damaged entries the search skipped. The header pre-filter passes
+    /// over too-new snapshots without reading their state images; a
+    /// candidate is validated in full, a delta through its whole base
+    /// chain. A retired search policy is no damage: falling back would
+    /// replay its log under another policy, so it fails the search.
+    fn anchor(&self, bound: Option<u64>) -> Result<(Option<(usize, EngineSnapshot)>, usize)> {
+        let mut skipped = 0usize;
+        for idx in (0..self.snapshots.len()).rev() {
+            if let Some(bound) = bound {
+                let (_, kind, path) = &self.snapshots[idx];
+                match header_generation(*kind, path) {
+                    Ok(generation) if generation <= bound => {}
+                    Ok(_) => continue,
+                    Err(_) => {
+                        skipped += 1;
+                        continue;
+                    }
+                }
+            }
+            match self.load(idx, 0) {
+                Ok(state) => return Ok((Some((idx, state)), skipped)),
+                Err(retired @ Error::RetiredPolicy { .. }) => return Err(retired),
+                Err(_) => skipped += 1,
+            }
+        }
+        Ok((None, skipped))
+    }
+
+    /// Deletes what an anchor at `seq` supersedes: segments starting
+    /// before it (never `active`), snapshots older than it, and deltas at
+    /// its sequence (a full image is there). Rotation aligns segment
+    /// boundaries with snapshot points, so such a segment holds only
+    /// pre-anchor records. Returns `(segments, snapshots)` deleted.
+    fn remove_before(&self, dir: &Path, seq: u64, active: &Path) -> Result<(usize, usize)> {
+        let segments: Vec<&PathBuf> = self
+            .segments
+            .iter()
+            .filter(|(start, path)| *start < seq && path != active)
+            .map(|(_, path)| path)
+            .collect();
+        let snapshots: Vec<&PathBuf> = self
+            .snapshots
+            .iter()
+            .filter(|(s, kind, _)| *s < seq || (*s == seq && *kind == SnapshotKind::Delta))
+            .map(|(_, _, path)| path)
+            .collect();
+        for path in segments.iter().chain(&snapshots) {
+            fs::remove_file(path).map_err(|e| Error::io(path, e))?;
+        }
+        if !segments.is_empty() || !snapshots.is_empty() {
+            sync_dir(dir)?;
+        }
+        Ok((segments.len(), snapshots.len()))
+    }
+}
+
+fn check_segment_start(path: &Path, named: u64, header: u64) -> Result<()> {
+    if header == named {
+        return Ok(());
+    }
+    Err(Error::corrupt(format!(
+        "{} header start_seq {header} disagrees with its name",
+        path.display()
+    )))
+}
+
+/// Walks `segments` once from record `from`, checking in segment order
+/// that every header names its file's start sequence, that no frame is
+/// torn but in the final segment, and that each segment ends where the
+/// next begins. A segment whose successor starts at or before `from`
+/// holds only pre-anchor records and gets its header checked only; every
+/// other one is read, CRC-verified and decoded in full. With a generation
+/// `bound` the walk stops at the first record past it and reads no later
+/// segment.
+fn walk_log(segments: &[(u64, PathBuf)], from: u64, bound: Option<u64>) -> Result<LogTail> {
+    let mut tail = LogTail {
+        records: Vec::new(),
+        next_seq: from,
+        last: PathBuf::new(),
+        valid_len: 16,
+        torn_bytes: 0,
+    };
+    for (idx, (start_seq, path)) in segments.iter().enumerate() {
+        let next_start = segments.get(idx + 1).map(|(next, _)| *next);
+        if let Some(next) = next_start.filter(|next| *next <= from) {
+            check_segment_start(path, *start_seq, crate::log::read_segment_header(path)?)?;
+            tail.next_seq = next;
+            continue;
+        }
+        let contents = read_segment(path)?;
+        check_segment_start(path, *start_seq, contents.start_seq)?;
+        if contents.torn_bytes > 0 && next_start.is_some() {
+            return Err(Error::corrupt(format!(
+                "torn frame in non-final segment {}",
+                path.display()
+            )));
+        }
+        let seg_end = start_seq + contents.records.len() as u64;
+        if let Some(next) = next_start.filter(|next| *next != seg_end) {
+            return Err(Error::corrupt(format!(
+                "{} holds records up to {seg_end} but the next segment starts at {next}",
+                path.display()
+            )));
+        }
+        tail.next_seq = seg_end;
+        tail.last.clone_from(path);
+        tail.valid_len = contents.valid_len;
+        tail.torn_bytes = contents.torn_bytes;
+        let skip = from.saturating_sub(*start_seq) as usize;
+        for sealed in contents.records.into_iter().skip(skip) {
+            if bound.is_some_and(|bound| sealed.post_generation > bound) {
+                return Ok(tail);
+            }
+            tail.records.push(sealed);
+        }
+    }
+    Ok(tail)
+}
+
+/// Reads the store in `dir` as of generation `bound` (all of it for
+/// `None`): one listing, one anchor search, one log walk. A bounded read
+/// needs an anchor within the bound; an unbounded one without any replays
+/// the log from its first record.
+fn read_store(dir: &Path, bound: Option<u64>) -> Result<StoreRead> {
+    let mut listing = Listing::read(dir)?;
+    let Some((_, last_path)) = listing.segments.last() else {
+        return Err(Error::state(format!(
+            "{} holds no evolution store (no log segments)",
+            dir.display()
+        )));
+    };
+    // Torn rotation: a crash between creating the new segment file and its
+    // 16-byte header reaching disk leaves a short final segment. It holds
+    // no acknowledged record, so the walk ends on the previous segment —
+    // unless it is the *only* file, in which case nothing acknowledged
+    // ever existed and the store is unusable.
+    let len = fs::metadata(last_path)
+        .map_err(|e| Error::io(last_path, e))?
+        .len();
+    let mut headerless = None;
+    if len < 16 {
+        if listing.segments.len() == 1 {
+            return Err(Error::corrupt(format!(
+                "{} holds only a headerless segment (crash during creation)",
+                dir.display()
+            )));
+        }
+        headerless = listing.segments.pop().map(|(_, path)| (path, len));
+    }
+    let (found, snapshots_skipped) = listing.anchor(bound)?;
+    let anchor = found.map(|(idx, state)| (listing.snapshots[idx].0, state));
+    let from = match (&anchor, bound) {
+        (Some((seq, _)), _) => *seq,
+        (None, None) => 0,
+        (None, Some(generation)) => return Err(horizon_error(generation)),
+    };
+    let tail = walk_log(&listing.segments, from, bound)?;
+    Ok(StoreRead {
+        listing,
+        anchor,
+        snapshots_skipped,
+        headerless,
+        tail,
+    })
+}
+
 impl EvolutionStore {
     /// Creates a fresh store in `dir` (created if absent; must not already
     /// contain store files). The caller is expected to immediately write a
@@ -194,7 +533,7 @@ impl EvolutionStore {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| Error::io(&dir, e))?;
         let lock = DirLock::acquire(&dir)?;
-        if !Self::store_files(&dir)?.is_empty() {
+        if !Listing::read(&dir)?.is_empty() {
             return Err(Error::state(format!(
                 "{} already contains an evolution store — use open",
                 dir.display()
@@ -229,155 +568,15 @@ impl EvolutionStore {
     ///
     /// I/O failures while listing the directory.
     pub fn exists(dir: &Path) -> Result<bool> {
-        if !dir.is_dir() {
-            return Ok(false);
-        }
-        Ok(!Self::store_files(dir)?.is_empty())
-    }
-
-    fn store_files(dir: &Path) -> Result<Vec<PathBuf>> {
-        let mut out = Vec::new();
-        if !dir.is_dir() {
-            return Ok(out);
-        }
-        for entry in fs::read_dir(dir).map_err(|e| Error::io(dir, e))? {
-            let entry = entry.map_err(|e| Error::io(dir, e))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(".evl") || name.ends_with(".evs") || name.ends_with(".evd") {
-                out.push(entry.path());
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Deletes the `snap-<seq>.tmp` files a crashed snapshot write left
-    /// behind: each can hold a whole snapshot, and no reader ever looks at
-    /// one. Only regular files go; the caller must hold the directory
-    /// lock, so no writer of this store can still own one.
-    fn remove_leftover_temps(dir: &Path) -> Result<()> {
-        for entry in fs::read_dir(dir).map_err(|e| Error::io(dir, e))? {
-            let entry = entry.map_err(|e| Error::io(dir, e))?;
-            let name = entry.file_name();
-            let is_temp = parse_numbered(&name.to_string_lossy(), "snap-", ".tmp").is_some();
-            if is_temp && entry.file_type().is_ok_and(|t| t.is_file()) {
-                let path = entry.path();
-                fs::remove_file(&path).map_err(|e| Error::io(&path, e))?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The segment files in start-sequence order.
-    fn segment_paths(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
-        let mut out = Vec::new();
-        for path in Self::store_files(dir)? {
-            let name = path
-                .file_name()
-                .unwrap_or_default()
-                .to_string_lossy()
-                .to_string();
-            if let Some(seq) = parse_numbered(&name, "seg-", ".evl") {
-                out.push((seq, path));
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// The snapshot files (full and delta) in sequence order; at equal
-    /// sequence numbers a full image sorts before a delta, so backward
-    /// scans prefer the self-contained file.
-    fn snapshot_files(dir: &Path) -> Result<Vec<(u64, SnapshotKind, PathBuf)>> {
-        let mut out = Vec::new();
-        for path in Self::store_files(dir)? {
-            let name = path
-                .file_name()
-                .unwrap_or_default()
-                .to_string_lossy()
-                .to_string();
-            if let Some(seq) = parse_numbered(&name, "snap-", ".evs") {
-                out.push((seq, SnapshotKind::Full, path));
-            } else if let Some(seq) = parse_numbered(&name, "snap-", ".evd") {
-                out.push((seq, SnapshotKind::Delta, path));
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Loads the full state a snapshot entry describes, resolving delta
-    /// chains recursively: a delta's base is looked up by sequence number
-    /// (full image preferred), loaded, and overlaid. Any failure anywhere
-    /// in the chain fails the whole candidate — the caller then falls
-    /// back to an older entry, exactly as with a damaged full snapshot.
-    fn load_snapshot_entry(
-        entries: &[(u64, SnapshotKind, PathBuf)],
-        idx: usize,
-        depth: usize,
-    ) -> Result<EngineSnapshot> {
-        if depth > MAX_DELTA_CHAIN {
-            return Err(Error::corrupt(format!(
-                "delta-snapshot chain deeper than {MAX_DELTA_CHAIN} (cyclic base_seq?)"
-            )));
-        }
-        // Replay resumes at the sequence number in the file name, so a
-        // header naming another point (a copied or renamed file, a flipped
-        // header word outside the payload checksum) is damage.
-        let (seq, kind, path) = &entries[idx];
-        let check_seq = |header_seq: u64| {
-            if header_seq == *seq {
-                Ok(())
-            } else {
-                Err(Error::corrupt(format!(
-                    "{} header seq {header_seq} disagrees with its name",
-                    path.display()
-                )))
-            }
-        };
-        match kind {
-            SnapshotKind::Full => {
-                let parsed = read_snapshot_file(path)?;
-                check_seq(parsed.seq)?;
-                Ok(parsed.snapshot)
-            }
-            SnapshotKind::Delta => {
-                let parsed = read_delta_file(path)?;
-                check_seq(parsed.seq)?;
-                let base_seq = parsed.delta.base_seq;
-                if base_seq > *seq {
-                    return Err(Error::corrupt(format!(
-                        "{}: delta base_seq {base_seq} is newer than the delta itself",
-                        path.display()
-                    )));
-                }
-                // Prefer a full image at the base sequence; never resolve
-                // a delta to itself (base_seq == seq only matches a full).
-                let base_idx = entries
-                    .iter()
-                    .position(|(s, k, _)| *s == base_seq && *k == SnapshotKind::Full)
-                    .or_else(|| {
-                        entries.iter().position(|(s, k, _)| {
-                            *s == base_seq && *k == SnapshotKind::Delta && base_seq < *seq
-                        })
-                    })
-                    .ok_or_else(|| {
-                        Error::corrupt(format!(
-                            "{}: delta base snapshot at seq {base_seq} is missing",
-                            path.display()
-                        ))
-                    })?;
-                let base = Self::load_snapshot_entry(entries, base_idx, depth + 1)?;
-                Ok(parsed.delta.apply_to(&base))
-            }
-        }
+        Ok(dir.is_dir() && !Listing::read(dir)?.is_empty())
     }
 
     /// Opens an existing store: picks the newest intact snapshot, reads the
     /// log records after it, truncates a torn tail on the active segment,
     /// and returns both the store (positioned for appends) and the replay
-    /// plan.
+    /// plan. Under the directory lock it also deletes what a crash left
+    /// behind: a headerless final segment and `snap-<seq>.tmp` files, each
+    /// of which can hold a whole snapshot no reader ever looks at.
     ///
     /// # Errors
     ///
@@ -390,152 +589,49 @@ impl EvolutionStore {
         let _span = eve_trace::span("store.recovery");
         let dir = dir.into();
         let lock = DirLock::acquire(&dir)?;
-        let mut segments = Self::segment_paths(&dir)?;
-        let Some((_, last_path)) = segments.last() else {
-            return Err(Error::state(format!(
-                "{} holds no evolution store (no log segments)",
-                dir.display()
-            )));
-        };
-
-        // Torn rotation: a crash between creating the new segment file and
-        // its 16-byte header reaching disk leaves a short final segment. It
-        // holds no acknowledged record, so drop it and continue on the
-        // previous segment — unless it is the *only* file, in which case
-        // nothing acknowledged ever existed and the store is unusable.
-        let mut torn_bytes = 0u64;
-        let len = std::fs::metadata(last_path)
-            .map_err(|e| Error::io(last_path, e))?
-            .len();
-        if len < 16 {
-            if segments.len() == 1 {
-                return Err(Error::corrupt(format!(
-                    "{} holds only a headerless segment (crash during creation)",
-                    dir.display()
-                )));
-            }
-            fs::remove_file(last_path).map_err(|e| Error::io(last_path, e))?;
-            segments.pop();
+        let read = read_store(&dir, None)?;
+        let tail = read.tail;
+        let mut torn_bytes = tail.torn_bytes;
+        if let Some((path, len)) = &read.headerless {
+            fs::remove_file(path).map_err(|e| Error::io(path, e))?;
             sync_dir(&dir)?;
             torn_bytes += len;
         }
-        Self::remove_leftover_temps(&dir)?;
-
-        // Newest intact snapshot wins; damaged ones — including deltas
-        // whose base chain cannot be resolved — are skipped (recovery then
-        // replays more log). A retired search policy is no damage: falling
-        // back would replay its log under another policy.
-        let entries = Self::snapshot_files(&dir)?;
-        let mut snapshot: Option<(u64, EngineSnapshot)> = None;
-        let mut snapshots_skipped = 0usize;
-        for idx in (0..entries.len()).rev() {
-            match Self::load_snapshot_entry(&entries, idx, 0) {
-                Ok(state) => {
-                    snapshot = Some((entries[idx].0, state));
-                    break;
-                }
-                Err(retired @ Error::RetiredPolicy { .. }) => return Err(retired),
-                Err(_) => snapshots_skipped += 1,
-            }
+        for path in &read.listing.temps {
+            fs::remove_file(path).map_err(|e| Error::io(path, e))?;
         }
-        let replay_from = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-
-        // One pass in segment order: validate ordering/continuity and
-        // collect the replay tail. Segment boundaries align with snapshots
-        // (rotation happens on checkpoint), so a non-final segment whose
-        // successor starts at or before the replay point holds only
-        // pre-snapshot records and only gets its header checked; every
-        // other segment is read, CRC-verified and decoded in full.
-        let last_idx = segments.len() - 1;
-        let mut tail: Vec<SealedRecord> = Vec::new();
-        let mut next_seq = replay_from;
-        let mut torn_records = 0u64;
-        let mut active_valid_len = 16u64;
-        for (idx, (start_seq, path)) in segments.iter().enumerate() {
-            let is_last = idx == last_idx;
-            if !is_last && segments[idx + 1].0 <= replay_from {
-                let header_seq = crate::log::read_segment_header(path)?;
-                if header_seq != *start_seq {
-                    return Err(Error::corrupt(format!(
-                        "{} header start_seq {header_seq} disagrees with its name",
-                        path.display()
-                    )));
-                }
-                next_seq = segments[idx + 1].0;
-                continue;
-            }
-            let contents = read_segment(path)?;
-            if contents.start_seq != *start_seq {
-                return Err(Error::corrupt(format!(
-                    "{} header start_seq {} disagrees with its name",
-                    path.display(),
-                    contents.start_seq
-                )));
-            }
-            if contents.torn_bytes > 0 {
-                if !is_last {
-                    return Err(Error::corrupt(format!(
-                        "torn frame in non-final segment {}",
-                        path.display()
-                    )));
-                }
-                torn_bytes += contents.torn_bytes;
-                torn_records = 1;
-            }
-            let seg_end = start_seq + contents.records.len() as u64;
-            if idx + 1 < segments.len() {
-                let expected_next = segments[idx + 1].0;
-                if seg_end != expected_next {
-                    return Err(Error::corrupt(format!(
-                        "{} holds records up to {seg_end} but the next segment starts at {expected_next}",
-                        path.display()
-                    )));
-                }
-            }
-            if is_last {
-                active_valid_len = contents.valid_len;
-            }
-            // Collect the records at/after the replay point.
-            if seg_end > replay_from {
-                let skip = replay_from.saturating_sub(*start_seq) as usize;
-                tail.extend(contents.records.into_iter().skip(skip));
-            }
-            next_seq = seg_end;
-        }
-
         // Truncate the torn tail so appends continue on a frame boundary.
-        let (_, active_path) = segments[last_idx].clone();
+        let torn_records = u64::from(tail.torn_bytes > 0);
         if torn_records > 0 {
-            truncate_segment(&active_path, active_valid_len)?;
+            truncate_segment(&tail.last, tail.valid_len)?;
         }
-
         let active = OpenOptions::new()
             .append(true)
-            .open(&active_path)
-            .map_err(|e| Error::io(&active_path, e))?;
+            .open(&tail.last)
+            .map_err(|e| Error::io(&tail.last, e))?;
 
-        mirrors().records_replayed.add(tail.len() as u64);
-        let stats = StoreStats {
-            records_replayed: tail.len() as u64,
-            torn_bytes_truncated: torn_bytes,
-            torn_records_truncated: torn_records,
-            ..StoreStats::default()
-        };
+        let replayed = tail.records.len() as u64;
+        mirrors().records_replayed.add(replayed);
         let store = EvolutionStore {
             dir,
             active,
-            active_path,
-            active_len: active_valid_len,
-            next_seq,
-            stats,
+            active_path: tail.last,
+            active_len: tail.valid_len,
+            next_seq: tail.next_seq,
+            stats: StoreStats {
+                records_replayed: replayed,
+                torn_bytes_truncated: torn_bytes,
+                torn_records_truncated: torn_records,
+                ..StoreStats::default()
+            },
             _lock: lock,
         };
         let recovered = RecoveredLog {
-            snapshot,
-            tail,
-            next_seq,
+            snapshot: read.anchor,
+            tail: tail.records,
+            next_seq: tail.next_seq,
             torn_bytes,
-            snapshots_skipped,
+            snapshots_skipped: read.snapshots_skipped,
         };
         Ok((store, recovered))
     }
@@ -658,16 +754,10 @@ impl EvolutionStore {
     ///
     /// I/O failures.
     pub fn write_snapshot(&mut self, snapshot: &EngineSnapshot) -> Result<u64> {
-        let _span = eve_trace::span("store.snapshot");
         let seq = self.next_seq;
-        let written = write_snapshot_file(&snap_path(&self.dir, seq), seq, snapshot)?;
-        self.stats.snapshots_written += 1;
-        self.stats.snapshot_bytes_written += written;
-        let m = mirrors();
-        m.snapshots_written.inc();
-        m.snapshot_bytes_written.add(written);
-        self.rotate_after_snapshot(seq)?;
-        Ok(seq)
+        self.put_snapshot(SnapshotKind::Full, seq, |path| {
+            write_snapshot_file(path, seq, snapshot)
+        })
     }
 
     /// Writes an **incremental** snapshot at the current sequence number:
@@ -689,15 +779,37 @@ impl EvolutionStore {
                 delta.base_seq
             )));
         }
-        let _span = eve_trace::span("store.snapshot_delta");
-        let written = write_delta_file(&delta_path(&self.dir, seq), seq, delta)?;
+        self.put_snapshot(SnapshotKind::Delta, seq, |path| {
+            write_delta_file(path, seq, delta)
+        })
+    }
+
+    /// Writes one snapshot file at `seq` through `write` (which returns
+    /// the bytes written) and counts it, in the handle's [`StoreStats`]
+    /// and the registry's `store.` counters alike. A snapshot at the log's
+    /// head then rotates the active segment; compaction materialises an
+    /// older anchor, which must not.
+    fn put_snapshot(
+        &mut self,
+        kind: SnapshotKind,
+        seq: u64,
+        write: impl FnOnce(&Path) -> Result<u64>,
+    ) -> Result<u64> {
+        let (span, path) = match kind {
+            SnapshotKind::Full => ("store.snapshot", snap_path(&self.dir, seq)),
+            SnapshotKind::Delta => ("store.snapshot_delta", delta_path(&self.dir, seq)),
+        };
+        let _span = eve_trace::span(span);
+        let written = write(&path)?;
         self.stats.snapshots_written += 1;
-        self.stats.delta_snapshots_written += 1;
+        self.stats.delta_snapshots_written += u64::from(kind == SnapshotKind::Delta);
         self.stats.snapshot_bytes_written += written;
         let m = mirrors();
         m.snapshots_written.inc();
         m.snapshot_bytes_written.add(written);
-        self.rotate_after_snapshot(seq)?;
+        if seq == self.next_seq {
+            self.rotate_after_snapshot(seq)?;
+        }
         Ok(seq)
     }
 
@@ -744,21 +856,18 @@ impl EvolutionStore {
     ///
     /// I/O failures while listing.
     pub fn snapshot_index(&self) -> Result<Vec<SnapshotMeta>> {
-        let mut out = Vec::new();
-        for (seq, kind, path) in Self::snapshot_files(&self.dir)? {
-            let generation = match kind {
-                SnapshotKind::Full => read_snapshot_header(&path).map(|(_, g)| g),
-                SnapshotKind::Delta => read_delta_header(&path).map(|(_, g, _)| g),
-            };
-            if let Ok(generation) = generation {
-                out.push(SnapshotMeta {
+        Ok(Listing::read(&self.dir)?
+            .snapshots
+            .into_iter()
+            .filter_map(|(seq, kind, path)| {
+                let generation = header_generation(kind, &path).ok()?;
+                Some(SnapshotMeta {
                     seq,
                     generation,
                     kind,
-                });
-            }
-        }
-        Ok(out)
+                })
+            })
+            .collect())
     }
 
     /// Number of log segment files currently on disk.
@@ -767,83 +876,35 @@ impl EvolutionStore {
     ///
     /// I/O failures while listing.
     pub fn segment_count(&self) -> Result<usize> {
-        Ok(Self::segment_paths(&self.dir)?.len())
+        Ok(Listing::read(&self.dir)?.segments.len())
     }
 
     /// Plans a time-travel read against a store *directory*: the newest
     /// intact snapshot at or before `generation`, plus every subsequent
     /// record whose post-generation is `<= generation`. The caller replays
-    /// the records on the snapshot. Read-only — no lock, no truncation, no
-    /// mutation — so a historical read runs while a live store handle
-    /// holds the directory lock. A torn tail on the final segment is
-    /// simply ignored (its record was never acknowledged).
+    /// the records on the snapshot. It reads through the same reader as
+    /// [`EvolutionStore::open`] and so refuses what recovery refuses —
+    /// a torn frame in a non-final segment it needs, a segment header that
+    /// disagrees with its name, a gap between segments — but it is
+    /// read-only: no lock, no truncation, no deletion, so a historical
+    /// read runs while a live store handle holds the directory lock. A
+    /// torn tail on the final segment is ignored (its record was never
+    /// acknowledged), and so is a headerless final segment (a rotation
+    /// torn by a crash, or one in flight).
     ///
     /// # Errors
     ///
     /// [`Error::State`] when `generation` precedes the retained horizon
     /// (i.e. history before the oldest snapshot was compacted away);
-    /// [`Error::RetiredPolicy`] as for [`EvolutionStore::open`].
+    /// [`Error::Corrupt`] and [`Error::RetiredPolicy`] as for
+    /// [`EvolutionStore::open`].
     pub fn plan_travel_in(
         dir: &Path,
         generation: u64,
     ) -> Result<(EngineSnapshot, Vec<SealedRecord>)> {
-        // Newest intact snapshot with generation <= target. The header
-        // pre-filter skips too-new snapshots without reading their state
-        // images; candidates that pass it are fully validated (delta
-        // candidates through their whole base chain).
-        let entries = Self::snapshot_files(dir)?;
-        let mut base: Option<(u64, EngineSnapshot)> = None;
-        for idx in (0..entries.len()).rev() {
-            let (seq, kind, path) = &entries[idx];
-            let header_generation = match kind {
-                SnapshotKind::Full => read_snapshot_header(path).map(|(_, g)| g),
-                SnapshotKind::Delta => read_delta_header(path).map(|(_, g, _)| g),
-            };
-            if !matches!(header_generation, Ok(g) if g <= generation) {
-                continue;
-            }
-            match Self::load_snapshot_entry(&entries, idx, 0) {
-                Ok(state) => {
-                    base = Some((*seq, state));
-                    break;
-                }
-                Err(retired @ Error::RetiredPolicy { .. }) => return Err(retired),
-                Err(_) => {}
-            }
-        }
-        let Some((base_seq, snapshot)) = base else {
-            return Err(Error::state(format!(
-                "generation {generation} precedes the retained horizon — no snapshot at or \
-                 before it exists (history may have been compacted)"
-            )));
-        };
-
-        // Segments wholly before the base snapshot never replay: rotation
-        // aligns boundaries with snapshots, so a segment whose successor
-        // starts at or before `base_seq` is skipped without decoding.
-        let segments = Self::segment_paths(dir)?;
-        let mut records = Vec::new();
-        for (idx, (start_seq, path)) in segments.iter().enumerate() {
-            if segments
-                .get(idx + 1)
-                .is_some_and(|(next, _)| *next <= base_seq)
-            {
-                continue;
-            }
-            let contents = read_segment(path)?;
-            let seg_end = start_seq + contents.records.len() as u64;
-            if seg_end <= base_seq {
-                continue;
-            }
-            let skip = base_seq.saturating_sub(*start_seq) as usize;
-            for sealed in contents.records.into_iter().skip(skip) {
-                if sealed.post_generation > generation {
-                    return Ok((snapshot, records));
-                }
-                records.push(sealed);
-            }
-        }
-        Ok((snapshot, records))
+        let read = read_store(dir, Some(generation))?;
+        let (_, snapshot) = read.anchor.ok_or_else(|| horizon_error(generation))?;
+        Ok((snapshot, read.tail.records))
     }
 
     /// Deletes segments and snapshots strictly older than the newest
@@ -851,65 +912,33 @@ impl EvolutionStore {
     /// travel before that snapshot's generation becomes impossible
     /// afterwards. Returns `(segments_deleted, snapshots_deleted)`.
     ///
-    /// The anchor is validated before anything is deleted: a damaged
-    /// newest snapshot is skipped (exactly as recovery skips it), so
-    /// compaction can never delete the only snapshot recovery could still
-    /// load.
+    /// The anchor is the one recovery would pick, found by the same
+    /// search: a damaged newest snapshot is skipped, so compaction can
+    /// never delete the only snapshot recovery could still load.
     ///
     /// # Errors
     ///
     /// I/O failures; [`Error::State`] when no intact snapshot exists
-    /// (nothing to anchor recovery).
+    /// (nothing to anchor recovery); [`Error::RetiredPolicy`] as for
+    /// [`EvolutionStore::open`].
     pub fn compact(&mut self) -> Result<(usize, usize)> {
-        let entries = Self::snapshot_files(&self.dir)?;
-        let anchor = (0..entries.len()).rev().find_map(|idx| {
-            Self::load_snapshot_entry(&entries, idx, 0)
-                .ok()
-                .map(|state| (idx, state))
-        });
-        let Some((anchor_idx, anchor_state)) = anchor else {
+        let listing = Listing::read(&self.dir)?;
+        let (Some((anchor_idx, anchor_state)), _) = listing.anchor(None)? else {
             return Err(Error::state(
                 "cannot compact a store without an intact snapshot".to_owned(),
             ));
         };
-        let (anchor_seq, anchor_kind, _) = entries[anchor_idx];
-
+        let (anchor_seq, anchor_kind, _) = listing.snapshots[anchor_idx];
         // A delta anchor depends on its base chain, which is about to be
         // deleted — materialize the chain-resolved state as a full image
         // at the anchor's sequence number first. Only then is everything
         // older (including the delta chain itself) safe to drop.
         if anchor_kind == SnapshotKind::Delta {
-            let written =
-                write_snapshot_file(&snap_path(&self.dir, anchor_seq), anchor_seq, &anchor_state)?;
-            self.stats.snapshots_written += 1;
-            self.stats.snapshot_bytes_written += written;
+            self.put_snapshot(SnapshotKind::Full, anchor_seq, |path| {
+                write_snapshot_file(path, anchor_seq, &anchor_state)
+            })?;
         }
-
-        let mut segments_deleted = 0usize;
-        for (start_seq, path) in Self::segment_paths(&self.dir)? {
-            // Rotation aligns segment boundaries with snapshot points, so a
-            // segment starting before the anchor holds only pre-anchor
-            // records — except the active segment, which is never deleted.
-            if start_seq < anchor_seq && path != self.active_path {
-                fs::remove_file(&path).map_err(|e| Error::io(&path, e))?;
-                segments_deleted += 1;
-            }
-        }
-        let mut snapshots_deleted = 0usize;
-        for (seq, kind, path) in entries {
-            // Deltas at the anchor sequence are superseded by the full
-            // image that now exists there (materialized above, or already
-            // present and intact).
-            let superseded = seq == anchor_seq && kind == SnapshotKind::Delta;
-            if seq < anchor_seq || superseded {
-                fs::remove_file(&path).map_err(|e| Error::io(&path, e))?;
-                snapshots_deleted += 1;
-            }
-        }
-        if segments_deleted + snapshots_deleted > 0 {
-            sync_dir(&self.dir)?;
-        }
-        Ok((segments_deleted, snapshots_deleted))
+        listing.remove_before(&self.dir, anchor_seq, &self.active_path)
     }
 }
 

@@ -43,7 +43,7 @@ use std::path::{Path, PathBuf};
 use eve_misd::{Mkb, SiteId};
 use eve_store::{
     DeltaSnapshot, EngineConfig, EngineSnapshot, EvolutionStore, GroupCommitLog, GroupCommitPolicy,
-    LogRecord, RecoveredLog, SiteSnapshot, SnapshotManifest, SnapshotMeta, StoreStats,
+    LogRecord, SealedRecord, SiteSnapshot, SnapshotManifest, SnapshotMeta, StoreStats,
     ViewSnapshot,
 };
 use eve_sync::EvolutionOp;
@@ -119,6 +119,21 @@ pub struct DurableEngine {
 /// depth cap when resolving chains).
 const FULL_SNAPSHOT_EVERY: u64 = 8;
 
+/// Rebuilds an engine from a snapshot (an empty engine without one),
+/// dropping the image before it replays `records` through
+/// [`EveEngine::apply`], the function they first went through: recovery
+/// and time travel alike.
+fn replay(snapshot: Option<EngineSnapshot>, records: Vec<SealedRecord>) -> Result<EveEngine> {
+    let mut engine = match snapshot {
+        Some(snapshot) => EveEngine::from_snapshot_state(&snapshot)?,
+        None => EveEngine::new(),
+    };
+    for sealed in records {
+        engine.apply(sealed.record)?;
+    }
+    Ok(engine)
+}
+
 impl DurableEngine {
     /// Creates a fresh store at `dir` around a new, empty engine.
     ///
@@ -165,32 +180,19 @@ impl DurableEngine {
     pub fn open(dir: impl Into<PathBuf>) -> Result<(DurableEngine, RecoveryReport)> {
         let dir = dir.into();
         let (store, recovered) = EvolutionStore::open(&dir)?;
-        let RecoveredLog {
-            snapshot,
-            tail,
-            torn_bytes,
-            snapshots_skipped,
-            ..
-        } = recovered;
-        let (snapshot_seq, snapshot_generation, last_snapshot, mut engine) = match snapshot {
-            Some((seq, snap)) => {
-                let generation = snap.generation();
-                let engine = EveEngine::from_snapshot_state(&snap)?;
-                let manifest = SnapshotManifest::of(&snap);
-                (Some(seq), Some(generation), Some((seq, manifest)), engine)
-            }
-            None => (None, None, None, EveEngine::new()),
-        };
-        let replayed_records = tail.len() as u64;
-        for sealed in tail {
-            engine.apply(sealed.record)?;
-        }
+        let snapshot = recovered.snapshot;
+        let last_snapshot = snapshot
+            .as_ref()
+            .map(|(seq, snap)| (*seq, SnapshotManifest::of(snap)));
+        let snapshot_generation = snapshot.as_ref().map(|(_, snap)| snap.generation());
+        let replayed_records = recovered.tail.len() as u64;
+        let engine = replay(snapshot.map(|(_, snap)| snap), recovered.tail)?;
         let report = RecoveryReport {
-            snapshot_seq,
+            snapshot_seq: last_snapshot.as_ref().map(|(seq, _)| *seq),
             snapshot_generation,
             replayed_records,
-            torn_bytes_truncated: torn_bytes,
-            snapshots_skipped,
+            torn_bytes_truncated: recovered.torn_bytes,
+            snapshots_skipped: recovered.snapshots_skipped,
             generation: engine.mkb().generation(),
         };
         Ok((
@@ -223,11 +225,7 @@ impl DurableEngine {
     /// horizon, or replay failures.
     pub fn open_at(dir: impl AsRef<Path>, generation: u64) -> Result<EveEngine> {
         let (snapshot, records) = EvolutionStore::plan_travel_in(dir.as_ref(), generation)?;
-        let mut engine = EveEngine::from_snapshot_state(&snapshot)?;
-        for sealed in records {
-            engine.apply(sealed.record)?;
-        }
-        Ok(engine)
+        replay(Some(snapshot), records)
     }
 
     /// The wrapped engine (read access).

@@ -633,6 +633,124 @@ fn a_snapshot_copied_to_a_later_seq_is_refused() {
     }
 }
 
+fn segment(dir: &Path, start_seq: u64) -> PathBuf {
+    dir.join(format!("seg-{start_seq:020}.evl"))
+}
+
+fn flip_byte(path: &Path, offset: usize, mask: u8) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[offset] ^= mask;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// A damaged segment that recovery passes over (it lies wholly before the
+/// anchor) is damage to time travel as soon as a bound needs its records:
+/// `open_at` refuses instead of returning the records before the damage.
+/// A bound anchored past it still reads the exact committed prefix.
+#[test]
+fn time_travel_refuses_a_damaged_segment_it_needs() {
+    let dir = scratch_dir("damaged-seg0");
+    // Ten batches; the checkpoint after the eighth writes `snap-8` and
+    // rotates, so `seg-0` holds records 0..8 and `seg-8` the last two.
+    let (states, generations) = run_durable(&dir, 3, 40, 4, 77, Some(7));
+    let seg0 = segment(&dir, 0);
+    let len = std::fs::metadata(&seg0).unwrap().len();
+    flip_byte(&seg0, usize::try_from(len / 3).unwrap(), 0x01);
+
+    let (recovered, _) = DurableEngine::open(&dir).unwrap();
+    assert!(fingerprint(recovered.engine()) == *states.last().unwrap());
+    drop(recovered);
+    let mut refused = 0;
+    for &target in &generations {
+        let travel = EvolutionStore::plan_travel_in(&dir, target);
+        if target < generations[8] {
+            assert!(
+                matches!(travel, Err(eve::store::Error::Corrupt { .. })),
+                "open_at({target}) anchors on snap-0 and needs the damaged seg-0"
+            );
+            assert!(DurableEngine::open_at(&dir, target).is_err());
+            refused += 1;
+        } else {
+            let expected = generations.iter().rposition(|&g| g <= target).unwrap();
+            let travelled = DurableEngine::open_at(&dir, target).unwrap();
+            assert!(
+                fingerprint(&travelled) == states[expected],
+                "open_at({target}) must match the committed prefix through record {expected}"
+            );
+        }
+    }
+    assert!(refused > 0 && refused < generations.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A rotation torn by a crash leaves a final segment shorter than its
+/// header. Recovery drops it; time travel reads past it without touching
+/// the directory.
+#[test]
+fn time_travel_tolerates_a_torn_rotation_read_only() {
+    let dir = scratch_dir("torn-rotation");
+    // The checkpoint after the last batch rotates to an empty `seg-10`.
+    let (states, generations) = run_durable(&dir, 3, 40, 4, 77, Some(9));
+    let seg10 = segment(&dir, 10);
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&seg10)
+        .unwrap();
+    file.set_len(7).unwrap();
+    drop(file);
+
+    for &target in &generations {
+        let expected = generations.iter().rposition(|&g| g <= target).unwrap();
+        let travelled = DurableEngine::open_at(&dir, target).unwrap();
+        assert!(
+            fingerprint(&travelled) == states[expected],
+            "open_at({target}) must match the committed prefix through record {expected}"
+        );
+    }
+    assert_eq!(std::fs::metadata(&seg10).unwrap().len(), 7, "left in place");
+    let (recovered, report) = DurableEngine::open(&dir).unwrap();
+    assert!(fingerprint(recovered.engine()) == *states.last().unwrap());
+    assert_eq!(report.torn_bytes_truncated, 7);
+    assert!(!seg10.exists(), "recovery deletes it under the lock");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A segment whose header names another start sequence than its file
+/// name is refused by time travel with recovery's own error, whenever the
+/// walk reaches it.
+#[test]
+fn time_travel_refuses_a_segment_header_that_disagrees_with_its_name() {
+    let dir = scratch_dir("seg-header");
+    let (states, generations) = run_durable(&dir, 3, 40, 4, 77, Some(7));
+    // Bit 0 of the little-endian `start_seq` after the 8-byte magic.
+    flip_byte(&segment(&dir, 8), 8, 0x01);
+
+    let refused = DurableEngine::open(&dir).unwrap_err().to_string();
+    assert!(
+        refused.contains("header start_seq 9 disagrees with its name"),
+        "{refused}"
+    );
+    for &target in &generations {
+        match DurableEngine::open_at(&dir, target) {
+            Ok(travelled) => {
+                let expected = generations.iter().rposition(|&g| g <= target).unwrap();
+                assert!(
+                    fingerprint(&travelled) == states[expected],
+                    "open_at({target})"
+                );
+                assert!(target < generations[8], "open_at({target}) must read seg-8");
+            }
+            Err(e) => assert_eq!(e.to_string(), refused, "open_at({target})"),
+        }
+    }
+    for target in [generations[8], *generations.last().unwrap()] {
+        let err = DurableEngine::open_at(&dir, target).unwrap_err();
+        assert_eq!(err.to_string(), refused, "open_at({target})");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The tier-1 crash-recovery smoke CI runs by name: write ops, kill the
 /// engine, corrupt the tail, recover, diff — end to end in one test.
 #[test]
