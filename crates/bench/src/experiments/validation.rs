@@ -13,7 +13,8 @@
 use eve_qc::cost::{cf_io, cf_messages, cf_transfer};
 use eve_qc::{IoBound, MaintenancePlan, QcParams};
 use eve_relational::tup;
-use eve_system::maintainer::{maintain_view, recompute_view, DataUpdate};
+use eve_system::maintainer::{maintain_view, recompute_view};
+use eve_system::DataUpdate;
 
 use crate::generator::{generate_containment_chain, AttrSpec, RelationSpec};
 use crate::scenario::{build_uniform_space, UniformSpaceSpec};

@@ -18,12 +18,16 @@
 //!   [`eve_system::Shell`] over its own [`eve_system::DurableEngine`],
 //!   plus a QC budget ([`warehouse::TenantBudget`]) and an admission
 //!   policy that rejects or queues mutations once the budget is spent.
-//!   Statements and `Apply` batches both reach `Shell::apply`, where the
-//!   budget is metered.
+//!   A statement is parsed to an [`eve_system::Command`] before any lock
+//!   is taken, an `Apply` batch is wrapped as one, and both run through
+//!   `Shell::run`, whose candidate count and the engine's I/O are what
+//!   the budget meters. Read-only statements are not gated.
 //! - [`server`] — session management and the worker topology: one router
 //!   thread assigns sessions and dispatches deterministically, mutations
 //!   for a tenant always land on the same shard worker (per-tenant
 //!   serialized writes), and reads fan out to a concurrent read pool.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod protocol;
 pub mod server;

@@ -88,7 +88,15 @@ pub struct Server {
 
 impl Server {
     /// Starts the router, shard workers and read pool over `warehouse`.
+    ///
+    /// # Panics
+    ///
+    /// When the operating system refuses a thread.
     #[must_use]
+    #[allow(
+        clippy::expect_used,
+        reason = "the signature returns no Result yet, so a refused thread spawn panics"
+    )]
     pub fn start(warehouse: Arc<Warehouse>, config: ServerConfig) -> Server {
         let shards = config.shards.max(1);
         let readers = config.readers.max(1);
@@ -218,7 +226,8 @@ fn tenant_shard(name: &str, shards: usize) -> usize {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    usize::try_from(h % shards.max(1) as u64).expect("shard index fits usize")
+    // The remainder is below `shards`, so it fits a usize.
+    (h % shards.max(1) as u64) as usize
 }
 
 fn send_response(reply: &Sender<Vec<u8>>, resp: &Response) {

@@ -3,24 +3,27 @@
 //! Each tenant owns a directory under the warehouse root holding its
 //! durable evolution store, wrapped in an [`eve_system::Shell`] so the
 //! wire protocol's statements execute exactly like interactive shell
-//! lines — and an `Apply` request enters at the same [`Shell::apply`] a
-//! statement's command does, so both kinds are interpreted and metered
-//! alike. Admission control sits in front of every mutation: a tenant
-//! has a QC budget — rewrite-search candidates and I/O blocks — and once
-//! the budget is spent its policy decides whether further mutations are
-//! rejected outright or parked in a bounded deferred queue that drains
-//! (in arrival order) on the next budget reset. Reads are never gated:
-//! budget exhaustion degrades a tenant to read-only, it does not black-
-//! hole it.
+//! lines. Both request kinds become one [`Command`] before any lock is
+//! taken — a statement through [`Shell::parse`], an `Apply` batch as
+//! [`Command::Apply`] — and take one path: admit, [`Shell::run`], charge.
+//! Admission meters what `run` reports: the rewrite-search candidates the
+//! command generated and the engine's I/O blocks. Once a tenant's budget
+//! is spent its policy decides whether further mutations are rejected
+//! outright or parked, parsed, in a bounded deferred queue that drains
+//! (in arrival order) on the next budget reset. A malformed statement is
+//! refused before admission. Reads are never gated: `Query` requests and
+//! read-only statements (`query`, `show`, `help`, `costs`, `stats`,
+//! `log-stats`, `travel`, blank and `#` lines) run ungated and are
+//! charged nothing, so budget exhaustion degrades a tenant to read-only,
+//! it does not black-hole it.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
 use eve_relational::ExecOptions;
-use eve_store::LogRecord;
 use eve_sync::EvolutionOp;
-use eve_system::{DurableEngine, Shell};
+use eve_system::{Command, DurableEngine, Shell};
 
 use crate::{Error, Result};
 
@@ -76,7 +79,8 @@ pub struct TenantStats {
     pub exec_parallelism: u64,
 }
 
-/// A mutation as admission control sees it.
+/// A request's mutation as it arrives, before it is parsed to a
+/// [`Command`].
 #[derive(Debug)]
 pub enum Mutation {
     /// One shell statement line.
@@ -98,7 +102,7 @@ pub enum Admitted {
 struct AdmissionState {
     candidates_used: u64,
     io_used: u64,
-    deferred: VecDeque<Mutation>,
+    deferred: VecDeque<Command>,
 }
 
 /// One tenant: a shell over a durable engine, plus admission state.
@@ -180,74 +184,61 @@ impl Tenant {
         None
     }
 
-    /// Runs one mutation through admission control: execute it when the
-    /// budget allows, otherwise reject or queue per the tenant's policy.
+    /// Runs one mutation through admission control. A statement is parsed
+    /// first, with no lock held: a malformed one is refused before
+    /// admission, and a read-only one (`query`, `show`, `help`, …) runs at
+    /// once, ungated and uncharged. Any other command executes when the
+    /// budget allows, otherwise is rejected or queued per the tenant's
+    /// policy.
     ///
     /// # Errors
     ///
-    /// [`Error::BudgetExceeded`] / [`Error::QueueFull`] from admission,
-    /// or any engine/store failure from execution.
+    /// A statement's parse error; [`Error::BudgetExceeded`] /
+    /// [`Error::QueueFull`] from admission; any engine/store failure from
+    /// execution.
     pub fn execute_mutation(&self, mutation: Mutation) -> Result<Admitted> {
-        {
+        let command = match mutation {
+            Mutation::Statement(line) => Shell::parse(&line)?,
+            Mutation::Apply(ops) => Command::Apply(ops),
+        };
+        if !command.is_read_only() {
             let mut st = lock(&self.state);
             if let Some(detail) = self.over_budget(&st) {
-                match self.policy {
-                    AdmissionPolicy::Reject => {
-                        return Err(Error::BudgetExceeded {
-                            tenant: self.name.clone(),
-                            detail,
-                        })
-                    }
-                    AdmissionPolicy::Queue => {
-                        if st.deferred.len() >= self.budget.max_queue {
-                            return Err(Error::QueueFull {
-                                tenant: self.name.clone(),
-                                capacity: self.budget.max_queue,
-                            });
-                        }
-                        let position = st.deferred.len();
-                        st.deferred.push_back(mutation);
-                        return Ok(Admitted::Queued(position));
-                    }
+                let tenant = self.name.clone();
+                if self.policy == AdmissionPolicy::Reject {
+                    return Err(Error::BudgetExceeded { tenant, detail });
                 }
+                let capacity = self.budget.max_queue;
+                if st.deferred.len() >= capacity {
+                    return Err(Error::QueueFull { tenant, capacity });
+                }
+                st.deferred.push_back(command);
+                return Ok(Admitted::Queued(st.deferred.len() - 1));
             }
         }
-        let output = self.run_now(mutation)?;
+        let output = self.run_now(command)?;
         Ok(Admitted::Executed(output))
     }
 
-    /// Executes a mutation immediately (admission already decided),
-    /// charging its candidate and I/O cost to the budget. Both kinds end
-    /// in [`Shell::apply`], whose candidate meter is read before and after
-    /// — so a `change` statement spends the budget exactly like the same
-    /// change sent as `Apply`.
-    fn run_now(&self, mutation: Mutation) -> Result<String> {
+    /// Runs a parsed command (admission already decided) and charges what
+    /// it cost: the candidates [`Shell::run`] reports and the engine's
+    /// measured I/O, at least one unit — its log append — so a stream of
+    /// tiny mutations cannot run forever on a finite budget. Statements and
+    /// `Apply` batches take this one path, so a `change` statement spends
+    /// the budget exactly like the same change sent as `Apply`. A
+    /// read-only command is charged nothing.
+    fn run_now(&self, command: Command) -> Result<String> {
+        let charged = !command.is_read_only();
         let mut shell = self.shell.write().unwrap_or_else(|e| e.into_inner());
         let io_before = shell.engine().total_io();
-        let candidates_before = shell.candidates_spent();
-        let output = match mutation {
-            Mutation::Statement(line) => shell.execute(&line)?,
-            Mutation::Apply(ops) => {
-                let outcome = shell.apply(LogRecord::Batch(ops))?;
-                format!(
-                    "applied batch: {} traces, {} reports, {} candidates",
-                    outcome.traces.len(),
-                    outcome.reports.len(),
-                    shell.candidates_spent() - candidates_before
-                )
-            }
-        };
-        let candidates = shell.candidates_spent() - candidates_before;
-        let io_after = shell.engine().total_io();
+        let (output, candidates) = shell.run(command)?;
+        let io = shell.engine().total_io().saturating_sub(io_before);
         drop(shell);
-        let mut st = lock(&self.state);
-        st.candidates_used = st.candidates_used.saturating_add(candidates);
-        // Every executed mutation costs at least one I/O unit — its log
-        // append — on top of the engine's measured block I/O, so a stream
-        // of tiny mutations cannot run forever on a finite budget.
-        st.io_used = st
-            .io_used
-            .saturating_add(io_after.saturating_sub(io_before).max(1));
+        if charged {
+            let mut st = lock(&self.state);
+            st.candidates_used = st.candidates_used.saturating_add(candidates);
+            st.io_used = st.io_used.saturating_add(io.max(1));
+        }
         Ok(output)
     }
 
@@ -261,30 +252,24 @@ impl Tenant {
     /// mutation is dropped — retrying it would fail identically — and
     /// everything behind it stays queued for the next reset.
     pub(crate) fn reset_budget(&self) -> Result<usize> {
-        let pending = {
+        let mut pending = {
             let mut st = lock(&self.state);
             st.candidates_used = 0;
             st.io_used = 0;
             std::mem::take(&mut st.deferred)
         };
-        let total = pending.len();
         let mut drained = 0usize;
-        let mut pending = pending;
-        while let Some(mutation) = pending.pop_front() {
-            match self.run_now(mutation) {
-                Ok(_) => drained += 1,
-                Err(e) => {
-                    // Put the unprocessed tail back (the failed mutation
-                    // is consumed — retrying it would fail identically).
-                    let mut st = lock(&self.state);
-                    while let Some(m) = pending.pop_back() {
-                        st.deferred.push_front(m);
-                    }
-                    drop(st);
-                    debug_assert!(drained <= total);
-                    return Err(e);
-                }
+        while let Some(command) = pending.pop_front() {
+            if let Err(e) = self.run_now(command) {
+                // Put the unprocessed tail back, ahead of anything queued
+                // since (the failed command is consumed — retrying it
+                // would fail identically).
+                let mut st = lock(&self.state);
+                pending.append(&mut st.deferred);
+                st.deferred = pending;
+                return Err(e);
             }
+            drained += 1;
         }
         Ok(drained)
     }
@@ -703,6 +688,88 @@ mod tests {
         assert_eq!(t.reset_budget().unwrap(), 1);
         assert_eq!(t.stats().queued, 0);
         assert!(hosts("S"));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn read_only_statements_are_neither_gated_nor_charged() {
+        let root = scratch("read-only");
+        let wh = Warehouse::open(&root).unwrap();
+        let budget = TenantBudget {
+            io: 1,
+            ..TenantBudget::default()
+        };
+        for policy in [AdmissionPolicy::Reject, AdmissionPolicy::Queue] {
+            let t = wh
+                .tenant_with(&format!("{policy:?}"), budget, policy)
+                .unwrap();
+            for line in [
+                "site 1 s1",
+                "relation R @1 (K:int)",
+                "insert R (1)",
+                "view CREATE VIEW V (VE = '~') AS SELECT R.K FROM R (RR = true)",
+            ] {
+                t.reset_budget().unwrap();
+                t.execute_mutation(Mutation::Statement(line.into()))
+                    .unwrap();
+            }
+            let spent = t.stats();
+            assert!(spent.io_used >= budget.io, "over budget: {spent:?}");
+            let generation = t.read().engine().mkb().generation();
+            for line in [
+                "help".to_owned(),
+                "query V".to_owned(),
+                "show views".to_owned(),
+                "show relations".to_owned(),
+                "costs".to_owned(),
+                "stats".to_owned(),
+                "log-stats".to_owned(),
+                format!("travel {generation} V"),
+                String::new(),
+                "# a note".to_owned(),
+            ] {
+                let admitted = t.execute_mutation(Mutation::Statement(line.clone()));
+                assert!(
+                    matches!(admitted, Ok(Admitted::Executed(_))),
+                    "{policy:?} `{line}`: {admitted:?}"
+                );
+            }
+            assert_eq!(t.stats(), spent, "{policy:?}: reads are charged nothing");
+            // A mutation is still gated.
+            let gated = t.execute_mutation(Mutation::Statement("update R insert (2)".into()));
+            assert!(
+                !matches!(gated, Ok(Admitted::Executed(_))),
+                "{policy:?}: {gated:?}"
+            );
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_malformed_statement_is_refused_before_admission() {
+        let root = scratch("malformed");
+        let wh = Warehouse::open(&root).unwrap();
+        let budget = TenantBudget {
+            io: 1,
+            ..TenantBudget::default()
+        };
+        let t = wh
+            .tenant_with("careful", budget, AdmissionPolicy::Queue)
+            .unwrap();
+        t.execute_mutation(Mutation::Statement("site 1 s1".into()))
+            .unwrap();
+        let spent = t.stats();
+        let err = t
+            .execute_mutation(Mutation::Statement("site one two".into()))
+            .unwrap_err();
+        assert!(err.to_string().contains("usage: site <id> <name>"), "{err}");
+        assert_eq!(t.stats(), spent, "nothing queued, nothing charged");
+        // The queue is still empty: the next mutation takes its head.
+        let next = t
+            .execute_mutation(Mutation::Statement("site 2 s2".into()))
+            .unwrap();
+        assert!(matches!(next, Admitted::Queued(0)), "{next:?}");
+        assert_eq!(t.reset_budget().unwrap(), 1);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -37,18 +37,17 @@ pub const MAX_FRAME: usize = 64 << 20;
 ///
 /// [`Error::Frame`] when the payload exceeds [`MAX_FRAME`].
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>> {
-    if payload.len() > MAX_FRAME {
-        return Err(Error::frame(format!(
-            "payload of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
-            payload.len()
-        )));
-    }
+    let len = match u32::try_from(payload.len()) {
+        Ok(len) if payload.len() <= MAX_FRAME => len,
+        _ => {
+            return Err(Error::frame(format!(
+                "payload of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+                payload.len()
+            )))
+        }
+    };
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("< MAX_FRAME")
-            .to_le_bytes(),
-    );
+    out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&crc64(payload).to_le_bytes());
     out.extend_from_slice(payload);
     Ok(out)
@@ -93,21 +92,21 @@ impl FrameReader {
     /// [`MAX_FRAME`] or the payload fails its CRC — both mean the stream
     /// is corrupt, not merely incomplete.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        let Some(len_bytes) = self.buf.get(..4) else {
+        let Some((len_bytes, rest)) = self.buf.split_first_chunk::<4>() else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(*len_bytes) as usize;
         if len > MAX_FRAME {
             return Err(Error::frame(format!(
                 "declared payload of {len} bytes exceeds the {MAX_FRAME}-byte frame cap"
             )));
         }
-        let Some(crc_bytes) = self.buf.get(4..FRAME_HEADER) else {
+        let Some((crc_bytes, rest)) = rest.split_first_chunk::<8>() else {
             return Ok(None);
         };
-        let crc = u64::from_le_bytes(crc_bytes.try_into().expect("8 bytes"));
+        let crc = u64::from_le_bytes(*crc_bytes);
         let end = FRAME_HEADER + len;
-        let Some(payload) = self.buf.get(FRAME_HEADER..end) else {
+        let Some(payload) = rest.get(..len) else {
             return Ok(None);
         };
         if crc64(payload) != crc {

@@ -3,6 +3,8 @@
 //! input — truncated frames, oversized declared lengths, CRC flips,
 //! arbitrary garbage — must surface as a typed error, never a panic.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use eve_server::protocol::{
@@ -10,8 +12,9 @@ use eve_server::protocol::{
     RequestBody, Response, ResponseBody,
 };
 use eve_server::wire::{encode_frame, FrameReader, FRAME_HEADER, MAX_FRAME};
-use eve_server::{Error, TenantStats};
+use eve_server::{Error, Server, ServerConfig, TenantStats, Warehouse};
 use eve_sync::EvolutionOp;
+use eve_system::Shell;
 
 fn cases(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES")
@@ -156,6 +159,132 @@ proptest! {
             let _ = decode_request(&bytes[..cut]);
         }
     }
+
+    /// Statement text cannot panic the shell's parser or the server. A
+    /// shell line with fragments spliced in (non-ASCII, unbalanced `(` and
+    /// `'`, stray `<=`/`>=`, out-of-range numbers) and possibly cut short,
+    /// and a line of fragments alone, each parse to `Ok` or `Err`. Sent as
+    /// a `Statement` to a tenant holding a relation and a view, each is
+    /// answered `Output` or `Err`, and the connection keeps serving.
+    #[test]
+    fn statement_text_never_panics_the_parser_or_the_server(
+        seed in prop::sample::select(SHELL_LINES.to_vec()),
+        edits in prop::collection::vec(
+            (0.0f64..1.0, prop::sample::select(FRAGMENTS.to_vec())), 0..6),
+        cut in 0.0f64..2.0,
+        noise in prop::collection::vec(prop::sample::select(FRAGMENTS.to_vec()), 0..12),
+    ) {
+        let root = std::env::temp_dir().join(format!(
+            "eve-wire-props-{}-{}",
+            std::process::id(),
+            NEXT_ROOT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        std::fs::remove_dir_all(&root).ok();
+        let server = Server::start(
+            Arc::new(Warehouse::open(&root).unwrap()),
+            ServerConfig { shards: 1, readers: 1 },
+        );
+        let mut client = server.connect().unwrap();
+        client.open_session("fuzz").unwrap();
+        for line in SETUP {
+            let answer = client.request(RequestBody::Statement { esql: line.into() });
+            prop_assert!(matches!(answer, Ok(ResponseBody::Output { .. })), "{line}: {answer:?}");
+        }
+        for line in [splice(seed, &edits, cut), noise.concat()] {
+            // Ok or Err, whatever the text: a panic fails the case.
+            let _ = Shell::parse(&line);
+            let answer = client.request(RequestBody::Statement { esql: line.clone() });
+            prop_assert!(
+                matches!(answer, Ok(ResponseBody::Output { .. } | ResponseBody::Err { .. })),
+                "`{line}`: {answer:?}"
+            );
+            let alive = client.request(RequestBody::Stats);
+            prop_assert!(matches!(alive, Ok(ResponseBody::Stats(_))), "after `{line}`: {alive:?}");
+        }
+        drop(client);
+        server.shutdown();
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
+
+static NEXT_ROOT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// The tenant every statement case starts from.
+const SETUP: [&str; 5] = [
+    "site 1 s1",
+    "relation R @1 (K:int, P:text)",
+    "relation M @1 (K:int, P:text)",
+    "insert R (1, 'a')",
+    "view CREATE VIEW V (VE = '~') AS SELECT X.K FROM R X (RR = true)",
+];
+
+/// Well-formed shell lines the statement case starts its mutations from.
+const SHELL_LINES: [&str; 16] = [
+    "site 2 tokyo",
+    "relation S @1 (K:int:8, P:text:16, F:float, B:bool) sel=0.5 bfr=4",
+    "insert R (2, 'b, c')",
+    "pc R (K, P) <= M (K, P)",
+    "pc R (K) >= M (K)",
+    "jc R.K = M.K",
+    "view CREATE VIEW W (VE = '~') AS SELECT X.K FROM R X (RR = true) WHERE X.K = 1",
+    "update R insert (3, 'd')",
+    "update R delete (1, 'a')",
+    "change rename-attribute R.P Q",
+    "change delete-relation M",
+    "index R K sorted",
+    "query V",
+    "show constraints",
+    "travel 1 V",
+    "# a comment",
+];
+
+/// Pieces spliced into shell lines: delimiters left unbalanced,
+/// constraint operators, non-ASCII and NUL, numbers out of range.
+const FRAGMENTS: [&str; 24] = [
+    "(",
+    ")",
+    "'",
+    "<=",
+    ">=",
+    "=",
+    ",",
+    ".",
+    ":",
+    "@",
+    " ",
+    "\t",
+    "é",
+    "∆",
+    "🦀",
+    "\u{0}",
+    "-1",
+    "18446744073709551616",
+    "1e309",
+    "NaN",
+    "sel=",
+    "insert",
+    "R",
+    "V",
+];
+
+/// `seed` with each `(at, fragment)` spliced in at that fraction of its
+/// length, in order, then cut to the fraction `cut` of its characters
+/// when `cut < 1`.
+#[allow(
+    clippy::cast_precision_loss,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss
+)]
+fn splice(seed: &str, edits: &[(f64, &str)], cut: f64) -> String {
+    let mut chars: Vec<char> = seed.chars().collect();
+    for (at, fragment) in edits {
+        let i = ((chars.len() as f64) * at) as usize;
+        chars.splice(i..i, fragment.chars());
+    }
+    if cut < 1.0 {
+        chars.truncate(((chars.len() as f64) * cut) as usize);
+    }
+    chars.into_iter().collect()
 }
 
 fn request_body(tag: usize) -> RequestBody {

@@ -24,7 +24,7 @@ use eve_relational::{
     ColumnDef, ColumnRef, CompOp, DataType, IndexKind, Operand, Predicate, PrimitiveClause,
     Relation, Schema, Tuple, Value,
 };
-use eve_sync::{EvolutionOp, SyncOptions};
+use eve_sync::{DataUpdate, EvolutionOp, SyncOptions};
 
 use crate::error::{Error, Result};
 
@@ -911,11 +911,11 @@ impl Codec for ViewDef {
 impl Codec for EvolutionOp {
     fn encode(&self, enc: &mut Enc) {
         match self {
-            EvolutionOp::Data {
+            EvolutionOp::Data(DataUpdate {
                 relation,
                 inserts,
                 deletes,
-            } => {
+            }) => {
                 enc.u8(0);
                 enc.str(relation);
                 vec_encode(inserts, enc);
@@ -937,11 +937,11 @@ impl Codec for EvolutionOp {
 
     fn decode(dec: &mut Dec<'_>) -> Result<EvolutionOp> {
         Ok(match dec.u8()? {
-            0 => EvolutionOp::Data {
+            0 => EvolutionOp::Data(DataUpdate {
                 relation: dec.str()?,
                 inserts: vec_decode(dec)?,
                 deletes: vec_decode(dec)?,
-            },
+            }),
             1 => EvolutionOp::Capability {
                 change: SchemaChange::decode(dec)?,
                 new_extent: if dec.bool()? {

@@ -3,9 +3,11 @@
 //! Heavy-traffic warehouses see evolution operations in bursts — many data
 //! updates interleaved with occasional capability changes — rather than as
 //! isolated events. [`EvolutionOp`] is the one spelling of such a burst
-//! (data updates, capability changes including relation drops); the
-//! executor lives in `eve-system` (`EveEngine::apply_batch`), which applies
-//! the ops in order exactly as the op-by-op paths would.
+//! (data updates, capability changes including relation drops), and
+//! [`DataUpdate`] the one spelling of a data update, whether it travels in
+//! a batch or alone; the executor lives in `eve-system`
+//! (`EveEngine::apply_batch`), which applies the ops in order exactly as
+//! the op-by-op paths would.
 //!
 //! [`touched_relation`] is the prefilter both sides share: a capability
 //! change can only affect views whose FROM clause names the relation it
@@ -14,18 +16,44 @@
 use eve_misd::SchemaChange;
 use eve_relational::{Relation, Tuple};
 
+/// A base-data update: tuples inserted into and deleted from one relation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DataUpdate {
+    /// Updated relation (registered name).
+    pub relation: String,
+    /// Inserted tuples.
+    pub inserts: Vec<Tuple>,
+    /// Deleted tuples.
+    pub deletes: Vec<Tuple>,
+}
+
+impl DataUpdate {
+    /// An insert-only update.
+    #[must_use]
+    pub fn insert(relation: impl Into<String>, tuples: Vec<Tuple>) -> DataUpdate {
+        DataUpdate {
+            relation: relation.into(),
+            inserts: tuples,
+            deletes: Vec::new(),
+        }
+    }
+
+    /// A delete-only update.
+    #[must_use]
+    pub fn delete(relation: impl Into<String>, tuples: Vec<Tuple>) -> DataUpdate {
+        DataUpdate {
+            relation: relation.into(),
+            inserts: Vec::new(),
+            deletes: tuples,
+        }
+    }
+}
+
 /// One operation of a batched evolution workload.
 #[derive(Debug, Clone)]
 pub enum EvolutionOp {
-    /// A base-data update at the source hosting `relation`.
-    Data {
-        /// Updated relation (registered name).
-        relation: String,
-        /// Inserted tuples.
-        inserts: Vec<Tuple>,
-        /// Deleted tuples.
-        deletes: Vec<Tuple>,
-    },
+    /// A base-data update at the source hosting its relation.
+    Data(DataUpdate),
     /// A capability (schema) change, including relation drops. The optional
     /// extent seeds `add-relation` changes.
     Capability {
@@ -40,21 +68,13 @@ impl EvolutionOp {
     /// An insert-only data op.
     #[must_use]
     pub fn insert(relation: impl Into<String>, tuples: Vec<Tuple>) -> EvolutionOp {
-        EvolutionOp::Data {
-            relation: relation.into(),
-            inserts: tuples,
-            deletes: Vec::new(),
-        }
+        EvolutionOp::Data(DataUpdate::insert(relation, tuples))
     }
 
     /// A delete-only data op.
     #[must_use]
     pub fn delete(relation: impl Into<String>, tuples: Vec<Tuple>) -> EvolutionOp {
-        EvolutionOp::Data {
-            relation: relation.into(),
-            inserts: Vec::new(),
-            deletes: tuples,
-        }
+        EvolutionOp::Data(DataUpdate::delete(relation, tuples))
     }
 
     /// A capability change without a new extent.

@@ -36,7 +36,7 @@ pub mod rewriting;
 pub mod search;
 pub mod synchronizer;
 
-pub use batch::EvolutionOp;
+pub use batch::{DataUpdate, EvolutionOp};
 pub use extent::ExtentRelationship;
 pub use heuristic::{synchronize_heuristic, HeuristicOptions};
 pub use migration::equivalent_swaps;

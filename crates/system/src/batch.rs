@@ -19,11 +19,11 @@
 //! coalesced across ops — that would change the charged I/O under the
 //! per-pass full-scan cap, making cost reports incomparable.)
 
-use eve_sync::batch::EvolutionOp;
+use eve_sync::{DataUpdate, EvolutionOp};
 
 use crate::engine::{BatchOutcome, EveEngine};
 use crate::error::{Error, Result};
-use crate::maintainer::{maintain_view_counted, DataUpdate, MaintenanceWork};
+use crate::maintainer::{maintain_view_counted, MaintenanceWork};
 
 impl EveEngine {
     /// Applies a batched evolution workload: data updates, capability
@@ -44,15 +44,7 @@ impl EveEngine {
         let mut run: Vec<DataUpdate> = Vec::new();
         for op in ops {
             match op {
-                EvolutionOp::Data {
-                    relation,
-                    inserts,
-                    deletes,
-                } => run.push(DataUpdate {
-                    relation,
-                    inserts,
-                    deletes,
-                }),
+                EvolutionOp::Data(update) => run.push(update),
                 EvolutionOp::Capability { change, new_extent } => {
                     self.run_data_stage(std::mem::take(&mut run), &mut outcome)?;
                     let reports = self.capability_change_batched(&change, new_extent)?;
@@ -165,16 +157,8 @@ mod tests {
     fn apply_sequentially(e: &mut EveEngine, ops: Vec<EvolutionOp>) -> Result<()> {
         for op in ops {
             match op {
-                EvolutionOp::Data {
-                    relation,
-                    inserts,
-                    deletes,
-                } => {
-                    e.notify_data_update(&DataUpdate {
-                        relation,
-                        inserts,
-                        deletes,
-                    })?;
+                EvolutionOp::Data(update) => {
+                    e.notify_data_update(&update)?;
                 }
                 EvolutionOp::Capability { change, new_extent } => {
                     e.notify_capability_change_sequential(&change, new_extent)?;

@@ -19,10 +19,10 @@ use eve_relational::{ExecOptions, IndexKind, Relation, Value};
 pub use eve_store::IndexHint;
 use eve_store::LogRecord;
 use eve_sync::synchronizer::synchronize_with;
-use eve_sync::{synchronize, EvolutionOp, PartnerCache, SyncOptions, SyncOutcome};
+use eve_sync::{synchronize, DataUpdate, EvolutionOp, PartnerCache, SyncOptions, SyncOutcome};
 
 use crate::error::{Error, Result};
-use crate::maintainer::{maintain_view_counted, DataUpdate, MaintenanceTrace, MaintenanceWork};
+use crate::maintainer::{maintain_view_counted, MaintenanceTrace, MaintenanceWork};
 use crate::site::SimSite;
 
 /// A materialized view: definition + warehouse extent.

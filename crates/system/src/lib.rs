@@ -32,10 +32,13 @@
 //!
 //! Every mutation has one spelling and one interpreter: the command
 //! vocabulary is [`eve_store::LogRecord`], and
-//! [`engine::EveEngine::apply`] is the only dispatch over it. The
-//! [`shell`] parses a line to a record, [`durable::DurableEngine::apply`]
-//! interprets a record and then logs it, and recovery and time travel
-//! replay logged records through the same function.
+//! [`engine::EveEngine::apply`] is the only dispatch over it. A data
+//! update is an [`EvolutionOp::Data`] carrying a [`DataUpdate`], inside
+//! a batch or alone. The [`shell`] parses a line to a [`shell::Command`]
+//! before anything runs — a mutating command is the record it applies —
+//! [`durable::DurableEngine::apply`] interprets a record and then logs
+//! it, and recovery and time travel replay logged records through the
+//! same function.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -51,7 +54,7 @@ pub mod site;
 pub use durable::{DurableEngine, RecoveryReport};
 pub use engine::{BatchOutcome, EveEngine, EvolutionReport, IndexHint};
 pub use error::{Error, Result};
-pub use eve_sync::EvolutionOp;
-pub use maintainer::{DataUpdate, MaintenanceTrace};
-pub use shell::Shell;
+pub use eve_sync::{DataUpdate, EvolutionOp};
+pub use maintainer::MaintenanceTrace;
+pub use shell::{Command, Shell};
 pub use site::SimSite;

@@ -44,43 +44,11 @@ use eve_relational::exec::{join_through_product, join_with_counts, joins_keyless
 use eve_relational::{
     algebra, ColumnRef, ExecOptions, Predicate, PrimitiveClause, Relation, Tuple,
 };
+use eve_sync::DataUpdate;
 
 use crate::error::{Error, Result};
 use crate::query::bind_relation;
 use crate::site::SimSite;
-
-/// A base-data update: tuples inserted into and deleted from one relation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DataUpdate {
-    /// Updated relation (registered name).
-    pub relation: String,
-    /// Inserted tuples.
-    pub inserts: Vec<Tuple>,
-    /// Deleted tuples.
-    pub deletes: Vec<Tuple>,
-}
-
-impl DataUpdate {
-    /// An insert-only update.
-    #[must_use]
-    pub fn insert(relation: impl Into<String>, tuples: Vec<Tuple>) -> DataUpdate {
-        DataUpdate {
-            relation: relation.into(),
-            inserts: tuples,
-            deletes: Vec::new(),
-        }
-    }
-
-    /// A delete-only update.
-    #[must_use]
-    pub fn delete(relation: impl Into<String>, tuples: Vec<Tuple>) -> DataUpdate {
-        DataUpdate {
-            relation: relation.into(),
-            inserts: Vec::new(),
-            deletes: tuples,
-        }
-    }
-}
 
 /// Measured resource usage of one maintenance run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,10 +1,12 @@
 //! A line-oriented command interpreter over [`EveEngine`] — the interactive
 //! front-end used by `examples/eve_shell.rs`, and a convenient scripting
-//! surface for demos and tests. Each mutating command (`site relation
-//! insert pc jc view update change index`) parses its line to a
-//! [`LogRecord`] and hands it to [`Shell::apply`], so an in-memory shell
-//! and one over an open store run the same engine path and print the same
-//! text.
+//! surface for demos and tests. A line is handled in two steps:
+//! [`Shell::parse`] lowers it to a [`Command`] with no engine in reach,
+//! then [`Shell::run`] executes the command. Each mutating command (`site
+//! relation insert pc jc view update change index`) parses to the
+//! [`LogRecord`] it applies — a data update is an [`EvolutionOp::Data`]
+//! inside a [`LogRecord::Batch`] — so an in-memory shell and one over an
+//! open store run the same engine path and print the same text.
 //!
 //! ```text
 //! site 1 customers
@@ -42,13 +44,94 @@ enum Host {
     Durable(DurableEngine),
 }
 
+/// One shell line, lowered by [`Shell::parse`] before anything runs. A
+/// mutating command is the [`LogRecord`] it applies (and, with a store
+/// open, logs); every read and session control has a variant of its own.
+#[derive(Debug)]
+pub enum Command {
+    /// A blank line or a `#` comment.
+    Nothing,
+    /// `help`.
+    Help,
+    /// `site`, `relation`, `insert`, `pc`, `jc`, `view`, `update`,
+    /// `change` or `index`: the record the command applies.
+    Log(LogRecord),
+    /// An op batch sent as one request: applied as [`LogRecord::Batch`]
+    /// and answered with its counts rather than line by line.
+    Apply(Vec<EvolutionOp>),
+    /// `exec [<parallelism> [<morsel-rows>]]`: `None` shows the knobs; a
+    /// missing morsel size keeps the current one.
+    Exec(Option<(usize, Option<usize>)>),
+    /// `query <view>`.
+    Query(String),
+    /// `show views`.
+    ShowViews,
+    /// `show relations`.
+    ShowRelations,
+    /// `show constraints`.
+    ShowConstraints,
+    /// `costs`.
+    Costs,
+    /// `stats`.
+    Stats,
+    /// `metrics`, or `metrics prom` for Prometheus text.
+    Metrics {
+        /// Render as Prometheus text exposition.
+        prometheus: bool,
+    },
+    /// `metrics reset`.
+    MetricsReset,
+    /// `trace on` (`true`) or `trace off`.
+    Trace(bool),
+    /// `trace clear`.
+    TraceClear,
+    /// `trace json`.
+    TraceJson,
+    /// `rebalance`.
+    Rebalance,
+    /// `open <dir>`.
+    Open(String),
+    /// `checkpoint`.
+    Checkpoint,
+    /// `log-stats`.
+    LogStats,
+    /// `travel <generation> [<view>]`.
+    Travel {
+        /// The generation to reconstruct.
+        generation: u64,
+        /// The view whose extent to print, if any.
+        view: Option<String>,
+    },
+    /// `compact`.
+    Compact,
+}
+
+impl Command {
+    /// Whether the command only reads: `help`, `query`, `show`, `costs`,
+    /// `stats`, `log-stats`, `travel`, and blank or `#` lines. Admission
+    /// control lets these through and charges them nothing.
+    #[must_use]
+    pub fn is_read_only(&self) -> bool {
+        matches!(
+            self,
+            Command::Nothing
+                | Command::Help
+                | Command::Query(_)
+                | Command::ShowViews
+                | Command::ShowRelations
+                | Command::ShowConstraints
+                | Command::Costs
+                | Command::Stats
+                | Command::LogStats
+                | Command::Travel { .. }
+        )
+    }
+}
+
 /// The interactive shell: an [`EveEngine`] plus a command interpreter.
 #[derive(Debug)]
 pub struct Shell {
     host: Host,
-    /// Σ [`EvolutionReport::candidates`](crate::EvolutionReport) over
-    /// every command applied so far.
-    candidates_spent: u64,
 }
 
 impl Default for Shell {
@@ -63,7 +146,6 @@ impl Shell {
     pub fn new() -> Shell {
         Shell {
             host: Host::Plain(EveEngine::new()),
-            candidates_spent: 0,
         }
     }
 
@@ -74,7 +156,6 @@ impl Shell {
     pub fn with_durable(durable: DurableEngine) -> Shell {
         Shell {
             host: Host::Durable(durable),
-            candidates_spent: 0,
         }
     }
 
@@ -88,8 +169,8 @@ impl Shell {
     }
 
     /// Mutable engine access. With an open store this bypasses the
-    /// evolution log — prefer the shell commands or [`Shell::apply`], which
-    /// log what they apply.
+    /// evolution log — prefer the shell commands, which log what they
+    /// apply.
     pub fn engine_mut(&mut self) -> &mut EveEngine {
         match &mut self.host {
             Host::Plain(e) => e,
@@ -106,458 +187,288 @@ impl Shell {
         }
     }
 
-    /// Runs one command on the host: [`DurableEngine::apply`] when a store
+    /// The open durable engine, mutably — the server drives checkpoints
+    /// and budget resets through this.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::State`] when no store is open.
+    pub fn durable_mut(&mut self) -> Result<&mut DurableEngine> {
+        match &mut self.host {
+            Host::Durable(d) => Ok(d),
+            Host::Plain(_) => Err(Error::State {
+                detail: "no store is open — run `open <dir>` first".into(),
+            }),
+        }
+    }
+
+    /// Runs one record on the host: [`DurableEngine::apply`] when a store
     /// is open (it fails closed while poisoned), else [`EveEngine::apply`],
-    /// which the durable entry calls too. Every shell command that has a
-    /// [`LogRecord`] ends here, and so does the server's `Apply` request —
-    /// the only `Host` match on the logged-mutation path.
+    /// which the durable entry calls too — the only `Host` match on the
+    /// logged-mutation path.
+    fn apply(&mut self, record: LogRecord) -> Result<BatchOutcome> {
+        match &mut self.host {
+            Host::Plain(e) => e.apply(record),
+            Host::Durable(d) => d.apply(record),
+        }
+    }
+
+    /// Executes one command line, returning the text to display:
+    /// [`Shell::run`] of [`Shell::parse`].
     ///
     /// # Errors
     ///
-    /// Engine or store failures.
-    pub fn apply(&mut self, cmd: LogRecord) -> Result<BatchOutcome> {
-        let outcome = match &mut self.host {
-            Host::Plain(e) => e.apply(cmd),
-            Host::Durable(d) => d.apply(cmd),
-        }?;
-        let candidates: usize = outcome.reports.iter().map(|r| r.candidates).sum();
-        self.candidates_spent = self
-            .candidates_spent
-            .saturating_add(u64::try_from(candidates).unwrap_or(u64::MAX));
-        Ok(outcome)
-    }
-
-    /// Rewrite-search candidates generated by every command applied
-    /// through this shell so far — the meter admission control charges,
-    /// read as a before/after difference like [`EveEngine::total_io`].
-    #[must_use]
-    pub fn candidates_spent(&self) -> u64 {
-        self.candidates_spent
-    }
-
-    /// Executes one command line, returning the text to display.
-    ///
-    /// # Errors
-    ///
-    /// Any engine error; unknown commands and malformed arguments surface as
-    /// [`Error::State`] with a usage hint.
+    /// As for [`Shell::parse`], then as for [`Shell::run`].
     pub fn execute(&mut self, line: &str) -> Result<String> {
+        Ok(self.run(Shell::parse(line)?)?.0)
+    }
+
+    /// Lowers one command line to a [`Command`]. No engine is in reach, so
+    /// a caller can admit, queue or refuse the command before it locks
+    /// anything.
+    ///
+    /// # Errors
+    ///
+    /// Unknown commands and malformed arguments surface as
+    /// [`Error::State`] with a usage hint; a view definition that does not
+    /// parse, as its E-SQL error.
+    pub fn parse(line: &str) -> Result<Command> {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
-            return Ok(String::new());
+            return Ok(Command::Nothing);
         }
         let (cmd, rest) = match line.split_once(char::is_whitespace) {
             Some((c, r)) => (c, r.trim()),
             None => (line, ""),
         };
-        let cmd = cmd.to_ascii_lowercase();
-        match cmd.as_str() {
-            "help" => Ok(HELP.trim().to_owned()),
-            "site" => self.cmd_site(rest),
-            "relation" => self.cmd_relation(rest),
-            "insert" => self.cmd_seed(rest),
-            "pc" => self.cmd_pc(rest),
-            "jc" => self.cmd_jc(rest),
-            "view" => self.cmd_view(rest),
-            "update" => self.cmd_update(rest),
-            "change" => self.cmd_change(rest),
-            "index" => self.cmd_index(rest),
-            "exec" => self.cmd_exec(rest),
-            "query" => self.cmd_query(rest),
-            "show" => self.cmd_show(rest),
-            "costs" => self.cmd_costs(),
-            "stats" => Ok(self.cmd_stats()),
-            "metrics" => self.cmd_metrics(rest),
-            "trace" => self.cmd_trace(rest),
-            "rebalance" => self.cmd_rebalance(),
-            "open" => self.cmd_open(rest),
-            "checkpoint" => self.cmd_checkpoint(),
-            "log-stats" => self.cmd_log_stats(),
-            "travel" => self.cmd_travel(rest),
-            "compact" => self.cmd_compact(),
-            other => Err(usage(&format!("unknown command `{other}` — try `help`"))),
-        }
+        Ok(match cmd.to_ascii_lowercase().as_str() {
+            "help" => Command::Help,
+            "site" => Command::Log(parse_site(rest)?),
+            "relation" => Command::Log(parse_relation(rest)?),
+            "insert" => Command::Log(parse_seed(rest)?),
+            "pc" => Command::Log(parse_pc(rest)?),
+            "jc" => Command::Log(parse_jc(rest)?),
+            "view" => Command::Log(LogRecord::DefineView(eve_esql::parse_view(rest)?)),
+            "update" => Command::Log(parse_update(rest)?),
+            "change" => Command::Log(parse_change(rest)?),
+            "index" => Command::Log(parse_index(rest)?),
+            "exec" => Command::Exec(parse_exec(rest)?),
+            "query" => Command::Query(rest.to_owned()),
+            "show" => match rest.to_ascii_lowercase().as_str() {
+                "views" => Command::ShowViews,
+                "relations" => Command::ShowRelations,
+                "constraints" => Command::ShowConstraints,
+                other => {
+                    return Err(usage(&format!(
+                        "show views|relations|constraints (got `{other}`)"
+                    )))
+                }
+            },
+            "costs" => Command::Costs,
+            "stats" => Command::Stats,
+            "metrics" => match rest {
+                "" => Command::Metrics { prometheus: false },
+                "prom" => Command::Metrics { prometheus: true },
+                "reset" => Command::MetricsReset,
+                other => return Err(usage(&format!("metrics [prom|reset] (got `{other}`)"))),
+            },
+            "trace" => match rest {
+                "on" => Command::Trace(true),
+                "off" => Command::Trace(false),
+                "clear" => Command::TraceClear,
+                "json" => Command::TraceJson,
+                _ => return Err(usage("trace on|off|json|clear")),
+            },
+            "rebalance" => Command::Rebalance,
+            "open" if rest.is_empty() => return Err(usage("open <store-directory>")),
+            "open" => Command::Open(rest.to_owned()),
+            "checkpoint" => Command::Checkpoint,
+            "log-stats" => Command::LogStats,
+            "travel" => parse_travel(rest)?,
+            "compact" => Command::Compact,
+            other => return Err(usage(&format!("unknown command `{other}` — try `help`"))),
+        })
     }
 
-    fn cmd_site(&mut self, rest: &str) -> Result<String> {
-        let mut parts = rest.split_whitespace();
-        let id: u32 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| usage("site <id> <name>"))?;
-        let name = parts.next().ok_or_else(|| usage("site <id> <name>"))?;
-        self.apply(LogRecord::AddSite {
-            id,
-            name: name.to_owned(),
-        })?;
-        Ok(format!("registered site {id} ({name})"))
-    }
-
-    /// `relation Name @site (attr:type[:bytes], …) [sel=σ] [bfr=n]`
-    fn cmd_relation(&mut self, rest: &str) -> Result<String> {
-        const USAGE: &str = "relation <Name> @<site> (<attr>:<type>[:bytes], ...) [sel=σ] [bfr=n]";
-        let (head, attrs_and_opts) = rest.split_once('(').ok_or_else(|| usage(USAGE))?;
-        let mut head_parts = head.split_whitespace();
-        let name = head_parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
-        let site: u32 = head_parts
-            .next()
-            .and_then(|s| s.strip_prefix('@'))
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| usage(USAGE))?;
-        let (attr_list, opts) = attrs_and_opts.split_once(')').ok_or_else(|| usage(USAGE))?;
-
-        let mut attributes = Vec::new();
-        for spec in attr_list.split(',') {
-            let mut f = spec.trim().split(':');
-            let attr_name = f
-                .next()
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| usage(USAGE))?;
-            let ty = match f.next().map(str::to_ascii_lowercase).as_deref() {
-                Some("int") | None => DataType::Int,
-                Some("float") => DataType::Float,
-                Some("bool") => DataType::Bool,
-                Some("text") => DataType::Text,
-                Some(other) => return Err(usage(&format!("unknown type `{other}`"))),
-            };
-            let attr = match f.next() {
-                Some(bytes) => AttributeInfo::sized(
-                    attr_name,
-                    ty,
-                    bytes.trim().parse().map_err(|_| usage(USAGE))?,
-                ),
-                None => AttributeInfo::new(attr_name, ty),
-            };
-            attributes.push(attr);
-        }
-
-        let mut info = RelationInfo::new(name.clone(), SiteId(site), attributes, 0);
-        for opt in opts.split_whitespace() {
-            if let Some(v) = opt.strip_prefix("sel=") {
-                info.selectivity = v.parse().map_err(|_| usage(USAGE))?;
-            } else if let Some(v) = opt.strip_prefix("bfr=") {
-                info.blocking_factor = v.parse().map_err(|_| usage(USAGE))?;
-            } else if !opt.is_empty() {
-                return Err(usage(USAGE));
+    /// Runs one parsed command, returning the text to display and the
+    /// rewrite-search candidates the command generated — the meter
+    /// admission control charges.
+    ///
+    /// # Errors
+    ///
+    /// Any engine or store error.
+    pub fn run(&mut self, command: Command) -> Result<(String, u64)> {
+        let text = match command {
+            Command::Log(record) => return self.run_record(record),
+            Command::Apply(ops) => {
+                let outcome = self.apply(LogRecord::Batch(ops))?;
+                let spent = candidates(&outcome);
+                let text = format!(
+                    "applied batch: {} traces, {} reports, {spent} candidates",
+                    outcome.traces.len(),
+                    outcome.reports.len()
+                );
+                return Ok((text, spent));
             }
-        }
+            Command::Nothing => String::new(),
+            Command::Help => HELP.trim().to_owned(),
+            Command::Exec(knobs) => self.run_exec(knobs),
+            Command::Query(view) => self.engine().view(&view)?.extent.distinct().to_string(),
+            Command::ShowViews => {
+                let views = self.engine().views().map(|mv| {
+                    let rows = mv.extent.cardinality();
+                    format!("{} [{rows} rows]\n{}\n", mv.def.name, mv.def)
+                });
+                listing(views, "(no views)")
+            }
+            Command::ShowRelations => {
+                let relations = self.engine().mkb().relations();
+                listing(relations.map(|r| format!("{r}\n")), "(no relations)")
+            }
+            Command::ShowConstraints => {
+                let mkb = self.engine().mkb();
+                let pcs = mkb.pc_constraints().iter().map(|pc| format!("{pc}\n"));
+                let jcs = mkb.join_constraints().iter().map(|jc| format!("{jc}\n"));
+                listing(pcs.chain(jcs), "(no constraints)")
+            }
+            Command::Costs => listing(
+                self.engine().cost_report()?.into_iter().map(|report| {
+                    let mut out = format!("{}: total {:.1}\n", report.view_name, report.total_cost);
+                    for (origin, f) in report.per_origin {
+                        out.push_str(&format!(
+                            "  origin {origin}: CF_M {:.0}, CF_T {:.0}, CF_IO {:.0}\n",
+                            f.messages, f.transfer, f.io
+                        ));
+                    }
+                    out
+                }),
+                "(no views)",
+            ),
+            Command::Stats => self.stats(),
+            Command::Metrics { prometheus } => {
+                let m = self.engine().metrics_snapshot();
+                let text = if prometheus {
+                    m.prometheus()
+                } else {
+                    m.render_text()
+                };
+                text.trim_end().to_owned()
+            }
+            Command::MetricsReset => {
+                eve_trace::global().reset();
+                self.engine().telemetry_registry().reset();
+                "metrics reset".to_owned()
+            }
+            Command::Trace(on) => {
+                eve_trace::set_enabled(on);
+                format!("tracing {}", if on { "on" } else { "off" })
+            }
+            Command::TraceClear => {
+                eve_trace::clear_spans();
+                "trace buffer cleared".to_owned()
+            }
+            Command::TraceJson => eve_trace::chrome_json(),
+            Command::Rebalance => self.rebalance()?,
+            Command::Open(dir) => self.open(&dir)?,
+            Command::Checkpoint => {
+                let d = self.durable_mut()?;
+                let seq = d.checkpoint()?;
+                let generation = d.engine().mkb().generation();
+                format!("snapshot written at seq {seq} (generation {generation})")
+            }
+            Command::LogStats => self.log_stats()?,
+            Command::Travel { generation, view } => self.travel(generation, view.as_deref())?,
+            Command::Compact => {
+                let (segs, snaps) = self.durable_mut()?.compact()?;
+                format!(
+                    "compacted: {segs} segments and {snaps} snapshots dropped \
+                     (time travel now starts at the newest snapshot)"
+                )
+            }
+        };
+        Ok((text, 0))
+    }
 
-        let schema = Schema::new(
-            info.attributes
+    /// Applies a mutating command's record and renders its answer: the
+    /// command's own line, then one line per view the record maintained
+    /// (`update`) or affected (`change`).
+    fn run_record(&mut self, record: LogRecord) -> Result<(String, u64)> {
+        // The first line names what the record carries, so it is written
+        // before the record moves into the engine.
+        let mut out = match &record {
+            LogRecord::AddSite { id, name } => format!("registered site {id} ({name})"),
+            LogRecord::RegisterRelation { info, .. } => {
+                format!("registered relation {} @ site {}", info.name, info.site.0)
+            }
+            LogRecord::SeedTuples { relation, tuples } => {
+                format!("seeded {} tuple into {relation}", tuples.len())
+            }
+            LogRecord::AddPcConstraint(_) => "registered PC constraint".to_owned(),
+            LogRecord::AddJoinConstraint(_) => "registered join constraint".to_owned(),
+            // Completed below, once the view is materialized.
+            LogRecord::DefineView(def) => def.name.clone(),
+            LogRecord::Batch(ops) => ops
                 .iter()
-                .map(|a| ColumnDef::sized(ColumnRef::bare(a.name.clone()), a.ty, a.byte_size))
-                .collect(),
-        )?;
-        let extent = Relation::empty(name.clone(), schema);
-        self.apply(LogRecord::RegisterRelation { info, extent })?;
-        Ok(format!("registered relation {name} @ site {site}"))
-    }
-
-    /// Parses `('ann', 3, true)` into a tuple (types checked on insert).
-    fn parse_tuple(text: &str) -> Result<Tuple> {
-        let inner = text
-            .trim()
-            .strip_prefix('(')
-            .and_then(|s| s.strip_suffix(')'))
-            .ok_or_else(|| usage("tuple must be parenthesized: (v1, v2, ...)"))?;
-        let mut values = Vec::new();
-        for field in split_top_level(inner) {
-            let f = field.trim();
-            let value = if let Some(s) = f.strip_prefix('\'').and_then(|s| s.strip_suffix('\'')) {
-                Value::Text(s.to_owned())
-            } else if f.eq_ignore_ascii_case("true") {
-                Value::Bool(true)
-            } else if f.eq_ignore_ascii_case("false") {
-                Value::Bool(false)
-            } else if let Ok(i) = f.parse::<i64>() {
-                Value::Int(i)
-            } else if let Ok(x) = f.parse::<f64>() {
-                Value::float(x)?
-            } else {
-                return Err(usage(&format!("cannot parse value `{f}`")));
-            };
-            values.push(value);
+                .map(|op| match op {
+                    EvolutionOp::Data(update) => format!("update applied to {}", update.relation),
+                    EvolutionOp::Capability { change, .. } => format!("applied {change}"),
+                })
+                .collect::<Vec<_>>()
+                .join("\n"),
+            LogRecord::DeclareIndex(hint) => {
+                let shape = if hint.kind == IndexKind::Hash {
+                    "hash"
+                } else {
+                    "sorted"
+                };
+                let on = format!("{}.{}", hint.relation, hint.column);
+                if self.engine().index_hints().contains(hint) {
+                    format!("{shape} index on {on} already declared (re-warmed)")
+                } else {
+                    format!("declared {shape} index on {on}")
+                }
+            }
+            _ => String::new(),
+        };
+        let defines_view = matches!(record, LogRecord::DefineView(_));
+        let outcome = self.apply(record)?;
+        if defines_view {
+            let rows = self.engine().view(&out)?.extent.cardinality();
+            out = format!("materialized view {out} with {rows} rows");
         }
-        Ok(Tuple::new(values))
-    }
-
-    /// `insert <Relation> (v1, v2, …)` — seeds base data *without* view
-    /// maintenance (initial loading).
-    fn cmd_seed(&mut self, rest: &str) -> Result<String> {
-        let (rel, tuple_text) = rest
-            .split_once(char::is_whitespace)
-            .ok_or_else(|| usage("insert <Relation> (v1, v2, ...)"))?;
-        let tuple = Self::parse_tuple(tuple_text)?;
-        self.apply(LogRecord::SeedTuples {
-            relation: rel.to_owned(),
-            tuples: vec![tuple],
-        })?;
-        Ok(format!("seeded 1 tuple into {rel}"))
-    }
-
-    /// `pc A (x, y) <=|=|>= B (u, v)` — containment constraint.
-    fn cmd_pc(&mut self, rest: &str) -> Result<String> {
-        const USAGE: &str = "pc <A> (attrs) <= | = | >= <B> (attrs)";
-        let (left, op, right) = split_constraint(rest).ok_or_else(|| usage(USAGE))?;
-        let parse_side = |s: &str| -> Result<eve_misd::PcSide> {
-            let (rel, attrs) = s.split_once('(').ok_or_else(|| usage(USAGE))?;
-            let attrs = attrs.trim().strip_suffix(')').ok_or_else(|| usage(USAGE))?;
-            let names: Vec<&str> = attrs.split(',').map(str::trim).collect();
-            Ok(eve_misd::PcSide::projection(rel.trim(), &names))
-        };
-        let relationship = match op {
-            "<=" => eve_misd::PcRelationship::Subset,
-            "=" => eve_misd::PcRelationship::Equivalent,
-            ">=" => eve_misd::PcRelationship::Superset,
-            _ => return Err(usage(USAGE)),
-        };
-        let pc = eve_misd::PcConstraint::new(parse_side(left)?, relationship, parse_side(right)?);
-        self.apply(LogRecord::AddPcConstraint(pc))?;
-        Ok("registered PC constraint".to_owned())
-    }
-
-    /// `jc A.x = B.y`
-    fn cmd_jc(&mut self, rest: &str) -> Result<String> {
-        const USAGE: &str = "jc <A>.<x> = <B>.<y>";
-        let (l, r) = rest.split_once('=').ok_or_else(|| usage(USAGE))?;
-        let lref = ColumnRef::parse(l.trim());
-        let rref = ColumnRef::parse(r.trim());
-        let (Some(lq), Some(rq)) = (lref.qualifier.clone(), rref.qualifier.clone()) else {
-            return Err(usage(USAGE));
-        };
-        let jc = eve_misd::JoinConstraint::new(
-            lq,
-            rq,
-            vec![eve_relational::PrimitiveClause::eq(lref, rref)],
-        );
-        self.apply(LogRecord::AddJoinConstraint(jc))?;
-        Ok("registered join constraint".to_owned())
-    }
-
-    fn cmd_view(&mut self, rest: &str) -> Result<String> {
-        let def = eve_esql::parse_view(rest)?;
-        let name = def.name.clone();
-        self.apply(LogRecord::DefineView(def))?;
-        let mv = self.engine().view(&name)?;
-        Ok(format!(
-            "materialized view {} with {} rows",
-            mv.def.name,
-            mv.extent.cardinality()
-        ))
-    }
-
-    /// `update <Relation> insert|delete (v1, …)`
-    fn cmd_update(&mut self, rest: &str) -> Result<String> {
-        const USAGE: &str = "update <Relation> insert|delete (v1, v2, ...)";
-        let mut parts = rest.splitn(3, char::is_whitespace);
-        let rel = parts.next().ok_or_else(|| usage(USAGE))?;
-        let kind = parts.next().ok_or_else(|| usage(USAGE))?;
-        let tuple = Self::parse_tuple(parts.next().ok_or_else(|| usage(USAGE))?)?;
-        let update = match kind.to_ascii_lowercase().as_str() {
-            "insert" => EvolutionOp::insert(rel, vec![tuple]),
-            "delete" => EvolutionOp::delete(rel, vec![tuple]),
-            _ => return Err(usage(USAGE)),
-        };
-        let outcome = self.apply(LogRecord::Batch(vec![update]))?;
-        let mut out = format!("update applied to {rel}");
-        for (view, t) in outcome.traces {
+        for (view, t) in &outcome.traces {
             out.push_str(&format!(
                 "\n  {view}: {} msgs, {} bytes, {} I/Os, +{} −{} rows",
                 t.messages, t.bytes, t.ios, t.view_inserts, t.view_deletes
             ));
         }
-        Ok(out)
-    }
-
-    /// `change delete-relation R | delete-attribute R.A |
-    ///  rename-relation A B | rename-attribute R.A B`
-    fn cmd_change(&mut self, rest: &str) -> Result<String> {
-        const USAGE: &str = "change delete-relation <R> | delete-attribute <R>.<A> | \
-             rename-relation <A> <B> | rename-attribute <R>.<A> <B>";
-        let mut parts = rest.split_whitespace();
-        let kind = parts.next().ok_or_else(|| usage(USAGE))?;
-        let change = match kind.to_ascii_lowercase().as_str() {
-            "delete-relation" => SchemaChange::DeleteRelation {
-                relation: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
-            },
-            "delete-attribute" => {
-                let c = ColumnRef::parse(parts.next().ok_or_else(|| usage(USAGE))?);
-                SchemaChange::DeleteAttribute {
-                    relation: c.qualifier.ok_or_else(|| usage(USAGE))?,
-                    attribute: c.name,
-                }
-            }
-            "rename-relation" => SchemaChange::RenameRelation {
-                from: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
-                to: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
-            },
-            "rename-attribute" => {
-                let c = ColumnRef::parse(parts.next().ok_or_else(|| usage(USAGE))?);
-                SchemaChange::RenameAttribute {
-                    relation: c.qualifier.ok_or_else(|| usage(USAGE))?,
-                    from: c.name,
-                    to: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
-                }
-            }
-            _ => return Err(usage(USAGE)),
-        };
-        let mut out = format!("applied {change}");
-        let outcome = self.apply(LogRecord::Batch(vec![EvolutionOp::change(change)]))?;
-        for r in outcome.reports {
-            if !r.affected {
-                continue;
-            }
-            if let Some(adopted) = &r.adopted {
-                out.push_str(&format!(
-                    "\n  {}: adopted rewriting (QC {:.4}, DD {:.4}) — {}",
-                    r.view_name, adopted.qc, adopted.divergence.dd, adopted.rewriting.provenance
-                ));
-            } else {
-                out.push_str(&format!(
-                    "\n  {}: no legal rewriting — dropped",
-                    r.view_name
-                ));
-            }
+        for r in outcome.reports.iter().filter(|r| r.affected) {
+            let view = &r.view_name;
+            out.push_str(&match &r.adopted {
+                Some(adopted) => format!(
+                    "\n  {view}: adopted rewriting (QC {:.4}, DD {:.4}) — {}",
+                    adopted.qc, adopted.divergence.dd, adopted.rewriting.provenance
+                ),
+                None => format!("\n  {view}: no legal rewriting — dropped"),
+            });
         }
-        Ok(out)
+        Ok((out, candidates(&outcome)))
     }
 
-    fn cmd_query(&mut self, rest: &str) -> Result<String> {
-        let mv = self.engine().view(rest.trim())?;
-        Ok(mv.extent.distinct().to_string())
-    }
-
-    fn cmd_show(&mut self, rest: &str) -> Result<String> {
-        match rest.trim().to_ascii_lowercase().as_str() {
-            "views" => {
-                let mut out = String::new();
-                for mv in self.engine().views() {
-                    out.push_str(&format!(
-                        "{} [{} rows]\n{}\n",
-                        mv.def.name,
-                        mv.extent.cardinality(),
-                        mv.def
-                    ));
-                }
-                Ok(if out.is_empty() {
-                    "(no views)".into()
-                } else {
-                    out
-                })
-            }
-            "relations" => {
-                let mut out = String::new();
-                for info in self.engine().mkb().relations() {
-                    out.push_str(&format!("{info}\n"));
-                }
-                Ok(if out.is_empty() {
-                    "(no relations)".into()
-                } else {
-                    out
-                })
-            }
-            "constraints" => {
-                let mut out = String::new();
-                for pc in self.engine().mkb().pc_constraints() {
-                    out.push_str(&format!("{pc}\n"));
-                }
-                for jc in self.engine().mkb().join_constraints() {
-                    out.push_str(&format!("{jc}\n"));
-                }
-                Ok(if out.is_empty() {
-                    "(no constraints)".into()
-                } else {
-                    out
-                })
-            }
-            other => Err(usage(&format!(
-                "show views|relations|constraints (got `{other}`)"
-            ))),
+    /// `exec` — set (or show) the engine's intra-query execution knobs. A
+    /// runtime tuning knob only: it is not logged, so recovery starts
+    /// serial.
+    fn run_exec(&mut self, knobs: Option<(usize, Option<usize>)>) -> String {
+        let o = &mut self.engine_mut().exec_options;
+        if let Some((parallelism, morsel_rows)) = knobs {
+            o.morsel_rows = morsel_rows.unwrap_or_else(|| o.morsel_rows());
+            o.parallelism = parallelism;
         }
-    }
-
-    fn cmd_costs(&mut self) -> Result<String> {
-        let mut out = String::new();
-        for report in self.engine().cost_report()? {
-            out.push_str(&format!(
-                "{}: total {:.1}\n",
-                report.view_name, report.total_cost
-            ));
-            for (origin, f) in report.per_origin {
-                out.push_str(&format!(
-                    "  origin {origin}: CF_M {:.0}, CF_T {:.0}, CF_IO {:.0}\n",
-                    f.messages, f.transfer, f.io
-                ));
-            }
-        }
-        Ok(if out.is_empty() {
-            "(no views)".into()
-        } else {
-            out
-        })
-    }
-
-    /// `index <Relation> <column> [hash|sorted]` — declare (and warm) a
-    /// secondary index on a hosted base relation. Durable hosts log the
-    /// declaration so it survives recovery.
-    fn cmd_index(&mut self, rest: &str) -> Result<String> {
-        const USAGE: &str = "index <Relation> <column> [hash|sorted]";
-        let mut parts = rest.split_whitespace();
-        let relation = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
-        let column = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
-        let (kind, shape) = match parts.next().map(str::to_ascii_lowercase).as_deref() {
-            Some("hash") | None => (IndexKind::Hash, "hash"),
-            Some("sorted") => (IndexKind::Sorted, "sorted"),
-            Some(other) => return Err(usage(&format!("unknown index kind `{other}`"))),
-        };
-        let declared = self.engine().index_hints().len();
-        self.apply(LogRecord::DeclareIndex(IndexHint {
-            relation: relation.clone(),
-            column: column.clone(),
-            kind,
-        }))?;
-        let added = self.engine().index_hints().len() > declared;
-        Ok(if added {
-            format!("declared {shape} index on {relation}.{column}")
-        } else {
-            format!("{shape} index on {relation}.{column} already declared (re-warmed)")
-        })
-    }
-
-    /// `exec [<parallelism> [<morsel-rows>]]` — set (or show) the engine's
-    /// intra-query execution knobs. A runtime tuning knob only: it is not
-    /// logged, so recovery starts serial.
-    fn cmd_exec(&mut self, rest: &str) -> Result<String> {
-        const USAGE: &str = "exec [<parallelism> [<morsel-rows>]]";
-        let mut parts = rest.split_whitespace();
-        let Some(par) = parts.next() else {
-            let o = self.engine().exec_options;
-            return Ok(format!(
-                "exec: {} worker(s), {} rows/morsel",
-                o.parallelism.max(1),
-                o.morsel_rows()
-            ));
-        };
-        let parallelism: usize = par.parse().map_err(|_| usage(USAGE))?;
-        if parallelism == 0 || parallelism > 256 {
-            return Err(usage("parallelism must be in 1..=256"));
-        }
-        let morsel_rows = match parts.next() {
-            None => self.engine().exec_options.morsel_rows(),
-            Some(m) => {
-                let m: usize = m.parse().map_err(|_| usage(USAGE))?;
-                if m == 0 {
-                    return Err(usage("morsel-rows must be at least 1"));
-                }
-                m
-            }
-        };
-        let opts = &mut self.engine_mut().exec_options;
-        opts.parallelism = parallelism;
-        opts.morsel_rows = morsel_rows;
-        Ok(format!(
-            "exec: {parallelism} worker(s), {morsel_rows} rows/morsel"
-        ))
+        format!(
+            "exec: {} worker(s), {} rows/morsel",
+            o.parallelism.max(1),
+            o.morsel_rows()
+        )
     }
 
     /// `stats` — measured resource accounting since the last reset, plus
@@ -565,7 +476,7 @@ impl Shell {
     /// an open store) the evolution-log I/O counters. Counters come from
     /// the engine's merged metrics snapshot; the per-extent columnar and
     /// index state is summed over [`EveEngine::extents`].
-    fn cmd_stats(&mut self) -> String {
+    fn stats(&self) -> String {
         let engine = self.engine();
         let m = engine.metrics_snapshot();
         let (mut extents, mut columnar) = (0, 0);
@@ -623,62 +534,9 @@ impl Shell {
         out
     }
 
-    /// `metrics [prom|reset]` — the merged metrics-registry snapshot:
-    /// process-global families (`exec.`, `index.`, `intern.`, `store.`,
-    /// `search.`, `engine.`) plus this engine's per-instance counters
-    /// (`mkb.`, `cache.`). `prom` renders Prometheus text exposition;
-    /// `reset` zeroes every counter and histogram.
-    fn cmd_metrics(&mut self, rest: &str) -> Result<String> {
-        match rest {
-            "" => Ok(self
-                .engine()
-                .metrics_snapshot()
-                .render_text()
-                .trim_end()
-                .to_owned()),
-            "prom" => Ok(self
-                .engine()
-                .metrics_snapshot()
-                .prometheus()
-                .trim_end()
-                .to_owned()),
-            "reset" => {
-                eve_trace::global().reset();
-                self.engine().telemetry_registry().reset();
-                Ok("metrics reset".to_owned())
-            }
-            other => Err(usage(&format!("metrics [prom|reset] (got `{other}`)"))),
-        }
-    }
-
-    /// `trace on|off|json|clear` — span recording control and the
-    /// `chrome://tracing` JSON dump of the recorded events.
-    fn cmd_trace(&mut self, rest: &str) -> Result<String> {
-        match rest {
-            "on" => {
-                eve_trace::set_enabled(true);
-                Ok("tracing on".to_owned())
-            }
-            "off" => {
-                eve_trace::set_enabled(false);
-                Ok("tracing off".to_owned())
-            }
-            "clear" => {
-                eve_trace::clear_spans();
-                Ok("trace buffer cleared".to_owned())
-            }
-            "json" => Ok(eve_trace::chrome_json()),
-            _ => Err(usage("trace on|off|json|clear")),
-        }
-    }
-
     /// `open <dir>` — attach an evolution store: recover from it when it
     /// exists, otherwise create it around the shell's current engine state.
-    fn cmd_open(&mut self, rest: &str) -> Result<String> {
-        let dir = rest.trim();
-        if dir.is_empty() {
-            return Err(usage("open <store-directory>"));
-        }
+    fn open(&mut self, dir: &str) -> Result<String> {
         if self.durable().is_some() {
             return Err(Error::State {
                 detail: "a store is already open in this shell".into(),
@@ -707,33 +565,8 @@ impl Shell {
         }
     }
 
-    /// The open durable engine, mutably — the server drives checkpoints
-    /// and budget resets through this.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::State`] when no store is open.
-    pub fn durable_mut(&mut self) -> Result<&mut DurableEngine> {
-        match &mut self.host {
-            Host::Durable(d) => Ok(d),
-            Host::Plain(_) => Err(Error::State {
-                detail: "no store is open — run `open <dir>` first".into(),
-            }),
-        }
-    }
-
-    /// `checkpoint` — write a snapshot and rotate the log segment.
-    fn cmd_checkpoint(&mut self) -> Result<String> {
-        let d = self.durable_mut()?;
-        let seq = d.checkpoint()?;
-        Ok(format!(
-            "snapshot written at seq {seq} (generation {})",
-            d.engine().mkb().generation()
-        ))
-    }
-
     /// `log-stats` — the store's layout and I/O counters.
-    fn cmd_log_stats(&mut self) -> Result<String> {
+    fn log_stats(&mut self) -> Result<String> {
         let d = self.durable_mut()?;
         let s = d.store_stats();
         let snapshots = d.snapshot_index()?;
@@ -779,86 +612,49 @@ impl Shell {
 
     /// `travel <generation> [<view>]` — reconstruct a historical state;
     /// with a view name, print that view's extent as of the generation.
-    fn cmd_travel(&mut self, rest: &str) -> Result<String> {
-        const USAGE: &str = "travel <generation> [<view>]";
-        let mut parts = rest.split_whitespace();
-        let generation: u64 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| usage(USAGE))?;
-        let view = parts.next();
+    fn travel(&mut self, generation: u64, view: Option<&str>) -> Result<String> {
         let dir = self.durable_mut()?.dir().to_path_buf();
-        let historical = DurableEngine::open_at(&dir, generation)?;
-        match view {
-            Some(name) => {
-                let mv = historical.view(name)?;
-                Ok(format!(
-                    "{name} @ generation {generation} (actual {}):\n{}",
-                    historical.mkb().generation(),
-                    mv.extent.distinct()
-                ))
-            }
-            None => {
-                let mut out = format!(
-                    "state @ generation {generation} (actual {}):\n",
-                    historical.mkb().generation()
-                );
-                out.push_str(&format!(
-                    "  relations: {}\n",
-                    historical
-                        .mkb()
-                        .relations()
-                        .map(|r| r.name.clone())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-                for mv in historical.views() {
-                    out.push_str(&format!(
-                        "  view {} [{} rows]\n",
-                        mv.def.name,
-                        mv.extent.cardinality()
-                    ));
-                }
-                Ok(out)
-            }
+        let past = DurableEngine::open_at(&dir, generation)?;
+        let actual = past.mkb().generation();
+        if let Some(name) = view {
+            let extent = past.view(name)?.extent.distinct();
+            return Ok(format!(
+                "{name} @ generation {generation} (actual {actual}):\n{extent}"
+            ));
         }
+        let relations: Vec<&str> = past.mkb().relations().map(|r| r.name.as_str()).collect();
+        let mut out = format!(
+            "state @ generation {generation} (actual {actual}):\n  relations: {}\n",
+            relations.join(", ")
+        );
+        for mv in past.views() {
+            let rows = mv.extent.cardinality();
+            out.push_str(&format!("  view {} [{rows} rows]\n", mv.def.name));
+        }
+        Ok(out)
     }
 
-    /// `compact` — drop history before the newest snapshot.
-    fn cmd_compact(&mut self) -> Result<String> {
-        let d = self.durable_mut()?;
-        let (segs, snaps) = d.compact()?;
-        Ok(format!(
-            "compacted: {segs} segments and {snaps} snapshots dropped \
-             (time travel now starts at the newest snapshot)"
-        ))
-    }
-
-    fn cmd_rebalance(&mut self) -> Result<String> {
-        let mut out = String::new();
+    /// `rebalance` — migrate views to cheaper equivalent replicas.
+    fn rebalance(&mut self) -> Result<String> {
         let reports = match &mut self.host {
             Host::Plain(e) => e.rebalance_views()?,
             Host::Durable(d) => d.rebalance_views()?,
         };
-        for r in reports {
+        let lines = reports.into_iter().map(|r| {
             if r.migrated {
-                out.push_str(&format!(
+                format!(
                     "{}: migrated {} → {} (cost {:.1} → {:.1})\n",
                     r.view_name,
                     r.from_relation.unwrap_or_default(),
                     r.to_relation.unwrap_or_default(),
                     r.old_cost,
                     r.new_cost
-                ));
+                )
             } else {
-                out.push_str(&format!("{}: no cheaper equivalent source\n", r.view_name));
+                format!("{}: no cheaper equivalent source\n", r.view_name)
             }
-        }
-        Ok(if out.is_empty() {
-            "(no views)".into()
-        } else {
-            out
-        })
+        });
+        Ok(listing(lines, "(no views)"))
     }
 }
 
@@ -866,6 +662,279 @@ fn usage(msg: &str) -> Error {
     Error::State {
         detail: format!("usage: {msg}"),
     }
+}
+
+/// Σ [`EvolutionReport::candidates`](crate::EvolutionReport) of one
+/// outcome: the rewrite-search work a command generated.
+fn candidates(outcome: &BatchOutcome) -> u64 {
+    let candidates: usize = outcome.reports.iter().map(|r| r.candidates).sum();
+    u64::try_from(candidates).unwrap_or(u64::MAX)
+}
+
+/// The lines, concatenated — or `empty` when there are none.
+fn listing(lines: impl Iterator<Item = String>, empty: &str) -> String {
+    let out: String = lines.collect();
+    if out.is_empty() {
+        empty.to_owned()
+    } else {
+        out
+    }
+}
+
+fn parse_site(rest: &str) -> Result<LogRecord> {
+    let mut parts = rest.split_whitespace();
+    let id: u32 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| usage("site <id> <name>"))?;
+    let name = parts.next().ok_or_else(|| usage("site <id> <name>"))?;
+    Ok(LogRecord::AddSite {
+        id,
+        name: name.to_owned(),
+    })
+}
+
+/// `relation Name @site (attr:type[:bytes], …) [sel=σ] [bfr=n]`
+fn parse_relation(rest: &str) -> Result<LogRecord> {
+    const USAGE: &str = "relation <Name> @<site> (<attr>:<type>[:bytes], ...) [sel=σ] [bfr=n]";
+    let (head, attrs_and_opts) = rest.split_once('(').ok_or_else(|| usage(USAGE))?;
+    let mut head_parts = head.split_whitespace();
+    let name = head_parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
+    let site: u32 = head_parts
+        .next()
+        .and_then(|s| s.strip_prefix('@'))
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| usage(USAGE))?;
+    let (attr_list, opts) = attrs_and_opts.split_once(')').ok_or_else(|| usage(USAGE))?;
+
+    let mut attributes = Vec::new();
+    for spec in attr_list.split(',') {
+        let mut f = spec.trim().split(':');
+        let attr_name = f
+            .next()
+            .filter(|s| !s.is_empty())
+            .ok_or_else(|| usage(USAGE))?;
+        let ty = match f.next().map(str::to_ascii_lowercase).as_deref() {
+            Some("int") | None => DataType::Int,
+            Some("float") => DataType::Float,
+            Some("bool") => DataType::Bool,
+            Some("text") => DataType::Text,
+            Some(other) => return Err(usage(&format!("unknown type `{other}`"))),
+        };
+        let attr = match f.next() {
+            Some(bytes) => AttributeInfo::sized(
+                attr_name,
+                ty,
+                bytes.trim().parse().map_err(|_| usage(USAGE))?,
+            ),
+            None => AttributeInfo::new(attr_name, ty),
+        };
+        attributes.push(attr);
+    }
+
+    let mut info = RelationInfo::new(name.clone(), SiteId(site), attributes, 0);
+    for opt in opts.split_whitespace() {
+        if let Some(v) = opt.strip_prefix("sel=") {
+            info.selectivity = v.parse().map_err(|_| usage(USAGE))?;
+        } else if let Some(v) = opt.strip_prefix("bfr=") {
+            info.blocking_factor = v.parse().map_err(|_| usage(USAGE))?;
+        } else if !opt.is_empty() {
+            return Err(usage(USAGE));
+        }
+    }
+
+    let schema = Schema::new(
+        info.attributes
+            .iter()
+            .map(|a| ColumnDef::sized(ColumnRef::bare(a.name.clone()), a.ty, a.byte_size))
+            .collect(),
+    )?;
+    let extent = Relation::empty(name.clone(), schema);
+    Ok(LogRecord::RegisterRelation { info, extent })
+}
+
+/// Parses `('ann', 3, true)` into a tuple (types checked on insert).
+fn parse_tuple(text: &str) -> Result<Tuple> {
+    let inner = text
+        .trim()
+        .strip_prefix('(')
+        .and_then(|s| s.strip_suffix(')'))
+        .ok_or_else(|| usage("tuple must be parenthesized: (v1, v2, ...)"))?;
+    let mut values = Vec::new();
+    for field in split_top_level(inner) {
+        let f = field.trim();
+        let value = if let Some(s) = f.strip_prefix('\'').and_then(|s| s.strip_suffix('\'')) {
+            Value::Text(s.to_owned())
+        } else if f.eq_ignore_ascii_case("true") {
+            Value::Bool(true)
+        } else if f.eq_ignore_ascii_case("false") {
+            Value::Bool(false)
+        } else if let Ok(i) = f.parse::<i64>() {
+            Value::Int(i)
+        } else if let Ok(x) = f.parse::<f64>() {
+            Value::float(x)?
+        } else {
+            return Err(usage(&format!("cannot parse value `{f}`")));
+        };
+        values.push(value);
+    }
+    Ok(Tuple::new(values))
+}
+
+/// `insert <Relation> (v1, v2, …)` — seeds base data *without* view
+/// maintenance (initial loading).
+fn parse_seed(rest: &str) -> Result<LogRecord> {
+    let (rel, tuple_text) = rest
+        .split_once(char::is_whitespace)
+        .ok_or_else(|| usage("insert <Relation> (v1, v2, ...)"))?;
+    Ok(LogRecord::SeedTuples {
+        relation: rel.to_owned(),
+        tuples: vec![parse_tuple(tuple_text)?],
+    })
+}
+
+/// `pc A (x, y) <=|=|>= B (u, v)` — containment constraint.
+fn parse_pc(rest: &str) -> Result<LogRecord> {
+    const USAGE: &str = "pc <A> (attrs) <= | = | >= <B> (attrs)";
+    let (left, op, right) = split_constraint(rest).ok_or_else(|| usage(USAGE))?;
+    let parse_side = |s: &str| -> Result<eve_misd::PcSide> {
+        let (rel, attrs) = s.split_once('(').ok_or_else(|| usage(USAGE))?;
+        let attrs = attrs.trim().strip_suffix(')').ok_or_else(|| usage(USAGE))?;
+        let names: Vec<&str> = attrs.split(',').map(str::trim).collect();
+        Ok(eve_misd::PcSide::projection(rel.trim(), &names))
+    };
+    let relationship = match op {
+        "<=" => eve_misd::PcRelationship::Subset,
+        "=" => eve_misd::PcRelationship::Equivalent,
+        ">=" => eve_misd::PcRelationship::Superset,
+        _ => return Err(usage(USAGE)),
+    };
+    let pc = eve_misd::PcConstraint::new(parse_side(left)?, relationship, parse_side(right)?);
+    Ok(LogRecord::AddPcConstraint(pc))
+}
+
+/// `jc A.x = B.y`
+fn parse_jc(rest: &str) -> Result<LogRecord> {
+    const USAGE: &str = "jc <A>.<x> = <B>.<y>";
+    let (l, r) = rest.split_once('=').ok_or_else(|| usage(USAGE))?;
+    let lref = ColumnRef::parse(l.trim());
+    let rref = ColumnRef::parse(r.trim());
+    let (Some(lq), Some(rq)) = (lref.qualifier.clone(), rref.qualifier.clone()) else {
+        return Err(usage(USAGE));
+    };
+    let jc = eve_misd::JoinConstraint::new(
+        lq,
+        rq,
+        vec![eve_relational::PrimitiveClause::eq(lref, rref)],
+    );
+    Ok(LogRecord::AddJoinConstraint(jc))
+}
+
+/// `update <Relation> insert|delete (v1, …)`
+fn parse_update(rest: &str) -> Result<LogRecord> {
+    const USAGE: &str = "update <Relation> insert|delete (v1, v2, ...)";
+    let mut parts = rest.splitn(3, char::is_whitespace);
+    let rel = parts.next().ok_or_else(|| usage(USAGE))?;
+    let kind = parts.next().ok_or_else(|| usage(USAGE))?;
+    let tuple = parse_tuple(parts.next().ok_or_else(|| usage(USAGE))?)?;
+    let update = match kind.to_ascii_lowercase().as_str() {
+        "insert" => EvolutionOp::insert(rel, vec![tuple]),
+        "delete" => EvolutionOp::delete(rel, vec![tuple]),
+        _ => return Err(usage(USAGE)),
+    };
+    Ok(LogRecord::Batch(vec![update]))
+}
+
+/// `change delete-relation R | delete-attribute R.A |
+///  rename-relation A B | rename-attribute R.A B`
+fn parse_change(rest: &str) -> Result<LogRecord> {
+    const USAGE: &str = "change delete-relation <R> | delete-attribute <R>.<A> | \
+         rename-relation <A> <B> | rename-attribute <R>.<A> <B>";
+    let mut parts = rest.split_whitespace();
+    let kind = parts.next().ok_or_else(|| usage(USAGE))?;
+    let change = match kind.to_ascii_lowercase().as_str() {
+        "delete-relation" => SchemaChange::DeleteRelation {
+            relation: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
+        },
+        "delete-attribute" => {
+            let c = ColumnRef::parse(parts.next().ok_or_else(|| usage(USAGE))?);
+            SchemaChange::DeleteAttribute {
+                relation: c.qualifier.ok_or_else(|| usage(USAGE))?,
+                attribute: c.name,
+            }
+        }
+        "rename-relation" => SchemaChange::RenameRelation {
+            from: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
+            to: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
+        },
+        "rename-attribute" => {
+            let c = ColumnRef::parse(parts.next().ok_or_else(|| usage(USAGE))?);
+            SchemaChange::RenameAttribute {
+                relation: c.qualifier.ok_or_else(|| usage(USAGE))?,
+                from: c.name,
+                to: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
+            }
+        }
+        _ => return Err(usage(USAGE)),
+    };
+    Ok(LogRecord::Batch(vec![EvolutionOp::change(change)]))
+}
+
+/// `index <Relation> <column> [hash|sorted]` — declare (and warm) a
+/// secondary index on a hosted base relation. Durable hosts log the
+/// declaration so it survives recovery.
+fn parse_index(rest: &str) -> Result<LogRecord> {
+    const USAGE: &str = "index <Relation> <column> [hash|sorted]";
+    let mut parts = rest.split_whitespace();
+    let relation = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
+    let column = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
+    let kind = match parts.next().map(str::to_ascii_lowercase).as_deref() {
+        Some("hash") | None => IndexKind::Hash,
+        Some("sorted") => IndexKind::Sorted,
+        Some(other) => return Err(usage(&format!("unknown index kind `{other}`"))),
+    };
+    Ok(LogRecord::DeclareIndex(IndexHint {
+        relation,
+        column,
+        kind,
+    }))
+}
+
+/// `exec [<parallelism> [<morsel-rows>]]`
+fn parse_exec(rest: &str) -> Result<Option<(usize, Option<usize>)>> {
+    const USAGE: &str = "exec [<parallelism> [<morsel-rows>]]";
+    let mut parts = rest.split_whitespace();
+    let Some(par) = parts.next() else {
+        return Ok(None);
+    };
+    let parallelism: usize = par.parse().map_err(|_| usage(USAGE))?;
+    if parallelism == 0 || parallelism > 256 {
+        return Err(usage("parallelism must be in 1..=256"));
+    }
+    let morsel_rows = match parts.next() {
+        None => None,
+        Some(m) => {
+            let m: usize = m.parse().map_err(|_| usage(USAGE))?;
+            if m == 0 {
+                return Err(usage("morsel-rows must be at least 1"));
+            }
+            Some(m)
+        }
+    };
+    Ok(Some((parallelism, morsel_rows)))
+}
+
+/// `travel <generation> [<view>]`
+fn parse_travel(rest: &str) -> Result<Command> {
+    let mut parts = rest.split_whitespace();
+    let generation: u64 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| usage("travel <generation> [<view>]"))?;
+    Ok(Command::Travel {
+        generation,
+        view: parts.next().map(str::to_owned),
+    })
 }
 
 /// Splits on commas that are not inside single quotes.
@@ -1071,7 +1140,7 @@ mod tests {
 
     #[test]
     fn tuple_parsing_accepts_all_types() {
-        let t = Shell::parse_tuple("( 'a, b' , 7, -3, 2.5, true, false )").unwrap();
+        let t = parse_tuple("( 'a, b' , 7, -3, 2.5, true, false )").unwrap();
         assert_eq!(t.arity(), 6);
         assert_eq!(t.get(0), &Value::Text("a, b".into()));
         assert_eq!(t.get(1), &Value::Int(7));

@@ -27,7 +27,7 @@ use eve::misd::{
     AttributeInfo, PcConstraint, PcRelationship, PcSide, RelationInfo, SchemaChange, SiteId,
 };
 use eve::relational::{tup, DataType, IndexKind, Relation, Schema, Tuple};
-use eve::system::{EveEngine, EvolutionOp};
+use eve::system::{DataUpdate, EveEngine, EvolutionOp};
 
 /// Small blocks, so that two or three matches already span blocks and a
 /// count taken after the residual filter would charge fewer I/Os.
@@ -248,11 +248,11 @@ fn maintenance_traces_reproduce_the_parent_build() {
         &mut e,
         s,
         "delete M ×2 with an insert",
-        vec![Op::Data {
+        vec![Op::Data(DataUpdate {
             relation: "M".into(),
             inserts: vec![tup![1, 8, "t1"]],
             deletes: vec![tup![1, 10, "t0"], tup![1, 13, "t1"]],
-        }],
+        })],
     );
     assert_probed(&mut e, 2, "Y", 0); // X.J = Y.K, and first of (Y.K, Y.J) from Z
     assert_probed(&mut e, 1, "X", 1); // X.J = Y.K from Y
@@ -359,11 +359,11 @@ fn maintenance_traces_reproduce_the_parent_build() {
         &mut e,
         s,
         "update M2",
-        vec![Op::Data {
+        vec![Op::Data(DataUpdate {
             relation: "M2".into(),
             inserts: vec![tup![0, 7, "t0"]],
             deletes: vec![tup![1, 4, "t0"]],
-        }],
+        })],
     );
     step(
         &mut e,

@@ -13,7 +13,7 @@ use eve::qc::{
 };
 use eve::relational::{tup, ColumnRef, CompOp, DataType, PrimitiveClause, Relation, Tuple, Value};
 use eve::sync::{synchronize, EvolutionOp, SyncOptions};
-use eve::system::{DataUpdate, EveEngine};
+use eve::system::EveEngine;
 
 // ---------------------------------------------------------------------
 // Generators
@@ -294,13 +294,13 @@ proptest! {
         let mut sequential_reports = Vec::new();
         for op in ops {
             match op {
-                EvolutionOp::Data { relation, inserts, deletes } => {
+                EvolutionOp::Data(update) => {
                     // The source performs an insert, or a delete of a tuple
                     // it holds; only then does any view hear of the update.
-                    let site = sequential.mkb().relation(&relation).unwrap().site.0;
-                    let held = sequential.sites_mut()[&site].relation(&relation).unwrap();
-                    let performed = !inserts.is_empty() || deletes.iter().any(|t| held.contains(t));
-                    let update = DataUpdate { relation, inserts, deletes };
+                    let site = sequential.mkb().relation(&update.relation).unwrap().site.0;
+                    let held = sequential.sites_mut()[&site].relation(&update.relation).unwrap();
+                    let performed = !update.inserts.is_empty()
+                        || update.deletes.iter().any(|t| held.contains(t));
                     for (name, trace) in sequential.notify_data_update(&update).unwrap() {
                         // Measured messages are the model's CF_M for the
                         // plan of this origin.
