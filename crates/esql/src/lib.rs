@@ -26,6 +26,8 @@
 //! WHERE (C.Name = F.PName) AND (F.Dest = 'Asia') (CD = true)
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -165,7 +165,7 @@ impl Mkb {
                 attribute,
             } => {
                 let keys = self.index_keys_touching(&[relation]);
-                let info = self.relations_mut().get_mut(relation).expect("checked");
+                let info = self.relation_entry(relation)?;
                 info.attributes.retain(|a| &a.name != attribute);
                 self.drop_constraints_on_attr(relation, attribute);
                 self.reindex(keys);
@@ -174,12 +174,12 @@ impl Mkb {
                 relation,
                 attribute,
             } => {
-                let info = self.relations_mut().get_mut(relation).expect("checked");
+                let info = self.relation_entry(relation)?;
                 info.attributes.push(attribute.clone());
             }
             SchemaChange::RenameAttribute { relation, from, to } => {
                 let keys = self.index_keys_touching(&[relation]);
-                let info = self.relations_mut().get_mut(relation).expect("checked");
+                let info = self.relation_entry(relation)?;
                 for a in &mut info.attributes {
                     if &a.name == from {
                         a.name = to.clone();
@@ -202,7 +202,11 @@ impl Mkb {
             SchemaChange::AddRelation { relation } => self.register_relation(relation.clone())?,
             SchemaChange::RenameRelation { from, to } => {
                 let keys = self.index_keys_touching(&[from, to]);
-                let mut info = self.relations_mut().remove(from).expect("checked");
+                let Some(mut info) = self.relations_mut().remove(from) else {
+                    return Err(Error::UnknownRelation {
+                        relation: from.clone(),
+                    });
+                };
                 info.name = to.clone();
                 self.relations_mut().insert(to.clone(), info);
                 self.rename_relation_in_constraints(from, to);
@@ -210,6 +214,16 @@ impl Mkb {
             }
         }
         Ok(())
+    }
+
+    /// A relation's entry, to edit in place. [`Mkb::check_change`] has
+    /// already found it, so the error only guards the invariant.
+    fn relation_entry(&mut self, relation: &str) -> Result<&mut RelationInfo> {
+        self.relations_mut()
+            .get_mut(relation)
+            .ok_or_else(|| Error::UnknownRelation {
+                relation: relation.to_owned(),
+            })
     }
 
     fn drop_constraints_on_attr(&mut self, relation: &str, attribute: &str) {

@@ -26,6 +26,8 @@
 //! applies it, keeping the constraint store consistent as relations and
 //! attributes disappear, appear or get renamed.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod constraints;
 pub mod error;
 pub mod evolver;

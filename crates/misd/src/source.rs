@@ -121,6 +121,11 @@ impl RelationInfo {
     /// Never panics for a validly registered relation (attribute names are
     /// checked unique at registration).
     #[must_use]
+    #[allow(
+        clippy::expect_used,
+        reason = "`Mkb::register_relation`, which `Mkb::from_state` also goes \
+                  through, refuses duplicate attribute names"
+    )]
     pub fn schema(&self) -> Schema {
         Schema::new(
             self.attributes

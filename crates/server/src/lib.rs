@@ -20,12 +20,16 @@
 //!   policy that rejects or queues mutations once the budget is spent.
 //!   A statement is parsed to an [`eve_system::Command`] before any lock
 //!   is taken, an `Apply` batch is wrapped as one, and both run through
-//!   `Shell::run`, whose candidate count and the engine's I/O are what
-//!   the budget meters. Read-only statements are not gated.
+//!   `Shell::run` under the tenant's write lock, whose candidate count
+//!   and the engine's I/O are what the budget meters. A statement that
+//!   only reads parses to an [`eve_system::ReadCommand`]: it is not
+//!   gated or charged, and `Shell::answer` answers it under the tenant's
+//!   read lock, as it answers a `Query` request.
 //! - [`server`] — session management and the worker topology: one router
-//!   thread assigns sessions and dispatches deterministically, mutations
-//!   for a tenant always land on the same shard worker (per-tenant
-//!   serialized writes), and reads fan out to a concurrent read pool.
+//!   thread assigns sessions and dispatches deterministically, statements
+//!   and batches for a tenant always land on the same shard worker
+//!   (per-tenant serialized writes), and `Query`, `Stats` and `Metrics`
+//!   requests fan out to a concurrent read pool.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

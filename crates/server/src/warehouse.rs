@@ -5,17 +5,20 @@
 //! wire protocol's statements execute exactly like interactive shell
 //! lines. Both request kinds become one [`Command`] before any lock is
 //! taken — a statement through [`Shell::parse`], an `Apply` batch as
-//! [`Command::Apply`] — and take one path: admit, [`Shell::run`], charge.
-//! Admission meters what `run` reports: the rewrite-search candidates the
-//! command generated and the engine's I/O blocks. Once a tenant's budget
-//! is spent its policy decides whether further mutations are rejected
-//! outright or parked, parsed, in a bounded deferred queue that drains
-//! (in arrival order) on the next budget reset. A malformed statement is
-//! refused before admission. Reads are never gated: `Query` requests and
-//! read-only statements (`query`, `show`, `help`, `costs`, `stats`,
-//! `log-stats`, `travel`, blank and `#` lines) run ungated and are
-//! charged nothing, so budget exhaustion degrades a tenant to read-only,
-//! it does not black-hole it.
+//! [`Command::Apply`]. A malformed statement is refused there, before
+//! admission.
+//!
+//! A [`Command::Read`] is answered by [`Shell::answer`] under the
+//! tenant's read lock, beside the read pool's `Query` readers (a `Query`
+//! request is that same command). It is never gated and is charged
+//! nothing, so budget exhaustion degrades a tenant to read-only, it does
+//! not black-hole it. Every other command takes one path: admit,
+//! [`Shell::run`] under the write lock, charge. Admission meters what
+//! `run` reports: the rewrite-search candidates the command generated
+//! and the engine's I/O blocks. Once a tenant's budget is spent its
+//! policy decides whether further mutations are rejected outright or
+//! parked, parsed, in a bounded deferred queue that drains (in arrival
+//! order) on the next budget reset.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -23,7 +26,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use eve_relational::ExecOptions;
 use eve_sync::EvolutionOp;
-use eve_system::{Command, DurableEngine, Shell};
+use eve_system::{Command, DurableEngine, ReadCommand, Shell};
 
 use crate::{Error, Result};
 
@@ -107,9 +110,10 @@ struct AdmissionState {
 
 /// One tenant: a shell over a durable engine, plus admission state.
 ///
-/// The shell lives under an `RwLock` — mutations take the write lock (and
-/// are additionally serialized by the server's shard routing), queries
-/// take read locks and run concurrently.
+/// The shell lives under an `RwLock`. Mutations take the write lock (and
+/// are additionally serialized by the server's shard routing). Reads — a
+/// `Query` request or a statement that parses to a [`ReadCommand`] — take
+/// the read lock, by type, and run concurrently.
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
@@ -157,15 +161,13 @@ impl Tenant {
         }
     }
 
-    /// Evaluates a view under a read lock.
+    /// A view's extent, answered as the statement `query <view>` is.
     ///
     /// # Errors
     ///
     /// Unknown view.
     pub fn query(&self, view: &str) -> Result<String> {
-        let shell = self.read();
-        let mv = shell.engine().view(view)?;
-        Ok(mv.extent.distinct().to_string())
+        Ok(self.read().answer(&ReadCommand::Query(view.to_owned()))?)
     }
 
     fn over_budget(&self, st: &AdmissionState) -> Option<String> {
@@ -186,9 +188,9 @@ impl Tenant {
 
     /// Runs one mutation through admission control. A statement is parsed
     /// first, with no lock held: a malformed one is refused before
-    /// admission, and a read-only one (`query`, `show`, `help`, …) runs at
-    /// once, ungated and uncharged. Any other command executes when the
-    /// budget allows, otherwise is rejected or queued per the tenant's
+    /// admission, and a [`Command::Read`] is answered at once under the
+    /// read lock, ungated and uncharged. Any other command executes when
+    /// the budget allows, otherwise is rejected or queued per the tenant's
     /// policy.
     ///
     /// # Errors
@@ -201,44 +203,41 @@ impl Tenant {
             Mutation::Statement(line) => Shell::parse(&line)?,
             Mutation::Apply(ops) => Command::Apply(ops),
         };
-        if !command.is_read_only() {
-            let mut st = lock(&self.state);
-            if let Some(detail) = self.over_budget(&st) {
-                let tenant = self.name.clone();
-                if self.policy == AdmissionPolicy::Reject {
-                    return Err(Error::BudgetExceeded { tenant, detail });
-                }
-                let capacity = self.budget.max_queue;
-                if st.deferred.len() >= capacity {
-                    return Err(Error::QueueFull { tenant, capacity });
-                }
-                st.deferred.push_back(command);
-                return Ok(Admitted::Queued(st.deferred.len() - 1));
-            }
+        if let Command::Read(read) = &command {
+            return Ok(Admitted::Executed(self.read().answer(read)?));
         }
-        let output = self.run_now(command)?;
-        Ok(Admitted::Executed(output))
+        let mut st = lock(&self.state);
+        if let Some(detail) = self.over_budget(&st) {
+            let tenant = self.name.clone();
+            if self.policy == AdmissionPolicy::Reject {
+                return Err(Error::BudgetExceeded { tenant, detail });
+            }
+            let capacity = self.budget.max_queue;
+            if st.deferred.len() >= capacity {
+                return Err(Error::QueueFull { tenant, capacity });
+            }
+            st.deferred.push_back(command);
+            return Ok(Admitted::Queued(st.deferred.len() - 1));
+        }
+        drop(st);
+        Ok(Admitted::Executed(self.run_now(command)?))
     }
 
-    /// Runs a parsed command (admission already decided) and charges what
-    /// it cost: the candidates [`Shell::run`] reports and the engine's
+    /// Runs an admitted command under the write lock and charges what it
+    /// cost: the candidates [`Shell::run`] reports and the engine's
     /// measured I/O, at least one unit — its log append — so a stream of
     /// tiny mutations cannot run forever on a finite budget. Statements and
     /// `Apply` batches take this one path, so a `change` statement spends
-    /// the budget exactly like the same change sent as `Apply`. A
-    /// read-only command is charged nothing.
+    /// the budget exactly like the same change sent as `Apply`.
     fn run_now(&self, command: Command) -> Result<String> {
-        let charged = !command.is_read_only();
         let mut shell = self.shell.write().unwrap_or_else(|e| e.into_inner());
         let io_before = shell.engine().total_io();
         let (output, candidates) = shell.run(command)?;
         let io = shell.engine().total_io().saturating_sub(io_before);
         drop(shell);
-        if charged {
-            let mut st = lock(&self.state);
-            st.candidates_used = st.candidates_used.saturating_add(candidates);
-            st.io_used = st.io_used.saturating_add(io.max(1));
-        }
+        let mut st = lock(&self.state);
+        st.candidates_used = st.candidates_used.saturating_add(candidates);
+        st.io_used = st.io_used.saturating_add(io.max(1));
         Ok(output)
     }
 
@@ -725,14 +724,20 @@ mod tests {
                 "stats".to_owned(),
                 "log-stats".to_owned(),
                 format!("travel {generation} V"),
+                "metrics".to_owned(),
+                "metrics prom".to_owned(),
+                "exec".to_owned(),
                 String::new(),
                 "# a note".to_owned(),
             ] {
                 let admitted = t.execute_mutation(Mutation::Statement(line.clone()));
-                assert!(
-                    matches!(admitted, Ok(Admitted::Executed(_))),
-                    "{policy:?} `{line}`: {admitted:?}"
-                );
+                let Ok(Admitted::Executed(text)) = admitted else {
+                    panic!("{policy:?} `{line}`: {admitted:?}");
+                };
+                // A `Query` request is the statement `query <view>`.
+                if line == "query V" {
+                    assert_eq!(text, t.query("V").unwrap());
+                }
             }
             assert_eq!(t.stats(), spent, "{policy:?}: reads are charged nothing");
             // A mutation is still gated.
@@ -740,6 +745,59 @@ mod tests {
             assert!(
                 !matches!(gated, Ok(Admitted::Executed(_))),
                 "{policy:?}: {gated:?}"
+            );
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn read_only_statements_share_the_read_lock() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let root = scratch("read-lock");
+        let wh = Warehouse::open(&root).unwrap();
+        let t = wh.tenant("shared").unwrap();
+        for line in [
+            "site 1 s1",
+            "relation R @1 (K:int)",
+            "insert R (1)",
+            "view CREATE VIEW V (VE = '~') AS SELECT R.K FROM R (RR = true)",
+        ] {
+            t.execute_mutation(Mutation::Statement(line.into()))
+                .unwrap();
+        }
+        let generation = t.read().engine().mkb().generation();
+        let lines = [
+            "query V".to_owned(),
+            "show views".to_owned(),
+            format!("travel {generation} V"),
+        ];
+        // Another reader holds the lock throughout: each statement must
+        // still answer, so none of them waits for the write lock.
+        let guard = t.read();
+        let (tx, rx) = mpsc::channel();
+        let reader = {
+            let (t, lines) = (Arc::clone(&t), lines.clone());
+            std::thread::spawn(move || {
+                for line in lines {
+                    let answer = t.execute_mutation(Mutation::Statement(line));
+                    if tx.send(answer).is_err() {
+                        return;
+                    }
+                }
+            })
+        };
+        let answers: Vec<_> = lines
+            .iter()
+            .map_while(|_| rx.recv_timeout(Duration::from_secs(10)).ok())
+            .collect();
+        drop(guard);
+        reader.join().unwrap();
+        assert_eq!(answers.len(), lines.len(), "a read waited: {answers:?}");
+        for (line, answer) in lines.iter().zip(answers) {
+            assert!(
+                matches!(answer, Ok(Admitted::Executed(_))),
+                "`{line}`: {answer:?}"
             );
         }
         std::fs::remove_dir_all(&root).ok();

@@ -56,5 +56,5 @@ pub use engine::{BatchOutcome, EveEngine, EvolutionReport, IndexHint};
 pub use error::{Error, Result};
 pub use eve_sync::{DataUpdate, EvolutionOp};
 pub use maintainer::MaintenanceTrace;
-pub use shell::{Command, Shell};
+pub use shell::{Command, ReadCommand, Shell};
 pub use site::SimSite;

@@ -2,11 +2,15 @@
 //! front-end used by `examples/eve_shell.rs`, and a convenient scripting
 //! surface for demos and tests. A line is handled in two steps:
 //! [`Shell::parse`] lowers it to a [`Command`] with no engine in reach,
-//! then [`Shell::run`] executes the command. Each mutating command (`site
-//! relation insert pc jc view update change index`) parses to the
-//! [`LogRecord`] it applies — a data update is an [`EvolutionOp::Data`]
-//! inside a [`LogRecord::Batch`] — so an in-memory shell and one over an
-//! open store run the same engine path and print the same text.
+//! then [`Shell::run`] executes the command. A command that only reads
+//! (`help query show costs stats metrics log-stats travel`, a bare
+//! `exec`, blank and `#` lines) parses to a [`ReadCommand`], which
+//! [`Shell::answer`] answers on `&self` — so a host can run it under a
+//! shared lock. Each mutating command (`site relation insert pc jc view
+//! update change index`) parses to the [`LogRecord`] it applies — a data
+//! update is an [`EvolutionOp::Data`] inside a [`LogRecord::Batch`] — so
+//! an in-memory shell and one over an open store run the same engine
+//! path and print the same text.
 //!
 //! ```text
 //! site 1 customers
@@ -45,23 +49,49 @@ enum Host {
 }
 
 /// One shell line, lowered by [`Shell::parse`] before anything runs. A
+/// command that only reads is a [`ReadCommand`], answered on `&Shell`; a
 /// mutating command is the [`LogRecord`] it applies (and, with a store
-/// open, logs); every read and session control has a variant of its own.
+/// open, logs); every other session control has a variant of its own.
 #[derive(Debug)]
 pub enum Command {
-    /// A blank line or a `#` comment.
-    Nothing,
-    /// `help`.
-    Help,
+    /// A command that only reads: [`Shell::answer`] answers it.
+    Read(ReadCommand),
     /// `site`, `relation`, `insert`, `pc`, `jc`, `view`, `update`,
     /// `change` or `index`: the record the command applies.
     Log(LogRecord),
     /// An op batch sent as one request: applied as [`LogRecord::Batch`]
     /// and answered with its counts rather than line by line.
     Apply(Vec<EvolutionOp>),
-    /// `exec [<parallelism> [<morsel-rows>]]`: `None` shows the knobs; a
-    /// missing morsel size keeps the current one.
-    Exec(Option<(usize, Option<usize>)>),
+    /// `exec <parallelism> [<morsel-rows>]`: a missing morsel size keeps
+    /// the current one.
+    Exec((usize, Option<usize>)),
+    /// `metrics reset`.
+    MetricsReset,
+    /// `trace on` (`true`) or `trace off`.
+    Trace(bool),
+    /// `trace clear`.
+    TraceClear,
+    /// `trace json`.
+    TraceJson,
+    /// `rebalance`.
+    Rebalance,
+    /// `open <dir>`.
+    Open(String),
+    /// `checkpoint`.
+    Checkpoint,
+    /// `compact`.
+    Compact,
+}
+
+/// A command that only reads the shell's engine or store. Its type is
+/// the proof: [`Shell::answer`] takes `&self`, so a host may answer it
+/// under a shared lock, ungated and uncharged.
+#[derive(Debug)]
+pub enum ReadCommand {
+    /// A blank line or a `#` comment.
+    Nothing,
+    /// `help`.
+    Help,
     /// `query <view>`.
     Query(String),
     /// `show views`.
@@ -79,20 +109,8 @@ pub enum Command {
         /// Render as Prometheus text exposition.
         prometheus: bool,
     },
-    /// `metrics reset`.
-    MetricsReset,
-    /// `trace on` (`true`) or `trace off`.
-    Trace(bool),
-    /// `trace clear`.
-    TraceClear,
-    /// `trace json`.
-    TraceJson,
-    /// `rebalance`.
-    Rebalance,
-    /// `open <dir>`.
-    Open(String),
-    /// `checkpoint`.
-    Checkpoint,
+    /// A bare `exec`: the intra-query execution knobs.
+    Exec,
     /// `log-stats`.
     LogStats,
     /// `travel <generation> [<view>]`.
@@ -102,30 +120,6 @@ pub enum Command {
         /// The view whose extent to print, if any.
         view: Option<String>,
     },
-    /// `compact`.
-    Compact,
-}
-
-impl Command {
-    /// Whether the command only reads: `help`, `query`, `show`, `costs`,
-    /// `stats`, `log-stats`, `travel`, and blank or `#` lines. Admission
-    /// control lets these through and charges them nothing.
-    #[must_use]
-    pub fn is_read_only(&self) -> bool {
-        matches!(
-            self,
-            Command::Nothing
-                | Command::Help
-                | Command::Query(_)
-                | Command::ShowViews
-                | Command::ShowRelations
-                | Command::ShowConstraints
-                | Command::Costs
-                | Command::Stats
-                | Command::LogStats
-                | Command::Travel { .. }
-        )
-    }
 }
 
 /// The interactive shell: an [`EveEngine`] plus a command interpreter.
@@ -187,8 +181,9 @@ impl Shell {
         }
     }
 
-    /// The open durable engine, mutably — the server drives checkpoints
-    /// and budget resets through this.
+    /// The open durable engine, mutably — the shell's `checkpoint` and
+    /// `compact` run through this, and so can a caller that applies a
+    /// batch to the store directly.
     ///
     /// # Errors
     ///
@@ -196,9 +191,7 @@ impl Shell {
     pub fn durable_mut(&mut self) -> Result<&mut DurableEngine> {
         match &mut self.host {
             Host::Durable(d) => Ok(d),
-            Host::Plain(_) => Err(Error::State {
-                detail: "no store is open — run `open <dir>` first".into(),
-            }),
+            Host::Plain(_) => Err(no_store()),
         }
     }
 
@@ -229,20 +222,27 @@ impl Shell {
     ///
     /// # Errors
     ///
-    /// Unknown commands and malformed arguments surface as
+    /// Unknown commands, malformed arguments and trailing words surface as
     /// [`Error::State`] with a usage hint; a view definition that does not
     /// parse, as its E-SQL error.
     pub fn parse(line: &str) -> Result<Command> {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
-            return Ok(Command::Nothing);
+            return Ok(Command::Read(ReadCommand::Nothing));
         }
         let (cmd, rest) = match line.split_once(char::is_whitespace) {
             Some((c, r)) => (c, r.trim()),
             None => (line, ""),
         };
-        Ok(match cmd.to_ascii_lowercase().as_str() {
-            "help" => Command::Help,
+        let cmd = cmd.to_ascii_lowercase();
+        // A command that takes no argument refuses one.
+        let bare = |command| match rest {
+            "" => Ok(command),
+            _ => Err(usage(&cmd)),
+        };
+        let read = Command::Read;
+        Ok(match cmd.as_str() {
+            "help" => bare(read(ReadCommand::Help))?,
             "site" => Command::Log(parse_site(rest)?),
             "relation" => Command::Log(parse_relation(rest)?),
             "insert" => Command::Log(parse_seed(rest)?),
@@ -252,23 +252,26 @@ impl Shell {
             "update" => Command::Log(parse_update(rest)?),
             "change" => Command::Log(parse_change(rest)?),
             "index" => Command::Log(parse_index(rest)?),
-            "exec" => Command::Exec(parse_exec(rest)?),
-            "query" => Command::Query(rest.to_owned()),
-            "show" => match rest.to_ascii_lowercase().as_str() {
-                "views" => Command::ShowViews,
-                "relations" => Command::ShowRelations,
-                "constraints" => Command::ShowConstraints,
+            "exec" => parse_exec(rest)?.map_or(read(ReadCommand::Exec), Command::Exec),
+            "query" if !rest.is_empty() && !rest.contains(char::is_whitespace) => {
+                read(ReadCommand::Query(rest.to_owned()))
+            }
+            "query" => return Err(usage("query <view>")),
+            "show" => read(match rest.to_ascii_lowercase().as_str() {
+                "views" => ReadCommand::ShowViews,
+                "relations" => ReadCommand::ShowRelations,
+                "constraints" => ReadCommand::ShowConstraints,
                 other => {
                     return Err(usage(&format!(
                         "show views|relations|constraints (got `{other}`)"
                     )))
                 }
-            },
-            "costs" => Command::Costs,
-            "stats" => Command::Stats,
+            }),
+            "costs" => bare(read(ReadCommand::Costs))?,
+            "stats" => bare(read(ReadCommand::Stats))?,
             "metrics" => match rest {
-                "" => Command::Metrics { prometheus: false },
-                "prom" => Command::Metrics { prometheus: true },
+                "" => read(ReadCommand::Metrics { prometheus: false }),
+                "prom" => read(ReadCommand::Metrics { prometheus: true }),
                 "reset" => Command::MetricsReset,
                 other => return Err(usage(&format!("metrics [prom|reset] (got `{other}`)"))),
             },
@@ -279,26 +282,28 @@ impl Shell {
                 "json" => Command::TraceJson,
                 _ => return Err(usage("trace on|off|json|clear")),
             },
-            "rebalance" => Command::Rebalance,
+            "rebalance" => bare(Command::Rebalance)?,
             "open" if rest.is_empty() => return Err(usage("open <store-directory>")),
             "open" => Command::Open(rest.to_owned()),
-            "checkpoint" => Command::Checkpoint,
-            "log-stats" => Command::LogStats,
-            "travel" => parse_travel(rest)?,
-            "compact" => Command::Compact,
+            "checkpoint" => bare(Command::Checkpoint)?,
+            "log-stats" => bare(read(ReadCommand::LogStats))?,
+            "travel" => read(parse_travel(rest)?),
+            "compact" => bare(Command::Compact)?,
             other => return Err(usage(&format!("unknown command `{other}` — try `help`"))),
         })
     }
 
     /// Runs one parsed command, returning the text to display and the
     /// rewrite-search candidates the command generated — the meter
-    /// admission control charges.
+    /// admission control charges. A [`Command::Read`] is
+    /// [`Shell::answer`]ed and generates none.
     ///
     /// # Errors
     ///
     /// Any engine or store error.
     pub fn run(&mut self, command: Command) -> Result<(String, u64)> {
         let text = match command {
+            Command::Read(read) => self.answer(&read)?,
             Command::Log(record) => return self.run_record(record),
             Command::Apply(ops) => {
                 let outcome = self.apply(LogRecord::Batch(ops))?;
@@ -310,49 +315,11 @@ impl Shell {
                 );
                 return Ok((text, spent));
             }
-            Command::Nothing => String::new(),
-            Command::Help => HELP.trim().to_owned(),
-            Command::Exec(knobs) => self.run_exec(knobs),
-            Command::Query(view) => self.engine().view(&view)?.extent.distinct().to_string(),
-            Command::ShowViews => {
-                let views = self.engine().views().map(|mv| {
-                    let rows = mv.extent.cardinality();
-                    format!("{} [{rows} rows]\n{}\n", mv.def.name, mv.def)
-                });
-                listing(views, "(no views)")
-            }
-            Command::ShowRelations => {
-                let relations = self.engine().mkb().relations();
-                listing(relations.map(|r| format!("{r}\n")), "(no relations)")
-            }
-            Command::ShowConstraints => {
-                let mkb = self.engine().mkb();
-                let pcs = mkb.pc_constraints().iter().map(|pc| format!("{pc}\n"));
-                let jcs = mkb.join_constraints().iter().map(|jc| format!("{jc}\n"));
-                listing(pcs.chain(jcs), "(no constraints)")
-            }
-            Command::Costs => listing(
-                self.engine().cost_report()?.into_iter().map(|report| {
-                    let mut out = format!("{}: total {:.1}\n", report.view_name, report.total_cost);
-                    for (origin, f) in report.per_origin {
-                        out.push_str(&format!(
-                            "  origin {origin}: CF_M {:.0}, CF_T {:.0}, CF_IO {:.0}\n",
-                            f.messages, f.transfer, f.io
-                        ));
-                    }
-                    out
-                }),
-                "(no views)",
-            ),
-            Command::Stats => self.stats(),
-            Command::Metrics { prometheus } => {
-                let m = self.engine().metrics_snapshot();
-                let text = if prometheus {
-                    m.prometheus()
-                } else {
-                    m.render_text()
-                };
-                text.trim_end().to_owned()
+            Command::Exec((parallelism, morsel_rows)) => {
+                let o = &mut self.engine_mut().exec_options;
+                o.morsel_rows = morsel_rows.unwrap_or_else(|| o.morsel_rows());
+                o.parallelism = parallelism;
+                self.answer(&ReadCommand::Exec)?
             }
             Command::MetricsReset => {
                 eve_trace::global().reset();
@@ -376,8 +343,6 @@ impl Shell {
                 let generation = d.engine().mkb().generation();
                 format!("snapshot written at seq {seq} (generation {generation})")
             }
-            Command::LogStats => self.log_stats()?,
-            Command::Travel { generation, view } => self.travel(generation, view.as_deref())?,
             Command::Compact => {
                 let (segs, snaps) = self.durable_mut()?.compact()?;
                 format!(
@@ -387,6 +352,68 @@ impl Shell {
             }
         };
         Ok((text, 0))
+    }
+
+    /// Answers a command that only reads. It takes `&self`, so a host may
+    /// answer it under a shared lock while other readers run.
+    ///
+    /// # Errors
+    ///
+    /// An unknown view, a store command with no store open, or a store
+    /// read failure.
+    pub fn answer(&self, read: &ReadCommand) -> Result<String> {
+        Ok(match read {
+            ReadCommand::Nothing => String::new(),
+            ReadCommand::Help => HELP.trim().to_owned(),
+            ReadCommand::Query(view) => self.engine().view(view)?.extent.distinct().to_string(),
+            ReadCommand::ShowViews => {
+                let views = self.engine().views().map(|mv| {
+                    let rows = mv.extent.cardinality();
+                    format!("{} [{rows} rows]\n{}\n", mv.def.name, mv.def)
+                });
+                listing(views, "(no views)")
+            }
+            ReadCommand::ShowRelations => {
+                let relations = self.engine().mkb().relations();
+                listing(relations.map(|r| format!("{r}\n")), "(no relations)")
+            }
+            ReadCommand::ShowConstraints => {
+                let mkb = self.engine().mkb();
+                let pcs = mkb.pc_constraints().iter().map(|pc| format!("{pc}\n"));
+                let jcs = mkb.join_constraints().iter().map(|jc| format!("{jc}\n"));
+                listing(pcs.chain(jcs), "(no constraints)")
+            }
+            ReadCommand::Costs => listing(
+                self.engine().cost_report()?.into_iter().map(|report| {
+                    let mut out = format!("{}: total {:.1}\n", report.view_name, report.total_cost);
+                    for (origin, f) in report.per_origin {
+                        out.push_str(&format!(
+                            "  origin {origin}: CF_M {:.0}, CF_T {:.0}, CF_IO {:.0}\n",
+                            f.messages, f.transfer, f.io
+                        ));
+                    }
+                    out
+                }),
+                "(no views)",
+            ),
+            ReadCommand::Stats => self.stats(),
+            ReadCommand::Metrics { prometheus } => {
+                let m = self.engine().metrics_snapshot();
+                let text = if *prometheus {
+                    m.prometheus()
+                } else {
+                    m.render_text()
+                };
+                text.trim_end().to_owned()
+            }
+            ReadCommand::Exec => {
+                let o = &self.engine().exec_options;
+                let (workers, rows) = (o.parallelism.max(1), o.morsel_rows());
+                format!("exec: {workers} worker(s), {rows} rows/morsel")
+            }
+            ReadCommand::LogStats => self.log_stats()?,
+            ReadCommand::Travel { generation, view } => self.travel(*generation, view)?,
+        })
     }
 
     /// Applies a mutating command's record and renders its answer: the
@@ -453,22 +480,6 @@ impl Shell {
             });
         }
         Ok((out, candidates(&outcome)))
-    }
-
-    /// `exec` — set (or show) the engine's intra-query execution knobs. A
-    /// runtime tuning knob only: it is not logged, so recovery starts
-    /// serial.
-    fn run_exec(&mut self, knobs: Option<(usize, Option<usize>)>) -> String {
-        let o = &mut self.engine_mut().exec_options;
-        if let Some((parallelism, morsel_rows)) = knobs {
-            o.morsel_rows = morsel_rows.unwrap_or_else(|| o.morsel_rows());
-            o.parallelism = parallelism;
-        }
-        format!(
-            "exec: {} worker(s), {} rows/morsel",
-            o.parallelism.max(1),
-            o.morsel_rows()
-        )
     }
 
     /// `stats` — measured resource accounting since the last reset, plus
@@ -566,8 +577,8 @@ impl Shell {
     }
 
     /// `log-stats` — the store's layout and I/O counters.
-    fn log_stats(&mut self) -> Result<String> {
-        let d = self.durable_mut()?;
+    fn log_stats(&self) -> Result<String> {
+        let d = self.durable().ok_or_else(no_store)?;
         let s = d.store_stats();
         let snapshots = d.snapshot_index()?;
         let segments = d.segment_count()?;
@@ -612,9 +623,8 @@ impl Shell {
 
     /// `travel <generation> [<view>]` — reconstruct a historical state;
     /// with a view name, print that view's extent as of the generation.
-    fn travel(&mut self, generation: u64, view: Option<&str>) -> Result<String> {
-        let dir = self.durable_mut()?.dir().to_path_buf();
-        let past = DurableEngine::open_at(&dir, generation)?;
+    fn travel(&self, generation: u64, view: &Option<String>) -> Result<String> {
+        let past = DurableEngine::open_at(self.durable().ok_or_else(no_store)?.dir(), generation)?;
         let actual = past.mkb().generation();
         if let Some(name) = view {
             let extent = past.view(name)?.extent.distinct();
@@ -664,6 +674,17 @@ fn usage(msg: &str) -> Error {
     }
 }
 
+fn no_store() -> Error {
+    Error::State {
+        detail: "no store is open — run `open <dir>` first".into(),
+    }
+}
+
+/// The whitespace-separated words of a command's arguments.
+fn words(rest: &str) -> Vec<&str> {
+    rest.split_whitespace().collect()
+}
+
 /// Σ [`EvolutionReport::candidates`](crate::EvolutionReport) of one
 /// outcome: the rewrite-search work a command generated.
 fn candidates(outcome: &BatchOutcome) -> u64 {
@@ -682,14 +703,12 @@ fn listing(lines: impl Iterator<Item = String>, empty: &str) -> String {
 }
 
 fn parse_site(rest: &str) -> Result<LogRecord> {
-    let mut parts = rest.split_whitespace();
-    let id: u32 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| usage("site <id> <name>"))?;
-    let name = parts.next().ok_or_else(|| usage("site <id> <name>"))?;
+    let bad = || usage("site <id> <name>");
+    let [id, name] = words(rest)[..] else {
+        return Err(bad());
+    };
     Ok(LogRecord::AddSite {
-        id,
+        id: id.parse().map_err(|_| bad())?,
         name: name.to_owned(),
     })
 }
@@ -850,29 +869,29 @@ fn parse_update(rest: &str) -> Result<LogRecord> {
 fn parse_change(rest: &str) -> Result<LogRecord> {
     const USAGE: &str = "change delete-relation <R> | delete-attribute <R>.<A> | \
          rename-relation <A> <B> | rename-attribute <R>.<A> <B>";
-    let mut parts = rest.split_whitespace();
-    let kind = parts.next().ok_or_else(|| usage(USAGE))?;
-    let change = match kind.to_ascii_lowercase().as_str() {
-        "delete-relation" => SchemaChange::DeleteRelation {
-            relation: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
+    let words = words(rest);
+    let (kind, args) = words.split_first().ok_or_else(|| usage(USAGE))?;
+    let change = match (kind.to_ascii_lowercase().as_str(), args) {
+        ("delete-relation", [relation]) => SchemaChange::DeleteRelation {
+            relation: (*relation).to_owned(),
         },
-        "delete-attribute" => {
-            let c = ColumnRef::parse(parts.next().ok_or_else(|| usage(USAGE))?);
+        ("delete-attribute", [attribute]) => {
+            let c = ColumnRef::parse(attribute);
             SchemaChange::DeleteAttribute {
                 relation: c.qualifier.ok_or_else(|| usage(USAGE))?,
                 attribute: c.name,
             }
         }
-        "rename-relation" => SchemaChange::RenameRelation {
-            from: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
-            to: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
+        ("rename-relation", [from, to]) => SchemaChange::RenameRelation {
+            from: (*from).to_owned(),
+            to: (*to).to_owned(),
         },
-        "rename-attribute" => {
-            let c = ColumnRef::parse(parts.next().ok_or_else(|| usage(USAGE))?);
+        ("rename-attribute", [attribute, to]) => {
+            let c = ColumnRef::parse(attribute);
             SchemaChange::RenameAttribute {
                 relation: c.qualifier.ok_or_else(|| usage(USAGE))?,
                 from: c.name,
-                to: parts.next().ok_or_else(|| usage(USAGE))?.to_owned(),
+                to: (*to).to_owned(),
             }
         }
         _ => return Err(usage(USAGE)),
@@ -885,55 +904,56 @@ fn parse_change(rest: &str) -> Result<LogRecord> {
 /// declaration so it survives recovery.
 fn parse_index(rest: &str) -> Result<LogRecord> {
     const USAGE: &str = "index <Relation> <column> [hash|sorted]";
-    let mut parts = rest.split_whitespace();
-    let relation = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
-    let column = parts.next().ok_or_else(|| usage(USAGE))?.to_owned();
-    let kind = match parts.next().map(str::to_ascii_lowercase).as_deref() {
-        Some("hash") | None => IndexKind::Hash,
-        Some("sorted") => IndexKind::Sorted,
-        Some(other) => return Err(usage(&format!("unknown index kind `{other}`"))),
+    let (relation, column, kind) = match words(rest)[..] {
+        [relation, column] => (relation, column, "hash"),
+        [relation, column, kind] => (relation, column, kind),
+        _ => return Err(usage(USAGE)),
+    };
+    let kind = match kind.to_ascii_lowercase().as_str() {
+        "hash" => IndexKind::Hash,
+        "sorted" => IndexKind::Sorted,
+        other => return Err(usage(&format!("unknown index kind `{other}`"))),
     };
     Ok(LogRecord::DeclareIndex(IndexHint {
-        relation,
-        column,
+        relation: relation.to_owned(),
+        column: column.to_owned(),
         kind,
     }))
 }
 
-/// `exec [<parallelism> [<morsel-rows>]]`
+/// `exec [<parallelism> [<morsel-rows>]]`: `None` for a bare `exec`.
 fn parse_exec(rest: &str) -> Result<Option<(usize, Option<usize>)>> {
     const USAGE: &str = "exec [<parallelism> [<morsel-rows>]]";
-    let mut parts = rest.split_whitespace();
-    let Some(par) = parts.next() else {
-        return Ok(None);
+    let (par, morsel_rows) = match words(rest)[..] {
+        [] => return Ok(None),
+        [par] => (par, None),
+        [par, m] => (par, Some(m)),
+        _ => return Err(usage(USAGE)),
     };
     let parallelism: usize = par.parse().map_err(|_| usage(USAGE))?;
     if parallelism == 0 || parallelism > 256 {
         return Err(usage("parallelism must be in 1..=256"));
     }
-    let morsel_rows = match parts.next() {
+    let morsel_rows = match morsel_rows.map(str::parse) {
         None => None,
-        Some(m) => {
-            let m: usize = m.parse().map_err(|_| usage(USAGE))?;
-            if m == 0 {
-                return Err(usage("morsel-rows must be at least 1"));
-            }
-            Some(m)
-        }
+        Some(Ok(0)) => return Err(usage("morsel-rows must be at least 1")),
+        Some(Ok(m)) => Some(m),
+        Some(Err(_)) => return Err(usage(USAGE)),
     };
     Ok(Some((parallelism, morsel_rows)))
 }
 
 /// `travel <generation> [<view>]`
-fn parse_travel(rest: &str) -> Result<Command> {
-    let mut parts = rest.split_whitespace();
-    let generation: u64 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| usage("travel <generation> [<view>]"))?;
-    Ok(Command::Travel {
-        generation,
-        view: parts.next().map(str::to_owned),
+fn parse_travel(rest: &str) -> Result<ReadCommand> {
+    let bad = || usage("travel <generation> [<view>]");
+    let (generation, view) = match words(rest)[..] {
+        [generation] => (generation, None),
+        [generation, view] => (generation, Some(view.to_owned())),
+        _ => return Err(bad()),
+    };
+    Ok(ReadCommand::Travel {
+        generation: generation.parse().map_err(|_| bad())?,
+        view,
     })
 }
 
@@ -1166,6 +1186,31 @@ mod tests {
                 err.contains("usage:") || err.contains("unknown"),
                 "{bad}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn trailing_words_answer_the_usage_error() {
+        for line in [
+            "site 1 a b",
+            "travel 3 V W",
+            "rebalance junk",
+            "help me",
+            "costs x",
+            "stats please",
+            "checkpoint now",
+            "log-stats x",
+            "compact x",
+            "index R K hash x",
+            "change delete-relation R x",
+            "change rename-relation A B C",
+            "exec 2 64 x",
+            "query V W",
+            "query",
+        ] {
+            let err = Shell::parse(line).map(drop).unwrap_err().to_string();
+            let name = line.split_whitespace().next().unwrap();
+            assert!(err.contains(&format!("usage: {name}")), "`{line}`: {err}");
         }
     }
 
