@@ -450,6 +450,17 @@ impl Relation {
         }
     }
 
+    /// `self.distinct().to_string()`, rendered from borrowed tuples: no
+    /// tuple is cloned and no relation is built.
+    #[must_use]
+    pub fn distinct_to_string(&self) -> String {
+        let rows: BTreeSet<&Tuple> = self.store.tuples.iter().collect();
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = write_rows(&mut out, self, rows.len(), rows);
+        out
+    }
+
     /// Whether the relation contains a tuple equal to `t`.
     #[must_use]
     pub fn contains(&self, t: &Tuple) -> bool {
@@ -555,19 +566,25 @@ fn validate_against(schema: &Schema, tuple: &Tuple) -> Result<()> {
     Ok(())
 }
 
+/// Writes a header line for `relation` holding `rows` tuples, then one
+/// line per tuple: the text of both `impl Display for Relation` and
+/// [`Relation::distinct_to_string`].
+fn write_rows<'a>(
+    out: &mut impl fmt::Write,
+    relation: &Relation,
+    rows: usize,
+    tuples: impl IntoIterator<Item = &'a Tuple>,
+) -> fmt::Result {
+    writeln!(out, "{}{} [{rows} tuples]", relation.name, relation.schema)?;
+    for t in tuples {
+        writeln!(out, "  {t}")?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{}{} [{} tuples]",
-            self.name,
-            self.schema,
-            self.store.tuples.len()
-        )?;
-        for t in self.store.tuples.iter() {
-            writeln!(f, "  {t}")?;
-        }
-        Ok(())
+        write_rows(f, self, self.store.tuples.len(), self.store.tuples.iter())
     }
 }
 
@@ -697,6 +714,26 @@ mod tests {
         .unwrap();
         let d = rel.distinct();
         assert_eq!(d.tuples(), &[tup![1], tup![2], tup![3]]);
+    }
+
+    #[test]
+    fn distinct_to_string_renders_distinct_byte_for_byte() {
+        let ints = Relation::with_tuples(
+            "R",
+            Schema::of(&[("A", DataType::Int)]).unwrap(),
+            vec![tup![3], tup![1], tup![2], tup![1], tup![3]],
+        )
+        .unwrap();
+        let empty = Relation::empty("E", Schema::of(&[("A", DataType::Int)]).unwrap());
+        let mixed = Relation::with_tuples(
+            "M",
+            Schema::of(&[("A", DataType::Int), ("B", DataType::Text)]).unwrap(),
+            vec![tup![2, "b"], tup![1, "z"], tup![2, "a"], tup![1, "z"]],
+        )
+        .unwrap();
+        for rel in [ints, empty, r(), mixed] {
+            assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        }
     }
 
     #[test]

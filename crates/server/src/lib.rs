@@ -177,9 +177,6 @@ impl From<eve_store::Error> for Error {
             eve_store::Error::Busy { .. } => Error::Busy {
                 detail: e.to_string(),
             },
-            eve_store::Error::Shutdown { .. } => Error::Shutdown {
-                detail: e.to_string(),
-            },
             other => Error::Protocol {
                 detail: other.to_string(),
             },

@@ -57,14 +57,6 @@ pub enum Error {
         /// The retired policy, e.g. `beam (width 4)`.
         policy: String,
     },
-    /// The group-commit log was shut down (dropped, or its leader died)
-    /// while this record was still queued. The record was never
-    /// acknowledged and is not durable; waiters receive this instead of
-    /// blocking on a condvar that nobody will ever signal.
-    Shutdown {
-        /// What was being waited on.
-        detail: String,
-    },
 }
 
 impl Error {
@@ -107,14 +99,6 @@ impl Error {
             lock: lock.into(),
         }
     }
-
-    /// A shutdown error with the given detail.
-    #[must_use]
-    pub fn shutdown(detail: impl Into<String>) -> Error {
-        Error::Shutdown {
-            detail: detail.into(),
-        }
-    }
 }
 
 impl fmt::Display for Error {
@@ -139,7 +123,6 @@ impl fmt::Display for Error {
                 "store configured for the retired `{policy}` search policy: its log \
                  cannot be replayed under the exhaustive search"
             ),
-            Error::Shutdown { detail } => write!(f, "store shut down: {detail}"),
         }
     }
 }

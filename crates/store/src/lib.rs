@@ -9,8 +9,9 @@
 //!
 //! * [`log`] — a length-prefixed, CRC-64-checksummed **write-ahead
 //!   evolution log**. Every record carries the MKB generation observed
-//!   after applying it; appends are `fsync`'d before acknowledgement, and
-//!   torn tail frames from a crash mid-write are detected and truncated.
+//!   after applying it; an append is one frame, one write and one `fsync`
+//!   on the caller's thread before acknowledgement, and torn tail frames
+//!   from a crash mid-write are detected and truncated.
 //! * [`snapshot`] — canonical full-state **snapshots** (MKB incl.
 //!   generation, per-site relations/extents, installed rewritings, engine
 //!   configuration). Equal states encode to equal bytes, which is the
@@ -20,11 +21,9 @@
 //!   replay), segment rotation on checkpoint, compaction, and the
 //!   **generation time-travel** planner ([`EvolutionStore::plan_travel_in`])
 //!   that reconstructs the state as of any retained MKB generation.
-//! * [`group`] — the **group-commit writer** ([`GroupCommitLog`]): a
-//!   bounded append queue where one leader drains waiting records into a
-//!   single contiguous write and a single fsync, amortizing durability
-//!   cost across concurrent appenders (commit tickets acknowledge each
-//!   record only after its batch's fsync returns).
+//! * [`group`] — a pass-through ([`GroupCommitLog`]) kept only for the
+//!   benchmark's direct-append rung; it appends through
+//!   [`EvolutionStore::append`].
 //! * [`codec`] — the hand-rolled binary codec for every persisted domain
 //!   type (std-only; the build environment has no registry access).
 //!
@@ -47,7 +46,7 @@ pub mod store;
 
 pub use codec::{from_bytes, to_bytes, vec_decode, vec_encode, Codec, Dec, Enc};
 pub use error::{Error, Result};
-pub use group::{CommitTicket, GroupCommitLog, GroupCommitPolicy};
+pub use group::{GroupCommitLog, GroupCommitPolicy};
 pub use log::{LogRecord, SealedRecord};
 pub use snapshot::{
     DeltaSite, DeltaSnapshot, EngineConfig, EngineSnapshot, IndexHint, SiteSnapshot,

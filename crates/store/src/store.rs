@@ -56,8 +56,8 @@ use crate::snapshot::{
 /// Process-wide mirrors of the per-store counters, kept in the global
 /// metrics registry's `store.` family. Per-instance [`StoreStats`] stay
 /// exact per store handle (and reset per handle); these aggregate across
-/// every store in the process for the `metrics` surface, alongside two
-/// latency/shape histograms the scalar stats cannot express.
+/// every store in the process for the `metrics` surface, alongside the
+/// append latency histogram the scalar stats cannot express.
 struct StoreMirrors {
     records_appended: Arc<Counter>,
     log_bytes_appended: Arc<Counter>,
@@ -68,8 +68,6 @@ struct StoreMirrors {
     segments_created: Arc<Counter>,
     /// Wall microseconds of each durable append (write + fsync).
     fsync_us: Arc<Histogram>,
-    /// Records per group-commit batch.
-    group_batch_records: Arc<Histogram>,
 }
 
 fn mirrors() -> &'static StoreMirrors {
@@ -85,7 +83,6 @@ fn mirrors() -> &'static StoreMirrors {
             records_replayed: registry.counter("store.records_replayed"),
             segments_created: registry.counter("store.segments_created"),
             fsync_us: registry.histogram("store.fsync_us"),
-            group_batch_records: registry.histogram("store.group_batch_records"),
         }
     })
 }
@@ -97,8 +94,8 @@ pub struct StoreStats {
     pub records_appended: u64,
     /// Bytes appended to log segments (frames incl. headers).
     pub log_bytes_appended: u64,
-    /// `fsync` calls issued for log appends, one per group-commit batch,
-    /// so `records_appended / fsyncs` is the achieved amortization.
+    /// `fsync` calls issued for log appends: one per durable append, so
+    /// it equals `records_appended`.
     pub fsyncs: u64,
     /// Snapshots written.
     pub snapshots_written: u64,
@@ -655,74 +652,52 @@ impl EvolutionStore {
     }
 
     /// Appends one record durably: framed, checksummed, written and
-    /// `fsync`'d before returning. Returns the record's sequence number.
+    /// `fsync`'d on the caller's thread before returning. Returns the
+    /// record's sequence number.
     ///
     /// # Errors
     ///
-    /// I/O failures (the log may then hold a torn frame, which the next
-    /// recovery truncates — the record is *not* considered durable).
+    /// [`Error::TooLarge`] for a record past the frame format, or I/O
+    /// failures. On failure the record is not acknowledged: the file is
+    /// rolled back to the durable prefix (a torn residue is also
+    /// re-truncated by the next recovery), and its sequence number is
+    /// reused.
     pub fn append(&mut self, post_generation: u64, record: LogRecord) -> Result<u64> {
-        let sealed = SealedRecord {
+        let _span = eve_trace::span("store.append");
+        let bytes = frame(&SealedRecord {
             post_generation,
             record,
-        };
-        let bytes = frame(&sealed)?;
-        self.append_encoded_batch(&[&bytes])
-    }
-
-    /// Appends a batch of pre-framed records as **one** contiguous write
-    /// followed by **one** fsync — the group-commit primitive. Frames must
-    /// come from [`frame`] (framing does not depend on the sequence
-    /// number, so callers can encode before knowing their position).
-    /// Returns the sequence number of the batch's first record; the rest
-    /// follow contiguously.
-    ///
-    /// # Errors
-    ///
-    /// I/O failures. On failure nothing in the batch is acknowledged: the
-    /// file is rolled back to the durable prefix (a torn residue is also
-    /// re-truncated by the next recovery), and every sequence number is
-    /// reused.
-    pub(crate) fn append_encoded_batch(&mut self, frames: &[&[u8]]) -> Result<u64> {
-        if frames.is_empty() {
-            return Ok(self.next_seq);
-        }
-        let _span = eve_trace::span("store.group_flush");
-        let total: usize = frames.iter().map(|f| f.len()).sum();
-        let mut buf = Vec::with_capacity(total);
-        for f in frames {
-            buf.extend_from_slice(f);
-        }
+        })?;
         let flush_started = Instant::now();
         let write =
-            crate::log::append_all(&mut self.active, &self.active_path, &buf).and_then(|()| {
+            crate::log::append_all(&mut self.active, &self.active_path, &bytes).and_then(|()| {
                 self.active
                     .sync_data()
                     .map_err(|e| Error::io(&self.active_path, e))
             });
         if let Err(e) = write {
-            // The segment may now hold a partial batch — or a complete one
+            // The segment may now hold a partial frame — or a complete one
             // whose fsync failed, which was never acknowledged and must not
-            // survive (its sequence numbers will be reused). Roll the file
+            // survive (its sequence number will be reused). Roll the file
             // back to the durable prefix; if that also fails,
             // `ensure_tail` retries before the next rotation.
             let _ = self.ensure_tail();
             return Err(e);
         }
-        let first_seq = self.next_seq;
-        self.next_seq += frames.len() as u64;
-        self.active_len += total as u64;
-        self.stats.records_appended += frames.len() as u64;
-        self.stats.log_bytes_appended += total as u64;
+        let seq = self.next_seq;
+        let len = bytes.len() as u64;
+        self.next_seq += 1;
+        self.active_len += len;
+        self.stats.records_appended += 1;
+        self.stats.log_bytes_appended += len;
         self.stats.fsyncs += 1;
         let m = mirrors();
-        m.records_appended.add(frames.len() as u64);
-        m.log_bytes_appended.add(total as u64);
+        m.records_appended.inc();
+        m.log_bytes_appended.add(len);
         m.fsyncs.inc();
         m.fsync_us
             .record(u64::try_from(flush_started.elapsed().as_micros()).unwrap_or(u64::MAX));
-        m.group_batch_records.record(frames.len() as u64);
-        Ok(first_seq)
+        Ok(seq)
     }
 
     /// Truncates the active segment back to its durable prefix
@@ -1028,35 +1003,6 @@ mod tests {
         drop(store); // crash
         let (_, recovered) = EvolutionStore::open(&dir).unwrap();
         assert_eq!(recovered.next_seq, 1, "the lock never blocks recovery");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn encoded_batch_is_one_fsync_and_contiguous_seqs() {
-        let dir = temp_dir("group");
-        let mut store = EvolutionStore::create(&dir).unwrap();
-        store.write_snapshot(&empty_snapshot()).unwrap();
-        let frames: Vec<Vec<u8>> = (0..5)
-            .map(|k| {
-                frame(&SealedRecord {
-                    post_generation: 0,
-                    record: batch_record(k),
-                })
-                .unwrap()
-            })
-            .collect();
-        let slices: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        let first = store.append_encoded_batch(&slices).unwrap();
-        assert_eq!(first, 0);
-        assert_eq!(store.next_seq(), 5);
-        let stats = store.stats();
-        assert_eq!(stats.records_appended, 5);
-        assert_eq!(stats.fsyncs, 1, "one fsync covers the whole batch");
-        drop(store);
-
-        let (_, recovered) = EvolutionStore::open(&dir).unwrap();
-        assert_eq!(recovered.tail.len(), 5);
-        assert_eq!(recovered.next_seq, 5);
         std::fs::remove_dir_all(&dir).ok();
     }
 

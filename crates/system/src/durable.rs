@@ -5,16 +5,12 @@
 //!
 //! There is one durable mutation entry, [`DurableEngine::apply`]: it runs
 //! a command ([`LogRecord`]) through [`EveEngine::apply`] on the in-memory
-//! engine, then enqueues that record on the store's **group-commit
-//! writer** and waits on its commit ticket — the ticket resolves only
-//! after the batch containing the record is `fsync`'d, so when the call
+//! engine, then appends that record with [`EvolutionStore::append`]: one
+//! frame, one write and one `fsync` on the calling thread. When the call
 //! returns `Ok`, the operation is on disk and recovery will reproduce it.
 //! A crash between apply and commit loses at most the in-flight call
 //! (which was never acknowledged); a crash mid-append leaves a torn frame
-//! the next [`DurableEngine::open`] truncates. The group-commit queue is
-//! what lets many concurrent appenders (e.g. the throughput benches
-//! driving [`eve_store::GroupCommitLog`] directly) share one fsync per
-//! batch instead of paying one each.
+//! the next [`DurableEngine::open`] truncates.
 //!
 //! ## Recovery
 //!
@@ -42,9 +38,8 @@ use std::path::{Path, PathBuf};
 
 use eve_misd::{Mkb, SiteId};
 use eve_store::{
-    DeltaSnapshot, EngineConfig, EngineSnapshot, EvolutionStore, GroupCommitLog, GroupCommitPolicy,
-    LogRecord, SealedRecord, SiteSnapshot, SnapshotManifest, SnapshotMeta, StoreStats,
-    ViewSnapshot,
+    DeltaSnapshot, EngineConfig, EngineSnapshot, EvolutionStore, LogRecord, SealedRecord,
+    SiteSnapshot, SnapshotManifest, SnapshotMeta, StoreStats, ViewSnapshot,
 };
 use eve_sync::EvolutionOp;
 
@@ -94,7 +89,7 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub struct DurableEngine {
     engine: EveEngine,
-    log: GroupCommitLog,
+    store: EvolutionStore,
     dir: PathBuf,
     /// Write an incremental delta checkpoint automatically after every
     /// `k` batches (`None` disables automatic checkpoints; explicit ones
@@ -158,7 +153,7 @@ impl DurableEngine {
         let seq = store.write_snapshot(&snapshot)?;
         Ok(DurableEngine {
             engine,
-            log: GroupCommitLog::new(store, GroupCommitPolicy::default()),
+            store,
             dir,
             snapshot_every: None,
             batches_since_snapshot: 0,
@@ -198,7 +193,7 @@ impl DurableEngine {
         Ok((
             DurableEngine {
                 engine,
-                log: GroupCommitLog::new(store, GroupCommitPolicy::default()),
+                store,
                 dir,
                 snapshot_every: None,
                 batches_since_snapshot: 0,
@@ -244,7 +239,7 @@ impl DurableEngine {
     /// The store's accumulated I/O counters.
     #[must_use]
     pub(crate) fn store_stats(&self) -> StoreStats {
-        self.log.with_store(|s| s.stats())
+        self.store.stats()
     }
 
     /// The store directory.
@@ -256,7 +251,7 @@ impl DurableEngine {
     /// The sequence number of the next log record.
     #[must_use]
     pub fn next_seq(&self) -> u64 {
-        self.log.with_store(|s| s.next_seq())
+        self.store.next_seq()
     }
 
     /// Intact snapshots (full and delta), in sequence order.
@@ -265,7 +260,7 @@ impl DurableEngine {
     ///
     /// Store I/O failures.
     pub fn snapshot_index(&self) -> Result<Vec<SnapshotMeta>> {
-        Ok(self.log.with_store(|s| s.snapshot_index())?)
+        Ok(self.store.snapshot_index()?)
     }
 
     /// Number of log segment files on disk.
@@ -274,7 +269,7 @@ impl DurableEngine {
     ///
     /// Store I/O failures.
     pub fn segment_count(&self) -> Result<usize> {
-        Ok(self.log.with_store(|s| s.segment_count())?)
+        Ok(self.store.segment_count()?)
     }
 
     /// Writes a **full** snapshot of the current engine state and rotates
@@ -286,7 +281,7 @@ impl DurableEngine {
     /// Store I/O failures.
     pub fn checkpoint(&mut self) -> Result<u64> {
         let snapshot = self.engine.snapshot_state();
-        let seq = self.log.with_store(|s| s.write_snapshot(&snapshot))?;
+        let seq = self.store.write_snapshot(&snapshot)?;
         self.batches_since_snapshot = 0;
         self.deltas_since_full = 0;
         self.last_snapshot = Some((seq, SnapshotManifest::of(&snapshot)));
@@ -316,7 +311,7 @@ impl DurableEngine {
         if self.deltas_since_full + 1 >= FULL_SNAPSHOT_EVERY {
             return self.checkpoint();
         }
-        if self.log.with_store(|s| s.next_seq()) == base_seq {
+        if self.store.next_seq() == base_seq {
             // Nothing logged since the anchor: a delta here could only be
             // empty — and would shadow its own base at the same seq.
             self.batches_since_snapshot = 0;
@@ -324,7 +319,7 @@ impl DurableEngine {
         }
         let current = self.engine.snapshot_state();
         let delta = DeltaSnapshot::between(base_seq, base, &current);
-        let seq = self.log.with_store(|s| s.write_delta_snapshot(&delta))?;
+        let seq = self.store.write_delta_snapshot(&delta)?;
         self.batches_since_snapshot = 0;
         self.deltas_since_full += 1;
         self.last_snapshot = Some((seq, SnapshotManifest::of(&current)));
@@ -341,7 +336,7 @@ impl DurableEngine {
     /// live engine must not have its history rewritten.
     pub fn compact(&mut self) -> Result<(usize, usize)> {
         self.ensure_live()?;
-        Ok(self.log.with_store(|s| s.compact())?)
+        Ok(self.store.compact()?)
     }
 
     /// Records the double failure and returns the typed error surfaced to
@@ -367,19 +362,15 @@ impl DurableEngine {
     // The durable mutation entry (engine first, then the fsync'd record)
     // ------------------------------------------------------------------
 
-    /// Appends the record for a mutation the engine has already applied:
-    /// enqueue on the group-commit writer, then block on the commit ticket
-    /// until the record's batch is fsync'd. If the commit fails, the live
+    /// Appends the record for a mutation the engine has already applied;
+    /// it is fsync'd when this returns `Ok`. If the commit fails, the live
     /// engine is ahead of the log; a snapshot re-anchors durability on the
     /// actual state (the same remedy as a failed batch) before the error
     /// is surfaced — without it, later successful appends would replay on
     /// top of a log missing this record and recovery would silently
     /// diverge.
     fn log(&mut self, record: LogRecord) -> Result<()> {
-        match self
-            .log
-            .append_durable(self.engine.mkb().generation(), record)
-        {
+        match self.store.append(self.engine.mkb().generation(), record) {
             Ok(_) => Ok(()),
             Err(append_err) => Err(self.reanchor("log append", append_err)),
         }

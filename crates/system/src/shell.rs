@@ -365,7 +365,7 @@ impl Shell {
         Ok(match read {
             ReadCommand::Nothing => String::new(),
             ReadCommand::Help => HELP.trim().to_owned(),
-            ReadCommand::Query(view) => self.engine().view(view)?.extent.distinct().to_string(),
+            ReadCommand::Query(view) => self.engine().view(view)?.extent.distinct_to_string(),
             ReadCommand::ShowViews => {
                 let views = self.engine().views().map(|mv| {
                     let rows = mv.extent.cardinality();
@@ -598,14 +598,8 @@ impl Shell {
                 meta.seq, meta.generation
             ));
         }
-        let records_per_fsync = if s.fsyncs == 0 {
-            0.0
-        } else {
-            s.records_appended as f64 / s.fsyncs as f64
-        };
         out.push_str(&format!(
-            "appended: {} records, {} bytes, {} fsyncs \
-             ({records_per_fsync:.1} records/fsync)\n\
+            "appended: {} records, {} bytes, {} fsyncs\n\
              snapshots written: {} ({} bytes, {} deltas)\n\
              replayed: {} records; torn: {} bytes / {} records truncated",
             s.records_appended,
@@ -627,7 +621,7 @@ impl Shell {
         let past = DurableEngine::open_at(self.durable().ok_or_else(no_store)?.dir(), generation)?;
         let actual = past.mkb().generation();
         if let Some(name) = view {
-            let extent = past.view(name)?.extent.distinct();
+            let extent = past.view(name)?.extent.distinct_to_string();
             return Ok(format!(
                 "{name} @ generation {generation} (actual {actual}):\n{extent}"
             ));

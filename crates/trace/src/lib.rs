@@ -20,6 +20,8 @@
 //! server's `Metrics` request read at any time), spans are *opt-in*
 //! (enabled around a workload to capture its execution structure).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod metrics;
 pub mod span;
 

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of log₂ histogram buckets (covers the full `u64` range).
 pub const HISTOGRAM_BUCKETS: usize = 64;
@@ -263,12 +263,19 @@ impl Registry {
         Registry::default()
     }
 
+    // A thread that panicked while holding the slots left the map intact
+    // (every update is one insert), so both guards are recovered instead
+    // of failing every later metric call in the process.
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Slot>> {
+        self.slots.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Slot>> {
+        self.slots.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn lookup(&self, name: &str) -> Option<Slot> {
-        self.slots
-            .read()
-            .expect("metrics registry poisoned")
-            .get(name)
-            .cloned()
+        self.read().get(name).cloned()
     }
 
     /// The counter named `name`, creating it on first use.
@@ -283,7 +290,7 @@ impl Registry {
                 _ => panic!("metric `{name}` is not a counter"),
             }
         }
-        let mut slots = self.slots.write().expect("metrics registry poisoned");
+        let mut slots = self.write();
         match slots
             .entry(name.to_owned())
             .or_insert_with(|| Slot::Counter(Arc::new(Counter::new())))
@@ -305,7 +312,7 @@ impl Registry {
                 _ => panic!("metric `{name}` is not a gauge"),
             }
         }
-        let mut slots = self.slots.write().expect("metrics registry poisoned");
+        let mut slots = self.write();
         match slots
             .entry(name.to_owned())
             .or_insert_with(|| Slot::Gauge(Arc::new(Gauge::new())))
@@ -327,7 +334,7 @@ impl Registry {
                 _ => panic!("metric `{name}` is not a histogram"),
             }
         }
-        let mut slots = self.slots.write().expect("metrics registry poisoned");
+        let mut slots = self.write();
         match slots
             .entry(name.to_owned())
             .or_insert_with(|| Slot::Histogram(Arc::new(Histogram::new())))
@@ -342,16 +349,13 @@ impl Registry {
     /// an instance registry so one [`reset`](Registry::reset) covers
     /// them). Replaces any previous registration of the name.
     pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
-        self.slots
-            .write()
-            .expect("metrics registry poisoned")
-            .insert(name.to_owned(), Slot::Counter(counter));
+        self.write().insert(name.to_owned(), Slot::Counter(counter));
     }
 
     /// Point-in-time snapshot of every registered metric, in name order.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let slots = self.slots.read().expect("metrics registry poisoned");
+        let slots = self.read();
         let mut snap = MetricsSnapshot::default();
         for (name, slot) in slots.iter() {
             match slot {
@@ -378,7 +382,7 @@ impl Registry {
     /// Zeroes every metric whose name starts with `prefix` (family-scoped
     /// reset, e.g. `exec.`).
     pub(crate) fn reset_prefix(&self, prefix: &str) {
-        let slots = self.slots.read().expect("metrics registry poisoned");
+        let slots = self.read();
         for (name, slot) in slots.iter() {
             if !name.starts_with(prefix) {
                 continue;
@@ -648,5 +652,23 @@ mod tests {
             .find(|l| l.contains("le=\"3\""))
             .expect("bucket 2 line");
         assert!(b3.ends_with(" 2"), "cumulative count at le=3: {b3}");
+    }
+
+    #[test]
+    fn a_poisoned_registry_still_registers_and_snapshots() {
+        let r = Registry::new();
+        r.counter("before").inc();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = r.slots.write().unwrap();
+                panic!("poison the registry lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(r.slots.is_poisoned());
+        r.counter("after").add(2);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("before"), 1);
+        assert_eq!(snap.counter("after"), 2);
     }
 }

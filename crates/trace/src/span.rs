@@ -24,7 +24,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::metrics::global;
@@ -72,7 +72,10 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
 
-fn ring() -> &'static Mutex<Ring> {
+/// The locked ring. A thread that panicked while holding it left the
+/// ring intact (every update is a single push or clear), so the guard is
+/// recovered instead of failing every later span in the process.
+fn ring() -> MutexGuard<'static, Ring> {
     static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
     RING.get_or_init(|| {
         Mutex::new(Ring {
@@ -81,6 +84,8 @@ fn ring() -> &'static Mutex<Ring> {
             dropped: 0,
         })
     })
+    .lock()
+    .unwrap_or_else(PoisonError::into_inner)
 }
 
 fn origin() -> Instant {
@@ -112,7 +117,7 @@ pub fn spans_enabled() -> bool {
 /// Replaces the ring capacity (and clears the buffer): bench isolation
 /// and the wraparound tests.
 pub fn set_capacity(capacity: usize) {
-    let mut ring = ring().lock().expect("trace ring poisoned");
+    let mut ring = ring();
     ring.capacity = capacity.max(1);
     ring.events.clear();
     ring.dropped = 0;
@@ -121,7 +126,7 @@ pub fn set_capacity(capacity: usize) {
 /// Drops every recorded event (open spans stay open — their stacks are
 /// thread-local and unaffected).
 pub fn clear() {
-    let mut ring = ring().lock().expect("trace ring poisoned");
+    let mut ring = ring();
     ring.events.clear();
     ring.dropped = 0;
 }
@@ -129,19 +134,13 @@ pub fn clear() {
 /// The recorded events, oldest first.
 #[must_use]
 pub fn snapshot_events() -> Vec<TraceEvent> {
-    ring()
-        .lock()
-        .expect("trace ring poisoned")
-        .events
-        .iter()
-        .cloned()
-        .collect()
+    ring().events.iter().cloned().collect()
 }
 
 /// Events evicted by ring wraparound since the last [`clear`].
 #[must_use]
 pub fn dropped_events() -> u64 {
-    ring().lock().expect("trace ring poisoned").dropped
+    ring().dropped
 }
 
 /// Opens a span. Returns an inert guard (one atomic load, no allocation,
@@ -189,7 +188,7 @@ pub fn instant(name: &'static str) {
         mark: true,
     };
     global().counter("trace.events_recorded").inc();
-    ring().lock().expect("trace ring poisoned").push(ev);
+    ring().push(ev);
 }
 
 /// RAII span handle: records its event (and pops the thread's open-span
@@ -235,7 +234,7 @@ impl Drop for SpanGuard {
             mark: false,
         };
         global().counter("trace.events_recorded").inc();
-        ring().lock().expect("trace ring poisoned").push(ev);
+        ring().push(ev);
     }
 }
 

@@ -22,7 +22,7 @@ use eve::misd::{
 use eve::relational::{
     tup, ColumnRef, DataType, IndexKind, PrimitiveClause, Relation, Schema, Tuple,
 };
-use eve::store::{EvolutionStore, GroupCommitLog, GroupCommitPolicy, LogRecord, SealedRecord};
+use eve::store::{EvolutionStore, LogRecord};
 use eve::sync::EvolutionOp;
 use eve::system::{DurableEngine, EveEngine, IndexHint, Shell};
 use eve_bench::fixtures::{self, fingerprint, into_batches};
@@ -105,15 +105,17 @@ proptest! {
 
     /// Crash at a random *byte* of the active segment (torn final write):
     /// recovery truncates the partial frame and lands exactly on the state
-    /// after the last intact record — never a corrupted in-between.
+    /// after the last intact record — never a corrupted in-between. A
+    /// record is all or nothing whether it holds one op or several.
     #[test]
     fn torn_tail_recovery_matches_surviving_prefix(
         seed in 0u64..1_000_000,
         cut_fraction in 0.0f64..1.0,
         checkpoint in prop::option::of(0usize..4),
+        batch_size in 1usize..6,
     ) {
         let dir = scratch_dir("torn");
-        let (states, _) = run_durable(&dir, 2, 20, 4, seed, checkpoint);
+        let (states, _) = run_durable(&dir, 2, 20, batch_size, seed, checkpoint);
         // Tear the log: truncate the active segment at a random byte
         // offset past its 16-byte header.
         let segment = active_segment(&dir);
@@ -405,115 +407,6 @@ proptest! {
         prop_assert!(
             fingerprint(recovered.engine()) == states[boundary],
             "recovery after {boundary} commands differs from the live state there"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-/// A distinguishable single-op record for group-commit differentials (the
-/// key makes every frame's bytes unique, so prefix comparison catches
-/// loss, duplication and reordering).
-fn keyed_record(seed: u64, k: u64) -> LogRecord {
-    #[allow(clippy::cast_possible_wrap)]
-    LogRecord::Batch(vec![EvolutionOp::insert(
-        "R",
-        vec![tup![(seed ^ k) as i64, k as i64]],
-    )])
-}
-
-fn sealed_bytes(seed: u64, k: u64) -> Vec<u8> {
-    eve::store::to_bytes(&SealedRecord {
-        post_generation: 0,
-        record: keyed_record(seed, k),
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
-    ))]
-
-    /// Group-commit crash differential. `acked` records are acknowledged
-    /// through commit tickets; `queued` more are enqueued but never
-    /// waited on when the process dies (their followers are still
-    /// blocked). Optionally the crash also tears bytes off the active
-    /// segment — the crash-between-buffer-write-and-fsync case. Recovery
-    /// must produce an exact byte **prefix** of the enqueue order: every
-    /// record either fully survives in order or never existed; absent a
-    /// tear, the prefix covers at least every acknowledged record.
-    #[test]
-    fn group_commit_crash_recovers_exactly_a_committed_prefix(
-        seed in 0u64..1_000_000,
-        acked in 0u64..12,
-        queued in 0u64..12,
-        tear in prop::option::of(1u64..48),
-    ) {
-        let dir = scratch_dir("group-crash");
-        let store = EvolutionStore::create(&dir).unwrap();
-        let log = GroupCommitLog::new(store, GroupCommitPolicy::default());
-        for k in 0..acked {
-            let seq = log.append_durable(0, keyed_record(seed, k)).unwrap();
-            prop_assert_eq!(seq, k);
-        }
-        for k in acked..acked + queued {
-            // Enqueued, never flushed: the follower never saw its ticket
-            // resolve, so durability was never promised.
-            drop(log.enqueue(0, keyed_record(seed, k)).unwrap());
-        }
-        drop(log); // crash with followers still queued
-
-        if let Some(cut) = tear {
-            let segment = active_segment(&dir);
-            let len = std::fs::metadata(&segment).unwrap().len();
-            let file = std::fs::OpenOptions::new().write(true).open(&segment).unwrap();
-            file.set_len(len.saturating_sub(cut).max(16)).unwrap();
-            file.sync_all().unwrap();
-        }
-
-        let (_, recovered) = EvolutionStore::open(&dir).unwrap();
-        let n = recovered.tail.len() as u64;
-        prop_assert!(n <= acked + queued);
-        if tear.is_none() {
-            prop_assert_eq!(n, acked, "exactly the acknowledged records survive a clean crash");
-        }
-        for (i, sealed) in recovered.tail.iter().enumerate() {
-            prop_assert_eq!(
-                &eve::store::to_bytes(sealed),
-                &sealed_bytes(seed, i as u64),
-                "recovered record {} must byte-match the enqueue order", i
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// One waiter's leader round commits the *whole* queue as one batch:
-    /// recovery then surfaces every record of that batch — the recovered
-    /// prefix always ends on a committed-batch boundary, even though only
-    /// the first follower ever saw its ticket resolve.
-    #[test]
-    fn group_commit_batch_commits_are_all_or_nothing(
-        seed in 0u64..1_000_000,
-        batch in 2u64..16,
-    ) {
-        let dir = scratch_dir("group-batch");
-        let store = EvolutionStore::create(&dir).unwrap();
-        let log = GroupCommitLog::new(store, GroupCommitPolicy::default());
-        let mut tickets: Vec<_> = (0..batch)
-            .map(|k| log.enqueue(0, keyed_record(seed, k)).unwrap())
-            .collect();
-        // Wait only the FIRST ticket: its leader round drains the whole
-        // queue into one contiguous write + one fsync.
-        let first = tickets.remove(0);
-        prop_assert_eq!(first.wait().unwrap(), 0);
-        let fsyncs = log.with_store(|s| s.stats().fsyncs);
-        prop_assert_eq!(fsyncs, 1, "one fsync covered the whole batch");
-        drop(tickets); // the followers never observe their seqs
-        drop(log);     // crash
-
-        let (_, recovered) = EvolutionStore::open(&dir).unwrap();
-        prop_assert_eq!(
-            recovered.tail.len() as u64, batch,
-            "the committed batch survives in full — a batch boundary, not an ack boundary"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -265,6 +265,92 @@ fn soak_many_short_runs() {
     }
 }
 
+/// Concurrent-tenants soak: 40 seeds of 2–8 threads, each owning a
+/// durable engine in its own directory and applying seeded batches, then
+/// a crash by dropping every engine without shutdown — on odd seeds
+/// additionally a torn final write in each directory. Each recovered
+/// engine must be byte-identical to its own state after the records that
+/// survived: all of them after a clean crash, a prefix after a tear.
+#[test]
+#[ignore = "long-running soak; run with `cargo test --test soak -- --ignored`"]
+fn concurrent_tenants_crash_recovery_loop() {
+    use eve::system::DurableEngine;
+    use eve_bench::fixtures::{active_segment, build_workload, fingerprint, into_batches};
+
+    for seed in 200u64..240 {
+        let threads = 2 + seed % 7;
+        let dirs: Vec<std::path::PathBuf> = (0..threads)
+            .map(|t| {
+                let dir = std::env::temp_dir().join(format!(
+                    "eve-soak-tenants-{}-{seed}-{t}",
+                    std::process::id()
+                ));
+                std::fs::remove_dir_all(&dir).ok();
+                dir
+            })
+            .collect();
+        let trajectories: Vec<Vec<Vec<u8>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = dirs
+                .iter()
+                .enumerate()
+                .map(|(t, dir)| {
+                    scope.spawn(move || {
+                        let tenant_seed = seed * 100 + t as u64;
+                        let ops = 20 + usize::try_from(tenant_seed % 23).unwrap();
+                        let (engine, ops) = build_workload(3, ops, tenant_seed).unwrap();
+                        let mut durable = DurableEngine::create_with(dir, engine).unwrap();
+                        if tenant_seed.is_multiple_of(3) {
+                            durable.snapshot_every = Some(3);
+                        }
+                        let mut states = vec![fingerprint(durable.engine())];
+                        for batch in into_batches(ops, 1 + t % 5) {
+                            durable.apply_batch(batch).unwrap();
+                            states.push(fingerprint(durable.engine()));
+                        }
+                        drop(durable); // crash: no checkpoint, no shutdown
+                        states
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+        for (t, (dir, states)) in dirs.iter().zip(&trajectories).enumerate() {
+            if seed % 2 == 1 {
+                // Torn final write on top of the crash.
+                let active = active_segment(dir).unwrap().expect("store has a segment");
+                let len = std::fs::metadata(&active).unwrap().len();
+                let cut = 16
+                    + ((seed + t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % (len - 16).max(1));
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&active)
+                    .unwrap();
+                file.set_len(cut.min(len)).unwrap();
+                file.sync_all().unwrap();
+            }
+            let (recovered, report) = DurableEngine::open(dir).unwrap();
+            let k = usize::try_from(report.snapshot_seq.unwrap_or(0) + report.replayed_records)
+                .unwrap();
+            assert!(k < states.len(), "seed {seed} tenant {t}: {k} records");
+            if seed % 2 == 0 {
+                assert_eq!(
+                    k,
+                    states.len() - 1,
+                    "seed {seed} tenant {t}: every acknowledged record survives a clean crash"
+                );
+            }
+            assert_eq!(
+                fingerprint(recovered.engine()),
+                states[k],
+                "seed {seed} tenant {t}: recovered ≡ the {k}-record prefix"
+            );
+            drop(recovered);
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+}
+
 /// Durability soak: a long random-crash-point recovery loop. Each
 /// iteration drives a seeded multi-site workload through a durable
 /// engine, crashes it at a random byte of the active log segment (torn
@@ -272,96 +358,6 @@ fn soak_many_short_runs() {
 /// be byte-identical to the per-record state trajectory captured before
 /// the crash. Complements the bounded-case differential suite in
 /// `tests/durability.rs` with volume.
-/// Group-commit soak: 40 seeds of *concurrent* appenders racing through
-/// the group-commit writer, then a crash — on odd seeds additionally a
-/// torn final write. Every acknowledged record was fsync'd inside some
-/// batch, so recovery must hand back records at exactly the sequence
-/// numbers their commit tickets reported, byte-identical, with no record
-/// surviving partially. Complements the deterministic queued-follower
-/// proptests in `tests/durability.rs` with scheduling volume.
-#[test]
-#[ignore = "long-running soak; run with `cargo test --test soak -- --ignored`"]
-fn group_commit_concurrent_crash_recovery_loop() {
-    use eve::relational::tup;
-    use eve::store::{EvolutionStore, GroupCommitLog, GroupCommitPolicy, LogRecord, SealedRecord};
-    use eve::sync::EvolutionOp;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
-
-    for seed in 200u64..240 {
-        let dir = std::env::temp_dir().join(format!(
-            "eve-soak-group-commit-{}-{seed}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = EvolutionStore::create(&dir).unwrap();
-        let log = GroupCommitLog::new(store, GroupCommitPolicy::default());
-        let threads = 2 + usize::try_from(seed % 7).unwrap();
-        let per_thread = 10 + usize::try_from(seed % 23).unwrap();
-        let acked: Mutex<BTreeMap<u64, Vec<u8>>> = Mutex::new(BTreeMap::new());
-
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let log = &log;
-                let acked = &acked;
-                scope.spawn(move || {
-                    for k in 0..per_thread {
-                        #[allow(clippy::cast_possible_wrap)]
-                        let key = ((seed % 1000) * 1_000_000 + (t as u64) * 1000 + k as u64) as i64;
-                        let record =
-                            LogRecord::Batch(vec![EvolutionOp::insert("R", vec![tup![key]])]);
-                        let seq = log.append_durable(0, record.clone()).unwrap();
-                        let bytes = eve::store::to_bytes(&SealedRecord {
-                            post_generation: 0,
-                            record,
-                        });
-                        acked.lock().unwrap().insert(seq, bytes);
-                    }
-                });
-            }
-        });
-        drop(log); // crash
-
-        let total = threads * per_thread;
-        if seed % 2 == 1 {
-            // Torn final write on top of the crash.
-            let active = eve_bench::fixtures::active_segment(&dir)
-                .unwrap()
-                .expect("store has a segment");
-            let len = std::fs::metadata(&active).unwrap().len();
-            let cut = 16 + (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % (len - 16).max(1));
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&active)
-                .unwrap();
-            file.set_len(cut.min(len)).unwrap();
-            file.sync_all().unwrap();
-        }
-
-        let (_, recovered) = EvolutionStore::open(&dir).unwrap();
-        let acked = acked.into_inner().unwrap();
-        if seed % 2 == 1 {
-            assert!(recovered.tail.len() <= total, "seed {seed}");
-        } else {
-            assert_eq!(
-                recovered.tail.len(),
-                total,
-                "seed {seed}: every acknowledged record survives a clean crash"
-            );
-        }
-        for (i, sealed) in recovered.tail.iter().enumerate() {
-            assert_eq!(
-                &eve::store::to_bytes(sealed),
-                acked
-                    .get(&(i as u64))
-                    .expect("recovered seq was acknowledged"),
-                "seed {seed}: record at seq {i} must byte-match its acknowledged content"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
 #[test]
 #[ignore = "long-running soak; run with `cargo test --test soak -- --ignored`"]
 fn durability_random_crash_point_recovery_loop() {
