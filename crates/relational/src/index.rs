@@ -131,9 +131,9 @@ struct SortedIndex {
 /// Process-wide mirrors of the per-relation counters, in the global
 /// registry `index.` family. Per-instance [`IndexStats`] stay exact for
 /// the engine's per-relation rollup; these aggregate across all
-/// relations for the `metrics` surface. The two storage work counters
+/// relations for the `metrics` surface. The storage work counters
 /// (`relational.`) register with them, so a process that touches an
-/// index sees both.
+/// index sees them all.
 pub(crate) struct IndexCounters {
     builds: Arc<Counter>,
     hits: Arc<Counter>,
@@ -141,6 +141,10 @@ pub(crate) struct IndexCounters {
     renumbered: Arc<Counter>,
     /// Rows deep-copied by copy-on-write detaches of relation storage.
     pub(crate) detach_rows: Arc<Counter>,
+    /// Distinct renders answered from the storage's rendered rows.
+    pub(crate) render_cache_hits: Arc<Counter>,
+    /// Rows written by distinct renders that found no rendered rows.
+    pub(crate) rows_formatted: Arc<Counter>,
 }
 
 pub(crate) fn mirrors() -> &'static IndexCounters {
@@ -153,6 +157,8 @@ pub(crate) fn mirrors() -> &'static IndexCounters {
             maintenance: registry.counter("index.maintenance_ops"),
             renumbered: registry.counter("relational.index_entries_renumbered"),
             detach_rows: registry.counter("relational.detach_rows"),
+            render_cache_hits: registry.counter("relational.render_cache_hits"),
+            rows_formatted: registry.counter("relational.rows_formatted"),
         }
     })
 }

@@ -15,16 +15,19 @@ use crate::tuple::Tuple;
 use crate::types::Value;
 
 /// Shared physical storage behind a [`Relation`]: the row-ordered tuple
-/// vector plus the lazily built columnar image and secondary indexes.
+/// vector plus the lazily built columnar image, secondary indexes and
+/// rendered distinct rows.
 ///
 /// The caches live *inside* the shared storage so that every zero-copy
 /// alias of a relation (clones, rebinds, plan bindings) reuses one
-/// columnar batch and one index set. Mutations go through
-/// [`Arc::make_mut`]. Only a second *strong* alias makes it detach —
-/// clone the caches along with the rows and then maintain them
-/// incrementally, so a warmed index survives copy-on-write instead of
-/// being rebuilt; an [`ExtentHandle`] is a `Weak` and never causes one.
-/// Each detach adds its rows to `relational.detach_rows`.
+/// columnar batch, one index set and one rendering. Mutations go through
+/// [`Relation::storage_mut`], which calls [`Arc::make_mut`]. Only a second
+/// *strong* alias makes it detach — clone the columnar image and indexes
+/// along with the rows and then maintain them incrementally, so a warmed
+/// index survives copy-on-write instead of being rebuilt; an
+/// [`ExtentHandle`] is a `Weak` and never causes one. Each detach adds its
+/// rows to `relational.detach_rows`. The rendered rows are not maintained:
+/// every write drops them and a detach does not copy them.
 #[derive(Debug, Default)]
 struct Storage {
     tuples: Vec<Tuple>,
@@ -34,6 +37,21 @@ struct Storage {
     columnar: OnceLock<Arc<ColumnarBatch>>,
     /// Secondary indexes, built on first probe.
     indexes: Mutex<IndexSet>,
+    /// The distinct rows as text, built by the first
+    /// [`Relation::distinct_to_string`] and dropped by every write.
+    rendered: OnceLock<Rendered>,
+}
+
+/// The distinct rows of one storage version, rendered: the text of
+/// [`Relation::distinct_to_string`] below its header line. The header
+/// names the relation, and aliases of one storage may have different
+/// names, so it is not kept.
+#[derive(Debug)]
+struct Rendered {
+    /// How many distinct rows `lines` holds.
+    rows: usize,
+    /// One `  <tuple>` line per distinct row, in sorted order.
+    lines: Box<str>,
 }
 
 impl Clone for Storage {
@@ -46,6 +64,7 @@ impl Clone for Storage {
             generation: self.generation,
             columnar: OnceLock::new(),
             indexes: Mutex::new(self.indexes.lock().expect("index lock poisoned").clone()),
+            rendered: OnceLock::new(),
         };
         if let Some(batch) = self.columnar.get() {
             let _ = cloned.columnar.set(Arc::clone(batch));
@@ -308,8 +327,7 @@ impl Relation {
     /// [`Error::ArityMismatch`] or [`Error::TypeMismatch`].
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         self.validate(&tuple)?;
-        let store = Arc::make_mut(&mut self.store);
-        store.generation += 1;
+        let store = self.storage_mut();
         if let Some(batch) = store.columnar.get_mut() {
             Arc::make_mut(batch).push_row(&tuple);
         }
@@ -342,8 +360,7 @@ impl Relation {
         if removed_rows.is_empty() {
             return Vec::new(); // no copy-on-write detach for a no-op delete
         }
-        let store = Arc::make_mut(&mut self.store);
-        store.generation += 1;
+        let store = self.storage_mut();
         store
             .indexes
             .get_mut()
@@ -358,6 +375,16 @@ impl Relation {
             Arc::make_mut(batch).remove_rows(&removed_rows);
         }
         removed
+    }
+
+    /// The storage, for a write: a private copy when another relation
+    /// still shares it ([`Arc::make_mut`]), with its generation bumped and
+    /// its rendered rows dropped, so no write leaves stale text.
+    fn storage_mut(&mut self) -> &mut Storage {
+        let store = Arc::make_mut(&mut self.store);
+        store.generation += 1;
+        store.rendered.take();
+        store
     }
 
     /// Ascending positions of the rows [`Relation::delete`] removes for
@@ -450,14 +477,42 @@ impl Relation {
         }
     }
 
-    /// `self.distinct().to_string()`, rendered from borrowed tuples: no
-    /// tuple is cloned and no relation is built.
+    /// `self.distinct().to_string()`: a header line naming this relation,
+    /// then its distinct rows in sorted order, one per line.
+    ///
+    /// The rows are rendered once per storage version. The first call
+    /// renders them from borrowed tuples (no tuple is cloned, no relation
+    /// is built), adds their count to `relational.rows_formatted` and keeps
+    /// the text in the shared storage; every later call, through this
+    /// relation or any alias of its storage, writes its own header and
+    /// copies that text (`relational.render_cache_hits`). A write drops the
+    /// text, so the next call renders again. A hit costs one copy of the
+    /// answer, and that copy is all the time a caller holding a lock over
+    /// the relation holds it for.
     #[must_use]
     pub fn distinct_to_string(&self) -> String {
-        let rows: BTreeSet<&Tuple> = self.store.tuples.iter().collect();
+        let counters = crate::index::mirrors();
         let mut out = String::new();
         // Writing into a `String` cannot fail.
-        let _ = write_rows(&mut out, self, rows.len(), rows);
+        if let Some(rendered) = self.store.rendered.get() {
+            counters.render_cache_hits.inc();
+            let _ = write_header(&mut out, self, rendered.rows);
+            out.reserve_exact(rendered.lines.len());
+            out.push_str(&rendered.lines);
+            return out;
+        }
+        let rows: BTreeSet<&Tuple> = self.store.tuples.iter().collect();
+        counters.rows_formatted.add(rows.len() as u64);
+        let _ = write_header(&mut out, self, rows.len());
+        let header = out.len();
+        for t in &rows {
+            let _ = write_line(&mut out, t);
+        }
+        // A reader racing this one may have set it first, from the same rows.
+        let _ = self.store.rendered.set(Rendered {
+            rows: rows.len(),
+            lines: out[header..].into(),
+        });
         out
     }
 
@@ -566,25 +621,25 @@ fn validate_against(schema: &Schema, tuple: &Tuple) -> Result<()> {
     Ok(())
 }
 
-/// Writes a header line for `relation` holding `rows` tuples, then one
-/// line per tuple: the text of both `impl Display for Relation` and
+/// Writes the header line of `relation` holding `rows` tuples: the first
+/// line of both `impl Display for Relation` and
 /// [`Relation::distinct_to_string`].
-fn write_rows<'a>(
-    out: &mut impl fmt::Write,
-    relation: &Relation,
-    rows: usize,
-    tuples: impl IntoIterator<Item = &'a Tuple>,
-) -> fmt::Result {
-    writeln!(out, "{}{} [{rows} tuples]", relation.name, relation.schema)?;
-    for t in tuples {
-        writeln!(out, "  {t}")?;
-    }
-    Ok(())
+fn write_header(out: &mut impl fmt::Write, relation: &Relation, rows: usize) -> fmt::Result {
+    writeln!(out, "{}{} [{rows} tuples]", relation.name, relation.schema)
+}
+
+/// Writes the line of one row below a header.
+fn write_line(out: &mut impl fmt::Write, tuple: &Tuple) -> fmt::Result {
+    writeln!(out, "  {tuple}")
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_rows(f, self, self.store.tuples.len(), self.store.tuples.iter())
+        write_header(f, self, self.store.tuples.len())?;
+        for t in &self.store.tuples {
+            write_line(f, t)?;
+        }
+        Ok(())
     }
 }
 
@@ -734,6 +789,35 @@ mod tests {
         for rel in [ints, empty, r(), mixed] {
             assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
         }
+    }
+
+    #[test]
+    fn a_rebind_renders_its_own_header_over_the_shared_rows() {
+        let mut rel = r();
+        let mut alias = rel
+            .rebind(
+                "V",
+                Schema::of(&[("X", DataType::Int), ("Y", DataType::Text)]).unwrap(),
+            )
+            .unwrap();
+        // The first render keeps the rows in the shared storage; the alias
+        // answers from them under its own name and schema.
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        assert_eq!(alias.distinct_to_string(), alias.distinct().to_string());
+        assert!(alias
+            .distinct_to_string()
+            .starts_with("V(X INT, Y TEXT) [2 tuples]\n"));
+
+        // A write to one alias detaches it and leaves the other's answer.
+        let (before_rel, before_alias) = (rel.distinct_to_string(), alias.distinct_to_string());
+        alias.insert(tup![0, "w"]).unwrap();
+        assert_eq!(rel.distinct_to_string(), before_rel);
+        assert_ne!(alias.distinct_to_string(), before_alias);
+        assert_eq!(alias.distinct_to_string(), alias.distinct().to_string());
+        assert!(rel.delete(&[tup![2, "y"]]).len() == 1);
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        assert_eq!(alias.distinct_to_string(), alias.distinct().to_string());
+        assert!(alias.distinct_to_string().contains("(2, 'y')"));
     }
 
     #[test]

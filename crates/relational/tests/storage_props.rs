@@ -9,8 +9,16 @@
 //!   key (a sorted index with one range operator per step in turn, and
 //!   with all six every 64th step);
 //! * `columnar()` equals `ColumnarBatch::from_tuples` over the model;
+//! * `distinct_to_string()` equals `distinct().to_string()` of a fresh
+//!   relation over the model, byte for byte, so no write leaves the
+//!   storage's rendered rows stale;
 //! * the last clone taken still holds the rows it was taken with (and,
-//!   every 8th step, its own indexes and image still agree with them).
+//!   every 8th step, its own indexes, image and rendering still agree
+//!   with them).
+//!
+//! A render step renders twice more. Both answers come from the text the
+//! check before it (or, first, the setup) kept: two
+//! `relational.render_cache_hits`, no `relational.rows_formatted`.
 //!
 //! A delete lists its victims' index ids instead of renumbering the
 //! survivors' entries; once the list is long enough one pass renumbers
@@ -81,6 +89,7 @@ enum Step {
     /// Keep a clone; later steps mutate the original only.
     Clone,
     Warm(usize, IndexKind),
+    Render,
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -95,6 +104,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
             prop::sample::select(vec![IndexKind::Hash, IndexKind::Sorted])
         )
             .prop_map(|(col, kind)| Step::Warm(col, kind)),
+        Just(Step::Render),
     ]
 }
 
@@ -165,6 +175,15 @@ fn check(rel: &Relation, model: &[Tuple], round: usize) -> Result<(), String> {
     if *rel.columnar() != ColumnarBatch::from_tuples(rel.schema(), model) {
         return Err("columnar image differs from a rebuild".to_owned());
     }
+    let fresh = Relation::with_tuples(rel.name(), rel.schema().clone(), model.to_vec())
+        .map_err(|e| e.to_string())?;
+    if rel.distinct_to_string() != fresh.distinct().to_string() {
+        return Err(format!(
+            "rendered {:?} != fresh {:?}",
+            rel.distinct_to_string(),
+            fresh.distinct().to_string()
+        ));
+    }
     Ok(())
 }
 
@@ -189,9 +208,12 @@ proptest! {
         steps in prop::collection::vec(arb_step(), 700..800),
     ) {
         let renumbered = eve_trace::global().counter("relational.index_entries_renumbered");
+        let hits = eve_trace::global().counter("relational.render_cache_hits");
+        let formatted = eve_trace::global().counter("relational.rows_formatted");
         let mut model: Vec<Tuple> = initial.iter().map(tuple).collect();
         let mut rel = Relation::with_tuples("R", schema(), model.clone()).unwrap();
         let _ = rel.columnar();
+        let _ = rel.distinct_to_string();
         for &(col, kind) in &warm {
             rel.warm_index(col, kind);
         }
@@ -221,6 +243,12 @@ proptest! {
                 }
                 Step::Clone => clone = Some((rel.clone(), model.clone())),
                 Step::Warm(col, kind) => rel.warm_index(*col, *kind),
+                Step::Render => {
+                    let (hits_before, formatted_before) = (hits.get(), formatted.get());
+                    prop_assert_eq!(rel.distinct_to_string(), rel.distinct_to_string());
+                    prop_assert_eq!(hits.get() - hits_before, 2, "both renders hit");
+                    prop_assert_eq!(formatted.get(), formatted_before, "no row rendered again");
+                }
             }
             if let Err(e) = check(&rel, &model, round) {
                 return Err(TestCaseError::fail(format!("after {step:?}: {e}")));
@@ -237,7 +265,7 @@ proptest! {
         // Every delete after the first keeps a hash index live, so each
         // lists its victims, and the run deletes enough rows to pass the
         // renumber length (64 ids) several times. No other test in this
-        // binary moves the counter.
+        // binary moves the counters.
         prop_assert!(
             renumbering_deletes >= 3,
             "the deleted-id list was renumbered by {} deletes",

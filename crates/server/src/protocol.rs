@@ -9,6 +9,7 @@ use eve_store::{from_bytes, to_bytes, vec_decode, vec_encode, Codec, Dec, Enc};
 use eve_sync::EvolutionOp;
 
 use crate::warehouse::TenantStats;
+use crate::wire::{seal_frame, FRAME_HEADER};
 use crate::{Error, Result};
 
 /// One client request: the session it belongs to plus the operation.
@@ -446,6 +447,27 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     to_bytes(resp)
 }
 
+/// Encodes a response as a whole wire frame, in one buffer: the header is
+/// reserved, the payload encoded behind it, then the header filled in.
+/// The bytes equal `encode_frame(&encode_response(resp))`.
+///
+/// # Errors
+///
+/// [`Error::Frame`] when the payload exceeds the frame cap.
+pub(crate) fn encode_response_frame(resp: &Response) -> Result<Vec<u8>> {
+    // An answer's text is most of its payload: size the buffer to fit it.
+    let text = match &resp.body {
+        ResponseBody::Output { text } => text.len(),
+        _ => 0,
+    };
+    // Session id, body tag and the text's length prefix, then the text.
+    let mut buf = Vec::with_capacity(FRAME_HEADER + 17 + text);
+    buf.extend_from_slice(&[0; FRAME_HEADER]);
+    let mut enc = Enc::appending_to(buf);
+    resp.encode(&mut enc);
+    seal_frame(enc.into_bytes())
+}
+
 /// Decodes a response frame payload.
 ///
 /// # Errors
@@ -453,4 +475,41 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// [`Error::Protocol`] on any malformed payload.
 pub fn decode_response(bytes: &[u8]) -> Result<Response> {
     from_bytes(bytes).map_err(|e| Error::protocol(e.to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{encode_frame, frame_payload};
+
+    #[test]
+    fn a_response_frame_is_the_frame_of_its_payload() {
+        let responses = [
+            Response {
+                session: 7,
+                body: ResponseBody::Output {
+                    text: "V(K INT) [1 tuples]\n  (1)\n".repeat(9_000),
+                },
+            },
+            Response {
+                session: 1,
+                body: ResponseBody::Output {
+                    text: String::new(),
+                },
+            },
+            Response {
+                session: 0,
+                body: ResponseBody::Closed,
+            },
+            Response::error(3, &Error::protocol("bad")),
+        ];
+        for resp in &responses {
+            let frame = encode_response_frame(resp).unwrap();
+            assert_eq!(frame, encode_frame(&encode_response(resp)).unwrap());
+            assert_eq!(
+                encode_response(&decode_response(frame_payload(&frame).unwrap()).unwrap()),
+                encode_response(resp)
+            );
+        }
+    }
 }

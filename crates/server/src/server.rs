@@ -24,7 +24,7 @@ use std::time::Instant;
 use eve_trace::{MetricsSnapshot, Registry};
 
 use crate::protocol::{
-    decode_request, decode_response, encode_request, encode_response, Request, RequestBody,
+    decode_request, decode_response, encode_request, encode_response_frame, Request, RequestBody,
     Response, ResponseBody,
 };
 use crate::warehouse::{Admitted, Mutation, Tenant, Warehouse};
@@ -230,9 +230,9 @@ fn tenant_shard(name: &str, shards: usize) -> usize {
     (h % shards.max(1) as u64) as usize
 }
 
+/// Sends `resp` as one frame, built in one buffer.
 fn send_response(reply: &Sender<Vec<u8>>, resp: &Response) {
-    let payload = encode_response(resp);
-    if let Ok(frame) = crate::wire::encode_frame(&payload) {
+    if let Ok(frame) = encode_response_frame(resp) {
         // A vanished client is not a server error.
         reply.send(frame).ok();
     }
@@ -563,15 +563,11 @@ impl Client {
                 reply: reply_tx,
             })
             .map_err(|_| Error::shutdown("server is stopping"))?;
+        // The response is one frame: check it and decode where it lies.
         let resp_frame = reply_rx
             .recv()
             .map_err(|_| Error::shutdown("server stopped before responding"))?;
-        let payloads = crate::wire::FrameReader::decode_all(&resp_frame)?;
-        let payload = payloads
-            .into_iter()
-            .next()
-            .ok_or_else(|| Error::frame("empty response"))?;
-        decode_response(&payload)
+        decode_response(crate::wire::frame_payload(&resp_frame)?)
     }
 
     /// Opens a session on `tenant` and remembers its id.

@@ -37,6 +37,24 @@ pub const MAX_FRAME: usize = 64 << 20;
 ///
 /// [`Error::Frame`] when the payload exceeds [`MAX_FRAME`].
 pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    out.extend_from_slice(payload);
+    seal_frame(out)
+}
+
+/// Turns `frame` — [`FRAME_HEADER`] reserved bytes, then the payload —
+/// into a wire frame by writing the header in place, so a payload
+/// encoded straight into the frame's buffer is never copied.
+///
+/// # Errors
+///
+/// [`Error::Frame`] when the payload exceeds [`MAX_FRAME`], or `frame`
+/// is shorter than a header.
+pub(crate) fn seal_frame(mut frame: Vec<u8>) -> Result<Vec<u8>> {
+    let Some((header, payload)) = frame.split_first_chunk_mut::<FRAME_HEADER>() else {
+        return Err(Error::frame("no room reserved for the frame header"));
+    };
     let len = match u32::try_from(payload.len()) {
         Ok(len) if payload.len() <= MAX_FRAME => len,
         _ => {
@@ -46,11 +64,61 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>> {
             )))
         }
     };
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Ok(out)
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc64(payload).to_le_bytes());
+    Ok(frame)
+}
+
+/// The payload of the one frame `bytes` holds, checked against the
+/// length cap and its CRC where it lies, without copying it.
+///
+/// # Errors
+///
+/// [`Error::Frame`] when `bytes` is not exactly one whole, intact frame.
+pub(crate) fn frame_payload(bytes: &[u8]) -> Result<&[u8]> {
+    match split_frame(bytes)? {
+        Some((payload, end)) if end == bytes.len() => Ok(payload),
+        Some((_, end)) => Err(Error::frame(format!(
+            "{} trailing bytes after the frame",
+            bytes.len() - end
+        ))),
+        None => Err(Error::frame(format!(
+            "{} bytes hold no whole frame",
+            bytes.len()
+        ))),
+    }
+}
+
+/// The first frame in `buf`: its CRC-checked payload and the offset just
+/// past it, or `None` while the frame is incomplete.
+///
+/// # Errors
+///
+/// [`Error::Frame`] when the header declares a payload past
+/// [`MAX_FRAME`] or the payload fails its CRC.
+fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>> {
+    let Some((len_bytes, rest)) = buf.split_first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*len_bytes) as usize;
+    if len > MAX_FRAME {
+        return Err(Error::frame(format!(
+            "declared payload of {len} bytes exceeds the {MAX_FRAME}-byte frame cap"
+        )));
+    }
+    let Some((crc_bytes, rest)) = rest.split_first_chunk::<8>() else {
+        return Ok(None);
+    };
+    let crc = u64::from_le_bytes(*crc_bytes);
+    let Some(payload) = rest.get(..len) else {
+        return Ok(None);
+    };
+    if crc64(payload) != crc {
+        return Err(Error::frame(format!(
+            "payload of {len} bytes failed its CRC (expected {crc:#018x})"
+        )));
+    }
+    Ok(Some((payload, FRAME_HEADER + len)))
 }
 
 /// Incremental frame reassembler: feed it stream chunks in any split —
@@ -92,28 +160,9 @@ impl FrameReader {
     /// [`MAX_FRAME`] or the payload fails its CRC — both mean the stream
     /// is corrupt, not merely incomplete.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        let Some((len_bytes, rest)) = self.buf.split_first_chunk::<4>() else {
+        let Some((payload, end)) = split_frame(&self.buf)? else {
             return Ok(None);
         };
-        let len = u32::from_le_bytes(*len_bytes) as usize;
-        if len > MAX_FRAME {
-            return Err(Error::frame(format!(
-                "declared payload of {len} bytes exceeds the {MAX_FRAME}-byte frame cap"
-            )));
-        }
-        let Some((crc_bytes, rest)) = rest.split_first_chunk::<8>() else {
-            return Ok(None);
-        };
-        let crc = u64::from_le_bytes(*crc_bytes);
-        let end = FRAME_HEADER + len;
-        let Some(payload) = rest.get(..len) else {
-            return Ok(None);
-        };
-        if crc64(payload) != crc {
-            return Err(Error::frame(format!(
-                "payload of {len} bytes failed its CRC (expected {crc:#018x})"
-            )));
-        }
         let payload = payload.to_vec();
         self.buf.drain(..end);
         Ok(Some(payload))
@@ -261,6 +310,35 @@ mod tests {
         let err = reader.next_frame().unwrap_err();
         assert!(matches!(err, Error::Frame { .. }), "{err:?}");
         assert!(err.to_string().contains("CRC"), "{err}");
+    }
+
+    #[test]
+    fn frame_payload_takes_exactly_one_intact_frame() {
+        let frame = encode_frame(b"one answer").unwrap();
+        assert_eq!(frame_payload(&frame).unwrap(), b"one answer");
+        let two = [frame.clone(), frame.clone()].concat();
+        let cut = &frame[..frame.len() - 1];
+        let mut flipped = frame.clone();
+        flipped[FRAME_HEADER] ^= 0x01;
+        for (bad, why) in [
+            (&two[..], "trailing"),
+            (cut, "no whole frame"),
+            (&[][..], "no whole frame"),
+            (&flipped[..], "CRC"),
+        ] {
+            let err = frame_payload(bad).unwrap_err();
+            assert!(err.to_string().contains(why), "{err}");
+        }
+    }
+
+    #[test]
+    fn seal_frame_needs_its_reserved_header() {
+        let err = seal_frame(vec![0; FRAME_HEADER - 1]).unwrap_err();
+        assert!(matches!(err, Error::Frame { .. }), "{err:?}");
+        assert_eq!(
+            seal_frame(vec![0; FRAME_HEADER]).unwrap(),
+            encode_frame(b"").unwrap()
+        );
     }
 
     #[test]

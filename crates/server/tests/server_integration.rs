@@ -1,10 +1,11 @@
 //! Integration suite for the multi-tenant server: sessions, per-tenant
-//! isolation, admission control over the wire, and byte-identical
-//! convergence of concurrent mutation streams against a serial oracle.
+//! isolation, admission control over the wire, read-your-writes through
+//! the rendered-answer cache, and byte-identical convergence of
+//! concurrent mutation streams against a serial oracle.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use eve_server::protocol::{RequestBody, ResponseBody};
 use eve_server::warehouse::{AdmissionPolicy, TenantBudget, Warehouse};
@@ -12,6 +13,17 @@ use eve_server::{Client, ErrorCode, Server, ServerConfig};
 use eve_system::Shell;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// `relational.render_cache_hits` is process-wide. A test that renders
+/// view answers holds this shared; the test that counts the hits its own
+/// queries add holds it alone.
+static RENDERS: RwLock<()> = RwLock::new(());
+
+fn rendering() -> RwLockReadGuard<'static, ()> {
+    RENDERS
+        .read()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -167,6 +179,7 @@ fn tenants_mutate_in_isolation_and_match_a_serial_oracle() {
 
 #[test]
 fn admission_control_rejects_and_queues_over_the_wire() {
+    let _renders = rendering();
     let root = scratch("admission");
     let warehouse = Arc::new(Warehouse::open(&root).unwrap());
     // Pre-create tenants with tight budgets and opposite policies; the
@@ -266,6 +279,7 @@ fn admission_control_rejects_and_queues_over_the_wire() {
 
 #[test]
 fn apply_batches_and_statements_share_one_durable_history() {
+    let _renders = rendering();
     let root = scratch("apply");
     let server = Server::start(
         Arc::new(Warehouse::open(&root).unwrap()),
@@ -352,6 +366,7 @@ fn malformed_statements_come_back_as_typed_errors_not_dead_connections() {
 
 #[test]
 fn metrics_request_returns_server_and_engine_families() {
+    let _renders = rendering();
     let root = scratch("metrics");
     let server = Server::start(
         Arc::new(Warehouse::open(&root).unwrap()),
@@ -384,6 +399,150 @@ fn metrics_request_returns_server_and_engine_families() {
     assert!(local.counters.keys().all(|k| k.starts_with("server.")));
     assert!(local.histograms.keys().all(|k| k.starts_with("server.")));
 
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The view `V`'s answer over the wire.
+fn query_v(c: &mut Client) -> String {
+    match c.request(RequestBody::Query { view: "V".into() }).unwrap() {
+        ResponseBody::Output { text } => text,
+        other => panic!("{other:?}"),
+    }
+}
+
+/// Runs each line as a statement; every one must answer `Output`.
+fn run_lines(c: &mut Client, lines: &[&str]) {
+    for line in lines {
+        match c
+            .request(RequestBody::Statement {
+                esql: (*line).to_owned(),
+            })
+            .unwrap()
+        {
+            ResponseBody::Output { .. } => {}
+            other => panic!("`{line}`: {other:?}"),
+        }
+    }
+}
+
+/// Two relations on two sites, `M` declared equivalent to `R` but holding
+/// one row `R` lacks, and the view `V` over `R`.
+const REPLICA_SETUP: &[&str] = &[
+    "site 1 tokyo",
+    "site 2 osaka",
+    "relation R @1 (K:int, P:int)",
+    "relation M @2 (K:int, P:int)",
+    "insert R (1, 10)",
+    "insert R (2, 20)",
+    "insert M (1, 10)",
+    "insert M (2, 20)",
+    "insert M (4, 40)",
+    "pc R (K, P) = M (K, P)",
+    "view CREATE VIEW V (VE = '~') AS SELECT X.K, X.P AS XP FROM R X (RR = true)",
+];
+
+#[test]
+fn a_query_reads_the_writes_its_client_applied() {
+    let _renders = rendering();
+    let root = scratch("ryw");
+    let server = Server::start(
+        Arc::new(Warehouse::open(&root).unwrap()),
+        ServerConfig::default(),
+    );
+    let mut c = server.connect().unwrap();
+    c.open_session("ryw").unwrap();
+    run_lines(&mut c, REPLICA_SETUP);
+    let before = query_v(&mut c);
+    assert!(
+        before.starts_with("V(K INT, XP INT) [2 tuples]\n"),
+        "{before}"
+    );
+    // Each write lands on the answer the query before it left rendered.
+    run_lines(&mut c, &["update R insert (3, 30)"]);
+    let after_statement = query_v(&mut c);
+    assert!(after_statement.contains("(3, 30)"), "{after_statement}");
+    match c
+        .request(RequestBody::Apply {
+            ops: vec![eve_sync::EvolutionOp::insert(
+                "R",
+                vec![eve_relational::tup![5, 50]],
+            )],
+        })
+        .unwrap()
+    {
+        ResponseBody::Output { .. } => {}
+        other => panic!("{other:?}"),
+    }
+    let after_apply = query_v(&mut c);
+    assert!(
+        after_apply.starts_with("V(K INT, XP INT) [4 tuples]\n"),
+        "{after_apply}"
+    );
+    assert!(after_apply.contains("(5, 50)"), "{after_apply}");
+    run_lines(&mut c, &["update R delete (1, 10)"]);
+    let after_delete = query_v(&mut c);
+    assert!(!after_delete.contains("(1, 10)"), "{after_delete}");
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_repeated_query_is_answered_once_rendered() {
+    // Alone: no other test's queries move the process-wide counters.
+    let _renders = RENDERS
+        .write()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let root = scratch("render-once");
+    let server = Server::start(
+        Arc::new(Warehouse::open(&root).unwrap()),
+        ServerConfig::default(),
+    );
+    let mut c = server.connect().unwrap();
+    c.open_session("once").unwrap();
+    run_lines(&mut c, REPLICA_SETUP);
+    run_lines(&mut c, &["update R insert (3, 30)"]);
+    let hits = eve_trace::global().counter("relational.render_cache_hits");
+    let formatted = eve_trace::global().counter("relational.rows_formatted");
+    let (hits_before, formatted_before) = (hits.get(), formatted.get());
+    let first = query_v(&mut c);
+    let second = query_v(&mut c);
+    assert_eq!(first, second, "no write between them: the same bytes");
+    assert_eq!(hits.get() - hits_before, 1, "the second query is a hit");
+    assert_eq!(
+        formatted.get() - formatted_before,
+        3,
+        "the first query renders V's three rows, the second none"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_change_that_rewrites_a_view_drops_its_rendered_answer() {
+    let _renders = rendering();
+    let root = scratch("render-change");
+    let server = Server::start(
+        Arc::new(Warehouse::open(&root).unwrap()),
+        ServerConfig::default(),
+    );
+    let mut c = server.connect().unwrap();
+    c.open_session("evolving").unwrap();
+    run_lines(&mut c, REPLICA_SETUP);
+    // Rendered, and rendered again from what the first query kept.
+    let before = query_v(&mut c);
+    assert_eq!(query_v(&mut c), before);
+    assert!(!before.contains("(4, 40)"), "{before}");
+    // `M` holds a row `R` lacks, so deleting `R` re-evaluates `V` over `M`.
+    run_lines(&mut c, &["change delete-relation R"]);
+    let after = query_v(&mut c);
+    assert!(after.contains("(4, 40)"), "{after}");
+    // The same script through a plain shell, rendered for the first time.
+    let mut oracle = Shell::new();
+    for line in REPLICA_SETUP.iter().chain(&["change delete-relation R"]) {
+        oracle.execute(line).unwrap();
+    }
+    assert_eq!(after, oracle.execute("query V").unwrap());
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
 }
@@ -426,6 +585,7 @@ fn assert_population_converges(
     reads_per_client: usize,
 ) {
     const DRIVER_THREADS: usize = 16;
+    let _renders = rendering();
     let root = scratch(&format!("{tag}-warehouse"));
     let oracle_root = scratch(&format!("{tag}-oracle"));
     let server = Server::start(

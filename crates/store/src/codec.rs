@@ -45,6 +45,13 @@ impl Enc {
         Enc::default()
     }
 
+    /// An encoder that appends to `buf`, after the bytes it already holds
+    /// (a reserved frame header, say).
+    #[must_use]
+    pub fn appending_to(buf: Vec<u8>) -> Enc {
+        Enc { buf }
+    }
+
     /// The encoded bytes.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
