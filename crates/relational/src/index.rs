@@ -141,8 +141,12 @@ pub(crate) struct IndexCounters {
     renumbered: Arc<Counter>,
     /// Rows deep-copied by copy-on-write detaches of relation storage.
     pub(crate) detach_rows: Arc<Counter>,
-    /// Distinct renders answered from the storage's rendered rows.
+    /// Distinct renders answered from the storage's rendered rows, up
+    /// to date or patched.
     pub(crate) render_cache_hits: Arc<Counter>,
+    /// Rows re-rendered by distinct renders that folded pending writes
+    /// into the storage's rendered rows.
+    pub(crate) render_patched_rows: Arc<Counter>,
     /// Rows written by distinct renders that found no rendered rows.
     pub(crate) rows_formatted: Arc<Counter>,
 }
@@ -158,6 +162,7 @@ pub(crate) fn mirrors() -> &'static IndexCounters {
             renumbered: registry.counter("relational.index_entries_renumbered"),
             detach_rows: registry.counter("relational.detach_rows"),
             render_cache_hits: registry.counter("relational.render_cache_hits"),
+            render_patched_rows: registry.counter("relational.render_patched_rows"),
             rows_formatted: registry.counter("relational.rows_formatted"),
         }
     })

@@ -3,7 +3,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, Weak};
 
 use crate::column::{compact, ColumnarBatch};
 use crate::error::{Error, Result};
@@ -13,6 +13,15 @@ use crate::predicate::CompOp;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::types::Value;
+
+/// Lines per chunk of kept text that a render cuts. A fold re-renders
+/// every chunk a written tuple falls in, so this bounds its work per
+/// written tuple.
+const CHUNK_ROWS: usize = 256;
+
+/// Kept text takes pending writes up to one per this many of its rows;
+/// the write past that drops the text, and the next read renders afresh.
+const PATCH_SHARE: usize = 8;
 
 /// Shared physical storage behind a [`Relation`]: the row-ordered tuple
 /// vector plus the lazily built columnar image, secondary indexes and
@@ -26,8 +35,10 @@ use crate::types::Value;
 /// along with the rows and then maintain them incrementally, so a warmed
 /// index survives copy-on-write instead of being rebuilt; an
 /// [`ExtentHandle`] is a `Weak` and never causes one. Each detach adds its
-/// rows to `relational.detach_rows`. The rendered rows are not maintained:
-/// every write drops them and a detach does not copy them.
+/// rows to `relational.detach_rows`. The rendered rows are patched, not
+/// rebuilt: a write records its tuples beside them ([`Storage::record`])
+/// and the next read folds those in. A detach copies neither the text
+/// nor the recorded tuples.
 #[derive(Debug, Default)]
 struct Storage {
     tuples: Vec<Tuple>,
@@ -38,20 +49,44 @@ struct Storage {
     /// Secondary indexes, built on first probe.
     indexes: Mutex<IndexSet>,
     /// The distinct rows as text, built by the first
-    /// [`Relation::distinct_to_string`] and dropped by every write.
-    rendered: OnceLock<Rendered>,
+    /// [`Relation::distinct_to_string`] and patched by later ones. Hits
+    /// share the read side; a render or a fold takes the write side, so
+    /// no reader sees a half-folded text.
+    rendered: RwLock<Option<Rendered>>,
 }
 
-/// The distinct rows of one storage version, rendered: the text of
-/// [`Relation::distinct_to_string`] below its header line. The header
-/// names the relation, and aliases of one storage may have different
-/// names, so it is not kept.
+/// The distinct rows of one storage, rendered: the text of
+/// [`Relation::distinct_to_string`] below its header line, in sorted
+/// chunks, with the tuples written since the chunks were last brought up
+/// to date. The header names the relation, and aliases of one storage may
+/// have different names, so it is not kept.
+///
+/// Chunk `i` holds one line for each distinct tuple `t` the storage held
+/// at the last fold with `chunks[i].first <= t < chunks[i + 1].first`;
+/// the first chunk has no lower bound and the last no upper one. A chunk
+/// is never empty, and `pending` is empty whenever `chunks` is (the
+/// [`PATCH_SHARE`] bound allows no pending write against no rows).
 #[derive(Debug)]
 struct Rendered {
-    /// How many distinct rows `lines` holds.
+    chunks: Vec<Chunk>,
+    /// How many distinct rows the chunks hold.
+    rows: usize,
+    /// Bytes of text the chunks hold.
+    bytes: usize,
+    /// Every tuple inserted or deleted since the last fold, duplicates
+    /// included: only the chunks these fall in can be out of date.
+    pending: Vec<Tuple>,
+}
+
+/// A run of consecutive lines of a [`Rendered`] text.
+#[derive(Debug)]
+struct Chunk {
+    /// The tuple of the first line.
+    first: Tuple,
+    /// How many lines `text` holds.
     rows: usize,
     /// One `  <tuple>` line per distinct row, in sorted order.
-    lines: Box<str>,
+    text: Box<str>,
 }
 
 impl Clone for Storage {
@@ -64,7 +99,7 @@ impl Clone for Storage {
             generation: self.generation,
             columnar: OnceLock::new(),
             indexes: Mutex::new(self.indexes.lock().expect("index lock poisoned").clone()),
-            rendered: OnceLock::new(),
+            rendered: RwLock::new(None),
         };
         if let Some(batch) = self.columnar.get() {
             let _ = cloned.columnar.set(Arc::clone(batch));
@@ -79,6 +114,127 @@ impl Storage {
             tuples,
             ..Storage::default()
         }
+    }
+
+    /// Notes `written` (tuples just inserted or deleted) against the kept
+    /// text: they join its pending tuples, unless that would pass one per
+    /// [`PATCH_SHARE`] rows, in which case the text is dropped. A storage
+    /// that keeps no text records nothing.
+    fn record(&mut self, written: &[Tuple]) {
+        let kept = self.rendered.get_mut().expect("render lock poisoned");
+        match kept {
+            Some(text) if text.pending.len() + written.len() <= text.rows / PATCH_SHARE => {
+                text.pending.extend_from_slice(written);
+            }
+            _ => *kept = None,
+        }
+    }
+}
+
+impl Rendered {
+    /// Renders the distinct rows of `tuples`, in chunks of about
+    /// [`CHUNK_ROWS`] lines.
+    fn of(tuples: &[Tuple]) -> Rendered {
+        let mut rows: Vec<&Tuple> = tuples.iter().collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let mut chunks = Vec::with_capacity(rows.len().div_ceil(CHUNK_ROWS));
+        render_chunks(&rows, CHUNK_ROWS, &mut chunks);
+        Rendered::from_chunks(chunks)
+    }
+
+    fn from_chunks(chunks: Vec<Chunk>) -> Rendered {
+        Rendered {
+            rows: chunks.iter().map(|c| c.rows).sum(),
+            bytes: chunks.iter().map(|c| c.text.len()).sum(),
+            chunks,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Brings the chunks up to date with `tuples`, the storage's rows now,
+    /// and empties `pending`. Each chunk a pending tuple falls in is
+    /// re-rendered from the tuples of `tuples` inside its range, found in
+    /// one pass: a line is there exactly when one copy of its tuple is
+    /// stored, so no multiplicity needs counting. A chunk left empty goes;
+    /// one grown past twice [`CHUNK_ROWS`] is cut again. Returns the rows
+    /// re-rendered.
+    fn fold(&mut self, tuples: &[Tuple]) -> usize {
+        let chunks = &self.chunks;
+        // The last chunk starting at or below `t`, or the first chunk.
+        let chunk_of = |t: &Tuple| chunks.partition_point(|c| c.first <= *t).saturating_sub(1);
+        let mut touched: Vec<usize> = self.pending.iter().map(chunk_of).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let mut found: Vec<Vec<&Tuple>> = vec![Vec::new(); touched.len()];
+        for t in tuples {
+            // The last touched chunk whose range starts at or below `t`.
+            let at = touched.partition_point(|&i| i == 0 || chunks[i].first <= *t);
+            let Some(slot) = at.checked_sub(1) else {
+                continue;
+            };
+            if chunks
+                .get(touched[slot] + 1)
+                .is_none_or(|next| *t < next.first)
+            {
+                found[slot].push(t);
+            }
+        }
+        let mut patched = 0;
+        let mut next = Vec::with_capacity(self.chunks.len() + touched.len());
+        let mut found = touched.into_iter().zip(found).peekable();
+        for (i, chunk) in std::mem::take(&mut self.chunks).into_iter().enumerate() {
+            match found.next_if(|(at, _)| *at == i) {
+                Some((_, mut rows)) => {
+                    rows.sort_unstable();
+                    rows.dedup();
+                    patched += rows.len();
+                    render_chunks(&rows, 2 * CHUNK_ROWS, &mut next);
+                }
+                None => next.push(chunk),
+            }
+        }
+        *self = Rendered::from_chunks(next);
+        patched
+    }
+
+    /// The answer of `relation`: its header line, then the kept lines.
+    fn answer(&self, relation: &Relation) -> String {
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = write_header(&mut out, relation, self.rows);
+        out.reserve_exact(self.bytes);
+        for chunk in &self.chunks {
+            out.push_str(&chunk.text);
+        }
+        out
+    }
+}
+
+/// Renders `rows` (sorted and distinct) onto `chunks`: as one chunk when
+/// they are at most `most`, or else cut evenly into chunks of at most
+/// [`CHUNK_ROWS`] lines. Nothing when `rows` is empty.
+fn render_chunks(rows: &[&Tuple], most: usize, chunks: &mut Vec<Chunk>) {
+    if rows.is_empty() {
+        return;
+    }
+    let pieces = if rows.len() > most {
+        rows.len().div_ceil(CHUNK_ROWS)
+    } else {
+        1
+    };
+    let mut text = String::new();
+    for piece in rows.chunks(rows.len().div_ceil(pieces)) {
+        text.clear();
+        for t in piece {
+            // Writing into a `String` cannot fail.
+            let _ = write_line(&mut text, t);
+        }
+        chunks.push(Chunk {
+            first: piece[0].clone(),
+            rows: piece.len(),
+            text: text.as_str().into(),
+        });
     }
 }
 
@@ -328,6 +484,7 @@ impl Relation {
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         self.validate(&tuple)?;
         let store = self.storage_mut();
+        store.record(std::slice::from_ref(&tuple));
         if let Some(batch) = store.columnar.get_mut() {
             Arc::make_mut(batch).push_row(&tuple);
         }
@@ -366,10 +523,11 @@ impl Relation {
             .get_mut()
             .expect("index lock poisoned")
             .remove_rows(&removed_rows, &store.tuples);
-        let removed = removed_rows
+        let removed: Vec<Tuple> = removed_rows
             .iter()
             .map(|&r| std::mem::replace(&mut store.tuples[r as usize], Tuple::new(Vec::new())))
             .collect();
+        store.record(&removed);
         compact(&mut store.tuples, &removed_rows);
         if let Some(batch) = store.columnar.get_mut() {
             Arc::make_mut(batch).remove_rows(&removed_rows);
@@ -378,12 +536,14 @@ impl Relation {
     }
 
     /// The storage, for a write: a private copy when another relation
-    /// still shares it ([`Arc::make_mut`]), with its generation bumped and
-    /// its rendered rows dropped, so no write leaves stale text.
+    /// still shares it ([`Arc::make_mut`]), with its generation bumped.
+    /// The caller records the tuples it writes ([`Storage::record`]), so
+    /// no write leaves stale text. A copy starts with no text; when only
+    /// `Weak` handles remain, `make_mut` moves the storage and it keeps
+    /// its text and pending tuples.
     fn storage_mut(&mut self) -> &mut Storage {
         let store = Arc::make_mut(&mut self.store);
         store.generation += 1;
-        store.rendered.take();
         store
     }
 
@@ -480,40 +640,50 @@ impl Relation {
     /// `self.distinct().to_string()`: a header line naming this relation,
     /// then its distinct rows in sorted order, one per line.
     ///
-    /// The rows are rendered once per storage version. The first call
-    /// renders them from borrowed tuples (no tuple is cloned, no relation
-    /// is built), adds their count to `relational.rows_formatted` and keeps
-    /// the text in the shared storage; every later call, through this
-    /// relation or any alias of its storage, writes its own header and
-    /// copies that text (`relational.render_cache_hits`). A write drops the
-    /// text, so the next call renders again. A hit costs one copy of the
-    /// answer, and that copy is all the time a caller holding a lock over
-    /// the relation holds it for.
+    /// The rows are rendered once and then kept up to date in the shared
+    /// storage. The first call renders them from borrowed tuples (no
+    /// tuple is cloned, no relation is built) and adds their count to
+    /// `relational.rows_formatted`. A write records the tuples it inserts
+    /// or deletes beside the text, and the next call folds them in: it
+    /// re-renders only the chunks of about 256 lines those tuples fall in
+    /// and adds those lines to `relational.render_patched_rows`. Past one
+    /// written tuple per eight rows a write drops the text instead, and
+    /// the next call renders afresh. Every call that finds the text, up to
+    /// date or patched, through this relation or any alias of its
+    /// storage, writes its own header, copies the text and counts one
+    /// `relational.render_cache_hits`.
+    ///
+    /// Calls that find the text up to date copy it in parallel; a render
+    /// or a fold excludes every other call on the storage, and runs once
+    /// however many calls wait for it.
     #[must_use]
     pub fn distinct_to_string(&self) -> String {
         let counters = crate::index::mirrors();
-        let mut out = String::new();
-        // Writing into a `String` cannot fail.
-        if let Some(rendered) = self.store.rendered.get() {
-            counters.render_cache_hits.inc();
-            let _ = write_header(&mut out, self, rendered.rows);
-            out.reserve_exact(rendered.lines.len());
-            out.push_str(&rendered.lines);
-            return out;
+        {
+            let kept = self.store.rendered.read().expect("render lock poisoned");
+            if let Some(text) = kept.as_ref().filter(|text| text.pending.is_empty()) {
+                counters.render_cache_hits.inc();
+                return text.answer(self);
+            }
         }
-        let rows: BTreeSet<&Tuple> = self.store.tuples.iter().collect();
-        counters.rows_formatted.add(rows.len() as u64);
-        let _ = write_header(&mut out, self, rows.len());
-        let header = out.len();
-        for t in &rows {
-            let _ = write_line(&mut out, t);
-        }
-        // A reader racing this one may have set it first, from the same rows.
-        let _ = self.store.rendered.set(Rendered {
-            rows: rows.len(),
-            lines: out[header..].into(),
-        });
-        out
+        let mut kept = self.store.rendered.write().expect("render lock poisoned");
+        let text = match &mut *kept {
+            Some(text) => {
+                // Another call may have folded while this one waited.
+                if !text.pending.is_empty() {
+                    let patched = text.fold(&self.store.tuples);
+                    counters.render_patched_rows.add(patched as u64);
+                }
+                counters.render_cache_hits.inc();
+                text
+            }
+            None => {
+                let text = Rendered::of(&self.store.tuples);
+                counters.rows_formatted.add(text.rows as u64);
+                kept.insert(text)
+            }
+        };
+        text.answer(self)
     }
 
     /// Whether the relation contains a tuple equal to `t`.
@@ -818,6 +988,91 @@ mod tests {
         assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
         assert_eq!(alias.distinct_to_string(), alias.distinct().to_string());
         assert!(alias.distinct_to_string().contains("(2, 'y')"));
+    }
+
+    /// `n` one-column rows `0, 10, 20, …`, rendered: `n / CHUNK_ROWS`
+    /// chunks.
+    fn rendered_tens(n: i64) -> Relation {
+        let rel = Relation::with_tuples(
+            "E",
+            Schema::of(&[("A", DataType::Int)]).unwrap(),
+            (0..n).map(|i| tup![10 * i]).collect(),
+        )
+        .unwrap();
+        let _ = rel.distinct_to_string();
+        rel
+    }
+
+    /// The line count of each kept chunk, and how many writes are pending.
+    fn kept(rel: &Relation) -> Option<(Vec<usize>, usize)> {
+        let kept = rel.store.rendered.read().unwrap();
+        kept.as_ref().map(|text| {
+            (
+                text.chunks.iter().map(|c| c.rows).collect(),
+                text.pending.len(),
+            )
+        })
+    }
+
+    #[test]
+    fn a_fold_splits_a_chunk_grown_past_twice_its_size() {
+        let rows = i64::try_from(CHUNK_ROWS).unwrap();
+        let mut rel = rendered_tens(4 * rows);
+        assert_eq!(kept(&rel), Some((vec![CHUNK_ROWS; 4], 0)));
+        // New values inside the second chunk's range, 100 per fold.
+        for round in 0..3 {
+            for k in (100 * round..).take(100) {
+                rel.insert(tup![10 * (rows + k / 2) + 1 + k % 2]).unwrap();
+            }
+            assert_eq!(kept(&rel).unwrap().1, 100, "recorded, not dropped");
+            assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        }
+        // 256 → 356 → 456 lines stay one chunk; 556 is cut in three.
+        assert_eq!(
+            kept(&rel),
+            Some((vec![CHUNK_ROWS, 186, 186, 184, CHUNK_ROWS, CHUNK_ROWS], 0))
+        );
+    }
+
+    #[test]
+    fn a_fold_drops_the_chunks_it_empties() {
+        let rows = i64::try_from(CHUNK_ROWS).unwrap();
+        let mut rel = rendered_tens(16 * rows);
+        // The first chunk and the third, each in one delete: an eighth of
+        // the rows in all.
+        for chunk in [0, 2] {
+            let victims: Vec<Tuple> = (chunk * rows..(chunk + 1) * rows)
+                .map(|i| tup![10 * i])
+                .collect();
+            assert_eq!(rel.delete(&victims).len(), CHUNK_ROWS);
+        }
+        assert_eq!(kept(&rel).unwrap().1, 2 * CHUNK_ROWS);
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        assert_eq!(kept(&rel), Some((vec![CHUNK_ROWS; 14], 0)));
+        // A row below every kept chunk lands in the new first one.
+        rel.insert(tup![-1]).unwrap();
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        let mut lines = vec![CHUNK_ROWS; 14];
+        lines[0] += 1;
+        assert_eq!(kept(&rel), Some((lines, 0)));
+    }
+
+    #[test]
+    fn a_detach_leaves_the_copy_with_no_text() {
+        let mut rel = rendered_tens(2 * i64::try_from(CHUNK_ROWS).unwrap());
+        let mut copy = rel.clone();
+        copy.insert(tup![1]).unwrap();
+        assert!(!copy.shares_tuples_with(&rel));
+        assert_eq!(kept(&copy), None, "a detach copies no text");
+        assert_eq!(kept(&rel).unwrap().1, 0, "the original's text stands");
+        assert_eq!(copy.distinct_to_string(), copy.distinct().to_string());
+        // With only a `Weak` left, the write moves the storage: the text
+        // and the recorded tuple go with it.
+        let handle = ExtentHandle::of(&rel);
+        rel.insert(tup![3]).unwrap();
+        assert!(!handle.is_of(&rel));
+        assert_eq!(kept(&rel).unwrap().1, 1);
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
     }
 
     #[test]

@@ -20,12 +20,26 @@
 //! check before it (or, first, the setup) kept: two
 //! `relational.render_cache_hits`, no `relational.rows_formatted`.
 //!
+//! Every check renders, so the next write is recorded against kept text
+//! and the check after it folds that write in. The starting relation
+//! holds several hundred distinct rows beside the random ones, so its
+//! text spans several chunks of about 256 lines and the random writes
+//! patch chunks throughout it. Steps add copies of stored rows, drain a
+//! stored row one copy at a time (a check after each delete), insert rows
+//! that sort before or after every stored one, and flood the relation
+//! with more written tuples than the kept text takes (one per eight
+//! rows), which drops the text: the check after a flood renders every
+//! row afresh, and the run as a whole patches rows.
+//!
 //! A delete lists its victims' index ids instead of renumbering the
 //! survivors' entries; once the list is long enough one pass renumbers
 //! them all. Each case deletes enough rows to renumber several times,
 //! which the suite checks on `relational.index_entries_renumbered`.
 //!
 //! Case counts honour `PROPTEST_CASES` (CI smoke 64, nightly 256).
+
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 use proptest::prelude::*;
 
@@ -80,9 +94,29 @@ fn keys(col: usize) -> Vec<Value> {
     }
 }
 
+/// The `k`th bulk row: ints 1–3, both bools, a distinct digit text that
+/// sorts between the random rows' texts `""` and `"a"`.
+fn bulk_row(k: usize) -> Tuple {
+    tuple(&(
+        1 + i64::try_from(k % 3).unwrap(),
+        k.is_multiple_of(2),
+        format!("{k:03}"),
+    ))
+}
+
 #[derive(Debug, Clone)]
 enum Step {
     Insert(Vec<Row>),
+    /// Insert one more copy of each stored row picked (by position,
+    /// modulo the cardinality).
+    Copy(Vec<usize>),
+    /// Delete the picked stored row's copies one at a time.
+    Drain(usize),
+    /// Insert a row below (`true`) or above every stored one.
+    Outside(bool),
+    /// Insert copies of stored rows, one more than an eighth of the
+    /// distinct rows.
+    Flood,
     /// Victims: a stored row (by position, modulo the cardinality) or a
     /// random row that may be absent; the request holds duplicates often.
     Delete(Vec<(bool, usize, Row)>),
@@ -98,6 +132,9 @@ fn arb_step() -> impl Strategy<Value = Step> {
         prop::collection::vec(arb_row(), 1..4).prop_map(Step::Insert),
         prop::collection::vec((any::<bool>(), 0usize..256, arb_row()), 1..5).prop_map(Step::Delete),
         prop::collection::vec((any::<bool>(), 0usize..256, arb_row()), 1..5).prop_map(Step::Delete),
+        prop::collection::vec(0usize..2048, 1..4).prop_map(Step::Copy),
+        (0usize..2048).prop_map(Step::Drain),
+        any::<bool>().prop_map(Step::Outside),
         Just(Step::Clone),
         (
             0usize..3,
@@ -195,81 +232,178 @@ fn held(rel: &Relation) -> Vec<(usize, IndexKind)> {
         .collect()
 }
 
+/// The counters a run moved that the suites check at its end.
+struct Moved {
+    /// Deletes that renumbered the deleted-id list of an index.
+    renumbering_deletes: usize,
+    /// `relational.render_patched_rows` over the run.
+    patched: u64,
+}
+
+/// The counters are process-wide: each suite holds this while it runs.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+/// Runs `steps` on a relation over `model` and on the model, with a flood
+/// in place of the step at each round `floods` names, checking after
+/// every step (and after every delete of a drain).
+fn run(
+    mut model: Vec<Tuple>,
+    warm: &[(usize, IndexKind)],
+    steps: &[Step],
+    floods: &[usize],
+) -> Result<Moved, TestCaseError> {
+    let renumbered = eve_trace::global().counter("relational.index_entries_renumbered");
+    let hits = eve_trace::global().counter("relational.render_cache_hits");
+    let formatted = eve_trace::global().counter("relational.rows_formatted");
+    let patched = eve_trace::global().counter("relational.render_patched_rows");
+    let patched_before = patched.get();
+    let mut rel = Relation::with_tuples("R", schema(), model.clone()).unwrap();
+    let _ = rel.columnar();
+    let _ = rel.distinct_to_string();
+    for &(col, kind) in warm {
+        rel.warm_index(col, kind);
+    }
+    let mut clone: Option<(Relation, Vec<Tuple>)> = None;
+    let mut renumbering_deletes = 0usize;
+    for (round, step) in steps.iter().enumerate() {
+        let step = if floods.contains(&round) {
+            &Step::Flood
+        } else {
+            step
+        };
+        let formatted_before = formatted.get();
+        match step {
+            Step::Insert(rows) => {
+                for row in rows {
+                    rel.insert(tuple(row)).unwrap();
+                    model.push(tuple(row));
+                }
+            }
+            Step::Delete(picks) => {
+                let victims: Vec<Tuple> = picks
+                    .iter()
+                    .map(|(stored, at, row)| match model.len() {
+                        n if *stored && n > 0 => model[at % n].clone(),
+                        _ => tuple(row),
+                    })
+                    .collect();
+                let expected = model_delete(&mut model, &victims);
+                let renumbered_before = renumbered.get();
+                let removed = rel.delete(&victims);
+                prop_assert_eq!(&removed, &expected, "removed rows, in row order");
+                renumbering_deletes += usize::from(renumbered.get() > renumbered_before);
+            }
+            Step::Copy(picks) => {
+                for at in picks {
+                    if let Some(t) = model.get(at % model.len().max(1)).cloned() {
+                        rel.insert(t.clone()).unwrap();
+                        model.push(t);
+                    }
+                }
+            }
+            Step::Drain(at) => {
+                let picked = model.get(at % model.len().max(1)).cloned();
+                while let Some(t) = picked.as_ref().filter(|t| model.contains(t)) {
+                    let victim = std::slice::from_ref(t);
+                    let expected = model_delete(&mut model, victim);
+                    let renumbered_before = renumbered.get();
+                    prop_assert_eq!(rel.delete(victim), expected);
+                    renumbering_deletes += usize::from(renumbered.get() > renumbered_before);
+                    if let Err(e) = check(&rel, &model, round) {
+                        return Err(TestCaseError::fail(format!("draining {t:?}: {e}")));
+                    }
+                }
+            }
+            Step::Outside(below) => {
+                let round = i64::try_from(round).unwrap();
+                let i = if *below { -1 - round } else { 5 + round };
+                let t = tuple(&(i, false, String::new()));
+                rel.insert(t.clone()).unwrap();
+                model.push(t);
+            }
+            Step::Flood => {
+                let distinct = model.iter().collect::<BTreeSet<_>>().len();
+                for k in 0..=distinct / 8 {
+                    let t = model.get(k).cloned().unwrap_or_else(|| bulk_row(k));
+                    rel.insert(t.clone()).unwrap();
+                    model.push(t);
+                }
+            }
+            Step::Clone => clone = Some((rel.clone(), model.clone())),
+            Step::Warm(col, kind) => rel.warm_index(*col, *kind),
+            Step::Render => {
+                let (hits_before, formatted_before) = (hits.get(), formatted.get());
+                prop_assert_eq!(rel.distinct_to_string(), rel.distinct_to_string());
+                prop_assert_eq!(hits.get() - hits_before, 2, "both renders hit");
+                prop_assert_eq!(formatted.get(), formatted_before, "no row rendered again");
+            }
+        }
+        if let Err(e) = check(&rel, &model, round) {
+            return Err(TestCaseError::fail(format!("after {step:?}: {e}")));
+        }
+        if let Step::Flood = step {
+            prop_assert_eq!(
+                formatted.get() - formatted_before,
+                model.iter().collect::<BTreeSet<_>>().len() as u64,
+                "a flood drops the text: the check renders every row afresh"
+            );
+        }
+        if let Some((copy, rows)) = &clone {
+            prop_assert_eq!(
+                copy.tuples(),
+                &rows[..],
+                "the clone is untouched, after {:?}",
+                step
+            );
+            if round.is_multiple_of(8) {
+                if let Err(e) = check(copy, rows, round) {
+                    return Err(TestCaseError::fail(format!("clone, after {step:?}: {e}")));
+                }
+            }
+        }
+    }
+    Ok(Moved {
+        renumbering_deletes,
+        patched: patched.get() - patched_before,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
     fn storage_matches_a_vec_model_across_renumbers(
         initial in prop::collection::vec(arb_row(), 0..24),
+        floods in prop::collection::vec(0usize..750, 1..3),
         warm in prop::collection::vec(
             (0usize..3, prop::sample::select(vec![IndexKind::Hash, IndexKind::Sorted])),
             0..4,
         ),
         steps in prop::collection::vec(arb_step(), 700..800),
     ) {
-        let renumbered = eve_trace::global().counter("relational.index_entries_renumbered");
-        let hits = eve_trace::global().counter("relational.render_cache_hits");
-        let formatted = eve_trace::global().counter("relational.rows_formatted");
-        let mut model: Vec<Tuple> = initial.iter().map(tuple).collect();
-        let mut rel = Relation::with_tuples("R", schema(), model.clone()).unwrap();
-        let _ = rel.columnar();
-        let _ = rel.distinct_to_string();
-        for &(col, kind) in &warm {
-            rel.warm_index(col, kind);
-        }
-        let mut clone: Option<(Relation, Vec<Tuple>)> = None;
-        let mut renumbering_deletes = 0usize;
-        for (round, step) in steps.iter().enumerate() {
-            match step {
-                Step::Insert(rows) => {
-                    for row in rows {
-                        rel.insert(tuple(row)).unwrap();
-                        model.push(tuple(row));
-                    }
-                }
-                Step::Delete(picks) => {
-                    let victims: Vec<Tuple> = picks
-                        .iter()
-                        .map(|(stored, at, row)| match model.len() {
-                            n if *stored && n > 0 => model[at % n].clone(),
-                            _ => tuple(row),
-                        })
-                        .collect();
-                    let expected = model_delete(&mut model, &victims);
-                    let renumbered_before = renumbered.get();
-                    let removed = rel.delete(&victims);
-                    prop_assert_eq!(&removed, &expected, "removed rows, in row order");
-                    renumbering_deletes += usize::from(renumbered.get() > renumbered_before);
-                }
-                Step::Clone => clone = Some((rel.clone(), model.clone())),
-                Step::Warm(col, kind) => rel.warm_index(*col, *kind),
-                Step::Render => {
-                    let (hits_before, formatted_before) = (hits.get(), formatted.get());
-                    prop_assert_eq!(rel.distinct_to_string(), rel.distinct_to_string());
-                    prop_assert_eq!(hits.get() - hits_before, 2, "both renders hit");
-                    prop_assert_eq!(formatted.get(), formatted_before, "no row rendered again");
-                }
-            }
-            if let Err(e) = check(&rel, &model, round) {
-                return Err(TestCaseError::fail(format!("after {step:?}: {e}")));
-            }
-            if let Some((copy, rows)) = &clone {
-                prop_assert_eq!(copy.tuples(), &rows[..], "the clone is untouched, after {:?}", step);
-                if round.is_multiple_of(8) {
-                    if let Err(e) = check(copy, rows, round) {
-                        return Err(TestCaseError::fail(format!("clone, after {step:?}: {e}")));
-                    }
-                }
-            }
-        }
+        let _alone = COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let moved = run(initial.iter().map(tuple).collect(), &warm, &steps, &floods)?;
         // Every delete after the first keeps a hash index live, so each
         // lists its victims, and the run deletes enough rows to pass the
-        // renumber length (64 ids) several times. No other test in this
-        // binary moves the counters.
+        // renumber length (64 ids) several times.
         prop_assert!(
-            renumbering_deletes >= 3,
+            moved.renumbering_deletes >= 3,
             "the deleted-id list was renumbered by {} deletes",
-            renumbering_deletes
+            moved.renumbering_deletes
         );
+        prop_assert!(moved.patched > 0, "some check patched the text");
+    }
+
+    #[test]
+    fn patches_across_chunks_match_a_fresh_render(
+        initial in prop::collection::vec(arb_row(), 0..24),
+        bulk in 520usize..760,
+        floods in prop::collection::vec(0usize..110, 1..3),
+        steps in prop::collection::vec(arb_step(), 100..120),
+    ) {
+        let _alone = COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let model = (0..bulk).map(bulk_row).chain(initial.iter().map(tuple)).collect();
+        let moved = run(model, &[], &steps, &floods)?;
+        prop_assert!(moved.patched > 0, "some check patched the text");
     }
 }
