@@ -30,6 +30,8 @@
 //! baselines (first-found — the pre-QC EVE prototype behaviour — and the
 //! quality-only / cost-only corners).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bound;
 pub mod cost;
 pub mod error;

@@ -9,8 +9,9 @@
 //!   request and response travels as `len u32 LE ++ crc64 u64 LE ++
 //!   payload`, the exact framing of `seg-*.evl` records, so a corrupted
 //!   or truncated frame is detected the same way a torn log tail is.
-//!   In-process duplex channels stand in for sockets: the load generator
-//!   drives thousands of simulated clients without leaving the process.
+//!   A client seals each request into one frame, and the server checks
+//!   that frame where it lies, so thousands of in-process clients drive
+//!   the same bytes a socket would carry.
 //! - [`protocol`] — [`protocol::Request`] / [`protocol::Response`] frame
 //!   payloads, encoded with the store's canonical [`eve_store::Codec`]
 //!   (the same machinery that encodes log records and snapshots).
@@ -25,11 +26,13 @@
 //!   only reads parses to an [`eve_system::ReadCommand`]: it is not
 //!   gated or charged, and `Shell::answer` answers it under the tenant's
 //!   read lock, as it answers a `Query` request.
-//! - [`server`] — session management and the worker topology: one router
-//!   thread assigns sessions and dispatches deterministically, statements
-//!   and batches for a tenant always land on the same shard worker
-//!   (per-tenant serialized writes), and `Query`, `Stats` and `Metrics`
-//!   requests fan out to a concurrent read pool.
+//! - [`server`] — session management and the worker topology: each
+//!   client's own thread checks and decodes its request frame, answers
+//!   session ops against a shared session table and dispatches the rest
+//!   deterministically: statements and batches for a tenant always land
+//!   on the same shard worker (per-tenant serialized writes), and
+//!   `Query`, `Stats` and `Metrics` requests fan out to a concurrent read
+//!   pool.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

@@ -447,24 +447,44 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     to_bytes(resp)
 }
 
-/// Encodes a response as a whole wire frame, in one buffer: the header is
-/// reserved, the payload encoded behind it, then the header filled in.
-/// The bytes equal `encode_frame(&encode_response(resp))`.
+/// Encodes a request as a whole wire frame, in one buffer. The bytes
+/// equal `encode_frame(&encode_request(req))`.
+///
+/// # Errors
+///
+/// [`Error::Frame`] when the payload exceeds the frame cap.
+pub(crate) fn encode_request_frame(req: &Request) -> Result<Vec<u8>> {
+    let text = match &req.body {
+        RequestBody::Statement { esql } => esql.len(),
+        _ => 0,
+    };
+    encode_sealed(req, text)
+}
+
+/// Encodes a response as a whole wire frame, in one buffer. The bytes
+/// equal `encode_frame(&encode_response(resp))`.
 ///
 /// # Errors
 ///
 /// [`Error::Frame`] when the payload exceeds the frame cap.
 pub(crate) fn encode_response_frame(resp: &Response) -> Result<Vec<u8>> {
-    // An answer's text is most of its payload: size the buffer to fit it.
     let text = match &resp.body {
         ResponseBody::Output { text } => text.len(),
         _ => 0,
     };
+    encode_sealed(resp, text)
+}
+
+/// Encodes `message` as a whole wire frame: the header is reserved, the
+/// payload encoded behind it, then the header filled in. A message's
+/// text (`text` bytes) is most of its payload, so the buffer is sized to
+/// fit it.
+fn encode_sealed(message: &impl Codec, text: usize) -> Result<Vec<u8>> {
     // Session id, body tag and the text's length prefix, then the text.
     let mut buf = Vec::with_capacity(FRAME_HEADER + 17 + text);
     buf.extend_from_slice(&[0; FRAME_HEADER]);
     let mut enc = Enc::appending_to(buf);
-    resp.encode(&mut enc);
+    message.encode(&mut enc);
     seal_frame(enc.into_bytes())
 }
 
@@ -481,6 +501,36 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response> {
 mod tests {
     use super::*;
     use crate::wire::{encode_frame, frame_payload};
+
+    #[test]
+    fn a_request_frame_is_the_frame_of_its_payload() {
+        let requests = [
+            Request {
+                session: 7,
+                body: RequestBody::Statement {
+                    esql: "update R insert (1, 'a')".repeat(500),
+                },
+            },
+            Request {
+                session: 0,
+                body: RequestBody::OpenSession {
+                    tenant: "alpha".into(),
+                },
+            },
+            Request {
+                session: 3,
+                body: RequestBody::Stats,
+            },
+        ];
+        for req in &requests {
+            let frame = encode_request_frame(req).unwrap();
+            assert_eq!(frame, encode_frame(&encode_request(req)).unwrap());
+            assert_eq!(
+                encode_request(&decode_request(frame_payload(&frame).unwrap()).unwrap()),
+                encode_request(req)
+            );
+        }
+    }
 
     #[test]
     fn a_response_frame_is_the_frame_of_its_payload() {

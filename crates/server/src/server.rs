@@ -1,9 +1,11 @@
 //! Session management and the worker topology.
 //!
-//! One **router** thread owns the session table and assigns session ids —
-//! a deterministic counter, so a fixed request arrival order yields a
-//! fixed id assignment. Mutations are dispatched by tenant hash onto a
-//! fixed **shard**: every mutation for a tenant lands on the same
+//! A client's own thread is the server's entry. It checks the request
+//! frame's length cap and CRC where the frame lies, decodes it, and
+//! answers a session op inline against the session table, whose ids are
+//! a deterministic counter, so a fixed request order yields a fixed id
+//! assignment. Mutations are dispatched by tenant hash onto a fixed
+//! **shard**: every mutation for a tenant lands on the same
 //! single-threaded worker, which is what makes per-tenant writes
 //! serialized (and byte-identical to a serial application of the same
 //! stream) while different tenants mutate in parallel. Reads go to a
@@ -11,24 +13,24 @@
 //! queries against one tenant run concurrently with each other and with
 //! other tenants' writes.
 //!
-//! Clients talk to the router over the in-process duplex byte streams of
-//! [`crate::wire`] — framed, CRC-checked request/response bytes, exactly
-//! as a socket transport would carry them.
+//! A request and its response each travel as one [`crate::wire`] frame,
+//! framed and CRC-checked exactly as a socket transport would carry them;
+//! the response comes back on a channel of the call's own.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use eve_trace::{MetricsSnapshot, Registry};
 
 use crate::protocol::{
-    decode_request, decode_response, encode_request, encode_response_frame, Request, RequestBody,
-    Response, ResponseBody,
+    decode_request, decode_response, encode_request_frame, encode_response_frame, Request,
+    RequestBody, Response, ResponseBody,
 };
 use crate::warehouse::{Admitted, Mutation, Tenant, Warehouse};
-use crate::wire::{duplex, WireEnd};
+use crate::wire::frame_payload;
 use crate::{Error, Result};
 
 /// Worker topology knobs.
@@ -50,44 +52,70 @@ impl Default for ServerConfig {
     }
 }
 
+/// What a [`Job`] runs against its tenant. The session ops are answered
+/// at the server's entry and never become one.
+enum TenantRequest {
+    Mutate(Mutation),
+    ResetBudget,
+    Query(String),
+    Stats,
+    Metrics,
+}
+
 /// A unit of dispatched work: the decoded request plus where to send the
 /// response bytes.
 struct Job {
     session: u64,
     tenant: Arc<Tenant>,
-    body: RequestBody,
+    /// The request-type label of [`request_kind`].
+    kind: &'static str,
+    request: TenantRequest,
+    /// The call's own channel and its only sender, so a worker that
+    /// drops the job unanswered hangs the call up instead of blocking it.
     reply: Sender<Vec<u8>>,
-    /// When the router decoded the request's frame — so the latency the
-    /// server records includes queueing behind the shard/read pool, not
-    /// just execution.
+    /// When the server's entry took the request's frame — so the latency
+    /// the server records includes queueing behind the shard/read pool,
+    /// not just execution.
     received: Instant,
 }
 
-/// What a client connection sends to the router: raw frame bytes plus
-/// the channel responses travel back on — or the server's own stop
-/// signal. Clients hold sender clones, so the router cannot rely on
-/// channel disconnection to learn the server is stopping.
-enum Inbound {
-    Frame {
-        bytes: Vec<u8>,
-        reply: Sender<Vec<u8>>,
-    },
-    Stop,
+/// Where tenant requests go, until shutdown takes it.
+#[derive(Debug)]
+struct Dispatch {
+    warehouse: Arc<Warehouse>,
+    shards: Vec<Sender<Job>>,
+    reads: Sender<Job>,
+}
+
+/// The session table: each open session's tenant name, and how many
+/// sessions were ever opened (the last id handed out).
+#[derive(Debug, Default)]
+struct Sessions {
+    tenants: HashMap<u64, String>,
+    opened: u64,
+}
+
+/// What a server and its clients share. A client that outlives its
+/// server keeps only this, and after shutdown it holds no warehouse and
+/// no worker sender, so it pins no tenant and keeps no worker alive.
+#[derive(Debug)]
+struct Shared {
+    metrics: Arc<Registry>,
+    sessions: RwLock<Sessions>,
+    dispatch: RwLock<Option<Dispatch>>,
 }
 
 /// The running server. Dropping it (or calling [`Server::shutdown`])
-/// stops the router and joins every worker.
+/// joins every worker.
 #[derive(Debug)]
 pub struct Server {
     warehouse: Arc<Warehouse>,
-    metrics: Arc<Registry>,
-    inbound_tx: Option<Sender<Inbound>>,
-    router: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts the router, shard workers and read pool over `warehouse`.
+    /// Starts the shard workers and read pool over `warehouse`.
     ///
     /// # Panics
     ///
@@ -95,7 +123,7 @@ impl Server {
     #[must_use]
     #[allow(
         clippy::expect_used,
-        reason = "the signature returns no Result yet, so a refused thread spawn panics"
+        reason = "the signature returns no Result yet, so a refused worker spawn panics"
     )]
     pub fn start(warehouse: Arc<Warehouse>, config: ServerConfig) -> Server {
         let shards = config.shards.max(1);
@@ -128,27 +156,18 @@ impl Server {
             );
         }
 
-        let (inbound_tx, inbound_rx) = channel::<Inbound>();
-        let router_warehouse = Arc::clone(&warehouse);
-        let router_metrics = Arc::clone(&metrics);
-        let router = std::thread::Builder::new()
-            .name("eve-router".into())
-            .spawn(move || {
-                route(
-                    &router_warehouse,
-                    &router_metrics,
-                    &inbound_rx,
-                    &shard_txs,
-                    &read_tx,
-                )
-            })
-            .expect("spawn router");
-
+        let shared = Arc::new(Shared {
+            metrics,
+            sessions: RwLock::default(),
+            dispatch: RwLock::new(Some(Dispatch {
+                warehouse: Arc::clone(&warehouse),
+                shards: shard_txs,
+                reads: read_tx,
+            })),
+        });
         Server {
             warehouse,
-            metrics,
-            inbound_tx: Some(inbound_tx),
-            router: Some(router),
+            shared,
             workers,
         }
     }
@@ -156,11 +175,10 @@ impl Server {
     /// The server's own metrics registry: per-request-type and per-tenant
     /// latency histograms (`server.latency_us.*`,
     /// `server.tenant.<name>.latency_us`) plus request/error counters,
-    /// recorded from frame-decode to response-ready on the worker that
-    /// executed the request.
+    /// recorded from the server's entry to response-ready.
     #[must_use]
     pub fn metrics_registry(&self) -> &Arc<Registry> {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// The warehouse this server fronts.
@@ -169,43 +187,36 @@ impl Server {
         &self.warehouse
     }
 
-    /// Opens a new client connection (in-process duplex transport).
+    /// Opens a new client connection, served on the caller's thread.
     ///
     /// # Errors
     ///
-    /// [`Error::Shutdown`] when the server is stopping.
+    /// None while the server runs; the signature leaves room for a
+    /// transport that can refuse.
     pub fn connect(&self) -> Result<Client> {
-        let tx = self
-            .inbound_tx
-            .as_ref()
-            .ok_or_else(|| Error::shutdown("server is stopping"))?
-            .clone();
-        let (client_end, server_end) = duplex();
         Ok(Client {
-            wire: client_end,
-            server_wire: server_end,
-            inbound: tx,
+            server: Arc::clone(&self.shared),
             session: 0,
         })
     }
 
-    /// Stops the router and joins every worker. In-flight requests are
-    /// drained; new sends fail with [`Error::Shutdown`].
+    /// Joins every worker once it has drained the jobs already queued;
+    /// later calls fail with [`Error::Shutdown`].
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        // An explicit stop message ends the router loop (clients hold
-        // sender clones, so mere disconnection never happens while any
-        // client lives); the router then drops the shard/read senders,
-        // ending every worker loop.
-        if let Some(tx) = self.inbound_tx.take() {
-            tx.send(Inbound::Stop).ok();
-        }
-        if let Some(router) = self.router.take() {
-            router.join().ok();
-        }
+        // Taking the warehouse and the worker senders out of the shared
+        // state ends every worker loop once its queue is drained, however
+        // many clients still hold that state.
+        drop(
+            self.shared
+                .dispatch
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take(),
+        );
         for w in self.workers.drain(..) {
             w.join().ok();
         }
@@ -254,16 +265,17 @@ fn request_kind(body: &RequestBody) -> &'static str {
     }
 }
 
-/// Records one served request: the request counter for its kind, the
-/// kind's latency histogram, the tenant's latency histogram (when the
-/// request resolved to a tenant) and the error counter when the response
-/// was [`ResponseBody::Err`].
-fn record_request(
+/// Records one served request and sends its response: the request
+/// counter for its kind, the kind's latency histogram, the tenant's
+/// latency histogram (when the request resolved to a tenant) and the
+/// error counter when the response is [`ResponseBody::Err`].
+fn answer(
     registry: &Registry,
+    reply: &Sender<Vec<u8>>,
     kind: &str,
     tenant: Option<&str>,
     received: Instant,
-    is_err: bool,
+    resp: &Response,
 ) {
     let us = u64::try_from(received.elapsed().as_micros()).unwrap_or(u64::MAX);
     registry.counter(&format!("server.requests.{kind}")).inc();
@@ -275,234 +287,180 @@ fn record_request(
             .histogram(&format!("server.tenant.{tenant}.latency_us"))
             .record(us);
     }
-    if is_err {
+    if matches!(resp.body, ResponseBody::Err { .. }) {
         registry.counter("server.errors").inc();
     }
+    send_response(reply, resp);
 }
 
-#[allow(clippy::too_many_lines)]
-fn route(
-    warehouse: &Arc<Warehouse>,
-    metrics: &Arc<Registry>,
-    inbound: &Receiver<Inbound>,
-    shard_txs: &[Sender<Job>],
-    read_tx: &Sender<Job>,
-) {
-    let mut sessions: HashMap<u64, String> = HashMap::new();
-    let mut next_session: u64 = 1;
-
-    while let Ok(msg) = inbound.recv() {
-        let Inbound::Frame { bytes, reply } = msg else {
-            break;
-        };
-        // Each inbound message carries whole frames (the client's duplex
-        // chunking was reassembled by its WireEnd peer buffer); still run
-        // them through the frame reader so length and CRC are enforced at
-        // the trust boundary.
-        let frames = match crate::wire::FrameReader::decode_all(&bytes) {
-            Ok(frames) => frames,
-            Err(e) => {
-                send_response(&reply, &Response::error(0, &e));
-                continue;
-            }
-        };
-        for frame in frames {
-            let received = Instant::now();
-            let req = match decode_request(&frame) {
-                Ok(req) => req,
-                Err(e) => {
-                    send_response(&reply, &Response::error(0, &e));
-                    metrics.counter("server.errors").inc();
-                    continue;
-                }
-            };
-            let kind = request_kind(&req.body);
-            match req.body {
-                RequestBody::OpenSession { tenant } => {
-                    match warehouse.tenant(&tenant) {
-                        Ok(_) => {
-                            let session = next_session;
-                            next_session += 1;
-                            record_request(metrics, kind, Some(&tenant), received, false);
-                            sessions.insert(session, tenant);
-                            send_response(
-                                &reply,
-                                &Response {
-                                    session,
-                                    body: ResponseBody::SessionOpened { session },
-                                },
-                            );
-                        }
-                        Err(e) => {
-                            record_request(metrics, kind, Some(&tenant), received, true);
-                            send_response(&reply, &Response::error(0, &e));
-                        }
-                    }
-                    continue;
-                }
-                RequestBody::Attach => {
-                    let resp = match sessions.get(&req.session) {
-                        Some(tenant) => Response {
-                            session: req.session,
-                            body: ResponseBody::Attached {
-                                tenant: tenant.clone(),
-                            },
-                        },
-                        None => Response::error(
-                            req.session,
-                            &Error::UnknownSession {
-                                session: req.session,
-                            },
-                        ),
-                    };
-                    record_request(
-                        metrics,
-                        kind,
-                        sessions.get(&req.session).map(String::as_str),
-                        received,
-                        !sessions.contains_key(&req.session),
-                    );
-                    send_response(&reply, &resp);
-                    continue;
-                }
-                RequestBody::CloseSession => {
-                    let closed = sessions.remove(&req.session);
-                    let resp = if closed.is_some() {
-                        Response {
-                            session: req.session,
-                            body: ResponseBody::Closed,
-                        }
-                    } else {
-                        Response::error(
-                            req.session,
-                            &Error::UnknownSession {
-                                session: req.session,
-                            },
-                        )
-                    };
-                    record_request(metrics, kind, closed.as_deref(), received, closed.is_none());
-                    send_response(&reply, &resp);
-                    continue;
-                }
-                body @ (RequestBody::Statement { .. }
-                | RequestBody::Apply { .. }
-                | RequestBody::Query { .. }
-                | RequestBody::Stats
-                | RequestBody::ResetBudget
-                | RequestBody::Metrics) => {
-                    let Some(tenant_name) = sessions.get(&req.session) else {
-                        record_request(metrics, kind, None, received, true);
-                        send_response(
-                            &reply,
-                            &Response::error(
-                                req.session,
-                                &Error::UnknownSession {
-                                    session: req.session,
-                                },
-                            ),
-                        );
-                        continue;
-                    };
-                    let tenant = match warehouse.existing(tenant_name) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            record_request(metrics, kind, Some(tenant_name), received, true);
-                            send_response(&reply, &Response::error(req.session, &e));
-                            continue;
-                        }
-                    };
-                    let is_read = matches!(
-                        body,
-                        RequestBody::Query { .. } | RequestBody::Stats | RequestBody::Metrics
-                    );
-                    let target = if is_read {
-                        read_tx
-                    } else {
-                        &shard_txs[tenant_shard(tenant_name, shard_txs.len())]
-                    };
-                    let job = Job {
-                        session: req.session,
-                        tenant,
-                        body,
-                        reply: reply.clone(),
-                        received,
-                    };
-                    if let Err(e) = target.send(job) {
-                        send_response(
-                            &e.0.reply.clone(),
-                            &Response::error(e.0.session, &Error::shutdown("worker pool stopped")),
-                        );
-                    }
-                }
-            }
-        }
+impl Shared {
+    fn sessions(&self) -> std::sync::RwLockReadGuard<'_, Sessions> {
+        self.sessions.read().unwrap_or_else(PoisonError::into_inner)
     }
-    // Router exit drops shard_txs/read_tx clones it owns; the original
-    // senders live in this stack frame and die here, ending the workers.
+
+    fn sessions_mut(&self) -> std::sync::RwLockWriteGuard<'_, Sessions> {
+        self.sessions
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The server's one entry, on the calling thread. It checks `frame`'s
+    /// length cap and CRC where the frame lies (the trust boundary),
+    /// decodes the request, answers a session op inline and hands a
+    /// tenant request to its shard or to the read pool. Every answer,
+    /// including a refused frame's, goes back on `reply`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Shutdown`] once the server has shut down.
+    fn serve(&self, frame: &[u8], reply: Sender<Vec<u8>>) -> Result<()> {
+        let received = Instant::now();
+        let dispatch = self.dispatch.read().unwrap_or_else(PoisonError::into_inner);
+        let dispatch = dispatch
+            .as_ref()
+            .ok_or_else(|| Error::shutdown("server is stopping"))?;
+        let req = match frame_payload(frame).and_then(decode_request) {
+            Ok(req) => req,
+            Err(e) => {
+                self.metrics.counter("server.errors").inc();
+                send_response(&reply, &Response::error(0, &e));
+                return Ok(());
+            }
+        };
+        let (session, kind) = (req.session, request_kind(&req.body));
+        let respond = |tenant: Option<&str>, resp: &Response| {
+            answer(&self.metrics, &reply, kind, tenant, received, resp);
+            Ok(())
+        };
+        let unknown = || Response::error(session, &Error::UnknownSession { session });
+        let request = match req.body {
+            RequestBody::OpenSession { tenant } => {
+                let resp = match dispatch.warehouse.tenant(&tenant) {
+                    Ok(_) => {
+                        let mut sessions = self.sessions_mut();
+                        sessions.opened += 1;
+                        let id = sessions.opened;
+                        sessions.tenants.insert(id, tenant.clone());
+                        Response {
+                            session: id,
+                            body: ResponseBody::SessionOpened { session: id },
+                        }
+                    }
+                    Err(e) => Response::error(0, &e),
+                };
+                return respond(Some(&tenant), &resp);
+            }
+            RequestBody::Attach => {
+                let tenant = self.sessions().tenants.get(&session).cloned();
+                let resp = match &tenant {
+                    Some(tenant) => Response {
+                        session,
+                        body: ResponseBody::Attached {
+                            tenant: tenant.clone(),
+                        },
+                    },
+                    None => unknown(),
+                };
+                return respond(tenant.as_deref(), &resp);
+            }
+            RequestBody::CloseSession => {
+                let closed = self.sessions_mut().tenants.remove(&session);
+                let resp = match closed {
+                    Some(_) => Response {
+                        session,
+                        body: ResponseBody::Closed,
+                    },
+                    None => unknown(),
+                };
+                return respond(closed.as_deref(), &resp);
+            }
+            RequestBody::Statement { esql } => TenantRequest::Mutate(Mutation::Statement(esql)),
+            RequestBody::Apply { ops } => TenantRequest::Mutate(Mutation::Apply(ops)),
+            RequestBody::ResetBudget => TenantRequest::ResetBudget,
+            RequestBody::Query { view } => TenantRequest::Query(view),
+            RequestBody::Stats => TenantRequest::Stats,
+            RequestBody::Metrics => TenantRequest::Metrics,
+        };
+        let sessions = self.sessions();
+        let Some(name) = sessions.tenants.get(&session) else {
+            return respond(None, &unknown());
+        };
+        let tenant = match dispatch.warehouse.existing(name) {
+            Ok(tenant) => tenant,
+            Err(e) => return respond(Some(name), &Response::error(session, &e)),
+        };
+        let target = match request {
+            TenantRequest::Query(_) | TenantRequest::Stats | TenantRequest::Metrics => {
+                &dispatch.reads
+            }
+            TenantRequest::Mutate(_) | TenantRequest::ResetBudget => {
+                &dispatch.shards[tenant_shard(name, dispatch.shards.len())]
+            }
+        };
+        // A worker that is gone drops the job, and with it the call's
+        // only reply sender: the call then answers `Error::Shutdown`.
+        target
+            .send(Job {
+                session,
+                tenant,
+                kind,
+                request,
+                reply,
+                received,
+            })
+            .ok();
+        Ok(())
+    }
 }
 
-fn execute_job(tenant: &Tenant, body: RequestBody, registry: &Registry) -> Result<ResponseBody> {
-    let admitted_to_body = |admitted| match admitted {
-        Admitted::Executed(text) => ResponseBody::Output { text },
-        Admitted::Queued(position) => ResponseBody::Queued {
-            position: position as u64,
+fn execute_job(
+    tenant: &Tenant,
+    request: TenantRequest,
+    registry: &Registry,
+) -> Result<ResponseBody> {
+    Ok(match request {
+        TenantRequest::Mutate(mutation) => match tenant.execute_mutation(mutation)? {
+            Admitted::Executed(text) => ResponseBody::Output { text },
+            Admitted::Queued(position) => ResponseBody::Queued {
+                position: position as u64,
+            },
         },
-    };
-    match body {
-        RequestBody::Statement { esql } => Ok(admitted_to_body(
-            tenant.execute_mutation(Mutation::Statement(esql))?,
-        )),
-        RequestBody::Apply { ops } => Ok(admitted_to_body(
-            tenant.execute_mutation(Mutation::Apply(ops))?,
-        )),
-        RequestBody::ResetBudget => {
-            let drained = tenant.reset_budget()?;
-            Ok(ResponseBody::BudgetReset {
-                drained: drained as u64,
-            })
-        }
-        RequestBody::Query { view } => {
-            let text = tenant.query(&view)?;
-            Ok(ResponseBody::Output { text })
-        }
-        RequestBody::Stats => Ok(ResponseBody::Stats(tenant.stats())),
-        RequestBody::Metrics => {
+        TenantRequest::ResetBudget => ResponseBody::BudgetReset {
+            drained: tenant.reset_budget()? as u64,
+        },
+        TenantRequest::Query(view) => ResponseBody::Output {
+            text: tenant.query(&view)?,
+        },
+        TenantRequest::Stats => ResponseBody::Stats(tenant.stats()),
+        TenantRequest::Metrics => {
             // Process-global families + this tenant's per-instance engine
             // counters + the server's own request histograms, merged into
             // one image. The read lock pins the engine while its instance
             // registry is snapshotted.
             let engine_snapshot = tenant.read().engine().metrics_snapshot();
-            Ok(ResponseBody::Metrics {
+            ResponseBody::Metrics {
                 snapshot: engine_snapshot.merge(registry.snapshot()),
-            })
+            }
         }
-        RequestBody::OpenSession { .. } | RequestBody::Attach | RequestBody::CloseSession => {
-            Err(Error::protocol("session ops are handled by the router"))
-        }
-    }
+    })
 }
 
 fn run_and_reply(job: Job, registry: &Registry) {
-    let Job {
-        session,
-        tenant,
-        body,
-        reply,
-        received,
-    } = job;
-    let kind = request_kind(&body);
-    let resp = match execute_job(&tenant, body, registry) {
-        Ok(body) => Response { session, body },
-        Err(e) => Response::error(session, &e),
+    let resp = match execute_job(&job.tenant, job.request, registry) {
+        Ok(body) => Response {
+            session: job.session,
+            body,
+        },
+        Err(e) => Response::error(job.session, &e),
     };
-    record_request(
+    answer(
         registry,
-        kind,
-        Some(tenant.name()),
-        received,
-        matches!(resp.body, ResponseBody::Err { .. }),
+        &job.reply,
+        job.kind,
+        Some(job.tenant.name()),
+        job.received,
+        &resp,
     );
-    send_response(&reply, &resp);
 }
 
 fn shard_worker(rx: &Receiver<Job>, registry: &Registry) {
@@ -524,16 +482,11 @@ fn read_worker(rx: &Arc<Mutex<Receiver<Job>>>, registry: &Registry) {
     }
 }
 
-/// A client connection: a duplex wire to the router plus the session id
-/// state most callers want managed for them.
+/// A client connection: the state it shares with its server plus the
+/// session id most callers want managed for them.
 #[derive(Debug)]
 pub struct Client {
-    wire: WireEnd,
-    /// The server-side end of the duplex pair: the client forwards the
-    /// reassembled frame bytes it produces to the router. Holding it here
-    /// keeps the pair's lifetime tied to the client.
-    server_wire: WireEnd,
-    inbound: Sender<Inbound>,
+    server: Arc<Shared>,
     session: u64,
 }
 
@@ -550,24 +503,13 @@ impl Client {
     ///
     /// Wire errors, [`Error::Shutdown`] when the server stopped.
     pub fn call(&mut self, req: &Request) -> Result<Response> {
-        // Client → wire: the request travels as split frame chunks and is
-        // reassembled by the server-side wire end, exercising the real
-        // framing path in both directions.
-        self.wire.send_frame(&encode_request(req))?;
-        let frame = self.server_wire.recv_frame()?;
-        let rewrapped = crate::wire::encode_frame(&frame)?;
         let (reply_tx, reply_rx) = channel::<Vec<u8>>();
-        self.inbound
-            .send(Inbound::Frame {
-                bytes: rewrapped,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::shutdown("server is stopping"))?;
+        self.server.serve(&encode_request_frame(req)?, reply_tx)?;
         // The response is one frame: check it and decode where it lies.
-        let resp_frame = reply_rx
+        let frame = reply_rx
             .recv()
             .map_err(|_| Error::shutdown("server stopped before responding"))?;
-        decode_response(crate::wire::frame_payload(&resp_frame)?)
+        decode_response(frame_payload(&frame)?)
     }
 
     /// Opens a session on `tenant` and remembers its id.
@@ -628,6 +570,51 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ErrorCode;
+    use crate::wire::{encode_frame, FRAME_HEADER};
+
+    #[test]
+    fn a_refused_frame_is_answered_on_session_0_and_counted_once() {
+        let root = std::env::temp_dir().join(format!("eve-server-refused-{}", std::process::id()));
+        let server = Server::start(
+            Arc::new(Warehouse::open(&root).unwrap()),
+            ServerConfig::default(),
+        );
+        let good = encode_request_frame(&Request {
+            session: 0,
+            body: RequestBody::Stats,
+        })
+        .unwrap();
+        let cut = &good[..good.len() - 1];
+        let mut flipped = good.clone();
+        flipped[FRAME_HEADER] ^= 0x01;
+        let trailing = [&good[..], &[0]].concat();
+        // An intact frame whose payload names no request variant.
+        let garbage = encode_frame(&[0xFF; 9]).unwrap();
+        let errors = server.metrics_registry().counter("server.errors");
+        for (frame, what) in [
+            (cut, "wire frame error"),
+            (&flipped[..], "wire frame error"),
+            (&trailing[..], "wire frame error"),
+            (&garbage[..], "protocol error"),
+        ] {
+            let before = errors.get();
+            let (tx, rx) = channel();
+            server.shared.serve(frame, tx).unwrap();
+            let resp = decode_response(frame_payload(&rx.recv().unwrap()).unwrap()).unwrap();
+            assert_eq!(resp.session, 0);
+            match resp.body {
+                ResponseBody::Err { code, detail } => {
+                    assert_eq!(code, ErrorCode::Malformed);
+                    assert!(detail.starts_with(what), "{detail}");
+                }
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(errors.get(), before + 1, "{what}");
+        }
+        server.shutdown();
+        std::fs::remove_dir_all(&root).ok();
+    }
 
     #[test]
     fn tenant_shard_is_stable_and_in_range() {

@@ -1,5 +1,7 @@
-//! The wire layer: length-prefixed, CRC-framed messages plus the
-//! in-process duplex "sockets" the load generator drives clients over.
+//! The wire layer: length-prefixed, CRC-framed messages. A client seals
+//! each request into one frame and the server checks it where it lies
+//! (`frame_payload`); [`FrameReader`] reassembles frames from a stream
+//! cut into arbitrary chunks.
 //!
 //! A wire frame is byte-for-byte the evolution log's record framing:
 //!
@@ -15,8 +17,6 @@
 //! is explicit: a frame declaring more than [`MAX_FRAME`] bytes is
 //! rejected immediately, so a corrupt length prefix cannot make the
 //! reader buffer gigabytes waiting for a payload that never comes.
-
-use std::sync::mpsc::{channel, Receiver, Sender};
 
 use eve_store::checksum::crc64;
 
@@ -192,77 +192,6 @@ impl FrameReader {
     }
 }
 
-/// One end of an in-process duplex byte stream — the stand-in for a TCP
-/// connection that lets the load generator open thousands of client
-/// connections without sockets. Bytes written on one end arrive on the
-/// other in order, in whatever chunks the writer chose, so the receiving
-/// side genuinely exercises [`FrameReader`] reassembly.
-#[derive(Debug)]
-pub(crate) struct WireEnd {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
-    reader: FrameReader,
-}
-
-/// Creates a connected pair of stream ends.
-#[must_use]
-pub(crate) fn duplex() -> (WireEnd, WireEnd) {
-    let (a_tx, b_rx) = channel();
-    let (b_tx, a_rx) = channel();
-    (
-        WireEnd {
-            tx: a_tx,
-            rx: a_rx,
-            reader: FrameReader::new(),
-        },
-        WireEnd {
-            tx: b_tx,
-            rx: b_rx,
-            reader: FrameReader::new(),
-        },
-    )
-}
-
-impl WireEnd {
-    /// Frames `payload` and writes it to the peer — deliberately split
-    /// across two chunks when possible, so the peer's [`FrameReader`]
-    /// always reassembles rather than getting lucky with whole frames.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Frame`] on oversized payloads, [`Error::Shutdown`] when
-    /// the peer end is gone.
-    pub(crate) fn send_frame(&self, payload: &[u8]) -> Result<()> {
-        let frame = encode_frame(payload)?;
-        let gone = |_| Error::shutdown("peer connection closed");
-        if frame.len() > FRAME_HEADER {
-            self.tx.send(frame[..FRAME_HEADER].to_vec()).map_err(gone)?;
-            self.tx.send(frame[FRAME_HEADER..].to_vec()).map_err(gone)
-        } else {
-            self.tx.send(frame).map_err(gone)
-        }
-    }
-
-    /// Blocks until one complete frame arrives and returns its payload.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Frame`] on stream corruption, [`Error::Shutdown`] when
-    /// the peer hangs up mid-frame.
-    pub(crate) fn recv_frame(&mut self) -> Result<Vec<u8>> {
-        loop {
-            if let Some(frame) = self.reader.next_frame()? {
-                return Ok(frame);
-            }
-            let chunk = self
-                .rx
-                .recv()
-                .map_err(|_| Error::shutdown("peer connection closed"))?;
-            self.reader.feed(&chunk);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,18 +268,5 @@ mod tests {
             seal_frame(vec![0; FRAME_HEADER]).unwrap(),
             encode_frame(b"").unwrap()
         );
-    }
-
-    #[test]
-    fn duplex_delivers_frames_both_ways() {
-        let (a, mut b) = duplex();
-        a.send_frame(b"ping").unwrap();
-        assert_eq!(b.recv_frame().unwrap(), b"ping");
-        b.send_frame(b"pong").unwrap();
-        let mut a = a;
-        assert_eq!(a.recv_frame().unwrap(), b"pong");
-        drop(b);
-        let err = a.send_frame(b"into the void").unwrap_err();
-        assert!(matches!(err, Error::Shutdown { .. }), "{err:?}");
     }
 }

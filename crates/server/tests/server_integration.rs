@@ -6,10 +6,11 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::time::Duration;
 
 use eve_server::protocol::{RequestBody, ResponseBody};
 use eve_server::warehouse::{AdmissionPolicy, TenantBudget, Warehouse};
-use eve_server::{Client, ErrorCode, Server, ServerConfig};
+use eve_server::{Client, Error, ErrorCode, Server, ServerConfig};
 use eve_system::Shell;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -120,6 +121,48 @@ fn sessions_open_attach_and_close() {
         other => panic!("{other:?}"),
     }
     server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_client_that_outlives_its_server_pins_no_tenant() {
+    let root = scratch("outlive");
+    let server = Server::start(
+        Arc::new(Warehouse::open(&root).unwrap()),
+        ServerConfig::default(),
+    );
+    let mut c = server.connect().unwrap();
+    c.open_session("kept").unwrap();
+    match c
+        .request(RequestBody::Statement {
+            esql: "site 1 s1".into(),
+        })
+        .unwrap()
+    {
+        ResponseBody::Output { .. } => {}
+        other => panic!("{other:?}"),
+    }
+    // Shutdown must end the workers although `c` still lives; a hang
+    // fails the test instead of stalling it.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        done_tx.send(()).ok();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("shutdown hung while a client lived");
+    match c.request(RequestBody::Stats) {
+        Err(Error::Shutdown { .. }) => {}
+        other => panic!("{other:?}"),
+    }
+    // The live client pins no tenant: its store opens again.
+    let reopened = Warehouse::open(&root).unwrap();
+    if let Err(e) = reopened.tenant("kept") {
+        panic!("{e}");
+    }
+    drop(c);
+    drop(reopened);
     std::fs::remove_dir_all(&root).ok();
 }
 

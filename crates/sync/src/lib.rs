@@ -27,6 +27,8 @@
 //! the first legal view rewriting it discovered", §8) and serves as the
 //! baseline selection strategy in the benchmarks.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod batch;
 pub mod extent;
 pub mod heuristic;
