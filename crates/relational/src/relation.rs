@@ -1,8 +1,10 @@
 //! Named, typed, in-memory relations over shared tuple storage.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::BuildHasherDefault;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, Weak};
 
 use crate::column::{compact, ColumnarBatch};
@@ -14,8 +16,8 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::types::Value;
 
-/// Lines per chunk of kept text that a render cuts. A fold re-renders
-/// every chunk a written tuple falls in, so this bounds its work per
+/// Lines per chunk of kept text that a render cuts. A fold copies every
+/// chunk a written tuple falls in, so this bounds the bytes it moves per
 /// written tuple.
 const CHUNK_ROWS: usize = 256;
 
@@ -36,9 +38,10 @@ const PATCH_SHARE: usize = 8;
 /// index survives copy-on-write instead of being rebuilt; an
 /// [`ExtentHandle`] is a `Weak` and never causes one. Each detach adds its
 /// rows to `relational.detach_rows`. The rendered rows are patched, not
-/// rebuilt: a write records its tuples beside them ([`Storage::record`])
-/// and the next read folds those in. A detach copies neither the text
-/// nor the recorded tuples.
+/// rebuilt: a write records each tuple it writes with its sign beside
+/// them ([`Storage::record`]), and the next read folds those into the
+/// kept lines' counts without reading the stored tuples. A detach copies
+/// neither the text nor the recorded tuples.
 #[derive(Debug, Default)]
 struct Storage {
     tuples: Vec<Tuple>,
@@ -51,7 +54,8 @@ struct Storage {
     /// The distinct rows as text, built by the first
     /// [`Relation::distinct_to_string`] and patched by later ones. Hits
     /// share the read side; a render or a fold takes the write side, so
-    /// no reader sees a half-folded text.
+    /// no reader sees a half-folded text. A fold that panicked poisons
+    /// the lock; the next write or read drops the text it left.
     rendered: RwLock<Option<Rendered>>,
 }
 
@@ -61,11 +65,15 @@ struct Storage {
 /// to date. The header names the relation, and aliases of one storage may
 /// have different names, so it is not kept.
 ///
-/// Chunk `i` holds one line for each distinct tuple `t` the storage held
-/// at the last fold with `chunks[i].first <= t < chunks[i + 1].first`;
-/// the first chunk has no lower bound and the last no upper one. A chunk
-/// is never empty, and `pending` is empty whenever `chunks` is (the
-/// [`PATCH_SHARE`] bound allows no pending write against no rows).
+/// Each line keeps its tuple and how many copies of it the storage held
+/// at the last fold (the counting method of incremental view
+/// maintenance: Gupta, Mumick & Subrahmanian, SIGMOD 1993), so a fold
+/// needs only the written tuples. Chunk `i` holds the lines of the
+/// distinct tuples `t` with `chunks[i].first() <= t <
+/// chunks[i + 1].first()`; the first chunk has no lower bound and the
+/// last no upper one. A chunk is never empty, and `pending` is empty
+/// whenever `chunks` is (the [`PATCH_SHARE`] bound allows no pending
+/// write against no rows).
 #[derive(Debug)]
 struct Rendered {
     chunks: Vec<Chunk>,
@@ -73,20 +81,40 @@ struct Rendered {
     rows: usize,
     /// Bytes of text the chunks hold.
     bytes: usize,
-    /// Every tuple inserted or deleted since the last fold, duplicates
-    /// included: only the chunks these fall in can be out of date.
-    pending: Vec<Tuple>,
+    /// Every tuple inserted (`+1`) or deleted (`-1`) since the last
+    /// fold, duplicates included, in write order.
+    pending: Vec<(Tuple, isize)>,
 }
 
-/// A run of consecutive lines of a [`Rendered`] text.
+/// A run of consecutive lines of a [`Rendered`] text, with what a fold
+/// needs to edit single lines: each line's tuple, its count and where
+/// it ends. The tuples' values lie end to end in one slice, so keeping
+/// them costs no allocation per line.
 #[derive(Debug)]
 struct Chunk {
-    /// The tuple of the first line.
-    first: Tuple,
-    /// How many lines `text` holds.
-    rows: usize,
+    /// The values of the lines' distinct tuples, sorted, one tuple after
+    /// another: `values.len() / lines.len()` per tuple.
+    values: Box<[Value]>,
+    lines: Box<[Line]>,
     /// One `  <tuple>` line per distinct row, in sorted order.
     text: Box<str>,
+}
+
+/// One line of a [`Chunk`].
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    /// How many copies of the line's tuple are stored (never 0).
+    count: usize,
+    /// Where the line ends in the chunk's text.
+    end: usize,
+}
+
+/// One line edit of a fold.
+enum Edit {
+    /// A new line for a tuple with this many stored copies.
+    Add(Tuple, usize),
+    /// The line's last stored copy went.
+    Remove,
 }
 
 impl Clone for Storage {
@@ -116,15 +144,20 @@ impl Storage {
         }
     }
 
-    /// Notes `written` (tuples just inserted or deleted) against the kept
-    /// text: they join its pending tuples, unless that would pass one per
-    /// [`PATCH_SHARE`] rows, in which case the text is dropped. A storage
-    /// that keeps no text records nothing.
-    fn record(&mut self, written: &[Tuple]) {
-        let kept = self.rendered.get_mut().expect("render lock poisoned");
+    /// Notes `written` (tuples just inserted, `sign` `+1`, or deleted,
+    /// `-1`) against the kept text: they join its pending tuples, unless
+    /// that would pass one per [`PATCH_SHARE`] rows, in which case the
+    /// text is dropped. A storage that keeps no text records nothing, and
+    /// one whose lock a panicking fold poisoned drops what it kept.
+    fn record(&mut self, written: &[Tuple], sign: isize) {
+        let Ok(kept) = self.rendered.get_mut() else {
+            self.rendered = RwLock::new(None);
+            return;
+        };
         match kept {
             Some(text) if text.pending.len() + written.len() <= text.rows / PATCH_SHARE => {
-                text.pending.extend_from_slice(written);
+                text.pending
+                    .extend(written.iter().map(|t| (t.clone(), sign)));
             }
             _ => *kept = None,
         }
@@ -132,70 +165,93 @@ impl Storage {
 }
 
 impl Rendered {
-    /// Renders the distinct rows of `tuples`, in chunks of about
-    /// [`CHUNK_ROWS`] lines.
+    /// Renders the distinct rows of `tuples`, each with its count of
+    /// copies, in chunks of about [`CHUNK_ROWS`] lines.
     fn of(tuples: &[Tuple]) -> Rendered {
-        let mut rows: Vec<&Tuple> = tuples.iter().collect();
-        rows.sort_unstable();
-        rows.dedup();
-        let mut chunks = Vec::with_capacity(rows.len().div_ceil(CHUNK_ROWS));
-        render_chunks(&rows, CHUNK_ROWS, &mut chunks);
+        let mut sorted: Vec<&Tuple> = tuples.iter().collect();
+        sorted.sort_unstable();
+        let mut lines = Lines::default();
+        for run in sorted.chunk_by(|a, b| a == b) {
+            lines.push(run[0].values(), run.len());
+        }
+        let mut chunks = Vec::with_capacity(lines.lines.len().div_ceil(CHUNK_ROWS));
+        lines.cut(CHUNK_ROWS, &mut chunks);
         Rendered::from_chunks(chunks)
     }
 
     fn from_chunks(chunks: Vec<Chunk>) -> Rendered {
         Rendered {
-            rows: chunks.iter().map(|c| c.rows).sum(),
+            rows: chunks.iter().map(|c| c.lines.len()).sum(),
             bytes: chunks.iter().map(|c| c.text.len()).sum(),
             chunks,
             pending: Vec::new(),
         }
     }
 
-    /// Brings the chunks up to date with `tuples`, the storage's rows now,
-    /// and empties `pending`. Each chunk a pending tuple falls in is
-    /// re-rendered from the tuples of `tuples` inside its range, found in
-    /// one pass: a line is there exactly when one copy of its tuple is
-    /// stored, so no multiplicity needs counting. A chunk left empty goes;
-    /// one grown past twice [`CHUNK_ROWS`] is cut again. Returns the rows
-    /// re-rendered.
-    fn fold(&mut self, tuples: &[Tuple]) -> usize {
-        let chunks = &self.chunks;
-        // The last chunk starting at or below `t`, or the first chunk.
-        let chunk_of = |t: &Tuple| chunks.partition_point(|c| c.first <= *t).saturating_sub(1);
-        let mut touched: Vec<usize> = self.pending.iter().map(chunk_of).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let mut found: Vec<Vec<&Tuple>> = vec![Vec::new(); touched.len()];
-        for t in tuples {
-            // The last touched chunk whose range starts at or below `t`.
-            let at = touched.partition_point(|&i| i == 0 || chunks[i].first <= *t);
-            let Some(slot) = at.checked_sub(1) else {
-                continue;
-            };
-            if chunks
-                .get(touched[slot] + 1)
-                .is_none_or(|next| *t < next.first)
-            {
-                found[slot].push(t);
+    /// Folds the pending tuples into the lines' counts and empties
+    /// `pending`, without reading the storage. The pending tuples are
+    /// sorted and summed per tuple; each net change finds its chunk and
+    /// line by binary search. A count rising from 0 renders and inserts
+    /// that one line, a count falling to 0 removes its line, and every
+    /// touched chunk's text is rebuilt in one pass that copies the spans
+    /// between its edits. A chunk left empty goes; one grown past twice
+    /// [`CHUNK_ROWS`] is cut again. Returns the lines rendered, at most
+    /// one per pending tuple.
+    fn fold(&mut self) -> usize {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut net: Vec<(Tuple, isize)> = Vec::with_capacity(pending.len());
+        for (t, sign) in pending {
+            match net.last_mut() {
+                Some((last, n)) if *last == t => *n += sign,
+                _ => net.push((t, sign)),
             }
         }
-        let mut patched = 0;
-        let mut next = Vec::with_capacity(self.chunks.len() + touched.len());
-        let mut found = touched.into_iter().zip(found).peekable();
-        for (i, chunk) in std::mem::take(&mut self.chunks).into_iter().enumerate() {
-            match found.next_if(|(at, _)| *at == i) {
-                Some((_, mut rows)) => {
-                    rows.sort_unstable();
-                    rows.dedup();
-                    patched += rows.len();
-                    render_chunks(&rows, 2 * CHUNK_ROWS, &mut next);
+        net.retain(|(_, n)| *n != 0);
+        let chunks = &self.chunks;
+        // The last chunk starting at or below `t`, or the first chunk;
+        // ascending, as `net` is.
+        let at: Vec<usize> = net
+            .iter()
+            .map(|(t, _)| {
+                chunks
+                    .partition_point(|c| c.first() <= t.values())
+                    .saturating_sub(1)
+            })
+            .collect();
+        let mut net = at.into_iter().zip(net).peekable();
+        let mut rendered = 0;
+        let mut next = Vec::with_capacity(self.chunks.len() + net.len());
+        for (i, mut chunk) in std::mem::take(&mut self.chunks).into_iter().enumerate() {
+            let mut edits = Vec::new();
+            while let Some((_, (t, n))) = net.next_if(|(at, _)| *at == i) {
+                match chunk.find(t.values()) {
+                    Ok(line) => {
+                        let count = chunk.lines[line]
+                            .count
+                            .checked_add_signed(n)
+                            .expect("a fold removes no more copies than are stored");
+                        if count == 0 {
+                            edits.push((line, Edit::Remove));
+                        } else {
+                            chunk.lines[line].count = count;
+                        }
+                    }
+                    Err(line) => {
+                        let count = usize::try_from(n)
+                            .expect("a fold removes a row the kept text does not hold");
+                        edits.push((line, Edit::Add(t, count)));
+                    }
                 }
-                None => next.push(chunk),
+            }
+            if edits.is_empty() {
+                next.push(chunk);
+            } else {
+                rendered += chunk.edit(edits, &mut next);
             }
         }
         *self = Rendered::from_chunks(next);
-        patched
+        rendered
     }
 
     /// The answer of `relation`: its header line, then the kept lines.
@@ -211,31 +267,151 @@ impl Rendered {
     }
 }
 
-/// Renders `rows` (sorted and distinct) onto `chunks`: as one chunk when
-/// they are at most `most`, or else cut evenly into chunks of at most
-/// [`CHUNK_ROWS`] lines. Nothing when `rows` is empty.
-fn render_chunks(rows: &[&Tuple], most: usize, chunks: &mut Vec<Chunk>) {
-    if rows.is_empty() {
-        return;
+impl Chunk {
+    /// Values per tuple.
+    fn arity(&self) -> usize {
+        self.values.len() / self.lines.len()
     }
-    let pieces = if rows.len() > most {
-        rows.len().div_ceil(CHUNK_ROWS)
-    } else {
-        1
-    };
-    let mut text = String::new();
-    for piece in rows.chunks(rows.len().div_ceil(pieces)) {
-        text.clear();
-        for t in piece {
-            // Writing into a `String` cannot fail.
-            let _ = write_line(&mut text, t);
+
+    /// The tuple of the first line.
+    fn first(&self) -> &[Value] {
+        &self.values[..self.arity()]
+    }
+
+    /// The line of `tuple` (`Ok`), or the line it would go before
+    /// (`Err`), by binary search.
+    fn find(&self, tuple: &[Value]) -> std::result::Result<usize, usize> {
+        let arity = tuple.len();
+        let (mut lo, mut hi) = (0, self.lines.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.values[mid * arity..(mid + 1) * arity].cmp(tuple) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
         }
-        chunks.push(Chunk {
-            first: piece[0].clone(),
-            rows: piece.len(),
-            text: text.as_str().into(),
+        Err(lo)
+    }
+
+    /// Applies `edits` (each at the line it sits before or removes,
+    /// ascending, an insert before a removal at one line) and pushes the
+    /// result onto `out`, cut when past twice [`CHUNK_ROWS`] lines.
+    /// Returns the lines rendered.
+    fn edit(mut self, edits: Vec<(usize, Edit)>, out: &mut Vec<Chunk>) -> usize {
+        let arity = self.arity();
+        let added = edits
+            .iter()
+            .filter(|(_, e)| matches!(e, Edit::Add(..)))
+            .count();
+        let rows = self.lines.len() + added;
+        let mut lines = Lines {
+            values: Vec::with_capacity(rows * arity),
+            lines: Vec::with_capacity(rows),
+            text: String::with_capacity(self.text.len()),
+        };
+        let mut old = std::mem::take(&mut self.values).into_vec().into_iter();
+        // The old lines before `copied` are copied or removed.
+        let mut copied = 0;
+        for (line, edit) in edits {
+            lines.copy(&self, &mut old, arity, copied..line);
+            copied = line;
+            match edit {
+                Edit::Add(t, count) => lines.push(t.values(), count),
+                Edit::Remove => {
+                    old.by_ref().take(arity).for_each(drop);
+                    copied += 1;
+                }
+            }
+        }
+        lines.copy(&self, &mut old, arity, copied..self.lines.len());
+        lines.cut(2 * CHUNK_ROWS, out);
+        added
+    }
+}
+
+/// Lines on their way into chunks, held as a [`Chunk`] holds them.
+#[derive(Default)]
+struct Lines {
+    values: Vec<Value>,
+    lines: Vec<Line>,
+    text: String,
+}
+
+impl Lines {
+    /// Renders the line of `tuple`, stored `count` times, after the others.
+    fn push(&mut self, tuple: &[Value], count: usize) {
+        write_line(&mut self.text, tuple);
+        self.values.extend_from_slice(tuple);
+        self.lines.push(Line {
+            count,
+            end: self.text.len(),
         });
     }
+
+    /// Copies the lines `range` of `chunk` after the others, their text in
+    /// one span; `values` yields `chunk`'s values from `range.start` on.
+    fn copy(
+        &mut self,
+        chunk: &Chunk,
+        values: &mut std::vec::IntoIter<Value>,
+        arity: usize,
+        range: Range<usize>,
+    ) {
+        let (from, to) = (
+            start_of(&chunk.lines, range.start),
+            start_of(&chunk.lines, range.end),
+        );
+        let shift = self.text.len();
+        self.lines
+            .extend(chunk.lines[range.clone()].iter().map(|line| Line {
+                count: line.count,
+                end: line.end - from + shift,
+            }));
+        self.text.push_str(&chunk.text[from..to]);
+        self.values
+            .extend(values.by_ref().take(range.len() * arity));
+    }
+
+    /// Pushes the lines onto `chunks`: nothing when there are none, one
+    /// chunk, each slice at its exact size, when they are at most `most`,
+    /// and else even pieces of at most [`CHUNK_ROWS`] lines.
+    fn cut(self, most: usize, chunks: &mut Vec<Chunk>) {
+        let rows = self.lines.len();
+        if rows <= most {
+            if rows > 0 {
+                chunks.push(Chunk {
+                    values: self.values.into_boxed_slice(),
+                    lines: self.lines.into_boxed_slice(),
+                    text: self.text.into_boxed_str(),
+                });
+            }
+            return;
+        }
+        let arity = self.values.len() / rows;
+        let size = rows.div_ceil(rows.div_ceil(CHUNK_ROWS));
+        let mut values = self.values.into_iter();
+        for from in (0..rows).step_by(size) {
+            let to = (from + size).min(rows);
+            let (start, end) = (start_of(&self.lines, from), self.lines[to - 1].end);
+            chunks.push(Chunk {
+                values: values.by_ref().take((to - from) * arity).collect(),
+                lines: self.lines[from..to]
+                    .iter()
+                    .map(|line| Line {
+                        count: line.count,
+                        end: line.end - start,
+                    })
+                    .collect(),
+                text: self.text[start..end].into(),
+            });
+        }
+    }
+}
+
+/// Where line `line` starts in a text whose lines are `lines`.
+fn start_of(lines: &[Line], line: usize) -> usize {
+    line.checked_sub(1).map_or(0, |prev| lines[prev].end)
 }
 
 /// An in-memory relation: a name, a schema and a bag of tuples.
@@ -484,7 +660,7 @@ impl Relation {
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
         self.validate(&tuple)?;
         let store = self.storage_mut();
-        store.record(std::slice::from_ref(&tuple));
+        store.record(std::slice::from_ref(&tuple), 1);
         if let Some(batch) = store.columnar.get_mut() {
             Arc::make_mut(batch).push_row(&tuple);
         }
@@ -527,7 +703,7 @@ impl Relation {
             .iter()
             .map(|&r| std::mem::replace(&mut store.tuples[r as usize], Tuple::new(Vec::new())))
             .collect();
-        store.record(&removed);
+        store.record(&removed, -1);
         compact(&mut store.tuples, &removed_rows);
         if let Some(batch) = store.columnar.get_mut() {
             Arc::make_mut(batch).remove_rows(&removed_rows);
@@ -641,37 +817,44 @@ impl Relation {
     /// then its distinct rows in sorted order, one per line.
     ///
     /// The rows are rendered once and then kept up to date in the shared
-    /// storage. The first call renders them from borrowed tuples (no
-    /// tuple is cloned, no relation is built) and adds their count to
-    /// `relational.rows_formatted`. A write records the tuples it inserts
-    /// or deletes beside the text, and the next call folds them in: it
-    /// re-renders only the chunks of about 256 lines those tuples fall in
-    /// and adds those lines to `relational.render_patched_rows`. Past one
-    /// written tuple per eight rows a write drops the text instead, and
-    /// the next call renders afresh. Every call that finds the text, up to
-    /// date or patched, through this relation or any alias of its
-    /// storage, writes its own header, copies the text and counts one
-    /// `relational.render_cache_hits`.
+    /// storage, each line with the count of its tuple's stored copies.
+    /// The first call renders them (copying each distinct tuple's values
+    /// once) and adds their count to `relational.rows_formatted`. A write
+    /// records the tuples it inserts or deletes beside the text, and the
+    /// next call folds them into the counts without reading the stored
+    /// tuples: only a tuple whose count rises from 0 is rendered, as one
+    /// line added to `relational.render_patched_rows`, and one whose count
+    /// falls to 0 loses its line. Past one written tuple per eight rows a
+    /// write drops the text instead, and the next call renders afresh.
+    /// Every call that finds the text, up to date or patched, through this
+    /// relation or any alias of its storage, writes its own header, copies
+    /// the text and counts one `relational.render_cache_hits`.
     ///
     /// Calls that find the text up to date copy it in parallel; a render
     /// or a fold excludes every other call on the storage, and runs once
-    /// however many calls wait for it.
+    /// however many calls wait for it. A call that finds the lock poisoned
+    /// (a fold panicked) drops the text and renders afresh.
     #[must_use]
     pub fn distinct_to_string(&self) -> String {
         let counters = crate::index::mirrors();
-        {
-            let kept = self.store.rendered.read().expect("render lock poisoned");
+        if let Ok(kept) = self.store.rendered.read() {
             if let Some(text) = kept.as_ref().filter(|text| text.pending.is_empty()) {
                 counters.render_cache_hits.inc();
                 return text.answer(self);
             }
         }
-        let mut kept = self.store.rendered.write().expect("render lock poisoned");
+        let mut kept = self.store.rendered.write().unwrap_or_else(|poisoned| {
+            let mut kept = poisoned.into_inner();
+            // The panicking fold may have left the chunks half-edited.
+            *kept = None;
+            self.store.rendered.clear_poison();
+            kept
+        });
         let text = match &mut *kept {
             Some(text) => {
                 // Another call may have folded while this one waited.
                 if !text.pending.is_empty() {
-                    let patched = text.fold(&self.store.tuples);
+                    let patched = text.fold();
                     counters.render_patched_rows.add(patched as u64);
                 }
                 counters.render_cache_hits.inc();
@@ -798,16 +981,53 @@ fn write_header(out: &mut impl fmt::Write, relation: &Relation, rows: usize) -> 
     writeln!(out, "{}{} [{rows} tuples]", relation.name, relation.schema)
 }
 
-/// Writes the line of one row below a header.
-fn write_line(out: &mut impl fmt::Write, tuple: &Tuple) -> fmt::Result {
-    writeln!(out, "  {tuple}")
+/// Writes the line of one row of kept text, `format!("  {tuple}\n")`
+/// byte for byte: ints and texts directly, floats and bools through
+/// their `Display`.
+fn write_line(out: &mut String, tuple: &[Value]) {
+    out.push_str("  (");
+    for (i, v) in tuple.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        match v {
+            Value::Int(n) => {
+                // The decimal digits of `|n|`, last first, into the tail.
+                let mut digits = [0u8; 20];
+                let mut at = digits.len();
+                let mut rest = n.unsigned_abs();
+                loop {
+                    at -= 1;
+                    digits[at] = b'0' + (rest % 10) as u8;
+                    rest /= 10;
+                    if rest == 0 {
+                        break;
+                    }
+                }
+                if *n < 0 {
+                    out.push('-');
+                }
+                out.extend(digits[at..].iter().map(|&d| char::from(d)));
+            }
+            Value::Text(text) => {
+                out.push('\'');
+                out.push_str(text);
+                out.push('\'');
+            }
+            Value::Float(_) | Value::Bool(_) => {
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{v}");
+            }
+        }
+    }
+    out.push_str(")\n");
 }
 
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write_header(f, self, self.store.tuples.len())?;
         for t in &self.store.tuples {
-            write_line(f, t)?;
+            writeln!(f, "  {t}")?;
         }
         Ok(())
     }
@@ -956,7 +1176,13 @@ mod tests {
             vec![tup![2, "b"], tup![1, "z"], tup![2, "a"], tup![1, "z"]],
         )
         .unwrap();
-        for rel in [ints, empty, r(), mixed] {
+        let no_columns = Relation::with_tuples(
+            "Z",
+            Schema::default(),
+            vec![Tuple::new(Vec::new()), Tuple::new(Vec::new())],
+        )
+        .unwrap();
+        for rel in [ints, empty, r(), mixed, no_columns] {
             assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
         }
     }
@@ -1008,7 +1234,7 @@ mod tests {
         let kept = rel.store.rendered.read().unwrap();
         kept.as_ref().map(|text| {
             (
-                text.chunks.iter().map(|c| c.rows).collect(),
+                text.chunks.iter().map(|c| c.lines.len()).collect(),
                 text.pending.len(),
             )
         })
@@ -1055,6 +1281,97 @@ mod tests {
         let mut lines = vec![CHUNK_ROWS; 14];
         lines[0] += 1;
         assert_eq!(kept(&rel), Some((lines, 0)));
+    }
+
+    #[test]
+    fn write_line_matches_display_byte_for_byte() {
+        let values = [
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(-1),
+            Value::Int(-40),
+            Value::Int(0),
+            Value::Int(9),
+            Value::Int(10),
+            Value::from(""),
+            Value::from("it's"),
+            Value::from("', '"),
+            Value::from("two\nlines"),
+            Value::from("naïve ☃ 日本"),
+            Value::float(-2.5).unwrap(),
+            Value::float(1e21).unwrap(),
+            Value::Bool(true),
+        ];
+        let mut tuples: Vec<Tuple> = values.iter().map(|v| Tuple::new(vec![v.clone()])).collect();
+        tuples.push(Tuple::new(Vec::new()));
+        tuples.push(Tuple::new(values.to_vec()));
+        for t in &tuples {
+            let mut line = String::from("before\n");
+            write_line(&mut line, t.values());
+            assert_eq!(line, format!("before\n  {t}\n"));
+        }
+    }
+
+    #[test]
+    fn a_poisoned_render_lock_drops_the_text_and_renders_afresh() {
+        let poison = |rel: &Relation| {
+            std::thread::scope(|s| {
+                let panicked = s
+                    .spawn(|| {
+                        let _kept = rel.store.rendered.write().unwrap();
+                        panic!("a fold panicked");
+                    })
+                    .join();
+                assert!(panicked.is_err());
+            });
+            assert!(rel.store.rendered.is_poisoned());
+        };
+        let mut rel = rendered_tens(2 * i64::try_from(CHUNK_ROWS).unwrap());
+        // A read on the poisoned lock.
+        poison(&rel);
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        assert!(!rel.store.rendered.is_poisoned());
+        assert_eq!(kept(&rel).unwrap().1, 0, "rendered afresh and kept");
+        // A write on the poisoned lock.
+        poison(&rel);
+        rel.insert(tup![5]).unwrap();
+        assert_eq!(kept(&rel), None, "the write dropped the text");
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        rel.insert(tup![15]).unwrap();
+        assert_eq!(kept(&rel).unwrap().1, 1, "the next write is recorded");
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+    }
+
+    #[test]
+    fn a_fold_edits_single_lines_and_keeps_counts() {
+        let mut rel = rendered_tens(2 * i64::try_from(CHUNK_ROWS).unwrap());
+        let patched = |rel: &Relation| {
+            let kept = rel.store.rendered.read().unwrap();
+            let text = kept.as_ref().unwrap();
+            let counts: usize = text
+                .chunks
+                .iter()
+                .flat_map(|c| c.lines.iter().map(|line| line.count))
+                .sum();
+            (text.rows, counts)
+        };
+        // Two copies of a stored row and one of a new row, then drain
+        // the stored row: its line goes only with its last copy.
+        rel.insert(tup![20]).unwrap();
+        rel.insert(tup![20]).unwrap();
+        rel.insert(tup![21]).unwrap();
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        assert_eq!(patched(&rel), (2 * CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3));
+        for left in [2, 1, 0] {
+            assert_eq!(rel.delete(&[tup![20]]).len(), 1);
+            assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+            assert_eq!(rel.distinct_to_string().contains("  (20)\n"), left > 0);
+        }
+        // An insert and a delete of one new row in one fold cancel.
+        rel.insert(tup![33]).unwrap();
+        assert_eq!(rel.delete(&[tup![33]]).len(), 1);
+        assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        assert_eq!(patched(&rel), (2 * CHUNK_ROWS, 2 * CHUNK_ROWS));
     }
 
     #[test]

@@ -21,15 +21,27 @@
 //! `relational.render_cache_hits`, no `relational.rows_formatted`.
 //!
 //! Every check renders, so the next write is recorded against kept text
-//! and the check after it folds that write in. The starting relation
+//! and the check after it folds that write in, editing single lines: a
+//! line is rendered only for a tuple whose count of stored copies rose
+//! from 0, so a check after `k` written tuples moves
+//! `relational.render_patched_rows` by at most `k`. The starting relation
 //! holds several hundred distinct rows beside the random ones, so its
 //! text spans several chunks of about 256 lines and the random writes
-//! patch chunks throughout it. Steps add copies of stored rows, drain a
-//! stored row one copy at a time (a check after each delete), insert rows
-//! that sort before or after every stored one, and flood the relation
-//! with more written tuples than the kept text takes (one per eight
-//! rows), which drops the text: the check after a flood renders every
-//! row afresh, and the run as a whole patches rows.
+//! patch chunks throughout it. Steps cover each kind of line edit:
+//!
+//! * adding copies of stored rows, which renders no line;
+//! * draining a stored row one copy at a time (a check after each
+//!   delete): its line goes with its last copy only, and no line is
+//!   rendered;
+//! * inserting rows that sort before or after every stored one, below the
+//!   first chunk's first line and above the last chunk's last line;
+//! * growing the first chunk past 512 lines, in writes under the share
+//!   the kept text takes, so a fold cuts it;
+//! * emptying the first chunk: every copy of the lowest 513 distinct rows
+//!   goes, in the same small writes, and a chunk never holds more;
+//! * flooding the relation with more written tuples than the kept text
+//!   takes (one per eight rows), which drops the text: the check after a
+//!   flood renders every row afresh, and the run as a whole patches rows.
 //!
 //! A delete lists its victims' index ids instead of renumbering the
 //! survivors' entries; once the list is long enough one pass renumbers
@@ -39,12 +51,13 @@
 //! Case counts honour `PROPTEST_CASES` (CI smoke 64, nightly 256).
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use eve_trace::Counter;
 use proptest::prelude::*;
 
 use eve_relational::{
-    ColumnDef, ColumnRef, ColumnarBatch, CompOp, DataType, IndexKind, Relation, Schema, Tuple,
+    tup, ColumnDef, ColumnRef, ColumnarBatch, CompOp, DataType, IndexKind, Relation, Schema, Tuple,
     Value,
 };
 
@@ -117,6 +130,12 @@ enum Step {
     /// Insert copies of stored rows, one more than an eighth of the
     /// distinct rows.
     Flood,
+    /// Insert 513 new rows below every stored one, a sixteenth of the
+    /// distinct rows per write, with a check after each write.
+    Grow,
+    /// Delete every copy of the lowest 513 distinct rows, a sixteenth of
+    /// the distinct rows per delete, with a check after each delete.
+    Empty,
     /// Victims: a stored row (by position, modulo the cardinality) or a
     /// random row that may be absent; the request holds duplicates often.
     Delete(Vec<(bool, usize, Row)>),
@@ -243,108 +262,189 @@ struct Moved {
 /// The counters are process-wide: each suite holds this while it runs.
 static COUNTERS: Mutex<()> = Mutex::new(());
 
-/// Runs `steps` on a relation over `model` and on the model, with a flood
-/// in place of the step at each round `floods` names, checking after
-/// every step (and after every delete of a drain).
+/// Rows a grow inserts and an empty deletes: one more than a chunk of
+/// kept text ever holds after a fold.
+const PAST_A_CHUNK: usize = 513;
+
+/// A relation and its model under one run of steps, checked after
+/// every step and inside the steps that write in several rounds.
+struct Run {
+    rel: Relation,
+    model: Vec<Tuple>,
+    /// Tuples recorded since the last check.
+    written: u64,
+    patched: Arc<Counter>,
+}
+
+impl Run {
+    fn insert(&mut self, t: Tuple) {
+        self.rel.insert(t.clone()).unwrap();
+        self.model.push(t);
+        self.written += 1;
+    }
+
+    fn delete(&mut self, victims: &[Tuple]) -> Result<(), TestCaseError> {
+        let expected = model_delete(&mut self.model, victims);
+        let removed = self.rel.delete(victims);
+        prop_assert_eq!(&removed, &expected, "removed rows, in row order");
+        self.written += removed.len() as u64;
+        Ok(())
+    }
+
+    /// [`check`], and that its renders rendered at most one line per
+    /// tuple written since the last check, or none at all when `none`.
+    fn check(&mut self, round: usize, none: bool) -> Result<(), String> {
+        let before = self.patched.get();
+        check(&self.rel, &self.model, round)?;
+        let lines = self.patched.get() - before;
+        let most = if none { 0 } else { self.written };
+        if lines > most {
+            return Err(format!(
+                "rendered {lines} lines after {} written tuples (at most {most})",
+                self.written
+            ));
+        }
+        self.written = 0;
+        Ok(())
+    }
+
+    fn distinct(&self) -> usize {
+        self.model.iter().collect::<BTreeSet<_>>().len()
+    }
+}
+
+/// Runs `steps` on a relation over `model` and on the model, checking
+/// after every step (and after every write of a drain, a grow and an
+/// empty).
 fn run(
-    mut model: Vec<Tuple>,
+    model: Vec<Tuple>,
     warm: &[(usize, IndexKind)],
     steps: &[Step],
-    floods: &[usize],
 ) -> Result<Moved, TestCaseError> {
     let renumbered = eve_trace::global().counter("relational.index_entries_renumbered");
     let hits = eve_trace::global().counter("relational.render_cache_hits");
     let formatted = eve_trace::global().counter("relational.rows_formatted");
     let patched = eve_trace::global().counter("relational.render_patched_rows");
     let patched_before = patched.get();
-    let mut rel = Relation::with_tuples("R", schema(), model.clone()).unwrap();
+    let rel = Relation::with_tuples("R", schema(), model.clone()).unwrap();
     let _ = rel.columnar();
     let _ = rel.distinct_to_string();
     for &(col, kind) in warm {
         rel.warm_index(col, kind);
     }
+    let mut run = Run {
+        rel,
+        model,
+        written: 0,
+        patched: Arc::clone(&patched),
+    };
     let mut clone: Option<(Relation, Vec<Tuple>)> = None;
     let mut renumbering_deletes = 0usize;
     for (round, step) in steps.iter().enumerate() {
-        let step = if floods.contains(&round) {
-            &Step::Flood
-        } else {
-            step
-        };
         let formatted_before = formatted.get();
+        let renumbered_before = renumbered.get();
+        let fail = |e: String| TestCaseError::fail(format!("after {step:?}: {e}"));
         match step {
             Step::Insert(rows) => {
                 for row in rows {
-                    rel.insert(tuple(row)).unwrap();
-                    model.push(tuple(row));
+                    run.insert(tuple(row));
                 }
             }
             Step::Delete(picks) => {
                 let victims: Vec<Tuple> = picks
                     .iter()
-                    .map(|(stored, at, row)| match model.len() {
-                        n if *stored && n > 0 => model[at % n].clone(),
+                    .map(|(stored, at, row)| match run.model.len() {
+                        n if *stored && n > 0 => run.model[at % n].clone(),
                         _ => tuple(row),
                     })
                     .collect();
-                let expected = model_delete(&mut model, &victims);
-                let renumbered_before = renumbered.get();
-                let removed = rel.delete(&victims);
-                prop_assert_eq!(&removed, &expected, "removed rows, in row order");
-                renumbering_deletes += usize::from(renumbered.get() > renumbered_before);
+                run.delete(&victims)?;
             }
             Step::Copy(picks) => {
                 for at in picks {
-                    if let Some(t) = model.get(at % model.len().max(1)).cloned() {
-                        rel.insert(t.clone()).unwrap();
-                        model.push(t);
+                    if let Some(t) = run.model.get(at % run.model.len().max(1)).cloned() {
+                        run.insert(t);
                     }
                 }
             }
             Step::Drain(at) => {
-                let picked = model.get(at % model.len().max(1)).cloned();
-                while let Some(t) = picked.as_ref().filter(|t| model.contains(t)) {
-                    let victim = std::slice::from_ref(t);
-                    let expected = model_delete(&mut model, victim);
+                let picked = run.model.get(at % run.model.len().max(1)).cloned();
+                while let Some(t) = picked.as_ref().filter(|t| run.model.contains(t)) {
                     let renumbered_before = renumbered.get();
-                    prop_assert_eq!(rel.delete(victim), expected);
+                    run.delete(std::slice::from_ref(t))?;
                     renumbering_deletes += usize::from(renumbered.get() > renumbered_before);
-                    if let Err(e) = check(&rel, &model, round) {
-                        return Err(TestCaseError::fail(format!("draining {t:?}: {e}")));
-                    }
+                    run.check(round, true)
+                        .map_err(|e| TestCaseError::fail(format!("draining {t:?}: {e}")))?;
+                    let line = format!("  {t}\n");
+                    prop_assert_eq!(
+                        run.rel.distinct_to_string().contains(&line),
+                        run.model.contains(t),
+                        "the line goes with the last copy"
+                    );
                 }
             }
             Step::Outside(below) => {
                 let round = i64::try_from(round).unwrap();
                 let i = if *below { -1 - round } else { 5 + round };
-                let t = tuple(&(i, false, String::new()));
-                rel.insert(t.clone()).unwrap();
-                model.push(t);
+                run.insert(tuple(&(i, false, String::new())));
             }
             Step::Flood => {
-                let distinct = model.iter().collect::<BTreeSet<_>>().len();
-                for k in 0..=distinct / 8 {
-                    let t = model.get(k).cloned().unwrap_or_else(|| bulk_row(k));
-                    rel.insert(t.clone()).unwrap();
-                    model.push(t);
+                for k in 0..=run.distinct() / 8 {
+                    let t = run.model.get(k).cloned().unwrap_or_else(|| bulk_row(k));
+                    run.insert(t);
                 }
             }
-            Step::Clone => clone = Some((rel.clone(), model.clone())),
-            Step::Warm(col, kind) => rel.warm_index(*col, *kind),
+            Step::Grow => {
+                let base = -10_000 * (i64::try_from(round).unwrap() + 1);
+                let mut rows = (0..PAST_A_CHUNK as i64).map(|j| tup![base - j, false, ""]);
+                loop {
+                    let batch: Vec<Tuple> = rows.by_ref().take(run.distinct() / 16 + 1).collect();
+                    if batch.is_empty() {
+                        break;
+                    }
+                    for t in batch {
+                        run.insert(t);
+                    }
+                    run.check(round, false).map_err(fail)?;
+                }
+            }
+            Step::Empty => {
+                let lowest: BTreeSet<Tuple> = run.model.iter().cloned().collect();
+                let lowest: BTreeSet<Tuple> = lowest.into_iter().take(PAST_A_CHUNK).collect();
+                let mut victims: Vec<Tuple> = run
+                    .model
+                    .iter()
+                    .filter(|t| lowest.contains(t))
+                    .cloned()
+                    .collect();
+                while !victims.is_empty() {
+                    let rest = victims.split_off(victims.len().min(run.distinct() / 16 + 1));
+                    let renumbered_before = renumbered.get();
+                    run.delete(&victims)?;
+                    renumbering_deletes += usize::from(renumbered.get() > renumbered_before);
+                    run.check(round, true).map_err(fail)?;
+                    victims = rest;
+                }
+            }
+            Step::Clone => clone = Some((run.rel.clone(), run.model.clone())),
+            Step::Warm(col, kind) => run.rel.warm_index(*col, *kind),
             Step::Render => {
                 let (hits_before, formatted_before) = (hits.get(), formatted.get());
-                prop_assert_eq!(rel.distinct_to_string(), rel.distinct_to_string());
+                prop_assert_eq!(run.rel.distinct_to_string(), run.rel.distinct_to_string());
                 prop_assert_eq!(hits.get() - hits_before, 2, "both renders hit");
                 prop_assert_eq!(formatted.get(), formatted_before, "no row rendered again");
             }
         }
-        if let Err(e) = check(&rel, &model, round) {
-            return Err(TestCaseError::fail(format!("after {step:?}: {e}")));
+        if let Step::Delete(_) = step {
+            renumbering_deletes += usize::from(renumbered.get() > renumbered_before);
         }
+        // Copies of stored rows and deletes render no line.
+        let none = matches!(step, Step::Copy(_) | Step::Delete(_) | Step::Empty);
+        run.check(round, none).map_err(fail)?;
         if let Step::Flood = step {
             prop_assert_eq!(
                 formatted.get() - formatted_before,
-                model.iter().collect::<BTreeSet<_>>().len() as u64,
+                run.distinct() as u64,
                 "a flood drops the text: the check renders every row afresh"
             );
         }
@@ -356,9 +456,7 @@ fn run(
                 step
             );
             if round.is_multiple_of(8) {
-                if let Err(e) = check(copy, rows, round) {
-                    return Err(TestCaseError::fail(format!("clone, after {step:?}: {e}")));
-                }
+                check(copy, rows, round).map_err(|e| fail(format!("clone: {e}")))?;
             }
         }
     }
@@ -366,6 +464,19 @@ fn run(
         renumbering_deletes,
         patched: patched.get() - patched_before,
     })
+}
+
+/// `steps` with a flood at each round `floods` names (modulo their
+/// count), then each of `then` at its round.
+fn place(mut steps: Vec<Step>, floods: &[usize], then: &[(usize, Step)]) -> Vec<Step> {
+    let n = steps.len();
+    for &at in floods {
+        steps[at % n] = Step::Flood;
+    }
+    for (at, step) in then {
+        steps[at % n] = step.clone();
+    }
+    steps
 }
 
 proptest! {
@@ -382,7 +493,8 @@ proptest! {
         steps in prop::collection::vec(arb_step(), 700..800),
     ) {
         let _alone = COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let moved = run(initial.iter().map(tuple).collect(), &warm, &steps, &floods)?;
+        let steps = place(steps, &floods, &[]);
+        let moved = run(initial.iter().map(tuple).collect(), &warm, &steps)?;
         // Every delete after the first keeps a hash index live, so each
         // lists its victims, and the run deletes enough rows to pass the
         // renumber length (64 ids) several times.
@@ -399,11 +511,14 @@ proptest! {
         initial in prop::collection::vec(arb_row(), 0..24),
         bulk in 520usize..760,
         floods in prop::collection::vec(0usize..110, 1..3),
+        grow in 0usize..110,
+        empty in 0usize..110,
         steps in prop::collection::vec(arb_step(), 100..120),
     ) {
         let _alone = COUNTERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let model = (0..bulk).map(bulk_row).chain(initial.iter().map(tuple)).collect();
-        let moved = run(model, &[], &steps, &floods)?;
+        let steps = place(steps, &floods, &[(grow, Step::Grow), (empty, Step::Empty)]);
+        let moved = run(model, &[], &steps)?;
         prop_assert!(moved.patched > 0, "some check patched the text");
     }
 }

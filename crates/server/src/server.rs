@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use eve_trace::{MetricsSnapshot, Registry};
+use eve_trace::{Counter, Histogram, MetricsSnapshot, Registry};
 
 use crate::protocol::{
     decode_request, decode_response, encode_request_frame, encode_response_frame, Request,
@@ -67,8 +67,9 @@ enum TenantRequest {
 struct Job {
     session: u64,
     tenant: Arc<Tenant>,
-    /// The request-type label of [`request_kind`].
-    kind: &'static str,
+    /// The session's `server.tenant.<name>.latency_us`.
+    latency: Arc<Histogram>,
+    kind: Kind,
     request: TenantRequest,
     /// The call's own channel and its only sender, so a worker that
     /// drops the job unanswered hangs the call up instead of blocking it.
@@ -87,12 +88,114 @@ struct Dispatch {
     reads: Sender<Job>,
 }
 
-/// The session table: each open session's tenant name, and how many
-/// sessions were ever opened (the last id handed out).
+/// The session table: each open session's tenant, and how many sessions
+/// were ever opened (the last id handed out).
 #[derive(Debug, Default)]
 struct Sessions {
-    tenants: HashMap<u64, String>,
+    tenants: HashMap<u64, Session>,
     opened: u64,
+}
+
+/// An open session: its tenant's name and latency histogram
+/// (`server.tenant.<name>.latency_us`), resolved when it opened.
+#[derive(Debug)]
+struct Session {
+    tenant: String,
+    latency: Arc<Histogram>,
+}
+
+/// A request's type, the index of its label in [`KINDS`].
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    OpenSession,
+    Attach,
+    CloseSession,
+    Statement,
+    Apply,
+    Query,
+    Stats,
+    ResetBudget,
+    Metrics,
+}
+
+/// The `<kind>` of `server.requests.<kind>` and `server.latency_us.<kind>`,
+/// in [`Kind`] order.
+const KINDS: [&str; 9] = [
+    "open_session",
+    "attach",
+    "close_session",
+    "statement",
+    "apply",
+    "query",
+    "stats",
+    "reset_budget",
+    "metrics",
+];
+
+impl Kind {
+    fn of(body: &RequestBody) -> Kind {
+        match body {
+            RequestBody::OpenSession { .. } => Kind::OpenSession,
+            RequestBody::Attach => Kind::Attach,
+            RequestBody::CloseSession => Kind::CloseSession,
+            RequestBody::Statement { .. } => Kind::Statement,
+            RequestBody::Apply { .. } => Kind::Apply,
+            RequestBody::Query { .. } => Kind::Query,
+            RequestBody::Stats => Kind::Stats,
+            RequestBody::ResetBudget => Kind::ResetBudget,
+            RequestBody::Metrics => Kind::Metrics,
+        }
+    }
+}
+
+/// The server's registry and the handles of the metrics every request
+/// moves, resolved once when the server starts, so serving a request
+/// formats no name and takes no registry lock.
+#[derive(Debug)]
+struct Metrics {
+    registry: Arc<Registry>,
+    /// `server.requests.<kind>`, indexed by [`Kind`].
+    requests: [Arc<Counter>; KINDS.len()],
+    /// `server.latency_us.<kind>`, indexed by [`Kind`].
+    latency: [Arc<Histogram>; KINDS.len()],
+    /// `server.errors`.
+    errors: Arc<Counter>,
+}
+
+impl Metrics {
+    fn new() -> Metrics {
+        let registry = Arc::new(Registry::new());
+        Metrics {
+            requests: KINDS.map(|kind| registry.counter(&format!("server.requests.{kind}"))),
+            latency: KINDS.map(|kind| registry.histogram(&format!("server.latency_us.{kind}"))),
+            errors: registry.counter("server.errors"),
+            registry,
+        }
+    }
+
+    /// Records one served request and sends its response: the request
+    /// counter for its kind, the kind's latency histogram, the tenant's
+    /// latency histogram (when the request resolved to a tenant) and the
+    /// error counter when the response is [`ResponseBody::Err`].
+    fn answer(
+        &self,
+        reply: &Sender<Vec<u8>>,
+        kind: Kind,
+        tenant: Option<&Histogram>,
+        received: Instant,
+        resp: &Response,
+    ) {
+        let us = u64::try_from(received.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.requests[kind as usize].inc();
+        self.latency[kind as usize].record(us);
+        if let Some(tenant) = tenant {
+            tenant.record(us);
+        }
+        if matches!(resp.body, ResponseBody::Err { .. }) {
+            self.errors.inc();
+        }
+        send_response(reply, resp);
+    }
 }
 
 /// What a server and its clients share. A client that outlives its
@@ -100,7 +203,7 @@ struct Sessions {
 /// no worker sender, so it pins no tenant and keeps no worker alive.
 #[derive(Debug)]
 struct Shared {
-    metrics: Arc<Registry>,
+    metrics: Arc<Metrics>,
     sessions: RwLock<Sessions>,
     dispatch: RwLock<Option<Dispatch>>,
 }
@@ -128,18 +231,18 @@ impl Server {
     pub fn start(warehouse: Arc<Warehouse>, config: ServerConfig) -> Server {
         let shards = config.shards.max(1);
         let readers = config.readers.max(1);
-        let metrics = Arc::new(Registry::new());
+        let metrics = Arc::new(Metrics::new());
 
         let mut shard_txs = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards + readers);
         for i in 0..shards {
             let (tx, rx) = channel::<Job>();
             shard_txs.push(tx);
-            let registry = Arc::clone(&metrics);
+            let metrics = Arc::clone(&metrics);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("eve-shard-{i}"))
-                    .spawn(move || shard_worker(&rx, &registry))
+                    .spawn(move || shard_worker(&rx, &metrics))
                     .expect("spawn shard worker"),
             );
         }
@@ -147,11 +250,11 @@ impl Server {
         let read_rx = Arc::new(Mutex::new(read_rx));
         for i in 0..readers {
             let rx = Arc::clone(&read_rx);
-            let registry = Arc::clone(&metrics);
+            let metrics = Arc::clone(&metrics);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("eve-reader-{i}"))
-                    .spawn(move || read_worker(&rx, &registry))
+                    .spawn(move || read_worker(&rx, &metrics))
                     .expect("spawn read worker"),
             );
         }
@@ -178,7 +281,7 @@ impl Server {
     /// recorded from the server's entry to response-ready.
     #[must_use]
     pub fn metrics_registry(&self) -> &Arc<Registry> {
-        &self.shared.metrics
+        &self.shared.metrics.registry
     }
 
     /// The warehouse this server fronts.
@@ -249,50 +352,6 @@ fn send_response(reply: &Sender<Vec<u8>>, resp: &Response) {
     }
 }
 
-/// The request-type label used in `server.requests.<kind>` and
-/// `server.latency_us.<kind>` metric names.
-fn request_kind(body: &RequestBody) -> &'static str {
-    match body {
-        RequestBody::OpenSession { .. } => "open_session",
-        RequestBody::Attach => "attach",
-        RequestBody::CloseSession => "close_session",
-        RequestBody::Statement { .. } => "statement",
-        RequestBody::Apply { .. } => "apply",
-        RequestBody::Query { .. } => "query",
-        RequestBody::Stats => "stats",
-        RequestBody::ResetBudget => "reset_budget",
-        RequestBody::Metrics => "metrics",
-    }
-}
-
-/// Records one served request and sends its response: the request
-/// counter for its kind, the kind's latency histogram, the tenant's
-/// latency histogram (when the request resolved to a tenant) and the
-/// error counter when the response is [`ResponseBody::Err`].
-fn answer(
-    registry: &Registry,
-    reply: &Sender<Vec<u8>>,
-    kind: &str,
-    tenant: Option<&str>,
-    received: Instant,
-    resp: &Response,
-) {
-    let us = u64::try_from(received.elapsed().as_micros()).unwrap_or(u64::MAX);
-    registry.counter(&format!("server.requests.{kind}")).inc();
-    registry
-        .histogram(&format!("server.latency_us.{kind}"))
-        .record(us);
-    if let Some(tenant) = tenant {
-        registry
-            .histogram(&format!("server.tenant.{tenant}.latency_us"))
-            .record(us);
-    }
-    if matches!(resp.body, ResponseBody::Err { .. }) {
-        registry.counter("server.errors").inc();
-    }
-    send_response(reply, resp);
-}
-
 impl Shared {
     fn sessions(&self) -> std::sync::RwLockReadGuard<'_, Sessions> {
         self.sessions.read().unwrap_or_else(PoisonError::into_inner)
@@ -322,25 +381,28 @@ impl Shared {
         let req = match frame_payload(frame).and_then(decode_request) {
             Ok(req) => req,
             Err(e) => {
-                self.metrics.counter("server.errors").inc();
+                self.metrics.errors.inc();
                 send_response(&reply, &Response::error(0, &e));
                 return Ok(());
             }
         };
-        let (session, kind) = (req.session, request_kind(&req.body));
-        let respond = |tenant: Option<&str>, resp: &Response| {
-            answer(&self.metrics, &reply, kind, tenant, received, resp);
+        let (session, kind) = (req.session, Kind::of(&req.body));
+        let respond = |tenant: Option<&Histogram>, resp: &Response| {
+            self.metrics.answer(&reply, kind, tenant, received, resp);
             Ok(())
         };
         let unknown = || Response::error(session, &Error::UnknownSession { session });
         let request = match req.body {
             RequestBody::OpenSession { tenant } => {
+                let name = format!("server.tenant.{tenant}.latency_us");
+                let latency = self.metrics.registry.histogram(&name);
                 let resp = match dispatch.warehouse.tenant(&tenant) {
                     Ok(_) => {
                         let mut sessions = self.sessions_mut();
                         sessions.opened += 1;
                         let id = sessions.opened;
-                        sessions.tenants.insert(id, tenant.clone());
+                        let latency = Arc::clone(&latency);
+                        sessions.tenants.insert(id, Session { tenant, latency });
                         Response {
                             session: id,
                             body: ResponseBody::SessionOpened { session: id },
@@ -348,20 +410,21 @@ impl Shared {
                     }
                     Err(e) => Response::error(0, &e),
                 };
-                return respond(Some(&tenant), &resp);
+                return respond(Some(&latency), &resp);
             }
             RequestBody::Attach => {
-                let tenant = self.sessions().tenants.get(&session).cloned();
-                let resp = match &tenant {
-                    Some(tenant) => Response {
+                let sessions = self.sessions();
+                let open = sessions.tenants.get(&session);
+                let resp = match open {
+                    Some(open) => Response {
                         session,
                         body: ResponseBody::Attached {
-                            tenant: tenant.clone(),
+                            tenant: open.tenant.clone(),
                         },
                     },
                     None => unknown(),
                 };
-                return respond(tenant.as_deref(), &resp);
+                return respond(open.map(|open| &*open.latency), &resp);
             }
             RequestBody::CloseSession => {
                 let closed = self.sessions_mut().tenants.remove(&session);
@@ -372,7 +435,7 @@ impl Shared {
                     },
                     None => unknown(),
                 };
-                return respond(closed.as_deref(), &resp);
+                return respond(closed.as_ref().map(|open| &*open.latency), &resp);
             }
             RequestBody::Statement { esql } => TenantRequest::Mutate(Mutation::Statement(esql)),
             RequestBody::Apply { ops } => TenantRequest::Mutate(Mutation::Apply(ops)),
@@ -382,12 +445,16 @@ impl Shared {
             RequestBody::Metrics => TenantRequest::Metrics,
         };
         let sessions = self.sessions();
-        let Some(name) = sessions.tenants.get(&session) else {
+        let Some(Session {
+            tenant: name,
+            latency,
+        }) = sessions.tenants.get(&session)
+        else {
             return respond(None, &unknown());
         };
         let tenant = match dispatch.warehouse.existing(name) {
             Ok(tenant) => tenant,
-            Err(e) => return respond(Some(name), &Response::error(session, &e)),
+            Err(e) => return respond(Some(latency), &Response::error(session, &e)),
         };
         let target = match request {
             TenantRequest::Query(_) | TenantRequest::Stats | TenantRequest::Metrics => {
@@ -403,6 +470,7 @@ impl Shared {
             .send(Job {
                 session,
                 tenant,
+                latency: Arc::clone(latency),
                 kind,
                 request,
                 reply,
@@ -445,38 +513,37 @@ fn execute_job(
     })
 }
 
-fn run_and_reply(job: Job, registry: &Registry) {
-    let resp = match execute_job(&job.tenant, job.request, registry) {
+fn run_and_reply(job: Job, metrics: &Metrics) {
+    let resp = match execute_job(&job.tenant, job.request, &metrics.registry) {
         Ok(body) => Response {
             session: job.session,
             body,
         },
         Err(e) => Response::error(job.session, &e),
     };
-    answer(
-        registry,
+    metrics.answer(
         &job.reply,
         job.kind,
-        Some(job.tenant.name()),
+        Some(&job.latency),
         job.received,
         &resp,
     );
 }
 
-fn shard_worker(rx: &Receiver<Job>, registry: &Registry) {
+fn shard_worker(rx: &Receiver<Job>, metrics: &Metrics) {
     while let Ok(job) = rx.recv() {
-        run_and_reply(job, registry);
+        run_and_reply(job, metrics);
     }
 }
 
-fn read_worker(rx: &Arc<Mutex<Receiver<Job>>>, registry: &Registry) {
+fn read_worker(rx: &Arc<Mutex<Receiver<Job>>>, metrics: &Metrics) {
     loop {
         let job = {
             let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
             guard.recv()
         };
         match job {
-            Ok(job) => run_and_reply(job, registry),
+            Ok(job) => run_and_reply(job, metrics),
             Err(_) => break,
         }
     }

@@ -30,6 +30,9 @@ use eve_system::{Command, Shell};
 /// Seeds checked, one tenant each.
 const SEEDS: u64 = 200;
 
+/// Seeds the nightly run checks.
+const NIGHTLY_SEEDS: u64 = 2_000;
+
 /// Reading clients per tenant, beside the one writer.
 const READERS: usize = 3;
 
@@ -251,7 +254,19 @@ fn violations(answers: &[Vec<String>], reads: &Reads) -> Vec<String> {
 
 #[test]
 fn every_concurrent_read_matches_a_commit_in_its_bounds() {
-    let root = std::env::temp_dir().join(format!("eve-commit-order-{}", std::process::id()));
+    check_seeds("tier1", SEEDS);
+}
+
+#[test]
+#[ignore = "nightly: ten times the seeds"]
+fn every_concurrent_read_matches_a_commit_in_its_bounds_over_2000_seeds() {
+    check_seeds("nightly", NIGHTLY_SEEDS);
+}
+
+/// Runs seeds `0..seeds`, one tenant each, on one server over a fresh
+/// warehouse named by `run`.
+fn check_seeds(run: &str, seeds: u64) {
+    let root = std::env::temp_dir().join(format!("eve-commit-order-{run}-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let server = Server::start(
         Arc::new(Warehouse::open(&root).unwrap()),
@@ -260,7 +275,7 @@ fn every_concurrent_read_matches_a_commit_in_its_bounds() {
             readers: 2,
         },
     );
-    for seed in 0..SEEDS {
+    for seed in 0..seeds {
         let (setup, writes) = script(seed);
         let answers = oracle(&setup, &writes);
         let tenant = format!("t{seed}");

@@ -408,6 +408,47 @@ fn malformed_statements_come_back_as_typed_errors_not_dead_connections() {
 }
 
 #[test]
+fn n_queries_move_their_kind_and_tenant_metrics_by_n() {
+    const N: u64 = 7;
+    let _renders = rendering();
+    let root = scratch("metric-handles");
+    let server = Server::start(
+        Arc::new(Warehouse::open(&root).unwrap()),
+        ServerConfig::default(),
+    );
+    let mut c = server.connect().unwrap();
+    c.open_session("handles").unwrap();
+    for line in writer_script(0) {
+        c.request(RequestBody::Statement { esql: line }).unwrap();
+    }
+    let registry = server.metrics_registry();
+    let moved = || {
+        (
+            registry.counter("server.requests.query").get(),
+            registry
+                .histogram("server.latency_us.query")
+                .snapshot()
+                .count(),
+            registry
+                .histogram("server.tenant.handles.latency_us")
+                .snapshot()
+                .count(),
+        )
+    };
+    let before = moved();
+    for _ in 0..N {
+        match c.request(RequestBody::Query { view: "V".into() }).unwrap() {
+            ResponseBody::Output { .. } => {}
+            other => panic!("{other:?}"),
+        }
+    }
+    // The response is sent after its request is recorded.
+    assert_eq!(moved(), (before.0 + N, before.1 + N, before.2 + N));
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn metrics_request_returns_server_and_engine_families() {
     let _renders = rendering();
     let root = scratch("metrics");
