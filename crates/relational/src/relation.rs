@@ -5,7 +5,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt::{self, Write as _};
 use std::hash::BuildHasherDefault;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, Weak};
 
 use crate::column::{compact, ColumnarBatch};
 use crate::error::{Error, Result};
@@ -126,7 +126,7 @@ impl Clone for Storage {
             tuples: self.tuples.clone(),
             generation: self.generation,
             columnar: OnceLock::new(),
-            indexes: Mutex::new(self.indexes.lock().expect("index lock poisoned").clone()),
+            indexes: Mutex::new(self.lock_indexes().clone()),
             rendered: RwLock::new(None),
         };
         if let Some(batch) = self.columnar.get() {
@@ -142,6 +142,19 @@ impl Storage {
             tuples,
             ..Storage::default()
         }
+    }
+
+    /// The indexes, locked. A probe, write or detach that panicked under
+    /// the lock may have left an index half-edited, so a poisoned lock
+    /// drops every index (the next probe builds the one it needs afresh)
+    /// and is cleared, as the render lock is.
+    fn lock_indexes(&self) -> MutexGuard<'_, IndexSet> {
+        self.indexes.lock().unwrap_or_else(|poisoned| {
+            let mut indexes = poisoned.into_inner();
+            *indexes = IndexSet::default();
+            self.indexes.clear_poison();
+            indexes
+        })
     }
 
     /// Notes `written` (tuples just inserted, `sign` `+1`, or deleted,
@@ -596,15 +609,13 @@ impl Relation {
         self.store.columnar.get().is_some()
     }
 
-    fn lock_indexes(&self) -> MutexGuard<'_, IndexSet> {
-        self.store.indexes.lock().expect("index lock poisoned")
-    }
-
     /// Ascending row ids whose `col` value equals `key`, served by the
     /// (lazily built) hash index.
     #[must_use]
     pub fn index_eq_rows(&self, col: usize, key: &Value) -> Vec<u32> {
-        self.lock_indexes().lookup_eq(col, key, &self.store.tuples)
+        self.store
+            .lock_indexes()
+            .lookup_eq(col, key, &self.store.tuples)
     }
 
     /// Locks the hash index on `col` for a run of equality probes (one
@@ -612,7 +623,7 @@ impl Relation {
     /// then lives in the shared storage, maintained across mutations.
     pub(crate) fn hash_probe(&self, col: usize) -> HashProbe<'_> {
         HashProbe {
-            indexes: self.lock_indexes(),
+            indexes: self.store.lock_indexes(),
             tuples: &self.store.tuples,
             col,
             probes: 0,
@@ -624,30 +635,33 @@ impl Relation {
     /// by the (lazily built) sorted index.
     #[must_use]
     pub fn index_range_rows(&self, col: usize, op: CompOp, key: &Value) -> Vec<u32> {
-        self.lock_indexes()
+        self.store
+            .lock_indexes()
             .lookup_range(col, op, key, &self.store.tuples)
     }
 
     /// Builds the index of `kind` on `col` now (instead of on first probe).
     pub fn warm_index(&self, col: usize, kind: IndexKind) {
-        self.lock_indexes().warm(col, kind, &self.store.tuples);
+        self.store
+            .lock_indexes()
+            .warm(col, kind, &self.store.tuples);
     }
 
     /// Whether an index of `kind` exists on `col`.
     #[must_use]
     pub fn has_index(&self, col: usize, kind: IndexKind) -> bool {
-        self.lock_indexes().has(col, kind)
+        self.store.lock_indexes().has(col, kind)
     }
 
     /// Index counters for this storage.
     #[must_use]
     pub fn index_stats(&self) -> IndexStats {
-        self.lock_indexes().stats()
+        self.store.lock_indexes().stats()
     }
 
     /// Clears the index hit/build/maintenance counters (not the indexes).
     pub fn reset_index_counters(&self) {
-        self.lock_indexes().reset_counters();
+        self.store.lock_indexes().reset_counters();
     }
 
     /// Inserts a tuple after validating arity and column types. Detaches a
@@ -664,11 +678,7 @@ impl Relation {
         if let Some(batch) = store.columnar.get_mut() {
             Arc::make_mut(batch).push_row(&tuple);
         }
-        store
-            .indexes
-            .get_mut()
-            .expect("index lock poisoned")
-            .insert_row(&tuple, &store.tuples);
+        unpoisoned(&mut store.indexes).insert_row(&tuple, &store.tuples);
         store.tuples.push(tuple);
         Ok(())
     }
@@ -694,11 +704,7 @@ impl Relation {
             return Vec::new(); // no copy-on-write detach for a no-op delete
         }
         let store = self.storage_mut();
-        store
-            .indexes
-            .get_mut()
-            .expect("index lock poisoned")
-            .remove_rows(&removed_rows, &store.tuples);
+        unpoisoned(&mut store.indexes).remove_rows(&removed_rows, &store.tuples);
         let removed: Vec<Tuple> = removed_rows
             .iter()
             .map(|&r| std::mem::replace(&mut store.tuples[r as usize], Tuple::new(Vec::new())))
@@ -741,7 +747,7 @@ impl Relation {
             let n = pending.get(&Tuple::new(Vec::new())).map_or(0, |&n| n);
             return (0..u32::try_from(n.min(stored.len())).expect("row id fits u32")).collect();
         }
-        let col = self.lock_indexes().hash_col().unwrap_or(0);
+        let col = self.store.lock_indexes().hash_col().unwrap_or(0);
         let mut probe = self.hash_probe(col);
         for (victim, n) in pending {
             // A victim too short to have the column is in no row.
@@ -951,6 +957,15 @@ impl Drop for HashProbe<'_> {
     fn drop(&mut self) {
         self.indexes.count_hits(self.probes);
     }
+}
+
+/// The indexes of a storage being written. A poisoned lock (see
+/// [`Storage::lock_indexes`]) is replaced by a fresh one holding no index.
+fn unpoisoned(indexes: &mut Mutex<IndexSet>) -> &mut IndexSet {
+    if indexes.is_poisoned() {
+        *indexes = Mutex::default();
+    }
+    indexes.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Schema validation shared by [`Relation::validate`] and the one-pass
@@ -1485,6 +1500,46 @@ mod tests {
         assert_eq!(copy.index_eq_rows(0, &Value::Int(1)), vec![0, 2, 3]);
         // The original is untouched.
         assert_eq!(rel.index_eq_rows(0, &Value::Int(1)), vec![0, 2]);
+    }
+
+    #[test]
+    fn a_poisoned_index_lock_drops_the_indexes_and_answers_as_before() {
+        let poison = |rel: &Relation| {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _indexes = rel.store.indexes.lock().unwrap();
+                panic!("a probe panicked");
+            }));
+            assert!(panicked.is_err());
+            assert!(rel.store.indexes.is_poisoned());
+        };
+        let rows = |rel: &Relation| [1, 2, 3].map(|k| rel.index_eq_rows(0, &Value::Int(k)));
+        let (mut rel, mut twin) = (r(), r());
+        rel.warm_index(0, IndexKind::Hash);
+        twin.warm_index(0, IndexKind::Hash);
+        // A probe.
+        poison(&rel);
+        assert_eq!(rows(&rel), rows(&twin));
+        assert!(!rel.store.indexes.is_poisoned());
+        // An insert into unshared storage.
+        poison(&rel);
+        rel.insert(tup![3, "w"]).unwrap();
+        twin.insert(tup![3, "w"]).unwrap();
+        assert_eq!(rel.tuples(), twin.tuples());
+        assert_eq!(rows(&rel), rows(&twin));
+        // A delete.
+        poison(&rel);
+        assert_eq!(rel.delete(&[tup![1, "x"]]), twin.delete(&[tup![1, "x"]]));
+        assert_eq!(rel.tuples(), twin.tuples());
+        assert_eq!(rows(&rel), rows(&twin));
+        // A detach clones the poisoned storage.
+        poison(&rel);
+        let (mut copy, mut twin_copy) = (rel.clone(), twin.clone());
+        copy.insert(tup![2, "v"]).unwrap();
+        twin_copy.insert(tup![2, "v"]).unwrap();
+        assert_eq!(copy.tuples(), twin_copy.tuples());
+        assert_eq!(rows(&copy), rows(&twin_copy));
+        assert_eq!(rows(&rel), rows(&twin));
+        assert!(!rel.store.indexes.is_poisoned());
     }
 
     #[test]
