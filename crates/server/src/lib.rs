@@ -1,7 +1,7 @@
 //! The multi-tenant warehouse server: many independent EVE warehouses —
 //! one durable engine per tenant directory — multiplexed behind a
-//! length-prefixed binary wire protocol, a sharded worker pool, and
-//! per-tenant admission control.
+//! length-prefixed binary wire protocol, each request served on its
+//! client's own thread, and per-tenant admission control.
 //!
 //! The layers, bottom up:
 //!
@@ -26,13 +26,13 @@
 //!   only reads parses to an [`eve_system::ReadCommand`]: it is not
 //!   gated or charged, and `Shell::answer` answers it under the tenant's
 //!   read lock, as it answers a `Query` request.
-//! - [`server`] — session management and the worker topology: each
+//! - [`server`] — session management and the server's entry: each
 //!   client's own thread checks and decodes its request frame, answers
-//!   session ops against a shared session table and dispatches the rest
-//!   deterministically: statements and batches for a tenant always land
-//!   on the same shard worker (per-tenant serialized writes), and
-//!   `Query`, `Stats` and `Metrics` requests fan out to a concurrent read
-//!   pool.
+//!   session ops against a shared session table and runs the rest
+//!   against its tenant: statements and batches under the tenant's write
+//!   lock (per-tenant serialized writes), `Query`, `Stats` and `Metrics`
+//!   requests under its read lock. No thread is started and no request
+//!   crosses a channel.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 

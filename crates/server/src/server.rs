@@ -1,26 +1,23 @@
-//! Session management and the worker topology.
+//! Session management and the server's entry.
 //!
-//! A client's own thread is the server's entry. It checks the request
-//! frame's length cap and CRC where the frame lies, decodes it, and
-//! answers a session op inline against the session table, whose ids are
-//! a deterministic counter, so a fixed request order yields a fixed id
-//! assignment. Mutations are dispatched by tenant hash onto a fixed
-//! **shard**: every mutation for a tenant lands on the same
-//! single-threaded worker, which is what makes per-tenant writes
-//! serialized (and byte-identical to a serial application of the same
-//! stream) while different tenants mutate in parallel. Reads go to a
-//! separate **read pool** that takes the tenant shell's read lock, so
-//! queries against one tenant run concurrently with each other and with
-//! other tenants' writes.
+//! A client's own thread is the server and runs every request to its
+//! response. It checks the request frame's length cap and CRC where the
+//! frame lies, decodes it, and answers a session op against the session
+//! table, whose ids are a deterministic counter, so a fixed request order
+//! yields a fixed id assignment. A tenant request runs against its
+//! tenant right there: the tenant's shell lock is what orders it against
+//! other clients' requests. A mutation holds the write lock from its
+//! admission check to its charge, so one tenant's mutations apply one at
+//! a time, in the order they take the lock, and different tenants mutate
+//! in parallel. Reads take the read lock, so queries against one tenant
+//! run concurrently with each other and with other tenants' writes.
 //!
 //! A request and its response each travel as one [`crate::wire`] frame,
-//! framed and CRC-checked exactly as a socket transport would carry them;
-//! the response comes back on a channel of the call's own.
+//! framed and CRC-checked exactly as a socket transport would carry them.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 use eve_trace::{Counter, Histogram, MetricsSnapshot, Registry};
@@ -33,59 +30,19 @@ use crate::warehouse::{Admitted, Mutation, Tenant, Warehouse};
 use crate::wire::frame_payload;
 use crate::{Error, Result};
 
-/// Worker topology knobs.
+/// Nothing reads it: a request runs on its client's thread, so the server
+/// has no workers to size. It stays only because the benchmark reads
+/// `ServerConfig::default().shards` (`benchmark/src/workloads.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Mutation shards (single-threaded each; a tenant maps to exactly
-    /// one, so per-tenant mutations are serialized).
+    /// Unused; 4 by default.
     pub shards: usize,
-    /// Read-pool workers (concurrent; they only take read locks).
-    pub readers: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig {
-            shards: 4,
-            readers: 4,
-        }
+        ServerConfig { shards: 4 }
     }
-}
-
-/// What a [`Job`] runs against its tenant. The session ops are answered
-/// at the server's entry and never become one.
-enum TenantRequest {
-    Mutate(Mutation),
-    ResetBudget,
-    Query(String),
-    Stats,
-    Metrics,
-}
-
-/// A unit of dispatched work: the decoded request plus where to send the
-/// response bytes.
-struct Job {
-    session: u64,
-    tenant: Arc<Tenant>,
-    /// The session's `server.tenant.<name>.latency_us`.
-    latency: Arc<Histogram>,
-    kind: Kind,
-    request: TenantRequest,
-    /// The call's own channel and its only sender, so a worker that
-    /// drops the job unanswered hangs the call up instead of blocking it.
-    reply: Sender<Vec<u8>>,
-    /// When the server's entry took the request's frame — so the latency
-    /// the server records includes queueing behind the shard/read pool,
-    /// not just execution.
-    received: Instant,
-}
-
-/// Where tenant requests go, until shutdown takes it.
-#[derive(Debug)]
-struct Dispatch {
-    warehouse: Arc<Warehouse>,
-    shards: Vec<Sender<Job>>,
-    reads: Sender<Job>,
 }
 
 /// The session table: each open session's tenant, and how many sessions
@@ -173,18 +130,11 @@ impl Metrics {
         }
     }
 
-    /// Records one served request and sends its response: the request
-    /// counter for its kind, the kind's latency histogram, the tenant's
-    /// latency histogram (when the request resolved to a tenant) and the
-    /// error counter when the response is [`ResponseBody::Err`].
-    fn answer(
-        &self,
-        reply: &Sender<Vec<u8>>,
-        kind: Kind,
-        tenant: Option<&Histogram>,
-        received: Instant,
-        resp: &Response,
-    ) {
+    /// Records one served request: the request counter for its kind, the
+    /// kind's latency histogram, the tenant's latency histogram (when the
+    /// request resolved to a tenant) and the error counter when the
+    /// response is [`ResponseBody::Err`].
+    fn record(&self, kind: Kind, tenant: Option<&Histogram>, received: Instant, resp: &Response) {
         let us = u64::try_from(received.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.requests[kind as usize].inc();
         self.latency[kind as usize].record(us);
@@ -194,85 +144,41 @@ impl Metrics {
         if matches!(resp.body, ResponseBody::Err { .. }) {
             self.errors.inc();
         }
-        send_response(reply, resp);
     }
 }
 
 /// What a server and its clients share. A client that outlives its
-/// server keeps only this, and after shutdown it holds no warehouse and
-/// no worker sender, so it pins no tenant and keeps no worker alive.
+/// server keeps only this, and after shutdown it holds no warehouse, so
+/// it pins no tenant.
 #[derive(Debug)]
 struct Shared {
-    metrics: Arc<Metrics>,
+    metrics: Metrics,
     sessions: RwLock<Sessions>,
-    dispatch: RwLock<Option<Dispatch>>,
+    /// Taken by shutdown; every call holds it for read until its response
+    /// is built.
+    warehouse: RwLock<Option<Arc<Warehouse>>>,
 }
 
 /// The running server. Dropping it (or calling [`Server::shutdown`])
-/// joins every worker.
+/// waits for the calls in flight; later calls fail with
+/// [`Error::Shutdown`].
 #[derive(Debug)]
 pub struct Server {
     warehouse: Arc<Warehouse>,
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Starts the shard workers and read pool over `warehouse`.
-    ///
-    /// # Panics
-    ///
-    /// When the operating system refuses a thread.
+    /// Serves `warehouse` to the clients [`Server::connect`] opens. It
+    /// starts no thread; the [`ServerConfig`] is unused.
     #[must_use]
-    #[allow(
-        clippy::expect_used,
-        reason = "the signature returns no Result yet, so a refused worker spawn panics"
-    )]
-    pub fn start(warehouse: Arc<Warehouse>, config: ServerConfig) -> Server {
-        let shards = config.shards.max(1);
-        let readers = config.readers.max(1);
-        let metrics = Arc::new(Metrics::new());
-
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards + readers);
-        for i in 0..shards {
-            let (tx, rx) = channel::<Job>();
-            shard_txs.push(tx);
-            let metrics = Arc::clone(&metrics);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("eve-shard-{i}"))
-                    .spawn(move || shard_worker(&rx, &metrics))
-                    .expect("spawn shard worker"),
-            );
-        }
-        let (read_tx, read_rx) = channel::<Job>();
-        let read_rx = Arc::new(Mutex::new(read_rx));
-        for i in 0..readers {
-            let rx = Arc::clone(&read_rx);
-            let metrics = Arc::clone(&metrics);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("eve-reader-{i}"))
-                    .spawn(move || read_worker(&rx, &metrics))
-                    .expect("spawn read worker"),
-            );
-        }
-
+    pub fn start(warehouse: Arc<Warehouse>, _config: ServerConfig) -> Server {
         let shared = Arc::new(Shared {
-            metrics,
+            metrics: Metrics::new(),
             sessions: RwLock::default(),
-            dispatch: RwLock::new(Some(Dispatch {
-                warehouse: Arc::clone(&warehouse),
-                shards: shard_txs,
-                reads: read_tx,
-            })),
+            warehouse: RwLock::new(Some(Arc::clone(&warehouse))),
         });
-        Server {
-            warehouse,
-            shared,
-            workers,
-        }
+        Server { warehouse, shared }
     }
 
     /// The server's own metrics registry: per-request-type and per-tenant
@@ -303,52 +209,30 @@ impl Server {
         })
     }
 
-    /// Joins every worker once it has drained the jobs already queued;
-    /// later calls fail with [`Error::Shutdown`].
+    /// Waits for the calls in flight to answer; later calls fail with
+    /// [`Error::Shutdown`].
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        // Taking the warehouse and the worker senders out of the shared
-        // state ends every worker loop once its queue is drained, however
-        // many clients still hold that state.
+        // Every call holds the read side until its response is built, so
+        // the write side waits for them. Taking the warehouse out of the
+        // shared state unpins every tenant, however many clients still
+        // hold that state.
         drop(
             self.shared
-                .dispatch
+                .warehouse
                 .write()
                 .unwrap_or_else(PoisonError::into_inner)
                 .take(),
         );
-        for w in self.workers.drain(..) {
-            w.join().ok();
-        }
     }
 }
 
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// FNV-1a — a stable tenant→shard map with no per-process seed, so shard
-/// assignment (and therefore mutation interleaving) is reproducible.
-fn tenant_shard(name: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // The remainder is below `shards`, so it fits a usize.
-    (h % shards.max(1) as u64) as usize
-}
-
-/// Sends `resp` as one frame, built in one buffer.
-fn send_response(reply: &Sender<Vec<u8>>, resp: &Response) {
-    if let Ok(frame) = encode_response_frame(resp) {
-        // A vanished client is not a server error.
-        reply.send(frame).ok();
     }
 }
 
@@ -365,38 +249,36 @@ impl Shared {
 
     /// The server's one entry, on the calling thread. It checks `frame`'s
     /// length cap and CRC where the frame lies (the trust boundary),
-    /// decodes the request, answers a session op inline and hands a
-    /// tenant request to its shard or to the read pool. Every answer,
-    /// including a refused frame's, goes back on `reply`.
+    /// decodes the request and runs it to its response frame. Every
+    /// answer, including a refused frame's, is a response frame.
     ///
     /// # Errors
     ///
-    /// [`Error::Shutdown`] once the server has shut down.
-    fn serve(&self, frame: &[u8], reply: Sender<Vec<u8>>) -> Result<()> {
+    /// [`Error::Shutdown`] once the server has shut down; a response too
+    /// large for one frame.
+    fn serve(&self, frame: &[u8]) -> Result<Vec<u8>> {
         let received = Instant::now();
-        let dispatch = self.dispatch.read().unwrap_or_else(PoisonError::into_inner);
-        let dispatch = dispatch
+        let warehouse = self
+            .warehouse
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        let warehouse = warehouse
             .as_ref()
             .ok_or_else(|| Error::shutdown("server is stopping"))?;
         let req = match frame_payload(frame).and_then(decode_request) {
             Ok(req) => req,
             Err(e) => {
                 self.metrics.errors.inc();
-                send_response(&reply, &Response::error(0, &e));
-                return Ok(());
+                return encode_response_frame(&Response::error(0, &e));
             }
         };
         let (session, kind) = (req.session, Kind::of(&req.body));
-        let respond = |tenant: Option<&Histogram>, resp: &Response| {
-            self.metrics.answer(&reply, kind, tenant, received, resp);
-            Ok(())
-        };
         let unknown = || Response::error(session, &Error::UnknownSession { session });
-        let request = match req.body {
+        let (latency, resp) = match req.body {
             RequestBody::OpenSession { tenant } => {
                 let name = format!("server.tenant.{tenant}.latency_us");
                 let latency = self.metrics.registry.histogram(&name);
-                let resp = match dispatch.warehouse.tenant(&tenant) {
+                let resp = match warehouse.tenant(&tenant) {
                     Ok(_) => {
                         let mut sessions = self.sessions_mut();
                         sessions.opened += 1;
@@ -410,142 +292,108 @@ impl Shared {
                     }
                     Err(e) => Response::error(0, &e),
                 };
-                return respond(Some(&latency), &resp);
+                (Some(latency), resp)
             }
-            RequestBody::Attach => {
-                let sessions = self.sessions();
-                let open = sessions.tenants.get(&session);
-                let resp = match open {
-                    Some(open) => Response {
+            RequestBody::Attach => match self.sessions().tenants.get(&session) {
+                Some(open) => (
+                    Some(Arc::clone(&open.latency)),
+                    Response {
                         session,
                         body: ResponseBody::Attached {
                             tenant: open.tenant.clone(),
                         },
                     },
-                    None => unknown(),
-                };
-                return respond(open.map(|open| &*open.latency), &resp);
-            }
-            RequestBody::CloseSession => {
-                let closed = self.sessions_mut().tenants.remove(&session);
-                let resp = match closed {
-                    Some(_) => Response {
+                ),
+                None => (None, unknown()),
+            },
+            RequestBody::CloseSession => match self.sessions_mut().tenants.remove(&session) {
+                Some(closed) => (
+                    Some(closed.latency),
+                    Response {
                         session,
                         body: ResponseBody::Closed,
                     },
-                    None => unknown(),
-                };
-                return respond(closed.as_ref().map(|open| &*open.latency), &resp);
-            }
-            RequestBody::Statement { esql } => TenantRequest::Mutate(Mutation::Statement(esql)),
-            RequestBody::Apply { ops } => TenantRequest::Mutate(Mutation::Apply(ops)),
-            RequestBody::ResetBudget => TenantRequest::ResetBudget,
-            RequestBody::Query { view } => TenantRequest::Query(view),
-            RequestBody::Stats => TenantRequest::Stats,
-            RequestBody::Metrics => TenantRequest::Metrics,
-        };
-        let sessions = self.sessions();
-        let Some(Session {
-            tenant: name,
-            latency,
-        }) = sessions.tenants.get(&session)
-        else {
-            return respond(None, &unknown());
-        };
-        let tenant = match dispatch.warehouse.existing(name) {
-            Ok(tenant) => tenant,
-            Err(e) => return respond(Some(latency), &Response::error(session, &e)),
-        };
-        let target = match request {
-            TenantRequest::Query(_) | TenantRequest::Stats | TenantRequest::Metrics => {
-                &dispatch.reads
-            }
-            TenantRequest::Mutate(_) | TenantRequest::ResetBudget => {
-                &dispatch.shards[tenant_shard(name, dispatch.shards.len())]
-            }
-        };
-        // A worker that is gone drops the job, and with it the call's
-        // only reply sender: the call then answers `Error::Shutdown`.
-        target
-            .send(Job {
-                session,
-                tenant,
-                latency: Arc::clone(latency),
-                kind,
-                request,
-                reply,
-                received,
-            })
-            .ok();
-        Ok(())
-    }
-}
-
-fn execute_job(
-    tenant: &Tenant,
-    request: TenantRequest,
-    registry: &Registry,
-) -> Result<ResponseBody> {
-    Ok(match request {
-        TenantRequest::Mutate(mutation) => match tenant.execute_mutation(mutation)? {
-            Admitted::Executed(text) => ResponseBody::Output { text },
-            Admitted::Queued(position) => ResponseBody::Queued {
-                position: position as u64,
+                ),
+                None => (None, unknown()),
             },
-        },
-        TenantRequest::ResetBudget => ResponseBody::BudgetReset {
-            drained: tenant.reset_budget()? as u64,
-        },
-        TenantRequest::Query(view) => ResponseBody::Output {
-            text: tenant.query(&view)?,
-        },
-        TenantRequest::Stats => ResponseBody::Stats(tenant.stats()),
-        TenantRequest::Metrics => {
-            // Process-global families + this tenant's per-instance engine
-            // counters + the server's own request histograms, merged into
-            // one image. The read lock pins the engine while its instance
-            // registry is snapshotted.
-            let engine_snapshot = tenant.read().engine().metrics_snapshot();
-            ResponseBody::Metrics {
-                snapshot: engine_snapshot.merge(registry.snapshot()),
+            RequestBody::Statement { esql } => self.on_tenant(warehouse, session, |t| {
+                t.execute_mutation(Mutation::Statement(esql)).map(admitted)
+            }),
+            RequestBody::Apply { ops } => self.on_tenant(warehouse, session, |t| {
+                t.execute_mutation(Mutation::Apply(ops)).map(admitted)
+            }),
+            RequestBody::ResetBudget => self.on_tenant(warehouse, session, |t| {
+                Ok(ResponseBody::BudgetReset {
+                    drained: t.reset_budget()? as u64,
+                })
+            }),
+            RequestBody::Query { view } => self.on_tenant(warehouse, session, |t| {
+                Ok(ResponseBody::Output {
+                    text: t.query(&view)?,
+                })
+            }),
+            RequestBody::Stats => {
+                self.on_tenant(warehouse, session, |t| t.stats().map(ResponseBody::Stats))
             }
-        }
-    })
-}
+            RequestBody::Metrics => self.on_tenant(warehouse, session, |t| {
+                // Process-global families + this tenant's per-instance
+                // engine counters + the server's own request histograms,
+                // merged into one image. The read lock pins the engine
+                // while its instance registry is snapshotted.
+                let engine = t.read_shell()?.engine().metrics_snapshot();
+                Ok(ResponseBody::Metrics {
+                    snapshot: engine.merge(self.metrics.registry.snapshot()),
+                })
+            }),
+        };
+        self.metrics
+            .record(kind, latency.as_deref(), received, &resp);
+        encode_response_frame(&resp)
+    }
 
-fn run_and_reply(job: Job, metrics: &Metrics) {
-    let resp = match execute_job(&job.tenant, job.request, &metrics.registry) {
-        Ok(body) => Response {
-            session: job.session,
-            body,
-        },
-        Err(e) => Response::error(job.session, &e),
-    };
-    metrics.answer(
-        &job.reply,
-        job.kind,
-        Some(&job.latency),
-        job.received,
-        &resp,
-    );
-}
-
-fn shard_worker(rx: &Receiver<Job>, metrics: &Metrics) {
-    while let Ok(job) = rx.recv() {
-        run_and_reply(job, metrics);
+    /// Runs `run` against `session`'s tenant and answers with the
+    /// session's latency histogram. A panic inside `run` is answered as an
+    /// `Err`, so the client's thread never unwinds; one under the tenant's
+    /// write lock poisons that tenant, which then refuses every request
+    /// ([`Error::Poisoned`]) while other tenants answer as before.
+    fn on_tenant(
+        &self,
+        warehouse: &Warehouse,
+        session: u64,
+        run: impl FnOnce(&Tenant) -> Result<ResponseBody>,
+    ) -> (Option<Arc<Histogram>>, Response) {
+        // The session table is not held while the request runs, so a long
+        // request does not hold up sessions opening and closing.
+        let (tenant, latency) = {
+            let sessions = self.sessions();
+            let Some(open) = sessions.tenants.get(&session) else {
+                let unknown = Error::UnknownSession { session };
+                return (None, Response::error(session, &unknown));
+            };
+            (warehouse.existing(&open.tenant), Arc::clone(&open.latency))
+        };
+        let body = tenant.and_then(|tenant| {
+            catch_unwind(AssertUnwindSafe(|| run(&tenant))).unwrap_or_else(|_| {
+                Err(Error::Engine {
+                    detail: format!("tenant `{}`: the request panicked", tenant.name()),
+                })
+            })
+        });
+        let resp = match body {
+            Ok(body) => Response { session, body },
+            Err(e) => Response::error(session, &e),
+        };
+        (Some(latency), resp)
     }
 }
 
-fn read_worker(rx: &Arc<Mutex<Receiver<Job>>>, metrics: &Metrics) {
-    loop {
-        let job = {
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        match job {
-            Ok(job) => run_and_reply(job, metrics),
-            Err(_) => break,
-        }
+/// A mutation's answer: its output, or where it was parked.
+fn admitted(admitted: Admitted) -> ResponseBody {
+    match admitted {
+        Admitted::Executed(text) => ResponseBody::Output { text },
+        Admitted::Queued(position) => ResponseBody::Queued {
+            position: position as u64,
+        },
     }
 }
 
@@ -570,12 +418,8 @@ impl Client {
     ///
     /// Wire errors, [`Error::Shutdown`] when the server stopped.
     pub fn call(&mut self, req: &Request) -> Result<Response> {
-        let (reply_tx, reply_rx) = channel::<Vec<u8>>();
-        self.server.serve(&encode_request_frame(req)?, reply_tx)?;
+        let frame = self.server.serve(&encode_request_frame(req)?)?;
         // The response is one frame: check it and decode where it lies.
-        let frame = reply_rx
-            .recv()
-            .map_err(|_| Error::shutdown("server stopped before responding"))?;
         decode_response(frame_payload(&frame)?)
     }
 
@@ -666,9 +510,8 @@ mod tests {
             (&garbage[..], "protocol error"),
         ] {
             let before = errors.get();
-            let (tx, rx) = channel();
-            server.shared.serve(frame, tx).unwrap();
-            let resp = decode_response(frame_payload(&rx.recv().unwrap()).unwrap()).unwrap();
+            let resp = server.shared.serve(frame).unwrap();
+            let resp = decode_response(frame_payload(&resp).unwrap()).unwrap();
             assert_eq!(resp.session, 0);
             match resp.body {
                 ResponseBody::Err { code, detail } => {
@@ -684,13 +527,31 @@ mod tests {
     }
 
     #[test]
-    fn tenant_shard_is_stable_and_in_range() {
-        for shards in [1usize, 2, 7, 16] {
-            for name in ["alpha", "beta", "tenant-00", "tenant-63"] {
-                let s = tenant_shard(name, shards);
-                assert!(s < shards);
-                assert_eq!(s, tenant_shard(name, shards), "stable");
+    fn a_panic_in_a_request_is_answered_and_the_tenant_serves_on() {
+        let root = std::env::temp_dir().join(format!("eve-server-panic-{}", std::process::id()));
+        let server = Server::start(
+            Arc::new(Warehouse::open(&root).unwrap()),
+            ServerConfig::default(),
+        );
+        let mut client = server.connect().unwrap();
+        let session = client.open_session("fragile").unwrap();
+        let shared = &server.shared;
+        let warehouse = server.warehouse();
+        let (latency, resp) = shared.on_tenant(warehouse, session, |_| panic!("a request fails"));
+        assert!(latency.is_some());
+        match resp.body {
+            ResponseBody::Err { code, detail } => {
+                assert_eq!(code, ErrorCode::Engine);
+                assert!(detail.contains("panicked"), "{detail}");
             }
+            other => panic!("{other:?}"),
         }
+        // No write lock was held, so the tenant is not poisoned.
+        match client.request(RequestBody::Stats).unwrap() {
+            ResponseBody::Stats(_) => {}
+            other => panic!("{other:?}"),
+        }
+        server.shutdown();
+        std::fs::remove_dir_all(&root).ok();
     }
 }

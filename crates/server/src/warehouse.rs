@@ -9,11 +9,11 @@
 //! admission.
 //!
 //! A [`Command::Read`] is answered by [`Shell::answer`] under the
-//! tenant's read lock, beside the read pool's `Query` readers (a `Query`
+//! tenant's read lock, beside the clients' `Query` requests (a `Query`
 //! request is that same command). It is never gated and is charged
 //! nothing, so budget exhaustion degrades a tenant to read-only, it does
-//! not black-hole it. Every other command takes one path: admit,
-//! [`Shell::run`] under the write lock, charge. Admission meters what
+//! not black-hole it. Every other command takes one path under the
+//! write lock: admit, [`Shell::run`], charge. Admission meters what
 //! `run` reports: the rewrite-search candidates the command generated
 //! and the engine's I/O blocks. Once a tenant's budget is spent its
 //! policy decides whether further mutations are rejected outright or
@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use eve_relational::ExecOptions;
 use eve_sync::EvolutionOp;
@@ -78,7 +78,8 @@ pub struct TenantStats {
     pub io_budget: u64,
     /// Mutations waiting in the deferred queue.
     pub queued: u64,
-    /// Intra-query worker threads this tenant's reader pool may use.
+    /// Intra-query worker threads (the morsel pool) a query of this
+    /// tenant may use.
     pub exec_parallelism: u64,
 }
 
@@ -110,10 +111,15 @@ struct AdmissionState {
 
 /// One tenant: a shell over a durable engine, plus admission state.
 ///
-/// The shell lives under an `RwLock`. Mutations take the write lock (and
-/// are additionally serialized by the server's shard routing). Reads — a
-/// `Query` request or a statement that parses to a [`ReadCommand`] — take
-/// the read lock, by type, and run concurrently.
+/// The shell lives under an `RwLock`. A mutation takes the write lock
+/// before its admission check and holds it until it is charged, so the
+/// check, the run and the charge are one critical section: two clients
+/// cannot both spend the last unit of budget. Reads — a `Query` request
+/// or a statement that parses to a [`ReadCommand`] — take the read lock,
+/// by type, and run concurrently. Locks are taken shell first, then
+/// `state`. A panic under the write lock poisons the tenant: the shell
+/// may be half-applied, so every request is refused with
+/// [`Error::Poisoned`] until the warehouse is reopened from the store.
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
@@ -130,13 +136,37 @@ impl Tenant {
         &self.name
     }
 
-    /// Read access to the tenant's shell (concurrent with other readers).
+    /// Read access to the tenant's shell (concurrent with other readers),
+    /// for observers such as [`Tenant::fingerprint`]. It does not check
+    /// for poison: it hands out the shell even after a request panicked
+    /// while writing it. A request's reads refuse a poisoned shell with
+    /// [`Error::Poisoned`] instead.
+    pub fn read(&self) -> RwLockReadGuard<'_, Shell> {
+        self.shell.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Read access to the shell for a request.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// When a writer panicked while holding the lock.
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, Shell> {
-        self.shell.read().unwrap_or_else(|e| e.into_inner())
+    /// [`Error::Poisoned`] once a request panicked while holding the
+    /// write lock.
+    pub(crate) fn read_shell(&self) -> Result<RwLockReadGuard<'_, Shell>> {
+        self.shell.read().map_err(|_| self.poisoned())
+    }
+
+    fn write_shell(&self) -> Result<RwLockWriteGuard<'_, Shell>> {
+        self.shell.write().map_err(|_| self.poisoned())
+    }
+
+    fn poisoned(&self) -> Error {
+        Error::Poisoned {
+            detail: format!(
+                "tenant `{}` is poisoned: a request panicked while writing it; \
+                 reopen the warehouse to recover it from its store",
+                self.name
+            ),
+        }
     }
 
     /// The canonical byte fingerprint of the tenant's engine state —
@@ -147,27 +177,32 @@ impl Tenant {
     }
 
     /// Current admission counters.
-    #[must_use]
-    pub fn stats(&self) -> TenantStats {
-        let parallelism = self.read().engine().exec_options.parallelism;
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Poisoned`].
+    pub fn stats(&self) -> Result<TenantStats> {
+        let parallelism = self.read_shell()?.engine().exec_options.parallelism;
         let st = lock(&self.state);
-        TenantStats {
+        Ok(TenantStats {
             candidates_used: st.candidates_used,
             io_used: st.io_used,
             candidate_budget: self.budget.candidates,
             io_budget: self.budget.io,
             queued: st.deferred.len() as u64,
             exec_parallelism: parallelism as u64,
-        }
+        })
     }
 
     /// A view's extent, answered as the statement `query <view>` is.
     ///
     /// # Errors
     ///
-    /// Unknown view.
+    /// Unknown view; [`Error::Poisoned`].
     pub fn query(&self, view: &str) -> Result<String> {
-        Ok(self.read().answer(&ReadCommand::Query(view.to_owned()))?)
+        Ok(self
+            .read_shell()?
+            .answer(&ReadCommand::Query(view.to_owned()))?)
     }
 
     fn over_budget(&self, st: &AdmissionState) -> Option<String> {
@@ -189,23 +224,24 @@ impl Tenant {
     /// Runs one mutation through admission control. A statement is parsed
     /// first, with no lock held: a malformed one is refused before
     /// admission, and a [`Command::Read`] is answered at once under the
-    /// read lock, ungated and uncharged. Any other command executes when
-    /// the budget allows, otherwise is rejected or queued per the tenant's
-    /// policy.
+    /// read lock, ungated and uncharged. Any other command takes the write
+    /// lock, then executes when the budget allows, otherwise is rejected
+    /// or queued per the tenant's policy.
     ///
     /// # Errors
     ///
-    /// A statement's parse error; [`Error::BudgetExceeded`] /
-    /// [`Error::QueueFull`] from admission; any engine/store failure from
-    /// execution.
+    /// A statement's parse error; [`Error::Poisoned`];
+    /// [`Error::BudgetExceeded`] / [`Error::QueueFull`] from admission;
+    /// any engine/store failure from execution.
     pub fn execute_mutation(&self, mutation: Mutation) -> Result<Admitted> {
         let command = match mutation {
             Mutation::Statement(line) => Shell::parse(&line)?,
             Mutation::Apply(ops) => Command::Apply(ops),
         };
         if let Command::Read(read) = &command {
-            return Ok(Admitted::Executed(self.read().answer(read)?));
+            return Ok(Admitted::Executed(self.read_shell()?.answer(read)?));
         }
+        let mut shell = self.write_shell()?;
         let mut st = lock(&self.state);
         if let Some(detail) = self.over_budget(&st) {
             let tenant = self.name.clone();
@@ -220,21 +256,19 @@ impl Tenant {
             return Ok(Admitted::Queued(st.deferred.len() - 1));
         }
         drop(st);
-        Ok(Admitted::Executed(self.run_now(command)?))
+        Ok(Admitted::Executed(self.run_now(&mut shell, command)?))
     }
 
-    /// Runs an admitted command under the write lock and charges what it
-    /// cost: the candidates [`Shell::run`] reports and the engine's
+    /// Runs an admitted command on the write-locked `shell` and charges
+    /// what it cost: the candidates [`Shell::run`] reports and the engine's
     /// measured I/O, at least one unit — its log append — so a stream of
     /// tiny mutations cannot run forever on a finite budget. Statements and
     /// `Apply` batches take this one path, so a `change` statement spends
     /// the budget exactly like the same change sent as `Apply`.
-    fn run_now(&self, command: Command) -> Result<String> {
-        let mut shell = self.shell.write().unwrap_or_else(|e| e.into_inner());
+    fn run_now(&self, shell: &mut Shell, command: Command) -> Result<String> {
         let io_before = shell.engine().total_io();
         let (output, candidates) = shell.run(command)?;
         let io = shell.engine().total_io().saturating_sub(io_before);
-        drop(shell);
         let mut st = lock(&self.state);
         st.candidates_used = st.candidates_used.saturating_add(candidates);
         st.io_used = st.io_used.saturating_add(io.max(1));
@@ -243,14 +277,18 @@ impl Tenant {
 
     /// Zeroes the budget counters and drains the deferred queue, applying
     /// each parked mutation in arrival order (their cost accrues against
-    /// the fresh budget). Returns how many were drained.
+    /// the fresh budget). Returns how many were drained. The write lock is
+    /// held across the whole drain, so no new mutation overtakes the
+    /// parked ones.
     ///
     /// # Errors
     ///
-    /// The first engine/store failure while draining. The failing
-    /// mutation is dropped — retrying it would fail identically — and
-    /// everything behind it stays queued for the next reset.
+    /// [`Error::Poisoned`]; the first engine/store failure while
+    /// draining. The failing mutation is dropped — retrying it would fail
+    /// identically — and everything behind it stays queued for the next
+    /// reset.
     pub(crate) fn reset_budget(&self) -> Result<usize> {
+        let mut shell = self.write_shell()?;
         let mut pending = {
             let mut st = lock(&self.state);
             st.candidates_used = 0;
@@ -259,13 +297,11 @@ impl Tenant {
         };
         let mut drained = 0usize;
         while let Some(command) = pending.pop_front() {
-            if let Err(e) = self.run_now(command) {
-                // Put the unprocessed tail back, ahead of anything queued
-                // since (the failed command is consumed — retrying it
-                // would fail identically).
-                let mut st = lock(&self.state);
-                pending.append(&mut st.deferred);
-                st.deferred = pending;
+            if let Err(e) = self.run_now(&mut shell, command) {
+                // Put the unprocessed tail back (the failed command is
+                // consumed). Queueing takes the write lock, which the
+                // drain holds, so nothing was queued since.
+                lock(&self.state).deferred = pending;
                 return Err(e);
             }
             drained += 1;
@@ -375,7 +411,7 @@ impl Warehouse {
 
     /// Gets or creates the tenant `name` with an explicit budget, policy
     /// and intra-query execution options (existing tenants keep their
-    /// configuration). Parallelism is a reader-pool tuning knob only:
+    /// configuration). Parallelism is a query tuning knob only:
     /// admission control still charges the same QC candidates and I/O
     /// blocks whether a query runs serial or morsel-parallel, and the
     /// engine fingerprint is byte-identical either way.
@@ -475,11 +511,11 @@ mod tests {
                 t.execute_mutation(Mutation::Statement(line.into()))
                     .unwrap();
             }
-            (t.stats(), t.query("V").unwrap(), t.fingerprint())
+            (t.stats().unwrap(), t.query("V").unwrap(), t.fingerprint())
         };
         let (serial, serial_out, serial_fp) = run("serial", ExecOptions::serial());
         let (par, par_out, par_fp) = run("parallel", ExecOptions::with_parallelism(4));
-        // Parallelism is a reader-pool knob: admission charges the same
+        // Parallelism is a query knob: admission charges the same
         // I/O and candidates, and the engine state is byte-identical.
         assert_eq!(serial.io_used, par.io_used);
         assert_eq!(serial.candidates_used, par.candidates_used);
@@ -525,7 +561,7 @@ mod tests {
             t.execute_mutation(Mutation::Statement(line.into()))
                 .unwrap();
         }
-        assert!(t.stats().io_used >= 5);
+        assert!(t.stats().unwrap().io_used >= 5);
         let err = t
             .execute_mutation(Mutation::Statement("update R insert (3, 'c')".into()))
             .unwrap_err();
@@ -570,14 +606,18 @@ mod tests {
                 t.execute_mutation(Mutation::Statement(line.into()))
                     .unwrap();
             }
-            assert_eq!(t.stats().candidates_used, 0, "set-up searches nothing");
+            assert_eq!(
+                t.stats().unwrap().candidates_used,
+                0,
+                "set-up searches nothing"
+            );
             t
         };
         // The same two changes in each request kind: the first runs and
         // spends the budget, the second is refused until the reset.
         let spend = |t: &Tenant, first: Mutation, second: [Mutation; 2]| {
             t.execute_mutation(first).unwrap();
-            let spent = t.stats().candidates_used;
+            let spent = t.stats().unwrap().candidates_used;
             assert!(spent >= 1, "the rewrite search was charged: {spent}");
             let [refused, readmitted] = second;
             let err = t.execute_mutation(refused).unwrap_err();
@@ -585,7 +625,7 @@ mod tests {
             assert!(t.query("V").unwrap().contains('1'), "reads still answer");
             assert_eq!(t.reset_budget().unwrap(), 0);
             t.execute_mutation(readmitted).unwrap();
-            spent + t.stats().candidates_used
+            spent + t.stats().unwrap().candidates_used
         };
         let statement = |rel: &str| Mutation::Statement(format!("change delete-relation {rel}"));
         let apply = |rel: &str| {
@@ -628,7 +668,11 @@ mod tests {
             t.execute_mutation(Mutation::Statement(line.into()))
                 .unwrap();
         }
-        assert!(t.stats().io_used >= 5, "budget spent: {:?}", t.stats());
+        assert!(
+            t.stats().unwrap().io_used >= 5,
+            "budget spent: {:?}",
+            t.stats().unwrap()
+        );
         // Over budget: mutations queue in order, up to max_queue.
         let a = t
             .execute_mutation(Mutation::Statement("update R insert (3)".into()))
@@ -645,12 +689,12 @@ mod tests {
             matches!(err, Error::QueueFull { capacity: 2, .. }),
             "{err:?}"
         );
-        assert_eq!(t.stats().queued, 2);
+        assert_eq!(t.stats().unwrap().queued, 2);
         // The queued mutations did NOT touch the engine yet.
         assert!(!t.query("V").unwrap().contains('3'));
         // Reset drains the queue in arrival order.
         assert_eq!(t.reset_budget().unwrap(), 2);
-        assert_eq!(t.stats().queued, 0);
+        assert_eq!(t.stats().unwrap().queued, 0);
         let v = t.query("V").unwrap();
         assert!(v.contains('3') && v.contains('4'), "{v}");
         assert!(!v.contains('5'), "rejected mutation must not re-appear");
@@ -682,10 +726,14 @@ mod tests {
         }
         let hosts = |name: &str| t.read().engine().mkb().has_relation(name);
         assert!(t.reset_budget().is_err());
-        assert_eq!(t.stats().queued, 1, "only the mutation behind the failure");
+        assert_eq!(
+            t.stats().unwrap().queued,
+            1,
+            "only the mutation behind the failure"
+        );
         assert!(hosts("R") && !hosts("S"), "the first mutation applied");
         assert_eq!(t.reset_budget().unwrap(), 1);
-        assert_eq!(t.stats().queued, 0);
+        assert_eq!(t.stats().unwrap().queued, 0);
         assert!(hosts("S"));
         std::fs::remove_dir_all(&root).ok();
     }
@@ -712,7 +760,7 @@ mod tests {
                 t.execute_mutation(Mutation::Statement(line.into()))
                     .unwrap();
             }
-            let spent = t.stats();
+            let spent = t.stats().unwrap();
             assert!(spent.io_used >= budget.io, "over budget: {spent:?}");
             let generation = t.read().engine().mkb().generation();
             for line in [
@@ -739,7 +787,11 @@ mod tests {
                     assert_eq!(text, t.query("V").unwrap());
                 }
             }
-            assert_eq!(t.stats(), spent, "{policy:?}: reads are charged nothing");
+            assert_eq!(
+                t.stats().unwrap(),
+                spent,
+                "{policy:?}: reads are charged nothing"
+            );
             // A mutation is still gated.
             let gated = t.execute_mutation(Mutation::Statement("update R insert (2)".into()));
             assert!(
@@ -816,18 +868,86 @@ mod tests {
             .unwrap();
         t.execute_mutation(Mutation::Statement("site 1 s1".into()))
             .unwrap();
-        let spent = t.stats();
+        let spent = t.stats().unwrap();
         let err = t
             .execute_mutation(Mutation::Statement("site one two".into()))
             .unwrap_err();
         assert!(err.to_string().contains("usage: site <id> <name>"), "{err}");
-        assert_eq!(t.stats(), spent, "nothing queued, nothing charged");
+        assert_eq!(t.stats().unwrap(), spent, "nothing queued, nothing charged");
         // The queue is still empty: the next mutation takes its head.
         let next = t
             .execute_mutation(Mutation::Statement("site 2 s2".into()))
             .unwrap();
         assert!(matches!(next, Admitted::Queued(0)), "{next:?}");
         assert_eq!(t.reset_budget().unwrap(), 1);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_panic_under_the_write_lock_fails_its_tenant_closed() {
+        use crate::protocol::{ErrorCode, RequestBody, ResponseBody};
+        use crate::server::{Server, ServerConfig};
+        let root = scratch("poison");
+        let server = Server::start(
+            Arc::new(Warehouse::open(&root).unwrap()),
+            ServerConfig::default(),
+        );
+        let [mut broken, mut healthy] = ["broken", "healthy"].map(|name| {
+            let mut c = server.connect().unwrap();
+            c.open_session(name).unwrap();
+            for line in [
+                "site 1 s1",
+                "relation R @1 (K:int)",
+                "insert R (1)",
+                "view CREATE VIEW V (VE = '~') AS SELECT R.K FROM R (RR = true)",
+            ] {
+                let answer = c.request(RequestBody::Statement { esql: line.into() });
+                assert!(
+                    matches!(answer, Ok(ResponseBody::Output { .. })),
+                    "{answer:?}"
+                );
+            }
+            c
+        });
+        let tenant = server.warehouse().existing("broken").unwrap();
+        let panicked = std::thread::spawn(move || {
+            let _shell = tenant.shell.write().unwrap();
+            panic!("a write stops half-applied");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let every_kind = || {
+            [
+                RequestBody::Statement {
+                    esql: "update R insert (2)".into(),
+                },
+                RequestBody::Apply {
+                    ops: vec![EvolutionOp::insert("R", vec![eve_relational::tup![3]])],
+                },
+                RequestBody::ResetBudget,
+                RequestBody::Query { view: "V".into() },
+                RequestBody::Stats,
+                RequestBody::Metrics,
+                RequestBody::Statement {
+                    esql: "query V".into(),
+                },
+            ]
+        };
+        // Each kind, refused by the poisoned tenant and answered by the
+        // other one on the same server.
+        for (body, same) in every_kind().into_iter().zip(every_kind()) {
+            let what = format!("{body:?}");
+            match broken.request(body).unwrap() {
+                ResponseBody::Err { code, .. } => assert_eq!(code, ErrorCode::Poisoned, "{what}"),
+                other => panic!("{what}: {other:?}"),
+            }
+            let answer = healthy.request(same).unwrap();
+            assert!(
+                !matches!(answer, ResponseBody::Err { .. }),
+                "{what}: {answer:?}"
+            );
+        }
+        server.shutdown();
         std::fs::remove_dir_all(&root).ok();
     }
 

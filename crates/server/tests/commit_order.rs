@@ -270,10 +270,7 @@ fn check_seeds(run: &str, seeds: u64) {
     std::fs::remove_dir_all(&root).ok();
     let server = Server::start(
         Arc::new(Warehouse::open(&root).unwrap()),
-        ServerConfig {
-            shards: 1,
-            readers: 2,
-        },
+        ServerConfig::default(),
     );
     for seed in 0..seeds {
         let (setup, writes) = script(seed);

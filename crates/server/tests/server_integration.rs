@@ -142,8 +142,8 @@ fn a_client_that_outlives_its_server_pins_no_tenant() {
         ResponseBody::Output { .. } => {}
         other => panic!("{other:?}"),
     }
-    // Shutdown must end the workers although `c` still lives; a hang
-    // fails the test instead of stalling it.
+    // Shutdown must finish although `c` still lives; a hang fails the
+    // test instead of stalling it.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         server.shutdown();
@@ -172,10 +172,7 @@ fn tenants_mutate_in_isolation_and_match_a_serial_oracle() {
     let oracle_root = scratch("isolation-oracle");
     let server = Server::start(
         Arc::new(Warehouse::open(&root).unwrap()),
-        ServerConfig {
-            shards: 3,
-            readers: 2,
-        },
+        ServerConfig::default(),
     );
 
     // Interleave two tenants' writers through the same server.
@@ -318,6 +315,106 @@ fn admission_control_rejects_and_queues_over_the_wire() {
     }
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// Clients of one tenant, released together, each sending one `update`
+/// when one unit of I/O budget is left: admission, run and charge are one
+/// critical section, so exactly one runs.
+#[test]
+fn clients_of_one_tenant_race_for_the_last_budget_unit() {
+    const CLIENTS: usize = 8;
+    let root = scratch("race");
+    let oracle_root = scratch("race-oracle");
+    let warehouse = Arc::new(Warehouse::open(&root).unwrap());
+    let budget = TenantBudget {
+        io: 1,
+        ..TenantBudget::default()
+    };
+    let policies = [
+        ("race-reject", AdmissionPolicy::Reject),
+        ("race-queue", AdmissionPolicy::Queue),
+    ];
+    for (name, policy) in policies {
+        warehouse.tenant_with(name, budget, policy).unwrap();
+    }
+    let server = Server::start(warehouse, ServerConfig::default());
+    let setup = ["site 1 s1", "relation R @1 (K:int)"].map(str::to_owned);
+    let line = |i: usize| format!("update R insert ({i})");
+    for (name, policy) in policies {
+        let mut clients: Vec<Client> = (0..CLIENTS)
+            .map(|_| {
+                let mut c = server.connect().unwrap();
+                c.open_session(name).unwrap();
+                c
+            })
+            .collect();
+        // Each set-up statement spends the whole budget; the reset after
+        // the last one leaves exactly one unit.
+        for esql in &setup {
+            let answer = clients[0].request(RequestBody::Statement { esql: esql.clone() });
+            assert!(
+                matches!(answer, Ok(ResponseBody::Output { .. })),
+                "{answer:?}"
+            );
+            let reset = clients[0].request(RequestBody::ResetBudget);
+            assert!(matches!(
+                reset,
+                Ok(ResponseBody::BudgetReset { drained: 0 })
+            ));
+        }
+        let start = std::sync::Barrier::new(CLIENTS);
+        let answers: Vec<ResponseBody> = std::thread::scope(|scope| {
+            let racers: Vec<_> = clients
+                .iter_mut()
+                .enumerate()
+                .map(|(i, c)| {
+                    let (start, esql) = (&start, line(i));
+                    scope.spawn(move || {
+                        start.wait();
+                        c.request(RequestBody::Statement { esql }).unwrap()
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let ran: Vec<usize> = (0..CLIENTS)
+            .filter(|&i| matches!(answers[i], ResponseBody::Output { .. }))
+            .collect();
+        assert_eq!(ran.len(), 1, "{policy:?}: {answers:?}");
+        if policy == AdmissionPolicy::Reject {
+            let refused = answers.iter().filter(|a| {
+                matches!(a, ResponseBody::Err { code, .. } if *code == ErrorCode::BudgetExceeded)
+            });
+            assert_eq!(refused.count(), CLIENTS - 1, "{answers:?}");
+            continue;
+        }
+        // The others were parked, each at its own place in the queue.
+        let mut parked = vec![None; CLIENTS - 1];
+        for (i, answer) in answers.iter().enumerate() {
+            if let ResponseBody::Queued { position } = answer {
+                let at = usize::try_from(*position).unwrap();
+                assert!(parked[at].replace(i).is_none(), "{answers:?}");
+            }
+        }
+        match clients[0].request(RequestBody::ResetBudget).unwrap() {
+            ResponseBody::BudgetReset { drained } => assert_eq!(drained, (CLIENTS - 1) as u64),
+            other => panic!("{other:?}"),
+        }
+        // The drain applied them in the order they were parked: the
+        // tenant equals a serial application in that order, and not in
+        // the reverse one.
+        let mut script = setup.to_vec();
+        script.push(line(ran[0]));
+        let queued: Vec<String> = parked.into_iter().map(|i| line(i.unwrap())).collect();
+        let fingerprint = server.warehouse().existing(name).unwrap().fingerprint();
+        let in_order = [&script[..], &queued].concat();
+        let reversed = [&script[..], &queued.into_iter().rev().collect::<Vec<_>>()].concat();
+        assert!(fingerprint == serial_oracle(&oracle_root, "in-order", &in_order));
+        assert!(fingerprint != serial_oracle(&oracle_root, "reversed", &reversed));
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&oracle_root).ok();
 }
 
 #[test]

@@ -182,7 +182,7 @@ proptest! {
         std::fs::remove_dir_all(&root).ok();
         let server = Server::start(
             Arc::new(Warehouse::open(&root).unwrap()),
-            ServerConfig { shards: 1, readers: 1 },
+            ServerConfig::default(),
         );
         let mut client = server.connect().unwrap();
         client.open_session("fuzz").unwrap();
