@@ -1,4 +1,10 @@
 //! Named, typed, in-memory relations over shared tuple storage.
+//!
+//! A relation's storage keeps its distinct rows rendered as text, patched
+//! per written tuple, so a view's answer is a copy of kept text:
+//! [`Relation::distinct_to_string`] copies it into a new `String`, and
+//! [`Relation::write_distinct`] appends it to a caller's buffer, such as
+//! the response frame that carries it, through the same lookup.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
@@ -267,16 +273,44 @@ impl Rendered {
         rendered
     }
 
-    /// The answer of `relation`: its header line, then the kept lines.
-    fn answer(&self, relation: &Relation) -> String {
-        let mut out = String::new();
-        // Writing into a `String` cannot fail.
-        let _ = write_header(&mut out, relation, self.rows);
+    /// Writes the answer of `relation` after what `out` holds: its header
+    /// line, then the kept lines.
+    fn write(&self, relation: &Relation, out: &mut impl Sink) {
+        // Writing into memory cannot fail.
+        let _ = write_header(out, relation, self.rows);
         out.reserve_exact(self.bytes);
         for chunk in &self.chunks {
-            out.push_str(&chunk.text);
+            let _ = out.write_str(&chunk.text);
         }
-        out
+    }
+}
+
+/// Where an answer is written: a `String`, or the bytes of the frame
+/// that carries it ([`Bytes`]). The header goes first, so the text is
+/// reserved once it is known how much room the header took.
+trait Sink: fmt::Write {
+    fn reserve_exact(&mut self, additional: usize);
+}
+
+impl Sink for String {
+    fn reserve_exact(&mut self, additional: usize) {
+        String::reserve_exact(self, additional);
+    }
+}
+
+/// A byte buffer that UTF-8 text is appended to, as a [`Sink`].
+struct Bytes<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Bytes<'_> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.0.extend_from_slice(text.as_bytes());
+        Ok(())
+    }
+}
+
+impl Sink for Bytes<'_> {
+    fn reserve_exact(&mut self, additional: usize) {
+        self.0.reserve_exact(additional);
     }
 }
 
@@ -842,11 +876,29 @@ impl Relation {
     /// (a fold panicked) drops the text and renders afresh.
     #[must_use]
     pub fn distinct_to_string(&self) -> String {
+        let mut out = String::new();
+        self.write_kept(&mut out);
+        out
+    }
+
+    /// Appends [`Relation::distinct_to_string`]'s text to `out` as UTF-8
+    /// bytes, copying the kept text once, straight into `out` (a response
+    /// frame, say). It finds, patches or renders the text as that call
+    /// does and moves the same counters.
+    pub fn write_distinct(&self, out: &mut Vec<u8>) {
+        self.write_kept(&mut Bytes(out));
+    }
+
+    /// The one lookup behind [`Relation::distinct_to_string`] and
+    /// [`Relation::write_distinct`]: finds the kept text (folding or
+    /// rendering it first when it must) and writes the answer into `out`
+    /// under the render lock.
+    fn write_kept(&self, out: &mut impl Sink) {
         let counters = crate::index::mirrors();
         if let Ok(kept) = self.store.rendered.read() {
             if let Some(text) = kept.as_ref().filter(|text| text.pending.is_empty()) {
                 counters.render_cache_hits.inc();
-                return text.answer(self);
+                return text.write(self, out);
             }
         }
         let mut kept = self.store.rendered.write().unwrap_or_else(|poisoned| {
@@ -872,7 +924,7 @@ impl Relation {
                 kept.insert(text)
             }
         };
-        text.answer(self)
+        text.write(self, out);
     }
 
     /// Whether the relation contains a tuple equal to `t`.
@@ -1199,6 +1251,29 @@ mod tests {
         .unwrap();
         for rel in [ints, empty, r(), mixed, no_columns] {
             assert_eq!(rel.distinct_to_string(), rel.distinct().to_string());
+        }
+    }
+
+    #[test]
+    fn write_distinct_appends_the_answer_behind_what_the_buffer_holds() {
+        let mut rel = Relation::with_tuples(
+            "R",
+            Schema::of(&[("A", DataType::Int), ("B", DataType::Text)]).unwrap(),
+            (0..600).map(|i| tup![i % 300, "é, ''x''"]).collect(),
+        )
+        .unwrap();
+        // Rendered by the first call, a hit on the second, patched on the
+        // third.
+        for step in 0..3 {
+            if step == 2 {
+                rel.insert(tup![7, "new"]).unwrap();
+            }
+            let mut out = b"prefix".to_vec();
+            rel.write_distinct(&mut out);
+            let want = rel.distinct().to_string();
+            assert_eq!(&out[..6], b"prefix");
+            assert_eq!(std::str::from_utf8(&out[6..]).unwrap(), want);
+            assert_eq!(rel.distinct_to_string(), want);
         }
     }
 

@@ -4,13 +4,30 @@
 //! to the server and an evolution op landing in a `seg-*.evl` segment
 //! share one encoding discipline (and one corruption story: every decode
 //! failure is a typed error, never a panic).
+//!
+//! An `Output` response — a view's answer, most of the bytes the server
+//! sends — is written in place at both ends. The server reserves the
+//! frame header and the `Output` prefix and writes the text behind them
+//! ([`OutputFrame`]), so a `Query` answer is copied from the relation's
+//! kept text into its frame once. The client takes the frame's buffer
+//! as the text: [`decode_response_frame`] removes the prefix in place
+//! and checks the text's UTF-8, allocating nothing. The bytes on the
+//! wire are those of `encode_frame(&encode_response(..))`.
 
+use eve_store::codec::utf8_string;
 use eve_store::{from_bytes, to_bytes, vec_decode, vec_encode, Codec, Dec, Enc};
 use eve_sync::EvolutionOp;
 
 use crate::warehouse::TenantStats;
-use crate::wire::{seal_frame, FRAME_HEADER};
+use crate::wire::{frame_payload, seal_frame, FRAME_HEADER};
 use crate::{Error, Result};
+
+/// The body tag of [`ResponseBody::Output`].
+const OUTPUT_TAG: u8 = 3;
+
+/// Bytes of an `Output` payload before its text: the session id, the
+/// body tag and the text's length prefix.
+const OUTPUT_PREFIX: usize = 8 + 1 + 8;
 
 /// One client request: the session it belongs to plus the operation.
 /// Session 0 is the "no session yet" id used by
@@ -291,7 +308,7 @@ impl Codec for ResponseBody {
             }
             ResponseBody::Closed => enc.u8(2),
             ResponseBody::Output { text } => {
-                enc.u8(3);
+                enc.u8(OUTPUT_TAG);
                 enc.str(text);
             }
             ResponseBody::Queued { position } => {
@@ -330,7 +347,7 @@ impl Codec for ResponseBody {
             },
             1 => ResponseBody::Attached { tenant: dec.str()? },
             2 => ResponseBody::Closed,
-            3 => ResponseBody::Output { text: dec.str()? },
+            OUTPUT_TAG => ResponseBody::Output { text: dec.str()? },
             4 => ResponseBody::Queued {
                 position: dec.u64()?,
             },
@@ -462,17 +479,62 @@ pub(crate) fn encode_request_frame(req: &Request) -> Result<Vec<u8>> {
 }
 
 /// Encodes a response as a whole wire frame, in one buffer. The bytes
-/// equal `encode_frame(&encode_response(resp))`.
+/// equal `encode_frame(&encode_response(resp))`. An `Output` is written
+/// by the [`OutputFrame`] a `Query` answer is written with.
 ///
 /// # Errors
 ///
 /// [`Error::Frame`] when the payload exceeds the frame cap.
 pub(crate) fn encode_response_frame(resp: &Response) -> Result<Vec<u8>> {
-    let text = match &resp.body {
-        ResponseBody::Output { text } => text.len(),
-        _ => 0,
-    };
-    encode_sealed(resp, text)
+    match &resp.body {
+        ResponseBody::Output { text } => {
+            let mut frame = OutputFrame::new(resp.session, text.len());
+            frame.text().extend_from_slice(text.as_bytes());
+            frame.seal()
+        }
+        _ => encode_sealed(resp, 0),
+    }
+}
+
+/// An [`ResponseBody::Output`] response frame written in place: the
+/// frame header and the `Output` prefix are reserved, the text is
+/// appended behind them, and [`OutputFrame::seal`] fills in the text's
+/// length and the header. A writer can append the text while it holds a
+/// lock and seal after releasing it.
+#[derive(Debug)]
+pub(crate) struct OutputFrame(Vec<u8>);
+
+impl OutputFrame {
+    /// The frame of an answer to `session`, with room for `text` bytes of
+    /// text.
+    pub(crate) fn new(session: u64, text: usize) -> OutputFrame {
+        let mut buf = Vec::with_capacity(FRAME_HEADER + OUTPUT_PREFIX + text);
+        buf.extend_from_slice(&[0; FRAME_HEADER]);
+        buf.extend_from_slice(&session.to_le_bytes());
+        buf.push(OUTPUT_TAG);
+        // The text's length, filled in by `seal`.
+        buf.extend_from_slice(&[0; 8]);
+        OutputFrame(buf)
+    }
+
+    /// The buffer to append the text's UTF-8 bytes to, behind the
+    /// reserved prefix. Bytes before the end must not change.
+    pub(crate) fn text(&mut self) -> &mut Vec<u8> {
+        &mut self.0
+    }
+
+    /// The finished frame: the text's length and the frame header written
+    /// in place.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Frame`] when the payload exceeds the frame cap.
+    pub(crate) fn seal(mut self) -> Result<Vec<u8>> {
+        let at = FRAME_HEADER + OUTPUT_PREFIX;
+        let text = (self.0.len() - at) as u64;
+        self.0[at - 8..at].copy_from_slice(&text.to_le_bytes());
+        seal_frame(self.0)
+    }
 }
 
 /// Encodes `message` as a whole wire frame: the header is reserved, the
@@ -495,6 +557,42 @@ fn encode_sealed(message: &impl Codec, text: usize) -> Result<Vec<u8>> {
 /// [`Error::Protocol`] on any malformed payload.
 pub fn decode_response(bytes: &[u8]) -> Result<Response> {
     from_bytes(bytes).map_err(|e| Error::protocol(e.to_string()))
+}
+
+/// Decodes one whole response frame, taking its buffer. The frame is
+/// checked against the length cap and its CRC where it lies, as
+/// [`frame_payload`] checks it. An `Output` whose length prefix covers
+/// exactly the rest of the payload becomes its text in the same buffer:
+/// the bytes before the text are removed in place and the text's UTF-8
+/// is checked, with no second buffer. Any other payload, a damaged
+/// `Output` included, decodes as [`decode_response`] decodes it, so both
+/// routes give the same response or the same error.
+///
+/// # Errors
+///
+/// [`Error::Frame`] when `frame` is not one whole, intact frame;
+/// [`Error::Protocol`] on a malformed payload.
+pub fn decode_response_frame(mut frame: Vec<u8>) -> Result<Response> {
+    let payload = frame_payload(&frame)?;
+    let Some(session) = output_session(payload) else {
+        return decode_response(payload);
+    };
+    frame.drain(..FRAME_HEADER + OUTPUT_PREFIX);
+    let text = utf8_string(frame).map_err(|e| Error::protocol(e.to_string()))?;
+    Ok(Response {
+        session,
+        body: ResponseBody::Output { text },
+    })
+}
+
+/// The session of `payload` when it is an `Output` whose length prefix
+/// is the number of bytes after it.
+fn output_session(payload: &[u8]) -> Option<u64> {
+    let (session, rest) = payload.split_first_chunk::<8>()?;
+    let (&tag, rest) = rest.split_first()?;
+    let (len, text) = rest.split_first_chunk::<8>()?;
+    (tag == OUTPUT_TAG && u64::from_le_bytes(*len) == text.len() as u64)
+        .then(|| u64::from_le_bytes(*session))
 }
 
 #[cfg(test)]
@@ -560,6 +658,38 @@ mod tests {
                 encode_response(&decode_response(frame_payload(&frame).unwrap()).unwrap()),
                 encode_response(resp)
             );
+        }
+    }
+
+    #[test]
+    fn an_output_written_in_place_is_the_frame_of_its_payload() {
+        let texts = [
+            String::new(),
+            "x".to_owned(),
+            "V(K INT) [1 tuples]\n  (1)\n".repeat(3_000),
+            "Straße, 東京 — ü".to_owned(),
+            "  ('a, b', 'it''s')\n\n'".to_owned(),
+        ];
+        assert!(texts[2].len() > 64 << 10);
+        for (session, text) in (0..).zip(&texts) {
+            // Written in two pieces, as a header and the kept chunks are.
+            let mut frame = OutputFrame::new(session, 0);
+            let (head, tail) = text.as_bytes().split_at(text.len() / 2);
+            frame.text().extend_from_slice(head);
+            frame.text().extend_from_slice(tail);
+            let frame = frame.seal().unwrap();
+            let resp = Response {
+                session,
+                body: ResponseBody::Output { text: text.clone() },
+            };
+            assert_eq!(frame, encode_frame(&encode_response(&resp)).unwrap());
+            match decode_response_frame(frame).unwrap() {
+                Response {
+                    session: got,
+                    body: ResponseBody::Output { text: decoded },
+                } => assert_eq!((got, &decoded), (session, text)),
+                other => panic!("{other:?}"),
+            }
         }
     }
 }

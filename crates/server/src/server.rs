@@ -14,6 +14,12 @@
 //!
 //! A request and its response each travel as one [`crate::wire`] frame,
 //! framed and CRC-checked exactly as a socket transport would carry them.
+//! A `Query` answer is written under the tenant's read lock straight
+//! into its response frame ([`crate::protocol::OutputFrame`]), which is
+//! sealed once the lock is released, and [`Client::call`] takes that
+//! frame's buffer as the answer's text
+//! ([`crate::protocol::decode_response_frame`]): the answer is copied
+//! once, from the relation's kept text into the frame.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,8 +29,8 @@ use std::time::Instant;
 use eve_trace::{Counter, Histogram, MetricsSnapshot, Registry};
 
 use crate::protocol::{
-    decode_request, decode_response, encode_request_frame, encode_response_frame, Request,
-    RequestBody, Response, ResponseBody,
+    decode_request, decode_response_frame, encode_request_frame, encode_response_frame,
+    OutputFrame, Request, RequestBody, Response, ResponseBody,
 };
 use crate::warehouse::{Admitted, Mutation, Tenant, Warehouse};
 use crate::wire::frame_payload;
@@ -133,15 +139,15 @@ impl Metrics {
     /// Records one served request: the request counter for its kind, the
     /// kind's latency histogram, the tenant's latency histogram (when the
     /// request resolved to a tenant) and the error counter when the
-    /// response is [`ResponseBody::Err`].
-    fn record(&self, kind: Kind, tenant: Option<&Histogram>, received: Instant, resp: &Response) {
+    /// response is an [`ResponseBody::Err`].
+    fn record(&self, kind: Kind, tenant: Option<&Histogram>, received: Instant, failed: bool) {
         let us = u64::try_from(received.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.requests[kind as usize].inc();
         self.latency[kind as usize].record(us);
         if let Some(tenant) = tenant {
             tenant.record(us);
         }
-        if matches!(resp.body, ResponseBody::Err { .. }) {
+        if failed {
             self.errors.inc();
         }
     }
@@ -327,11 +333,22 @@ impl Shared {
                     drained: t.reset_budget()? as u64,
                 })
             }),
-            RequestBody::Query { view } => self.on_tenant(warehouse, session, |t| {
-                Ok(ResponseBody::Output {
-                    text: t.query(&view)?,
-                })
-            }),
+            RequestBody::Query { view } => {
+                let (latency, frame) = self.run_on_tenant(warehouse, session, |t| {
+                    let mut frame = OutputFrame::new(session, 0);
+                    t.write_query(&view, frame.text())?;
+                    Ok(frame)
+                });
+                match frame {
+                    Ok(frame) => {
+                        self.metrics
+                            .record(kind, latency.as_deref(), received, false);
+                        // The tenant's read lock is released: seal here.
+                        return frame.seal();
+                    }
+                    Err(e) => (latency, Response::error(session, &e)),
+                }
+            }
             RequestBody::Stats => {
                 self.on_tenant(warehouse, session, |t| t.stats().map(ResponseBody::Stats))
             }
@@ -346,44 +363,57 @@ impl Shared {
                 })
             }),
         };
+        let failed = matches!(resp.body, ResponseBody::Err { .. });
         self.metrics
-            .record(kind, latency.as_deref(), received, &resp);
+            .record(kind, latency.as_deref(), received, failed);
         encode_response_frame(&resp)
     }
 
     /// Runs `run` against `session`'s tenant and answers with the
-    /// session's latency histogram. A panic inside `run` is answered as an
-    /// `Err`, so the client's thread never unwinds; one under the tenant's
-    /// write lock poisons that tenant, which then refuses every request
-    /// ([`Error::Poisoned`]) while other tenants answer as before.
+    /// session's latency histogram and `run`'s body.
     fn on_tenant(
         &self,
         warehouse: &Warehouse,
         session: u64,
         run: impl FnOnce(&Tenant) -> Result<ResponseBody>,
     ) -> (Option<Arc<Histogram>>, Response) {
+        let (latency, body) = self.run_on_tenant(warehouse, session, run);
+        let resp = match body {
+            Ok(body) => Response { session, body },
+            Err(e) => Response::error(session, &e),
+        };
+        (latency, resp)
+    }
+
+    /// Runs `run` against `session`'s tenant and returns the session's
+    /// latency histogram (none for an unknown session) with `run`'s
+    /// result. A panic inside `run` is returned as an `Err`, so the
+    /// client's thread never unwinds; one under the tenant's write lock
+    /// poisons that tenant, which then refuses every request
+    /// ([`Error::Poisoned`]) while other tenants answer as before.
+    fn run_on_tenant<T>(
+        &self,
+        warehouse: &Warehouse,
+        session: u64,
+        run: impl FnOnce(&Tenant) -> Result<T>,
+    ) -> (Option<Arc<Histogram>>, Result<T>) {
         // The session table is not held while the request runs, so a long
         // request does not hold up sessions opening and closing.
         let (tenant, latency) = {
             let sessions = self.sessions();
             let Some(open) = sessions.tenants.get(&session) else {
-                let unknown = Error::UnknownSession { session };
-                return (None, Response::error(session, &unknown));
+                return (None, Err(Error::UnknownSession { session }));
             };
             (warehouse.existing(&open.tenant), Arc::clone(&open.latency))
         };
-        let body = tenant.and_then(|tenant| {
+        let result = tenant.and_then(|tenant| {
             catch_unwind(AssertUnwindSafe(|| run(&tenant))).unwrap_or_else(|_| {
                 Err(Error::Engine {
                     detail: format!("tenant `{}`: the request panicked", tenant.name()),
                 })
             })
         });
-        let resp = match body {
-            Ok(body) => Response { session, body },
-            Err(e) => Response::error(session, &e),
-        };
-        (Some(latency), resp)
+        (Some(latency), result)
     }
 }
 
@@ -419,8 +449,9 @@ impl Client {
     /// Wire errors, [`Error::Shutdown`] when the server stopped.
     pub fn call(&mut self, req: &Request) -> Result<Response> {
         let frame = self.server.serve(&encode_request_frame(req)?)?;
-        // The response is one frame: check it and decode where it lies.
-        decode_response(frame_payload(&frame)?)
+        // The response is one frame: check it where it lies and decode
+        // it, an `Output` into its text in the frame's own buffer.
+        decode_response_frame(frame)
     }
 
     /// Opens a session on `tenant` and remembers its id.
@@ -481,7 +512,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ErrorCode;
+    use crate::protocol::{decode_response, ErrorCode};
     use crate::wire::{encode_frame, FRAME_HEADER};
 
     #[test]

@@ -10,15 +10,16 @@
 //!
 //! A [`Command::Read`] is answered by [`Shell::answer`] under the
 //! tenant's read lock, beside the clients' `Query` requests (a `Query`
-//! request is that same command). It is never gated and is charged
-//! nothing, so budget exhaustion degrades a tenant to read-only, it does
-//! not black-hole it. Every other command takes one path under the
-//! write lock: admit, [`Shell::run`], charge. Admission meters what
-//! `run` reports: the rewrite-search candidates the command generated
-//! and the engine's I/O blocks. Once a tenant's budget is spent its
-//! policy decides whether further mutations are rejected outright or
-//! parked, parsed, in a bounded deferred queue that drains (in arrival
-//! order) on the next budget reset.
+//! request gets the text of `query <view>`, which [`Shell::write_query`]
+//! writes straight into its response frame). A read is never gated and
+//! is charged nothing, so budget exhaustion degrades a tenant to
+//! read-only, it does not black-hole it. Every other command takes one
+//! path under the write lock: admit, [`Shell::run`], charge. Admission
+//! meters what `run` reports: the rewrite-search candidates the command
+//! generated and the engine's I/O blocks. Once a tenant's budget is
+//! spent its policy decides whether further mutations are rejected
+//! outright or parked, parsed, in a bounded deferred queue that drains
+//! (in arrival order) on the next budget reset.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -203,6 +204,16 @@ impl Tenant {
         Ok(self
             .read_shell()?
             .answer(&ReadCommand::Query(view.to_owned()))?)
+    }
+
+    /// Appends [`Tenant::query`]'s answer to `out` under the read lock,
+    /// which is released before this returns.
+    ///
+    /// # Errors
+    ///
+    /// Unknown view; [`Error::Poisoned`].
+    pub(crate) fn write_query(&self, view: &str, out: &mut Vec<u8>) -> Result<()> {
+        Ok(self.read_shell()?.write_query(view, out)?)
     }
 
     fn over_budget(&self, st: &AdmissionState) -> Option<String> {

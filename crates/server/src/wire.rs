@@ -75,7 +75,7 @@ pub(crate) fn seal_frame(mut frame: Vec<u8>) -> Result<Vec<u8>> {
 /// # Errors
 ///
 /// [`Error::Frame`] when `bytes` is not exactly one whole, intact frame.
-pub(crate) fn frame_payload(bytes: &[u8]) -> Result<&[u8]> {
+pub fn frame_payload(bytes: &[u8]) -> Result<&[u8]> {
     match split_frame(bytes)? {
         Some((payload, end)) if end == bytes.len() => Ok(payload),
         Some((_, end)) => Err(Error::frame(format!(

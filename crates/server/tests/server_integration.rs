@@ -668,6 +668,88 @@ fn a_query_reads_the_writes_its_client_applied() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// A tenant whose views have no rows (`Z`) and text values that are not
+/// ASCII or hold `', '` (`V`).
+const EDGE_SETUP: &[&str] = &[
+    "site 1 tokyo",
+    "relation R @1 (K:int, P:text)",
+    "insert R (1, 'Straße, 東京')",
+    "insert R (2, 'x'', y')",
+    "insert R (3, '🦀')",
+    "view CREATE VIEW V (VE = '~') AS SELECT X.K, X.P FROM R X (RR = true)",
+    "view CREATE VIEW Z (VE = '~') AS SELECT X.K FROM R X (RR = true) WHERE X.K = 99",
+];
+
+#[test]
+fn a_served_query_is_the_serial_oracles_answer_header_included() {
+    let _renders = rendering();
+    let root = scratch("edge-answers");
+    let server = Server::start(
+        Arc::new(Warehouse::open(&root).unwrap()),
+        ServerConfig::default(),
+    );
+    let mut c = server.connect().unwrap();
+    c.open_session("edges").unwrap();
+    run_lines(&mut c, EDGE_SETUP);
+    let mut oracle = Shell::new();
+    for line in EDGE_SETUP {
+        oracle.execute(line).unwrap();
+    }
+    for (view, header) in [
+        ("V", "V(K INT, P TEXT) [3 tuples]\n"),
+        ("Z", "Z(K INT) [0 tuples]\n"),
+    ] {
+        let want = oracle
+            .answer(&eve_system::ReadCommand::Query(view.into()))
+            .unwrap();
+        assert!(want.starts_with(header), "{want}");
+        // Rendered by the first query, a kept-text hit on the second.
+        for _ in 0..2 {
+            match c.request(RequestBody::Query { view: view.into() }).unwrap() {
+                ResponseBody::Output { text } => assert_eq!(text, want),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+    let z = oracle
+        .answer(&eve_system::ReadCommand::Query("Z".into()))
+        .unwrap();
+    assert_eq!(z, "Z(K INT) [0 tuples]\n", "the header alone");
+    let v = oracle
+        .answer(&eve_system::ReadCommand::Query("V".into()))
+        .unwrap();
+    assert!(
+        v.contains("'Straße, 東京'") && v.contains("'x'', y'"),
+        "{v}"
+    );
+
+    // An unknown view is an `Err` frame, counted once as an error and
+    // once as a query.
+    let registry = server.metrics_registry();
+    let moved = || {
+        (
+            registry.counter("server.errors").get(),
+            registry.counter("server.requests.query").get(),
+        )
+    };
+    let before = moved();
+    match c
+        .request(RequestBody::Query {
+            view: "Nope".into(),
+        })
+        .unwrap()
+    {
+        ResponseBody::Err { code, detail } => {
+            assert_eq!(code, ErrorCode::Engine);
+            assert!(detail.contains("Nope"), "{detail}");
+        }
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(moved(), (before.0 + 1, before.1 + 1));
+    server.shutdown();
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn a_repeated_query_is_answered_once_rendered() {
     // Alone: no other test's queries move the process-wide counters.

@@ -8,10 +8,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use eve_server::protocol::{
-    decode_request, decode_response, encode_request, encode_response, ErrorCode, Request,
-    RequestBody, Response, ResponseBody,
+    decode_request, decode_response, decode_response_frame, encode_request, encode_response,
+    ErrorCode, Request, RequestBody, Response, ResponseBody,
 };
-use eve_server::wire::{encode_frame, FrameReader, FRAME_HEADER, MAX_FRAME};
+use eve_server::wire::{encode_frame, frame_payload, FrameReader, FRAME_HEADER, MAX_FRAME};
 use eve_server::{Error, Server, ServerConfig, TenantStats, Warehouse};
 use eve_sync::EvolutionOp;
 use eve_system::Shell;
@@ -160,6 +160,62 @@ proptest! {
         }
     }
 
+    /// The client's decoder, which takes a response frame's buffer and
+    /// turns an `Output` into its text in place, agrees with checking the
+    /// frame (`frame_payload`) and decoding its payload
+    /// (`decode_response`): on every response variant, intact or damaged
+    /// (a bit flipped, cut short, one byte trailing, an `Output`'s length
+    /// prefix off by one either way, a byte that is not UTF-8 in its
+    /// text), both give the same response or the same error.
+    #[test]
+    fn the_owned_frame_decoder_agrees_with_payload_decoding(
+        tag in 0usize..9,
+        session in 0u64..u64::MAX,
+        text in prop::collection::vec(prop::sample::select(TEXT_PIECES.to_vec()), 0..40),
+        damage in 0usize..7,
+        at in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let resp = Response { session, body: response_body(tag, text.concat()) };
+        let mut payload = encode_response(&resp);
+        // Damage inside an `Output`'s payload, sealed under a good CRC.
+        // The text's length prefix is the 8 bytes after session and tag.
+        let text_at = 8 + 1 + 8;
+        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let pick = |len: usize| ((len as f64) * at) as usize;
+        if tag == 3 {
+            let len = u64::from_le_bytes(payload[9..text_at].try_into().unwrap());
+            match damage {
+                4 => payload[9..text_at].copy_from_slice(&(len + 1).to_le_bytes()),
+                5 if len > 0 => payload[9..text_at].copy_from_slice(&(len - 1).to_le_bytes()),
+                6 => {
+                    let i = text_at + pick(payload.len() - text_at);
+                    payload.insert(i, 0xFF);
+                    payload[9..text_at].copy_from_slice(&(len + 1).to_le_bytes());
+                }
+                _ => {}
+            }
+        }
+        let mut frame = encode_frame(&payload).unwrap();
+        // Damage to the frame itself.
+        match damage {
+            1 => {
+                let i = pick(frame.len());
+                frame[i] ^= 1 << bit;
+            }
+            2 => frame.truncate(pick(frame.len())),
+            3 => frame.push(bit),
+            _ => {}
+        }
+        let checked = frame_payload(&frame).and_then(decode_response);
+        let owned = decode_response_frame(frame);
+        match (checked, owned) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(encode_response(&a), encode_response(&b)),
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "the decoders disagree: {a:?} against {b:?}"),
+        }
+    }
+
     /// Statement text cannot panic the shell's parser or the server. A
     /// shell line with fragments spliced in (non-ASCII, unbalanced `(` and
     /// `'`, stray `<=`/`>=`, out-of-range numbers) and possibly cut short,
@@ -285,6 +341,53 @@ fn splice(seed: &str, edits: &[(f64, &str)], cut: f64) -> String {
         chars.truncate(((chars.len() as f64) * cut) as usize);
     }
     chars.into_iter().collect()
+}
+
+/// Pieces of an `Output`'s text: ASCII, multi-byte characters, quotes,
+/// separators and line ends.
+const TEXT_PIECES: [&str; 9] = [
+    "a",
+    "V(K INT) [2 tuples]",
+    "é",
+    "東京",
+    "🦀",
+    "'",
+    ", ",
+    "\n",
+    "  (1, 'x')\n",
+];
+
+/// A response body of each variant (`tag` in `0..9`), an `Output`
+/// (tag 3) carrying `text`.
+fn response_body(tag: usize, text: String) -> ResponseBody {
+    match tag {
+        0 => ResponseBody::SessionOpened { session: 9 },
+        1 => ResponseBody::Attached { tenant: text },
+        2 => ResponseBody::Closed,
+        3 => ResponseBody::Output { text },
+        4 => ResponseBody::Queued { position: 2 },
+        5 => ResponseBody::Stats(TenantStats {
+            candidates_used: 1,
+            io_used: 2,
+            candidate_budget: 3,
+            io_budget: 4,
+            queued: 5,
+            exec_parallelism: 6,
+        }),
+        6 => ResponseBody::BudgetReset { drained: 7 },
+        7 => ResponseBody::Err {
+            code: ErrorCode::Engine,
+            detail: text,
+        },
+        _ => ResponseBody::Metrics {
+            snapshot: {
+                let registry = eve_trace::Registry::new();
+                registry.counter("server.requests.query").add(3);
+                registry.histogram("server.latency_us.query").record(17);
+                registry.snapshot()
+            },
+        },
+    }
 }
 
 fn request_body(tag: usize) -> RequestBody {

@@ -259,8 +259,7 @@ impl<'a> Dec<'a> {
     /// [`Error::Corrupt`] on truncated or malformed input.
     pub fn str(&mut self) -> Result<String> {
         let n = self.len()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| Error::corrupt("invalid utf-8 string"))
+        utf8_string(self.take(n)?.to_vec())
     }
 
     /// Reads an optional string (presence byte + string).
@@ -275,6 +274,16 @@ impl<'a> Dec<'a> {
             None
         })
     }
+}
+
+/// `bytes` as a `String`, checked as UTF-8 where they lie: the check a
+/// decoded string passes, for a caller that already owns its bytes.
+///
+/// # Errors
+///
+/// [`Error::Corrupt`] when `bytes` are not UTF-8.
+pub fn utf8_string(bytes: Vec<u8>) -> Result<String> {
+    String::from_utf8(bytes).map_err(|_| Error::corrupt("invalid utf-8 string"))
 }
 
 /// A type the store can persist.

@@ -354,6 +354,20 @@ impl Shell {
         Ok((text, 0))
     }
 
+    /// Appends the answer of `query <view>` to `out` as UTF-8 bytes, the
+    /// same text [`Shell::answer`] returns for it, copied once from the
+    /// view's kept text ([`eve_relational::Relation::write_distinct`]).
+    /// A host writes it straight into the frame it sends. On an error
+    /// `out` is left as it was.
+    ///
+    /// # Errors
+    ///
+    /// An unknown view.
+    pub fn write_query(&self, view: &str, out: &mut Vec<u8>) -> Result<()> {
+        self.engine().view(view)?.extent.write_distinct(out);
+        Ok(())
+    }
+
     /// Answers a command that only reads. It takes `&self`, so a host may
     /// answer it under a shared lock while other readers run.
     ///
