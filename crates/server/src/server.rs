@@ -14,25 +14,26 @@
 //!
 //! A request and its response each travel as one [`crate::wire`] frame,
 //! framed and CRC-checked exactly as a socket transport would carry them.
-//! A `Query` answer is written under the tenant's read lock straight
-//! into its response frame ([`crate::protocol::OutputFrame`]), which is
-//! sealed once the lock is released, and [`Client::call`] takes that
-//! frame's buffer as the answer's text
-//! ([`crate::protocol::decode_response_frame`]): the answer is copied
-//! once, from the relation's kept text into the frame.
+//! A `Query` answer, and the answer to a `query <view>` statement, is
+//! written under the tenant's read lock straight into its response frame
+//! ([`crate::protocol::OutputFrame`]), which is sealed once the lock is
+//! released, and [`Client::call`] takes that frame's buffer as the
+//! answer's text ([`crate::protocol::decode_response_frame`]): the answer
+//! is copied once, from the relation's kept text into the frame.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
+use eve_system::{Command, ReadCommand, Shell};
 use eve_trace::{Counter, Histogram, MetricsSnapshot, Registry};
 
 use crate::protocol::{
     decode_request, decode_response_frame, encode_request_frame, encode_response_frame,
     OutputFrame, Request, RequestBody, Response, ResponseBody,
 };
-use crate::warehouse::{Admitted, Mutation, Tenant, Warehouse};
+use crate::warehouse::{Admitted, Tenant, Warehouse};
 use crate::wire::frame_payload;
 use crate::{Error, Result};
 
@@ -322,11 +323,15 @@ impl Shared {
                 ),
                 None => (None, unknown()),
             },
-            RequestBody::Statement { esql } => self.on_tenant(warehouse, session, |t| {
-                t.execute_mutation(Mutation::Statement(esql)).map(admitted)
-            }),
+            RequestBody::Statement { esql } => match Shell::parse(&esql) {
+                // Answered as a `Query` is, written into its frame.
+                Ok(Command::Read(ReadCommand::Query(view))) => {
+                    return self.query(warehouse, session, kind, received, &view);
+                }
+                parsed => self.on_tenant(warehouse, session, |t| t.execute(parsed?).map(admitted)),
+            },
             RequestBody::Apply { ops } => self.on_tenant(warehouse, session, |t| {
-                t.execute_mutation(Mutation::Apply(ops)).map(admitted)
+                t.execute(Command::Apply(ops)).map(admitted)
             }),
             RequestBody::ResetBudget => self.on_tenant(warehouse, session, |t| {
                 Ok(ResponseBody::BudgetReset {
@@ -334,20 +339,7 @@ impl Shared {
                 })
             }),
             RequestBody::Query { view } => {
-                let (latency, frame) = self.run_on_tenant(warehouse, session, |t| {
-                    let mut frame = OutputFrame::new(session, 0);
-                    t.write_query(&view, frame.text())?;
-                    Ok(frame)
-                });
-                match frame {
-                    Ok(frame) => {
-                        self.metrics
-                            .record(kind, latency.as_deref(), received, false);
-                        // The tenant's read lock is released: seal here.
-                        return frame.seal();
-                    }
-                    Err(e) => (latency, Response::error(session, &e)),
-                }
+                return self.query(warehouse, session, kind, received, &view);
             }
             RequestBody::Stats => {
                 self.on_tenant(warehouse, session, |t| t.stats().map(ResponseBody::Stats))
@@ -367,6 +359,31 @@ impl Shared {
         self.metrics
             .record(kind, latency.as_deref(), received, failed);
         encode_response_frame(&resp)
+    }
+
+    /// Answers `view`'s extent to `session`: written under the tenant's
+    /// read lock into its response frame, which is sealed once the lock
+    /// is released.
+    fn query(
+        &self,
+        warehouse: &Warehouse,
+        session: u64,
+        kind: Kind,
+        received: Instant,
+        view: &str,
+    ) -> Result<Vec<u8>> {
+        let (latency, frame) = self.run_on_tenant(warehouse, session, |t| {
+            let mut frame = OutputFrame::new(session, 0);
+            t.write_query(view, frame.text())?;
+            Ok(frame)
+        });
+        let failed = frame.is_err();
+        self.metrics
+            .record(kind, latency.as_deref(), received, failed);
+        match frame {
+            Ok(frame) => frame.seal(),
+            Err(e) => encode_response_frame(&Response::error(session, &e)),
+        }
     }
 
     /// Runs `run` against `session`'s tenant and answers with the

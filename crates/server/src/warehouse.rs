@@ -11,7 +11,8 @@
 //! A [`Command::Read`] is answered by [`Shell::answer`] under the
 //! tenant's read lock, beside the clients' `Query` requests (a `Query`
 //! request gets the text of `query <view>`, which [`Shell::write_query`]
-//! writes straight into its response frame). A read is never gated and
+//! writes straight into its response frame; the server answers a
+//! `query <view>` statement the same way). A read is never gated and
 //! is charged nothing, so budget exhaustion degrades a tenant to
 //! read-only, it does not black-hole it. Every other command takes one
 //! path under the write lock: admit, [`Shell::run`], charge. Admission
@@ -245,10 +246,18 @@ impl Tenant {
     /// [`Error::BudgetExceeded`] / [`Error::QueueFull`] from admission;
     /// any engine/store failure from execution.
     pub fn execute_mutation(&self, mutation: Mutation) -> Result<Admitted> {
-        let command = match mutation {
+        self.execute(match mutation {
             Mutation::Statement(line) => Shell::parse(&line)?,
             Mutation::Apply(ops) => Command::Apply(ops),
-        };
+        })
+    }
+
+    /// [`Tenant::execute_mutation`] for a command already parsed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tenant::execute_mutation`], but for the parse error.
+    pub(crate) fn execute(&self, command: Command) -> Result<Admitted> {
         if let Command::Read(read) = &command {
             return Ok(Admitted::Executed(self.read_shell()?.answer(read)?));
         }

@@ -1,12 +1,14 @@
-//! How many bytes a served `Query` allocates, counted exactly: a read's
+//! How many bytes a served read allocates, counted exactly: a read's
 //! answer is copied once, from the relation's kept text into its
 //! response frame, and the client takes that frame's buffer as the
-//! answer's `String`.
+//! answer's `String`. That holds for a `Query` request and for the
+//! statement `query <view>` alike.
 //!
 //! A request runs on its client's thread, so a counting global allocator
 //! with a thread-local count sees every byte the request allocates, on
-//! both sides of the wire, and none of another thread's. The file holds
-//! one test: the allocator is the whole binary's.
+//! both sides of the wire, and none of another thread's. The allocator is
+//! the whole binary's, so the file holds only these tests, each on its
+//! own server.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,10 +68,11 @@ fn allocated() -> u64 {
     ALLOCATED.with(Cell::get)
 }
 
-#[test]
-fn a_served_query_allocates_its_answer_once() {
+/// Serves a warm read of a view of at least 64 KiB, sent as `read`
+/// builds it, and checks it allocates at most 1.1 × the answer + 4 KiB.
+fn a_warm_read_allocates_its_answer_once(tag: &str, read: impl Fn() -> RequestBody) {
     const ROWS: i64 = 3_000;
-    let root = std::env::temp_dir().join(format!("eve-answer-copies-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("eve-answer-copies-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let server = Server::start(
         Arc::new(Warehouse::open(&root).unwrap()),
@@ -101,16 +104,15 @@ fn a_served_query_allocates_its_answer_once() {
         "{defined:?}"
     );
 
-    let query = || RequestBody::Query { view: "V".into() };
-    // The first query renders the answer and keeps it.
-    let warm = match c.request(query()).unwrap() {
+    // The first read renders the answer and keeps it.
+    let warm = match c.request(read()).unwrap() {
         ResponseBody::Output { text } => text,
         other => panic!("{other:?}"),
     };
     assert!(warm.len() >= 64 << 10, "{} bytes", warm.len());
 
     let before = allocated();
-    let answer = c.request(query()).unwrap();
+    let answer = c.request(read()).unwrap();
     let bytes = allocated() - before;
     let ResponseBody::Output { text } = answer else {
         panic!("{answer:?}");
@@ -118,14 +120,28 @@ fn a_served_query_allocates_its_answer_once() {
     assert_eq!(text, warm);
     let len = text.len() as u64;
     eprintln!(
-        "a query of a {len}-byte answer allocated {bytes} bytes ({:.2} x the answer)",
+        "{tag}: a read of a {len}-byte answer allocated {bytes} bytes ({:.2} x the answer)",
         bytes as f64 / len as f64
     );
     assert!(
         bytes <= len + len / 10 + 4096,
-        "a query of a {len}-byte answer allocated {bytes} bytes"
+        "{tag}: a read of a {len}-byte answer allocated {bytes} bytes"
     );
     drop(c);
     server.shutdown();
     std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_served_query_allocates_its_answer_once() {
+    a_warm_read_allocates_its_answer_once("query", || RequestBody::Query { view: "V".into() });
+}
+
+/// The statement `query V` is answered as a `Query` is, into its frame,
+/// not built as a `String` first and copied into the frame after.
+#[test]
+fn a_query_statement_allocates_its_answer_once() {
+    a_warm_read_allocates_its_answer_once("statement", || RequestBody::Statement {
+        esql: "query V".into(),
+    });
 }

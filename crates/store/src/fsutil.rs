@@ -1,8 +1,9 @@
 //! Filesystem plumbing for the store's durability guarantees: directory
 //! fsyncs (so file creation, rotation and the atomic snapshot rename
-//! survive power loss) and the single-opener lock file that prevents two
-//! processes — or two handles in one process — from interleaving appends
-//! on the same store directory.
+//! survive power loss), the positioned write log frames land with, and
+//! the single-opener lock file that prevents two processes — or two
+//! handles in one process — from interleaving appends on the same store
+//! directory.
 
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
@@ -29,6 +30,22 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
 #[cfg(not(unix))]
 pub(crate) fn sync_dir(_dir: &Path) -> Result<()> {
     Ok(())
+}
+
+/// Writes all of `bytes` at byte `offset` of `file` (one `pwrite` on
+/// Unix). The file must not be open for appending: with `O_APPEND`,
+/// Linux's `pwrite` ignores the offset and writes at the end.
+#[cfg(unix)]
+pub(crate) fn write_all_at(file: &File, bytes: &[u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, bytes, offset)
+}
+
+/// Non-Unix fallback: a seek, then a write.
+#[cfg(not(unix))]
+pub(crate) fn write_all_at(mut file: &File, bytes: &[u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Seek, SeekFrom, Write};
+    file.seek(SeekFrom::Start(offset))?;
+    file.write_all(bytes)
 }
 
 #[cfg(unix)]

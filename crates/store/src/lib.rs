@@ -11,7 +11,9 @@
 //!   evolution log**. Every record carries the MKB generation observed
 //!   after applying it; an append is one frame, one write and one `fsync`
 //!   on the caller's thread before acknowledgement, and torn tail frames
-//!   from a crash mid-write are detected and truncated.
+//!   from a crash mid-write are detected and truncated. The active segment
+//!   grows by whole 4 KiB blocks of zeros, which frames then overwrite in
+//!   place, and a zero tail after the last frame is the log's clean end.
 //! * [`snapshot`] — canonical full-state **snapshots** (MKB incl.
 //!   generation, per-site relations/extents, installed rewritings, engine
 //!   configuration). Equal states encode to equal bytes, which is the

@@ -1,10 +1,10 @@
 //! The write-ahead evolution log: length-prefixed, checksummed record
-//! frames in append-only segment files.
+//! frames in segment files that only ever gain frames at their end.
 //!
 //! ## Frame format
 //!
 //! ```text
-//! segment file  := MAGIC ("EVESEG01", 8 bytes) start_seq (u64 LE) frame*
+//! segment file  := MAGIC ("EVESEG01", 8 bytes) start_seq (u64 LE) frame* zero*
 //! frame         := len (u32 LE)  crc64 (u64 LE, over payload)  payload
 //! payload       := post_generation (u64 LE)  LogRecord encoding
 //! ```
@@ -12,17 +12,33 @@
 //! `post_generation` is the MKB mutation generation *after* the record was
 //! applied — the index generation time-travel addresses history by.
 //!
+//! ## The zero tail
+//!
+//! The active segment grows a 4 KiB block at a time: a frame that does not
+//! fit in the file is written together with zeros up to the next block
+//! boundary, and the next frames overwrite those zeros in place, so their
+//! `sync_data` has no new file size to commit. While a store is open (and
+//! after a crash) its active segment may therefore end in zeros after its
+//! last frame; closing the store trims them. A zero length field is never
+//! a frame, since every payload holds at least its 8-byte generation, and
+//! it must not be read as one: the CRC-64 of an empty payload is 0, so a
+//! zero header would pass its checksum. [`read_segment`] reads a remainder
+//! of zeros after the last whole frame as the log's clean end.
+//!
 //! ## Torn tails
 //!
 //! A crash mid-`write` leaves a partial frame at the end of the active
-//! segment: a short header, a short payload, or a payload whose checksum
-//! does not match. [`read_segment`] detects all three, reports the byte
+//! segment: a short header, a short payload, a payload whose checksum
+//! does not match, or a zero header followed by bytes that are not all
+//! zero (a frame's later page reached disk but not the page holding its
+//! header). [`read_segment`] detects all of these, reports the byte
 //! offset of the last intact frame, and recovery truncates the file there.
 //! The same conditions anywhere *but* the tail of the last segment are
-//! real corruption and fail recovery loudly.
+//! real corruption and fail recovery loudly, and so is a zero tail there:
+//! rotation trims the segment it closes.
 
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 
 use eve_esql::ViewDef;
@@ -250,19 +266,25 @@ pub(crate) struct SegmentContents {
     /// The intact records, in order.
     pub records: Vec<SealedRecord>,
     /// Byte length of the intact prefix (header + whole frames). Anything
-    /// past this offset is a torn tail.
+    /// past this offset is a zero tail or a torn tail.
     pub valid_len: u64,
-    /// Bytes past the intact prefix (0 when the file ends exactly on a
-    /// frame boundary).
+    /// Bytes past the intact prefix when they are not all zero: a torn
+    /// tail (0 when the file ends on a frame boundary or in zeros).
     pub torn_bytes: u64,
+    /// Bytes past the intact prefix when they are all zero: the log's
+    /// clean end, the unwritten rest of the active segment's last block.
+    pub zero_tail: u64,
 }
 
-/// Reads a whole segment file, stopping cleanly at a torn tail.
+/// Reads a whole segment file, stopping cleanly at a zero or torn tail.
+/// This is the one place that tells the two apart: after the last whole
+/// frame, a remainder of zeros is the log's clean end and anything else is
+/// a torn frame.
 ///
 /// # Errors
 ///
 /// I/O failures, or a missing/foreign header. Torn/corrupt *frames* are
-/// not an error here — the caller decides whether a torn tail is
+/// not an error here — the caller decides whether a torn or zero tail is
 /// acceptable (last segment) or fatal (any earlier segment).
 pub(crate) fn read_segment(path: &Path) -> Result<SegmentContents> {
     let mut file = File::open(path).map_err(|e| Error::io(path, e))?;
@@ -294,10 +316,13 @@ pub(crate) fn read_segment(path: &Path) -> Result<SegmentContents> {
         let Some((len_bytes, rest)) = tail.split_first_chunk::<4>() else {
             break pos; // torn frame header (1..=3 bytes)
         };
+        let len = u32::from_le_bytes(*len_bytes) as usize;
+        if len == 0 {
+            break pos; // never a frame: the zero tail, or a torn header
+        }
         let Some(crc_bytes) = rest.first_chunk::<8>() else {
             break pos; // torn frame header (4..=11 bytes)
         };
-        let len = u32::from_le_bytes(*len_bytes) as usize;
         let crc = u64::from_le_bytes(*crc_bytes);
         // `12 + len` cannot overflow usize on 64-bit (len <= u32::MAX) but
         // the checked form keeps 32-bit targets honest too.
@@ -319,11 +344,19 @@ pub(crate) fn read_segment(path: &Path) -> Result<SegmentContents> {
         pos += 12 + len;
     };
 
+    let rest = bytes.get(valid_len..).unwrap_or_default();
+    let past = rest.len() as u64;
+    let (torn_bytes, zero_tail) = if rest.iter().all(|&b| b == 0) {
+        (0, past)
+    } else {
+        (past, 0)
+    };
     Ok(SegmentContents {
         start_seq,
         records,
         valid_len: valid_len as u64,
-        torn_bytes: (bytes.len() - valid_len) as u64,
+        torn_bytes,
+        zero_tail,
     })
 }
 
@@ -371,13 +404,6 @@ pub(crate) fn truncate_segment(path: &Path, valid_len: u64) -> Result<()> {
         .map_err(|e| Error::io(path, e))?;
     file.set_len(valid_len).map_err(|e| Error::io(path, e))?;
     file.sync_all().map_err(|e| Error::io(path, e))?;
-    Ok(())
-}
-
-/// Appends raw bytes and flushes them to the OS.
-pub(crate) fn append_all(file: &mut File, path: &Path, bytes: &[u8]) -> Result<()> {
-    file.write_all(bytes).map_err(|e| Error::io(path, e))?;
-    file.flush().map_err(|e| Error::io(path, e))?;
     Ok(())
 }
 
@@ -548,6 +574,38 @@ mod tests {
             std::fs::write(&path, &intact[..cut]).unwrap();
             let err = read_segment(&path).unwrap_err();
             assert!(err.to_string().contains("segment"), "cut {cut}: {err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_zero_tail_is_the_clean_end_and_a_zero_header_before_other_bytes_is_torn() {
+        let path = temp_file("zero-tail");
+        let records = sample_records();
+        write_segment(&path, 0, &records);
+        let intact = std::fs::read(&path).unwrap();
+        let read_with = |tail: &[u8]| {
+            let mut bytes = intact.clone();
+            bytes.extend_from_slice(tail);
+            std::fs::write(&path, &bytes).unwrap();
+            let contents = read_segment(&path).unwrap();
+            assert_eq!(contents.records.len(), records.len());
+            assert_eq!(contents.valid_len, intact.len() as u64);
+            (contents.torn_bytes, contents.zero_tail)
+        };
+        // Zeros shorter than a frame header, a whole zero header (its
+        // empty payload's CRC-64 is 0, so it "passes its checksum"), one
+        // byte more, and the rest of a block: all the log's clean end.
+        for zeros in [1usize, 11, 12, 13, 4095] {
+            assert_eq!(read_with(&vec![0; zeros]), (0, zeros as u64), "{zeros}");
+        }
+        // A zero length field followed by any non-zero byte is a frame
+        // whose header never reached disk: torn, wherever that byte is.
+        for (zeros, byte) in [(4, 0x01), (11, 0x80), (12, 0xAB), (4094, 0x01)] {
+            let mut tail = vec![0; zeros];
+            tail.push(byte);
+            let torn = tail.len() as u64;
+            assert_eq!(read_with(&tail), (torn, 0), "{zeros} zeros, then {byte:#x}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -5,7 +5,8 @@
 //! ## Directory layout
 //!
 //! ```text
-//! <dir>/seg-<start_seq>.evl    append-only log segments
+//! <dir>/seg-<start_seq>.evl    log segments (frames are only ever added
+//!                              at the end of the last one)
 //! <dir>/snap-<seq>.evs         full-state snapshots
 //! <dir>/snap-<seq>.evd         incremental delta snapshots
 //! <dir>/snap-<seq>.tmp         a snapshot being written (a leftover one
@@ -20,10 +21,13 @@
 //! recovery never needs a partial segment, and [`EvolutionStore::compact`]
 //! can drop whole files.
 //!
-//! Every append is flushed and `fsync`'d before it is acknowledged: a
+//! Every append is written and `fsync`'d before it is acknowledged: a
 //! record the store returned `Ok` for survives `kill -9`. A crash mid-write
 //! leaves a torn frame at the active tail, which recovery detects by
-//! checksum and truncates away.
+//! checksum and truncates away. The active segment grows 4 KiB at a time
+//! (`LOG_BLOCK`), so most appends overwrite zeros inside the file and
+//! their sync commits data only; a crash leaves those zeros behind the
+//! last frame, which recovery reads as the log's clean end.
 //!
 //! ## One reader
 //!
@@ -46,7 +50,7 @@ use std::time::Instant;
 use eve_trace::{Counter, Histogram};
 
 use crate::error::{Error, Result};
-use crate::fsutil::{sync_dir, DirLock};
+use crate::fsutil::{sync_dir, write_all_at, DirLock};
 use crate::log::{frame, read_segment, segment_header, truncate_segment, LogRecord, SealedRecord};
 use crate::snapshot::{
     read_delta_file, read_delta_header, read_snapshot_file, read_snapshot_header, write_delta_file,
@@ -66,6 +70,8 @@ struct StoreMirrors {
     snapshot_bytes_written: Arc<Counter>,
     records_replayed: Arc<Counter>,
     segments_created: Arc<Counter>,
+    /// Appends whose write grew the active segment's file.
+    log_extends: Arc<Counter>,
     /// Wall microseconds of each durable append (write + fsync).
     fsync_us: Arc<Histogram>,
 }
@@ -82,6 +88,7 @@ fn mirrors() -> &'static StoreMirrors {
             snapshot_bytes_written: registry.counter("store.snapshot_bytes_written"),
             records_replayed: registry.counter("store.records_replayed"),
             segments_created: registry.counter("store.segments_created"),
+            log_extends: registry.counter("store.log_extends"),
             fsync_us: registry.histogram("store.fsync_us"),
         }
     })
@@ -160,6 +167,10 @@ pub struct EvolutionStore {
     /// end up in a *non-final* segment (where recovery would treat it as
     /// corruption instead of a torn tail).
     active_len: u64,
+    /// Byte length of the active segment's file: `active_len` plus the
+    /// zeros written behind the last frame, up to a [`LOG_BLOCK`]
+    /// boundary. A frame that ends within it is written in place.
+    file_len: u64,
     next_seq: u64,
     stats: StoreStats,
     /// Exclusive single-opener lock, held for the store's lifetime. Two
@@ -168,8 +179,36 @@ pub struct EvolutionStore {
     _lock: DirLock,
 }
 
+/// The unit the active segment's file grows by. An append whose frame
+/// runs past the file's end writes zeros behind it up to the next multiple
+/// of this size, so the appends after it overwrite zeros in place and
+/// their `sync_data` has no new file size to commit. It is the file
+/// system's block size: ext4 allocates whole 4 KiB blocks anyway.
+/// (`fallocate` would not do: its unwritten extents turn the first write
+/// to each block back into a metadata change.)
+const LOG_BLOCK: u64 = 4096;
+
 fn seg_path(dir: &Path, start_seq: u64) -> PathBuf {
     dir.join(format!("seg-{start_seq:020}.evl"))
+}
+
+/// Creates the segment that starts at `start_seq`, holding its 16-byte
+/// header, and makes it durable: its bytes and its directory entry, or a
+/// crash leaves orphaned bytes or a snapshot whose follow-on segment
+/// vanished. It is opened for positioned writes, not for appending.
+fn create_segment(dir: &Path, start_seq: u64) -> Result<(File, PathBuf)> {
+    let path = seg_path(dir, start_seq);
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(&path)
+        .map_err(|e| Error::io(&path, e))?;
+    write_all_at(&file, &segment_header(start_seq), 0)
+        .and_then(|()| file.sync_all())
+        .map_err(|e| Error::io(&path, e))?;
+    sync_dir(dir)?;
+    Ok((file, path))
 }
 
 fn snap_path(dir: &Path, seq: u64) -> PathBuf {
@@ -229,10 +268,11 @@ struct LogTail {
     /// One past the last record of the final segment (unbounded walks).
     next_seq: u64,
     /// The final segment walked, its intact prefix length, and the torn
-    /// bytes past that prefix.
+    /// bytes or the zero tail past that prefix.
     last: PathBuf,
     valid_len: u64,
     torn_bytes: u64,
+    zero_tail: u64,
 }
 
 /// What one read of a store directory found: its listing, the anchor
@@ -420,12 +460,12 @@ fn check_segment_start(path: &Path, named: u64, header: u64) -> Result<()> {
 
 /// Walks `segments` once from record `from`, checking in segment order
 /// that every header names its file's start sequence, that no frame is
-/// torn but in the final segment, and that each segment ends where the
-/// next begins. A segment whose successor starts at or before `from`
-/// holds only pre-anchor records and gets its header checked only; every
-/// other one is read, CRC-verified and decoded in full. With a generation
-/// `bound` the walk stops at the first record past it and reads no later
-/// segment.
+/// torn and no zero tail left but in the final segment (rotation trims the
+/// segment it closes), and that each segment ends where the next begins.
+/// A segment whose successor starts at or before `from` holds only
+/// pre-anchor records and gets its header checked only; every other one
+/// is read, CRC-verified and decoded in full. With a generation `bound`
+/// the walk stops at the first record past it and reads no later segment.
 fn walk_log(segments: &[(u64, PathBuf)], from: u64, bound: Option<u64>) -> Result<LogTail> {
     let mut tail = LogTail {
         records: Vec::new(),
@@ -433,6 +473,7 @@ fn walk_log(segments: &[(u64, PathBuf)], from: u64, bound: Option<u64>) -> Resul
         last: PathBuf::new(),
         valid_len: 16,
         torn_bytes: 0,
+        zero_tail: 0,
     };
     for (idx, (start_seq, path)) in segments.iter().enumerate() {
         let next_start = segments.get(idx + 1).map(|(next, _)| *next);
@@ -443,9 +484,14 @@ fn walk_log(segments: &[(u64, PathBuf)], from: u64, bound: Option<u64>) -> Resul
         }
         let contents = read_segment(path)?;
         check_segment_start(path, *start_seq, contents.start_seq)?;
-        if contents.torn_bytes > 0 && next_start.is_some() {
+        if next_start.is_some() && contents.torn_bytes + contents.zero_tail > 0 {
+            let damage = if contents.torn_bytes > 0 {
+                "torn frame"
+            } else {
+                "zero tail"
+            };
             return Err(Error::corrupt(format!(
-                "torn frame in non-final segment {}",
+                "{damage} in non-final segment {}",
                 path.display()
             )));
         }
@@ -460,6 +506,7 @@ fn walk_log(segments: &[(u64, PathBuf)], from: u64, bound: Option<u64>) -> Resul
         tail.last.clone_from(path);
         tail.valid_len = contents.valid_len;
         tail.torn_bytes = contents.torn_bytes;
+        tail.zero_tail = contents.zero_tail;
         let skip = from.saturating_sub(*start_seq) as usize;
         for sealed in contents.records.into_iter().skip(skip) {
             if bound.is_some_and(|bound| sealed.post_generation > bound) {
@@ -536,22 +583,13 @@ impl EvolutionStore {
                 dir.display()
             )));
         }
-        let active_path = seg_path(&dir, 0);
-        let mut active = OpenOptions::new()
-            .create_new(true)
-            .append(true)
-            .open(&active_path)
-            .map_err(|e| Error::io(&active_path, e))?;
-        crate::log::append_all(&mut active, &active_path, &segment_header(0))?;
-        active.sync_all().map_err(|e| Error::io(&active_path, e))?;
-        // The directory entry for the new segment must be durable too, or
-        // a crash leaves an "empty" directory with orphaned fsync'd bytes.
-        sync_dir(&dir)?;
+        let (active, active_path) = create_segment(&dir, 0)?;
         Ok(EvolutionStore {
             dir,
             active,
             active_path,
             active_len: 16,
+            file_len: 16,
             next_seq: 0,
             stats: StoreStats::default(),
             _lock: lock,
@@ -571,9 +609,11 @@ impl EvolutionStore {
     /// Opens an existing store: picks the newest intact snapshot, reads the
     /// log records after it, truncates a torn tail on the active segment,
     /// and returns both the store (positioned for appends) and the replay
-    /// plan. Under the directory lock it also deletes what a crash left
-    /// behind: a headerless final segment and `snap-<seq>.tmp` files, each
-    /// of which can hold a whole snapshot no reader ever looks at.
+    /// plan. A zero tail on the active segment is its clean end: it stays,
+    /// and the next appends overwrite it in place. Under the directory lock
+    /// it also deletes what a crash left behind: a headerless final segment
+    /// and `snap-<seq>.tmp` files, each of which can hold a whole snapshot
+    /// no reader ever looks at.
     ///
     /// # Errors
     ///
@@ -603,7 +643,8 @@ impl EvolutionStore {
             truncate_segment(&tail.last, tail.valid_len)?;
         }
         let active = OpenOptions::new()
-            .append(true)
+            .read(true)
+            .write(true)
             .open(&tail.last)
             .map_err(|e| Error::io(&tail.last, e))?;
 
@@ -614,6 +655,7 @@ impl EvolutionStore {
             active,
             active_path: tail.last,
             active_len: tail.valid_len,
+            file_len: tail.valid_len + tail.zero_tail,
             next_seq: tail.next_seq,
             stats: StoreStats {
                 records_replayed: replayed,
@@ -651,9 +693,16 @@ impl EvolutionStore {
         self.stats
     }
 
-    /// Appends one record durably: framed, checksummed, written and
-    /// `fsync`'d on the caller's thread before returning. Returns the
-    /// record's sequence number.
+    /// Appends one record durably: framed, checksummed, written at the
+    /// durable end of the active segment and `fsync`'d (`sync_data`) on the
+    /// caller's thread before returning. Returns the record's sequence
+    /// number.
+    ///
+    /// A frame that ends within the file overwrites the zeros an earlier
+    /// append left there, so the file's size does not change and the sync
+    /// commits data only. A frame that runs past the file's end is written
+    /// with zeros behind it up to the next 4 KiB boundary, still in one
+    /// write and one sync (`store.log_extends` counts these).
     ///
     /// # Errors
     ///
@@ -664,34 +713,44 @@ impl EvolutionStore {
     /// reused.
     pub fn append(&mut self, post_generation: u64, record: LogRecord) -> Result<u64> {
         let _span = eve_trace::span("store.append");
-        let bytes = frame(&SealedRecord {
+        let mut bytes = frame(&SealedRecord {
             post_generation,
             record,
         })?;
+        let len = bytes.len() as u64;
+        let end = self.active_len + len;
+        let extends = end > self.file_len;
+        if extends {
+            // Less than one block of zeros, so the cast cannot truncate.
+            let zeros = (end.next_multiple_of(LOG_BLOCK) - end) as usize;
+            bytes.resize(bytes.len() + zeros, 0);
+        }
         let flush_started = Instant::now();
-        let write =
-            crate::log::append_all(&mut self.active, &self.active_path, &bytes).and_then(|()| {
-                self.active
-                    .sync_data()
-                    .map_err(|e| Error::io(&self.active_path, e))
-            });
+        let write = write_all_at(&self.active, &bytes, self.active_len)
+            .and_then(|()| self.active.sync_data())
+            .map_err(|e| Error::io(&self.active_path, e));
         if let Err(e) = write {
             // The segment may now hold a partial frame — or a complete one
             // whose fsync failed, which was never acknowledged and must not
             // survive (its sequence number will be reused). Roll the file
             // back to the durable prefix; if that also fails,
-            // `ensure_tail` retries before the next rotation.
+            // `ensure_tail` retries before the next rotation, and the next
+            // append writes zeros behind its frame again.
+            self.file_len = self.active_len;
             let _ = self.ensure_tail();
             return Err(e);
         }
         let seq = self.next_seq;
-        let len = bytes.len() as u64;
+        let m = mirrors();
+        if extends {
+            self.file_len = self.active_len + bytes.len() as u64;
+            m.log_extends.inc();
+        }
         self.next_seq += 1;
-        self.active_len += len;
+        self.active_len = end;
         self.stats.records_appended += 1;
         self.stats.log_bytes_appended += len;
         self.stats.fsyncs += 1;
-        let m = mirrors();
         m.records_appended.inc();
         m.log_bytes_appended.add(len);
         m.fsyncs.inc();
@@ -701,8 +760,9 @@ impl EvolutionStore {
     }
 
     /// Truncates the active segment back to its durable prefix
-    /// ([`Self::active_len`]) if a failed append left extra bytes behind.
-    /// No-op when the file already ends on the durable boundary.
+    /// ([`Self::active_len`]): the zeros behind the last frame, and
+    /// whatever a failed append left there. No-op when the file already
+    /// ends on the durable boundary.
     fn ensure_tail(&mut self) -> Result<()> {
         let len = self
             .active
@@ -717,6 +777,7 @@ impl EvolutionStore {
                 .sync_all()
                 .map_err(|e| Error::io(&self.active_path, e))?;
         }
+        self.file_len = self.active_len;
         Ok(())
     }
 
@@ -791,10 +852,11 @@ impl EvolutionStore {
     /// Rotates the active segment after a snapshot at `seq`: later records
     /// land in a fresh segment starting at `seq`. A checkpoint at the very
     /// start of a segment needs no rotation. Before the current segment
-    /// stops being final, any residue of a failed append must be truncated
-    /// away — recovery only tolerates a damaged tail on the *final*
-    /// segment. A failing truncation aborts the rotation (the snapshot
-    /// itself is already durable, so recovery stays anchored and correct).
+    /// stops being final, its zero tail and any residue of a failed append
+    /// must be truncated away — recovery only tolerates either on the
+    /// *final* segment. A failing truncation aborts the rotation (the
+    /// snapshot itself is already durable, so recovery stays anchored and
+    /// correct).
     fn rotate_after_snapshot(&mut self, seq: u64) -> Result<()> {
         let current_start = self
             .active_path
@@ -802,21 +864,11 @@ impl EvolutionStore {
             .and_then(|n| parse_numbered(&n.to_string_lossy(), "seg-", ".evl"));
         if current_start != Some(seq) {
             self.ensure_tail()?;
-            let active_path = seg_path(&self.dir, seq);
-            let mut active = OpenOptions::new()
-                .create_new(true)
-                .append(true)
-                .open(&active_path)
-                .map_err(|e| Error::io(&active_path, e))?;
-            crate::log::append_all(&mut active, &active_path, &segment_header(seq))?;
-            active.sync_all().map_err(|e| Error::io(&active_path, e))?;
-            // Make the rotation itself durable: the new segment's
-            // directory entry must survive a crash, or recovery sees a
-            // snapshot whose follow-on segment vanished.
-            sync_dir(&self.dir)?;
+            let (active, active_path) = create_segment(&self.dir, seq)?;
             self.active = active;
             self.active_path = active_path;
             self.active_len = 16;
+            self.file_len = 16;
             mirrors().segments_created.inc();
         }
         Ok(())
@@ -914,6 +966,18 @@ impl EvolutionStore {
             })?;
         }
         listing.remove_before(&self.dir, anchor_seq, &self.active_path)
+    }
+}
+
+impl Drop for EvolutionStore {
+    /// Trims the active segment to its last frame, so a store closed
+    /// cleanly leaves no zero tail and its segments hold exactly their
+    /// frames. It does not sync: a crash before the trim reaches disk
+    /// leaves the zeros, which recovery reads as the log's clean end.
+    fn drop(&mut self) {
+        if self.file_len != self.active_len {
+            let _ = self.active.set_len(self.active_len);
+        }
     }
 }
 

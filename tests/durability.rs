@@ -181,6 +181,196 @@ proptest! {
     }
 }
 
+/// The store files of `dir` copied into a fresh scratch directory: taken
+/// while the store is open, the image a crash at that moment leaves.
+fn copy_store(dir: &Path, tag: &str) -> PathBuf {
+    let copy = scratch_dir(tag);
+    std::fs::create_dir_all(&copy).unwrap();
+    for (name, bytes) in store_files(dir) {
+        std::fs::write(copy.join(name), bytes).unwrap();
+    }
+    copy
+}
+
+/// A crash while a store is open, and the same store closed cleanly.
+struct PaddedCrash {
+    /// The store, closed: its active segment ends on its last frame.
+    dir: PathBuf,
+    /// The crash image: a copy of `dir` taken while the engine ran.
+    image_dir: PathBuf,
+    /// The image's active segment.
+    active: PathBuf,
+    /// The active segment's bytes in the image and in the closed store.
+    image: Vec<u8>,
+    durable: Vec<u8>,
+    /// Where the active segment's last frame starts (its end, when the
+    /// segment holds no frame).
+    last_frame: usize,
+    /// The fingerprint once k records were applied.
+    states: Vec<Vec<u8>>,
+}
+
+/// Runs the seeded workload in batches through a durable engine (with a
+/// checkpoint after batch `checkpoint`), copies its directory while it is
+/// open, then drops it. A drop trims the active segment's zeros, so a
+/// crash simulated by a drop never shows them; the copy does.
+fn padded_crash(seed: u64, batch_size: usize, checkpoint: Option<usize>) -> PaddedCrash {
+    let dir = scratch_dir("padded");
+    let (engine, ops) = fixtures::build_workload(2, 20, seed).unwrap();
+    let mut durable = DurableEngine::create_with(&dir, engine).unwrap();
+    let mut states = vec![fingerprint(durable.engine())];
+    for (i, batch) in into_batches(ops, batch_size).into_iter().enumerate() {
+        durable.apply_batch(batch).unwrap();
+        states.push(fingerprint(durable.engine()));
+        if checkpoint == Some(i) {
+            durable.checkpoint().unwrap();
+        }
+    }
+    let image_dir = copy_store(&dir, "padded-image");
+    drop(durable);
+    let segment = active_segment(&dir);
+    let active = image_dir.join(segment.file_name().unwrap());
+    let durable = std::fs::read(&segment).unwrap();
+    let image = std::fs::read(&active).unwrap();
+    // The image is the closed segment, then zeros up to a block boundary
+    // (none while the segment holds no frame).
+    assert!(
+        image.len() == 16 || image.len().is_multiple_of(4096),
+        "{}",
+        image.len()
+    );
+    assert_eq!(&image[..durable.len()], durable.as_slice());
+    assert!(image[durable.len()..].iter().all(|&b| b == 0));
+    // The frames of the closed segment, which ends on its last one.
+    let mut last_frame = durable.len();
+    let mut pos = 16;
+    while let Some(len) = durable.get(pos..pos + 4) {
+        last_frame = pos;
+        pos += 12 + u32::from_le_bytes(len.try_into().unwrap()) as usize;
+    }
+    assert_eq!(pos, durable.len(), "the closed segment ends on a frame");
+    PaddedCrash {
+        dir,
+        image_dir,
+        active,
+        image,
+        durable,
+        last_frame,
+        states,
+    }
+}
+
+impl PaddedCrash {
+    /// The records, by index, an engine recovered from the image cut at
+    /// byte `cut` of its active segment must hold: all of them once the
+    /// last frame is whole, one fewer before.
+    fn expected(&self, cut: usize) -> usize {
+        self.states.len() - 1 - usize::from(cut < self.durable.len())
+    }
+
+    /// Recovers an engine from the image with its active segment cut at
+    /// byte `cut`, and checks it is the committed prefix `expected` names.
+    fn recover_cut(&self, cut: usize) {
+        std::fs::write(&self.active, &self.image[..cut]).unwrap();
+        let (recovered, report) = DurableEngine::open(&self.image_dir).unwrap();
+        let expected = self.expected(cut);
+        let got = report.snapshot_seq.unwrap_or(0) + report.replayed_records;
+        assert_eq!(usize::try_from(got).unwrap(), expected, "cut at byte {cut}");
+        assert!(
+            fingerprint(recovered.engine()) == self.states[expected],
+            "after cutting the image at byte {cut} the recovered state must be the \
+             {expected}-record prefix"
+        );
+        if cut >= self.durable.len() {
+            assert_eq!(report.torn_bytes_truncated, 0, "cut at byte {cut}");
+        }
+    }
+
+    fn remove(self) {
+        std::fs::remove_dir_all(&self.dir).ok();
+        std::fs::remove_dir_all(&self.image_dir).ok();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
+    ))]
+
+    /// A crash while the store is open leaves its active segment grown by
+    /// whole 4 KiB blocks, zeros behind the last frame. Recovering that
+    /// image equals recovering the same frames with the zeros cut off,
+    /// and a cut at a random byte of the last frame or of the zeros
+    /// recovers the k-record prefix (the last frame whole) or the
+    /// (k−1)-record one.
+    #[test]
+    fn a_crash_image_recovers_as_its_closed_log(
+        seed in 0u64..1_000_000,
+        batch_size in 1usize..6,
+        checkpoint in prop::option::of(0usize..4),
+        cut_fraction in 0.0f64..1.0,
+    ) {
+        let crash = padded_crash(seed, batch_size, checkpoint);
+        let (from_image, image_report) = DurableEngine::open(&crash.image_dir).unwrap();
+        let (closed, closed_report) = DurableEngine::open(&crash.dir).unwrap();
+        prop_assert_eq!(image_report.torn_bytes_truncated, 0);
+        prop_assert_eq!(
+            (image_report.snapshot_seq, image_report.replayed_records),
+            (closed_report.snapshot_seq, closed_report.replayed_records)
+        );
+        prop_assert!(fingerprint(from_image.engine()) == fingerprint(closed.engine()));
+        prop_assert!(fingerprint(from_image.engine()) == *crash.states.last().unwrap());
+        drop((from_image, closed));
+
+        let span = crash.image.len() - crash.last_frame;
+        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let cut = crash.last_frame + (span as f64 * cut_fraction) as usize;
+        crash.recover_cut(cut);
+        crash.remove();
+    }
+}
+
+/// A cut at every byte of the last frame and of the zero tail of a crash
+/// image recovers the k-record or the (k−1)-record prefix. The store
+/// recovers each cut of the active segment alone (a directory with no
+/// snapshot to load, so replay would start at its first record) and
+/// returns the records replay would apply; the engine recovers the whole
+/// image cut on either side of the last frame's end and at its last byte.
+#[test]
+fn every_cut_of_a_padded_tail_recovers_a_committed_prefix() {
+    for (seed, batch_size, checkpoint) in [(11, 1, None), (12, 5, Some(1))] {
+        let crash = padded_crash(seed, batch_size, checkpoint);
+        let end = crash.durable.len();
+        let sweep = scratch_dir("padded-sweep");
+        std::fs::create_dir_all(&sweep).unwrap();
+        let segment = sweep.join(crash.active.file_name().unwrap());
+        let recover_segment = |bytes: &[u8]| {
+            std::fs::write(&segment, bytes).unwrap();
+            let (_, recovered) = EvolutionStore::open(&sweep).unwrap();
+            let records: Vec<Vec<u8>> = recovered.tail.iter().map(eve::store::to_bytes).collect();
+            (records, recovered.torn_bytes)
+        };
+        let (whole, _) = recover_segment(&crash.durable);
+        assert!(!whole.is_empty() && crash.image.len() > end, "{seed}");
+        for cut in crash.last_frame..=crash.image.len() {
+            let (records, torn) = recover_segment(&crash.image[..cut]);
+            let expected = whole.len() - usize::from(cut < end);
+            assert!(
+                records[..] == whole[..expected],
+                "{seed}: cut at byte {cut}"
+            );
+            if cut >= end {
+                assert_eq!(torn, 0, "{seed}: cut at byte {cut}");
+            }
+        }
+        for cut in [end - 1, end, end + 1, crash.image.len() - 1] {
+            crash.recover_cut(cut);
+        }
+        std::fs::remove_dir_all(&sweep).ok();
+        crash.remove();
+    }
+}
+
 fn kp_attrs() -> Vec<AttributeInfo> {
     vec![
         AttributeInfo::new("K", DataType::Int),
@@ -341,6 +531,8 @@ proptest! {
     /// the typed `EveEngine` methods, `open_at(g)` equals a fresh engine
     /// replaying the submitted commands, and after a crash at a random
     /// record boundary `open` lands on the live state at that boundary.
+    /// The crash restores the active segment's bytes as they stood after
+    /// that command, zero tail included.
     #[test]
     fn every_record_kind_recovers_and_travels(
         picks in prop::collection::vec((0u8..11, any::<u32>()), 8..40),
@@ -356,9 +548,10 @@ proptest! {
         let mut submitted = Vec::new();
         let mut states = vec![fingerprint(durable.engine())];
         let mut generations = vec![durable.engine().mkb().generation()];
-        // Records logged and active-segment bytes once k commands ran.
+        // Records logged and the active segment's crash image (its bytes
+        // on disk while the store is open) once k commands ran.
         let mut logged = vec![durable.next_seq()];
-        let mut segment_len = vec![std::fs::metadata(active_segment(&dir)).unwrap().len()];
+        let mut images = vec![std::fs::read(active_segment(&dir)).unwrap()];
         for (step, (kind, r)) in preamble.into_iter().chain(picks).enumerate() {
             let cmd = next_command(step, kind, r, durable.engine(), &mut oracle);
             durable.apply(cmd.clone()).unwrap();
@@ -373,7 +566,7 @@ proptest! {
             states.push(state);
             generations.push(durable.engine().mkb().generation());
             logged.push(durable.next_seq());
-            segment_len.push(std::fs::metadata(active_segment(&dir)).unwrap().len());
+            images.push(std::fs::read(active_segment(&dir)).unwrap());
         }
         prop_assert_eq!(logged[5], logged[4], "a repeated DeclareIndex is not logged");
         drop(durable); // crash
@@ -395,12 +588,10 @@ proptest! {
             "open_at({target}) differs from the live state after {prefix} commands"
         );
 
-        // Crash at a random record boundary: cut the log there and recover.
+        // Crash at a random record boundary: restore the log's image there
+        // and recover.
         let boundary = crash % states.len();
-        let segment = std::fs::OpenOptions::new().write(true).open(active_segment(&dir)).unwrap();
-        segment.set_len(segment_len[boundary]).unwrap();
-        segment.sync_all().unwrap();
-        drop(segment);
+        std::fs::write(active_segment(&dir), &images[boundary]).unwrap();
         let (recovered, report) = DurableEngine::open(&dir).unwrap();
         prop_assert_eq!(report.torn_bytes_truncated, 0);
         prop_assert_eq!(report.replayed_records, logged[boundary]);

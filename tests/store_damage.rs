@@ -14,9 +14,16 @@
 //!   result is then a shorter committed prefix, never anything else;
 //! * after a successful `open`, `compact` and a second `open` leave the
 //!   state unchanged.
+//!
+//! Beside the property, fixed cases pin what the final segment may end in
+//! after its last frame: zeros (of any length, shorter than a frame header
+//! or a whole block's rest) are the log's clean end, a zero header followed
+//! by other bytes is a torn tail, and zeros after the last frame of a
+//! non-final segment are corruption.
 
 use proptest::prelude::*;
 
+use eve::store::LogRecord;
 use eve::system::DurableEngine;
 use eve_bench::fixtures::{self, fingerprint, into_batches};
 use std::path::{Path, PathBuf};
@@ -155,4 +162,109 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// `bytes` appended to the file at `path`.
+fn extend_file(path: &Path, bytes: &[u8]) {
+    let mut all = std::fs::read(path).unwrap();
+    all.extend_from_slice(bytes);
+    std::fs::write(path, all).unwrap();
+}
+
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
+/// Zeros after the final segment's last frame — what a crash leaves of the
+/// block the log grows by — are the log's clean end: every record
+/// recovers, nothing counts as torn, nothing is truncated, and the next
+/// appends overwrite the zeros in place.
+#[test]
+fn a_zero_tail_after_the_last_frame_is_the_logs_clean_end() {
+    for zeros in [1usize, 11, 12, 13, 4095] {
+        let dir = scratch_dir();
+        let (states, _) = build_store(&dir, 7);
+        let segment = fixtures::active_segment(&dir).unwrap().unwrap();
+        let len = file_len(&segment);
+        extend_file(&segment, &vec![0; zeros]);
+
+        let (mut recovered, report) = DurableEngine::open(&dir).unwrap();
+        assert_eq!(report.torn_bytes_truncated, 0, "{zeros} zeros");
+        assert!(
+            fingerprint(recovered.engine()) == *states.last().unwrap(),
+            "{zeros} zeros: the last committed state"
+        );
+        assert_eq!(file_len(&segment), len + zeros as u64, "{zeros} zeros");
+        for id in [98, 99] {
+            let name = format!("late{id}");
+            recovered.apply(LogRecord::AddSite { id, name }).unwrap();
+        }
+        let expected = fingerprint(recovered.engine());
+        drop(recovered);
+        let (reopened, report) = DurableEngine::open(&dir).unwrap();
+        assert_eq!(report.torn_bytes_truncated, 0, "{zeros} zeros");
+        assert!(
+            fingerprint(reopened.engine()) == expected,
+            "{zeros} zeros: the appends after recovery"
+        );
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A zero length field followed by any non-zero byte is a frame whose
+/// header never reached disk while a later page did: a torn tail, which
+/// recovery truncates, not a frame (its empty payload's CRC-64 is 0).
+#[test]
+fn a_zero_header_before_other_bytes_is_a_torn_tail() {
+    for tail in [[0; 12].as_slice(), &[0; 4]]
+        .into_iter()
+        .map(|zeros| [zeros, &[0xAB; 20]].concat())
+    {
+        let dir = scratch_dir();
+        let (states, _) = build_store(&dir, 7);
+        let segment = fixtures::active_segment(&dir).unwrap().unwrap();
+        let len = file_len(&segment);
+        extend_file(&segment, &tail);
+
+        let (recovered, report) = DurableEngine::open(&dir).unwrap();
+        assert_eq!(report.torn_bytes_truncated, tail.len() as u64);
+        assert!(fingerprint(recovered.engine()) == *states.last().unwrap());
+        assert_eq!(file_len(&segment), len, "the torn tail was truncated");
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Rotation trims the segment it closes, so zeros after the last frame of
+/// a non-final segment are damage, as a torn frame there is: recovery and
+/// time travel that read the segment both refuse the store.
+#[test]
+fn a_zero_tail_in_a_non_final_segment_is_corruption() {
+    let dir = scratch_dir();
+    let (states, _) = build_store(&dir, 7);
+    // Without the later snapshots, recovery replays every segment from the
+    // bootstrap image.
+    for path in store_files(&dir) {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.starts_with("snap-") && name != format!("snap-{:020}.evs", 0) {
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+    let (recovered, report) = DurableEngine::open(&dir).unwrap();
+    assert_eq!(report.snapshot_seq, Some(0));
+    assert!(fingerprint(recovered.engine()) == *states.last().unwrap());
+    drop(recovered);
+
+    let first = store_files(&dir)[0].clone();
+    assert!(first.ends_with(format!("seg-{:020}.evl", 0)));
+    extend_file(&first, &[0; 100]);
+    let refused = DurableEngine::open(&dir).unwrap_err().to_string();
+    assert!(
+        refused.contains("zero tail in non-final segment"),
+        "{refused}"
+    );
+    let travel = DurableEngine::open_at(&dir, u64::MAX).unwrap_err();
+    assert_eq!(travel.to_string(), refused);
+    std::fs::remove_dir_all(&dir).ok();
 }
